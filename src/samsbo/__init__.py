@@ -39,10 +39,10 @@ from .bounds import (
     rkhs_norm_exact,
     sample_lipschitz_bound,
     scaling_bundle,
+    select_sigma_prime,
 )
 from .safeopt import (
     CandidateGrid,
-    LoopConfig,
     SafeSet,
     TraceRecord,
     Transforms,
@@ -50,10 +50,8 @@ from .safeopt import (
     acquire_supplementary,
     fit_transforms,
     make_grid,
-    run,
     run_repetition,
     safe_set,
-    select_sigma_prime,
     step,
 )
 from .benchmarks import (
@@ -69,4 +67,10 @@ from .benchmarks import (
     shifted_supplementary,
 )
 from .verify import CoverageReport, bayesian_coverage, frequentist_coverage
-from .config import ExperimentConfig, parse_config, serialize_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    LoopConfig,
+    parse_config,
+    serialize_config,
+)

@@ -10,7 +10,7 @@ unstable closed loops map to a finite penalty above the safety threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

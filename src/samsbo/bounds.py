@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve
 
 from . import gp
+from .config import ConfigError
 from .hyperposterior import ConfidenceSet
 from .kernels import CorrelationMatrix, KernelParams, kernel_lipschitz, se_kernel_matrix
 
@@ -26,7 +27,6 @@ __all__ = [
     "DiscretizationSpec",
     "ScalingBundle",
     "LatentNormSpec",
-    "ConfigurationError",
     "beta_freq",
     "operator_norm_lambda",
     "rkhs_norm_exact",
@@ -37,15 +37,12 @@ __all__ = [
     "modulus_sigma",
     "estimate_feature_lipschitz",
     "sample_lipschitz_bound",
+    "select_sigma_prime",
     "gamma_factor",
     "nu_factor",
     "scaling_bundle",
     "kernel_dominance",
 ]
-
-
-class ConfigurationError(ValueError):
-    """Raised for unusable numeric configuration, e.g. too coarse a grid."""
 
 
 @dataclass(frozen=True)
@@ -222,14 +219,14 @@ def estimate_feature_lipschitz(
     """
     d = params.dim
     if grid_spec < 2:
-        raise ConfigurationError("grid_spec must provide at least 2 points per axis")
+        raise ConfigError("grid_spec must provide at least 2 points per axis")
     spacing = 1.0 / (grid_spec - 1)
     if spacing > float(np.min(params.lengthscales)) / 4.0:
-        raise ConfigurationError(
+        raise ConfigError(
             f"grid spacing {spacing:.4g} exceeds a quarter of the shortest lengthscale"
         )
     if grid_spec ** d > 4096:
-        raise ConfigurationError("tensor grid too large; reduce grid_spec or dimension")
+        raise ConfigError("tensor grid too large; reduce grid_spec or dimension")
     axes = [np.linspace(0.0, 1.0, grid_spec)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -273,6 +270,32 @@ def _unique_members(members):
     for m in members:
         seen.setdefault(m.key(), m)
     return list(seen.values())
+
+
+def select_sigma_prime(confidence_set: ConfidenceSet) -> CorrelationMatrix:
+    """Member minimizing the worst-case spectral ratio over the set (smallest gamma).
+
+    Ties resolve toward the highest recorded posterior density, which is the
+    set's ordering.
+    """
+    members = confidence_set.members
+    if len(members) == 1:
+        return members[0]
+    rs = _two_task_offdiags(members)
+    if rs is not None:
+        r_lo, r_hi = float(np.min(rs)), float(np.max(rs))
+        worst = np.maximum((1.0 + r_hi) / (1.0 + rs), (1.0 - r_lo) / (1.0 - rs))
+        return members[int(np.argmin(worst))]
+    unique = _unique_members(members)
+    best, best_val = unique[0], np.inf
+    for candidate in unique:
+        worst = max(
+            np.linalg.norm(np.linalg.solve(candidate.matrix, other.matrix), 2)
+            for other in unique
+        )
+        if worst < best_val - 1e-15:
+            best, best_val = candidate, worst
+    return best
 
 
 def gamma_factor(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) -> float:

@@ -16,13 +16,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, benchmarks, verify
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
-from .safeopt import LoopConfig, TraceRecord, run_repetition
+from .safeopt import TraceRecord, run_repetition
 
 RAW_HEADER = [
     "algorithm", "repetition", "iteration", "task", "input", "observed",
@@ -60,20 +61,6 @@ def build_problem(config: ExperimentConfig, disturbance_seed: int):
     )
 
 
-def loop_config(config: ExperimentConfig, algorithm: str) -> LoopConfig:
-    return LoopConfig(
-        algorithm=algorithm, iterations=config.iterations, delta=config.delta,
-        rho=config.rho, tau=config.tau, eta=config.eta,
-        supplementary_batch=config.supplementary_batch, grid_size=config.grid_size,
-        lengthscale=config.lengthscale, signal_variance=config.signal_variance,
-        noise_variance=config.noise_variance, mcmc_samples=config.mcmc_samples,
-        mcmc_chains=config.mcmc_chains, mcmc_burn_in=config.mcmc_burn_in,
-        mcmc_target_acceptance=config.mcmc_target_acceptance,
-        refresh_every=config.refresh_every, include_psi=config.include_psi,
-        seed_points=config.seed_points,
-    )
-
-
 def _repetition_seeds(config: ExperimentConfig) -> list[int]:
     return [int(s.generate_state(1)[0])
             for s in np.random.SeedSequence(config.seed).spawn(config.repetitions)]
@@ -82,7 +69,7 @@ def _repetition_seeds(config: ExperimentConfig) -> list[int]:
 def _run_one(config: ExperimentConfig, algorithm: str, repetition: int,
              rep_seed: int) -> list[TraceRecord]:
     problem = build_problem(config, disturbance_seed=rep_seed)
-    return run_repetition(problem, loop_config(config, algorithm), rep_seed,
+    return run_repetition(problem, replace(config, algorithm=algorithm), rep_seed,
                           repetition=repetition)
 
 
@@ -106,41 +93,41 @@ def _write_raw_csv(path: Path, algorithm: str, traces: list[list[TraceRecord]]) 
                 ])
 
 
-def best_curves(traces: list[list[TraceRecord]], iterations: int) -> np.ndarray:
+def _forward_fill(best_by_iteration: list[dict[int, float]], iterations: int) -> np.ndarray:
     """Best-so-far per repetition at main-task iterations 1..iterations.
 
-    Stalled iterations carry the previous best forward.
+    Each repetition maps an iteration to the best-so-far of its main-task row;
+    iteration 0 holds the seeds.  Stalled iterations carry the previous best
+    forward.
     """
-    curves = np.full((len(traces), iterations), np.nan)
-    for i, rows in enumerate(traces):
-        best = np.inf
-        by_iteration = {}
-        for r in rows:
-            if r.task == 1:
-                best = min(best, r.observed)
-                by_iteration[r.iteration] = best
-        running = min((r.observed for r in rows if r.task == 1 and r.iteration == 0),
-                      default=np.inf)
+    curves = np.full((len(best_by_iteration), iterations), np.nan)
+    for i, best in enumerate(best_by_iteration):
+        running = best.get(0, np.inf)
         for t in range(1, iterations + 1):
-            running = by_iteration.get(t, running)
+            running = best.get(t, running)
             curves[i, t - 1] = running
     return curves
+
+
+def best_curves(traces: list[list[TraceRecord]], iterations: int) -> np.ndarray:
+    """Forward-filled best-so-far curves of traced repetitions."""
+    return _forward_fill(
+        [{r.iteration: r.best_so_far for r in rows if r.task == 1} for rows in traces],
+        iterations)
+
+
+def _summary(col: np.ndarray) -> list[str]:
+    """Median, 10 % and 90 % quantiles, mean and std of one iteration's values."""
+    return [_format_float(v) for v in (np.median(col), np.quantile(col, 0.10),
+                                       np.quantile(col, 0.90), np.mean(col), np.std(col))]
 
 
 def _aggregate_rows(algorithm: str, traces: list[list[TraceRecord]],
                     iterations: int) -> list[list]:
     curves = best_curves(traces, iterations)
-    rows = []
-    for t in range(1, iterations + 1):
-        col = curves[:, t - 1]
-        violations = sum(r.violation for rep in traces for r in rep if r.iteration == t)
-        rows.append([
-            algorithm, t,
-            _format_float(np.median(col)), _format_float(np.quantile(col, 0.10)),
-            _format_float(np.quantile(col, 0.90)), _format_float(np.mean(col)),
-            _format_float(np.std(col)), violations,
-        ])
-    return rows
+    return [[algorithm, t, *_summary(curves[:, t - 1]),
+             sum(r.violation for rep in traces for r in rep if r.iteration == t)]
+            for t in range(1, iterations + 1)]
 
 
 def cmd_run(config: ExperimentConfig) -> int:
@@ -225,7 +212,7 @@ def cmd_verify_bounds(config: ExperimentConfig) -> int:
 
 
 def cmd_plotdata(raw_paths: list[str], out_path: str) -> int:
-    rows_by_alg: dict[str, dict[int, dict[int, float]]] = {}
+    best_by_alg: dict[str, dict[int, dict[int, float]]] = {}
     for path in raw_paths:
         with open(path, "r", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -236,28 +223,15 @@ def cmd_plotdata(raw_paths: list[str], out_path: str) -> int:
                 record = dict(zip(RAW_HEADER, row))
                 if int(record["task"]) != 1:
                     continue
-                alg = record["algorithm"]
-                rep = int(record["repetition"])
-                rows_by_alg.setdefault(alg, {}).setdefault(rep, {})[
-                    int(record["iteration"])] = float(record["best_so_far"])
+                best_by_alg.setdefault(record["algorithm"], {}).setdefault(
+                    int(record["repetition"]), {})[int(record["iteration"])] = \
+                    float(record["best_so_far"])
     out_rows = []
-    for alg in sorted(rows_by_alg):
-        reps = rows_by_alg[alg]
-        max_iter = max(max(d) for d in reps.values())
-        curves = np.full((len(reps), max_iter), np.nan)
-        for i, rep in enumerate(sorted(reps)):
-            running = reps[rep].get(0, np.inf)
-            for t in range(1, max_iter + 1):
-                running = reps[rep].get(t, running)
-                curves[i, t - 1] = running
-        for t in range(1, max_iter + 1):
-            col = curves[:, t - 1]
-            out_rows.append([
-                alg, t, _format_float(np.median(col)),
-                _format_float(np.quantile(col, 0.10)),
-                _format_float(np.quantile(col, 0.90)),
-                _format_float(np.mean(col)), _format_float(np.std(col)),
-            ])
+    for alg in sorted(best_by_alg):
+        reps = best_by_alg[alg]
+        max_iter = max(max(best) for best in reps.values())
+        curves = _forward_fill([reps[rep] for rep in sorted(reps)], max_iter)
+        out_rows.extend([alg, t, *_summary(curves[:, t - 1])] for t in range(1, max_iter + 1))
     with open(out_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(PLOTDATA_HEADER)
@@ -278,7 +252,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if out:
         overrides["out"] = out
     if overrides:
-        from dataclasses import replace
         config = replace(config, **overrides)
     return config
 

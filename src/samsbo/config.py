@@ -1,24 +1,89 @@
-"""Experiment configuration: plain key-value files with validated defaults."""
+"""Settings: the loop's knobs, the campaign around them, and their key-value file format."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "parse_config_text", "serialize_config"]
+from .hyperposterior import MIN_SAMPLES
+from .kernels import KernelParams
+
+__all__ = [
+    "ALGORITHMS",
+    "ConfigError",
+    "LoopConfig",
+    "ExperimentConfig",
+    "parse_config",
+    "parse_config_text",
+    "serialize_config",
+]
+
+ALGORITHMS = ("samsbo", "safe-ucb", "ucb", "multi-task-ucb")
 
 
 class ConfigError(ValueError):
-    """Configuration file problem, annotated with the offending line."""
+    """Unusable setting, named by its key (and its line when read from a file)."""
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one benchmark campaign.
+class LoopConfig:
+    """Everything one optimization run needs besides the problem itself."""
 
-    Defaults follow the standard protocol: 40 iterations, 15 repetitions,
-    delta 0.05, rho 0.15, tau 0.001, eta 0.1, one supplementary task evaluated
-    2 * dimension times per iteration, disturbance factor 0.3.
+    algorithm: str = "samsbo"
+    iterations: int = 40
+    delta: float = 0.05
+    rho: float = 0.15
+    tau: float = 0.001
+    eta: float = 0.1
+    supplementary_batch: int = 0        # 0 selects the 2 * dimension default
+    grid_size: int = 2048
+    lengthscale: float = 0.2
+    signal_variance: float = 1.0
+    noise_variance: float = 0.01        # nu needs it positive
+    mcmc_samples: int = 200
+    include_psi: bool = False
+    seed_points: int = 3
+
+    def __post_init__(self):
+        self._check_algorithms()
+        for name in ("delta", "rho", "tau"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+        for name in ("eta", "lengthscale", "signal_variance", "noise_variance"):
+            value = getattr(self, name)
+            if value <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        if self.iterations < 0:
+            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
+        if self.mcmc_samples < MIN_SAMPLES:
+            raise ConfigError(f"mcmc_samples must be >= {MIN_SAMPLES}, got {self.mcmc_samples}")
+        if self.seed_points < 1:
+            raise ConfigError(f"seed_points must be >= 1, got {self.seed_points}")
+
+    def _check_algorithms(self) -> None:
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+
+    def kernel_params(self, dimension: int) -> KernelParams:
+        return KernelParams(self.signal_variance,
+                            np.full(dimension, self.lengthscale),
+                            self.noise_variance)
+
+    def batch_size(self, dimension: int) -> int:
+        return self.supplementary_batch if self.supplementary_batch > 0 else 2 * dimension
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(LoopConfig):
+    """One benchmark campaign: the loop settings plus problem, repetitions and outputs.
+
+    ``algorithm`` may list several loops separated by commas; each runs on a
+    copy naming that loop alone, ``dataclasses.replace(config, algorithm=name)``,
+    since the loop refuses a list.  Defaults follow the standard protocol: 40
+    iterations, 15 repetitions, delta 0.05, rho 0.15, tau 0.001, eta 0.1, one
+    supplementary task evaluated 2 * dimension times per iteration,
+    disturbance factor 0.3.
     """
 
     problem: str = "branin"
@@ -26,45 +91,24 @@ class ExperimentConfig:
     threshold: float = 0.0              # 0 keeps the problem's default
     n_tasks: int = 2
     disturbance: float = 0.3
-    algorithm: str = "samsbo"           # comma-separated list allowed
-    iterations: int = 40
-    repetitions: int = 15
-    delta: float = 0.05
-    rho: float = 0.15
-    tau: float = 0.001
-    eta: float = 0.1
-    supplementary_batch: int = 0        # 0 selects 2 * dimension
-    seed: int = 0
-    grid_size: int = 2048
-    lengthscale: float = 0.2
-    signal_variance: float = 1.0
-    noise_variance: float = 0.01
     observation_noise: float = 0.01
-    mcmc_samples: int = 200
-    mcmc_chains: int = 2
-    mcmc_burn_in: float = 0.5
-    mcmc_target_acceptance: float = 0.3
-    refresh_every: int = 1
-    include_psi: bool = False
-    seed_points: int = 3
+    repetitions: int = 15
+    seed: int = 0
     frequentist_trials: int = 500
     bayesian_trials: int = 200
     jobs: int = 1
     out: str = "results"
 
     def __post_init__(self):
-        for name in ("delta", "rho", "tau", "mcmc_burn_in", "mcmc_target_acceptance"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {value}")
-        if self.eta <= 0.0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        super().__post_init__()
         if self.problem not in ("branin", "powell", "laser"):
             raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.iterations < 0 or self.repetitions < 1:
-            raise ConfigError("iterations must be >= 0 and repetitions >= 1")
+        if self.repetitions < 1:
+            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+
+    def _check_algorithms(self) -> None:
         for name in self.algorithms():
-            if name not in ("samsbo", "safe-ucb", "ucb", "multi-task-ucb"):
+            if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}")
 
     def algorithms(self) -> list[str]:
@@ -90,8 +134,8 @@ def _coerce(name: str, kind: type, raw: str, line_no: int):
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines; '#' starts a comment, blank lines are ignored."""
-    field_types = {f.name: f.type for f in fields(ExperimentConfig)}
-    resolved = {f.name: type(getattr(ExperimentConfig(), f.name)) for f in fields(ExperimentConfig)}
+    defaults = ExperimentConfig()
+    kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(ExperimentConfig)}
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -101,9 +145,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in field_types:
+        if key not in kinds:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        values[key] = _coerce(key, resolved[key], raw, line_no)
+        values[key] = _coerce(key, kinds[key], raw, line_no)
     return ExperimentConfig(**values)
 
 

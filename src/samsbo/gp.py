@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
+from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
 __all__ = [
     "MultiTaskDataset",
@@ -83,16 +83,6 @@ class MultiTaskDataset:
             np.concatenate([self.tasks, z]),
             np.concatenate([self.observations, y]),
         )
-
-    def n_tasks_present(self) -> int:
-        return int(np.unique(self.tasks).size)
-
-
-def _multitask_gram(dataset: MultiTaskDataset, sigma: CorrelationMatrix,
-                    params: KernelParams, base_gram: np.ndarray | None = None) -> np.ndarray:
-    zi = dataset.tasks - 1
-    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if base_gram is None else base_gram
-    return sigma.matrix[np.ix_(zi, zi)] * base
 
 
 def _chol_with_jitter(system: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
@@ -175,9 +165,9 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
     matrix of the inputs so that refits across different correlation matrices
     only pay for the Cholesky factorization.
     """
-    K = _multitask_gram(dataset, sigma, params, base_gram)
     if dataset.n == 0:
-        return Posterior(dataset, sigma, params, np.zeros((0, 0)), np.zeros(0), K)
+        return Posterior(dataset, sigma, params, np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
+    K = gram(dataset, sigma, params, base_gram)
     system = K + params.noise_variance * np.eye(dataset.n)
     L, _ = _chol_with_jitter(system, params.signal_variance)
     alpha = cho_solve((L, True), dataset.observations)
@@ -189,7 +179,7 @@ def log_marginal_likelihood(dataset: MultiTaskDataset, sigma: CorrelationMatrix,
     """Log density of the observations under the zero-mean GP prior plus noise."""
     if dataset.n == 0:
         return 0.0
-    K = _multitask_gram(dataset, sigma, params, base_gram)
+    K = gram(dataset, sigma, params, base_gram)
     system = K + params.noise_variance * np.eye(dataset.n)
     L, _ = _chol_with_jitter(system, params.signal_variance)
     y = dataset.observations

@@ -15,7 +15,7 @@ violating the nonnegativity constraint rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
 
 R_MAX = 1.0 - 1e-6
 ANGLE_MARGIN = 1e-6
+MIN_SAMPLES = 10
 
 
 class ChainDivergenceError(RuntimeError):
@@ -234,8 +235,8 @@ def sample_hyperposterior(
         raise ValueError("hyper-posterior sampling needs at least two tasks")
     cfg = config or McmcConfig()
     total_keep = n_samples if n_samples is not None else cfg.chains * cfg.samples_per_chain
-    if total_keep < 10:
-        raise ValueError("request at least 10 samples")
+    if total_keep < MIN_SAMPLES:
+        raise ValueError(f"request at least {MIN_SAMPLES} samples")
     per_chain = int(np.ceil(total_keep / cfg.chains))
 
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if dataset.n else None

@@ -12,7 +12,7 @@ package after normalization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -60,9 +60,6 @@ class KernelParams:
     @property
     def dim(self) -> int:
         return self.lengthscales.size
-
-    def with_noise(self, noise_variance: float) -> "KernelParams":
-        return KernelParams(self.signal_variance, self.lengthscales, noise_variance)
 
 
 @dataclass(frozen=True)
@@ -160,18 +157,20 @@ def multitask_kernel(
     return float(sigma.matrix[z - 1, z_prime - 1]) * se_kernel(x, x_prime, params)
 
 
-def gram(dataset, sigma: CorrelationMatrix, params: KernelParams) -> np.ndarray:
+def gram(dataset, sigma: CorrelationMatrix, params: KernelParams,
+         base_gram: np.ndarray | None = None) -> np.ndarray:
     """Multi-task Gram matrix of a dataset, entry (i, j) = Sigma[z_i, z_j] k(x_i, x_j).
 
     ``dataset`` only needs ``inputs`` (n x d) and ``tasks`` (length n, 1-based)
-    attributes; see :class:`samsbo.gp.MultiTaskDataset`.
+    attributes; see :class:`samsbo.gp.MultiTaskDataset`.  ``base_gram``
+    optionally supplies the precomputed single-task matrix k(x_i, x_j).
     """
     if dataset.inputs.shape[0] == 0:
         raise ValueError("gram requires a nonempty dataset")
     zi = np.asarray(dataset.tasks, dtype=int) - 1
     if zi.min() < 0 or zi.max() >= sigma.size:
         raise ValueError(f"task indices must lie in 1..{sigma.size}")
-    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
+    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if base_gram is None else base_gram
     return sigma.matrix[np.ix_(zi, zi)] * base
 
 

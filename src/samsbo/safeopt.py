@@ -12,21 +12,20 @@ instead of the safe set.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
 
-from . import bounds, gp, hyperposterior
-from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
+from . import benchmarks, bounds, gp, hyperposterior
+from .config import ALGORITHMS, ConfigError, LoopConfig
+from .kernels import CorrelationMatrix, se_kernel_matrix
 
 __all__ = [
-    "ALGORITHMS",
     "Transforms",
     "CandidateGrid",
     "SafeSet",
     "TraceRecord",
-    "LoopConfig",
     "OptimizationState",
     "NoSafeActionError",
     "fit_transforms",
@@ -34,14 +33,11 @@ __all__ = [
     "safe_set",
     "acquire_main",
     "acquire_supplementary",
-    "select_sigma_prime",
     "initialize_state",
     "step",
     "run_repetition",
-    "run",
 ]
 
-ALGORITHMS = ("samsbo", "safe-ucb", "ucb", "multi-task-ucb")
 STD_FLOOR = 1e-8
 
 
@@ -183,45 +179,6 @@ class TraceRecord:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class LoopConfig:
-    """Everything one optimization run needs besides the problem itself."""
-
-    algorithm: str = "samsbo"
-    iterations: int = 40
-    delta: float = 0.05
-    rho: float = 0.15
-    tau: float = 0.001
-    eta: float = 0.1
-    supplementary_batch: int = 0        # 0 selects the 2 * dimension default
-    grid_size: int = 2048
-    lengthscale: float = 0.2
-    signal_variance: float = 1.0
-    noise_variance: float = 0.01
-    mcmc_samples: int = 200
-    mcmc_chains: int = 2
-    mcmc_burn_in: float = 0.5
-    mcmc_target_acceptance: float = 0.3
-    refresh_every: int = 1
-    include_psi: bool = False
-    seed_points: int = 3
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("delta", "rho", "tau"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-
-    def kernel_params(self, dimension: int) -> KernelParams:
-        return KernelParams(self.signal_variance,
-                            np.full(dimension, self.lengthscale),
-                            self.noise_variance)
-
-    def batch_size(self, dimension: int) -> int:
-        return self.supplementary_batch if self.supplementary_batch > 0 else 2 * dimension
-
-
 @dataclass
 class OptimizationState:
     """Mutable per-repetition state of the optimization loop."""
@@ -239,34 +196,6 @@ class OptimizationState:
     stalled_iterations: int = 0
 
 
-def select_sigma_prime(confidence_set: hyperposterior.ConfidenceSet) -> CorrelationMatrix:
-    """Member minimizing the worst-case spectral ratio over the set (smallest gamma).
-
-    Ties resolve toward the highest recorded posterior density, which is the
-    set's ordering.
-    """
-    members = confidence_set.members
-    if len(members) == 1:
-        return members[0]
-    rs = bounds._two_task_offdiags(members)
-    if rs is not None:
-        r_lo, r_hi = float(np.min(rs)), float(np.max(rs))
-        worst = np.maximum((1.0 + r_hi) / (1.0 + rs), (1.0 - r_lo) / (1.0 - rs))
-        return members[int(np.argmin(worst))]
-    uniq = {}
-    for idx, m in enumerate(members):
-        uniq.setdefault(m.key(), (idx, m))
-    best_idx, best_val = 0, np.inf
-    for idx, candidate in uniq.values():
-        worst = max(
-            np.linalg.norm(np.linalg.solve(candidate.matrix, other.matrix), 2)
-            for _, other in uniq.values()
-        )
-        if worst < best_val - 1e-15:
-            best_idx, best_val = idx, worst
-    return members[best_idx]
-
-
 def _standardized_dataset(state_dataset: gp.MultiTaskDataset, transforms: Transforms) -> gp.MultiTaskDataset:
     return gp.MultiTaskDataset(
         transforms.normalize(state_dataset.inputs),
@@ -276,7 +205,7 @@ def _standardized_dataset(state_dataset: gp.MultiTaskDataset, transforms: Transf
 
 
 def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
-                   rng: np.random.Generator, refresh_hyperposterior: bool) -> None:
+                   rng: np.random.Generator) -> None:
     """Refit transforms, hyper-posterior, scaling bundle and posterior in place."""
     multitask = _is_multitask(cfg.algorithm) and problem.n_tasks > 1
     params = cfg.kernel_params(problem.dimension)
@@ -285,20 +214,13 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
     ds = _standardized_dataset(state.dataset, state.transforms)
     base = se_kernel_matrix(ds.inputs, ds.inputs, params)
     if multitask:
-        if refresh_hyperposterior:
-            mcmc = hyperposterior.McmcConfig(
-                chains=cfg.mcmc_chains,
-                samples_per_chain=int(np.ceil(cfg.mcmc_samples / cfg.mcmc_chains)),
-                burn_in_fraction=cfg.mcmc_burn_in,
-                seed=int(rng.integers(2 ** 63)),
-                target_acceptance=cfg.mcmc_target_acceptance,
-            )
-            hyper = hyperposterior.sample_hyperposterior(
-                ds, problem.n_tasks, hyperposterior.HyperPrior(cfg.eta), params,
-                n_samples=cfg.mcmc_samples, config=mcmc,
-            )
-            state.confidence_set = hyperposterior.confidence_set(hyper, cfg.rho)
-            state.sigma_prime = select_sigma_prime(state.confidence_set)
+        hyper = hyperposterior.sample_hyperposterior(
+            ds, problem.n_tasks, hyperposterior.HyperPrior(cfg.eta), params,
+            n_samples=cfg.mcmc_samples,
+            config=hyperposterior.McmcConfig(seed=int(rng.integers(2 ** 63))),
+        )
+        state.confidence_set = hyperposterior.confidence_set(hyper, cfg.rho)
+        state.sigma_prime = bounds.select_sigma_prime(state.confidence_set)
     else:
         identity = CorrelationMatrix.identity(1)
         state.confidence_set = hyperposterior.ConfidenceSet((identity,), cfg.rho, np.zeros(1))
@@ -311,12 +233,6 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
         include_psi=cfg.include_psi, base_gram=base,
     )
     state.posterior = gp.fit(ds, state.sigma_prime, params, base_gram=base)
-
-
-def _main_task_dataset(dataset: gp.MultiTaskDataset) -> gp.MultiTaskDataset:
-    keep = dataset.tasks == 1
-    return gp.MultiTaskDataset(dataset.inputs[keep], dataset.tasks[keep],
-                               dataset.observations[keep])
 
 
 def acquire_main(state: OptimizationState, current_safe_set: SafeSet) -> np.ndarray:
@@ -376,6 +292,8 @@ def _record(state: OptimizationState, repetition: int, task: int, x_raw: np.ndar
 def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
                      seed_inputs: np.ndarray, repetition: int = 0) -> tuple[OptimizationState, list[TraceRecord]]:
     """Evaluate the safe seed inputs on the main task and build the initial model."""
+    if cfg.algorithm not in ALGORITHMS:
+        raise ConfigError(f"the loop runs one algorithm at a time, got {cfg.algorithm!r}")
     started = time.perf_counter()
     seed_inputs = np.atleast_2d(np.asarray(seed_inputs, dtype=float))
     observations = [problem.evaluate(1, x, rng) for x in seed_inputs]
@@ -386,7 +304,7 @@ def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
         dataset=dataset, transforms=None, confidence_set=None, sigma_prime=None,
         bundle=None, posterior=None,
     )
-    _refresh_model(state, problem, cfg, rng, refresh_hyperposterior=True)
+    _refresh_model(state, problem, cfg, rng)
     state.grid = make_grid(problem.dimension, cfg.grid_size, cfg.tau, seed=0,
                            extra_points=state.transforms.normalize(seed_inputs))
     trace = []
@@ -421,8 +339,7 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
             new_y.append(y_raw)
         state.dataset = state.dataset.extended(new_x, new_z, new_y)
 
-    refresh = (state.iteration - 1) % cfg.refresh_every == 0
-    _refresh_model(state, problem, cfg, rng, refresh_hyperposterior=refresh)
+    _refresh_model(state, problem, cfg, rng)
 
     if multitask:
         for x_raw, task, y_raw in zip(new_x, new_z, new_y):
@@ -458,30 +375,10 @@ def run_repetition(problem, cfg: LoopConfig, seed: int, repetition: int = 0,
     """One full optimization run: seed evaluations plus ``cfg.iterations`` steps."""
     rng = np.random.default_rng(seed)
     if seed_inputs is None:
-        from .benchmarks import find_safe_seed
-        seed_inputs = np.array([find_safe_seed(problem, rng) for _ in range(cfg.seed_points)])
+        seed_inputs = np.array([benchmarks.find_safe_seed(problem, rng)
+                                for _ in range(cfg.seed_points)])
     state, trace = initialize_state(problem, cfg, rng, seed_inputs, repetition)
     for _ in range(cfg.iterations):
         trace.extend(step(state, problem, cfg, rng, repetition))
     return trace
 
-
-def run(problem, cfg: LoopConfig, repetitions: int = 1, seed: int = 0) -> list[TraceRecord]:
-    """Sequential repetitions with isolated seeds and reinitialized disturbances.
-
-    A failed repetition is skipped after recording the failure; remaining
-    repetitions still run.  Fixed seeds make the whole trace deterministic.
-    """
-    seeds = np.random.SeedSequence(seed).spawn(repetitions)
-    trace: list[TraceRecord] = []
-    failures = []
-    for rep, seq in enumerate(seeds):
-        rep_seed = int(seq.generate_state(1)[0])
-        rep_problem = problem.with_disturbance_seed(rep_seed)
-        try:
-            trace.extend(run_repetition(rep_problem, cfg, rep_seed, repetition=rep))
-        except Exception as exc:  # noqa: BLE001 - repetition isolation
-            failures.append((rep, exc))
-    if failures and len(failures) == repetitions:
-        raise RuntimeError(f"all repetitions failed; first error: {failures[0][1]}")
-    return trace

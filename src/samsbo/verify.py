@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, gp, hyperposterior
-from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
-from .safeopt import select_sigma_prime
+from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
 __all__ = ["CoverageReport", "frequentist_coverage", "bayesian_coverage"]
 
@@ -73,8 +72,7 @@ def frequentist_coverage(trials: int = 500, n_obs: int = 30, delta: float = 0.05
     center_tasks = rng.integers(1, 3, size=m)
     coefficients = 0.5 * rng.standard_normal(m)
     expansion = gp.MultiTaskDataset(centers, center_tasks, np.zeros(m))
-    from .kernels import gram as gram_matrix
-    norm = float(np.sqrt(coefficients @ gram_matrix(expansion, sigma, params) @ coefficients))
+    norm = float(np.sqrt(coefficients @ gram(expansion, sigma, params) @ coefficients))
 
     half = n_obs // 2
     design = np.vstack([rng.random((half, 1)), rng.random((n_obs - half, 1))])
@@ -154,7 +152,7 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
             n_samples=mcmc_samples, config=mcmc,
         )
         cset = hyperposterior.confidence_set(hyper, rho)
-        sigma_prime = select_sigma_prime(cset)
+        sigma_prime = bounds.select_sigma_prime(cset)
         bundle = bounds.scaling_bundle(dataset, sigma_prime, cset, disc, params, delta)
         posterior = gp.fit(dataset, sigma_prime, params)
 

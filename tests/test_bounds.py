@@ -3,7 +3,6 @@ import pytest
 
 from samsbo import bounds, gp
 from samsbo.bounds import (
-    ConfigurationError,
     DiscretizationSpec,
     LatentNormSpec,
     beta_bayes,
@@ -21,6 +20,7 @@ from samsbo.bounds import (
     sample_lipschitz_bound,
     scaling_bundle,
 )
+from samsbo.config import ConfigError
 from samsbo.hyperposterior import ConfidenceSet
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
@@ -193,7 +193,7 @@ class TestFeatureLipschitz:
         assert scaled == pytest.approx(2.0 * base, rel=1e-9)
 
     def test_coarse_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             estimate_feature_lipschitz(KernelParams(1.0, [0.05]), 0.05, 50, 10)
 
 

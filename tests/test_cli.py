@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,17 @@ from samsbo.cli import (
 from samsbo.config import (
     ConfigError,
     ExperimentConfig,
+    LoopConfig,
     parse_config_text,
     serialize_config,
 )
+
+# settings the loop cannot run, each with the key its error must name
+BAD_VALUES = [
+    ("rho", 1.5), ("mcmc_samples", 5), ("seed_points", 0), ("lengthscale", 0),
+    ("signal_variance", 0), ("noise_variance", 0),
+]
+REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance"]
 
 
 class TestParseConfig:
@@ -51,8 +60,17 @@ class TestParseConfig:
             parse_config_text("problem = branin\nbogus = 1\n")
 
     def test_out_of_range_names_key(self):
-        with pytest.raises(ConfigError, match="rho"):
-            parse_config_text("rho = 1.5\n")
+        for key, value in BAD_VALUES:
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(f"{key} = {value}\n")
+
+    def test_campaign_extends_loop_settings(self):
+        cfg = parse_config_text("algorithm = samsbo,ucb\nmcmc_samples = 60\n")
+        assert isinstance(cfg, LoopConfig)
+        single = replace(cfg, algorithm="ucb")
+        assert single.algorithm == "ucb" and single.mcmc_samples == 60
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            LoopConfig(algorithm="samsbo,ucb")
 
     def test_bad_type_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -191,11 +209,17 @@ class TestMainEntry:
         report = json.loads((tmp_path / "v" / "coverage.json").read_text())
         assert all(r["trials"] == 0 and r["passed"] for r in report)
 
-    def test_bad_config_exit_code(self, tmp_path, monkeypatch):
+    def test_bad_config_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SAMSBO_OUT", raising=False)
         cfg_file = tmp_path / "cfg.txt"
-        cfg_file.write_text("rho = 2.0\n")
-        assert main(["run", "--config", str(cfg_file)]) == 2
+        out = tmp_path / "results"
+        lines = ["rho = 2.0"] + [f"{k} = {v}" for k, v in BAD_VALUES] + \
+            [f"{k} = 0" for k in REMOVED_KEYS]
+        for line in lines:
+            cfg_file.write_text(line + "\n")
+            assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+            assert line.split(" =")[0] in capsys.readouterr().err
+            assert not out.exists()          # no repetition started
 
 
 class TestBuildProblem:

@@ -3,6 +3,8 @@ import pytest
 
 from samsbo import bounds, gp
 from samsbo.benchmarks import branin_problem
+from samsbo.bounds import select_sigma_prime
+from samsbo.config import ConfigError, ExperimentConfig
 from samsbo.hyperposterior import ConfidenceSet
 from samsbo.kernels import CorrelationMatrix, KernelParams
 from samsbo.safeopt import (
@@ -17,7 +19,6 @@ from samsbo.safeopt import (
     make_grid,
     run_repetition,
     safe_set,
-    select_sigma_prime,
     step,
 )
 
@@ -284,7 +285,7 @@ class TestStepComposition:
         state_b.dataset = state_b.dataset.extended(
             [x for x, _ in new], [z for _, z in new], ys)
         state_b.iteration += 1
-        _refresh_model(state_b, problem, cfg, rng_b, refresh_hyperposterior=True)
+        _refresh_model(state_b, problem, cfg, rng_b)
         threshold_std = state_b.transforms.threshold_std(problem.threshold)
         sset = safe_set(state_b.posterior, state_b.bundle, threshold_std, grid,
                         problem.threshold)
@@ -312,6 +313,13 @@ class TestLoopBehavior:
         assert len(per_iter[0]) == 2                       # seed rows
         for t in (1, 2, 3):
             assert len(per_iter[t]) in (cfg.batch_size(2), cfg.batch_size(2) + 1)
+
+    def test_multi_name_algorithm_never_runs(self):
+        # a campaign may list several loops; the loop itself must refuse the list
+        problem = branin_problem(disturbance_seed=1)
+        cfg = ExperimentConfig(algorithm="samsbo,ucb", iterations=1)
+        with pytest.raises(ConfigError, match="one algorithm"):
+            run_repetition(problem, cfg, seed=0)
 
     def test_zero_iterations_only_seed(self):
         problem = branin_problem(disturbance_seed=1)
