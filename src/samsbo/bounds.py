@@ -9,6 +9,12 @@ space, made robust over a confidence set of correlation matrices through a
 mean-shift term nu, a variance-ratio factor gamma and the discretization
 correction psi built from moduli of continuity and a sampled Lipschitz
 constant.  The robust factor is beta_bar = (nu + gamma * sqrt(beta_b))^2.
+
+When the dataset, sigma-prime and every member are two-task with unit
+diagonal, sigma-prime selection, gamma and nu take the closed forms of
+:mod:`samsbo.twotask`: nu then costs O(n^2) per unique member from one shared
+:class:`~samsbo.twotask.TwoTaskFactor` instead of a Cholesky factorization
+each.  Other sets take the general path, one factorization per member.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve
 
-from . import gp
+from . import gp, twotask
 from .config import ConfigError
 from .hyperposterior import ConfidenceSet
 from .kernels import CorrelationMatrix, KernelParams, kernel_lipschitz, se_kernel_matrix
@@ -255,16 +261,6 @@ def sample_lipschitz_bound(confidence_set: ConfidenceSet, l_h: float,
     return best * l_h
 
 
-def _two_task_offdiags(members) -> np.ndarray | None:
-    """Off-diagonals when every member is a normalized 2x2 matrix, else None."""
-    rs = np.empty(len(members))
-    for i, m in enumerate(members):
-        if m.size != 2 or abs(m.matrix[0, 0] - 1.0) > 1e-12 or abs(m.matrix[1, 1] - 1.0) > 1e-12:
-            return None
-        rs[i] = m.matrix[0, 1]
-    return rs
-
-
 def _unique_members(members):
     seen = {}
     for m in members:
@@ -281,11 +277,9 @@ def select_sigma_prime(confidence_set: ConfidenceSet) -> CorrelationMatrix:
     members = confidence_set.members
     if len(members) == 1:
         return members[0]
-    rs = _two_task_offdiags(members)
+    rs = twotask.offdiagonals(members)
     if rs is not None:
-        r_lo, r_hi = float(np.min(rs)), float(np.max(rs))
-        worst = np.maximum((1.0 + r_hi) / (1.0 + rs), (1.0 - r_lo) / (1.0 - rs))
-        return members[int(np.argmin(worst))]
+        return members[twotask.minimax_index(rs)]
     unique = _unique_members(members)
     best, best_val = unique[0], np.inf
     for candidate in unique:
@@ -305,11 +299,9 @@ def gamma_factor(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) 
     to scalar arithmetic on the off-diagonal entries; the general path
     decomposes each member.
     """
-    rs = _two_task_offdiags(confidence_set.members)
-    if rs is not None and _two_task_offdiags([sigma_prime]) is not None:
-        rp = sigma_prime.matrix[0, 1]
-        ratios = np.maximum((1.0 + rs) / (1.0 + rp), (1.0 - rs) / (1.0 - rp))
-        return float(np.sqrt(np.max(ratios)))
+    rs = twotask.offdiagonals(confidence_set.members)
+    if rs is not None and twotask.offdiagonals([sigma_prime]) is not None:
+        return twotask.gamma(rs, sigma_prime.matrix[0, 1])
     best = 0.0
     for member in _unique_members(confidence_set.members):
         product = solve(sigma_prime.matrix, member.matrix, assume_a="pos")
@@ -319,7 +311,8 @@ def gamma_factor(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) 
 
 def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
               confidence_set: ConfidenceSet, params: KernelParams,
-              base_gram: np.ndarray | None = None) -> float:
+              base_gram: np.ndarray | None = None,
+              factor: twotask.TwoTaskFactor | None = None) -> float:
     """Mean-shift term bounding |mean_S'(x) - mean_S(x)| by nu * std_S'(x).
 
     nu is the posterior-kernel RKHS norm of the mean difference, evaluated in
@@ -328,6 +321,8 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
     respective fit; the data part reduces through the smoother identity
     mean(  x_n, z_n) = y_n - noise_variance * a_n to
     noise_variance * |a_S - a_S'|^2.  The maximum is taken over the set.
+    Two-task sets go through ``factor`` (built here when not supplied), the
+    weight vectors of both paths solving the same unjittered systems.
     """
     if dataset.n == 0:
         return 0.0
@@ -335,6 +330,12 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
         raise ValueError("nu requires positive noise variance")
     zi = dataset.tasks - 1
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if base_gram is None else base_gram
+    rs = twotask.offdiagonals(confidence_set.members)
+    if (rs is not None and twotask.offdiagonals([sigma_prime]) is not None
+            and zi.max() <= 1):
+        if factor is None:
+            factor = twotask.TwoTaskFactor.build(dataset, params, base)
+        return factor.nu(float(sigma_prime.matrix[0, 1]), np.unique(rs))
     y = dataset.observations
     sn2 = params.noise_variance
     eye = np.eye(dataset.n)
@@ -370,16 +371,19 @@ def scaling_bundle(
     include_psi: bool = False,
     l_h: float | None = None,
     base_gram: np.ndarray | None = None,
+    factor: twotask.TwoTaskFactor | None = None,
 ) -> ScalingBundle:
     """Assemble every bound ingredient for the current iteration.
 
     The resulting bound holds with probability (1 - delta)(1 - rho).  With
     ``include_psi=False`` the discretization correction is neglected and all
-    its constituents are reported as zero.
+    its constituents are reported as zero.  ``factor`` passes the two-task
+    decomposition of ``dataset`` on to :func:`nu_factor`.
     """
     b_bayes = beta_bayes(spec.cardinality, delta)
     gam = gamma_factor(sigma_prime, confidence_set)
-    nu = nu_factor(dataset, sigma_prime, confidence_set, params, base_gram=base_gram)
+    nu = nu_factor(dataset, sigma_prime, confidence_set, params, base_gram=base_gram,
+                   factor=factor)
     beta_bar = (nu + gam * math.sqrt(b_bayes)) ** 2
     if include_psi:
         l_k = kernel_lipschitz(params, spec.norm_p)

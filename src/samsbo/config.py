@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("samsbo", "safe-ucb", "ucb", "multi-task-ucb")
+FIXED_DIMENSIONS = {"branin": 2, "laser": 10}     # powell takes any positive multiple of 4
 
 
 class ConfigError(ValueError):
@@ -87,7 +88,7 @@ class ExperimentConfig(LoopConfig):
     """
 
     problem: str = "branin"
-    dimension: int = 0                  # 0 keeps the problem's default
+    dimension: int = 0                  # 0 keeps the problem's default; only powell has a choice
     threshold: float = 0.0              # 0 keeps the problem's default
     n_tasks: int = 2
     disturbance: float = 0.3
@@ -103,6 +104,16 @@ class ExperimentConfig(LoopConfig):
         super().__post_init__()
         if self.problem not in ("branin", "powell", "laser"):
             raise ConfigError(f"unknown problem {self.problem!r}")
+        if self.n_tasks < 1:
+            raise ConfigError(f"n_tasks must be >= 1, got {self.n_tasks}")
+        if self.dimension != 0:
+            own = FIXED_DIMENSIONS.get(self.problem)
+            if own is None and (self.dimension < 0 or self.dimension % 4):
+                raise ConfigError(
+                    f"dimension must be 0 or a positive multiple of 4 for powell, got {self.dimension}")
+            if own is not None and self.dimension != own:
+                raise ConfigError(
+                    f"dimension must be 0 or {own} for {self.problem}, got {self.dimension}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
 

@@ -20,6 +20,7 @@ __all__ = [
     "MultiTaskDataset",
     "Posterior",
     "NumericalError",
+    "clamp_variances",
     "fit",
     "log_marginal_likelihood",
 ]
@@ -101,6 +102,17 @@ def _chol_with_jitter(system: np.ndarray, scale: float) -> tuple[np.ndarray, flo
     )
 
 
+def clamp_variances(variances: np.ndarray) -> np.ndarray:
+    """Posterior variances floored at zero; a warning counts those below VARIANCE_WARN."""
+    bad = variances < VARIANCE_WARN
+    if np.any(bad):
+        logger.warning(
+            "clamping %d negative posterior variances (min %.3e)",
+            int(bad.sum()), float(variances.min()),
+        )
+    return np.maximum(variances, 0.0)
+
+
 @dataclass(frozen=True)
 class Posterior:
     """Fitted multi-task GP state supporting mean/variance queries per task."""
@@ -129,14 +141,7 @@ class Posterior:
         k_star = self._cross_gram(points, z)
         means = k_star @ self.alpha
         v = solve_triangular(self.chol, k_star.T, lower=True)
-        variances = prior_var - np.sum(v * v, axis=0)
-        bad = variances < VARIANCE_WARN
-        if np.any(bad):
-            logger.warning(
-                "clamping %d negative posterior variances (min %.3e)",
-                int(bad.sum()), float(variances.min()),
-            )
-        return means, np.maximum(variances, 0.0)
+        return means, clamp_variances(prior_var - np.sum(v * v, axis=0))
 
     def mean_values(self, points, z: int = 1) -> np.ndarray:
         """Posterior means of task ``z`` at a list of inputs."""

@@ -8,10 +8,16 @@ posterior density fraction of the samples.
 
 Two parameterizations are used.  For two tasks the walk acts directly on the
 single off-diagonal entry r in [0, 1), with proposals reflected at the
-boundaries so the chain mixes well even under a flat target.  For more tasks
-the walk acts on the hyperspherical angles of the correlation Cholesky factor,
-with the change-of-variables Jacobian included in the target and proposals
-violating the nonnegativity constraint rejected.
+boundaries so the chain mixes well even under a flat target.  Its likelihood
+comes from one :class:`samsbo.twotask.TwoTaskFactor` per call, O(n) per
+proposal after a single O(n^3) decomposition.  Each call first evaluates the
+exact Cholesky likelihood at the start state and raises
+:class:`samsbo.gp.NumericalError` if the factorized value disagrees by more
+than ``CROSS_CHECK_RTOL``, so a wrong target is never sampled silently.  For
+more tasks the walk acts on the hyperspherical angles of the correlation
+Cholesky factor, with the change-of-variables Jacobian included in the target
+and proposals violating the nonnegativity constraint rejected; every proposal
+there pays one Cholesky factorization.
 """
 from __future__ import annotations
 
@@ -19,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import MultiTaskDataset, log_marginal_likelihood
+from .gp import MultiTaskDataset, NumericalError, log_marginal_likelihood
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
+from .twotask import TwoTaskFactor
 
 __all__ = [
     "HyperPrior",
@@ -38,6 +45,7 @@ __all__ = [
 ]
 
 R_MAX = 1.0 - 1e-6
+CROSS_CHECK_RTOL = 1e-8     # relative to max(|log likelihood|, 1 nat)
 ANGLE_MARGIN = 1e-6
 MIN_SAMPLES = 10
 
@@ -223,13 +231,17 @@ def sample_hyperposterior(
     params: KernelParams,
     n_samples: int | None = None,
     config: McmcConfig | None = None,
+    factor: TwoTaskFactor | None = None,
 ) -> EmpiricalHyperPosterior:
     """Draw correlation matrices approximately distributed as p(Sigma | data).
 
     The target combines the GP log marginal likelihood of the dataset with the
     LKJ log prior.  ``n_samples`` overrides the total retained count implied by
-    the config; samples are merged across chains.  Fixed seeds give
-    bit-identical output.
+    the config; samples are merged across chains.  ``factor`` optionally
+    supplies the two-task decomposition of ``dataset`` so a caller that also
+    needs it for nu builds it once; two-task calls without one build their
+    own.  Repeated states share one :class:`CorrelationMatrix`.  Fixed seeds
+    give bit-identical output.
     """
     if n_tasks < 2:
         raise ValueError("hyper-posterior sampling needs at least two tasks")
@@ -239,7 +251,8 @@ def sample_hyperposterior(
         raise ValueError(f"request at least {MIN_SAMPLES} samples")
     per_chain = int(np.ceil(total_keep / cfg.chains))
 
-    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if dataset.n else None
+    base = factor.base if factor is not None else se_kernel_matrix(
+        dataset.inputs, dataset.inputs, params)
 
     def loglik(matrix: np.ndarray) -> float:
         if dataset.n == 0:
@@ -249,13 +262,23 @@ def sample_hyperposterior(
 
     eta = prior.eta
     if n_tasks == 2:
+        if factor is None:
+            factor = TwoTaskFactor.build(dataset, params, base)
+        start = np.array([0.5])
+        exact = loglik(np.array([[1.0, start[0]], [start[0], 1.0]]))
+        fast = factor.log_likelihood(float(start[0]))
+        if abs(fast - exact) > CROSS_CHECK_RTOL * max(abs(exact), 1.0):
+            raise NumericalError(
+                f"factorized log likelihood {fast!r} differs from the Cholesky value "
+                f"{exact!r} at r = {start[0]}"
+            )
+
         def log_target(state: np.ndarray) -> tuple[float, float]:
             r = float(state[0])
-            value = loglik(np.array([[1.0, r], [r, 1.0]])) + (eta - 1.0) * np.log1p(-r * r)
+            value = factor.log_likelihood(r) + (eta - 1.0) * np.log1p(-r * r)
             return value, value
 
         bounds = (0.0, R_MAX)
-        start = np.array([0.5])
         to_matrix = lambda s: CorrelationMatrix.two_task(float(s[0]))
     else:
         n_angles = n_tasks * (n_tasks - 1) // 2
@@ -293,7 +316,11 @@ def sample_hyperposterior(
         )
     all_states = np.vstack(states)[:total_keep]
     all_logs = np.concatenate(log_records)[:total_keep]
-    samples = tuple(to_matrix(s) for s in all_states)
+    distinct: dict[bytes, CorrelationMatrix] = {}
+    for s in all_states:
+        if s.tobytes() not in distinct:
+            distinct[s.tobytes()] = to_matrix(s)
+    samples = tuple(distinct[s.tobytes()] for s in all_states)
     diag = McmcDiagnostics(
         acceptance_rate=acceptance,
         chain_length=int(np.ceil(per_chain / (1.0 - cfg.burn_in_fraction))),
@@ -323,7 +350,9 @@ def posterior_grid_two_task(
     """Dense-grid quadrature of the two-task hyper-posterior over r in [0, 1).
 
     Independent oracle for the MCMC: returns grid nodes and normalized weights
-    proportional to likelihood times LKJ prior.
+    proportional to likelihood times LKJ prior.  It evaluates every node by
+    Cholesky, not through :class:`TwoTaskFactor`, so it does not share the code
+    it checks.
     """
     r = np.linspace(0.0, R_MAX, nodes)
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if dataset.n else None

@@ -15,9 +15,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.stats import qmc
 
-from . import benchmarks, bounds, gp, hyperposterior
+from . import benchmarks, bounds, gp, hyperposterior, twotask
 from .config import ALGORITHMS, ConfigError, LoopConfig
 from .kernels import CorrelationMatrix, se_kernel_matrix
 
@@ -213,11 +214,16 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
     state.transforms = fit_transforms(state.dataset, problem.domain, threshold)
     ds = _standardized_dataset(state.dataset, state.transforms)
     base = se_kernel_matrix(ds.inputs, ds.inputs, params)
+    factor = None
     if multitask:
+        if problem.n_tasks == 2:
+            # one decomposition serves every MCMC proposal and every nu member
+            factor = twotask.TwoTaskFactor.build(ds, params, base)
         hyper = hyperposterior.sample_hyperposterior(
             ds, problem.n_tasks, hyperposterior.HyperPrior(cfg.eta), params,
             n_samples=cfg.mcmc_samples,
             config=hyperposterior.McmcConfig(seed=int(rng.integers(2 ** 63))),
+            factor=factor,
         )
         state.confidence_set = hyperposterior.confidence_set(hyper, cfg.rho)
         state.sigma_prime = bounds.select_sigma_prime(state.confidence_set)
@@ -230,7 +236,7 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
     disc = bounds.DiscretizationSpec(cfg.tau, problem.dimension)
     state.bundle = bounds.scaling_bundle(
         ds, state.sigma_prime, state.confidence_set, disc, params, cfg.delta,
-        include_psi=cfg.include_psi, base_gram=base,
+        include_psi=cfg.include_psi, base_gram=base, factor=factor,
     )
     state.posterior = gp.fit(ds, state.sigma_prime, params, base_gram=base)
 
@@ -260,19 +266,54 @@ def acquire_supplementary(state: OptimizationState, batch_size: int,
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    fantasy = state.posterior
-    picks: list[tuple[np.ndarray, int]] = []
     supplementary = [z for z in range(2, n_tasks + 1)] or [1]
-    for j in range(batch_size):
-        task = supplementary[j % len(supplementary)]
-        _, variances = fantasy.predict_batch(grid.points, task)
-        idx = int(np.argmax(variances))
-        x = grid.points[idx]
-        picks.append((x, task))
-        fantasy = gp.fit(
-            fantasy.dataset.extended([x], [task], [0.0]),
-            fantasy.sigma_used, fantasy.params,
-        )
+    tasks = [supplementary[j % len(supplementary)] for j in range(batch_size)]
+    picks = _greedy_variance_picks(state.posterior, grid.points, tasks)
+    return [(grid.points[idx], task) for (idx, _), task in zip(picks, tasks)]
+
+
+def _greedy_variance_picks(posterior: gp.Posterior, points: np.ndarray,
+                           tasks: list[int]) -> list[tuple[int, np.ndarray]]:
+    """Index of each greedy pick and the clamped variances it maximized.
+
+    Conditioning on a pick is the rank-1 variance downdate of GP-BUCB
+    (Desautels et al. 2014): with c_j(x) the covariance of x with pick j given
+    the earlier picks, var(x) -= c_j(x)^2 / (var(x_j) + noise + jitter), the
+    Schur complement a refit on the extended data would factor.  The grid
+    cross-Gram and its triangular solve are computed once per call.
+    """
+    params = posterior.params
+    sigma = posterior.sigma_used.matrix
+    used = sorted(set(tasks))
+    base = se_kernel_matrix(points, posterior.dataset.inputs, params)
+    data_tasks = posterior.dataset.tasks - 1
+    # posterior cov((x, z), (x', z')) = Sigma[z, z'] k(x, x') - w_z(x)' w_z'(x')
+    # with w_z = L^-1 k_z(data, .), as in Posterior.predict_batch
+    whitened = {z: solve_triangular(posterior.chol, (sigma[z - 1, data_tasks] * base).T,
+                                    lower=True)
+                for z in used}
+    variances = {z: sigma[z - 1, z - 1] * params.signal_variance - np.sum(w * w, axis=0)
+                 for z, w in whitened.items()}
+    shift = params.noise_variance + gp.JITTER_START * params.signal_variance
+    downdates: dict[int, list[np.ndarray]] = {z: [] for z in used}   # c_i(., z) per pick
+    schurs: list[float] = []
+    picks: list[tuple[int, np.ndarray]] = []
+    for j, task in enumerate(tasks):
+        clamped = gp.clamp_variances(variances[task])
+        idx = int(np.argmax(clamped))
+        picks.append((idx, clamped))
+        if j + 1 == len(tasks):
+            break
+        schur = float(variances[task][idx]) + shift
+        k_pick = se_kernel_matrix(points, points[idx:idx + 1], params)[:, 0]
+        at_pick = [c[idx] for c in downdates[task]]
+        for z in used:
+            c = sigma[z - 1, task - 1] * k_pick - whitened[z].T @ whitened[task][:, idx]
+            for c_i, a_i, s_i in zip(downdates[z], at_pick, schurs):
+                c -= c_i * (a_i / s_i)
+            downdates[z].append(c)
+            variances[z] = variances[z] - c * c / schur
+        schurs.append(schur)
     return picks
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, gp, hyperposterior
+from . import bounds, gp, hyperposterior, twotask
 from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
 __all__ = ["CoverageReport", "frequentist_coverage", "bayesian_coverage"]
@@ -146,15 +146,18 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
         y = values + noise_sd * rng.standard_normal(2 * n_per_task)
         dataset = gp.MultiTaskDataset(inputs, tasks, y)
 
+        base = se_kernel_matrix(inputs, inputs, params)
+        factor = twotask.TwoTaskFactor.build(dataset, params, base)
         mcmc = hyperposterior.McmcConfig(seed=int(rng.integers(2 ** 63)))
         hyper = hyperposterior.sample_hyperposterior(
             dataset, 2, hyperposterior.HyperPrior(eta), params,
-            n_samples=mcmc_samples, config=mcmc,
+            n_samples=mcmc_samples, config=mcmc, factor=factor,
         )
         cset = hyperposterior.confidence_set(hyper, rho)
         sigma_prime = bounds.select_sigma_prime(cset)
-        bundle = bounds.scaling_bundle(dataset, sigma_prime, cset, disc, params, delta)
-        posterior = gp.fit(dataset, sigma_prime, params)
+        bundle = bounds.scaling_bundle(dataset, sigma_prime, cset, disc, params, delta,
+                                       base_gram=base, factor=factor)
+        posterior = gp.fit(dataset, sigma_prime, params, base_gram=base)
 
         covered = True
         for z in (1, 2):

@@ -22,21 +22,39 @@ def _bindings() -> dict:
     return {(id(o), name): value for o in owners for name, value in vars(o).items()}
 
 
-def test_install_binds_every_site_and_unpatch_restores(monkeypatch):
+def _traced_spans(monkeypatch, run) -> set[str]:
+    """Names of the layers that fired while ``run`` executed under the trace."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layertrace = importlib.import_module("layertrace")
-    expected = json.loads((PERFBENCH / "spec.json").read_text())[
-        "workloads"]["branin-samsbo"]["expect_spans"]
     before = _bindings()
     tracer = layertrace.Tracer()
     try:
         layertrace.install(tracer)
-        cfg = safeopt.LoopConfig(iterations=1, mcmc_samples=10, grid_size=64, seed_points=2)
-        safeopt.run_repetition(benchmarks.branin_problem(disturbance_seed=1), cfg, seed=0)
+        run()
     finally:
         tracer.unpatch()
-    fired = {name for name, stats in tracer.stats.items() if stats.calls}
-    assert set(expected) <= fired
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+    return {name for name, stats in tracer.stats.items() if stats.calls}
+
+
+def _expected(workload: str) -> set[str]:
+    spec = json.loads((PERFBENCH / "spec.json").read_text())["workloads"][workload]
+    return set(spec["expect_spans"])
+
+
+def test_install_binds_every_site_and_unpatch_restores(monkeypatch):
+    def run():
+        cfg = safeopt.LoopConfig(iterations=1, mcmc_samples=10, grid_size=64, seed_points=2)
+        safeopt.run_repetition(benchmarks.branin_problem(disturbance_seed=1), cfg, seed=0)
+
+    assert _expected("branin-samsbo") <= _traced_spans(monkeypatch, run)
+
+
+def test_coverage_suites_fire_every_expected_span(monkeypatch):
+    def run():
+        verify.bayesian_coverage(trials=1)
+        verify.frequentist_coverage(trials=1)
+
+    assert _expected("verify-bounds") <= _traced_spans(monkeypatch, run)

@@ -30,6 +30,13 @@ BAD_VALUES = [
     ("signal_variance", 0), ("noise_variance", 0),
 ]
 REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance"]
+# problem settings no problem can be built with: (key named, config text)
+BAD_PROBLEMS = [
+    ("n_tasks", "n_tasks = 0"), ("n_tasks", "problem = powell\nn_tasks = -1"),
+    ("dimension", "problem = powell\ndimension = 6"),
+    ("dimension", "problem = powell\ndimension = -4"),
+    ("dimension", "dimension = 5"), ("dimension", "problem = laser\ndimension = 4"),
+]
 
 
 class TestParseConfig:
@@ -63,6 +70,12 @@ class TestParseConfig:
         for key, value in BAD_VALUES:
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(f"{key} = {value}\n")
+        for key, text in BAD_PROBLEMS:
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(text + "\n")
+        for text in ("problem = powell\ndimension = 8", "problem = laser\ndimension = 10",
+                     "dimension = 2", "n_tasks = 1"):
+            parse_config_text(text + "\n")
 
     def test_campaign_extends_loop_settings(self):
         cfg = parse_config_text("algorithm = samsbo,ucb\nmcmc_samples = 60\n")
@@ -213,12 +226,12 @@ class TestMainEntry:
         monkeypatch.delenv("SAMSBO_OUT", raising=False)
         cfg_file = tmp_path / "cfg.txt"
         out = tmp_path / "results"
-        lines = ["rho = 2.0"] + [f"{k} = {v}" for k, v in BAD_VALUES] + \
-            [f"{k} = 0" for k in REMOVED_KEYS]
-        for line in lines:
-            cfg_file.write_text(line + "\n")
+        cases = [("rho", "rho = 2.0")] + [(k, f"{k} = {v}") for k, v in BAD_VALUES] + \
+            [(k, f"{k} = 0") for k in REMOVED_KEYS] + BAD_PROBLEMS
+        for key, text in cases:
+            cfg_file.write_text(text + "\n")
             assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
-            assert line.split(" =")[0] in capsys.readouterr().err
+            assert key in capsys.readouterr().err
             assert not out.exists()          # no repetition started
 
 

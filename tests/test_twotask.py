@@ -1,0 +1,135 @@
+"""The two-task fast paths against the exact Cholesky paths they replace."""
+import numpy as np
+import pytest
+from scipy.linalg import cho_factor, cho_solve
+
+from samsbo import bounds, gp
+from samsbo.hyperposterior import (
+    R_MAX,
+    ConfidenceSet,
+    HyperPrior,
+    McmcConfig,
+    sample_hyperposterior,
+)
+from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
+from samsbo.safeopt import _greedy_variance_picks, make_grid
+from samsbo.twotask import TwoTaskFactor
+
+from test_hyperposterior import synthetic_two_task
+
+PARAMS = KernelParams(1.0, [0.2], noise_variance=0.01)
+
+
+def factor_for(dataset, params=PARAMS):
+    return TwoTaskFactor.build(dataset, params,
+                               se_kernel_matrix(dataset.inputs, dataset.inputs, params))
+
+
+def cholesky_nu(dataset, sigma_prime, members, params):
+    """nu by one Cholesky factorization per unique member."""
+    zi = dataset.tasks - 1
+    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
+    y = dataset.observations
+    sn2 = params.noise_variance
+    eye = np.eye(dataset.n)
+
+    def gram(task_matrix):
+        return task_matrix[np.ix_(zi, zi)] * base
+
+    g_prime = gram(sigma_prime.matrix)
+    alpha_prime = cho_solve(cho_factor(g_prime + sn2 * eye, lower=True), y)
+    prime_inv = np.linalg.inv(sigma_prime.matrix)
+    head = alpha_prime @ g_prime @ alpha_prime
+    worst = 0.0
+    for s in {m.key(): m.matrix for m in members}.values():
+        g_s = gram(s)
+        alpha = cho_solve(cho_factor(g_s + sn2 * eye, lower=True), y)
+        term1 = head - 2.0 * alpha_prime @ g_s @ alpha + alpha @ gram(s @ prime_inv @ s) @ alpha
+        term2 = sn2 * np.sum((alpha - alpha_prime) ** 2)
+        worst = max(worst, max(term1, 0.0) + term2)
+    return float(np.sqrt(worst))
+
+
+def datasets():
+    rng = np.random.default_rng(0)
+    mixed = synthetic_two_task(0.6, 40, rng)
+    task_one = gp.MultiTaskDataset(rng.random((30, 1)), np.ones(30, int),
+                                   rng.standard_normal(30))
+    return {"mixed": mixed, "task-1 only": task_one, "empty": gp.MultiTaskDataset.empty(1)}
+
+
+class TestLogLikelihood:
+    @pytest.mark.parametrize("name", ["mixed", "task-1 only", "empty"])
+    def test_matches_cholesky(self, name):
+        dataset = datasets()[name]
+        factor = factor_for(dataset)
+        for r in (0.0, 0.3, 0.9, R_MAX):
+            exact = gp.log_marginal_likelihood(dataset, CorrelationMatrix.two_task(r), PARAMS)
+            assert factor.log_likelihood(r) == pytest.approx(exact, rel=1e-8, abs=1e-12)
+
+
+class TestNu:
+    def test_matches_cholesky_reference(self):
+        rng = np.random.default_rng(1)
+        for n in (3, 12, 60):
+            dataset = gp.MultiTaskDataset(rng.random((n, 2)), rng.integers(1, 3, n),
+                                          rng.standard_normal(n))
+            params = KernelParams(1.3, [0.3, 0.5], noise_variance=0.02)
+            members = [CorrelationMatrix.two_task(float(r)) for r in rng.random(8) * 0.95]
+            members += members[:3]
+            cs = ConfidenceSet(tuple(members), 0.15, np.zeros(len(members)))
+            for sp in (members[0], CorrelationMatrix.two_task(0.2)):
+                reference = cholesky_nu(dataset, sp, members, params)
+                assert bounds.nu_factor(dataset, sp, cs, params) == pytest.approx(
+                    reference, rel=1e-7)
+                shared = factor_for(dataset, params)
+                assert bounds.nu_factor(dataset, sp, cs, params, factor=shared) == pytest.approx(
+                    reference, rel=1e-7)
+
+
+class TestFantasyDowndate:
+    def test_variances_match_refit_after_each_pick(self):
+        rng = np.random.default_rng(2)
+        grid = make_grid(2, size=256, seed=1)
+        for sigma, data_tasks in ((CorrelationMatrix.two_task(0.7), (1, 2)),
+                                  (CorrelationMatrix(np.array([[1.0, 0.5, 0.2],
+                                                               [0.5, 1.0, 0.4],
+                                                               [0.2, 0.4, 1.0]])), (1, 2, 3))):
+            dataset = gp.MultiTaskDataset(rng.random((25, 2)), rng.choice(data_tasks, 25),
+                                          rng.standard_normal(25))
+            params = KernelParams(1.0, [0.25, 0.25], noise_variance=0.01)
+            tasks = [2, 3, 2, 3, 2, 3] if sigma.size == 3 else [2] * 6
+            fantasy = gp.fit(dataset, sigma, params)
+            picks = _greedy_variance_picks(fantasy, grid.points, tasks)
+            for (idx, variances), task in zip(picks, tasks):
+                _, refit = fantasy.predict_batch(grid.points, task)
+                assert np.max(np.abs(variances - refit)) < 1e-10
+                assert idx == int(np.argmax(variances))
+                fantasy = gp.fit(fantasy.dataset.extended([grid.points[idx]], [task], [0.0]),
+                                 sigma, params)
+
+
+class TestSampler:
+    def test_recorded_densities_match_cholesky_target(self):
+        rng = np.random.default_rng(3)
+        dataset = synthetic_two_task(0.5, 20, rng)
+        eta = 0.1
+        post = sample_hyperposterior(dataset, 2, HyperPrior(eta), PARAMS, 100,
+                                     McmcConfig(seed=4))
+        distinct = {}
+        for sample, logd in zip(post.samples, post.log_densities):
+            distinct.setdefault(sample.key(), (sample, logd))
+        assert len({id(s) for s in post.samples}) == len(distinct)
+        for sample, logd in distinct.values():
+            r = sample.offdiagonal()
+            exact = (gp.log_marginal_likelihood(dataset, sample, PARAMS)
+                     + (eta - 1.0) * np.log1p(-r * r))
+            assert logd == pytest.approx(exact, rel=1e-8)
+
+    def test_mismatched_factor_fails_the_cross_check(self):
+        rng = np.random.default_rng(5)
+        dataset = synthetic_two_task(0.5, 10, rng)
+        other = gp.MultiTaskDataset(dataset.inputs, dataset.tasks, dataset.observations + 0.1)
+        with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
+            sample_hyperposterior(dataset, 2, HyperPrior(0.1), PARAMS, 20, McmcConfig(seed=6),
+                                  factor=factor_for(other))
