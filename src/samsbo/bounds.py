@@ -322,12 +322,15 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
     mean(  x_n, z_n) = y_n - noise_variance * a_n to
     noise_variance * |a_S - a_S'|^2.  The maximum is taken over the set.
     Two-task sets go through ``factor`` (built here when not supplied), the
-    weight vectors of both paths solving the same unjittered systems.
+    weight vectors of both paths solving the same unjittered systems.  A set
+    whose every member is sigma_prime has no mean shift: nu is exactly 0.
     """
     if dataset.n == 0:
         return 0.0
     if params.noise_variance <= 0.0:
         raise ValueError("nu requires positive noise variance")
+    if all(member.key() == sigma_prime.key() for member in confidence_set.members):
+        return 0.0
     zi = dataset.tasks - 1
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if base_gram is None else base_gram
     rs = twotask.offdiagonals(confidence_set.members)

@@ -2,14 +2,34 @@
 
 Posterior mean and variance follow the standard closed form with the
 single-task Gram matrix replaced by its multi-task counterpart.  The fitted
-state is a Cholesky factor of the regularized Gram matrix plus the weight
-vector, both immutable after :func:`fit`, so concurrent predictions need no
-coordination.
+state is a Cholesky factor L of the regularized Gram matrix, the jitter that
+factor carries, the weight vector and the whitened observations L^-1 y.
+
+Growing data.  :func:`fit` given the ``previous`` posterior extends its factor
+by the new rows (Seeger 2004) when the correlation matrix and the kernel
+parameters are unchanged and the old inputs and tasks are an exact prefix of
+the new ones; observations may differ entirely.  With K the new regularized
+Gram split at the old size,
+
+    L21' = L11^-1 K12,   L22 = chol(K22 - L21 L21'),
+
+using the jitter of the previous factor.  Anything else, including a Schur
+complement that is not positive definite, takes the full factorization.
+
+Grid cache.  For a read-only array of query points, :meth:`Posterior.predict_batch`
+keeps per task the whitened cross-Gram V = L^-1 k_z(data, points) and its
+column sums of squares, so the mean is V' L^-1 y and the variance the prior
+minus those sums.  A repeated query is a lookup, and an extended posterior
+inherits its predecessor's entries and grows V by the new rows only,
+L22^-1 (k_z(new, points) - L21 V).  The factor, weights and dataset never
+change after :func:`fit`; the cache is the only mutable state.  Its entries
+are replaced whole and computed deterministically from them, so threads that
+race on one fill recompute the same value and no lock is needed.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -113,9 +133,33 @@ def clamp_variances(variances: np.ndarray) -> np.ndarray:
     return np.maximum(variances, 0.0)
 
 
+def _frozen(points: np.ndarray) -> bool:
+    """Whether ``points`` and every array it views are read-only."""
+    a = points
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+@dataclass(frozen=True)
+class _GridEntry:
+    """Whitened cross-Gram of one task at one read-only point array."""
+
+    points: np.ndarray
+    rows: int                   # leading data rows covered by ``whitened``
+    whitened: np.ndarray        # rows x len(points)
+    sumsq: np.ndarray           # column sums of squares of ``whitened``
+
+
 @dataclass(frozen=True)
 class Posterior:
-    """Fitted multi-task GP state supporting mean/variance queries per task."""
+    """Fitted multi-task GP state supporting mean/variance queries per task.
+
+    ``jitter`` is the multiple of the signal variance that :func:`fit` added
+    to the diagonal before factoring, and ``whitened_obs`` is L^-1 y.
+    """
 
     dataset: MultiTaskDataset
     sigma_used: CorrelationMatrix
@@ -123,6 +167,9 @@ class Posterior:
     chol: np.ndarray
     alpha: np.ndarray
     gram_noiseless: np.ndarray
+    jitter: float
+    whitened_obs: np.ndarray
+    _grid: dict = field(default_factory=dict, repr=False, compare=False)
 
     def predict(self, x: np.ndarray, z: int) -> tuple[float, float]:
         """Posterior mean and variance of task ``z`` at a single input."""
@@ -138,10 +185,42 @@ class Posterior:
         prior_var = self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance
         if self.dataset.n == 0:
             return np.zeros(points.shape[0]), np.full(points.shape[0], prior_var)
-        k_star = self._cross_gram(points, z)
-        means = k_star @ self.alpha
-        v = solve_triangular(self.chol, k_star.T, lower=True)
-        return means, clamp_variances(prior_var - np.sum(v * v, axis=0))
+        whitened, sumsq = self.whitened(points, z)
+        return whitened.T @ self.whitened_obs, clamp_variances(prior_var - sumsq)
+
+    def whitened(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
+        """L^-1 k_z(data, points) and its column sums of squares.
+
+        Cached per task when ``points`` is read-only (see the module notes);
+        the returned arrays are then shared and read-only.
+        """
+        if not 1 <= z <= self.sigma_used.size:
+            raise ValueError(f"task index must lie in 1..{self.sigma_used.size}")
+        if not _frozen(points):
+            return self._grown(None, points, z)
+        entry = self._grid.get(z)
+        if entry is not None and entry.points is not points:
+            entry = None
+        if entry is None or entry.rows < self.dataset.n:
+            whitened, sumsq = self._grown(entry, points, z)
+            whitened.setflags(write=False)
+            sumsq.setflags(write=False)
+            entry = _GridEntry(points, self.dataset.n, whitened, sumsq)
+            self._grid[z] = entry
+        return entry.whitened, entry.sumsq
+
+    def _grown(self, entry: _GridEntry | None, points: np.ndarray,
+               z: int) -> tuple[np.ndarray, np.ndarray]:
+        """``entry`` extended by the data rows it does not cover (all rows when None)."""
+        m = 0 if entry is None else entry.rows
+        rhs = self._cross_gram(points, z, m).T
+        if m:
+            rhs -= self.chol[m:, :m] @ entry.whitened
+        block = solve_triangular(self.chol[m:, m:], rhs, lower=True)
+        sumsq = np.sum(block * block, axis=0)
+        if not m:
+            return block, sumsq
+        return np.vstack([entry.whitened, block]), entry.sumsq + sumsq
 
     def mean_values(self, points, z: int = 1) -> np.ndarray:
         """Posterior means of task ``z`` at a list of inputs."""
@@ -157,26 +236,74 @@ class Posterior:
         val = float(self.alpha @ self.gram_noiseless @ self.alpha)
         return float(np.sqrt(max(val, 0.0)))
 
-    def _cross_gram(self, points: np.ndarray, z: int) -> np.ndarray:
-        base = se_kernel_matrix(points, self.dataset.inputs, self.params)
-        return self.sigma_used.matrix[z - 1, self.dataset.tasks - 1] * base
+    def _cross_gram(self, points: np.ndarray, z: int, start: int = 0) -> np.ndarray:
+        base = se_kernel_matrix(points, self.dataset.inputs[start:], self.params)
+        return self.sigma_used.matrix[z - 1, self.dataset.tasks[start:] - 1] * base
+
+
+def _same_params(a: KernelParams, b: KernelParams) -> bool:
+    return (a.signal_variance == b.signal_variance and a.noise_variance == b.noise_variance
+            and np.array_equal(a.lengthscales, b.lengthscales))
+
+
+def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: CorrelationMatrix,
+                     params: KernelParams, system: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of ``system`` grown from ``previous``'s, or None when that does not apply.
+
+    Applies when the correlation matrix and the kernel parameters are equal and
+    the previous inputs and tasks are an exact prefix of ``dataset``'s.  The
+    new block carries the previous factor's jitter; a Schur complement that is
+    not positive definite at that jitter returns None.
+    """
+    old = previous.dataset
+    m, n = old.n, dataset.n
+    if not (0 < m <= n and previous.sigma_used.key() == sigma.key()
+            and _same_params(previous.params, params)
+            and np.array_equal(old.tasks, dataset.tasks[:m])
+            and np.array_equal(old.inputs, dataset.inputs[:m])):
+        return None
+    if m == n:
+        return previous.chol
+    cross = solve_triangular(previous.chol, system[:m, m:], lower=True)      # L21'
+    schur = (system[m:, m:] + previous.jitter * params.signal_variance * np.eye(n - m)
+             - cross.T @ cross)
+    try:
+        lower = np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return None
+    L = np.zeros((n, n))
+    L[:m, :m] = previous.chol
+    L[m:, :m] = cross.T
+    L[m:, m:] = lower
+    return L
 
 
 def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParams,
-        base_gram: np.ndarray | None = None) -> Posterior:
+        base_gram: np.ndarray | None = None, previous: Posterior | None = None) -> Posterior:
     """Fit the exact multi-task GP posterior.
 
     ``base_gram`` optionally supplies a precomputed squared-exponential Gram
     matrix of the inputs so that refits across different correlation matrices
-    only pay for the Cholesky factorization.
+    only pay for the Cholesky factorization.  ``previous``, a posterior of an
+    earlier dataset, lets the factor and the grid cache grow by the new rows
+    instead of being rebuilt when that applies (see the module notes); the
+    result agrees with a fresh fit to rounding.
     """
     if dataset.n == 0:
-        return Posterior(dataset, sigma, params, np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
+        empty = np.zeros((0, 0))
+        return Posterior(dataset, sigma, params, empty, np.zeros(0), empty, 0.0, np.zeros(0))
     K = gram(dataset, sigma, params, base_gram)
     system = K + params.noise_variance * np.eye(dataset.n)
-    L, _ = _chol_with_jitter(system, params.signal_variance)
-    alpha = cho_solve((L, True), dataset.observations)
-    return Posterior(dataset, sigma, params, L, alpha, K)
+    L = None if previous is None else _extended_factor(previous, dataset, sigma, params, system)
+    if L is None:
+        L, jitter = _chol_with_jitter(system, params.signal_variance)
+        grid = {}
+    else:
+        jitter, grid = previous.jitter, dict(previous._grid)
+    y = dataset.observations
+    alpha = cho_solve((L, True), y)
+    whitened_obs = solve_triangular(L, y, lower=True)
+    return Posterior(dataset, sigma, params, L, alpha, K, jitter, whitened_obs, grid)
 
 
 def log_marginal_likelihood(dataset: MultiTaskDataset, sigma: CorrelationMatrix,

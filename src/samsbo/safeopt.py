@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.stats import qmc
 
 from . import benchmarks, bounds, gp, hyperposterior, twotask
@@ -109,7 +108,8 @@ class CandidateGrid:
     spacing: float
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        # an owned read-only copy: posteriors cache their grid predictions by identity
+        pts = np.array(self.points, dtype=float, ndmin=2)
         if np.min(pts) < 0.0 or np.max(pts) > 1.0:
             raise ValueError("grid points must lie in the unit cube")
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
@@ -232,13 +232,13 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
         state.confidence_set = hyperposterior.ConfidenceSet((identity,), cfg.rho, np.zeros(1))
         state.sigma_prime = identity
         ds = gp.MultiTaskDataset(ds.inputs, np.ones(ds.n, dtype=int), ds.observations)
-        base = se_kernel_matrix(ds.inputs, ds.inputs, params)
     disc = bounds.DiscretizationSpec(cfg.tau, problem.dimension)
     state.bundle = bounds.scaling_bundle(
         ds, state.sigma_prime, state.confidence_set, disc, params, cfg.delta,
         include_psi=cfg.include_psi, base_gram=base, factor=factor,
     )
-    state.posterior = gp.fit(ds, state.sigma_prime, params, base_gram=base)
+    state.posterior = gp.fit(ds, state.sigma_prime, params, base_gram=base,
+                             previous=state.posterior)
 
 
 def acquire_main(state: OptimizationState, current_safe_set: SafeSet) -> np.ndarray:
@@ -279,21 +279,18 @@ def _greedy_variance_picks(posterior: gp.Posterior, points: np.ndarray,
     Conditioning on a pick is the rank-1 variance downdate of GP-BUCB
     (Desautels et al. 2014): with c_j(x) the covariance of x with pick j given
     the earlier picks, var(x) -= c_j(x)^2 / (var(x_j) + noise + jitter), the
-    Schur complement a refit on the extended data would factor.  The grid
-    cross-Gram and its triangular solve are computed once per call.
+    Schur complement a refit on the extended data would factor.  The
+    whitened grid cross-Gram comes from the posterior's grid cache.
     """
     params = posterior.params
     sigma = posterior.sigma_used.matrix
     used = sorted(set(tasks))
-    base = se_kernel_matrix(points, posterior.dataset.inputs, params)
-    data_tasks = posterior.dataset.tasks - 1
     # posterior cov((x, z), (x', z')) = Sigma[z, z'] k(x, x') - w_z(x)' w_z'(x')
-    # with w_z = L^-1 k_z(data, .), as in Posterior.predict_batch
-    whitened = {z: solve_triangular(posterior.chol, (sigma[z - 1, data_tasks] * base).T,
-                                    lower=True)
-                for z in used}
-    variances = {z: sigma[z - 1, z - 1] * params.signal_variance - np.sum(w * w, axis=0)
-                 for z, w in whitened.items()}
+    # with w_z = L^-1 k_z(data, .)
+    whitened, variances = {}, {}
+    for z in used:
+        whitened[z], sumsq = posterior.whitened(points, z)
+        variances[z] = sigma[z - 1, z - 1] * params.signal_variance - sumsq
     shift = params.noise_variance + gp.JITTER_START * params.signal_variance
     downdates: dict[int, list[np.ndarray]] = {z: [] for z in used}   # c_i(., z) per pick
     schurs: list[float] = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from samsbo import gp
 from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
@@ -207,3 +208,203 @@ class TestMeanValues:
         grid = np.array([[0.0], [1.0], [2.0]])
         expected = np.array([np.exp(-0.5 * g[0] ** 2) * 2.0 / 2.0 for g in grid])
         assert np.allclose(post.mean_values(grid, 1), expected, atol=1e-9)
+
+
+def frozen(points):
+    points = np.array(points, dtype=float)
+    points.setflags(write=False)
+    return points
+
+
+def grown_and_fresh(previous, dataset, sigma, params, base_gram=None):
+    return (fit(dataset, sigma, params, base_gram=base_gram, previous=previous),
+            fit(dataset, sigma, params, base_gram=base_gram))
+
+
+def assert_close_to(grown, fresh, points, tol=1e-10):
+    """Factor, weights and predictions of both tasks agree within ``tol``."""
+    assert grown.jitter == fresh.jitter
+    assert np.max(np.abs(grown.chol - fresh.chol)) <= tol
+    assert np.max(np.abs(grown.alpha - fresh.alpha)) <= tol
+    for z in range(1, fresh.sigma_used.size + 1):
+        for got, want in zip(grown.predict_batch(points, z), fresh.predict_batch(points, z)):
+            assert np.max(np.abs(got - want)) <= tol
+
+
+def assert_bitwise(grown, fresh, points):
+    assert grown.jitter == fresh.jitter
+    assert np.array_equal(grown.chol, fresh.chol)
+    assert np.array_equal(grown.alpha, fresh.alpha)
+    for z in range(1, fresh.sigma_used.size + 1):
+        for got, want in zip(grown.predict_batch(points, z), fresh.predict_batch(points, z)):
+            assert np.array_equal(got, want)
+
+
+class TestExtension:
+    SIGMA = CorrelationMatrix.two_task(0.6)
+    PARAMS = KernelParams(1.0, [0.3, 0.4], 0.01)
+
+    def data(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        return MultiTaskDataset(rng.random((n, 2)), rng.integers(1, 3, n),
+                                rng.standard_normal(n))
+
+    def prefix(self, dataset, m):
+        return MultiTaskDataset(dataset.inputs[:m], dataset.tasks[:m], dataset.observations[:m])
+
+    @pytest.mark.parametrize("new_rows", [1, 5, 0])
+    def test_matches_fresh_fit(self, new_rows):
+        full = self.data(40 + new_rows)
+        points = frozen(np.random.default_rng(1).random((300, 2)))
+        previous = fit(self.prefix(full, 40), self.SIGMA, self.PARAMS)
+        for z in (1, 2):
+            previous.predict_batch(points, z)       # fills the cache the extension grows
+        grown, fresh = grown_and_fresh(previous, full, self.SIGMA, self.PARAMS)
+        assert_close_to(grown, fresh, points)
+        assert_close_to(grown, fresh, np.array(points))     # writable: the uncached path
+
+    def test_restandardized_observations(self):
+        full = self.data(45)
+        points = frozen(np.random.default_rng(2).random((300, 2)))
+        previous = fit(self.prefix(full, 40), self.SIGMA, self.PARAMS)
+        previous.predict_batch(points, 1)
+        y = full.observations
+        restandardized = MultiTaskDataset(full.inputs, full.tasks, (y - y.mean()) / y.std())
+        assert_close_to(*grown_and_fresh(previous, restandardized, self.SIGMA, self.PARAMS),
+                        points)
+
+    def test_chain_of_extensions(self):
+        full = self.data(60)
+        points = frozen(np.random.default_rng(3).random((200, 2)))
+        posterior = fit(self.prefix(full, 20), self.SIGMA, self.PARAMS)
+        for m in range(21, 61, 3):
+            if m % 2:           # some steps predict, some do not
+                posterior.predict_batch(points, 1)
+            posterior = fit(self.prefix(full, m), self.SIGMA, self.PARAMS, previous=posterior)
+        assert posterior.dataset.n == 60
+        assert_close_to(posterior, fit(full, self.SIGMA, self.PARAMS), points)
+
+    def test_grid_grows_by_the_new_rows_only(self, monkeypatch):
+        full = self.data(45)
+        points = frozen(np.random.default_rng(4).random((300, 2)))
+        previous = fit(self.prefix(full, 40), self.SIGMA, self.PARAMS)
+        first = previous.predict_batch(points, 1)
+        grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
+        widths = []
+        real = gp.se_kernel_matrix
+
+        def recording(X, Y, params):
+            widths.append(np.atleast_2d(Y).shape[0])
+            return real(X, Y, params)
+
+        monkeypatch.setattr(gp, "se_kernel_matrix", recording)
+        assert all(np.array_equal(a, b) for a, b in zip(previous.predict_batch(points, 1), first))
+        assert widths == []                                   # a hit on the unchanged posterior
+        means, variances = grown.predict_batch(points, 1)
+        assert widths == [5]                                  # only the new rows' kernel block
+        again = grown.predict_batch(points, 1)
+        assert widths == [5]                                  # second prediction is a hit
+        assert np.array_equal(again[0], means) and np.array_equal(again[1], variances)
+
+    @pytest.mark.parametrize("change", ["sigma", "params", "inputs", "tasks", "shorter"])
+    def test_inapplicable_previous_is_a_fresh_fit(self, change):
+        full = self.data(45)
+        points = frozen(np.random.default_rng(5).random((100, 2)))
+        previous = fit(self.prefix(full, 40), self.SIGMA, self.PARAMS)
+        previous.predict_batch(points, 1)
+        sigma, params, dataset = self.SIGMA, self.PARAMS, full
+        if change == "sigma":
+            sigma = CorrelationMatrix.two_task(0.5)
+        elif change == "params":
+            params = KernelParams(1.0, [0.3, 0.41], 0.01)
+        elif change == "inputs":
+            inputs = np.array(full.inputs)
+            inputs[3, 0] += 1e-12
+            dataset = MultiTaskDataset(inputs, full.tasks, full.observations)
+        elif change == "tasks":
+            tasks = np.array(full.tasks)
+            tasks[3] = 3 - tasks[3]
+            dataset = MultiTaskDataset(full.inputs, tasks, full.observations)
+        else:
+            dataset = self.prefix(full, 30)
+        assert_bitwise(*grown_and_fresh(previous, dataset, sigma, params), points)
+
+    def test_mutated_writable_points_never_stale(self):
+        dataset = self.data(30)
+        posterior = fit(dataset, self.SIGMA, self.PARAMS)
+        reference = fit(dataset, self.SIGMA, self.PARAMS)
+        rng = np.random.default_rng(6)
+        points = rng.random((50, 2))
+        posterior.predict_batch(points, 1)
+        points[:] = rng.random((50, 2))
+        assert all(np.array_equal(a, b) for a, b in zip(posterior.predict_batch(points, 1),
+                                                        reference.predict_batch(points, 1)))
+        # a read-only view of a writable array can still change underneath
+        view = points.view()
+        view.setflags(write=False)
+        posterior.predict_batch(view, 1)
+        points[:] = rng.random((50, 2))
+        assert all(np.array_equal(a, b) for a, b in zip(posterior.predict_batch(view, 1),
+                                                        reference.predict_batch(points, 1)))
+
+    def test_cached_results_are_read_only(self):
+        posterior = fit(self.data(30), self.SIGMA, self.PARAMS)
+        points = frozen(np.random.default_rng(7).random((50, 2)))
+        whitened, sumsq = posterior.whitened(points, 2)
+        assert not whitened.flags.writeable and not sumsq.flags.writeable
+        with pytest.raises(ValueError):
+            posterior.whitened(points, 3)
+
+
+class TestJitter:
+    """Jitter escalation forced through a base Gram with a small negative eigenvalue.
+
+    Near-duplicate inputs leave the squared-exponential Gram a direction with
+    eigenvalue about zero; lowering one twin's diagonal by 3e-9 (as rounding in
+    a kernel routine could) makes the Gram indefinite, and with zero noise the
+    factorization needs jitter 1e-8.
+    """
+
+    PARAMS = KernelParams(1.0, [0.3, 0.4], 0.0)
+    SIGMA = CorrelationMatrix.identity(1)
+
+    def case(self, twin, n=12, seed=0):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, 2))
+        X[twin] = X[0] + 1e-9
+        base = se_kernel_matrix(X, X, self.PARAMS)
+        base[twin, twin] -= 3e-9
+        y = np.sin(3.0 * X[:, 0]) + X[:, 1]
+        return MultiTaskDataset(X, np.ones(n, int), y), base
+
+    def test_extension_reuses_escalated_jitter(self):
+        dataset, base = self.case(twin=1)
+        m = 8
+        head = MultiTaskDataset(dataset.inputs[:m], dataset.tasks[:m], dataset.observations[:m])
+        previous = fit(head, self.SIGMA, self.PARAMS, base_gram=base[:m, :m])
+        assert previous.jitter == pytest.approx(1e-8)
+        points = frozen(np.random.default_rng(1).random((100, 2)))
+        previous.predict_batch(points, 1)
+        grown, fresh = grown_and_fresh(previous, dataset, self.SIGMA, self.PARAMS, base)
+        assert grown.jitter == previous.jitter == fresh.jitter
+        assert np.max(np.abs(grown.chol - fresh.chol)) <= 1e-10
+        for got, want in zip(grown.predict_batch(points, 1), fresh.predict_batch(points, 1)):
+            assert np.max(np.abs(got - want)) <= 1e-10
+        # the weights inherit the system's conditioning (about 1e8 here)
+        assert np.allclose(grown.alpha, fresh.alpha, rtol=1e-6, atol=0.0)
+
+    def test_non_pd_schur_complement_falls_back(self):
+        dataset, base = self.case(twin=10)
+        m = 8
+        head = MultiTaskDataset(dataset.inputs[:m], dataset.tasks[:m], dataset.observations[:m])
+        previous = fit(head, self.SIGMA, self.PARAMS, base_gram=base[:m, :m])
+        assert previous.jitter == gp.JITTER_START
+        system = base + self.PARAMS.noise_variance * np.eye(dataset.n)
+        assert gp._extended_factor(previous, dataset, self.SIGMA, self.PARAMS, system) is None
+        clean = se_kernel_matrix(dataset.inputs, dataset.inputs, self.PARAMS)
+        assert gp._extended_factor(previous, dataset, self.SIGMA, self.PARAMS, clean) is not None
+        points = frozen(np.random.default_rng(2).random((100, 2)))
+        previous.predict_batch(points, 1)
+        grown, fresh = grown_and_fresh(previous, dataset, self.SIGMA, self.PARAMS, base)
+        assert grown.jitter == pytest.approx(1e-8)
+        assert_bitwise(grown, fresh, points)

@@ -372,3 +372,35 @@ class TestLoopBehavior:
             means, variances = state.posterior.predict_batch(grid.points, 1)
             upper = means + np.sqrt(state.bundle.beta_bar) * np.sqrt(variances)
             assert np.array_equal(sset.mask, upper <= threshold_std)
+
+
+class TestIncrementalRefresh:
+    def test_grown_posterior_matches_fresh_fit_every_step(self, monkeypatch):
+        problem = branin_problem(disturbance_seed=5)
+        cfg = LoopConfig(algorithm="safe-ucb", iterations=30)
+        rng = np.random.default_rng(13)
+        from samsbo.benchmarks import find_safe_seed
+        seeds = np.array([find_safe_seed(problem, rng) for _ in range(3)])
+        state, _ = initialize_state(problem, cfg, rng, seeds)
+        full_factorizations = []
+        real = gp._chol_with_jitter
+
+        def counting(*args):
+            full_factorizations.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(gp, "_chol_with_jitter", counting)
+        grown_rows = 0
+        for _ in range(cfg.iterations):
+            before = state.posterior.dataset.n
+            step(state, problem, cfg, rng)
+            posterior = state.posterior
+            grown_rows += posterior.dataset.n - before
+            fresh = gp.fit(posterior.dataset, posterior.sigma_used, posterior.params)
+            for got, want in zip(posterior.predict_batch(state.grid.points, 1),
+                                 fresh.predict_batch(state.grid.points, 1)):
+                assert np.max(np.abs(got - want)) <= 1e-10
+        # the loop grew its factor at every refresh: the reference fits are the
+        # only full factorizations
+        assert grown_rows > 0
+        assert len(full_factorizations) == cfg.iterations

@@ -86,6 +86,24 @@ class TestNu:
                 assert bounds.nu_factor(dataset, sp, cs, params, factor=shared) == pytest.approx(
                     reference, rel=1e-7)
 
+    def test_single_member_short_circuit_matches_general_path(self):
+        rng = np.random.default_rng(2)
+        task_one = gp.MultiTaskDataset(rng.random((25, 1)), np.ones(25, int),
+                                       rng.standard_normal(25))
+        identity = CorrelationMatrix.identity(1)
+        single = ConfidenceSet((identity,), 0.15, np.zeros(1))
+        assert bounds.nu_factor(task_one, identity, single, PARAMS) == 0.0
+        assert cholesky_nu(task_one, identity, [identity], PARAMS) == 0.0
+        # nu is a square root: rounding of about 1e-13 in the quadratic form
+        # leaves the general paths a few 1e-7 above zero
+        mixed = datasets()["mixed"]
+        for r in (0.0, 0.4, 0.9):
+            sp = CorrelationMatrix.two_task(r)
+            cs = ConfidenceSet((sp, sp), 0.15, np.zeros(2))
+            assert bounds.nu_factor(mixed, sp, cs, PARAMS) == 0.0
+            assert cholesky_nu(mixed, sp, [sp], PARAMS) == pytest.approx(0.0, abs=1e-6)
+            assert factor_for(mixed).nu(r, np.array([r])) == pytest.approx(0.0, abs=1e-6)
+
 
 class TestFantasyDowndate:
     def test_variances_match_refit_after_each_pick(self):
