@@ -7,16 +7,12 @@ from .kernels import (
     KernelParams,
     gram,
     kernel_lipschitz,
-    multitask_kernel,
-    multitask_lipschitz,
-    se_kernel,
 )
 from .gp import MultiTaskDataset, Posterior, fit, log_marginal_likelihood
 from .hyperposterior import (
     ConfidenceSet,
     EmpiricalHyperPosterior,
     HyperPrior,
-    McmcConfig,
     confidence_set,
     lkj_log_density,
     sample_hyperposterior,

@@ -193,8 +193,7 @@ def cmd_verify_bounds(config: ExperimentConfig) -> int:
         verify.frequentist_coverage(trials=config.frequentist_trials,
                                     delta=config.delta, seed=config.seed),
         verify.bayesian_coverage(trials=config.bayesian_trials, delta=config.delta,
-                                 rho=config.rho, eta=config.eta,
-                                 mcmc_samples=config.mcmc_samples, seed=config.seed),
+                                 rho=config.rho, eta=config.eta, seed=config.seed),
     ]
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hyperposterior import MIN_SAMPLES
 from .kernels import KernelParams
 
 __all__ = [
@@ -41,8 +40,6 @@ class LoopConfig:
     lengthscale: float = 0.2
     signal_variance: float = 1.0
     noise_variance: float = 0.01        # nu needs it positive
-    mcmc_samples: int = 200
-    include_psi: bool = False
     seed_points: int = 3
 
     def __post_init__(self):
@@ -57,8 +54,6 @@ class LoopConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.mcmc_samples < MIN_SAMPLES:
-            raise ConfigError(f"mcmc_samples must be >= {MIN_SAMPLES}, got {self.mcmc_samples}")
         if self.seed_points < 1:
             raise ConfigError(f"seed_points must be >= 1, got {self.seed_points}")
 
@@ -126,20 +121,15 @@ class ExperimentConfig(LoopConfig):
         return [a.strip() for a in self.algorithm.split(",") if a.strip()]
 
 
-_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
-
 def _coerce(name: str, kind: type, raw: str, line_no: int):
     raw = raw.strip()
     try:
-        if kind is bool:
-            return _BOOL_WORDS[raw.lower()]
         if kind is int:
             return int(raw)
         if kind is float:
             return float(raw)
         return raw
-    except (ValueError, KeyError):
+    except ValueError:
         raise ConfigError(f"line {line_no}: cannot parse {name} value {raw!r} as {kind.__name__}")
 
 
@@ -171,8 +161,5 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Key-value text that parses back to an equal configuration."""
     lines = []
     for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
+        lines.append(f"{f.name} = {getattr(config, f.name)}")
     return "\n".join(lines) + "\n"

@@ -171,11 +171,6 @@ class Posterior:
     whitened_obs: np.ndarray
     _grid: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def predict(self, x: np.ndarray, z: int) -> tuple[float, float]:
-        """Posterior mean and variance of task ``z`` at a single input."""
-        means, variances = self.predict_batch(np.atleast_2d(np.asarray(x, dtype=float)), z)
-        return float(means[0]), float(variances[0])
-
     def predict_batch(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior mean/variance of one task at many inputs."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -221,13 +216,6 @@ class Posterior:
         if not m:
             return block, sumsq
         return np.vstack([entry.whitened, block]), entry.sumsq + sumsq
-
-    def mean_values(self, points, z: int = 1) -> np.ndarray:
-        """Posterior means of task ``z`` at a list of inputs."""
-        points = np.asarray(points, dtype=float)
-        if points.size == 0:
-            return np.zeros(0)
-        return self.predict_batch(np.atleast_2d(points), z)[0]
 
     def mean_rkhs_norm(self) -> float:
         """RKHS norm sqrt(alpha' K alpha) of the posterior mean function."""

@@ -2,28 +2,37 @@
 
 The hyper-posterior p(Sigma | data) is proportional to the GP marginal
 likelihood times an LKJ prior, restricted to correlation matrices with
-nonnegative entries.  It is approximated by an empirical distribution from
-adaptive random-walk Metropolis chains; the confidence set keeps the highest
-posterior density fraction of the samples.
+nonnegative entries.  It is represented by weighted samples; the confidence
+set keeps the samples of highest posterior density until they hold 1 - rho of
+the weight.
 
-Two parameterizations are used.  For two tasks the walk acts directly on the
-single off-diagonal entry r in [0, 1), with proposals reflected at the
-boundaries so the chain mixes well even under a flat target.  Its likelihood
-comes from one :class:`samsbo.twotask.TwoTaskFactor` per call, O(n) per
-proposal after a single O(n^3) decomposition.  Each call first evaluates the
-exact Cholesky likelihood at the start state and raises
+Two tasks.  Sigma has the single free entry r in [0, R_MAX), so the posterior
+is computed exactly on ``QUADRATURE_CELLS`` equal cells of that interval.  A
+cell's log weight is the log likelihood at its midpoint plus the exact log
+prior mass of the cell.  The likelihoods come from one
+:class:`samsbo.twotask.TwoTaskFactor` in one vectorized pass, O(n) per cell.
+The LKJ marginal is (r + 1) / 2 ~ Beta(eta, eta) (Lewandowski, Kurowicka and
+Joe 2009).  Cell masses rather than midpoint densities keep the integrable
+singularity of a small eta at r -> 1 from handing the last cell most of the
+prior.  The confidence set keeps whole cells: each run of kept cells adds its
+outer edges as members, so its range holds all of the kept mass.  Each call
+first evaluates the exact Cholesky likelihood at r = 0.5 and raises
 :class:`samsbo.gp.NumericalError` if the factorized value disagrees by more
-than ``CROSS_CHECK_RTOL``, so a wrong target is never sampled silently.  For
-more tasks the walk acts on the hyperspherical angles of the correlation
-Cholesky factor, with the change-of-variables Jacobian included in the target
-and proposals violating the nonnegativity constraint rejected; every proposal
-there pays one Cholesky factorization.
+than ``CROSS_CHECK_RTOL``, so a wrong likelihood is never used silently.
+
+More tasks.  Adaptive random-walk Metropolis chains act on the hyperspherical
+angles of the correlation Cholesky factor, with the change-of-variables
+Jacobian included in the target and proposals violating the nonnegativity
+constraint rejected; every proposal pays one Cholesky factorization.  The
+samples weigh equally.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from scipy.special import betainc
 
 from .gp import MultiTaskDataset, NumericalError, log_marginal_likelihood
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
@@ -31,7 +40,6 @@ from .twotask import TwoTaskFactor
 
 __all__ = [
     "HyperPrior",
-    "McmcConfig",
     "McmcDiagnostics",
     "EmpiricalHyperPosterior",
     "ConfidenceSet",
@@ -40,7 +48,6 @@ __all__ = [
     "sample_hyperposterior",
     "confidence_set",
     "angles_to_correlation",
-    "posterior_grid_two_task",
     "sample_prior_offdiagonal",
 ]
 
@@ -48,6 +55,17 @@ R_MAX = 1.0 - 1e-6
 CROSS_CHECK_RTOL = 1e-8     # relative to max(|log likelihood|, 1 nat)
 ANGLE_MARGIN = 1e-6
 MIN_SAMPLES = 10
+
+# two tasks: equal cells of [0, R_MAX)
+QUADRATURE_CELLS = 200
+CELL_EDGES = np.linspace(0.0, R_MAX, QUADRATURE_CELLS + 1)
+CELL_MIDPOINTS = 0.5 * (CELL_EDGES[:-1] + CELL_EDGES[1:])
+
+# three or more tasks: the angle walk
+CHAINS = 2
+SAMPLES_PER_CHAIN = 100
+BURN_IN_FRACTION = 0.5
+TARGET_ACCEPTANCE = 0.3
 
 
 class ChainDivergenceError(RuntimeError):
@@ -59,7 +77,6 @@ class HyperPrior:
     """LKJ prior with shape ``eta``; support restricted to nonnegative entries."""
 
     eta: float = 0.1
-    nonnegative: bool = True
 
     def __post_init__(self):
         if self.eta <= 0.0:
@@ -67,24 +84,13 @@ class HyperPrior:
 
 
 @dataclass(frozen=True)
-class McmcConfig:
-    chains: int = 2
-    samples_per_chain: int = 100
-    burn_in_fraction: float = 0.5
-    seed: int = 0
-    target_acceptance: float = 0.3
-
-    def __post_init__(self):
-        if not 0.0 < self.burn_in_fraction < 1.0:
-            raise ValueError("burn_in_fraction must lie in (0, 1)")
-        if not 0.0 < self.target_acceptance < 1.0:
-            raise ValueError("target_acceptance must lie in (0, 1)")
-        if self.chains < 1 or self.samples_per_chain < 1:
-            raise ValueError("chains and samples_per_chain must be positive")
-
-
-@dataclass(frozen=True)
 class McmcDiagnostics:
+    """Health of the angle walk.
+
+    The two-task quadrature has nothing to reject: it reports acceptance 1.0
+    and its cells as one chain without burn-in.
+    """
+
     acceptance_rate: float
     chain_length: int
     burn_in: int
@@ -97,17 +103,28 @@ class McmcDiagnostics:
 
 @dataclass(frozen=True)
 class EmpiricalHyperPosterior:
-    """MCMC approximation of p(Sigma | data): samples with unnormalized log densities."""
+    """Weighted samples of p(Sigma | data) with unnormalized log densities.
+
+    ``log_weights`` are each sample's unnormalized log share of the posterior
+    mass: a cell's mass for the two-task quadrature, zero for every MCMC
+    sample.  ``edges`` are the cell boundaries of the quadrature, sample i
+    standing for the cell from ``edges[i]`` to ``edges[i + 1]``; MCMC samples
+    have none.
+    """
 
     samples: tuple[CorrelationMatrix, ...]
     log_densities: np.ndarray
+    log_weights: np.ndarray
     diagnostics: McmcDiagnostics
+    edges: tuple[CorrelationMatrix, ...] | None = None
 
     def __post_init__(self):
         if len(self.samples) == 0:
             raise ValueError("empirical hyper-posterior must contain samples")
-        if len(self.samples) != len(self.log_densities):
-            raise ValueError("samples and log densities must align")
+        if not len(self.samples) == len(self.log_densities) == len(self.log_weights):
+            raise ValueError("samples, log densities and log weights must align")
+        if self.edges is not None and len(self.edges) != len(self.samples) + 1:
+            raise ValueError("cell edges must bound every sample")
 
 
 @dataclass(frozen=True)
@@ -187,15 +204,15 @@ def _angle_log_jacobian(angles: np.ndarray, u: int) -> float:
     return total
 
 
-def _run_chain(start: np.ndarray, log_target, n_keep: int, burn_in_fraction: float,
-               target_acceptance: float, rng: np.random.Generator,
+def _run_chain(start: np.ndarray, log_target, n_keep: int,
+               rng: np.random.Generator,
                bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, float]:
     """Adaptive reflected random-walk Metropolis over a box.
 
     Returns retained states, their recorded log densities (without the
     parameterization Jacobian) and the post-adaptation acceptance rate.
     """
-    total = int(np.ceil(n_keep / (1.0 - burn_in_fraction)))
+    total = int(np.ceil(n_keep / (1.0 - BURN_IN_FRACTION)))
     burn = total - n_keep
     dim = start.size
     state = start.copy()
@@ -216,12 +233,30 @@ def _run_chain(start: np.ndarray, log_target, n_keep: int, burn_in_fraction: flo
         if t < burn:
             # Robbins-Monro scale adaptation toward the target acceptance rate
             gain = 1.0 / np.sqrt(1.0 + t)
-            step *= float(np.exp(gain * ((1.0 if accepted else 0.0) - target_acceptance)))
+            step *= float(np.exp(gain * ((1.0 if accepted else 0.0) - TARGET_ACCEPTANCE)))
             step = float(np.clip(step, 1e-6 * width, width))
         else:
             kept[t - burn] = state
             kept_log[t - burn] = log_record
     return kept, kept_log, accepted_tail / max(n_keep, 1)
+
+
+@cache
+def cell_matrices() -> tuple[tuple[CorrelationMatrix, ...], tuple[CorrelationMatrix, ...]]:
+    """The quadrature's midpoint and edge matrices, built once on first use."""
+    return (tuple(CorrelationMatrix.two_task(float(r)) for r in CELL_MIDPOINTS),
+            tuple(CorrelationMatrix.two_task(float(r)) for r in CELL_EDGES))
+
+
+def _log_cell_masses(eta: float) -> np.ndarray:
+    """Log LKJ prior mass of each quadrature cell.
+
+    (r + 1) / 2 ~ Beta(eta, eta) gives P(r > e) = I_{(1 - e)/2}(eta, eta), so a
+    cell [e_i, e_i+1) holds the difference of two upper tails; tails rather
+    than the CDF keep the small masses near r = 1 free of cancellation.
+    """
+    tail = betainc(eta, eta, 0.5 * (1.0 - CELL_EDGES))
+    return np.log(tail[:-1] - tail[1:])
 
 
 def sample_hyperposterior(
@@ -230,27 +265,23 @@ def sample_hyperposterior(
     prior: HyperPrior,
     params: KernelParams,
     n_samples: int | None = None,
-    config: McmcConfig | None = None,
+    seed: int = 0,
     factor: TwoTaskFactor | None = None,
 ) -> EmpiricalHyperPosterior:
-    """Draw correlation matrices approximately distributed as p(Sigma | data).
+    """Weighted correlation matrices representing p(Sigma | data).
 
     The target combines the GP log marginal likelihood of the dataset with the
-    LKJ log prior.  ``n_samples`` overrides the total retained count implied by
-    the config; samples are merged across chains.  ``factor`` optionally
-    supplies the two-task decomposition of ``dataset`` so a caller that also
-    needs it for nu builds it once; two-task calls without one build their
-    own.  Repeated states share one :class:`CorrelationMatrix`.  Fixed seeds
-    give bit-identical output.
+    LKJ log prior.  Two tasks give the ``QUADRATURE_CELLS`` cells of the
+    module notes and their edges, the same matrix objects on every call.  More tasks run the
+    angle walk: ``n_samples`` (default ``CHAINS * SAMPLES_PER_CHAIN``) states
+    merged across chains seeded from ``seed``, repeated states sharing one
+    :class:`CorrelationMatrix`; fixed seeds give bit-identical output.
+    ``factor`` optionally supplies the two-task decomposition of ``dataset``
+    so a caller that also needs it for nu builds it once; two-task calls
+    without one build their own.
     """
     if n_tasks < 2:
         raise ValueError("hyper-posterior sampling needs at least two tasks")
-    cfg = config or McmcConfig()
-    total_keep = n_samples if n_samples is not None else cfg.chains * cfg.samples_per_chain
-    if total_keep < MIN_SAMPLES:
-        raise ValueError(f"request at least {MIN_SAMPLES} samples")
-    per_chain = int(np.ceil(total_keep / cfg.chains))
-
     base = factor.base if factor is not None else se_kernel_matrix(
         dataset.inputs, dataset.inputs, params)
 
@@ -264,47 +295,43 @@ def sample_hyperposterior(
     if n_tasks == 2:
         if factor is None:
             factor = TwoTaskFactor.build(dataset, params, base)
-        start = np.array([0.5])
-        exact = loglik(np.array([[1.0, start[0]], [start[0], 1.0]]))
-        fast = factor.log_likelihood(float(start[0]))
+        exact = loglik(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        fast = factor.log_likelihood(0.5)
         if abs(fast - exact) > CROSS_CHECK_RTOL * max(abs(exact), 1.0):
             raise NumericalError(
                 f"factorized log likelihood {fast!r} differs from the Cholesky value "
-                f"{exact!r} at r = {start[0]}"
+                f"{exact!r} at r = 0.5"
             )
+        # equal cells: a cell's mass is its density up to one constant
+        log_weights = factor.log_likelihood(CELL_MIDPOINTS) + _log_cell_masses(eta)
+        diag = McmcDiagnostics(acceptance_rate=1.0, chain_length=QUADRATURE_CELLS,
+                               burn_in=0, n_chains=1)
+        midpoints, edges = cell_matrices()
+        return EmpiricalHyperPosterior(midpoints, log_weights, log_weights, diag, edges)
 
-        def log_target(state: np.ndarray) -> tuple[float, float]:
-            r = float(state[0])
-            value = factor.log_likelihood(r) + (eta - 1.0) * np.log1p(-r * r)
-            return value, value
+    total_keep = n_samples if n_samples is not None else CHAINS * SAMPLES_PER_CHAIN
+    if total_keep < MIN_SAMPLES:
+        raise ValueError(f"request at least {MIN_SAMPLES} samples")
+    n_angles = n_tasks * (n_tasks - 1) // 2
 
-        bounds = (0.0, R_MAX)
-        to_matrix = lambda s: CorrelationMatrix.two_task(float(s[0]))
-    else:
-        n_angles = n_tasks * (n_tasks - 1) // 2
+    def log_target(state: np.ndarray) -> tuple[float, float]:
+        matrix = angles_to_correlation(state, n_tasks)
+        if np.min(matrix) < 0.0:
+            return -np.inf, -np.inf
+        sign, logdet = np.linalg.slogdet(matrix)
+        if sign <= 0:
+            return -np.inf, -np.inf
+        record = loglik(matrix) + (eta - 1.0) * logdet
+        return record + _angle_log_jacobian(state, n_tasks), record
 
-        def log_target(state: np.ndarray) -> tuple[float, float]:
-            matrix = angles_to_correlation(state, n_tasks)
-            if prior.nonnegative and np.min(matrix) < 0.0:
-                return -np.inf, -np.inf
-            sign, logdet = np.linalg.slogdet(matrix)
-            if sign <= 0:
-                return -np.inf, -np.inf
-            record = loglik(matrix) + (eta - 1.0) * logdet
-            return record + _angle_log_jacobian(state, n_tasks), record
-
-        bounds = (ANGLE_MARGIN, np.pi - ANGLE_MARGIN)
-        # start at the identity matrix; nonnegativity is enforced by rejection
-        start = np.full(n_angles, np.pi / 2.0)
-        to_matrix = lambda s: CorrelationMatrix(angles_to_correlation(s, n_tasks))
-
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
+    bounds = (ANGLE_MARGIN, np.pi - ANGLE_MARGIN)
+    # start at the identity matrix; nonnegativity is enforced by rejection
+    start = np.full(n_angles, np.pi / 2.0)
+    per_chain = int(np.ceil(total_keep / CHAINS))
     states, log_records, rates = [], [], []
-    for chain_seed in seeds:
+    for chain_seed in np.random.SeedSequence(seed).spawn(CHAINS):
         rng = np.random.default_rng(chain_seed)
-        kept, kept_log, rate = _run_chain(
-            start, log_target, per_chain, cfg.burn_in_fraction, cfg.target_acceptance, rng, bounds
-        )
+        kept, kept_log, rate = _run_chain(start, log_target, per_chain, rng, bounds)
         states.append(kept)
         log_records.append(kept_log)
         rates.append(rate)
@@ -319,51 +346,48 @@ def sample_hyperposterior(
     distinct: dict[bytes, CorrelationMatrix] = {}
     for s in all_states:
         if s.tobytes() not in distinct:
-            distinct[s.tobytes()] = to_matrix(s)
+            distinct[s.tobytes()] = CorrelationMatrix(angles_to_correlation(s, n_tasks))
     samples = tuple(distinct[s.tobytes()] for s in all_states)
+    chain_length = int(np.ceil(per_chain / (1.0 - BURN_IN_FRACTION)))
     diag = McmcDiagnostics(
         acceptance_rate=acceptance,
-        chain_length=int(np.ceil(per_chain / (1.0 - cfg.burn_in_fraction))),
-        burn_in=int(np.ceil(per_chain / (1.0 - cfg.burn_in_fraction))) - per_chain,
-        n_chains=cfg.chains,
+        chain_length=chain_length,
+        burn_in=chain_length - per_chain,
+        n_chains=CHAINS,
     )
-    return EmpiricalHyperPosterior(samples, all_logs, diag)
+    return EmpiricalHyperPosterior(samples, all_logs, np.zeros(len(samples)), diag)
 
 
 def confidence_set(posterior: EmpiricalHyperPosterior, rho: float) -> ConfidenceSet:
-    """Keep the ceil((1 - rho) * m) samples of highest recorded log density."""
+    """The densest samples that together hold at least 1 - rho of the weight.
+
+    Samples are taken by decreasing log density, ties in sample order, until
+    their weight reaches 1 - rho of the total.  Equal weights keep the
+    ceil((1 - rho) m) densest of m samples: the cumulative weights are then
+    the exact integers 1..m.
+
+    Cells stand for their whole extent: each run of adjacent kept cells also
+    contributes its two outer edges, after the cells and carrying the log
+    density of the cell each bounds, so the members' range of r holds every
+    r whose mass was kept.
+    """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    m = len(posterior.samples)
-    keep = int(np.ceil((1.0 - rho) * m))
-    order = np.argsort(-posterior.log_densities, kind="stable")[:keep]
+    order = np.argsort(-posterior.log_densities, kind="stable")
+    log_w = posterior.log_weights[order]
+    cumulative = np.cumsum(np.exp(log_w - np.max(log_w)))
+    keep = int(np.searchsorted(cumulative, (1.0 - rho) * cumulative[-1])) + 1
+    order = order[:keep]
     members = tuple(posterior.samples[i] for i in order)
-    return ConfidenceSet(members, rho, posterior.log_densities[order])
-
-
-def posterior_grid_two_task(
-    dataset: MultiTaskDataset,
-    params: KernelParams,
-    eta: float,
-    nodes: int = 2000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense-grid quadrature of the two-task hyper-posterior over r in [0, 1).
-
-    Independent oracle for the MCMC: returns grid nodes and normalized weights
-    proportional to likelihood times LKJ prior.  It evaluates every node by
-    Cholesky, not through :class:`TwoTaskFactor`, so it does not share the code
-    it checks.
-    """
-    r = np.linspace(0.0, R_MAX, nodes)
-    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if dataset.n else None
-    logs = np.empty(nodes)
-    for i, ri in enumerate(r):
-        sigma = CorrelationMatrix.two_task(float(ri))
-        ll = log_marginal_likelihood(dataset, sigma, params, base_gram=base) if dataset.n else 0.0
-        logs[i] = ll + (eta - 1.0) * np.log1p(-ri * ri)
-    logs -= logs.max()
-    w = np.exp(logs)
-    return r, w / w.sum()
+    if posterior.edges is None:
+        return ConfidenceSet(members, rho, posterior.log_densities[order])
+    cells = np.sort(order)
+    breaks = np.flatnonzero(np.diff(cells) > 1)
+    firsts = cells[np.r_[0, breaks + 1]]
+    lasts = cells[np.r_[breaks, len(cells) - 1]]
+    bounded = np.column_stack([firsts, lasts]).ravel()
+    edges = tuple(posterior.edges[e] for e in np.column_stack([firsts, lasts + 1]).ravel())
+    return ConfidenceSet(members + edges, rho, posterior.log_densities[np.r_[order, bounded]])
 
 
 def sample_prior_offdiagonal(eta: float, rng: np.random.Generator) -> float:

@@ -20,13 +20,9 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "KernelParams",
     "CorrelationMatrix",
-    "se_kernel",
     "se_kernel_matrix",
-    "multitask_kernel",
     "gram",
     "kernel_lipschitz",
-    "kernel_lipschitz_grid",
-    "multitask_lipschitz",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -113,23 +109,6 @@ class CorrelationMatrix:
         return float(self.matrix[0, 1])
 
 
-def _check_dims(x: np.ndarray, x_prime: np.ndarray, params: KernelParams) -> tuple[np.ndarray, np.ndarray]:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x_prime = np.atleast_1d(np.asarray(x_prime, dtype=float))
-    if x.shape != x_prime.shape or x.size != params.dim:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, x' {x_prime.shape}, lengthscales ({params.dim},)"
-        )
-    return x, x_prime
-
-
-def se_kernel(x: np.ndarray, x_prime: np.ndarray, params: KernelParams) -> float:
-    """Squared-exponential kernel value sf2 * exp(-0.5 * sum(((x-x')/ell)^2))."""
-    x, x_prime = _check_dims(x, x_prime, params)
-    r = (x - x_prime) / params.lengthscales
-    return float(params.signal_variance * np.exp(-0.5 * np.dot(r, r)))
-
-
 def se_kernel_matrix(X: np.ndarray, Y: np.ndarray, params: KernelParams) -> np.ndarray:
     """Cross Gram matrix of the squared-exponential kernel for row stacks X, Y."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -140,21 +119,6 @@ def se_kernel_matrix(X: np.ndarray, Y: np.ndarray, params: KernelParams) -> np.n
         return np.zeros((X.shape[0], Y.shape[0]))
     d2 = cdist(X / params.lengthscales, Y / params.lengthscales, metric="sqeuclidean")
     return params.signal_variance * np.exp(-0.5 * d2)
-
-
-def multitask_kernel(
-    x: np.ndarray,
-    z: int,
-    x_prime: np.ndarray,
-    z_prime: int,
-    sigma: CorrelationMatrix,
-    params: KernelParams,
-) -> float:
-    """Separable covariance Sigma[z, z'] * k(x, x') with 1-based task indices."""
-    u = sigma.size
-    if not (1 <= z <= u and 1 <= z_prime <= u):
-        raise ValueError(f"task indices must lie in 1..{u}")
-    return float(sigma.matrix[z - 1, z_prime - 1]) * se_kernel(x, x_prime, params)
 
 
 def gram(dataset, sigma: CorrelationMatrix, params: KernelParams,
@@ -190,37 +154,3 @@ def kernel_lipschitz(params: KernelParams, norm_p: float = np.inf) -> float:
     if norm_p in (1, 2):
         return sf2 * inv_sqrt_e / lmin
     raise ValueError("norm_p must be 1, 2 or inf")
-
-
-def kernel_lipschitz_grid(
-    params: KernelParams,
-    norm_p: float = np.inf,
-    n_pairs: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Numerical fallback: maximize the difference quotient over random pairs.
-
-    Returns max |k(x, x') - k(y, x')| / ||x - y||_p for points drawn uniformly
-    from the unit cube.  Lower-bounds the true constant, so it is used to
-    sanity-check the analytic bound of :func:`kernel_lipschitz`.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    d = params.dim
-    x = rng.random((n_pairs, d))
-    y = rng.random((n_pairs, d))
-    x_ref = rng.random((n_pairs, d))
-    kx = _se_rowwise(x, x_ref, params)
-    ky = _se_rowwise(y, x_ref, params)
-    dist = np.linalg.norm(x - y, ord=norm_p, axis=1)
-    good = dist > 1e-12
-    return float(np.max(np.abs(kx - ky)[good] / dist[good]))
-
-
-def _se_rowwise(X: np.ndarray, Y: np.ndarray, params: KernelParams) -> np.ndarray:
-    r = (X - Y) / params.lengthscales
-    return params.signal_variance * np.exp(-0.5 * np.sum(r * r, axis=1))
-
-
-def multitask_lipschitz(sigma: CorrelationMatrix, l_k: float) -> float:
-    """Multi-task kernel Lipschitz constant q * L_k with q the largest diagonal entry."""
-    return float(np.max(np.diag(sigma.matrix))) * l_k

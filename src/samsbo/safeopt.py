@@ -217,13 +217,12 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
     factor = None
     if multitask:
         if problem.n_tasks == 2:
-            # one decomposition serves every MCMC proposal and every nu member
+            # one decomposition serves every quadrature cell and every nu member
             factor = twotask.TwoTaskFactor.build(ds, params, base)
+        # two tasks ignore the seed; drawing it for every task count keeps one RNG stream
         hyper = hyperposterior.sample_hyperposterior(
             ds, problem.n_tasks, hyperposterior.HyperPrior(cfg.eta), params,
-            n_samples=cfg.mcmc_samples,
-            config=hyperposterior.McmcConfig(seed=int(rng.integers(2 ** 63))),
-            factor=factor,
+            seed=int(rng.integers(2 ** 63)), factor=factor,
         )
         state.confidence_set = hyperposterior.confidence_set(hyper, cfg.rho)
         state.sigma_prime = bounds.select_sigma_prime(state.confidence_set)
@@ -235,7 +234,7 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
     disc = bounds.DiscretizationSpec(cfg.tau, problem.dimension)
     state.bundle = bounds.scaling_bundle(
         ds, state.sigma_prime, state.confidence_set, disc, params, cfg.delta,
-        include_psi=cfg.include_psi, base_gram=base, factor=factor,
+        base_gram=base, factor=factor,
     )
     state.posterior = gp.fit(ds, state.sigma_prime, params, base_gram=base,
                              previous=state.posterior)

@@ -13,7 +13,8 @@ with V' A V = I diagonalizes every A + r B at once, so with c = V' y
 
 costs O(n) per r and the weight vector (A + r B)^-1 y = V (c / (1 + r lam))
 costs O(n^2).  :class:`TwoTaskFactor` holds that decomposition; the hyper-
-posterior r-walk and the mean-shift term nu share one per model refresh.
+posterior quadrature over r and the mean-shift term nu share one per model
+refresh.
 
 Normalized 2x2 matrices also share their eigenvectors, so the spectral ratios
 behind sigma-prime selection and the variance-ratio factor gamma reduce to
@@ -119,14 +120,16 @@ class TwoTaskFactor:
     def n(self) -> int:
         return self.eigenvalues.size
 
-    def log_likelihood(self, r: float) -> float:
-        """Log marginal likelihood at Sigma(r), O(n)."""
-        d = 1.0 + r * self.eigenvalues
+    def log_likelihood(self, r):
+        """Log marginal likelihood at Sigma(r), O(n) per r; an array of r gives an array."""
+        rs = np.asarray(r, dtype=float)
+        d = 1.0 + np.multiply.outer(rs, self.eigenvalues)
         if self.n and d.min() <= 0.0:
             raise gp.NumericalError(f"A + r B not positive definite at r = {r!r}")
         c = self.projected
-        return float(-0.5 * np.sum(c * c / d) - 0.5 * np.sum(np.log(d))
-                     - 0.5 * self.log_det_a - 0.5 * self.n * math.log(2.0 * math.pi))
+        value = (-0.5 * np.sum(c * c / d, axis=-1) - 0.5 * np.sum(np.log(d), axis=-1)
+                 - 0.5 * self.log_det_a - 0.5 * self.n * math.log(2.0 * math.pi))
+        return float(value) if rs.ndim == 0 else value
 
     def _weights(self, rs: np.ndarray) -> np.ndarray:
         """Columns (A0 + r B + noise I)^-1 y, one per r, without the jitter shift.

@@ -5,8 +5,8 @@ exactly known RKHS norm, repeatedly regenerates the observation noise, and
 counts how often the scaled posterior band contains the function on a dense
 grid.  The Bayesian suite draws the correlation matrix from its prior and the
 function from the corresponding multi-task GP, runs the full inference
-pipeline including the MCMC hyper-posterior, and checks the robust band the
-same way.
+pipeline including the two-task hyper-posterior quadrature, and checks the
+robust band the same way.
 """
 from __future__ import annotations
 
@@ -106,14 +106,14 @@ def frequentist_coverage(trials: int = 500, n_obs: int = 30, delta: float = 0.05
 
 def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.05,
                       rho: float = 0.15, eta: float = 0.1, grid_size: int = 200,
-                      mcmc_samples: int = 200, seed: int = 0) -> CoverageReport:
+                      seed: int = 0) -> CoverageReport:
     """Coverage of the robust Bayesian band under prior-drawn correlation matrices.
 
     Each trial draws the true correlation from the LKJ prior restricted to
     nonnegative entries, samples the function from the matching multi-task GP
-    on the grid, runs MCMC plus confidence-set construction, and checks the
-    band with the robust scaling factor on the grid (where the discretization
-    correction vanishes).
+    on the grid, builds the hyper-posterior and the confidence set, and checks
+    the band with the robust scaling factor on the grid (where the
+    discretization correction vanishes).
     """
     target = (1.0 - delta) * (1.0 - rho)
     if trials == 0:
@@ -148,11 +148,8 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
 
         base = se_kernel_matrix(inputs, inputs, params)
         factor = twotask.TwoTaskFactor.build(dataset, params, base)
-        mcmc = hyperposterior.McmcConfig(seed=int(rng.integers(2 ** 63)))
         hyper = hyperposterior.sample_hyperposterior(
-            dataset, 2, hyperposterior.HyperPrior(eta), params,
-            n_samples=mcmc_samples, config=mcmc, factor=factor,
-        )
+            dataset, 2, hyperposterior.HyperPrior(eta), params, factor=factor)
         cset = hyperposterior.confidence_set(hyper, rho)
         sigma_prime = bounds.select_sigma_prime(cset)
         bundle = bounds.scaling_bundle(dataset, sigma_prime, cset, disc, params, delta,

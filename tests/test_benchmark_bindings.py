@@ -49,7 +49,7 @@ def _expected(workload: str) -> set[str]:
 
 def test_install_binds_every_site_and_unpatch_restores(monkeypatch):
     def run():
-        cfg = safeopt.LoopConfig(iterations=1, mcmc_samples=10, grid_size=64, seed_points=2)
+        cfg = safeopt.LoopConfig(iterations=1, grid_size=64, seed_points=2)
         safeopt.run_repetition(benchmarks.branin_problem(disturbance_seed=1), cfg, seed=0)
 
     assert _expected("branin-samsbo") <= _traced_spans(monkeypatch, run)

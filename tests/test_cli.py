@@ -26,10 +26,11 @@ from samsbo.config import (
 
 # settings the loop cannot run, each with the key its error must name
 BAD_VALUES = [
-    ("rho", 1.5), ("mcmc_samples", 5), ("seed_points", 0), ("lengthscale", 0),
+    ("rho", 1.5), ("seed_points", 0), ("lengthscale", 0),
     ("signal_variance", 0), ("noise_variance", 0),
 ]
-REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance"]
+REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance",
+                "include_psi", "mcmc_samples"]
 # problem settings no problem can be built with: (key named, config text)
 BAD_PROBLEMS = [
     ("n_tasks", "n_tasks = 0"), ("n_tasks", "problem = powell\nn_tasks = -1"),
@@ -54,12 +55,12 @@ class TestParseConfig:
         problem = powell
         iterations = 10   # short run
         delta = 0.1
-        include_psi = true
+        eta = 0.5
         algorithm = samsbo,safe-ucb
         """)
         assert cfg.problem == "powell"
         assert cfg.iterations == 10
-        assert cfg.include_psi is True
+        assert cfg.delta == 0.1 and cfg.eta == 0.5
         assert cfg.algorithms() == ["samsbo", "safe-ucb"]
 
     def test_unknown_key_names_line(self):
@@ -78,10 +79,10 @@ class TestParseConfig:
             parse_config_text(text + "\n")
 
     def test_campaign_extends_loop_settings(self):
-        cfg = parse_config_text("algorithm = samsbo,ucb\nmcmc_samples = 60\n")
+        cfg = parse_config_text("algorithm = samsbo,ucb\ngrid_size = 256\n")
         assert isinstance(cfg, LoopConfig)
         single = replace(cfg, algorithm="ucb")
-        assert single.algorithm == "ucb" and single.mcmc_samples == 60
+        assert single.algorithm == "ucb" and single.grid_size == 256
         with pytest.raises(ConfigError, match="unknown algorithm"):
             LoopConfig(algorithm="samsbo,ucb")
 
@@ -90,7 +91,7 @@ class TestParseConfig:
             parse_config_text("iterations = soon\n")
 
     def test_roundtrip(self):
-        cfg = parse_config_text("problem = laser\nseed = 9\ninclude_psi = true\n")
+        cfg = parse_config_text("problem = laser\nseed = 9\neta = 0.5\n")
         again = parse_config_text(serialize_config(cfg))
         assert again == cfg
 
@@ -98,7 +99,7 @@ class TestParseConfig:
 def small_config(tmp_path, **overrides):
     base = dict(
         problem="branin", algorithm="samsbo", iterations=2, repetitions=2,
-        mcmc_samples=30, grid_size=128, seed=3, seed_points=2,
+        grid_size=128, seed=3, seed_points=2,
         out=str(tmp_path / "results"),
     )
     base.update(overrides)
@@ -204,8 +205,7 @@ class TestMainEntry:
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text(
-            "iterations = 1\nrepetitions = 1\nmcmc_samples = 30\n"
-            "grid_size = 128\nseed_points = 2\n")
+            "iterations = 1\nrepetitions = 1\ngrid_size = 128\nseed_points = 2\n")
         env_out = tmp_path / "from_env"
         monkeypatch.setenv("SAMSBO_OUT", str(env_out))
         code = main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "ignored")])

@@ -3,16 +3,9 @@ import pytest
 
 from samsbo.bounds import kernel_dominance
 from samsbo.gp import MultiTaskDataset
-from samsbo.kernels import (
-    CorrelationMatrix,
-    KernelParams,
-    gram,
-    kernel_lipschitz,
-    kernel_lipschitz_grid,
-    multitask_kernel,
-    multitask_lipschitz,
-    se_kernel,
-)
+from samsbo.kernels import CorrelationMatrix, KernelParams, gram, kernel_lipschitz
+
+from oracles import kernel_lipschitz_grid, multitask_kernel, multitask_lipschitz, se_kernel
 
 
 def params_1d(sf2=1.0, ell=1.0, noise=0.0):

@@ -22,6 +22,8 @@ from samsbo.safeopt import (
     step,
 )
 
+from oracles import predict
+
 PARAMS = KernelParams(1.0, [0.4], noise_variance=0.01)
 
 
@@ -117,7 +119,7 @@ class TestSafeSet:
         grid = CandidateGrid(np.linspace(0, 1, 5).reshape(-1, 1), spacing=0.1)
         result = safe_set(post, state.bundle, threshold_std=0.3, grid=grid)
         for i, point in enumerate(grid.points):
-            mean, var = post.predict(point, 1)
+            mean, var = predict(post, point, 1)
             expected = mean + np.sqrt(2.0) * np.sqrt(var) <= 0.3
             assert result.mask[i] == expected
 
@@ -161,7 +163,7 @@ class TestAcquireMain:
             for i in range(5):
                 if not mask[i]:
                     continue
-                mean, var = state.posterior.predict(grid.points[i], 1)
+                mean, var = predict(state.posterior, grid.points[i], 1)
                 val = mean - np.sqrt(state.bundle.beta_bar) * np.sqrt(var)
                 if val < best_val - 1e-15:
                     best, best_val = i, val
@@ -212,7 +214,7 @@ class TestAcquireSupplementary:
             best_idx, best_var = None, -np.inf
             post = gp.fit(fantasy_ds, sigma, PARAMS)
             for i, point in enumerate(grid.points):
-                _, var = post.predict(point, 2)
+                _, var = predict(post, point, 2)
                 if var > best_var + 1e-15:
                     best_idx, best_var = i, var
             assert np.allclose(picks[stage][0], grid.points[best_idx])
@@ -266,7 +268,7 @@ class TestStepComposition:
                                     SafeSet)
 
         problem = branin_problem(disturbance_seed=7)
-        cfg = LoopConfig(iterations=1, mcmc_samples=40, grid_size=64, seed_points=2)
+        cfg = LoopConfig(iterations=1, grid_size=64, seed_points=2)
         rng_a = np.random.default_rng(123)
         rng_b = np.random.default_rng(123)
 
@@ -305,7 +307,7 @@ class TestStepComposition:
 class TestLoopBehavior:
     def test_iteration_and_dataset_growth(self):
         problem = branin_problem(disturbance_seed=1)
-        cfg = LoopConfig(iterations=3, mcmc_samples=30, grid_size=128, seed_points=2)
+        cfg = LoopConfig(iterations=3, grid_size=128, seed_points=2)
         trace = run_repetition(problem, cfg, seed=0)
         per_iter = {}
         for r in trace:
@@ -323,14 +325,14 @@ class TestLoopBehavior:
 
     def test_zero_iterations_only_seed(self):
         problem = branin_problem(disturbance_seed=1)
-        cfg = LoopConfig(iterations=0, mcmc_samples=30, grid_size=64, seed_points=3)
+        cfg = LoopConfig(iterations=0, grid_size=64, seed_points=3)
         trace = run_repetition(problem, cfg, seed=0)
         assert len(trace) == 3
         assert all(r.iteration == 0 for r in trace)
 
     def test_fixed_seed_reproducible(self):
         problem = branin_problem(disturbance_seed=1)
-        cfg = LoopConfig(iterations=2, mcmc_samples=30, grid_size=128)
+        cfg = LoopConfig(iterations=2, grid_size=128)
         a = run_repetition(problem, cfg, seed=5)
         b = run_repetition(problem, cfg, seed=5)
         assert len(a) == len(b)
@@ -341,7 +343,7 @@ class TestLoopBehavior:
 
     def test_best_observation_monotone(self):
         problem = branin_problem(disturbance_seed=2)
-        cfg = LoopConfig(iterations=5, mcmc_samples=30, grid_size=256)
+        cfg = LoopConfig(iterations=5, grid_size=256)
         trace = run_repetition(problem, cfg, seed=1)
         main = [r.best_so_far for r in trace if r.task == 1]
         assert all(b <= a + 1e-12 for a, b in zip(main, main[1:]))
@@ -359,7 +361,7 @@ class TestLoopBehavior:
 
     def test_safe_set_soundness_recorded_states(self):
         problem = branin_problem(disturbance_seed=4)
-        cfg = LoopConfig(iterations=3, mcmc_samples=30, grid_size=128)
+        cfg = LoopConfig(iterations=3, grid_size=128)
         rng = np.random.default_rng(11)
         from samsbo.benchmarks import find_safe_seed
         seeds = np.array([find_safe_seed(problem, rng) for _ in range(3)])

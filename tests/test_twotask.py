@@ -5,16 +5,18 @@ from scipy.linalg import cho_factor, cho_solve
 
 from samsbo import bounds, gp
 from samsbo.hyperposterior import (
+    CELL_MIDPOINTS,
     R_MAX,
     ConfidenceSet,
     HyperPrior,
-    McmcConfig,
+    _log_cell_masses,
     sample_hyperposterior,
 )
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 from samsbo.safeopt import _greedy_variance_picks, make_grid
 from samsbo.twotask import TwoTaskFactor
 
+from oracles import two_task_log_likelihoods
 from test_hyperposterior import synthetic_two_task
 
 PARAMS = KernelParams(1.0, [0.2], noise_variance=0.01)
@@ -129,25 +131,18 @@ class TestFantasyDowndate:
 
 class TestSampler:
     def test_recorded_densities_match_cholesky_target(self):
-        rng = np.random.default_rng(3)
-        dataset = synthetic_two_task(0.5, 20, rng)
+        # each cell's log weight is the Cholesky log likelihood at its midpoint plus its prior mass
         eta = 0.1
-        post = sample_hyperposterior(dataset, 2, HyperPrior(eta), PARAMS, 100,
-                                     McmcConfig(seed=4))
-        distinct = {}
-        for sample, logd in zip(post.samples, post.log_densities):
-            distinct.setdefault(sample.key(), (sample, logd))
-        assert len({id(s) for s in post.samples}) == len(distinct)
-        for sample, logd in distinct.values():
-            r = sample.offdiagonal()
-            exact = (gp.log_marginal_likelihood(dataset, sample, PARAMS)
-                     + (eta - 1.0) * np.log1p(-r * r))
-            assert logd == pytest.approx(exact, rel=1e-8)
+        for dataset in datasets().values():
+            post = sample_hyperposterior(dataset, 2, HyperPrior(eta), PARAMS)
+            exact = two_task_log_likelihoods(dataset, PARAMS, CELL_MIDPOINTS)
+            assert np.allclose(post.log_weights - _log_cell_masses(eta), exact,
+                               rtol=1e-8, atol=1e-12)
+            assert np.array_equal(post.log_densities, post.log_weights)
 
     def test_mismatched_factor_fails_the_cross_check(self):
         rng = np.random.default_rng(5)
         dataset = synthetic_two_task(0.5, 10, rng)
         other = gp.MultiTaskDataset(dataset.inputs, dataset.tasks, dataset.observations + 0.1)
         with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
-            sample_hyperposterior(dataset, 2, HyperPrior(0.1), PARAMS, 20, McmcConfig(seed=6),
-                                  factor=factor_for(other))
+            sample_hyperposterior(dataset, 2, HyperPrior(0.1), PARAMS, factor=factor_for(other))
