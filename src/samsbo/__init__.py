@@ -12,7 +12,6 @@ from .gp import MultiTaskDataset, Posterior, fit, log_marginal_likelihood
 from .hyperposterior import (
     ConfidenceSet,
     EmpiricalHyperPosterior,
-    HyperPrior,
     confidence_set,
     lkj_log_density,
     sample_hyperposterior,

@@ -15,6 +15,9 @@ diagonal, sigma-prime selection, gamma and nu take the closed forms of
 :mod:`samsbo.twotask`: nu then costs O(n^2) per unique member from one shared
 :class:`~samsbo.twotask.TwoTaskFactor` instead of a Cholesky factorization
 each.  Other sets take the general path, one factorization per member.
+
+:func:`robust_model` is the one model refresh of the optimization loop and of
+the Bayesian coverage suite, and the one place that builds that factor.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve
 
-from . import gp, twotask
+from . import gp, hyperposterior, twotask
 from .config import ConfigError
 from .hyperposterior import ConfidenceSet
 from .kernels import CorrelationMatrix, KernelParams, kernel_lipschitz, se_kernel_matrix
@@ -47,17 +50,17 @@ __all__ = [
     "gamma_factor",
     "nu_factor",
     "scaling_bundle",
+    "robust_model",
     "kernel_dominance",
 ]
 
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
-    """Covering of the unit hypercube at radius tau in the chosen norm."""
+    """Covering of the unit hypercube at radius tau in the infinity norm."""
 
     tau: float
     dimension: int
-    norm_p: float = np.inf
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -67,8 +70,6 @@ class DiscretizationSpec:
 
     @property
     def cardinality(self) -> int:
-        if self.norm_p != np.inf:
-            raise ValueError("covering cardinality is defined for the infinity norm")
         return covering_number(self.tau, self.dimension)
 
 
@@ -389,7 +390,7 @@ def scaling_bundle(
                    factor=factor)
     beta_bar = (nu + gam * math.sqrt(b_bayes)) ** 2
     if include_psi:
-        l_k = kernel_lipschitz(params, spec.norm_p)
+        l_k = kernel_lipschitz(params)
         posteriors = [
             gp.fit(dataset, member, params, base_gram=base_gram)
             for member in confidence_set.members
@@ -407,6 +408,33 @@ def scaling_bundle(
         omega_mu=om_mu, omega_sigma=om_sigma, lipschitz_f=l_f, psi=psi,
         delta=delta, rho=confidence_set.rho, tau=spec.tau,
     )
+
+
+def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: float,
+                 spec: DiscretizationSpec, params: KernelParams, delta: float, seed: int = 0,
+                 previous: gp.Posterior | None = None,
+                 ) -> tuple[ConfidenceSet, ScalingBundle, gp.Posterior]:
+    """Confidence set, scaling bundle (psi neglected) and posterior at sigma-prime.
+
+    One task takes the identity set, so nu = 0, gamma = 1 and beta_bar =
+    beta_b.  More tasks keep the 1 - ``rho`` set of the LKJ(``eta``) hyper-
+    posterior; ``seed`` drives the angle walk of three or more.  Every stage
+    shares one base Gram, and two tasks one factor.  ``previous`` goes to
+    :func:`samsbo.gp.fit`.
+    """
+    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
+    factor = twotask.TwoTaskFactor.build(dataset, params, base) if n_tasks == 2 else None
+    if n_tasks == 1:
+        cset = ConfidenceSet((CorrelationMatrix.identity(1),), rho, np.zeros(1))
+    else:
+        hyper = hyperposterior.sample_hyperposterior(dataset, n_tasks, eta, params, seed=seed,
+                                                     factor=factor, base_gram=base)
+        cset = hyperposterior.confidence_set(hyper, rho)
+    sigma_prime = select_sigma_prime(cset)
+    bundle = scaling_bundle(dataset, sigma_prime, cset, spec, params, delta,
+                            base_gram=base, factor=factor)
+    posterior = gp.fit(dataset, sigma_prime, params, base_gram=base, previous=previous)
+    return cset, bundle, posterior
 
 
 def kernel_dominance(sigma: CorrelationMatrix, sigma_prime: CorrelationMatrix,

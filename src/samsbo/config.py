@@ -35,7 +35,6 @@ class LoopConfig:
     rho: float = 0.15
     tau: float = 0.001
     eta: float = 0.1
-    supplementary_batch: int = 0        # 0 selects the 2 * dimension default
     grid_size: int = 2048
     lengthscale: float = 0.2
     signal_variance: float = 1.0
@@ -67,7 +66,8 @@ class LoopConfig:
                             self.noise_variance)
 
     def batch_size(self, dimension: int) -> int:
-        return self.supplementary_batch if self.supplementary_batch > 0 else 2 * dimension
+        """Supplementary evaluations per iteration: 2 * dimension, the standard protocol."""
+        return 2 * dimension
 
 
 @dataclass(frozen=True)

@@ -296,14 +296,16 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
 
 def log_marginal_likelihood(dataset: MultiTaskDataset, sigma: CorrelationMatrix,
                             params: KernelParams, base_gram: np.ndarray | None = None) -> float:
-    """Log density of the observations under the zero-mean GP prior plus noise."""
+    """Log density of the observations under the zero-mean GP prior plus noise.
+
+    Reads the factor and the weights of :func:`fit`, so both factor the same
+    regularized system.
+    """
     if dataset.n == 0:
         return 0.0
-    K = gram(dataset, sigma, params, base_gram)
-    system = K + params.noise_variance * np.eye(dataset.n)
-    L, _ = _chol_with_jitter(system, params.signal_variance)
+    posterior = fit(dataset, sigma, params, base_gram)
     y = dataset.observations
-    alpha = cho_solve((L, True), y)
     return float(
-        -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * dataset.n * np.log(2.0 * np.pi)
+        -0.5 * y @ posterior.alpha - np.sum(np.log(np.diag(posterior.chol)))
+        - 0.5 * dataset.n * np.log(2.0 * np.pi)
     )

@@ -39,7 +39,6 @@ from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 from .twotask import TwoTaskFactor
 
 __all__ = [
-    "HyperPrior",
     "McmcDiagnostics",
     "EmpiricalHyperPosterior",
     "ConfidenceSet",
@@ -70,17 +69,6 @@ TARGET_ACCEPTANCE = 0.3
 
 class ChainDivergenceError(RuntimeError):
     """Raised when a chain's acceptance rate collapses after adaptation."""
-
-
-@dataclass(frozen=True)
-class HyperPrior:
-    """LKJ prior with shape ``eta``; support restricted to nonnegative entries."""
-
-    eta: float = 0.1
-
-    def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
 
 
 @dataclass(frozen=True)
@@ -262,28 +250,34 @@ def _log_cell_masses(eta: float) -> np.ndarray:
 def sample_hyperposterior(
     dataset: MultiTaskDataset,
     n_tasks: int,
-    prior: HyperPrior,
+    eta: float,
     params: KernelParams,
     n_samples: int | None = None,
     seed: int = 0,
     factor: TwoTaskFactor | None = None,
+    base_gram: np.ndarray | None = None,
 ) -> EmpiricalHyperPosterior:
     """Weighted correlation matrices representing p(Sigma | data).
 
     The target combines the GP log marginal likelihood of the dataset with the
-    LKJ log prior.  Two tasks give the ``QUADRATURE_CELLS`` cells of the
-    module notes and their edges, the same matrix objects on every call.  More tasks run the
-    angle walk: ``n_samples`` (default ``CHAINS * SAMPLES_PER_CHAIN``) states
+    LKJ prior of shape ``eta`` > 0, restricted to nonnegative entries.  Two
+    tasks give the ``QUADRATURE_CELLS`` cells of the module notes and their
+    edges, the same matrix objects on every call.  More tasks run the angle
+    walk: ``n_samples`` (default ``CHAINS * SAMPLES_PER_CHAIN``) states
     merged across chains seeded from ``seed``, repeated states sharing one
     :class:`CorrelationMatrix`; fixed seeds give bit-identical output.
     ``factor`` optionally supplies the two-task decomposition of ``dataset``
     so a caller that also needs it for nu builds it once; two-task calls
-    without one build their own.
+    without one build their own.  ``base_gram`` optionally supplies the
+    squared-exponential Gram matrix of the inputs (a factor carries its own).
     """
     if n_tasks < 2:
         raise ValueError("hyper-posterior sampling needs at least two tasks")
-    base = factor.base if factor is not None else se_kernel_matrix(
-        dataset.inputs, dataset.inputs, params)
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
+    base = factor.base if factor is not None else base_gram
+    if base is None:
+        base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
 
     def loglik(matrix: np.ndarray) -> float:
         if dataset.n == 0:
@@ -291,7 +285,6 @@ def sample_hyperposterior(
         sigma = CorrelationMatrix(matrix)
         return log_marginal_likelihood(dataset, sigma, params, base_gram=base)
 
-    eta = prior.eta
     if n_tasks == 2:
         if factor is None:
             factor = TwoTaskFactor.build(dataset, params, base)

@@ -1,13 +1,13 @@
 """Safe multi-task Bayesian optimization loops.
 
 One iteration evaluates a batch of supplementary-task inputs chosen by greedy
-fantasized-variance maximization, refreshes the normalization and the
-hyper-posterior over the correlation matrix, rebuilds the scaling bundle and
-the safe set, and finally evaluates the main task at the safe candidate with
-the lowest optimistic value.  The single-task variant skips everything
-involving supplementary tasks, which reduces the loop to the safe upper
-confidence bound baseline; non-safe variants use the full candidate grid
-instead of the safe set.
+fantasized-variance maximization, refits the normalization, refreshes the
+model with :func:`samsbo.bounds.robust_model` (the refresh the Bayesian
+coverage suite checks) and the safe set, and finally evaluates the main task
+at the safe candidate with the lowest optimistic value.  The single-task
+variant skips everything involving supplementary tasks, which reduces the
+loop to the safe upper confidence bound baseline; non-safe variants use the
+full candidate grid instead of the safe set.
 """
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from . import benchmarks, bounds, gp, hyperposterior, twotask
+from . import benchmarks, bounds, gp, hyperposterior
 from .config import ALGORITHMS, ConfigError, LoopConfig
-from .kernels import CorrelationMatrix, se_kernel_matrix
+from .kernels import se_kernel_matrix
 
 __all__ = [
     "Transforms",
@@ -105,7 +105,6 @@ class CandidateGrid:
     """Finite acquisition grid in the normalized unit cube."""
 
     points: np.ndarray
-    spacing: float
 
     def __post_init__(self):
         # an owned read-only copy: posteriors cache their grid predictions by identity
@@ -121,7 +120,7 @@ class CandidateGrid:
         return self.points.shape[0]
 
 
-def make_grid(dimension: int, size: int = 2048, tau: float = 0.001, seed: int = 0,
+def make_grid(dimension: int, size: int = 2048, seed: int = 0,
               extra_points: np.ndarray | None = None) -> CandidateGrid:
     """Lattice grid in one dimension, scrambled Sobol points otherwise.
 
@@ -137,7 +136,7 @@ def make_grid(dimension: int, size: int = 2048, tau: float = 0.001, seed: int = 
     if extra_points is not None and len(extra_points):
         extra = np.clip(np.atleast_2d(np.asarray(extra_points, dtype=float)), 0.0, 1.0)
         points = np.unique(np.vstack([points, extra]), axis=0)
-    return CandidateGrid(points=points, spacing=tau)
+    return CandidateGrid(points=points)
 
 
 @dataclass(frozen=True)
@@ -146,19 +145,17 @@ class SafeSet:
 
     grid: CandidateGrid
     mask: np.ndarray
-    threshold: float            # raw output units
 
     def size(self) -> int:
         return int(np.sum(self.mask))
 
 
 def safe_set(posterior: gp.Posterior, bundle: bounds.ScalingBundle,
-             threshold_std: float, grid: CandidateGrid,
-             threshold_raw: float = np.nan) -> SafeSet:
+             threshold_std: float, grid: CandidateGrid) -> SafeSet:
     """Candidates with mean + sqrt(beta_bar) std + psi below the standardized threshold."""
     means, variances = posterior.predict_batch(grid.points, 1)
     upper = means + np.sqrt(bundle.beta_bar) * np.sqrt(variances) + bundle.psi
-    return SafeSet(grid=grid, mask=upper <= threshold_std, threshold=threshold_raw)
+    return SafeSet(grid=grid, mask=upper <= threshold_std)
 
 
 @dataclass(frozen=True)
@@ -187,7 +184,6 @@ class OptimizationState:
     dataset: gp.MultiTaskDataset        # raw units
     transforms: Transforms
     confidence_set: hyperposterior.ConfidenceSet
-    sigma_prime: CorrelationMatrix
     bundle: bounds.ScalingBundle
     posterior: gp.Posterior
     grid: CandidateGrid | None = None
@@ -207,37 +203,18 @@ def _standardized_dataset(state_dataset: gp.MultiTaskDataset, transforms: Transf
 
 def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
                    rng: np.random.Generator) -> None:
-    """Refit transforms, hyper-posterior, scaling bundle and posterior in place."""
-    multitask = _is_multitask(cfg.algorithm) and problem.n_tasks > 1
-    params = cfg.kernel_params(problem.dimension)
+    """Refit the transforms, then the model; non-multi-task loops model one task."""
+    n_tasks = problem.n_tasks if _is_multitask(cfg.algorithm) else 1
     threshold = problem.threshold if _is_safe(cfg.algorithm) else None
     state.transforms = fit_transforms(state.dataset, problem.domain, threshold)
-    ds = _standardized_dataset(state.dataset, state.transforms)
-    base = se_kernel_matrix(ds.inputs, ds.inputs, params)
-    factor = None
-    if multitask:
-        if problem.n_tasks == 2:
-            # one decomposition serves every quadrature cell and every nu member
-            factor = twotask.TwoTaskFactor.build(ds, params, base)
-        # two tasks ignore the seed; drawing it for every task count keeps one RNG stream
-        hyper = hyperposterior.sample_hyperposterior(
-            ds, problem.n_tasks, hyperposterior.HyperPrior(cfg.eta), params,
-            seed=int(rng.integers(2 ** 63)), factor=factor,
-        )
-        state.confidence_set = hyperposterior.confidence_set(hyper, cfg.rho)
-        state.sigma_prime = bounds.select_sigma_prime(state.confidence_set)
-    else:
-        identity = CorrelationMatrix.identity(1)
-        state.confidence_set = hyperposterior.ConfidenceSet((identity,), cfg.rho, np.zeros(1))
-        state.sigma_prime = identity
-        ds = gp.MultiTaskDataset(ds.inputs, np.ones(ds.n, dtype=int), ds.observations)
-    disc = bounds.DiscretizationSpec(cfg.tau, problem.dimension)
-    state.bundle = bounds.scaling_bundle(
-        ds, state.sigma_prime, state.confidence_set, disc, params, cfg.delta,
-        base_gram=base, factor=factor,
+    # two tasks ignore the seed; drawing it for every task count keeps one RNG stream
+    seed = int(rng.integers(2 ** 63)) if n_tasks > 1 else 0
+    state.confidence_set, state.bundle, state.posterior = bounds.robust_model(
+        _standardized_dataset(state.dataset, state.transforms), n_tasks, cfg.eta, cfg.rho,
+        bounds.DiscretizationSpec(cfg.tau, problem.dimension),
+        cfg.kernel_params(problem.dimension), cfg.delta, seed=seed,
+        previous=state.posterior,
     )
-    state.posterior = gp.fit(ds, state.sigma_prime, params, base_gram=base,
-                             previous=state.posterior)
 
 
 def acquire_main(state: OptimizationState, current_safe_set: SafeSet) -> np.ndarray:
@@ -338,11 +315,11 @@ def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
         seed_inputs, np.ones(len(observations), dtype=int), observations
     )
     state = OptimizationState(
-        dataset=dataset, transforms=None, confidence_set=None, sigma_prime=None,
-        bundle=None, posterior=None,
+        dataset=dataset, transforms=None, confidence_set=None, bundle=None,
+        posterior=None,
     )
     _refresh_model(state, problem, cfg, rng)
-    state.grid = make_grid(problem.dimension, cfg.grid_size, cfg.tau, seed=0,
+    state.grid = make_grid(problem.dimension, cfg.grid_size, seed=0,
                            extra_points=state.transforms.normalize(seed_inputs))
     trace = []
     for x, y in zip(seed_inputs, observations):
@@ -361,8 +338,7 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
     state.iteration += 1
     trace: list[TraceRecord] = []
     multitask = _is_multitask(cfg.algorithm) and problem.n_tasks > 1
-    grid = state.grid if state.grid is not None else make_grid(
-        problem.dimension, cfg.grid_size, cfg.tau, seed=0)
+    grid = state.grid
 
     if multitask:
         picks = acquire_supplementary(state, cfg.batch_size(problem.dimension),
@@ -384,10 +360,9 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
 
     threshold_std = state.transforms.threshold_std(problem.threshold)
     if _is_safe(cfg.algorithm):
-        current = safe_set(state.posterior, state.bundle, threshold_std, grid,
-                           threshold_raw=problem.threshold)
+        current = safe_set(state.posterior, state.bundle, threshold_std, grid)
     else:
-        current = SafeSet(grid, np.ones(len(grid), dtype=bool), problem.threshold)
+        current = SafeSet(grid, np.ones(len(grid), dtype=bool))
 
     try:
         x_norm = acquire_main(state, current)

@@ -4,9 +4,9 @@ The frequentist suite builds a function as a finite kernel expansion with an
 exactly known RKHS norm, repeatedly regenerates the observation noise, and
 counts how often the scaled posterior band contains the function on a dense
 grid.  The Bayesian suite draws the correlation matrix from its prior and the
-function from the corresponding multi-task GP, runs the full inference
-pipeline including the two-task hyper-posterior quadrature, and checks the
-robust band the same way.
+function from the corresponding multi-task GP, runs the optimization loop's
+own model refresh, :func:`samsbo.bounds.robust_model`, on the noisy
+observations, and checks the robust band the same way.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, gp, hyperposterior, twotask
+from . import bounds, gp, hyperposterior
 from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
 __all__ = ["CoverageReport", "frequentist_coverage", "bayesian_coverage"]
@@ -51,6 +51,17 @@ def _expansion_values(grid: np.ndarray, centers: np.ndarray, center_tasks: np.nd
     base = se_kernel_matrix(grid, centers, params)
     weights = sigma.matrix[task - 1, center_tasks - 1] * coefficients
     return base @ weights
+
+
+def _covers(posterior: gp.Posterior, grid: np.ndarray, f_grid: dict[int, np.ndarray],
+            beta: float, psi: float = 0.0) -> bool:
+    """Whether |f - mean| <= sqrt(beta) std + psi at every grid point, task 1 first."""
+    for z in (1, 2):
+        means, variances = posterior.predict_batch(grid, z)
+        band = np.sqrt(beta) * np.sqrt(variances) + psi
+        if np.any(np.abs(f_grid[z] - means) > band + NUMERIC_SLACK):
+            return False
+    return True
 
 
 def frequentist_coverage(trials: int = 500, n_obs: int = 30, delta: float = 0.05,
@@ -93,14 +104,7 @@ def frequentist_coverage(trials: int = 500, n_obs: int = 30, delta: float = 0.05
     for _ in range(trials):
         y = f_design + noise_sd * rng.standard_normal(n_obs)
         posterior = gp.fit(gp.MultiTaskDataset(design, design_tasks, y), sigma, params)
-        covered = True
-        for z in (1, 2):
-            means, variances = posterior.predict_batch(grid, z)
-            band = np.sqrt(beta) * np.sqrt(variances)
-            if np.any(np.abs(f_grid[z] - means) > band + NUMERIC_SLACK):
-                covered = False
-                break
-        successes += covered
+        successes += _covers(posterior, grid, f_grid, beta)
     return CoverageReport("frequentist", trials, successes, 1.0 - delta, 0.05)
 
 
@@ -111,9 +115,9 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
 
     Each trial draws the true correlation from the LKJ prior restricted to
     nonnegative entries, samples the function from the matching multi-task GP
-    on the grid, builds the hyper-posterior and the confidence set, and checks
-    the band with the robust scaling factor on the grid (where the
-    discretization correction vanishes).
+    on the grid, refreshes the model with :func:`samsbo.bounds.robust_model`
+    as the loop does, and checks the band with the robust scaling factor on
+    the grid (where the discretization correction vanishes).
     """
     target = (1.0 - delta) * (1.0 - rho)
     if trials == 0:
@@ -146,22 +150,6 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
         y = values + noise_sd * rng.standard_normal(2 * n_per_task)
         dataset = gp.MultiTaskDataset(inputs, tasks, y)
 
-        base = se_kernel_matrix(inputs, inputs, params)
-        factor = twotask.TwoTaskFactor.build(dataset, params, base)
-        hyper = hyperposterior.sample_hyperposterior(
-            dataset, 2, hyperposterior.HyperPrior(eta), params, factor=factor)
-        cset = hyperposterior.confidence_set(hyper, rho)
-        sigma_prime = bounds.select_sigma_prime(cset)
-        bundle = bounds.scaling_bundle(dataset, sigma_prime, cset, disc, params, delta,
-                                       base_gram=base, factor=factor)
-        posterior = gp.fit(dataset, sigma_prime, params, base_gram=base)
-
-        covered = True
-        for z in (1, 2):
-            means, variances = posterior.predict_batch(grid, z)
-            band = np.sqrt(bundle.beta_bar) * np.sqrt(variances) + bundle.psi
-            if np.any(np.abs(f_grid[z] - means) > band + NUMERIC_SLACK):
-                covered = False
-                break
-        successes += covered
+        _, bundle, posterior = bounds.robust_model(dataset, 2, eta, rho, disc, params, delta)
+        successes += _covers(posterior, grid, f_grid, bundle.beta_bar, bundle.psi)
     return CoverageReport("bayesian", trials, successes, target, 0.05)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from samsbo import bounds, gp
+from samsbo import bounds, gp, hyperposterior, twotask
 from samsbo.bounds import (
     DiscretizationSpec,
     LatentNormSpec,
@@ -17,8 +17,10 @@ from samsbo.bounds import (
     nu_factor,
     operator_norm_lambda,
     rkhs_norm_exact,
+    robust_model,
     sample_lipschitz_bound,
     scaling_bundle,
+    select_sigma_prime,
 )
 from samsbo.config import ConfigError
 from samsbo.hyperposterior import ConfidenceSet
@@ -33,8 +35,8 @@ def make_set(matrices, rho=0.15):
     return ConfidenceSet(tuple(matrices), rho, np.zeros(len(matrices)))
 
 
-def two_task_dataset(rng, n=8, d=1):
-    return gp.MultiTaskDataset(rng.random((n, d)), rng.integers(1, 3, n),
+def task_dataset(rng, n=8, d=1, u=2):
+    return gp.MultiTaskDataset(rng.random((n, d)), rng.integers(1, u + 1, n),
                                rng.standard_normal(n))
 
 
@@ -167,7 +169,7 @@ class TestModuli:
 
     def test_modulus_mu_scales_sqrt_tau(self):
         rng = np.random.default_rng(3)
-        ds = two_task_dataset(rng)
+        ds = task_dataset(rng)
         member = CorrelationMatrix.two_task(0.5)
         post = gp.fit(ds, member, PARAMS)
         cs = make_set([member])
@@ -278,25 +280,26 @@ def finite_feature_nu_term(dataset, sigma, sigma_prime, params):
 class TestNuFactor:
     def test_singleton_set_is_zero(self):
         rng = np.random.default_rng(6)
-        ds = two_task_dataset(rng)
+        ds = task_dataset(rng)
         sp = CorrelationMatrix.two_task(0.6)
         assert nu_factor(ds, sp, make_set([sp]), PARAMS) == pytest.approx(0.0, abs=1e-6)
 
     def test_scales_with_observations(self):
         rng = np.random.default_rng(7)
-        ds = two_task_dataset(rng, n=10)
+        ds = task_dataset(rng, n=10)
         scaled = gp.MultiTaskDataset(ds.inputs, ds.tasks, 3.0 * ds.observations)
         sp = CorrelationMatrix.two_task(0.7)
         cs = make_set([sp, CorrelationMatrix.two_task(0.3)])
         assert nu_factor(scaled, sp, cs, PARAMS) == pytest.approx(
             3.0 * nu_factor(ds, sp, cs, PARAMS), rel=1e-9)
 
-    def test_matches_finite_feature_oracle(self):
+    @pytest.mark.parametrize("u", [2, 3])
+    def test_matches_finite_feature_oracle(self, u):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            ds = two_task_dataset(rng, n=4)
-            sigma = random_correlation(2, rng)
-            sigma_prime = random_correlation(2, rng)
+            ds = task_dataset(rng, n=4, u=u)
+            sigma = random_correlation(u, rng)
+            sigma_prime = random_correlation(u, rng)
             oracle_term1 = finite_feature_nu_term(ds, sigma, sigma_prime, PARAMS)
 
             sn2 = PARAMS.noise_variance
@@ -320,19 +323,20 @@ class TestNuFactor:
             term2 = sn2 * float(np.sum((a_s - a_p) ** 2))
             assert nu ** 2 == pytest.approx(max(oracle_term1, 0.0) + term2, abs=1e-6)
 
-    def test_mean_difference_bounded_by_nu_times_std(self):
+    @pytest.mark.parametrize("u", [2, 3])
+    def test_mean_difference_bounded_by_nu_times_std(self, u):
         """Lemma-style inequality at random query points, per member."""
         rng = np.random.default_rng(9)
         violations = 0
         for _ in range(200):
-            ds = two_task_dataset(rng, n=rng.integers(4, 12))
-            sp = random_correlation(2, rng)
-            member = random_correlation(2, rng)
+            ds = task_dataset(rng, n=rng.integers(4, 12), u=u)
+            sp = random_correlation(u, rng)
+            member = random_correlation(u, rng)
             nu = nu_factor(ds, sp, make_set([member]), PARAMS)
             post_prime = gp.fit(ds, sp, PARAMS)
             post_member = gp.fit(ds, member, PARAMS)
             queries = rng.random((5, 1))
-            for z in (1, 2):
+            for z in range(1, u + 1):
                 mp, vp = post_prime.predict_batch(queries, z)
                 mm, _ = post_member.predict_batch(queries, z)
                 if np.any(np.abs(mp - mm) > nu * np.sqrt(vp) + 1e-8):
@@ -341,18 +345,19 @@ class TestNuFactor:
 
 
 class TestVarianceRatio:
-    def test_member_std_bounded_by_gamma(self):
+    @pytest.mark.parametrize("u", [2, 3])
+    def test_member_std_bounded_by_gamma(self, u):
         rng = np.random.default_rng(10)
         violations = 0
         for _ in range(200):
-            ds = two_task_dataset(rng, n=rng.integers(3, 10))
-            sp = random_correlation(2, rng)
-            member = random_correlation(2, rng)
+            ds = task_dataset(rng, n=rng.integers(3, 10), u=u)
+            sp = random_correlation(u, rng)
+            member = random_correlation(u, rng)
             gamma = gamma_factor(sp, make_set([sp, member]))
             post_prime = gp.fit(ds, sp, PARAMS)
             post_member = gp.fit(ds, member, PARAMS)
             queries = rng.random((5, 1))
-            for z in (1, 2):
+            for z in range(1, u + 1):
                 _, vp = post_prime.predict_batch(queries, z)
                 _, vm = post_member.predict_batch(queries, z)
                 if np.any(np.sqrt(vm) > gamma * np.sqrt(vp) + 1e-8):
@@ -384,7 +389,7 @@ class TestLemmaFiveInequality:
 
 class TestScalingBundle:
     def _setup(self, rng):
-        ds = two_task_dataset(rng, n=10)
+        ds = task_dataset(rng, n=10)
         members = [CorrelationMatrix.two_task(float(r)) for r in rng.random(5) * 0.8]
         cs = make_set(members)
         sp = members[0]
@@ -404,7 +409,7 @@ class TestScalingBundle:
 
     def test_singleton_reduces_to_beta_b(self):
         rng = np.random.default_rng(13)
-        ds = two_task_dataset(rng)
+        ds = task_dataset(rng)
         sp = CorrelationMatrix.two_task(0.5)
         spec = DiscretizationSpec(0.001, 2)
         bundle = scaling_bundle(ds, sp, make_set([sp]), spec, PARAMS, 0.05)
@@ -428,6 +433,47 @@ class TestScalingBundle:
         assert bundle.psi > 0.0
         assert bundle.omega_sigma > 0.0
         assert bundle.lipschitz_f > 0.0
+
+
+class TestRobustModel:
+    SPEC = DiscretizationSpec(0.001, 1)
+
+    def test_one_task_is_the_identity_set(self):
+        rng = np.random.default_rng(16)
+        ds = task_dataset(rng, n=9, u=1)
+        cs, bundle, posterior = robust_model(ds, 1, 0.1, 0.15, self.SPEC, PARAMS, 0.05)
+        identity = CorrelationMatrix.identity(1)
+        assert [m.key() for m in cs.members] == [identity.key()]
+        assert posterior.sigma_used.key() == identity.key()
+        assert bundle.nu == 0.0 and bundle.gamma == 1.0
+        assert bundle.beta_b == beta_bayes(self.SPEC.cardinality, 0.05)
+        assert bundle.beta_bar == pytest.approx(bundle.beta_b, rel=1e-15)   # (sqrt(b))^2
+
+    @pytest.mark.parametrize("u", [2, 3])
+    def test_equals_the_scripted_pipeline(self, u):
+        rng = np.random.default_rng(17)
+        ds = task_dataset(rng, n=12, u=u)
+        previous = gp.fit(gp.MultiTaskDataset(ds.inputs[:8], ds.tasks[:8], ds.observations[:8]),
+                          CorrelationMatrix.identity(u), PARAMS)
+        cs, bundle, posterior = robust_model(ds, u, 0.1, 0.15, self.SPEC, PARAMS, 0.05,
+                                             seed=5, previous=previous)
+
+        base = se_kernel_matrix(ds.inputs, ds.inputs, PARAMS)
+        factor = twotask.TwoTaskFactor.build(ds, PARAMS, base) if u == 2 else None
+        hyper = hyperposterior.sample_hyperposterior(ds, u, 0.1, PARAMS, seed=5, factor=factor)
+        cs_hand = hyperposterior.confidence_set(hyper, 0.15)
+        sp = select_sigma_prime(cs_hand)
+        bundle_hand = scaling_bundle(ds, sp, cs_hand, self.SPEC, PARAMS, 0.05,
+                                     base_gram=base, factor=factor)
+        posterior_hand = gp.fit(ds, sp, PARAMS, base_gram=base, previous=previous)
+
+        assert [m.key() for m in cs.members] == [m.key() for m in cs_hand.members]
+        assert np.array_equal(cs.log_densities, cs_hand.log_densities)
+        assert bundle == bundle_hand
+        assert bundle.nu > 0.0
+        assert posterior.sigma_used.key() == sp.key()
+        for name in ("chol", "alpha", "whitened_obs"):
+            assert np.array_equal(getattr(posterior, name), getattr(posterior_hand, name))
 
 
 class TestKernelDominance:

@@ -30,7 +30,7 @@ BAD_VALUES = [
     ("signal_variance", 0), ("noise_variance", 0),
 ]
 REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance",
-                "include_psi", "mcmc_samples"]
+                "include_psi", "mcmc_samples", "supplementary_batch"]
 # problem settings no problem can be built with: (key named, config text)
 BAD_PROBLEMS = [
     ("n_tasks", "n_tasks = 0"), ("n_tasks", "problem = powell\nn_tasks = -1"),

@@ -9,7 +9,6 @@ from samsbo.hyperposterior import (
     QUADRATURE_CELLS,
     R_MAX,
     EmpiricalHyperPosterior,
-    HyperPrior,
     McmcDiagnostics,
     _log_cell_masses,
     angles_to_correlation,
@@ -84,14 +83,14 @@ class TestSampleHyperposterior:
     def test_prior_recovery_uniform(self):
         # single-task data leaves the likelihood flat in r; eta = 1 is uniform
         dataset = task_one_only(6, np.random.default_rng(1))
-        post = sample_hyperposterior(dataset, 2, HyperPrior(eta=1.0), PARAMS)
+        post = sample_hyperposterior(dataset, 2, 1.0, PARAMS)
         cdf = np.cumsum(normalized_weights(post))
         assert np.max(np.abs(cdf - CELL_EDGES[1:] / R_MAX)) < 1e-12
 
     def test_posterior_mean_matches_grid_oracle(self):
         rng = np.random.default_rng(2)
         dataset = synthetic_two_task(0.9, 30, rng)
-        post = sample_hyperposterior(dataset, 2, HyperPrior(0.1), PARAMS)
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
         mean = float(CELL_MIDPOINTS @ normalized_weights(post))
         nodes, weights = posterior_grid_two_task(dataset, PARAMS, eta=0.1, nodes=2000)
         assert abs(mean - float(nodes @ weights)) < 1e-3
@@ -100,22 +99,22 @@ class TestSampleHyperposterior:
         dataset = synthetic(SIGMA_3, 10, np.random.default_rng(3))
         means = []
         for seed in (5, 6):
-            post = sample_hyperposterior(dataset, 3, HyperPrior(0.5), PARAMS,
+            post = sample_hyperposterior(dataset, 3, 0.5, PARAMS,
                                          n_samples=600, seed=seed)
             means.append(np.mean([offdiagonals(s.matrix) for s in post.samples], axis=0))
         assert np.max(np.abs(means[0] - means[1])) < 0.05
 
     def test_fixed_seed_bit_identical(self):
         dataset = synthetic(SIGMA_3, 4, np.random.default_rng(4))
-        a = sample_hyperposterior(dataset, 3, HyperPrior(0.1), PARAMS, 50, seed=42)
-        b = sample_hyperposterior(dataset, 3, HyperPrior(0.1), PARAMS, 50, seed=42)
+        a = sample_hyperposterior(dataset, 3, 0.1, PARAMS, 50, seed=42)
+        b = sample_hyperposterior(dataset, 3, 0.1, PARAMS, 50, seed=42)
         assert all(x.key() == y.key() for x, y in zip(a.samples, b.samples))
         assert np.array_equal(a.log_densities, b.log_densities)
 
     def test_samples_respect_support(self):
         eta = 0.1
         dataset = synthetic(SIGMA_3, 4, np.random.default_rng(5))
-        post = sample_hyperposterior(dataset, 3, HyperPrior(eta), PARAMS, 100, seed=7)
+        post = sample_hyperposterior(dataset, 3, eta, PARAMS, 100, seed=7)
         for s in post.samples:
             assert np.min(s.matrix) >= 0.0
             assert np.min(np.linalg.eigvalsh(s.matrix)) > 0.0
@@ -138,7 +137,7 @@ class TestSampleHyperposterior:
         inputs = rng.random((12, 1))
         tasks = np.tile([1, 2, 3], 4)
         dataset = MultiTaskDataset(inputs, tasks, rng.standard_normal(12))
-        post = sample_hyperposterior(dataset, 3, HyperPrior(0.5), PARAMS, 60, seed=8)
+        post = sample_hyperposterior(dataset, 3, 0.5, PARAMS, 60, seed=8)
         for s in post.samples:
             assert s.size == 3
             assert np.min(s.matrix) >= 0.0
@@ -147,13 +146,20 @@ class TestSampleHyperposterior:
 
     def test_requires_two_tasks(self):
         with pytest.raises(ValueError):
-            sample_hyperposterior(MultiTaskDataset.empty(1), 1, HyperPrior(), PARAMS, 50)
+            sample_hyperposterior(MultiTaskDataset.empty(1), 1, 0.1, PARAMS, 50)
+
+    @pytest.mark.parametrize("n_tasks", [2, 3])
+    def test_requires_positive_eta(self, n_tasks):
+        dataset = MultiTaskDataset.empty(1)
+        for eta in (0.0, -0.5):
+            with pytest.raises(ValueError, match="eta must be positive"):
+                sample_hyperposterior(dataset, n_tasks, eta, PARAMS)
 
 
 class TestTwoTaskQuadrature:
     def test_output_does_not_depend_on_the_seed(self):
         dataset = synthetic_two_task(0.7, 25, np.random.default_rng(9))
-        a, b = (sample_hyperposterior(dataset, 2, HyperPrior(0.1), PARAMS, seed=seed)
+        a, b = (sample_hyperposterior(dataset, 2, 0.1, PARAMS, seed=seed)
                 for seed in (0, 1))
         midpoints, edges = cell_matrices()
         assert a.samples is midpoints and b.samples is midpoints
@@ -183,7 +189,7 @@ class TestTwoTaskQuadrature:
     def test_prior_set_at_small_eta_spans_the_exact_hpd_interval(self):
         # on task-1-only data the set is the prior's 85 % HPD set, [0.576, R_MAX)
         dataset = task_one_only(17, np.random.default_rng(10))
-        post = sample_hyperposterior(dataset, 2, HyperPrior(0.1), PARAMS)
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
         cs = confidence_set(post, 0.15)
         rs = np.sort([m.offdiagonal() for m in cs.members])
         width = CELL_EDGES[1]
@@ -211,7 +217,7 @@ class TestAnglesToCorrelation:
 class TestConfidenceSet:
     def _posterior(self, n, seed=0):
         dataset = synthetic(SIGMA_3, 4, np.random.default_rng(seed))
-        return sample_hyperposterior(dataset, 3, HyperPrior(0.1), PARAMS, n, seed=seed)
+        return sample_hyperposterior(dataset, 3, 0.1, PARAMS, n, seed=seed)
 
     def test_rho_near_zero_keeps_all(self):
         post = self._posterior(50)
@@ -226,7 +232,7 @@ class TestConfidenceSet:
     def test_hpd_contiguous_on_unimodal_posterior(self):
         rng = np.random.default_rng(2)
         dataset = synthetic_two_task(0.8, 15, rng)
-        post = sample_hyperposterior(dataset, 2, HyperPrior(0.1), PARAMS)
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
         cs = confidence_set(post, 0.2)
         kept = np.array([m.offdiagonal() for m in cs.members])
         excluded = [s.offdiagonal() for s in post.samples
@@ -255,7 +261,7 @@ class TestConfidenceSet:
     @pytest.mark.parametrize("rho", [0.05, 0.15, 0.5])
     def test_kept_weight_is_the_smallest_reaching_one_minus_rho(self, rho):
         dataset = synthetic_two_task(0.5, 10, np.random.default_rng(11))
-        post = sample_hyperposterior(dataset, 2, HyperPrior(0.1), PARAMS)
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
         weight = dict(zip((m.key() for m in post.samples), normalized_weights(post)))
         kept = [weight[m.key()] for m in confidence_set(post, rho).members
                 if m.key() in weight]
@@ -289,7 +295,7 @@ class TestCoverageCalibration:
             rng = np.random.default_rng(seq)
             r_true = sample_prior_offdiagonal(eta, rng)
             dataset = synthetic_two_task(r_true, 12, rng)
-            post = sample_hyperposterior(dataset, 2, HyperPrior(eta), PARAMS)
+            post = sample_hyperposterior(dataset, 2, eta, PARAMS)
             cs = confidence_set(post, rho)
             rs = [m.offdiagonal() for m in cs.members]
             hits += min(rs) <= r_true <= max(rs)

@@ -36,8 +36,8 @@ def make_state(dataset, sigma, beta_bar=4.0, grid=None):
     )
     posterior = gp.fit(dataset, sigma, PARAMS)
     return OptimizationState(
-        dataset=dataset, transforms=None, confidence_set=cs, sigma_prime=sigma,
-        bundle=bundle, posterior=posterior, grid=grid,
+        dataset=dataset, transforms=None, confidence_set=cs, bundle=bundle,
+        posterior=posterior, grid=grid,
     )
 
 
@@ -90,7 +90,7 @@ class TestCandidateGrid:
 
     def test_rejects_out_of_cube(self):
         with pytest.raises(ValueError):
-            CandidateGrid(points=np.array([[1.5]]), spacing=0.1)
+            CandidateGrid(points=np.array([[1.5]]))
 
 
 class TestSafeSet:
@@ -116,7 +116,7 @@ class TestSafeSet:
         sigma = CorrelationMatrix.identity(1)
         post = gp.fit(ds, sigma, PARAMS)
         state = make_state(ds, sigma, beta_bar=2.0)
-        grid = CandidateGrid(np.linspace(0, 1, 5).reshape(-1, 1), spacing=0.1)
+        grid = CandidateGrid(np.linspace(0, 1, 5).reshape(-1, 1))
         result = safe_set(post, state.bundle, threshold_std=0.3, grid=grid)
         for i, point in enumerate(grid.points):
             mean, var = predict(post, point, 1)
@@ -133,7 +133,7 @@ class TestAcquireMain:
         grid = make_grid(1, size=16)
         mask = np.zeros(16, dtype=bool)
         mask[7] = True
-        chosen = acquire_main(state, SafeSet(grid=grid, mask=mask, threshold=1.0))
+        chosen = acquire_main(state, SafeSet(grid=grid, mask=mask))
         assert np.allclose(chosen, grid.points[7])
 
     def test_optimism_prefers_uncertainty(self):
@@ -141,9 +141,9 @@ class TestAcquireMain:
         ds = gp.MultiTaskDataset(np.array([[0.0]]), [1], [0.0])
         sigma = CorrelationMatrix.identity(1)
         state = make_state(ds, sigma)
-        grid = CandidateGrid(np.array([[0.1], [0.9]]), spacing=0.1)
+        grid = CandidateGrid(np.array([[0.1], [0.9]]))
         from samsbo.safeopt import SafeSet
-        chosen = acquire_main(state, SafeSet(grid=grid, mask=np.ones(2, bool), threshold=1.0))
+        chosen = acquire_main(state, SafeSet(grid=grid, mask=np.ones(2, bool)))
         assert np.allclose(chosen, [0.9])
 
     def test_matches_exhaustive_argmin(self):
@@ -155,7 +155,7 @@ class TestAcquireMain:
                                      rng.standard_normal(n))
             sigma = CorrelationMatrix.identity(1)
             state = make_state(ds, sigma, beta_bar=float(rng.random() * 5 + 0.5))
-            grid = CandidateGrid(np.sort(rng.random(5)).reshape(-1, 1), spacing=0.1)
+            grid = CandidateGrid(np.sort(rng.random(5)).reshape(-1, 1))
             mask = rng.random(5) < 0.7
             if not mask.any():
                 mask[0] = True
@@ -167,7 +167,7 @@ class TestAcquireMain:
                 val = mean - np.sqrt(state.bundle.beta_bar) * np.sqrt(var)
                 if val < best_val - 1e-15:
                     best, best_val = i, val
-            chosen = acquire_main(state, SafeSet(grid=grid, mask=mask, threshold=1.0))
+            chosen = acquire_main(state, SafeSet(grid=grid, mask=mask))
             assert np.allclose(chosen, grid.points[best])
 
     def test_empty_safe_set_raises(self):
@@ -176,7 +176,7 @@ class TestAcquireMain:
         grid = make_grid(1, size=8)
         from samsbo.safeopt import SafeSet
         with pytest.raises(NoSafeActionError):
-            acquire_main(state, SafeSet(grid=grid, mask=np.zeros(8, bool), threshold=1.0))
+            acquire_main(state, SafeSet(grid=grid, mask=np.zeros(8, bool)))
 
 
 class TestAcquireSupplementary:
@@ -204,7 +204,7 @@ class TestAcquireSupplementary:
         ds = gp.MultiTaskDataset(rng.random((4, 1)), rng.integers(1, 3, 4),
                                  rng.standard_normal(4))
         state = make_state(ds, sigma)
-        grid = CandidateGrid(np.linspace(0, 1, 10).reshape(-1, 1), spacing=0.1)
+        grid = CandidateGrid(np.linspace(0, 1, 10).reshape(-1, 1))
         picks = acquire_supplementary(state, 3, grid, n_tasks=2)
 
         # brute force: at each stage evaluate every candidate's variance from
@@ -289,8 +289,7 @@ class TestStepComposition:
         state_b.iteration += 1
         _refresh_model(state_b, problem, cfg, rng_b)
         threshold_std = state_b.transforms.threshold_std(problem.threshold)
-        sset = safe_set(state_b.posterior, state_b.bundle, threshold_std, grid,
-                        problem.threshold)
+        sset = safe_set(state_b.posterior, state_b.bundle, threshold_std, grid)
         x_norm = acquire_main(state_b, sset)
         x_raw = state_b.transforms.denormalize(x_norm)
         y_main = problem.evaluate(1, x_raw, rng_b)

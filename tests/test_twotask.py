@@ -8,7 +8,6 @@ from samsbo.hyperposterior import (
     CELL_MIDPOINTS,
     R_MAX,
     ConfidenceSet,
-    HyperPrior,
     _log_cell_masses,
     sample_hyperposterior,
 )
@@ -134,7 +133,7 @@ class TestSampler:
         # each cell's log weight is the Cholesky log likelihood at its midpoint plus its prior mass
         eta = 0.1
         for dataset in datasets().values():
-            post = sample_hyperposterior(dataset, 2, HyperPrior(eta), PARAMS)
+            post = sample_hyperposterior(dataset, 2, eta, PARAMS)
             exact = two_task_log_likelihoods(dataset, PARAMS, CELL_MIDPOINTS)
             assert np.allclose(post.log_weights - _log_cell_masses(eta), exact,
                                rtol=1e-8, atol=1e-12)
@@ -145,4 +144,4 @@ class TestSampler:
         dataset = synthetic_two_task(0.5, 10, rng)
         other = gp.MultiTaskDataset(dataset.inputs, dataset.tasks, dataset.observations + 0.1)
         with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
-            sample_hyperposterior(dataset, 2, HyperPrior(0.1), PARAMS, factor=factor_for(other))
+            sample_hyperposterior(dataset, 2, 0.1, PARAMS, factor=factor_for(other))
