@@ -213,7 +213,6 @@ def estimate_feature_lipschitz(
     delta: float,
     n_paths: int = 500,
     grid_spec: int = 200,
-    norm_p: float = np.inf,
     seed: int = 0,
     safety_factor: float = 1.2,
 ) -> float:
@@ -298,8 +297,11 @@ def gamma_factor(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) 
 
     Normalized 2x2 members share eigenvectors, so their spectral ratios reduce
     to scalar arithmetic on the off-diagonal entries; the general path
-    decomposes each member.
+    decomposes each member.  A set whose every member is sigma_prime has
+    ratio one: gamma is exactly 1.
     """
+    if all(member.key() == sigma_prime.key() for member in confidence_set.members):
+        return 1.0
     rs = twotask.offdiagonals(confidence_set.members)
     if rs is not None and twotask.offdiagonals([sigma_prime]) is not None:
         return twotask.gamma(rs, sigma_prime.matrix[0, 1])
@@ -419,10 +421,11 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
     One task takes the identity set, so nu = 0, gamma = 1 and beta_bar =
     beta_b.  More tasks keep the 1 - ``rho`` set of the LKJ(``eta``) hyper-
     posterior; ``seed`` drives the angle walk of three or more.  Every stage
-    shares one base Gram, and two tasks one factor.  ``previous`` goes to
-    :func:`samsbo.gp.fit`.
+    of a multi-task refresh shares one base Gram, and two tasks one factor; a
+    single task needs none, so a grown fit computes only the new rows' kernel
+    columns.  ``previous`` goes to :func:`samsbo.gp.fit`.
     """
-    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
+    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if n_tasks > 1 else None
     factor = twotask.TwoTaskFactor.build(dataset, params, base) if n_tasks == 2 else None
     if n_tasks == 1:
         cset = ConfidenceSet((CorrelationMatrix.identity(1),), rho, np.zeros(1))

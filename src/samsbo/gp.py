@@ -13,22 +13,36 @@ Gram split at the old size,
 
     L21' = L11^-1 K12,   L22 = chol(K22 - L21 L21'),
 
-using the jitter of the previous factor.  Anything else, including a Schur
-complement that is not positive definite, takes the full factorization.
+using the jitter of the previous factor.  Only the kernel columns of the new
+rows, K12 and K22, are computed; the full Gram is never formed on this path.
+Anything else, including a Schur complement that is not positive definite,
+takes the full factorization.
 
 Grid cache.  For a read-only array of query points, :meth:`Posterior.predict_batch`
 keeps per task the whitened cross-Gram V = L^-1 k_z(data, points) and its
 column sums of squares, so the mean is V' L^-1 y and the variance the prior
 minus those sums.  A repeated query is a lookup, and an extended posterior
 inherits its predecessor's entries and grows V by the new rows only,
-L22^-1 (k_z(new, points) - L21 V).  The factor, weights and dataset never
-change after :func:`fit`; the cache is the only mutable state.  Its entries
-are replaced whole and computed deterministically from them, so threads that
-race on one fill recompute the same value and no lock is needed.
+L22^-1 (k_z(new, points) - L21 V).  Row i of V is the same for every posterior
+whose data agree on their first i + 1 rows, so the entries of a chain of
+extensions share one row buffer: an extension writes its rows in place when
+its predecessor's rows are the last ones written, and copies them into a new
+buffer otherwise (a sibling extended first).  Each V is a read-only view of
+the leading rows of a buffer, which only ever appends behind every view and
+grows its capacity by GRID_GROWTH.  The check and the append happen under the
+buffer's lock.  Each posterior also memoizes its last mean and variance per
+task for a read-only point array; the memo is not inherited.
+
+The factor, weights and dataset never change after :func:`fit`; the cache and
+the memo are the only mutable state.  Their entries are replaced whole and
+computed deterministically, so threads that race on one fill compute the
+same value.
 """
 from __future__ import annotations
 
 import logging
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +64,7 @@ logger = logging.getLogger(__name__)
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 VARIANCE_WARN = -1e-8
+GRID_GROWTH = 1.25        # capacity factor of a full grid row buffer
 
 
 class NumericalError(RuntimeError):
@@ -143,14 +158,67 @@ def _frozen(points: np.ndarray) -> bool:
     return a is None
 
 
+class _RowBuffer:
+    """Row-appendable storage of whitened cross-Grams shared along a chain of extensions."""
+
+    def __init__(self, capacity: int, width: int):
+        self.data = np.empty((capacity, width))
+        self.filled = 0
+        self.lock = threading.Lock()
+
+    def append(self, covered: int, block: np.ndarray) -> np.ndarray | None:
+        """Read-only view of the first ``covered`` rows followed by ``block``.
+
+        None when rows past ``covered`` are already written, by an extension
+        that does not share the caller's new rows.
+        """
+        with self.lock:
+            if self.filled != covered:
+                return None
+            end = covered + block.shape[0]
+            if end > self.data.shape[0]:
+                capacity = max(end, math.ceil(GRID_GROWTH * self.data.shape[0]))
+                grown = np.empty((capacity, self.data.shape[1]))
+                grown[:covered] = self.data[:covered]
+                self.data = grown
+            self.data[covered:end] = block
+            self.filled = end
+            view = self.data[:end]
+        view.setflags(write=False)
+        return view
+
+
 @dataclass(frozen=True)
 class _GridEntry:
     """Whitened cross-Gram of one task at one read-only point array."""
 
     points: np.ndarray
     rows: int                   # leading data rows covered by ``whitened``
+    buffer: _RowBuffer          # ``whitened`` is a view of its leading rows
     whitened: np.ndarray        # rows x len(points)
     sumsq: np.ndarray           # column sums of squares of ``whitened``
+
+    @classmethod
+    def extended(cls, entry: "_GridEntry | None", points: np.ndarray, block: np.ndarray,
+                 sumsq: np.ndarray) -> "_GridEntry":
+        """``entry`` grown by ``block`` (whose column sums of squares are ``sumsq``).
+
+        Appends to ``entry``'s buffer when its rows are the last written there,
+        and copies them into a new buffer otherwise.
+        """
+        covered = 0 if entry is None else entry.rows
+        whitened = None if entry is None else entry.buffer.append(covered, block)
+        if whitened is not None:
+            buffer = entry.buffer
+        else:
+            buffer = _RowBuffer(covered + block.shape[0], block.shape[1])
+            if entry is not None:
+                buffer.append(0, entry.whitened)
+            whitened = buffer.append(covered, block)
+        if entry is not None:
+            sumsq = entry.sumsq + sumsq
+        sumsq.setflags(write=False)
+        return cls(points, whitened.shape[0], buffer, whitened, sumsq)
 
 
 @dataclass(frozen=True)
@@ -166,13 +234,24 @@ class Posterior:
     params: KernelParams
     chol: np.ndarray
     alpha: np.ndarray
-    gram_noiseless: np.ndarray
     jitter: float
     whitened_obs: np.ndarray
     _grid: dict = field(default_factory=dict, repr=False, compare=False)
+    _predictions: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def gram_noiseless(self) -> np.ndarray:
+        """Multi-task Gram matrix of the data without noise or jitter, computed on each access."""
+        if self.dataset.n == 0:
+            return np.zeros((0, 0))
+        return gram(self.dataset, self.sigma_used, self.params)
 
     def predict_batch(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized posterior mean/variance of one task at many inputs."""
+        """Vectorized posterior mean/variance of one task at many inputs.
+
+        Memoized per task for a read-only ``points`` (see the module notes);
+        the returned arrays are then shared and read-only.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         u = self.sigma_used.size
         if not 1 <= z <= u:
@@ -180,8 +259,17 @@ class Posterior:
         prior_var = self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance
         if self.dataset.n == 0:
             return np.zeros(points.shape[0]), np.full(points.shape[0], prior_var)
+        frozen = _frozen(points)
+        memo = self._predictions.get(z) if frozen else None
+        if memo is not None and memo[0] is points:
+            return memo[1], memo[2]
         whitened, sumsq = self.whitened(points, z)
-        return whitened.T @ self.whitened_obs, clamp_variances(prior_var - sumsq)
+        means, variances = whitened.T @ self.whitened_obs, clamp_variances(prior_var - sumsq)
+        if frozen:
+            means.setflags(write=False)
+            variances.setflags(write=False)
+            self._predictions[z] = (points, means, variances)
+        return means, variances
 
     def whitened(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """L^-1 k_z(data, points) and its column sums of squares.
@@ -192,30 +280,24 @@ class Posterior:
         if not 1 <= z <= self.sigma_used.size:
             raise ValueError(f"task index must lie in 1..{self.sigma_used.size}")
         if not _frozen(points):
-            return self._grown(None, points, z)
+            return self._new_rows(None, points, z)
         entry = self._grid.get(z)
         if entry is not None and entry.points is not points:
             entry = None
         if entry is None or entry.rows < self.dataset.n:
-            whitened, sumsq = self._grown(entry, points, z)
-            whitened.setflags(write=False)
-            sumsq.setflags(write=False)
-            entry = _GridEntry(points, self.dataset.n, whitened, sumsq)
+            entry = _GridEntry.extended(entry, points, *self._new_rows(entry, points, z))
             self._grid[z] = entry
         return entry.whitened, entry.sumsq
 
-    def _grown(self, entry: _GridEntry | None, points: np.ndarray,
-               z: int) -> tuple[np.ndarray, np.ndarray]:
-        """``entry`` extended by the data rows it does not cover (all rows when None)."""
+    def _new_rows(self, entry: _GridEntry | None, points: np.ndarray,
+                  z: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of V past those ``entry`` covers (all rows when None) and their column sums of squares."""
         m = 0 if entry is None else entry.rows
         rhs = self._cross_gram(points, z, m).T
         if m:
             rhs -= self.chol[m:, :m] @ entry.whitened
         block = solve_triangular(self.chol[m:, m:], rhs, lower=True)
-        sumsq = np.sum(block * block, axis=0)
-        if not m:
-            return block, sumsq
-        return np.vstack([entry.whitened, block]), entry.sumsq + sumsq
+        return block, np.sum(block * block, axis=0)
 
     def mean_rkhs_norm(self) -> float:
         """RKHS norm sqrt(alpha' K alpha) of the posterior mean function."""
@@ -235,13 +317,16 @@ def _same_params(a: KernelParams, b: KernelParams) -> bool:
 
 
 def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: CorrelationMatrix,
-                     params: KernelParams, system: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor of ``system`` grown from ``previous``'s, or None when that does not apply.
+                     params: KernelParams, base_gram: np.ndarray | None = None
+                     ) -> np.ndarray | None:
+    """Cholesky factor of ``dataset``'s system grown from ``previous``'s, or None when that does not apply.
 
     Applies when the correlation matrix and the kernel parameters are equal and
     the previous inputs and tasks are an exact prefix of ``dataset``'s.  The
-    new block carries the previous factor's jitter; a Schur complement that is
-    not positive definite at that jitter returns None.
+    new rows' kernel columns [K12; K22] come from one cross-kernel call, or
+    from the new columns of ``base_gram`` when given.  The new block carries
+    the previous factor's jitter; a Schur complement that is not positive
+    definite at that jitter returns None.
     """
     old = previous.dataset
     m, n = old.n, dataset.n
@@ -252,8 +337,18 @@ def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: Corr
         return None
     if m == n:
         return previous.chol
-    cross = solve_triangular(previous.chol, system[:m, m:], lower=True)      # L21'
-    schur = (system[m:, m:] + previous.jitter * params.signal_variance * np.eye(n - m)
+    zi = dataset.tasks - 1
+    if zi[m:].max() >= sigma.size:
+        raise ValueError(f"task indices must lie in 1..{sigma.size}")
+    if base_gram is None:
+        base = se_kernel_matrix(dataset.inputs, dataset.inputs[m:], params)
+    else:
+        base = base_gram[:, m:]
+    columns = sigma.matrix[np.ix_(zi, zi[m:])] * base               # [K12; K22]
+    cross = solve_triangular(previous.chol, columns[:m], lower=True)   # L21'
+    # noise, then jitter: the order of a full fit's K + noise I and its jitter
+    schur = (columns[m:] + params.noise_variance * np.eye(n - m)
+             + previous.jitter * params.signal_variance * np.eye(n - m)
              - cross.T @ cross)
     try:
         lower = np.linalg.cholesky(schur)
@@ -278,12 +373,11 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
     result agrees with a fresh fit to rounding.
     """
     if dataset.n == 0:
-        empty = np.zeros((0, 0))
-        return Posterior(dataset, sigma, params, empty, np.zeros(0), empty, 0.0, np.zeros(0))
-    K = gram(dataset, sigma, params, base_gram)
-    system = K + params.noise_variance * np.eye(dataset.n)
-    L = None if previous is None else _extended_factor(previous, dataset, sigma, params, system)
+        return Posterior(dataset, sigma, params, np.zeros((0, 0)), np.zeros(0), 0.0, np.zeros(0))
+    L = None if previous is None else _extended_factor(previous, dataset, sigma, params,
+                                                       base_gram)
     if L is None:
+        system = gram(dataset, sigma, params, base_gram) + params.noise_variance * np.eye(dataset.n)
         L, jitter = _chol_with_jitter(system, params.signal_variance)
         grid = {}
     else:
@@ -291,7 +385,7 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
     y = dataset.observations
     alpha = cho_solve((L, True), y)
     whitened_obs = solve_triangular(L, y, lower=True)
-    return Posterior(dataset, sigma, params, L, alpha, K, jitter, whitened_obs, grid)
+    return Posterior(dataset, sigma, params, L, alpha, jitter, whitened_obs, grid)
 
 
 def log_marginal_likelihood(dataset: MultiTaskDataset, sigma: CorrelationMatrix,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from samsbo import bounds, gp, hyperposterior, twotask
+from samsbo import bounds, gp, hyperposterior, kernels, twotask
 from samsbo.bounds import (
     DiscretizationSpec,
     LatentNormSpec,
@@ -217,6 +217,35 @@ class TestGammaFactor:
     def test_singleton(self):
         s = CorrelationMatrix.two_task(0.4)
         assert gamma_factor(s, make_set([s])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_every_member_sigma_prime_is_exactly_one(self, copies, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("gamma decomposed a member equal to sigma-prime")
+
+        monkeypatch.setattr(bounds, "solve", no_solve)
+        rng = np.random.default_rng(3)
+        for sp in (CorrelationMatrix.identity(1), CorrelationMatrix.two_task(0.4),
+                   random_correlation(3, rng)):
+            assert gamma_factor(sp, make_set([sp] * copies)) == 1.0
+
+    def test_one_distinct_member_takes_the_general_path(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        sp, member = random_correlation(3, rng), random_correlation(3, rng)
+        solves = []
+        real = bounds.solve
+
+        def recording(a, b, **kwargs):
+            solves.append(a.shape)
+            return real(a, b, **kwargs)
+
+        monkeypatch.setattr(bounds, "solve", recording)
+        expected = np.sqrt(np.linalg.norm(np.linalg.solve(sp.matrix, member.matrix), 2))
+        assert gamma_factor(sp, make_set([member, member])) == pytest.approx(expected, abs=1e-12)
+        assert solves == [(3, 3)]
+        two = CorrelationMatrix.two_task(0.5)
+        assert gamma_factor(CorrelationMatrix.identity(2), make_set([two, two])) == pytest.approx(
+            np.sqrt(1.5), abs=1e-12)
 
     def test_identity_prime_hand_value(self):
         cs = make_set([CorrelationMatrix.identity(2), CorrelationMatrix.two_task(0.5)])
@@ -448,6 +477,29 @@ class TestRobustModel:
         assert bundle.nu == 0.0 and bundle.gamma == 1.0
         assert bundle.beta_b == beta_bayes(self.SPEC.cardinality, 0.05)
         assert bundle.beta_bar == pytest.approx(bundle.beta_b, rel=1e-15)   # (sqrt(b))^2
+
+    def test_one_task_grown_refresh_computes_new_columns_only(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        ds = task_dataset(rng, n=12, u=1)
+        head = gp.MultiTaskDataset(ds.inputs[:9], ds.tasks[:9], ds.observations[:9])
+        _, _, previous = robust_model(head, 1, 0.1, 0.15, self.SPEC, PARAMS, 0.05)
+        shapes = []
+        real = se_kernel_matrix
+
+        def recording(X, Y, params):
+            result = real(X, Y, params)
+            shapes.append(result.shape)
+            return result
+
+        for module in (bounds, gp, kernels):
+            monkeypatch.setattr(module, "se_kernel_matrix", recording)
+        _, bundle, posterior = robust_model(ds, 1, 0.1, 0.15, self.SPEC, PARAMS, 0.05,
+                                            previous=previous)
+        assert shapes == [(12, 3)]                  # the new rows' columns [K12; K22] only
+        assert bundle.nu == 0.0 and bundle.gamma == 1.0
+        fresh = gp.fit(ds, CorrelationMatrix.identity(1), PARAMS)
+        assert np.max(np.abs(posterior.chol - fresh.chol)) <= 1e-12
+        assert np.max(np.abs(posterior.alpha - fresh.alpha)) <= 1e-10
 
     @pytest.mark.parametrize("u", [2, 3])
     def test_equals_the_scripted_pipeline(self, u):

@@ -1,7 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from samsbo import gp
+from samsbo import gp, kernels
 from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
@@ -306,6 +309,118 @@ class TestExtension:
         again = grown.predict_batch(points, 1)
         assert widths == [5]                                  # second prediction is a hit
         assert np.array_equal(again[0], means) and np.array_equal(again[1], variances)
+
+    def test_siblings_and_a_chain_share_rows(self):
+        full = self.data(50)
+        rng = np.random.default_rng(8)
+        points = frozen(rng.random((200, 2)))
+        other = MultiTaskDataset(rng.random((2, 2)), [2, 1], rng.standard_normal(2))
+        parent = fit(self.prefix(full, 40), self.SIGMA, self.PARAMS)
+        before = {z: [np.array(a) for a in parent.predict_batch(points, z)] for z in (1, 2)}
+        rows = {z: np.array(parent.whitened(points, z)[0]) for z in (1, 2)}
+        first = fit(self.prefix(full, 43), self.SIGMA, self.PARAMS, previous=parent)
+        second = fit(parent.dataset.extended(other.inputs, other.tasks, other.observations),
+                     self.SIGMA, self.PARAMS, previous=parent)
+        for z in (1, 2):
+            first.predict_batch(points, z)          # appends behind the parent's rows
+            second.predict_batch(points, z)         # those rows are taken: copies the prefix
+        chained = fit(self.prefix(full, 45), self.SIGMA, self.PARAMS, previous=first)
+        for posterior in (first, second, chained):
+            assert_close_to(posterior, fit(posterior.dataset, self.SIGMA, self.PARAMS), points)
+        fresh = fit(parent.dataset, self.SIGMA, self.PARAMS)
+        for z in (1, 2):
+            assert np.shares_memory(chained.whitened(points, z)[0], first.whitened(points, z)[0])
+            assert not np.shares_memory(second.whitened(points, z)[0],
+                                        first.whitened(points, z)[0])
+            assert np.array_equal(parent.whitened(points, z)[0], rows[z])
+            for got, kept, want in zip(parent.predict_batch(points, z), before[z],
+                                       fresh.predict_batch(points, z)):
+                assert np.array_equal(got, kept) and np.array_equal(got, want)
+
+    def test_concurrent_extensions_of_one_parent(self):
+        """Threads extending siblings and their children at once never mix rows."""
+        full = self.data(30)
+        rng = np.random.default_rng(10)
+        points = frozen(rng.random((100, 2)))
+        workers, rounds = 8, 20
+        start = threading.Barrier(workers)
+        posteriors = []
+
+        def work(children, rows):
+            grandchildren = []
+            for child, extra in zip(children, rows):
+                start.wait(timeout=60)
+                child.predict_batch(points, 1)      # appends to or copies the parent's rows
+                grown = child.dataset.extended(extra, [1, 2], [0.3, -0.2])
+                grandchildren.append(fit(grown, self.SIGMA, self.PARAMS, previous=child))
+                grandchildren[-1].predict_batch(points, 1)
+            posteriors.extend(grandchildren)
+
+        plan = [([], []) for _ in range(workers)]
+        for _ in range(rounds):
+            parent = fit(full, self.SIGMA, self.PARAMS)
+            parent.predict_batch(points, 1)
+            for children, rows in plan:
+                k = int(rng.integers(1, 4))
+                grown = full.extended(rng.random((k, 2)), rng.integers(1, 3, k),
+                                      rng.standard_normal(k))
+                children.append(fit(grown, self.SIGMA, self.PARAMS, previous=parent))
+                rows.append(rng.random((2, 2)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=job) for job in plan]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(posteriors) == workers * rounds
+        for posterior in posteriors + [child for children, _ in plan for child in children]:
+            want = fit(posterior.dataset, self.SIGMA, self.PARAMS).predict_batch(points, 1)
+            for got, ref in zip(posterior.predict_batch(points, 1), want):
+                assert np.max(np.abs(got - ref)) <= 1e-10
+
+    def test_grown_fit_computes_the_new_columns_once(self, monkeypatch):
+        data = self.data(45)
+        full = MultiTaskDataset(data.inputs, np.ones(45, int), data.observations)
+        sigma = CorrelationMatrix.identity(1)
+        previous = fit(self.prefix(full, 41), sigma, self.PARAMS)
+        shapes = []
+        real = gp.se_kernel_matrix
+
+        def recording(X, Y, params):
+            result = real(X, Y, params)
+            shapes.append(result.shape)
+            return result
+
+        monkeypatch.setattr(gp, "se_kernel_matrix", recording)
+        monkeypatch.setattr(kernels, "se_kernel_matrix", recording)
+        grown = fit(full, sigma, self.PARAMS, previous=previous)
+        assert shapes == [(45, 4)]
+        assert np.array_equal(grown.gram_noiseless, gram(full, sigma, self.PARAMS))
+
+    def test_grown_task_index_out_of_range_raises(self):
+        full = self.data(40)
+        previous = fit(full, self.SIGMA, self.PARAMS)
+        with pytest.raises(ValueError, match="task indices"):
+            fit(full.extended([[0.5, 0.5]], [3], [0.0]), self.SIGMA, self.PARAMS,
+                previous=previous)
+
+    def test_predictions_are_memoized_per_posterior(self):
+        full = self.data(45)
+        points = frozen(np.random.default_rng(9).random((100, 2)))
+        previous = fit(self.prefix(full, 40), self.SIGMA, self.PARAMS)
+        means, variances = previous.predict_batch(points, 2)
+        assert not means.flags.writeable and not variances.flags.writeable
+        again = previous.predict_batch(points, 2)
+        assert again[0] is means and again[1] is variances
+        grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
+        assert grown.predict_batch(points, 2)[0] is not means             # not inherited
+        assert_close_to(grown, fit(full, self.SIGMA, self.PARAMS), points)
+        assert previous.predict_batch(np.array(points), 2)[0] is not means   # writable: no memo
 
     @pytest.mark.parametrize("change", ["sigma", "params", "inputs", "tasks", "shorter"])
     def test_inapplicable_previous_is_a_fresh_fit(self, change):
