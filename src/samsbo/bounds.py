@@ -277,7 +277,7 @@ def select_sigma_prime(confidence_set: ConfidenceSet) -> CorrelationMatrix:
     members = confidence_set.members
     if len(members) == 1:
         return members[0]
-    rs = twotask.offdiagonals(members)
+    rs = confidence_set.offdiagonals
     if rs is not None:
         return members[twotask.minimax_index(rs)]
     unique = _unique_members(members)
@@ -302,7 +302,7 @@ def gamma_factor(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) 
     """
     if all(member.key() == sigma_prime.key() for member in confidence_set.members):
         return 1.0
-    rs = twotask.offdiagonals(confidence_set.members)
+    rs = confidence_set.offdiagonals
     if rs is not None and twotask.offdiagonals([sigma_prime]) is not None:
         return twotask.gamma(rs, sigma_prime.matrix[0, 1])
     best = 0.0
@@ -336,7 +336,7 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
         return 0.0
     zi = dataset.tasks - 1
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if base_gram is None else base_gram
-    rs = twotask.offdiagonals(confidence_set.members)
+    rs = confidence_set.offdiagonals
     if (rs is not None and twotask.offdiagonals([sigma_prime]) is not None
             and zi.max() <= 1):
         if factor is None:

@@ -29,11 +29,12 @@ samples weigh equally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.special import betainc
 
+from . import twotask
 from .gp import MultiTaskDataset, NumericalError, log_marginal_likelihood
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 from .twotask import TwoTaskFactor
@@ -131,6 +132,17 @@ class ConfidenceSet:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def offdiagonals(self) -> np.ndarray | None:
+        """Read-only off-diagonals when every member is a normalized 2x2 matrix, else None.
+
+        Computed on first access; sigma-prime selection, gamma and nu share it.
+        """
+        rs = twotask.offdiagonals(self.members)
+        if rs is not None:
+            rs.setflags(write=False)
+        return rs
 
 
 def lkj_log_density(sigma: CorrelationMatrix, eta: float) -> float:

@@ -352,7 +352,10 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
             new_y.append(y_raw)
         state.dataset = state.dataset.extended(new_x, new_z, new_y)
 
-    _refresh_model(state, problem, cfg, rng)
+    # without new rows the model stays: a single-task refresh of the same data
+    # reproduces it and draws nothing from the RNG (a multi-task step always adds rows)
+    if state.dataset.n != state.posterior.dataset.n:
+        _refresh_model(state, problem, cfg, rng)
 
     if multitask:
         for x_raw, task, y_raw in zip(new_x, new_z, new_y):

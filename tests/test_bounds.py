@@ -501,6 +501,25 @@ class TestRobustModel:
         assert np.max(np.abs(posterior.chol - fresh.chol)) <= 1e-12
         assert np.max(np.abs(posterior.alpha - fresh.alpha)) <= 1e-10
 
+    def test_two_task_refresh_inspects_the_members_once(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        ds = task_dataset(rng, n=12, u=2)
+        sizes = []
+        real = twotask.offdiagonals
+
+        def recording(members):
+            sizes.append(len(members))
+            return real(members)
+
+        monkeypatch.setattr(twotask, "offdiagonals", recording)
+        cs, bundle, _ = robust_model(ds, 2, 0.1, 0.15, self.SPEC, PARAMS, 0.05)
+        assert len(cs) > 1 and bundle.nu > 0.0 and bundle.gamma > 1.0
+        assert sorted(sizes) == [1, 1, len(cs)]     # the set once, sigma-prime for gamma and nu
+        rs = cs.offdiagonals
+        assert cs.offdiagonals is rs and not rs.flags.writeable
+        assert np.array_equal(rs, [m.matrix[0, 1] for m in cs.members])
+        assert make_set([CorrelationMatrix.identity(3)]).offdiagonals is None
+
     @pytest.mark.parametrize("u", [2, 3])
     def test_equals_the_scripted_pipeline(self, u):
         rng = np.random.default_rng(17)

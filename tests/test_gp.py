@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from samsbo import gp, kernels
 from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
@@ -524,3 +525,98 @@ class TestJitter:
         grown, fresh = grown_and_fresh(previous, dataset, self.SIGMA, self.PARAMS, base)
         assert grown.jitter == pytest.approx(1e-8)
         assert_bitwise(grown, fresh, points)
+
+
+def triangular_solve_reference(posterior, points, z):
+    """V = L^-1 k_z(data, points) by a triangular solve, and the mean and variance it gives."""
+    data = posterior.dataset
+    scale = posterior.sigma_used.matrix[z - 1, data.tasks - 1]
+    cross = scale[:, None] * se_kernel_matrix(data.inputs, points, posterior.params)
+    whitened = solve_triangular(posterior.chol, cross, lower=True)
+    prior = posterior.sigma_used.matrix[z - 1, z - 1] * posterior.params.signal_variance
+    return (whitened, whitened.T @ posterior.whitened_obs,
+            np.maximum(prior - np.sum(whitened * whitened, axis=0), 0.0))
+
+
+class TestGridFill:
+    """Grid fills through the inverted trailing block of the factor."""
+
+    SIGMA = TestExtension.SIGMA
+    PARAMS = TestExtension.PARAMS
+
+    def assert_matches_triangular_solve(self, posterior, points, tol=1e-10):
+        for z in (1, 2):
+            want = triangular_solve_reference(posterior, points, z)
+            got = (posterior.whitened(points, z)[0], *posterior.predict_batch(points, z))
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= tol
+
+    def test_fresh_and_grown_fills_match_a_triangular_solve(self):
+        full = TestExtension().data(60, seed=11)
+        points = frozen(np.random.default_rng(12).random((300, 2)))
+        previous = fit(TestExtension().prefix(full, 52), self.SIGMA, self.PARAMS)
+        self.assert_matches_triangular_solve(previous, points)
+        grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
+        assert all(entry.rows == 52 for entry in grown._grid.values())    # grown, not refilled
+        self.assert_matches_triangular_solve(grown, points)
+        # a writable point array takes the uncached fresh fill
+        self.assert_matches_triangular_solve(grown, np.array(points))
+
+    def test_escalated_jitter_fills_match_a_triangular_solve(self):
+        dataset, base = TestJitter().case(twin=1, n=14, seed=3)
+        tasks = np.where(np.arange(dataset.n) % 3 == 2, 2, 1)        # the twins share task 1
+        dataset = MultiTaskDataset(dataset.inputs, tasks, dataset.observations)
+        params = TestJitter.PARAMS
+        m = 9
+        head = MultiTaskDataset(dataset.inputs[:m], tasks[:m], dataset.observations[:m])
+        previous = fit(head, self.SIGMA, params, base_gram=base[:m, :m])
+        assert previous.jitter == pytest.approx(1e-8)
+        points = frozen(np.random.default_rng(4).random((200, 2)))
+        self.assert_matches_triangular_solve(previous, points)
+        grown = fit(dataset, self.SIGMA, params, base_gram=base, previous=previous)
+        assert grown.jitter == previous.jitter
+        assert all(entry.rows == m for entry in grown._grid.values())
+        self.assert_matches_triangular_solve(grown, points)
+
+    def test_both_tasks_share_one_kernel_call_per_fill(self, monkeypatch):
+        full = TestExtension().data(45)
+        points = frozen(np.random.default_rng(13).random((150, 2)))
+        shapes = []
+        real = gp.se_kernel_matrix
+
+        def recording(X, Y, params):
+            result = real(X, Y, params)
+            shapes.append(result.shape)
+            return result
+
+        monkeypatch.setattr(gp, "se_kernel_matrix", recording)
+        previous = fit(TestExtension().prefix(full, 40), self.SIGMA, self.PARAMS)
+        for z in (2, 1):
+            previous.whitened(points, z)
+        assert shapes == [(150, 40)]
+        grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
+        shapes.clear()
+        for z in (1, 2):
+            grown.predict_batch(points, z)
+        assert shapes == [(150, 5)]
+        assert not previous._kernels and not grown._kernels       # released once both took it
+        assert_close_to(grown, fit(full, self.SIGMA, self.PARAMS), points)
+
+    def test_fresh_block_is_the_buffer_storage(self, monkeypatch):
+        posterior = fit(TestExtension().data(30), self.SIGMA, self.PARAMS)
+        points = frozen(np.random.default_rng(14).random((100, 2)))
+        blocks = []
+        real = gp.Posterior._new_rows
+
+        def recording(self, entry, points, z):
+            result = real(self, entry, points, z)
+            blocks.append(result[0])
+            return result
+
+        monkeypatch.setattr(gp.Posterior, "_new_rows", recording)
+        for z in (1, 2):
+            whitened = posterior.whitened(points, z)[0]
+            assert np.shares_memory(whitened, blocks[-1])
+            assert np.shares_memory(whitened, posterior._grid[z].buffer.data)
+            assert not whitened.flags.writeable

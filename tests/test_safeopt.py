@@ -405,3 +405,24 @@ class TestIncrementalRefresh:
         # only full factorizations
         assert grown_rows > 0
         assert len(full_factorizations) == cfg.iterations
+
+    def test_step_without_new_rows_keeps_the_model(self, monkeypatch):
+        problem = branin_problem(disturbance_seed=6, threshold=-1e3)    # nothing is safe
+        cfg = LoopConfig(algorithm="safe-ucb", iterations=2, grid_size=64)
+        rng = np.random.default_rng(17)
+        seeds = np.array([[2.0, 3.0], [1.0, 8.0], [5.0, 5.0]])
+        state, _ = initialize_state(problem, cfg, rng, seeds)
+        model = (state.posterior, state.transforms, state.bundle, state.confidence_set)
+        fits = []
+        real = gp.fit
+        monkeypatch.setattr(gp, "fit", lambda *a, **k: fits.append(1) or real(*a, **k))
+        for stalls in (1, 2):
+            rng_state = rng.bit_generator.state
+            assert step(state, problem, cfg, rng) == []
+            assert state.stalled_iterations == stalls
+            assert rng.bit_generator.state == rng_state
+            assert state.posterior.dataset.n == state.dataset.n == 3
+            assert all(a is b for a, b in zip(model, (state.posterior, state.transforms,
+                                                      state.bundle, state.confidence_set)))
+        assert fits == []
+
