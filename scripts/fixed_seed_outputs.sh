@@ -10,7 +10,8 @@
 #   laser/       samsbo and safe-ucb, 2 iterations x 2 repetitions
 #   powell/      samsbo and safe-ucb, 2 iterations x 2 repetitions
 #   branin3/     samsbo with n_tasks = 3, 3 iterations x 1 repetition
-#   verify/      coverage.json of verify-bounds, 50 frequentist and 5 Bayesian trials
+#   verify/      coverage.json of verify-bounds at its default sizes, 500 frequentist
+#                and 200 Bayesian trials
 # Each run directory keeps the raw and aggregate CSVs; manifest.json holds wall
 # times and is left out.  Compare the outputs of two commits byte for byte with
 #
@@ -55,6 +56,6 @@ run laser run "problem = laser" "algorithm = samsbo,safe-ucb" "iterations = 2" "
 run powell run "problem = powell" "algorithm = samsbo,safe-ucb" "iterations = 2" "repetitions = 2"
 run branin3 run "problem = branin" "n_tasks = 3" "algorithm = samsbo" "iterations = 3" \
     "repetitions = 1"
-run verify verify-bounds "frequentist_trials = 50" "bayesian_trials = 5"
+run verify verify-bounds "frequentist_trials = 500" "bayesian_trials = 200"
 
 echo "$(find "$out" -type f | wc -l) files in $out"

@@ -111,6 +111,10 @@ class ExperimentConfig(LoopConfig):
                     f"dimension must be 0 or {own} for {self.problem}, got {self.dimension}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        for name in ("frequentist_trials", "bayesian_trials"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
     def _check_algorithms(self) -> None:
         for name in self.algorithms():

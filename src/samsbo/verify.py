@@ -3,10 +3,22 @@
 The frequentist suite builds a function as a finite kernel expansion with an
 exactly known RKHS norm, repeatedly regenerates the observation noise, and
 counts how often the scaled posterior band contains the function on a dense
-grid.  The Bayesian suite draws the correlation matrix from its prior and the
+grid.  The design and Sigma are fixed, so every trial after the first passes
+the previous trial's posterior to :func:`samsbo.gp.fit` as ``previous``: all
+trials share the first trial's Cholesky factor and whitened grid, and a
+trial's band check costs one G x n product per task.
+
+The Bayesian suite draws the correlation matrix from its prior and the
 function from the corresponding multi-task GP, runs the optimization loop's
 own model refresh, :func:`samsbo.bounds.robust_model`, on the noisy
-observations, and checks the robust band the same way.
+observations, and checks the robust band the same way.  The ICM prior
+covariance of the function on the G-point grid is the Kronecker product
+Sigma (x) K, so one call factors the grid kernel once, L_K = chol(K + eps I)
+with eps = DRAW_JITTER, and each trial draws (L_Sigma (x) L_K) xi: no 2G x 2G
+matrix is formed.
+
+Each suite queries its own read-only grid, so the posterior's grid cache
+applies and the two tasks of one posterior share one base kernel.
 """
 from __future__ import annotations
 
@@ -20,6 +32,7 @@ from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 __all__ = ["CoverageReport", "frequentist_coverage", "bayesian_coverage"]
 
 NUMERIC_SLACK = 1e-9
+DRAW_JITTER = 1e-10         # diagonal added to the grid kernel before factoring it
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,31 @@ def _expansion_values(grid: np.ndarray, centers: np.ndarray, center_tasks: np.nd
     return base @ weights
 
 
+def _read_only_grid(size: int) -> np.ndarray:
+    """``size`` equispaced points of [0, 1] as a column array that owns its read-only data.
+
+    A read-only view of a writable array does not count as read-only for the
+    grid cache, so the points are copied.
+    """
+    grid = np.linspace(0.0, 1.0, size).reshape(-1, 1).copy()
+    grid.setflags(write=False)
+    return grid
+
+
+def _two_task_draw(chol_grid: np.ndarray, r: float,
+                   xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both tasks' values of (L_Sigma (x) L_K) xi, Sigma = [[1, r], [r, 1]].
+
+    With ``chol_grid`` = L_K of size G and xi of length 2G, f_1 = L_K xi_1 and
+    f_2 = r f_1 + sqrt(1 - r^2) L_K xi_2, so standard normal xi gives a draw
+    with covariance Sigma (x) L_K L_K'.
+    """
+    g = chol_grid.shape[0]
+    first = chol_grid @ xi[:g]
+    second = r * first + np.sqrt(1.0 - r * r) * (chol_grid @ xi[g:])
+    return first, second
+
+
 def _covers(posterior: gp.Posterior, grid: np.ndarray, f_grid: dict[int, np.ndarray],
             beta: float, psi: float = 0.0) -> bool:
     """Whether |f - mean| <= sqrt(beta) std + psi at every grid point, task 1 first."""
@@ -69,9 +107,12 @@ def frequentist_coverage(trials: int = 500, n_obs: int = 30, delta: float = 0.05
     """Coverage of the frequentist band around a fixed finite kernel expansion.
 
     One-dimensional two-task setup; only the observation noise is redrawn per
-    trial.  The RKHS norm entering the scaling factor is exact through the
-    Gram quadratic form of the expansion coefficients.
+    trial, so every trial reuses the first trial's factor and whitened grid
+    through ``gp.fit(previous=)``.  The RKHS norm entering the scaling factor
+    is exact through the Gram quadratic form of the expansion coefficients.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if trials == 0:
         return CoverageReport("frequentist", 0, 0, 1.0 - delta, 0.05)
     rng = np.random.default_rng(seed)
@@ -94,16 +135,18 @@ def frequentist_coverage(trials: int = 500, n_obs: int = 30, delta: float = 0.05
         for i in range(n_obs)
     ])
 
-    grid = np.linspace(0.0, 1.0, grid_size).reshape(-1, 1)
+    grid = _read_only_grid(grid_size)
     f_grid = {z: _expansion_values(grid, centers, center_tasks, coefficients, sigma, params, z)
               for z in (1, 2)}
     beta = bounds.beta_freq(norm, n_obs, delta)
     noise_sd = np.sqrt(params.noise_variance)
 
     successes = 0
+    posterior = None
     for _ in range(trials):
         y = f_design + noise_sd * rng.standard_normal(n_obs)
-        posterior = gp.fit(gp.MultiTaskDataset(design, design_tasks, y), sigma, params)
+        posterior = gp.fit(gp.MultiTaskDataset(design, design_tasks, y), sigma, params,
+                           previous=posterior)
         successes += _covers(posterior, grid, f_grid, beta)
     return CoverageReport("frequentist", trials, successes, 1.0 - delta, 0.05)
 
@@ -113,33 +156,36 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
                       seed: int = 0) -> CoverageReport:
     """Coverage of the robust Bayesian band under prior-drawn correlation matrices.
 
-    Each trial draws the true correlation from the LKJ prior restricted to
+    Each trial draws the true correlation r from the LKJ prior restricted to
     nonnegative entries, samples the function from the matching multi-task GP
     on the grid, refreshes the model with :func:`samsbo.bounds.robust_model`
     as the loop does, and checks the band with the robust scaling factor on
     the grid (where the discretization correction vanishes).
+
+    The function is drawn as (L_Sigma (x) L_K) xi for one standard normal xi
+    of length 2G, with L_K = chol(K + DRAW_JITTER I) of the G x G grid kernel
+    factored once per call.  Its covariance is Sigma(r) (x) (K + DRAW_JITTER I).
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     target = (1.0 - delta) * (1.0 - rho)
     if trials == 0:
         return CoverageReport("bayesian", 0, 0, target, 0.05)
     master = np.random.SeedSequence(seed).spawn(trials)
     params = KernelParams(1.0, [0.2], noise_variance=0.01)
-    grid = np.linspace(0.0, 1.0, grid_size).reshape(-1, 1)
+    grid = _read_only_grid(grid_size)
     tau = 1.0 / (2.0 * (grid_size - 1))
     disc = bounds.DiscretizationSpec(tau, 1)
     noise_sd = np.sqrt(params.noise_variance)
-    base_grid = se_kernel_matrix(grid, grid, params)
+    chol_grid = np.linalg.cholesky(se_kernel_matrix(grid, grid, params)
+                                   + DRAW_JITTER * np.eye(grid_size))
 
     successes = 0
     for trial_seed in master:
         rng = np.random.default_rng(trial_seed)
         r_true = hyperposterior.sample_prior_offdiagonal(eta, rng)
-        sigma_true = CorrelationMatrix.two_task(r_true)
-
-        cov = np.kron(sigma_true.matrix, base_grid)
-        chol = np.linalg.cholesky(cov + 1e-10 * np.eye(2 * grid_size))
-        sample = chol @ rng.standard_normal(2 * grid_size)
-        f_grid = {1: sample[:grid_size], 2: sample[grid_size:]}
+        f1, f2 = _two_task_draw(chol_grid, r_true, rng.standard_normal(2 * grid_size))
+        f_grid = {1: f1, 2: f2}
 
         idx1 = rng.choice(grid_size, size=n_per_task, replace=False)
         idx2 = rng.choice(grid_size, size=n_per_task, replace=False)

@@ -1,0 +1,107 @@
+import hashlib
+
+import numpy as np
+import pytest
+
+from samsbo import gp, verify
+from samsbo.hyperposterior import R_MAX
+from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
+
+
+def recorded_trials(monkeypatch) -> list:
+    """Each trial's posterior and grid, recorded as ``_covers`` receives them."""
+    trials = []
+    covers = verify._covers
+
+    def recording(posterior, grid, *args, **kwargs):
+        trials.append((posterior, grid))
+        return covers(posterior, grid, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_covers", recording)
+    return trials
+
+
+def predictions_digest(trials, fresh: bool) -> str:
+    """SHA-256 over every trial's means and variances of both tasks on its grid.
+
+    ``fresh`` refits each dataset from scratch and queries a writable copy of
+    the grid, so neither a shared factor nor a cached whitened grid is used.
+    """
+    digest = hashlib.sha256()
+    for posterior, grid in trials:
+        if fresh:
+            posterior = gp.fit(posterior.dataset, posterior.sigma_used, posterior.params)
+            grid = np.array(grid)
+        for z in (1, 2):
+            for values in posterior.predict_batch(grid, z):
+                digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()
+
+
+class TestBayesianDraw:
+    @pytest.mark.parametrize("r", [0.0, 0.5, R_MAX])
+    def test_draw_has_the_kronecker_covariance(self, r):
+        g = 30
+        grid = verify._read_only_grid(g)
+        K = se_kernel_matrix(grid, grid, KernelParams(1.0, [0.2], noise_variance=0.01))
+        regularized = K + verify.DRAW_JITTER * np.eye(g)
+        chol = np.linalg.cholesky(regularized)
+        M = np.column_stack([np.concatenate(verify._two_task_draw(chol, r, xi))
+                             for xi in np.eye(2 * g)])
+        expected = np.kron(CorrelationMatrix.two_task(r).matrix, regularized)
+        assert np.max(np.abs(M @ M.T - expected)) <= 1e-12
+
+    def test_no_factor_larger_than_the_grid(self, monkeypatch):
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        grid_size = 200
+        verify.bayesian_coverage(trials=3, grid_size=grid_size)
+        assert shapes and max(shape[0] for shape in shapes) <= grid_size
+        assert shapes.count((grid_size, grid_size)) == 1
+
+
+class TestFrequentistReuse:
+    def test_trials_share_one_factor_and_one_grid_kernel(self, monkeypatch):
+        factors, kernels = [], []
+        chol_with_jitter, kernel = gp._chol_with_jitter, gp.se_kernel_matrix
+
+        def recording_factor(*args):
+            factors.append(args[0].shape)
+            return chol_with_jitter(*args)
+
+        def recording_kernel(*args):
+            kernels.append(args[0].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(gp, "_chol_with_jitter", recording_factor)
+        monkeypatch.setattr(gp, "se_kernel_matrix", recording_kernel)
+        verify.frequentist_coverage(trials=20)
+        assert factors == [(30, 30)]
+        assert kernels == [(200, 1)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trials_match_fresh_fits_bit_for_bit(self, monkeypatch, seed):
+        trials = recorded_trials(monkeypatch)
+        verify.frequentist_coverage(trials=20, seed=seed)
+        assert len(trials) == 20
+        assert predictions_digest(trials, fresh=False) == predictions_digest(trials, fresh=True)
+
+
+class TestSuites:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_both_suites_pass(self, seed):
+        bayes = verify.bayesian_coverage(trials=40, seed=seed)
+        freq = verify.frequentist_coverage(trials=100, seed=seed)
+        assert bayes.trials == 40 and bayes.passed
+        assert freq.trials == 100 and freq.passed
+
+    @pytest.mark.parametrize("suite", [verify.bayesian_coverage, verify.frequentist_coverage])
+    def test_negative_trials_are_refused(self, suite):
+        with pytest.raises(ValueError, match="trials"):
+            suite(trials=-1)
