@@ -4,11 +4,14 @@ Frequentist route: beta_f from a known RKHS norm plus a concentration term on
 the noise vector, made robust to the correlation matrix used for inference via
 the operator norm linking the two reproducing kernel Hilbert spaces.
 
-Bayesian route: beta_b = 2 log(|I| / delta) on a discretization of the input
-space, made robust over a confidence set of correlation matrices through a
-mean-shift term nu, a variance-ratio factor gamma and the discretization
-correction psi built from moduli of continuity and a sampled Lipschitz
-constant.  The robust factor is beta_bar = (nu + gamma * sqrt(beta_b))^2.
+Bayesian route: beta_b = 2 log(|I| / delta) on the finite discretization I
+whose points are certified, made robust over a confidence set of correlation
+matrices through a mean-shift term nu and a variance-ratio factor gamma.  The
+robust factor is beta_bar = (nu + gamma * sqrt(beta_b))^2.  The bound covers
+the points of I only; nothing here extends it off them.  The moduli of
+continuity and Lipschitz constants a correction off I would be built from
+(:func:`modulus_mu`, :func:`modulus_sigma`, :func:`estimate_feature_lipschitz`,
+:func:`sample_lipschitz_bound`) are kept as functions, but no bound uses them.
 
 When the dataset, sigma-prime and every member are two-task with unit
 diagonal, sigma-prime selection, gamma and nu take the closed forms of
@@ -30,7 +33,7 @@ from scipy.linalg import cho_factor, cho_solve, solve
 from . import gp, hyperposterior, twotask
 from .config import ConfigError
 from .hyperposterior import ConfidenceSet
-from .kernels import CorrelationMatrix, KernelParams, kernel_lipschitz, se_kernel_matrix
+from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
 __all__ = [
     "DiscretizationSpec",
@@ -75,25 +78,12 @@ class DiscretizationSpec:
 
 @dataclass(frozen=True)
 class ScalingBundle:
-    """All bound ingredients for one iteration.
-
-    Satisfies beta_bar = (nu + gamma * sqrt(beta_b))^2 and
-    psi = lipschitz_f * tau + omega_mu + sqrt(beta_b) * omega_sigma exactly.
-    When the discretization correction is neglected all psi constituents are
-    zero so the identities still hold.
-    """
+    """All bound ingredients for one iteration, with beta_bar = (nu + gamma * sqrt(beta_b))^2."""
 
     beta_b: float
     nu: float
     gamma: float
     beta_bar: float
-    omega_mu: float
-    omega_sigma: float
-    lipschitz_f: float
-    psi: float
-    delta: float
-    rho: float
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -374,16 +364,13 @@ def scaling_bundle(
     spec: DiscretizationSpec,
     params: KernelParams,
     delta: float,
-    include_psi: bool = False,
-    l_h: float | None = None,
     base_gram: np.ndarray | None = None,
     factor: twotask.TwoTaskFactor | None = None,
 ) -> ScalingBundle:
     """Assemble every bound ingredient for the current iteration.
 
-    The resulting bound holds with probability (1 - delta)(1 - rho).  With
-    ``include_psi=False`` the discretization correction is neglected and all
-    its constituents are reported as zero.  ``factor`` passes the two-task
+    The resulting bound holds at the points of ``spec``'s discretization with
+    probability (1 - delta)(1 - rho).  ``factor`` passes the two-task
     decomposition of ``dataset`` on to :func:`nu_factor`.
     """
     b_bayes = beta_bayes(spec.cardinality, delta)
@@ -391,32 +378,14 @@ def scaling_bundle(
     nu = nu_factor(dataset, sigma_prime, confidence_set, params, base_gram=base_gram,
                    factor=factor)
     beta_bar = (nu + gam * math.sqrt(b_bayes)) ** 2
-    if include_psi:
-        l_k = kernel_lipschitz(params)
-        posteriors = [
-            gp.fit(dataset, member, params, base_gram=base_gram)
-            for member in confidence_set.members
-        ]
-        om_mu = modulus_mu(spec.tau, l_k, confidence_set, posteriors)
-        om_sigma = modulus_sigma(spec.tau, l_k, confidence_set)
-        if l_h is None:
-            l_h = estimate_feature_lipschitz(params, delta)
-        l_f = sample_lipschitz_bound(confidence_set, l_h)
-        psi = l_f * spec.tau + om_mu + math.sqrt(b_bayes) * om_sigma
-    else:
-        om_mu = om_sigma = l_f = psi = 0.0
-    return ScalingBundle(
-        beta_b=b_bayes, nu=nu, gamma=gam, beta_bar=beta_bar,
-        omega_mu=om_mu, omega_sigma=om_sigma, lipschitz_f=l_f, psi=psi,
-        delta=delta, rho=confidence_set.rho, tau=spec.tau,
-    )
+    return ScalingBundle(beta_b=b_bayes, nu=nu, gamma=gam, beta_bar=beta_bar)
 
 
 def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: float,
                  spec: DiscretizationSpec, params: KernelParams, delta: float, seed: int = 0,
                  previous: gp.Posterior | None = None,
                  ) -> tuple[ConfidenceSet, ScalingBundle, gp.Posterior]:
-    """Confidence set, scaling bundle (psi neglected) and posterior at sigma-prime.
+    """Confidence set, scaling bundle and posterior at sigma-prime.
 
     One task takes the identity set, so nu = 0, gamma = 1 and beta_bar =
     beta_b.  More tasks keep the 1 - ``rho`` set of the LKJ(``eta``) hyper-

@@ -53,8 +53,10 @@ class LoopConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.seed_points < 1:
-            raise ConfigError(f"seed_points must be >= 1, got {self.seed_points}")
+        for name in ("grid_size", "seed_points"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
     def _check_algorithms(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -109,8 +111,10 @@ class ExperimentConfig(LoopConfig):
             if own is not None and self.dimension != own:
                 raise ConfigError(
                     f"dimension must be 0 or {own} for {self.problem}, got {self.dimension}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        for name in ("repetitions", "jobs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         for name in ("frequentist_trials", "bayesian_trials"):
             value = getattr(self, name)
             if value < 0:

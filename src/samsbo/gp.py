@@ -260,13 +260,6 @@ class Posterior:
     _inverses: dict = field(default_factory=dict, repr=False, compare=False)
     _kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def gram_noiseless(self) -> np.ndarray:
-        """Multi-task Gram matrix of the data without noise or jitter, computed on each access."""
-        if self.dataset.n == 0:
-            return np.zeros((0, 0))
-        return gram(self.dataset, self.sigma_used, self.params)
-
     def predict_batch(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior mean/variance of one task at many inputs.
 
@@ -360,7 +353,7 @@ class Posterior:
         """RKHS norm sqrt(alpha' K alpha) of the posterior mean function."""
         if self.dataset.n == 0:
             return 0.0
-        val = float(self.alpha @ self.gram_noiseless @ self.alpha)
+        val = float(self.alpha @ gram(self.dataset, self.sigma_used, self.params) @ self.alpha)
         return float(np.sqrt(max(val, 0.0)))
 
 

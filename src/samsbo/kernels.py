@@ -6,9 +6,9 @@ The multi-task covariance between task/input pairs factorizes as
 
 where ``k`` is a scalar anisotropic squared-exponential kernel and ``Sigma``
 is a symmetric positive definite inter-task matrix with nonnegative entries
-(intrinsic coregionalization).  Lipschitz constants are always taken over the
-normalized unit hypercube, which is the input domain used throughout this
-package after normalization.
+and unit diagonal (intrinsic coregionalization with standardized outputs).
+The Lipschitz constant of :func:`kernel_lipschitz` is taken over the unit
+hypercube, the input domain used throughout this package after normalization.
 """
 from __future__ import annotations
 
@@ -60,15 +60,14 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Symmetric positive definite inter-task matrix with nonnegative entries.
+    """Symmetric positive definite inter-task matrix with nonnegative entries and unit diagonal.
 
-    ``normalized=True`` additionally enforces a unit diagonal, the regime used
-    with standardized outputs.  Instances are immutable and hashable through
-    :meth:`key`, which makes deduplication of repeated MCMC samples cheap.
+    The unit diagonal is the regime of standardized outputs.  Instances are
+    immutable and hashable through :meth:`key`, which makes deduplication of
+    repeated MCMC samples cheap.
     """
 
     matrix: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -84,8 +83,8 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix entries must be nonnegative")
         if np.min(np.linalg.eigvalsh(m)) <= 0.0:
             raise ValueError("correlation matrix must be positive definite")
-        if self.normalized and np.max(np.abs(np.diag(m) - 1.0)) > 1e-9:
-            raise ValueError("normalized correlation matrix must have unit diagonal")
+        if np.max(np.abs(np.diag(m) - 1.0)) > 1e-9:
+            raise ValueError("correlation matrix must have unit diagonal")
 
     @property
     def size(self) -> int:
@@ -101,12 +100,6 @@ class CorrelationMatrix:
     @classmethod
     def two_task(cls, r: float) -> "CorrelationMatrix":
         return cls(np.array([[1.0, r], [r, 1.0]]))
-
-    def offdiagonal(self) -> float:
-        """Single off-diagonal entry, defined for the two-task case only."""
-        if self.size != 2:
-            raise ValueError("offdiagonal() requires a 2x2 matrix")
-        return float(self.matrix[0, 1])
 
 
 def se_kernel_matrix(X: np.ndarray, Y: np.ndarray, params: KernelParams) -> np.ndarray:

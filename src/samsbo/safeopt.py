@@ -152,9 +152,9 @@ class SafeSet:
 
 def safe_set(posterior: gp.Posterior, bundle: bounds.ScalingBundle,
              threshold_std: float, grid: CandidateGrid) -> SafeSet:
-    """Candidates with mean + sqrt(beta_bar) std + psi below the standardized threshold."""
+    """Candidates with mean + sqrt(beta_bar) std below the standardized threshold."""
     means, variances = posterior.predict_batch(grid.points, 1)
-    upper = means + np.sqrt(bundle.beta_bar) * np.sqrt(variances) + bundle.psi
+    upper = means + np.sqrt(bundle.beta_bar) * np.sqrt(variances)
     return SafeSet(grid=grid, mask=upper <= threshold_std)
 
 

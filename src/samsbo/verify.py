@@ -92,11 +92,11 @@ def _two_task_draw(chol_grid: np.ndarray, r: float,
 
 
 def _covers(posterior: gp.Posterior, grid: np.ndarray, f_grid: dict[int, np.ndarray],
-            beta: float, psi: float = 0.0) -> bool:
-    """Whether |f - mean| <= sqrt(beta) std + psi at every grid point, task 1 first."""
+            beta: float) -> bool:
+    """Whether |f - mean| <= sqrt(beta) std at every grid point, task 1 first."""
     for z in (1, 2):
         means, variances = posterior.predict_batch(grid, z)
-        band = np.sqrt(beta) * np.sqrt(variances) + psi
+        band = np.sqrt(beta) * np.sqrt(variances)
         if np.any(np.abs(f_grid[z] - means) > band + NUMERIC_SLACK):
             return False
     return True
@@ -159,8 +159,9 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
     Each trial draws the true correlation r from the LKJ prior restricted to
     nonnegative entries, samples the function from the matching multi-task GP
     on the grid, refreshes the model with :func:`samsbo.bounds.robust_model`
-    as the loop does, and checks the band with the robust scaling factor on
-    the grid (where the discretization correction vanishes).
+    as the loop does, and checks the band with the robust scaling factor at
+    every grid point.  tau is set so that beta_b counts G points, the points
+    checked.
 
     The function is drawn as (L_Sigma (x) L_K) xi for one standard normal xi
     of length 2G, with L_K = chol(K + DRAW_JITTER I) of the G x G grid kernel
@@ -197,5 +198,5 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
         dataset = gp.MultiTaskDataset(inputs, tasks, y)
 
         _, bundle, posterior = bounds.robust_model(dataset, 2, eta, rho, disc, params, delta)
-        successes += _covers(posterior, grid, f_grid, bundle.beta_bar, bundle.psi)
+        successes += _covers(posterior, grid, f_grid, bundle.beta_bar)
     return CoverageReport("bayesian", trials, successes, target, 0.05)

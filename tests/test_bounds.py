@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from samsbo.config import ConfigError
 from samsbo.hyperposterior import ConfidenceSet
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
-from test_kernels import random_correlation
+from test_kernels import inter_task, random_correlation
 
 PARAMS = KernelParams(1.0, [0.3], noise_variance=0.05)
 
@@ -149,7 +151,7 @@ class TestModuli:
     def test_modulus_sigma_monotone_in_diagonal(self):
         small = make_set([CorrelationMatrix.identity(2)])
         big = make_set([CorrelationMatrix.identity(2),
-                        CorrelationMatrix(np.diag([2.0, 1.0]), normalized=False)])
+                        inter_task(np.diag([2.0, 1.0]))])
         assert modulus_sigma(0.01, 0.6, big) >= modulus_sigma(0.01, 0.6, small)
 
     def test_modulus_mu_empty_dataset(self):
@@ -205,7 +207,7 @@ class TestSampleLipschitzBound:
         assert sample_lipschitz_bound(cs, 0.7) == pytest.approx(0.7)
 
     def test_scaled_identity(self):
-        cs = make_set([CorrelationMatrix(2.0 * np.eye(2), normalized=False)])
+        cs = make_set([inter_task(2.0 * np.eye(2))])
         assert sample_lipschitz_bound(cs, 1.0) == pytest.approx(2.0)
 
     def test_identity_two_tasks(self):
@@ -431,9 +433,6 @@ class TestScalingBundle:
         bundle = scaling_bundle(ds, sp, cs, spec, PARAMS, 0.05)
         assert bundle.beta_bar == pytest.approx(
             (bundle.nu + bundle.gamma * np.sqrt(bundle.beta_b)) ** 2, abs=1e-12)
-        assert bundle.psi == pytest.approx(
-            bundle.lipschitz_f * spec.tau + bundle.omega_mu
-            + np.sqrt(bundle.beta_b) * bundle.omega_sigma, abs=1e-12)
         assert bundle.gamma >= 1.0
 
     def test_singleton_reduces_to_beta_b(self):
@@ -446,23 +445,14 @@ class TestScalingBundle:
         assert bundle.gamma == pytest.approx(1.0, abs=1e-10)
         assert bundle.beta_bar == pytest.approx(30.857, abs=1e-2)
 
-    def test_psi_neglected_by_default(self):
+    def test_bundle_holds_the_four_ingredients(self):
+        # the bound is certified on the discretization only: no correction term
         rng = np.random.default_rng(14)
         ds, sp, cs, spec = self._setup(rng)
-        bundle = scaling_bundle(ds, sp, cs, spec, PARAMS, 0.05, include_psi=False)
-        assert bundle.psi == 0.0 and bundle.omega_mu == 0.0 and bundle.lipschitz_f == 0.0
-
-    def test_psi_included_is_positive(self):
-        rng = np.random.default_rng(15)
-        ds, sp, cs, _ = self._setup(rng)
-        spec = DiscretizationSpec(0.01, 1)
-        params = KernelParams(1.0, [0.3], noise_variance=0.05)
-        bundle = scaling_bundle(ds, sp, cs, spec, params, 0.05, include_psi=True,
-                                l_h=2.0)
-        assert bundle.psi > 0.0
-        assert bundle.omega_sigma > 0.0
-        assert bundle.lipschitz_f > 0.0
-
+        bundle = scaling_bundle(ds, sp, cs, spec, PARAMS, 0.05)
+        assert [f.name for f in dataclasses.fields(bundle)] == ["beta_b", "nu", "gamma",
+                                                                "beta_bar"]
+        assert bundle.beta_b == beta_bayes(spec.cardinality, 0.05)
 
 class TestRobustModel:
     SPEC = DiscretizationSpec(0.001, 1)

@@ -28,7 +28,7 @@ from samsbo.config import (
 BAD_VALUES = [
     ("rho", 1.5), ("seed_points", 0), ("lengthscale", 0),
     ("signal_variance", 0), ("noise_variance", 0),
-    ("frequentist_trials", -2), ("bayesian_trials", -1),
+    ("frequentist_trials", -2), ("bayesian_trials", -1), ("grid_size", 0), ("jobs", 0),
 ]
 REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance",
                 "include_psi", "mcmc_samples", "supplementary_batch"]

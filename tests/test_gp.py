@@ -52,7 +52,7 @@ class TestFit:
         sigma = CorrelationMatrix.two_task(0.6)
         params = make_params(d=2)
         post = fit(ds, sigma, params)
-        system = post.gram_noiseless + params.noise_variance * np.eye(12)
+        system = gram(post.dataset, post.sigma_used, post.params) + params.noise_variance * np.eye(12)
         rebuilt = post.chol @ post.chol.T
         assert np.max(np.abs(rebuilt - system)) <= 1e-8 * np.max(np.abs(system)) + 1e-10
 
@@ -401,7 +401,8 @@ class TestExtension:
         monkeypatch.setattr(kernels, "se_kernel_matrix", recording)
         grown = fit(full, sigma, self.PARAMS, previous=previous)
         assert shapes == [(45, 4)]
-        assert np.array_equal(grown.gram_noiseless, gram(full, sigma, self.PARAMS))
+        assert np.array_equal(gram(grown.dataset, grown.sigma_used, grown.params),
+                              gram(full, sigma, self.PARAMS))
 
     def test_grown_task_index_out_of_range_raises(self):
         full = self.data(40)

@@ -74,9 +74,9 @@ class TestLkjLogDensity:
             assert lkj_log_density(CorrelationMatrix.two_task(r), 1.0) == 0.0
 
     def test_requires_unit_diagonal(self):
-        bad = CorrelationMatrix(np.diag([2.0, 1.0]), normalized=False)
-        with pytest.raises(ValueError):
-            lkj_log_density(bad, 0.5)
+        # a non-unit diagonal cannot reach the density: CorrelationMatrix refuses it
+        with pytest.raises(ValueError, match="unit diagonal"):
+            lkj_log_density(CorrelationMatrix(np.diag([2.0, 1.0])), 0.5)
 
 
 class TestSampleHyperposterior:
@@ -170,10 +170,10 @@ class TestTwoTaskQuadrature:
 
     def test_cells_partition_the_support(self):
         midpoints, edges = cell_matrices()
-        rs = np.array([m.offdiagonal() for m in midpoints])
+        rs = np.array([m.matrix[0, 1] for m in midpoints])
         assert len(rs) == QUADRATURE_CELLS
         assert np.array_equal(rs, CELL_MIDPOINTS)
-        assert np.array_equal([m.offdiagonal() for m in edges], CELL_EDGES)
+        assert np.array_equal([m.matrix[0, 1] for m in edges], CELL_EDGES)
         assert CELL_EDGES[0] == 0.0 and CELL_EDGES[-1] == R_MAX
         assert np.all((CELL_EDGES[:-1] < rs) & (rs < CELL_EDGES[1:]))
 
@@ -191,7 +191,7 @@ class TestTwoTaskQuadrature:
         dataset = task_one_only(17, np.random.default_rng(10))
         post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
         cs = confidence_set(post, 0.15)
-        rs = np.sort([m.offdiagonal() for m in cs.members])
+        rs = np.sort([m.matrix[0, 1] for m in cs.members])
         width = CELL_EDGES[1]
         # one run of cells plus its two outer edges
         assert abs(rs[0] - 0.576) <= width
@@ -234,8 +234,8 @@ class TestConfidenceSet:
         dataset = synthetic_two_task(0.8, 15, rng)
         post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
         cs = confidence_set(post, 0.2)
-        kept = np.array([m.offdiagonal() for m in cs.members])
-        excluded = [s.offdiagonal() for s in post.samples
+        kept = np.array([m.matrix[0, 1] for m in cs.members])
+        excluded = [s.matrix[0, 1] for s in post.samples
                     if not any(s.key() == m.key() for m in cs.members)]
         lo, hi = kept.min(), kept.max()
         assert all(r < lo or r > hi for r in excluded)
@@ -297,6 +297,6 @@ class TestCoverageCalibration:
             dataset = synthetic_two_task(r_true, 12, rng)
             post = sample_hyperposterior(dataset, 2, eta, PARAMS)
             cs = confidence_set(post, rho)
-            rs = [m.offdiagonal() for m in cs.members]
+            rs = [m.matrix[0, 1] for m in cs.members]
             hits += min(rs) <= r_true <= max(rs)
         assert hits / trials >= (1.0 - rho) - 0.07

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,16 @@ def random_correlation(u, rng):
         m = m / np.outer(d, d)
         if np.min(m) >= 0.0 and np.min(np.linalg.eigvalsh(m)) > 1e-8:
             return CorrelationMatrix(m)
+
+
+def inter_task(matrix):
+    """Inter-task matrix with any positive diagonal, which ``CorrelationMatrix`` refuses.
+
+    The moduli and Lipschitz constants are defined for the largest diagonal
+    entry q of a general Sigma and read only ``matrix`` and ``size``.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    return SimpleNamespace(matrix=matrix, size=matrix.shape[0])
 
 
 class TestSeKernel:
@@ -70,9 +82,10 @@ class TestCorrelationMatrix:
             CorrelationMatrix.two_task(1.0)
 
     def test_unit_diagonal_enforced_when_normalized(self):
-        with pytest.raises(ValueError):
-            CorrelationMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        CorrelationMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]), normalized=False)
+        for diagonal in ([2.0, 1.0], [1.0, 0.5], [1.0 + 1e-8, 1.0], [3.0]):
+            with pytest.raises(ValueError, match="unit diagonal"):
+                CorrelationMatrix(np.diag(diagonal))
+        CorrelationMatrix(np.diag([1.0 + 1e-10, 1.0]))
 
 
 class TestMultitaskKernel:
@@ -163,11 +176,11 @@ class TestMultitaskLipschitz:
         assert multitask_lipschitz(CorrelationMatrix.identity(3), 0.5) == pytest.approx(0.5)
 
     def test_scaled_identity(self):
-        sigma = CorrelationMatrix(2.0 * np.eye(2), normalized=False)
+        sigma = inter_task(2.0 * np.eye(2))
         assert multitask_lipschitz(sigma, 0.7) == pytest.approx(1.4)
 
     def test_max_diagonal(self):
-        sigma = CorrelationMatrix(np.diag([1.0, 3.0]), normalized=False)
+        sigma = inter_task(np.diag([1.0, 3.0]))
         assert multitask_lipschitz(sigma, 1.0) == pytest.approx(3.0)
 
 

@@ -29,11 +29,7 @@ PARAMS = KernelParams(1.0, [0.4], noise_variance=0.01)
 
 def make_state(dataset, sigma, beta_bar=4.0, grid=None):
     cs = ConfidenceSet((sigma,), 0.15, np.zeros(1))
-    bundle = bounds.ScalingBundle(
-        beta_b=beta_bar, nu=0.0, gamma=1.0, beta_bar=beta_bar,
-        omega_mu=0.0, omega_sigma=0.0, lipschitz_f=0.0, psi=0.0,
-        delta=0.05, rho=0.15, tau=0.001,
-    )
+    bundle = bounds.ScalingBundle(beta_b=beta_bar, nu=0.0, gamma=1.0, beta_bar=beta_bar)
     posterior = gp.fit(dataset, sigma, PARAMS)
     return OptimizationState(
         dataset=dataset, transforms=None, confidence_set=cs, bundle=bundle,

@@ -38,6 +38,25 @@ def predictions_digest(trials, fresh: bool) -> str:
     return digest.hexdigest()
 
 
+class TestCovers:
+    def test_band_is_sqrt_beta_std(self):
+        rng = np.random.default_rng(2)
+        params = KernelParams(1.0, [0.3], noise_variance=0.05)
+        dataset = gp.MultiTaskDataset(rng.random((8, 1)), np.tile([1, 2], 4),
+                                      rng.standard_normal(8))
+        posterior = gp.fit(dataset, CorrelationMatrix.two_task(0.5), params)
+        grid = np.linspace(0.0, 1.0, 7)[:, None]
+        beta = 4.0
+        edge = {}
+        for z in (1, 2):
+            means, variances = posterior.predict_batch(grid, z)
+            edge[z] = means - np.sqrt(beta * variances)
+        assert verify._covers(posterior, grid, edge, beta)
+        outside = {1: edge[1], 2: edge[2].copy()}
+        outside[2][3] -= 1e-6
+        assert not verify._covers(posterior, grid, outside, beta)
+
+
 class TestBayesianDraw:
     @pytest.mark.parametrize("r", [0.0, 0.5, R_MAX])
     def test_draw_has_the_kronecker_covariance(self, r):
