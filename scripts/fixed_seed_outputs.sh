@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Write the fixed-seed output set that byte-identity checks compare with `cmp -r`.
+# Write the fixed-seed output set that byte-identity checks compare with `diff -r`.
 #
 # Usage, from anywhere inside a source checkout:
 #

@@ -17,7 +17,6 @@ from .hyperposterior import (
     sample_hyperposterior,
 )
 from .bounds import (
-    DiscretizationSpec,
     LatentNormSpec,
     ScalingBundle,
     beta_bayes,

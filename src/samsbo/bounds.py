@@ -13,11 +13,14 @@ continuity and Lipschitz constants a correction off I would be built from
 (:func:`modulus_mu`, :func:`modulus_sigma`, :func:`estimate_feature_lipschitz`,
 :func:`sample_lipschitz_bound`) are kept as functions, but no bound uses them.
 
-When the dataset, sigma-prime and every member are two-task with unit
-diagonal, sigma-prime selection, gamma and nu take the closed forms of
-:mod:`samsbo.twotask`: nu then costs O(n^2) per unique member from one shared
-:class:`~samsbo.twotask.TwoTaskFactor` instead of a Cholesky factorization
-each.  Other sets take the general path, one factorization per member.
+Sigma's size selects the route: sets of 2x2 members take the closed forms of
+:mod:`samsbo.twotask` for sigma-prime selection, gamma and nu, so nu costs
+O(n^2) per unique member from one shared :class:`~samsbo.twotask.TwoTaskFactor`
+instead of a Cholesky factorization each; larger sets take the general path.
+The closed forms read r alone, so for a member whose diagonal is off 1 by up
+to the 1e-9 :class:`~samsbo.kernels.CorrelationMatrix` allows they differ from
+the general path by O(1e-9) relative.  A sigma-prime of another size than the
+members raises ``ValueError``.
 
 :func:`robust_model` is the one model refresh of the optimization loop and of
 the Bayesian coverage suite, and the one place that builds that factor.
@@ -36,7 +39,6 @@ from .hyperposterior import ConfidenceSet
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
 __all__ = [
-    "DiscretizationSpec",
     "ScalingBundle",
     "LatentNormSpec",
     "beta_freq",
@@ -56,24 +58,6 @@ __all__ = [
     "robust_model",
     "kernel_dominance",
 ]
-
-
-@dataclass(frozen=True)
-class DiscretizationSpec:
-    """Covering of the unit hypercube at radius tau in the infinity norm."""
-
-    tau: float
-    dimension: int
-
-    def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-
-    @property
-    def cardinality(self) -> int:
-        return covering_number(self.tau, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -258,6 +242,12 @@ def _unique_members(members):
     return list(seen.values())
 
 
+def _check_size(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) -> None:
+    u, size = sigma_prime.size, confidence_set.members[0].size
+    if u != size:
+        raise ValueError(f"sigma-prime is {u}x{u} but the set's members are {size}x{size}")
+
+
 def select_sigma_prime(confidence_set: ConfidenceSet) -> CorrelationMatrix:
     """Member minimizing the worst-case spectral ratio over the set (smallest gamma).
 
@@ -285,15 +275,16 @@ def select_sigma_prime(confidence_set: ConfidenceSet) -> CorrelationMatrix:
 def gamma_factor(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) -> float:
     """Variance-ratio factor sqrt(max over the set of |S'^-1 S|_2).
 
-    Normalized 2x2 members share eigenvectors, so their spectral ratios reduce
-    to scalar arithmetic on the off-diagonal entries; the general path
-    decomposes each member.  A set whose every member is sigma_prime has
-    ratio one: gamma is exactly 1.
+    2x2 members share eigenvectors, so their spectral ratios reduce to scalar
+    arithmetic on the off-diagonal entries; the general path decomposes each
+    member.  A set whose every member is sigma_prime has ratio one: gamma is
+    exactly 1.
     """
+    _check_size(sigma_prime, confidence_set)
     if all(member.key() == sigma_prime.key() for member in confidence_set.members):
         return 1.0
     rs = confidence_set.offdiagonals
-    if rs is not None and twotask.offdiagonals([sigma_prime]) is not None:
+    if rs is not None:
         return twotask.gamma(rs, sigma_prime.matrix[0, 1])
     best = 0.0
     for member in _unique_members(confidence_set.members):
@@ -314,24 +305,24 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
     respective fit; the data part reduces through the smoother identity
     mean(  x_n, z_n) = y_n - noise_variance * a_n to
     noise_variance * |a_S - a_S'|^2.  The maximum is taken over the set.
-    Two-task sets go through ``factor`` (built here when not supplied), the
-    weight vectors of both paths solving the same unjittered systems.  A set
-    whose every member is sigma_prime has no mean shift: nu is exactly 0.
+    Sets of 2x2 members go through ``factor`` (built here when not supplied),
+    the weight vectors of both paths solving the same unjittered systems.  A
+    set whose every member is sigma_prime has no mean shift: nu is exactly 0.
     """
+    _check_size(sigma_prime, confidence_set)
     if dataset.n == 0:
         return 0.0
     if params.noise_variance <= 0.0:
         raise ValueError("nu requires positive noise variance")
     if all(member.key() == sigma_prime.key() for member in confidence_set.members):
         return 0.0
-    zi = dataset.tasks - 1
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if base_gram is None else base_gram
     rs = confidence_set.offdiagonals
-    if (rs is not None and twotask.offdiagonals([sigma_prime]) is not None
-            and zi.max() <= 1):
+    if rs is not None:
         if factor is None:
             factor = twotask.TwoTaskFactor.build(dataset, params, base)
         return factor.nu(float(sigma_prime.matrix[0, 1]), np.unique(rs))
+    zi = dataset.tasks - 1
     y = dataset.observations
     sn2 = params.noise_variance
     eye = np.eye(dataset.n)
@@ -361,7 +352,7 @@ def scaling_bundle(
     dataset: gp.MultiTaskDataset,
     sigma_prime: CorrelationMatrix,
     confidence_set: ConfidenceSet,
-    spec: DiscretizationSpec,
+    cardinality: int,
     params: KernelParams,
     delta: float,
     base_gram: np.ndarray | None = None,
@@ -369,11 +360,11 @@ def scaling_bundle(
 ) -> ScalingBundle:
     """Assemble every bound ingredient for the current iteration.
 
-    The resulting bound holds at the points of ``spec``'s discretization with
-    probability (1 - delta)(1 - rho).  ``factor`` passes the two-task
-    decomposition of ``dataset`` on to :func:`nu_factor`.
+    The resulting bound holds at the ``cardinality`` points of the finite set
+    I it certifies with probability (1 - delta)(1 - rho).  ``factor`` passes
+    the two-task decomposition of ``dataset`` on to :func:`nu_factor`.
     """
-    b_bayes = beta_bayes(spec.cardinality, delta)
+    b_bayes = beta_bayes(cardinality, delta)
     gam = gamma_factor(sigma_prime, confidence_set)
     nu = nu_factor(dataset, sigma_prime, confidence_set, params, base_gram=base_gram,
                    factor=factor)
@@ -382,7 +373,7 @@ def scaling_bundle(
 
 
 def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: float,
-                 spec: DiscretizationSpec, params: KernelParams, delta: float, seed: int = 0,
+                 cardinality: int, params: KernelParams, delta: float, seed: int = 0,
                  previous: gp.Posterior | None = None,
                  ) -> tuple[ConfidenceSet, ScalingBundle, gp.Posterior]:
     """Confidence set, scaling bundle and posterior at sigma-prime.
@@ -392,7 +383,8 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
     posterior; ``seed`` drives the angle walk of three or more.  Every stage
     of a multi-task refresh shares one base Gram, and two tasks one factor; a
     single task needs none, so a grown fit computes only the new rows' kernel
-    columns.  ``previous`` goes to :func:`samsbo.gp.fit`.
+    columns.  ``cardinality`` is |I| of beta_b, and ``previous`` goes to
+    :func:`samsbo.gp.fit`.
     """
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if n_tasks > 1 else None
     factor = twotask.TwoTaskFactor.build(dataset, params, base) if n_tasks == 2 else None
@@ -403,7 +395,7 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
                                                      factor=factor, base_gram=base)
         cset = hyperposterior.confidence_set(hyper, rho)
     sigma_prime = select_sigma_prime(cset)
-    bundle = scaling_bundle(dataset, sigma_prime, cset, spec, params, delta,
+    bundle = scaling_bundle(dataset, sigma_prime, cset, cardinality, params, delta,
                             base_gram=base, factor=factor)
     posterior = gp.fit(dataset, sigma_prime, params, base_gram=base, previous=previous)
     return cset, bundle, posterior

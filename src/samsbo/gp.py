@@ -45,14 +45,12 @@ its rows in place when its predecessor's rows are the last ones written, and
 copies them into a new buffer otherwise (a sibling extended first).  Each V
 is a read-only view of the leading rows of a buffer, which only ever appends
 behind every view and grows its capacity by GRID_GROWTH.  The check and the
-append happen under the buffer's lock.  Each posterior also memoizes its last
-mean and variance per task for a read-only point array; the memo is not
-inherited.
+append happen under the buffer's lock.
 
 The factor, weights and dataset never change after :func:`fit`; the cache,
-the memo, the inverted blocks and the shared base kernels are the only
-mutable state.  Their entries are replaced whole and computed
-deterministically, so threads that race on one fill compute the same value.
+the inverted blocks and the shared base kernels are the only mutable state.
+Their entries are replaced whole and computed deterministically, so threads
+that race on one fill compute the same value.
 """
 from __future__ import annotations
 
@@ -256,15 +254,14 @@ class Posterior:
     jitter: float
     whitened_obs: np.ndarray
     _grid: dict = field(default_factory=dict, repr=False, compare=False)
-    _predictions: dict = field(default_factory=dict, repr=False, compare=False)
     _inverses: dict = field(default_factory=dict, repr=False, compare=False)
     _kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     def predict_batch(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior mean/variance of one task at many inputs.
 
-        Memoized per task for a read-only ``points`` (see the module notes);
-        the returned arrays are then shared and read-only.
+        For a read-only ``points`` the whitened cross-Gram comes from the grid
+        cache (see the module notes); the returned arrays are new each call.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         u = self.sigma_used.size
@@ -273,17 +270,8 @@ class Posterior:
         prior_var = self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance
         if self.dataset.n == 0:
             return np.zeros(points.shape[0]), np.full(points.shape[0], prior_var)
-        frozen = _frozen(points)
-        memo = self._predictions.get(z) if frozen else None
-        if memo is not None and memo[0] is points:
-            return memo[1], memo[2]
         whitened, sumsq = self.whitened(points, z)
-        means, variances = whitened.T @ self.whitened_obs, clamp_variances(prior_var - sumsq)
-        if frozen:
-            means.setflags(write=False)
-            variances.setflags(write=False)
-            self._predictions[z] = (points, means, variances)
-        return means, variances
+        return whitened.T @ self.whitened_obs, clamp_variances(prior_var - sumsq)
 
     def whitened(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """L^-1 k_z(data, points) and its column sums of squares.

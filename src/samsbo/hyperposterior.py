@@ -34,7 +34,6 @@ from functools import cache, cached_property
 import numpy as np
 from scipy.special import betainc
 
-from . import twotask
 from .gp import MultiTaskDataset, NumericalError, log_marginal_likelihood
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 from .twotask import TwoTaskFactor
@@ -129,19 +128,22 @@ class ConfidenceSet:
             raise ValueError("rho must lie in (0, 1)")
         if len(self.members) == 0:
             raise ValueError("confidence set must be nonempty")
+        if len({m.size for m in self.members}) > 1:
+            raise ValueError("confidence set members must share one size")
 
     def __len__(self) -> int:
         return len(self.members)
 
     @cached_property
     def offdiagonals(self) -> np.ndarray | None:
-        """Read-only off-diagonals when every member is a normalized 2x2 matrix, else None.
+        """Read-only off-diagonals r when the members are 2x2, else None.
 
         Computed on first access; sigma-prime selection, gamma and nu share it.
         """
-        rs = twotask.offdiagonals(self.members)
-        if rs is not None:
-            rs.setflags(write=False)
+        if self.members[0].size != 2:
+            return None
+        rs = np.array([m.matrix[0, 1] for m in self.members])
+        rs.setflags(write=False)
         return rs
 
 

@@ -6,8 +6,8 @@ model with :func:`samsbo.bounds.robust_model` (the refresh the Bayesian
 coverage suite checks) and the safe set, and finally evaluates the main task
 at the safe candidate with the lowest optimistic value.  The single-task
 variant skips everything involving supplementary tasks, which reduces the
-loop to the safe upper confidence bound baseline; non-safe variants use the
-full candidate grid instead of the safe set.
+loop to the safe upper confidence bound baseline; non-safe variants take the
+safe set at an infinite threshold, which holds the whole candidate grid.
 """
 from __future__ import annotations
 
@@ -107,7 +107,7 @@ class CandidateGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        # an owned read-only copy: posteriors cache their grid predictions by identity
+        # an owned read-only copy: posteriors cache their whitened grids by identity
         pts = np.array(self.points, dtype=float, ndmin=2)
         if np.min(pts) < 0.0 or np.max(pts) > 1.0:
             raise ValueError("grid points must lie in the unit cube")
@@ -141,10 +141,14 @@ def make_grid(dimension: int, size: int = 2048, seed: int = 0,
 
 @dataclass(frozen=True)
 class SafeSet:
-    """Boolean mask of grid candidates whose upper bound stays below threshold."""
+    """Mask of grid candidates whose upper bound stays below threshold.
+
+    ``lower`` holds every candidate's optimistic value mean - sqrt(beta_bar) std.
+    """
 
     grid: CandidateGrid
     mask: np.ndarray
+    lower: np.ndarray
 
     def size(self) -> int:
         return int(np.sum(self.mask))
@@ -152,10 +156,13 @@ class SafeSet:
 
 def safe_set(posterior: gp.Posterior, bundle: bounds.ScalingBundle,
              threshold_std: float, grid: CandidateGrid) -> SafeSet:
-    """Candidates with mean + sqrt(beta_bar) std below the standardized threshold."""
+    """Candidates with mean + sqrt(beta_bar) std below the standardized threshold.
+
+    One main-task prediction gives both bounds; an infinite threshold keeps all.
+    """
     means, variances = posterior.predict_batch(grid.points, 1)
-    upper = means + np.sqrt(bundle.beta_bar) * np.sqrt(variances)
-    return SafeSet(grid=grid, mask=upper <= threshold_std)
+    band = np.sqrt(bundle.beta_bar) * np.sqrt(variances)
+    return SafeSet(grid=grid, mask=means + band <= threshold_std, lower=means - band)
 
 
 @dataclass(frozen=True)
@@ -211,24 +218,21 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
     seed = int(rng.integers(2 ** 63)) if n_tasks > 1 else 0
     state.confidence_set, state.bundle, state.posterior = bounds.robust_model(
         _standardized_dataset(state.dataset, state.transforms), n_tasks, cfg.eta, cfg.rho,
-        bounds.DiscretizationSpec(cfg.tau, problem.dimension),
+        bounds.covering_number(cfg.tau, problem.dimension),
         cfg.kernel_params(problem.dimension), cfg.delta, seed=seed,
         previous=state.posterior,
     )
 
 
-def acquire_main(state: OptimizationState, current_safe_set: SafeSet) -> np.ndarray:
-    """Safe candidate minimizing the optimistic value mean - sqrt(beta_bar) std.
+def acquire_main(current_safe_set: SafeSet) -> np.ndarray:
+    """Safe candidate minimizing the optimistic value ``current_safe_set.lower``.
 
     Ties break toward the lowest candidate index.  Raises when nothing is safe.
     """
     if current_safe_set.size() == 0:
         raise NoSafeActionError("safe set is empty")
-    grid = current_safe_set.grid
-    means, variances = state.posterior.predict_batch(grid.points, 1)
-    lcb = means - np.sqrt(state.bundle.beta_bar) * np.sqrt(variances)
-    masked = np.where(current_safe_set.mask, lcb, np.inf)
-    return grid.points[int(np.argmin(masked))]
+    masked = np.where(current_safe_set.mask, current_safe_set.lower, np.inf)
+    return current_safe_set.grid.points[int(np.argmin(masked))]
 
 
 def acquire_supplementary(state: OptimizationState, batch_size: int,
@@ -361,14 +365,12 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
         for x_raw, task, y_raw in zip(new_x, new_z, new_y):
             trace.append(_record(state, repetition, task, x_raw, y_raw, False, -1, started))
 
-    threshold_std = state.transforms.threshold_std(problem.threshold)
-    if _is_safe(cfg.algorithm):
-        current = safe_set(state.posterior, state.bundle, threshold_std, grid)
-    else:
-        current = SafeSet(grid, np.ones(len(grid), dtype=bool))
+    threshold_std = (state.transforms.threshold_std(problem.threshold)
+                     if _is_safe(cfg.algorithm) else np.inf)
+    current = safe_set(state.posterior, state.bundle, threshold_std, grid)
 
     try:
-        x_norm = acquire_main(state, current)
+        x_norm = acquire_main(current)
     except NoSafeActionError:
         state.stalled_iterations += 1
         return trace

@@ -16,9 +16,11 @@ costs O(n^2).  :class:`TwoTaskFactor` holds that decomposition; the hyper-
 posterior quadrature over r and the mean-shift term nu share one per model
 refresh.
 
-Normalized 2x2 matrices also share their eigenvectors, so the spectral ratios
-behind sigma-prime selection and the variance-ratio factor gamma reduce to
-scalar arithmetic on the off-diagonal entries.
+2x2 correlation matrices also share their eigenvectors, so the spectral
+ratios behind sigma-prime selection and the variance-ratio factor gamma reduce
+to scalar arithmetic on the off-diagonal entries.  Every function here reads
+r alone and takes the diagonal as exactly 1; :mod:`samsbo.bounds` routes a
+confidence set here by its members' size (see its module notes).
 """
 from __future__ import annotations
 
@@ -31,17 +33,7 @@ from scipy.linalg import solve_triangular
 from . import gp
 from .kernels import KernelParams
 
-__all__ = ["TwoTaskFactor", "offdiagonals", "minimax_index", "gamma"]
-
-
-def offdiagonals(members) -> np.ndarray | None:
-    """Off-diagonals when every member is a normalized 2x2 matrix, else None."""
-    rs = np.empty(len(members))
-    for i, m in enumerate(members):
-        if m.size != 2 or abs(m.matrix[0, 0] - 1.0) > 1e-12 or abs(m.matrix[1, 1] - 1.0) > 1e-12:
-            return None
-        rs[i] = m.matrix[0, 1]
-    return rs
+__all__ = ["TwoTaskFactor", "minimax_index", "gamma"]
 
 
 def minimax_index(rs: np.ndarray) -> int:

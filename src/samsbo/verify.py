@@ -160,8 +160,7 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
     nonnegative entries, samples the function from the matching multi-task GP
     on the grid, refreshes the model with :func:`samsbo.bounds.robust_model`
     as the loop does, and checks the band with the robust scaling factor at
-    every grid point.  tau is set so that beta_b counts G points, the points
-    checked.
+    every grid point.  beta_b counts |I| = G, the points checked.
 
     The function is drawn as (L_Sigma (x) L_K) xi for one standard normal xi
     of length 2G, with L_K = chol(K + DRAW_JITTER I) of the G x G grid kernel
@@ -175,8 +174,6 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
     master = np.random.SeedSequence(seed).spawn(trials)
     params = KernelParams(1.0, [0.2], noise_variance=0.01)
     grid = _read_only_grid(grid_size)
-    tau = 1.0 / (2.0 * (grid_size - 1))
-    disc = bounds.DiscretizationSpec(tau, 1)
     noise_sd = np.sqrt(params.noise_variance)
     chol_grid = np.linalg.cholesky(se_kernel_matrix(grid, grid, params)
                                    + DRAW_JITTER * np.eye(grid_size))
@@ -197,6 +194,6 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
         y = values + noise_sd * rng.standard_normal(2 * n_per_task)
         dataset = gp.MultiTaskDataset(inputs, tasks, y)
 
-        _, bundle, posterior = bounds.robust_model(dataset, 2, eta, rho, disc, params, delta)
+        _, bundle, posterior = bounds.robust_model(dataset, 2, eta, rho, grid_size, params, delta)
         successes += _covers(posterior, grid, f_grid, bundle.beta_bar)
     return CoverageReport("bayesian", trials, successes, target, 0.05)

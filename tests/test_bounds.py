@@ -5,7 +5,6 @@ import pytest
 
 from samsbo import bounds, gp, hyperposterior, kernels, twotask
 from samsbo.bounds import (
-    DiscretizationSpec,
     LatentNormSpec,
     beta_bayes,
     beta_freq,
@@ -121,9 +120,6 @@ class TestCoveringNumber:
         assert covering_number(0.25, 2) == 9
         assert covering_number(0.5, 1) == 2
         assert covering_number(0.001, 2) == 251001
-
-    def test_spec_cardinality(self):
-        assert DiscretizationSpec(0.001, 2).cardinality == 251001
 
 
 class TestBetaBayes:
@@ -424,13 +420,12 @@ class TestScalingBundle:
         members = [CorrelationMatrix.two_task(float(r)) for r in rng.random(5) * 0.8]
         cs = make_set(members)
         sp = members[0]
-        spec = DiscretizationSpec(0.001, 2)
-        return ds, sp, cs, spec
+        return ds, sp, cs, covering_number(0.001, 2)
 
     def test_identities_hold(self):
         rng = np.random.default_rng(12)
-        ds, sp, cs, spec = self._setup(rng)
-        bundle = scaling_bundle(ds, sp, cs, spec, PARAMS, 0.05)
+        ds, sp, cs, cardinality = self._setup(rng)
+        bundle = scaling_bundle(ds, sp, cs, cardinality, PARAMS, 0.05)
         assert bundle.beta_bar == pytest.approx(
             (bundle.nu + bundle.gamma * np.sqrt(bundle.beta_b)) ** 2, abs=1e-12)
         assert bundle.gamma >= 1.0
@@ -439,8 +434,7 @@ class TestScalingBundle:
         rng = np.random.default_rng(13)
         ds = task_dataset(rng)
         sp = CorrelationMatrix.two_task(0.5)
-        spec = DiscretizationSpec(0.001, 2)
-        bundle = scaling_bundle(ds, sp, make_set([sp]), spec, PARAMS, 0.05)
+        bundle = scaling_bundle(ds, sp, make_set([sp]), covering_number(0.001, 2), PARAMS, 0.05)
         assert bundle.nu == pytest.approx(0.0, abs=1e-6)
         assert bundle.gamma == pytest.approx(1.0, abs=1e-10)
         assert bundle.beta_bar == pytest.approx(30.857, abs=1e-2)
@@ -448,31 +442,31 @@ class TestScalingBundle:
     def test_bundle_holds_the_four_ingredients(self):
         # the bound is certified on the discretization only: no correction term
         rng = np.random.default_rng(14)
-        ds, sp, cs, spec = self._setup(rng)
-        bundle = scaling_bundle(ds, sp, cs, spec, PARAMS, 0.05)
+        ds, sp, cs, cardinality = self._setup(rng)
+        bundle = scaling_bundle(ds, sp, cs, cardinality, PARAMS, 0.05)
         assert [f.name for f in dataclasses.fields(bundle)] == ["beta_b", "nu", "gamma",
                                                                 "beta_bar"]
-        assert bundle.beta_b == beta_bayes(spec.cardinality, 0.05)
+        assert bundle.beta_b == beta_bayes(cardinality, 0.05)
 
 class TestRobustModel:
-    SPEC = DiscretizationSpec(0.001, 1)
+    CARDINALITY = covering_number(0.001, 1)
 
     def test_one_task_is_the_identity_set(self):
         rng = np.random.default_rng(16)
         ds = task_dataset(rng, n=9, u=1)
-        cs, bundle, posterior = robust_model(ds, 1, 0.1, 0.15, self.SPEC, PARAMS, 0.05)
+        cs, bundle, posterior = robust_model(ds, 1, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
         identity = CorrelationMatrix.identity(1)
         assert [m.key() for m in cs.members] == [identity.key()]
         assert posterior.sigma_used.key() == identity.key()
         assert bundle.nu == 0.0 and bundle.gamma == 1.0
-        assert bundle.beta_b == beta_bayes(self.SPEC.cardinality, 0.05)
+        assert bundle.beta_b == beta_bayes(self.CARDINALITY, 0.05)
         assert bundle.beta_bar == pytest.approx(bundle.beta_b, rel=1e-15)   # (sqrt(b))^2
 
     def test_one_task_grown_refresh_computes_new_columns_only(self, monkeypatch):
         rng = np.random.default_rng(18)
         ds = task_dataset(rng, n=12, u=1)
         head = gp.MultiTaskDataset(ds.inputs[:9], ds.tasks[:9], ds.observations[:9])
-        _, _, previous = robust_model(head, 1, 0.1, 0.15, self.SPEC, PARAMS, 0.05)
+        _, _, previous = robust_model(head, 1, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
         shapes = []
         real = se_kernel_matrix
 
@@ -483,7 +477,7 @@ class TestRobustModel:
 
         for module in (bounds, gp, kernels):
             monkeypatch.setattr(module, "se_kernel_matrix", recording)
-        _, bundle, posterior = robust_model(ds, 1, 0.1, 0.15, self.SPEC, PARAMS, 0.05,
+        _, bundle, posterior = robust_model(ds, 1, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05,
                                             previous=previous)
         assert shapes == [(12, 3)]                  # the new rows' columns [K12; K22] only
         assert bundle.nu == 0.0 and bundle.gamma == 1.0
@@ -491,20 +485,17 @@ class TestRobustModel:
         assert np.max(np.abs(posterior.chol - fresh.chol)) <= 1e-12
         assert np.max(np.abs(posterior.alpha - fresh.alpha)) <= 1e-10
 
-    def test_two_task_refresh_inspects_the_members_once(self, monkeypatch):
+    def test_two_task_refresh_takes_the_closed_forms(self, monkeypatch):
         rng = np.random.default_rng(19)
         ds = task_dataset(rng, n=12, u=2)
-        sizes = []
-        real = twotask.offdiagonals
 
-        def recording(members):
-            sizes.append(len(members))
-            return real(members)
+        def general_path(*args, **kwargs):
+            raise AssertionError("a two-task refresh reached the general path")
 
-        monkeypatch.setattr(twotask, "offdiagonals", recording)
-        cs, bundle, _ = robust_model(ds, 2, 0.1, 0.15, self.SPEC, PARAMS, 0.05)
+        monkeypatch.setattr(bounds, "solve", general_path)
+        monkeypatch.setattr(bounds, "cho_factor", general_path)
+        cs, bundle, _ = robust_model(ds, 2, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
         assert len(cs) > 1 and bundle.nu > 0.0 and bundle.gamma > 1.0
-        assert sorted(sizes) == [1, 1, len(cs)]     # the set once, sigma-prime for gamma and nu
         rs = cs.offdiagonals
         assert cs.offdiagonals is rs and not rs.flags.writeable
         assert np.array_equal(rs, [m.matrix[0, 1] for m in cs.members])
@@ -516,7 +507,7 @@ class TestRobustModel:
         ds = task_dataset(rng, n=12, u=u)
         previous = gp.fit(gp.MultiTaskDataset(ds.inputs[:8], ds.tasks[:8], ds.observations[:8]),
                           CorrelationMatrix.identity(u), PARAMS)
-        cs, bundle, posterior = robust_model(ds, u, 0.1, 0.15, self.SPEC, PARAMS, 0.05,
+        cs, bundle, posterior = robust_model(ds, u, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05,
                                              seed=5, previous=previous)
 
         base = se_kernel_matrix(ds.inputs, ds.inputs, PARAMS)
@@ -524,7 +515,7 @@ class TestRobustModel:
         hyper = hyperposterior.sample_hyperposterior(ds, u, 0.1, PARAMS, seed=5, factor=factor)
         cs_hand = hyperposterior.confidence_set(hyper, 0.15)
         sp = select_sigma_prime(cs_hand)
-        bundle_hand = scaling_bundle(ds, sp, cs_hand, self.SPEC, PARAMS, 0.05,
+        bundle_hand = scaling_bundle(ds, sp, cs_hand, self.CARDINALITY, PARAMS, 0.05,
                                      base_gram=base, factor=factor)
         posterior_hand = gp.fit(ds, sp, PARAMS, base_gram=base, previous=previous)
 

@@ -411,19 +411,6 @@ class TestExtension:
             fit(full.extended([[0.5, 0.5]], [3], [0.0]), self.SIGMA, self.PARAMS,
                 previous=previous)
 
-    def test_predictions_are_memoized_per_posterior(self):
-        full = self.data(45)
-        points = frozen(np.random.default_rng(9).random((100, 2)))
-        previous = fit(self.prefix(full, 40), self.SIGMA, self.PARAMS)
-        means, variances = previous.predict_batch(points, 2)
-        assert not means.flags.writeable and not variances.flags.writeable
-        again = previous.predict_batch(points, 2)
-        assert again[0] is means and again[1] is variances
-        grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
-        assert grown.predict_batch(points, 2)[0] is not means             # not inherited
-        assert_close_to(grown, fit(full, self.SIGMA, self.PARAMS), points)
-        assert previous.predict_batch(np.array(points), 2)[0] is not means   # writable: no memo
-
     @pytest.mark.parametrize("change", ["sigma", "params", "inputs", "tasks", "shorter"])
     def test_inapplicable_previous_is_a_fresh_fit(self, change):
         full = self.data(45)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,15 +123,21 @@ class TestSafeSet:
 
 
 class TestAcquireMain:
+    @staticmethod
+    def candidates(state, grid, mask):
+        """The safe set of ``grid`` at an infinite threshold, restricted to ``mask``."""
+        every = safe_set(state.posterior, state.bundle, threshold_std=np.inf, grid=grid)
+        assert every.size() == len(grid)
+        return dataclasses.replace(every, mask=mask)
+
     def test_single_safe_candidate(self):
-        from samsbo.safeopt import SafeSet
         ds = gp.MultiTaskDataset(np.array([[0.5]]), [1], [0.0])
         sigma = CorrelationMatrix.identity(1)
         state = make_state(ds, sigma)
         grid = make_grid(1, size=16)
         mask = np.zeros(16, dtype=bool)
         mask[7] = True
-        chosen = acquire_main(state, SafeSet(grid=grid, mask=mask))
+        chosen = acquire_main(self.candidates(state, grid, mask))
         assert np.allclose(chosen, grid.points[7])
 
     def test_optimism_prefers_uncertainty(self):
@@ -138,13 +146,11 @@ class TestAcquireMain:
         sigma = CorrelationMatrix.identity(1)
         state = make_state(ds, sigma)
         grid = CandidateGrid(np.array([[0.1], [0.9]]))
-        from samsbo.safeopt import SafeSet
-        chosen = acquire_main(state, SafeSet(grid=grid, mask=np.ones(2, bool)))
+        chosen = acquire_main(self.candidates(state, grid, np.ones(2, bool)))
         assert np.allclose(chosen, [0.9])
 
     def test_matches_exhaustive_argmin(self):
         rng = np.random.default_rng(1)
-        from samsbo.safeopt import SafeSet
         for _ in range(20):
             n = rng.integers(1, 6)
             ds = gp.MultiTaskDataset(rng.random((n, 1)), np.ones(n, int),
@@ -163,16 +169,15 @@ class TestAcquireMain:
                 val = mean - np.sqrt(state.bundle.beta_bar) * np.sqrt(var)
                 if val < best_val - 1e-15:
                     best, best_val = i, val
-            chosen = acquire_main(state, SafeSet(grid=grid, mask=mask))
+            chosen = acquire_main(self.candidates(state, grid, mask))
             assert np.allclose(chosen, grid.points[best])
 
     def test_empty_safe_set_raises(self):
         ds = gp.MultiTaskDataset(np.array([[0.5]]), [1], [0.0])
         state = make_state(ds, CorrelationMatrix.identity(1))
         grid = make_grid(1, size=8)
-        from samsbo.safeopt import SafeSet
         with pytest.raises(NoSafeActionError):
-            acquire_main(state, SafeSet(grid=grid, mask=np.zeros(8, bool)))
+            acquire_main(self.candidates(state, grid, np.zeros(8, bool)))
 
 
 class TestAcquireSupplementary:
@@ -258,10 +263,7 @@ class TestSelectSigmaPrime:
 class TestStepComposition:
     def test_full_step_matches_scripted_suboperations(self):
         """One SaMSBO step equals the same suboperations called by hand."""
-        from samsbo import hyperposterior as hp
-        from samsbo.kernels import se_kernel_matrix
-        from samsbo.safeopt import (_is_safe, _refresh_model, _standardized_dataset,
-                                    SafeSet)
+        from samsbo.safeopt import _refresh_model
 
         problem = branin_problem(disturbance_seed=7)
         cfg = LoopConfig(iterations=1, grid_size=64, seed_points=2)
@@ -286,7 +288,7 @@ class TestStepComposition:
         _refresh_model(state_b, problem, cfg, rng_b)
         threshold_std = state_b.transforms.threshold_std(problem.threshold)
         sset = safe_set(state_b.posterior, state_b.bundle, threshold_std, grid)
-        x_norm = acquire_main(state_b, sset)
+        x_norm = acquire_main(sset)
         x_raw = state_b.transforms.denormalize(x_norm)
         y_main = problem.evaluate(1, x_raw, rng_b)
 
@@ -297,6 +299,46 @@ class TestStepComposition:
         supp_rows = [r for r in trace if r.task == 2]
         assert [tuple(np.round(r.x, 12)) for r in supp_rows] == \
             [tuple(np.round(x, 12)) for x, _ in new]
+
+
+class TestStepPrediction:
+    @staticmethod
+    def start(algorithm):
+        problem = branin_problem(disturbance_seed=6, n_tasks=1)
+        cfg = LoopConfig(algorithm=algorithm, iterations=1, grid_size=64)
+        rng = np.random.default_rng(21)
+        from samsbo.benchmarks import find_safe_seed
+        seeds = np.array([find_safe_seed(problem, rng) for _ in range(3)])
+        state, _ = initialize_state(problem, cfg, rng, seeds)
+        return problem, cfg, rng, state
+
+    def test_safe_ucb_step_predicts_the_main_task_once(self, monkeypatch):
+        problem, cfg, rng, state = self.start("safe-ucb")
+        tasks = []
+        real = gp.Posterior.predict_batch
+
+        def recording(posterior, points, z):
+            tasks.append(z)
+            return real(posterior, points, z)
+
+        monkeypatch.setattr(gp.Posterior, "predict_batch", recording)
+        trace = step(state, problem, cfg, rng)
+        assert [r.task for r in trace] == [1]           # the step reached acquisition
+        assert tasks == [1]                             # safe set and acquisition share it
+
+    def test_ucb_step_takes_the_argmin_of_lower_over_the_whole_grid(self):
+        problem, cfg, rng, state = self.start("ucb")
+        grid, posterior, bundle = state.grid, state.posterior, state.bundle
+        lower = []
+        for point in grid.points:
+            mean, var = predict(posterior, point, 1)
+            lower.append(mean - np.sqrt(bundle.beta_bar) * np.sqrt(var))
+        expected = state.transforms.denormalize(grid.points[int(np.argmin(lower))])
+        trace = step(state, problem, cfg, rng)
+        assert state.posterior is posterior             # no new rows before acquisition
+        assert [r.task for r in trace] == [1]
+        assert trace[0].safe_set_size == len(grid)
+        assert np.allclose(trace[0].x, expected)
 
 
 class TestLoopBehavior:

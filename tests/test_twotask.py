@@ -106,6 +106,35 @@ class TestNu:
             assert factor_for(mixed).nu(r, np.array([r])) == pytest.approx(0.0, abs=1e-6)
 
 
+class TestSizeSelectsTheRoute:
+    @staticmethod
+    def near_unit(r):
+        return CorrelationMatrix(np.array([[1.0 + 1e-10, r], [r, 1.0]]))
+
+    def test_near_unit_diagonal_takes_the_closed_forms(self):
+        members = [self.near_unit(r) for r in (0.1, 0.35, 0.6, 0.85)]
+        cs = ConfidenceSet(tuple(members), 0.15, np.zeros(len(members)))
+        assert cs.offdiagonals is not None
+        assert np.array_equal(cs.offdiagonals, [0.1, 0.35, 0.6, 0.85])
+        for sp in (members[1], self.near_unit(0.2)):
+            ratios = [np.linalg.norm(np.linalg.solve(sp.matrix, m.matrix), 2) for m in members]
+            assert bounds.gamma_factor(sp, cs) == pytest.approx(np.sqrt(max(ratios)), rel=1e-8)
+            for name in ("mixed", "task-1 only"):
+                dataset = datasets()[name]
+                assert bounds.nu_factor(dataset, sp, cs, PARAMS) == pytest.approx(
+                    cholesky_nu(dataset, sp, members, PARAMS), rel=1e-8)
+
+    def test_mixed_sizes_raise(self):
+        two, three = CorrelationMatrix.two_task(0.3), CorrelationMatrix.identity(3)
+        with pytest.raises(ValueError, match="one size"):
+            ConfidenceSet((two, three), 0.15, np.zeros(2))
+        cs = ConfidenceSet((two, CorrelationMatrix.two_task(0.6)), 0.15, np.zeros(2))
+        with pytest.raises(ValueError, match="3x3.*2x2"):
+            bounds.gamma_factor(three, cs)
+        with pytest.raises(ValueError, match="3x3.*2x2"):
+            bounds.nu_factor(datasets()["mixed"], three, cs, PARAMS)
+
+
 class TestFantasyDowndate:
     def test_variances_match_refit_after_each_pick(self):
         rng = np.random.default_rng(2)

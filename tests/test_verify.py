@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from samsbo import gp, verify
+from samsbo import bounds, gp, verify
 from samsbo.hyperposterior import R_MAX
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
@@ -119,6 +119,19 @@ class TestSuites:
         freq = verify.frequentist_coverage(trials=100, seed=seed)
         assert bayes.trials == 40 and bayes.passed
         assert freq.trials == 100 and freq.passed
+
+    @pytest.mark.parametrize("grid_size", [50, 200, 500])
+    def test_bayesian_beta_b_counts_the_grid(self, grid_size, monkeypatch):
+        factors = []
+        beta_bayes = bounds.beta_bayes
+
+        def recording(cardinality, delta):
+            factors.append(beta_bayes(cardinality, delta))
+            return factors[-1]
+
+        monkeypatch.setattr(bounds, "beta_bayes", recording)
+        verify.bayesian_coverage(trials=2, n_per_task=5, delta=0.05, grid_size=grid_size)
+        assert factors == [beta_bayes(grid_size, 0.05)] * 2
 
     @pytest.mark.parametrize("suite", [verify.bayesian_coverage, verify.frequentist_coverage])
     def test_negative_trials_are_refused(self, suite):
