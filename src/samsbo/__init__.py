@@ -58,7 +58,6 @@ from .benchmarks import (
     lyapunov_solve,
     powell,
     powell_problem,
-    shifted_supplementary,
 )
 from .verify import CoverageReport, bayesian_coverage, frequentist_coverage
 from .config import (

@@ -23,7 +23,6 @@ __all__ = [
     "LaserChainProblem",
     "powell",
     "branin",
-    "shifted_supplementary",
     "lyapunov_solve",
     "h2_cost",
     "branin_problem",
@@ -109,11 +108,6 @@ class SyntheticProblem:
             self.name, self.base, self.domain, self.threshold, self.shift_factor,
             self.n_tasks, directions, self.noise_sd, seed,
         )
-
-
-def shifted_supplementary(problem: SyntheticProblem, x: np.ndarray, z: int = 2) -> float:
-    """Noise-free supplementary-task value, the base function at the shifted input."""
-    return problem.true_value(z, x)
 
 
 def _output_scale(base: Callable[[np.ndarray], float], domain: np.ndarray) -> float:

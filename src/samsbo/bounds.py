@@ -295,7 +295,6 @@ def gamma_factor(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) 
 
 def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
               confidence_set: ConfidenceSet, params: KernelParams,
-              base_gram: np.ndarray | None = None,
               factor: twotask.TwoTaskFactor | None = None) -> float:
     """Mean-shift term bounding |mean_S'(x) - mean_S(x)| by nu * std_S'(x).
 
@@ -316,7 +315,8 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
         raise ValueError("nu requires positive noise variance")
     if all(member.key() == sigma_prime.key() for member in confidence_set.members):
         return 0.0
-    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if base_gram is None else base_gram
+    base = (factor.base if factor is not None
+            else se_kernel_matrix(dataset.inputs, dataset.inputs, params))
     rs = confidence_set.offdiagonals
     if rs is not None:
         if factor is None:
@@ -355,7 +355,6 @@ def scaling_bundle(
     cardinality: int,
     params: KernelParams,
     delta: float,
-    base_gram: np.ndarray | None = None,
     factor: twotask.TwoTaskFactor | None = None,
 ) -> ScalingBundle:
     """Assemble every bound ingredient for the current iteration.
@@ -366,8 +365,7 @@ def scaling_bundle(
     """
     b_bayes = beta_bayes(cardinality, delta)
     gam = gamma_factor(sigma_prime, confidence_set)
-    nu = nu_factor(dataset, sigma_prime, confidence_set, params, base_gram=base_gram,
-                   factor=factor)
+    nu = nu_factor(dataset, sigma_prime, confidence_set, params, factor=factor)
     beta_bar = (nu + gam * math.sqrt(b_bayes)) ** 2
     return ScalingBundle(beta_b=b_bayes, nu=nu, gamma=gam, beta_bar=beta_bar)
 
@@ -380,10 +378,10 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
 
     One task takes the identity set, so nu = 0, gamma = 1 and beta_bar =
     beta_b.  More tasks keep the 1 - ``rho`` set of the LKJ(``eta``) hyper-
-    posterior; ``seed`` drives the angle walk of three or more.  Every stage
-    of a multi-task refresh shares one base Gram, and two tasks one factor; a
-    single task needs none, so a grown fit computes only the new rows' kernel
-    columns.  ``cardinality`` is |I| of beta_b, and ``previous`` goes to
+    posterior; ``seed`` drives the angle walk of three or more.  The stages
+    of a two-task refresh share one factor and its base Gram; a single task
+    needs none, so a grown fit computes only the new rows' kernel columns.
+    ``cardinality`` is |I| of beta_b, and ``previous`` goes to
     :func:`samsbo.gp.fit`.
     """
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if n_tasks > 1 else None
@@ -392,11 +390,11 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
         cset = ConfidenceSet((CorrelationMatrix.identity(1),), rho, np.zeros(1))
     else:
         hyper = hyperposterior.sample_hyperposterior(dataset, n_tasks, eta, params, seed=seed,
-                                                     factor=factor, base_gram=base)
+                                                     factor=factor)
         cset = hyperposterior.confidence_set(hyper, rho)
     sigma_prime = select_sigma_prime(cset)
     bundle = scaling_bundle(dataset, sigma_prime, cset, cardinality, params, delta,
-                            base_gram=base, factor=factor)
+                            factor=factor)
     posterior = gp.fit(dataset, sigma_prime, params, base_gram=base, previous=previous)
     return cset, bundle, posterior
 

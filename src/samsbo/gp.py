@@ -19,38 +19,37 @@ Anything else, including a Schur complement that is not positive definite,
 takes the full factorization.
 
 Grid cache.  For a read-only array of query points, :meth:`Posterior.predict_batch`
-keeps per task the whitened cross-Gram V = L^-1 k_z(data, points) and its
-column sums of squares, so the mean is V' L^-1 y and the variance the prior
+keeps per task the whitened cross-Gram V_z = L^-1 k_z(data, points) and its
+column sums of squares, so the mean is V_z' L^-1 y and the variance the prior
 minus those sums.  A repeated query is a lookup, and an extended posterior
-inherits its predecessor's entries and grows V by the new rows only.
+inherits its predecessor's entries and grows them by the new rows only.
 
-Each fill of rows m.. of V is one matrix product.  The posterior inverts its
-factor's trailing block once, M = L[m:, m:]^-1 (LAPACK ``dtrtri``: the whole
-factor for a fresh fill, m = 0, and the k x k block of the new rows for a
-grown one), and computes
+A fill of rows m.. serves every task at once, so all tasks' entries cover the
+same rows.  It inverts the factor's trailing block, M = L[m:, m:]^-1 (LAPACK
+``dtrtri``: the whole factor for a fresh fill, m = 0, and the k x k block of
+the new rows for a grown one), evaluates the base kernel k(data[m:], points)
+once, and computes per task one matrix product
 
-    V[m:] = M diag(s_z) k(data[m:], points) - (M L[m:, :m]) V[:m],
+    V_z[m:] = M diag(s_z) k(data[m:], points) - (M L[m:, :m]) V_z[:m],
 
-with s_z the correlations Sigma[z, task] of task z with those rows.  The base
-kernel k(data[m:], points) does not depend on the task: the tasks of one
-posterior share one evaluation per point array and fill, which is released
-once every task has taken it.  Against a triangular solve, V agrees to about
+with s_z the correlations Sigma[z, task] of task z with those rows; only the
+cache entries outlive it.  Against a triangular solve, V_z agrees to about
 cond(L) times the unit roundoff: 2e-14 at noise 0.01 and 1e-12 at cond(L) =
 2.5e4 (a jitter-escalated factor); the tests hold it to 1e-10.
 
-Row i of V is the same for every posterior whose data agree on their first
-i + 1 rows, so the entries of a chain of extensions share one row buffer: a
-fresh fill's product becomes the buffer's storage, and an extension writes
-its rows in place when its predecessor's rows are the last ones written, and
-copies them into a new buffer otherwise (a sibling extended first).  Each V
-is a read-only view of the leading rows of a buffer, which only ever appends
-behind every view and grows its capacity by GRID_GROWTH.  The check and the
-append happen under the buffer's lock.
+Row i of V_z is the same for every posterior whose data agree on their first
+i + 1 rows, so a task's entries along a chain of extensions share one row
+buffer: a fresh fill's product becomes the buffer's storage, and an extension
+writes its rows in place when its predecessor's rows are the last ones
+written, and copies them into a new buffer otherwise (a sibling extended
+first).  Each V_z is a read-only view of the leading rows of a buffer, which
+only ever appends behind every view and grows its capacity by GRID_GROWTH.
+The check and the append happen under the buffer's lock.
 
-The factor, weights and dataset never change after :func:`fit`; the cache,
-the inverted blocks and the shared base kernels are the only mutable state.
-Their entries are replaced whole and computed deterministically, so threads
-that race on one fill compute the same value.
+The factor, weights and dataset never change after :func:`fit`; the grid
+cache is the only mutable state.  A fill empties it and then stores every
+task's entry at once, so a reader sees one fill's entries or none; fills are
+deterministic, so threads that race on one compute the same value.
 """
 from __future__ import annotations
 
@@ -253,9 +252,7 @@ class Posterior:
     alpha: np.ndarray
     jitter: float
     whitened_obs: np.ndarray
-    _grid: dict = field(default_factory=dict, repr=False, compare=False)
-    _inverses: dict = field(default_factory=dict, repr=False, compare=False)
-    _kernels: dict = field(default_factory=dict, repr=False, compare=False)
+    _grid: list = field(default_factory=list, repr=False, compare=False)
 
     def predict_batch(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior mean/variance of one task at many inputs.
@@ -276,66 +273,44 @@ class Posterior:
     def whitened(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """L^-1 k_z(data, points) and its column sums of squares.
 
-        Cached per task when ``points`` is read-only (see the module notes);
-        the returned arrays are then shared and read-only.
+        For a read-only ``points`` every task is filled at once and cached (see
+        the module notes); the returned arrays are then shared and read-only.
         """
         if not 1 <= z <= self.sigma_used.size:
             raise ValueError(f"task index must lie in 1..{self.sigma_used.size}")
         if not _frozen(points):
-            return self._new_rows(None, points, z)
-        entry = self._grid.get(z)
-        if entry is not None and entry.points is not points:
-            entry = None
-        if entry is None or entry.rows < self.dataset.n:
-            entry = _GridEntry.extended(entry, points, *self._new_rows(entry, points, z))
-            self._grid[z] = entry
-        return entry.whitened, entry.sumsq
+            return self._new_rows([], points)[z - 1]
+        grid = [entry for entry in self._grid[:] if entry.points is points]   # one fill's, or none
+        if not grid or grid[0].rows < self.dataset.n:
+            rows = self._new_rows(grid, points)
+            self._grid.clear()      # each old entry dies once grown; a racing reader refills
+            grid = grid or [None] * len(rows)
+            for i, new in enumerate(rows):
+                grid[i] = _GridEntry.extended(grid[i], points, *new)
+            self._grid[:] = grid
+        return grid[z - 1].whitened, grid[z - 1].sumsq
 
-    def _new_rows(self, entry: _GridEntry | None, points: np.ndarray,
-                  z: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of V past those ``entry`` covers (all rows when None) and their column sums of squares.
+    def _new_rows(self, entries: list[_GridEntry],
+                  points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per task, the rows of V_z past the m rows ``entries`` cover and their sums of squares.
 
-        With L's trailing block inverted once, M = L[m:, m:]^-1, the rows are
-        (M diag(s)) k(data[m:], points) - M L[m:, :m] V[:m], s the correlations
-        of task z with the rows' tasks.
+        ``entries`` holds every task's entry, or none for a fresh fill (m = 0);
+        the module notes give the product.
         """
-        m = 0 if entry is None else entry.rows
-        inverse = self._inverse(m)
-        scale = self.sigma_used.matrix[z - 1, self.dataset.tasks[m:] - 1]
-        block = (inverse * scale) @ self._base_kernel(points, m, z).T
+        m = entries[0].rows if entries else 0
+        trailing = self.chol[m:, m:]
+        inverse, info = dtrtri(trailing, lower=1) if trailing.size else (np.zeros((0, 0)), 0)
+        if info != 0:
+            raise NumericalError(f"triangular factor is singular (dtrtri info {info})")
+        base = se_kernel_matrix(points, self.dataset.inputs[m:], self.params)
+        blocks = [(inverse * scale) @ base.T
+                  for scale in self.sigma_used.matrix[:, self.dataset.tasks[m:] - 1]]
+        del base        # so the squares below never coexist with it: u + 1 blocks at most
         if m:
-            block -= (inverse @ self.chol[m:, :m]) @ entry.whitened
-        return block, np.sum(block * block, axis=0)
-
-    def _inverse(self, m: int) -> np.ndarray:
-        """Inverse of the factor's trailing block L[m:, m:], computed once per posterior and m."""
-        inverse = self._inverses.get(m)
-        if inverse is None:
-            block = self.chol[m:, m:]
-            inverse, info = dtrtri(block, lower=1) if block.size else (np.zeros((0, 0)), 0)
-            if info != 0:
-                raise NumericalError(f"triangular factor is singular (dtrtri info {info})")
-            self._inverses[m] = inverse
-        return inverse
-
-    def _base_kernel(self, points: np.ndarray, m: int, z: int) -> np.ndarray:
-        """k(points, data[m:]); for read-only points shared by the tasks of one fill.
-
-        Kept until every task has taken it, so a posterior holds at most one
-        such block per fill start m.
-        """
-        if not _frozen(points):
-            return se_kernel_matrix(points, self.dataset.inputs[m:], self.params)
-        shared = self._kernels.get(m)
-        if shared is None or shared[0] is not points:
-            base = se_kernel_matrix(points, self.dataset.inputs[m:], self.params)
-            shared = (points, base, frozenset(range(1, self.sigma_used.size + 1)))
-        waiting = shared[2] - {z}
-        if waiting:
-            self._kernels[m] = (points, shared[1], waiting)
-        else:
-            self._kernels.pop(m, None)
-        return shared[1]
+            projection = inverse @ self.chol[m:, :m]
+            for block, entry in zip(blocks, entries):
+                block -= projection @ entry.whitened
+        return [(block, np.sum(block * block, axis=0)) for block in blocks]
 
     def mean_rkhs_norm(self) -> float:
         """RKHS norm sqrt(alpha' K alpha) of the posterior mean function."""
@@ -413,9 +388,9 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
     if L is None:
         system = gram(dataset, sigma, params, base_gram) + params.noise_variance * np.eye(dataset.n)
         L, jitter = _chol_with_jitter(system, params.signal_variance)
-        grid = {}
+        grid = []
     else:
-        jitter, grid = previous.jitter, dict(previous._grid)
+        jitter, grid = previous.jitter, list(previous._grid)
     y = dataset.observations
     alpha = cho_solve((L, True), y)
     whitened_obs = solve_triangular(L, y, lower=True)

@@ -264,7 +264,6 @@ def sample_hyperposterior(
     n_samples: int | None = None,
     seed: int = 0,
     factor: TwoTaskFactor | None = None,
-    base_gram: np.ndarray | None = None,
 ) -> EmpiricalHyperPosterior:
     """Weighted correlation matrices representing p(Sigma | data).
 
@@ -277,16 +276,15 @@ def sample_hyperposterior(
     :class:`CorrelationMatrix`; fixed seeds give bit-identical output.
     ``factor`` optionally supplies the two-task decomposition of ``dataset``
     so a caller that also needs it for nu builds it once; two-task calls
-    without one build their own.  ``base_gram`` optionally supplies the
-    squared-exponential Gram matrix of the inputs (a factor carries its own).
+    without one build their own.  The squared-exponential Gram matrix of the
+    inputs is the factor's when given, and computed here otherwise.
     """
     if n_tasks < 2:
         raise ValueError("hyper-posterior sampling needs at least two tasks")
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    base = factor.base if factor is not None else base_gram
-    if base is None:
-        base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
+    base = (factor.base if factor is not None
+            else se_kernel_matrix(dataset.inputs, dataset.inputs, params))
 
     def loglik(matrix: np.ndarray) -> float:
         if dataset.n == 0:

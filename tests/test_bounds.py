@@ -516,7 +516,7 @@ class TestRobustModel:
         cs_hand = hyperposterior.confidence_set(hyper, 0.15)
         sp = select_sigma_prime(cs_hand)
         bundle_hand = scaling_bundle(ds, sp, cs_hand, self.CARDINALITY, PARAMS, 0.05,
-                                     base_gram=base, factor=factor)
+                                     factor=factor)
         posterior_hand = gp.fit(ds, sp, PARAMS, base_gram=base, previous=previous)
 
         assert [m.key() for m in cs.members] == [m.key() for m in cs_hand.members]

@@ -380,9 +380,48 @@ class TestExtension:
         assert not any(thread.is_alive() for thread in threads)
         assert len(posteriors) == workers * rounds
         for posterior in posteriors + [child for children, _ in plan for child in children]:
-            want = fit(posterior.dataset, self.SIGMA, self.PARAMS).predict_batch(points, 1)
-            for got, ref in zip(posterior.predict_batch(points, 1), want):
-                assert np.max(np.abs(got - ref)) <= 1e-10
+            fresh = fit(posterior.dataset, self.SIGMA, self.PARAMS)
+            for z in (1, 2):        # task 2 was filled alongside task 1
+                for got, ref in zip(posterior.predict_batch(points, z),
+                                    fresh.predict_batch(points, z)):
+                    assert np.max(np.abs(got - ref)) <= 1e-10
+
+    def test_concurrent_fills_of_one_posterior(self):
+        """Threads racing on one posterior's fill, fresh or grown, all read its rows."""
+        full = self.data(45)
+        points = frozen(np.random.default_rng(11).random((100, 2)))
+        parent = fit(self.prefix(full, 40), self.SIGMA, self.PARAMS)
+        parent.predict_batch(points, 1)
+        fresh = fit(full, self.SIGMA, self.PARAMS)
+        want = {z: fresh.predict_batch(points, z) for z in (1, 2)}
+        workers, rounds = 8, 200
+        targets = [fit(full, self.SIGMA, self.PARAMS, previous=parent if r % 2 else None)
+                   for r in range(rounds)]
+        start = threading.Barrier(workers)
+        results = []
+
+        def work(order):
+            for target in targets:
+                start.wait(timeout=60)
+                for z in order:
+                    results.append((z, target.predict_batch(points, z)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=((1, 2) if i % 2 else (2, 1),))
+                       for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == workers * rounds * 2
+        for z, got in results:
+            for a, b in zip(got, want[z]):
+                assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_grown_fit_computes_the_new_columns_once(self, monkeypatch):
         data = self.data(45)
@@ -546,7 +585,7 @@ class TestGridFill:
         previous = fit(TestExtension().prefix(full, 52), self.SIGMA, self.PARAMS)
         self.assert_matches_triangular_solve(previous, points)
         grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
-        assert all(entry.rows == 52 for entry in grown._grid.values())    # grown, not refilled
+        assert all(entry.rows == 52 for entry in grown._grid)    # grown, not refilled
         self.assert_matches_triangular_solve(grown, points)
         # a writable point array takes the uncached fresh fill
         self.assert_matches_triangular_solve(grown, np.array(points))
@@ -564,31 +603,36 @@ class TestGridFill:
         self.assert_matches_triangular_solve(previous, points)
         grown = fit(dataset, self.SIGMA, params, base_gram=base, previous=previous)
         assert grown.jitter == previous.jitter
-        assert all(entry.rows == m for entry in grown._grid.values())
+        assert all(entry.rows == m for entry in grown._grid)
         self.assert_matches_triangular_solve(grown, points)
 
     def test_both_tasks_share_one_kernel_call_per_fill(self, monkeypatch):
         full = TestExtension().data(45)
         points = frozen(np.random.default_rng(13).random((150, 2)))
-        shapes = []
-        real = gp.se_kernel_matrix
+        kernels, inversions = [], []
+        real_kernel, real_dtrtri = gp.se_kernel_matrix, gp.dtrtri
 
-        def recording(X, Y, params):
-            result = real(X, Y, params)
-            shapes.append(result.shape)
+        def recording_kernel(X, Y, params):
+            result = real_kernel(X, Y, params)
+            kernels.append(result.shape)
             return result
 
-        monkeypatch.setattr(gp, "se_kernel_matrix", recording)
+        def recording_dtrtri(block, **kwargs):
+            inversions.append(block.shape)
+            return real_dtrtri(block, **kwargs)
+
+        monkeypatch.setattr(gp, "se_kernel_matrix", recording_kernel)
+        monkeypatch.setattr(gp, "dtrtri", recording_dtrtri)
         previous = fit(TestExtension().prefix(full, 40), self.SIGMA, self.PARAMS)
-        for z in (2, 1):
-            previous.whitened(points, z)
-        assert shapes == [(150, 40)]
+        previous.whitened(points, 1)                # fills task 2 as well
+        assert kernels == [(150, 40)] and inversions == [(40, 40)]
         grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
-        shapes.clear()
-        for z in (1, 2):
+        kernels.clear()
+        inversions.clear()
+        for z in (2, 1):
             grown.predict_batch(points, z)
-        assert shapes == [(150, 5)]
-        assert not previous._kernels and not grown._kernels       # released once both took it
+        previous.whitened(points, 2)                # a hit on the first fill
+        assert kernels == [(150, 5)] and inversions == [(5, 5)]
         assert_close_to(grown, fit(full, self.SIGMA, self.PARAMS), points)
 
     def test_fresh_block_is_the_buffer_storage(self, monkeypatch):
@@ -597,14 +641,15 @@ class TestGridFill:
         blocks = []
         real = gp.Posterior._new_rows
 
-        def recording(self, entry, points, z):
-            result = real(self, entry, points, z)
-            blocks.append(result[0])
+        def recording(self, entries, points):
+            result = real(self, entries, points)
+            blocks.extend(block for block, _ in result)
             return result
 
         monkeypatch.setattr(gp.Posterior, "_new_rows", recording)
         for z in (1, 2):
             whitened = posterior.whitened(points, z)[0]
-            assert np.shares_memory(whitened, blocks[-1])
-            assert np.shares_memory(whitened, posterior._grid[z].buffer.data)
+            assert np.shares_memory(whitened, blocks[z - 1])
+            assert np.shares_memory(whitened, posterior._grid[z - 1].buffer.data)
             assert not whitened.flags.writeable
+        assert len(blocks) == 2                     # one fill for both tasks

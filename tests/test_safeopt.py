@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from samsbo import bounds, gp
-from samsbo.benchmarks import branin_problem
+from samsbo.benchmarks import branin_problem, find_safe_seed, laser_problem, powell_problem
 from samsbo.bounds import select_sigma_prime
 from samsbo.config import ConfigError, ExperimentConfig
 from samsbo.hyperposterior import ConfidenceSet
@@ -307,7 +307,6 @@ class TestStepPrediction:
         problem = branin_problem(disturbance_seed=6, n_tasks=1)
         cfg = LoopConfig(algorithm=algorithm, iterations=1, grid_size=64)
         rng = np.random.default_rng(21)
-        from samsbo.benchmarks import find_safe_seed
         seeds = np.array([find_safe_seed(problem, rng) for _ in range(3)])
         state, _ = initialize_state(problem, cfg, rng, seeds)
         return problem, cfg, rng, state
@@ -342,16 +341,26 @@ class TestStepPrediction:
 
 
 class TestLoopBehavior:
-    def test_iteration_and_dataset_growth(self):
-        problem = branin_problem(disturbance_seed=1)
+    @pytest.mark.parametrize("make_problem", [branin_problem, powell_problem, laser_problem],
+                             ids=["branin", "powell", "laser"])
+    def test_iteration_and_dataset_growth(self, make_problem):
+        problem = make_problem(disturbance_seed=1)
         cfg = LoopConfig(iterations=3, grid_size=128, seed_points=2)
-        trace = run_repetition(problem, cfg, seed=0)
+        rng = np.random.default_rng(0)          # the draws of run_repetition(seed=0)
+        seeds = np.array([find_safe_seed(problem, rng) for _ in range(cfg.seed_points)])
+        state, trace = initialize_state(problem, cfg, rng, seeds)
+        for _ in range(cfg.iterations):
+            trace.extend(step(state, problem, cfg, rng))
         per_iter = {}
         for r in trace:
             per_iter.setdefault(r.iteration, []).append(r)
         assert len(per_iter[0]) == 2                       # seed rows
+        batch = cfg.batch_size(problem.dimension)
         for t in (1, 2, 3):
-            assert len(per_iter[t]) in (cfg.batch_size(2), cfg.batch_size(2) + 1)
+            assert len(per_iter[t]) in (batch, batch + 1)
+        assert not any(r.violation for r in trace)
+        main_rows = sum(r.task == 1 for r in trace if r.iteration > 0)
+        assert main_rows + state.stalled_iterations == cfg.iterations
 
     def test_multi_name_algorithm_never_runs(self):
         # a campaign may list several loops; the loop itself must refuse the list
@@ -400,7 +409,6 @@ class TestLoopBehavior:
         problem = branin_problem(disturbance_seed=4)
         cfg = LoopConfig(iterations=3, grid_size=128)
         rng = np.random.default_rng(11)
-        from samsbo.benchmarks import find_safe_seed
         seeds = np.array([find_safe_seed(problem, rng) for _ in range(3)])
         state, _ = initialize_state(problem, cfg, rng, seeds)
         for _ in range(3):
@@ -418,7 +426,6 @@ class TestIncrementalRefresh:
         problem = branin_problem(disturbance_seed=5)
         cfg = LoopConfig(algorithm="safe-ucb", iterations=30)
         rng = np.random.default_rng(13)
-        from samsbo.benchmarks import find_safe_seed
         seeds = np.array([find_safe_seed(problem, rng) for _ in range(3)])
         state, _ = initialize_state(problem, cfg, rng, seeds)
         full_factorizations = []
