@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
-from scipy.stats import qmc
+
+from .sobol import scrambled_sobol
 
 __all__ = [
     "StabilityError",
@@ -111,10 +112,12 @@ class SyntheticProblem:
 
 
 def _output_scale(base: Callable[[np.ndarray], float], domain: np.ndarray) -> float:
-    """Deterministic scale proxy, the standard deviation over a Sobol sample."""
-    d = domain.shape[0]
-    sob = qmc.Sobol(d, scramble=True, seed=7)
-    unit = sob.random(NOISE_SCALE_SAMPLES)
+    """Deterministic scale proxy, the standard deviation over a Sobol sample.
+
+    The sample is :func:`samsbo.sobol.scrambled_sobol` at seed 7, bit-identical
+    to ``qmc.Sobol(d, scramble=True, seed=7).random(NOISE_SCALE_SAMPLES)``.
+    """
+    unit = scrambled_sobol(domain.shape[0], NOISE_SCALE_SAMPLES, 7)
     points = domain[:, 0] + unit * (domain[:, 1] - domain[:, 0])
     values = np.array([base(p) for p in points])
     return float(np.std(values))

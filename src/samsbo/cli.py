@@ -20,6 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, benchmarks, verify
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
@@ -141,6 +142,7 @@ def cmd_run(config: ExperimentConfig) -> int:
         "versions": {
             "samsbo": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "algorithms": {},

@@ -15,11 +15,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import benchmarks, bounds, gp, hyperposterior
 from .config import ALGORITHMS, ConfigError, LoopConfig
 from .kernels import se_kernel_matrix
+from .sobol import scrambled_sobol
 
 __all__ = [
     "Transforms",
@@ -124,15 +124,21 @@ def make_grid(dimension: int, size: int = 2048, seed: int = 0,
               extra_points: np.ndarray | None = None) -> CandidateGrid:
     """Lattice grid in one dimension, scrambled Sobol points otherwise.
 
+    The Sobol points are :func:`samsbo.sobol.scrambled_sobol` of ``seed``,
+    bit-identical to ``qmc.Sobol(dimension, scramble=True, seed=seed)``.
     ``extra_points`` (normalized) are appended and deduplicated; the loop adds
     the known-safe seed inputs this way so the safe set can never start empty
-    merely because no candidate lies near a seed.
+    merely because no candidate lies near a seed.  Raises ``ValueError`` when
+    ``dimension`` or ``size`` is below 1.
     """
+    if dimension < 1:
+        raise ValueError(f"dimension must be at least 1, got {dimension}")
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     if dimension == 1:
         points = np.linspace(0.0, 1.0, size).reshape(-1, 1)
     else:
-        sob = qmc.Sobol(dimension, scramble=True, seed=seed)
-        points = sob.random(size)
+        points = scrambled_sobol(dimension, size, seed)
     if extra_points is not None and len(extra_points):
         extra = np.clip(np.atleast_2d(np.asarray(extra_points, dtype=float)), 0.0, 1.0)
         points = np.unique(np.vstack([points, extra]), axis=0)

@@ -1,0 +1,103 @@
+"""Scrambled Sobol points without importing ``scipy.stats``.
+
+:func:`scrambled_sobol` returns, bit for bit, what
+``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random(n)`` returns,
+without the warning scipy gives when ``n`` is not a power of two.  It follows
+scipy's construction and the order in which scipy draws its random bits:
+
+1. Direction numbers with 30 bits, built by the Bratley–Fox recurrence from
+   the primitive polynomials and initial numbers of Joe and Kuo (S. Joe and
+   F. Y. Kuo, "Constructing Sobol sequences with better two-dimensional
+   projections", SIAM J. Sci. Comput. 30, 2008).  Dimension 0 has all
+   direction numbers equal to one.  Column j is shifted left by 29 - j.
+2. Linear matrix scrambling with a digital shift (J. Matoušek, "On the
+   L2-discrepancy for anchored boxes", J. Complexity 14, 1998), drawn from
+   ``np.random.default_rng(seed)``: first the shift, 30 random bits per
+   dimension, then one random lower-triangular 30 × 30 bit matrix per
+   dimension with a unit diagonal.  Row p of that matrix yields bit 29 - p of
+   each scrambled direction number, as the parity of the row (read as a
+   30-bit number) AND the old number.
+3. Point 0 is the shift; point i ≥ 1 XORs the direction number of the lowest
+   zero bit of i - 1 into point i - 1 (Gray-code order).  Points are scaled
+   by 2^-30.
+
+The Joe–Kuo table is the one scipy ships,
+``<dirname(scipy.__file__)>/stats/_sobol_direction_numbers.npz``.  Its path
+is resolved through the top-level ``scipy`` package, which does not execute
+``scipy/stats/__init__.py``; the table is read once per process.
+"""
+from __future__ import annotations
+
+import functools
+import os
+
+import numpy as np
+import scipy
+
+__all__ = ["scrambled_sobol"]
+
+BITS = 30
+MAX_DIMENSION = 21201
+MAX_POINTS = 2 ** BITS
+TABLE_PATH = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                          "_sobol_direction_numbers.npz")
+
+
+@functools.cache
+def _joe_kuo_table() -> tuple[np.ndarray, np.ndarray]:
+    """Primitive polynomials and initial direction numbers, read once.
+
+    A missing table raises ``FileNotFoundError`` naming ``TABLE_PATH``.
+    """
+    with np.load(TABLE_PATH) as table:
+        return table["poly"], table["vinit"]
+
+
+def _direction_numbers(d: int) -> np.ndarray:
+    """Unscrambled (d, 30) direction numbers, column j shifted by 29 - j."""
+    poly, vinit = _joe_kuo_table()
+    v = np.ones((d, BITS), dtype=np.int64)
+    for i in range(1, d):
+        p = int(poly[i])
+        m = p.bit_length() - 1
+        row = [int(x) for x in vinit[i, :m]]
+        for j in range(m, BITS):
+            new = row[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[i] = row
+    return v << np.arange(BITS - 1, -1, -1)
+
+
+def scrambled_sobol(d: int, n: int, seed) -> np.ndarray:
+    """The first ``n`` points, shape (n, d), of the scrambled Sobol sequence.
+
+    ``seed`` is anything ``np.random.default_rng`` accepts.  Raises
+    ``ValueError`` unless 1 <= d <= 21201 and 0 <= n <= 2**30.
+    """
+    if not 1 <= d <= MAX_DIMENSION:
+        raise ValueError(f"d must lie in 1..{MAX_DIMENSION}, got {d}")
+    if not 0 <= n <= MAX_POINTS:
+        raise ValueError(f"n must lie in 0..2**{BITS}, got {n}")
+    rng = np.random.default_rng(seed)
+    weights = 2 ** np.arange(BITS, dtype=np.uint32)
+    shift = rng.integers(0, 2, size=(d, BITS), dtype=np.uint32) @ weights
+    lms = np.tril(rng.integers(0, 2, size=(d, BITS, BITS), dtype=np.uint32))
+    lms[:, np.arange(BITS), np.arange(BITS)] = 1
+
+    # bits[r, q, j] is bit 29 - q of direction number j of dimension r, so the
+    # scramble is a product of bit matrices over GF(2)
+    place = np.arange(BITS - 1, -1, -1)
+    v = _direction_numbers(d)
+    bits = (v[:, None, :] >> place[None, :, None]) & 1
+    scrambled = ((lms @ bits) & 1) << place[None, :, None]
+    directions = scrambled.sum(axis=1).astype(np.uint32)
+
+    counter = np.arange(n - 1, dtype=np.int64)
+    lowest_zero = np.frexp((counter + 1) & ~counter)[1] - 1
+    points = np.empty((n, d), dtype=np.uint32)
+    points[:1] = shift
+    points[1:] = np.bitwise_xor.accumulate(directions[:, lowest_zero].T, axis=0) ^ shift
+    return points * (1.0 / MAX_POINTS)

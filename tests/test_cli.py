@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from samsbo.cli import (
     AGGREGATE_HEADER,
@@ -121,6 +122,7 @@ class TestCmdRun:
         assert manifest["master_seed"] == 3
         assert len(manifest["repetition_seeds"]) == 2
         assert "samsbo" in manifest["algorithms"]
+        assert manifest["versions"]["scipy"] == scipy.__version__
 
     def test_zero_iterations_only_seed_rows(self, tmp_path):
         cfg = small_config(tmp_path, iterations=0, repetitions=1)

@@ -90,6 +90,13 @@ class TestCandidateGrid:
         with pytest.raises(ValueError):
             CandidateGrid(points=np.array([[1.5]]))
 
+    @pytest.mark.parametrize("dimension, size, name", [
+        (0, 10, "dimension"), (-1, 10, "dimension"), (2, 0, "size"), (1, 0, "size"),
+    ])
+    def test_rejects_empty_arguments(self, dimension, size, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            make_grid(dimension, size)
+
 
 class TestSafeSet:
     def test_zero_beta_low_mean_all_safe(self):

@@ -1,0 +1,96 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.stats import qmc
+
+from samsbo import sobol
+from samsbo.benchmarks import (
+    BRANIN_DOMAIN,
+    NOISE_SCALE_SAMPLES,
+    POWELL_DOMAIN,
+    branin,
+    branin_problem,
+    powell,
+    powell_problem,
+)
+from samsbo.safeopt import make_grid
+from samsbo.sobol import MAX_DIMENSION, MAX_POINTS, scrambled_sobol
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def reference(d, n, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return qmc.Sobol(d, scramble=True, seed=seed).random(n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 10, 12, 40, 100])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_bit_identical_to_scipy(d, seed):
+    for n in (1, 2, 3, 5, 129, 512, 2048, 4097):
+        got = scrambled_sobol(d, n, seed)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, reference(d, n, seed)), (d, seed, n)
+
+
+@pytest.mark.parametrize("d", [2, 4, 10])
+def test_make_grid_matches_qmc(d):
+    extra = np.full((2, d), 0.5)
+    extra[1, 0] = 1.5
+    grid = make_grid(d, 2048, seed=0, extra_points=extra)
+    points = np.unique(np.vstack([reference(d, 2048, 0), np.clip(extra, 0.0, 1.0)]), axis=0)
+    assert np.array_equal(grid.points, points)
+
+
+def output_scale(base, domain):
+    unit = reference(domain.shape[0], NOISE_SCALE_SAMPLES, 7)
+    points = domain[:, 0] + unit * (domain[:, 1] - domain[:, 0])
+    return float(np.std(np.array([base(p) for p in points])))
+
+
+def test_noise_scale_matches_qmc():
+    assert branin_problem().noise_sd == 0.01 * output_scale(branin, BRANIN_DOMAIN)
+    domain = np.tile(np.array(POWELL_DOMAIN), (4, 1))
+    assert powell_problem().noise_sd == 0.01 * output_scale(powell, domain)
+
+
+@pytest.mark.parametrize("d, n, name", [
+    (0, 4, "d"), (MAX_DIMENSION + 1, 4, "d"), (2, -1, "n"), (2, MAX_POINTS + 1, "n"),
+])
+def test_out_of_range_arguments_raise(d, n, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        scrambled_sobol(d, n, 0)
+
+
+def test_missing_table_names_its_path(tmp_path, monkeypatch):
+    missing = tmp_path / "missing.npz"
+    monkeypatch.setattr(sobol, "TABLE_PATH", str(missing))
+    sobol._joe_kuo_table.cache_clear()
+    try:
+        with pytest.raises(FileNotFoundError, match="missing.npz"):
+            scrambled_sobol(2, 4, 0)
+    finally:
+        sobol._joe_kuo_table.cache_clear()
+
+
+def test_package_does_not_import_scipy_stats():
+    # pytest itself imports scipy.stats (above), so only a fresh interpreter
+    # shows what the package loads
+    code = (
+        "import sys\n"
+        "import samsbo, samsbo.cli\n"
+        "from samsbo import branin_problem, laser_problem, make_grid, powell_problem\n"
+        "branin_problem(); powell_problem(); laser_problem(); make_grid(10, 2048)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
