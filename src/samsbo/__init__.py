@@ -2,18 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .kernels import (
-    CorrelationMatrix,
-    KernelParams,
-    gram,
-    kernel_lipschitz,
-)
+from .kernels import CorrelationMatrix, KernelParams, gram
 from .gp import MultiTaskDataset, Posterior, fit, log_marginal_likelihood
 from .hyperposterior import (
     ConfidenceSet,
     EmpiricalHyperPosterior,
     confidence_set,
-    lkj_log_density,
     sample_hyperposterior,
 )
 from .bounds import (
@@ -23,15 +17,11 @@ from .bounds import (
     beta_freq,
     beta_freq_robust,
     covering_number,
-    estimate_feature_lipschitz,
     gamma_factor,
     kernel_dominance,
-    modulus_mu,
-    modulus_sigma,
     nu_factor,
     operator_norm_lambda,
     rkhs_norm_exact,
-    sample_lipschitz_bound,
     scaling_bundle,
     select_sigma_prime,
 )

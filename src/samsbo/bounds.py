@@ -8,10 +8,7 @@ Bayesian route: beta_b = 2 log(|I| / delta) on the finite discretization I
 whose points are certified, made robust over a confidence set of correlation
 matrices through a mean-shift term nu and a variance-ratio factor gamma.  The
 robust factor is beta_bar = (nu + gamma * sqrt(beta_b))^2.  The bound covers
-the points of I only; nothing here extends it off them.  The moduli of
-continuity and Lipschitz constants a correction off I would be built from
-(:func:`modulus_mu`, :func:`modulus_sigma`, :func:`estimate_feature_lipschitz`,
-:func:`sample_lipschitz_bound`) are kept as functions, but no bound uses them.
+the points of I only; nothing here extends it off them.
 
 Sigma's size selects the route: sets of 2x2 members take the closed forms of
 :mod:`samsbo.twotask` for sigma-prime selection, gamma and nu, so nu costs
@@ -34,7 +31,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve
 
 from . import gp, hyperposterior, twotask
-from .config import ConfigError
 from .hyperposterior import ConfidenceSet
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
@@ -47,10 +43,6 @@ __all__ = [
     "beta_freq_robust",
     "covering_number",
     "beta_bayes",
-    "modulus_mu",
-    "modulus_sigma",
-    "estimate_feature_lipschitz",
-    "sample_lipschitz_bound",
     "select_sigma_prime",
     "gamma_factor",
     "nu_factor",
@@ -157,82 +149,6 @@ def beta_bayes(cardinality: int, delta: float) -> float:
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     return 2.0 * math.log(cardinality / delta)
-
-
-def modulus_mu(tau: float, l_k: float, confidence_set: ConfidenceSet,
-               posteriors_per_member) -> float:
-    """Modulus of continuity of the posterior mean within one discretization cell.
-
-    max over the confidence set of sqrt(2 tau q L_k) * |mean|_H with q the
-    largest diagonal entry of the member and the norm taken from the posterior
-    fitted with that member.
-    """
-    best = 0.0
-    for member, posterior in zip(confidence_set.members, posteriors_per_member):
-        q = float(np.max(np.diag(member.matrix)))
-        best = max(best, math.sqrt(2.0 * tau * q * l_k) * posterior.mean_rkhs_norm())
-    return best
-
-
-def modulus_sigma(tau: float, l_k: float, confidence_set: ConfidenceSet) -> float:
-    """Modulus of continuity of the posterior standard deviation, max sqrt(2 tau q L_k)."""
-    if tau == 0.0:
-        return 0.0
-    q = max(float(np.max(np.diag(m.matrix))) for m in confidence_set.members)
-    return math.sqrt(2.0 * tau * q * l_k)
-
-
-def estimate_feature_lipschitz(
-    params: KernelParams,
-    delta: float,
-    n_paths: int = 500,
-    grid_spec: int = 200,
-    seed: int = 0,
-    safety_factor: float = 1.2,
-) -> float:
-    """Sampled Lipschitz constant of single-task GP draws on the unit cube.
-
-    Draws exact sample paths on a tensor grid with ``grid_spec`` points per
-    axis, records each path's maximum finite-difference slope between axis
-    neighbors, and returns the (1 - delta) quantile inflated by the safety
-    factor.  The grid must resolve the shortest lengthscale.
-    """
-    d = params.dim
-    if grid_spec < 2:
-        raise ConfigError("grid_spec must provide at least 2 points per axis")
-    spacing = 1.0 / (grid_spec - 1)
-    if spacing > float(np.min(params.lengthscales)) / 4.0:
-        raise ConfigError(
-            f"grid spacing {spacing:.4g} exceeds a quarter of the shortest lengthscale"
-        )
-    if grid_spec ** d > 4096:
-        raise ConfigError("tensor grid too large; reduce grid_spec or dimension")
-    axes = [np.linspace(0.0, 1.0, grid_spec)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    cov = se_kernel_matrix(points, points, params)
-    chol = np.linalg.cholesky(cov + 1e-10 * params.signal_variance * np.eye(len(points)))
-    rng = np.random.default_rng(seed)
-    draws = chol @ rng.standard_normal((len(points), n_paths))
-
-    shape = (grid_spec,) * d
-    slopes = np.zeros(n_paths)
-    field = draws.reshape(shape + (n_paths,))
-    for axis in range(d):
-        diffs = np.abs(np.diff(field, axis=axis)) / spacing
-        slopes = np.maximum(slopes, diffs.reshape(-1, n_paths).max(axis=0))
-    return safety_factor * float(np.quantile(slopes, 1.0 - delta))
-
-
-def sample_lipschitz_bound(confidence_set: ConfidenceSet, l_h: float,
-                           norm_q: float = 2) -> float:
-    """Lipschitz bound for vector-valued samples, max |S^(1/2) 1|_q * L_h."""
-    best = 0.0
-    for member in confidence_set.members:
-        w, v = np.linalg.eigh(member.matrix)
-        root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-        best = max(best, float(np.linalg.norm(root @ np.ones(member.size), ord=norm_q)))
-    return best * l_h
 
 
 def _unique_members(members):

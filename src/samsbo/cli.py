@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, benchmarks, verify
-from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
+from .config import ConfigError, ExperimentConfig, parse_config, read_input, serialize_config
 from .safeopt import TraceRecord, run_repetition
 
 RAW_HEADER = [
@@ -215,18 +215,22 @@ def cmd_verify_bounds(config: ExperimentConfig) -> int:
 def cmd_plotdata(raw_paths: list[str], out_path: str) -> int:
     best_by_alg: dict[str, dict[int, dict[int, float]]] = {}
     for path in raw_paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != RAW_HEADER:
-                raise ConfigError(f"{path}: unexpected raw CSV schema {header}")
-            for row in reader:
-                record = dict(zip(RAW_HEADER, row))
-                if int(record["task"]) != 1:
-                    continue
-                best_by_alg.setdefault(record["algorithm"], {}).setdefault(
-                    int(record["repetition"]), {})[int(record["iteration"])] = \
-                    float(record["best_so_far"])
+        reader = csv.reader(read_input(path).splitlines())
+        header = next(reader, None)
+        if header != RAW_HEADER:
+            raise ConfigError(f"{path}: unexpected raw CSV schema {header}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(RAW_HEADER):
+                raise ConfigError(f"{where}: expected {len(RAW_HEADER)} fields, got {len(row)}")
+            record = dict(zip(RAW_HEADER, row))
+            try:
+                task, rep, iteration = (int(record[k]) for k in ("task", "repetition", "iteration"))
+                best = float(record["best_so_far"])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            if task == 1:
+                best_by_alg.setdefault(record["algorithm"], {}).setdefault(rep, {})[iteration] = best
     out_rows = []
     for alg in sorted(best_by_alg):
         reps = best_by_alg[alg]

@@ -14,6 +14,7 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "parse_config_text",
+    "read_input",
     "serialize_config",
 ]
 
@@ -121,7 +122,10 @@ class ExperimentConfig(LoopConfig):
                 raise ConfigError(f"{name} must be >= 0, got {value}")
 
     def _check_algorithms(self) -> None:
-        for name in self.algorithms():
+        names = self.algorithms()
+        if not names or len(set(names)) < len(names):
+            raise ConfigError(f"algorithm must name each loop once, got {self.algorithm!r}")
+        for name in names:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}")
 
@@ -160,9 +164,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def read_input(path: str) -> str:
+    """Text of an input file; a path that cannot be read is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def parse_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+    return parse_config_text(read_input(path))
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -312,13 +312,6 @@ class Posterior:
                 block -= projection @ entry.whitened
         return [(block, np.sum(block * block, axis=0)) for block in blocks]
 
-    def mean_rkhs_norm(self) -> float:
-        """RKHS norm sqrt(alpha' K alpha) of the posterior mean function."""
-        if self.dataset.n == 0:
-            return 0.0
-        val = float(self.alpha @ gram(self.dataset, self.sigma_used, self.params) @ self.alpha)
-        return float(np.sqrt(max(val, 0.0)))
-
 
 def _same_params(a: KernelParams, b: KernelParams) -> bool:
     return (a.signal_variance == b.signal_variance and a.noise_variance == b.noise_variance

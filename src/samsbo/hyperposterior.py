@@ -43,7 +43,6 @@ __all__ = [
     "EmpiricalHyperPosterior",
     "ConfidenceSet",
     "ChainDivergenceError",
-    "lkj_log_density",
     "sample_hyperposterior",
     "confidence_set",
     "angles_to_correlation",
@@ -145,15 +144,6 @@ class ConfidenceSet:
         rs = np.array([m.matrix[0, 1] for m in self.members])
         rs.setflags(write=False)
         return rs
-
-
-def lkj_log_density(sigma: CorrelationMatrix, eta: float) -> float:
-    """Unnormalized LKJ log density (eta - 1) * log det(Sigma).
-
-    ``sigma`` has a unit diagonal and is positive definite by construction;
-    the normalizing constant is fixed to zero.
-    """
-    return float((eta - 1.0) * np.linalg.slogdet(sigma.matrix)[1])
 
 
 def _reflect(value: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -7,8 +7,6 @@ The multi-task covariance between task/input pairs factorizes as
 where ``k`` is a scalar anisotropic squared-exponential kernel and ``Sigma``
 is a symmetric positive definite inter-task matrix with nonnegative entries
 and unit diagonal (intrinsic coregionalization with standardized outputs).
-The Lipschitz constant of :func:`kernel_lipschitz` is taken over the unit
-hypercube, the input domain used throughout this package after normalization.
 """
 from __future__ import annotations
 
@@ -22,7 +20,6 @@ __all__ = [
     "CorrelationMatrix",
     "se_kernel_matrix",
     "gram",
-    "kernel_lipschitz",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -130,20 +127,3 @@ def gram(dataset, sigma: CorrelationMatrix, params: KernelParams,
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if base_gram is None else base_gram
     return sigma.matrix[np.ix_(zi, zi)] * base
 
-
-def kernel_lipschitz(params: KernelParams, norm_p: float = np.inf) -> float:
-    """Lipschitz constant of the squared-exponential kernel in its first argument.
-
-    Bounds |k(x, x') - k(y, x')| <= L_k * ||x - y||_p over the unit hypercube.
-    Derived from the supremum of the dual norm of the kernel gradient; the
-    gradient magnitude t * exp(-t^2/2) peaks at t = 1 with value 1/sqrt(e).
-    """
-    sf2 = params.signal_variance
-    lmin = float(np.min(params.lengthscales))
-    inv_sqrt_e = 1.0 / np.sqrt(np.e)
-    if norm_p == np.inf:
-        # dual norm is the 1-norm; the worst case spreads over all coordinates
-        return sf2 * np.sqrt(params.dim) * inv_sqrt_e / lmin
-    if norm_p in (1, 2):
-        return sf2 * inv_sqrt_e / lmin
-    raise ValueError("norm_p must be 1, 2 or inf")

@@ -34,33 +34,6 @@ def multitask_kernel(x: np.ndarray, z: int, x_prime: np.ndarray, z_prime: int,
     return float(sigma.matrix[z - 1, z_prime - 1]) * se_kernel(x, x_prime, params)
 
 
-def kernel_lipschitz_grid(params: KernelParams, norm_p: float = np.inf,
-                          n_pairs: int = 10_000, rng: np.random.Generator | None = None) -> float:
-    """Largest difference quotient |k(x, x') - k(y, x')| / ||x - y||_p over random pairs.
-
-    Points are uniform on the unit cube.  It lower-bounds the true Lipschitz
-    constant, so it sanity-checks the analytic bound of ``kernel_lipschitz``.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    d = params.dim
-    x = rng.random((n_pairs, d))
-    y = rng.random((n_pairs, d))
-    x_ref = rng.random((n_pairs, d))
-
-    def rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        r = (a - b) / params.lengthscales
-        return params.signal_variance * np.exp(-0.5 * np.sum(r * r, axis=1))
-
-    dist = np.linalg.norm(x - y, ord=norm_p, axis=1)
-    good = dist > 1e-12
-    return float(np.max(np.abs(rowwise(x, x_ref) - rowwise(y, x_ref))[good] / dist[good]))
-
-
-def multitask_lipschitz(sigma: CorrelationMatrix, l_k: float) -> float:
-    """Multi-task kernel Lipschitz constant q * L_k with q the largest diagonal entry."""
-    return float(np.max(np.diag(sigma.matrix))) * l_k
-
-
 def predict(posterior, x: np.ndarray, z: int) -> tuple[float, float]:
     """Posterior mean and variance of task ``z`` at a single input."""
     means, variances = posterior.predict_batch(np.atleast_2d(np.asarray(x, dtype=float)), z)

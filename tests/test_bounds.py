@@ -10,24 +10,19 @@ from samsbo.bounds import (
     beta_freq,
     beta_freq_robust,
     covering_number,
-    estimate_feature_lipschitz,
     gamma_factor,
     kernel_dominance,
-    modulus_mu,
-    modulus_sigma,
     nu_factor,
     operator_norm_lambda,
     rkhs_norm_exact,
     robust_model,
-    sample_lipschitz_bound,
     scaling_bundle,
     select_sigma_prime,
 )
-from samsbo.config import ConfigError
 from samsbo.hyperposterior import ConfidenceSet
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
-from test_kernels import inter_task, random_correlation
+from test_kernels import random_correlation
 
 PARAMS = KernelParams(1.0, [0.3], noise_variance=0.05)
 
@@ -66,7 +61,7 @@ class TestOperatorNormLambda:
 
     def test_product_of_both_directions_at_least_one(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
+        for _ in range(100):
             u = rng.integers(2, 5)
             a, b = random_correlation(u, rng), random_correlation(u, rng)
             assert operator_norm_lambda(a, b) * operator_norm_lambda(b, a) >= 1.0 - 1e-10
@@ -132,83 +127,6 @@ class TestBetaBayes:
     def test_doubling_adds_two_log_two(self):
         assert beta_bayes(2048, 0.05) - beta_bayes(1024, 0.05) == pytest.approx(
             2.0 * np.log(2.0))
-
-
-class TestModuli:
-    def test_modulus_sigma_hand_value(self):
-        cs = make_set([CorrelationMatrix.two_task(0.2)])
-        value = modulus_sigma(0.001, 1.0 / np.sqrt(np.e), cs)
-        assert value == pytest.approx(0.034829, abs=1e-5)
-
-    def test_modulus_sigma_zero_tau(self):
-        cs = make_set([CorrelationMatrix.identity(2)])
-        assert modulus_sigma(0.0, 0.6, cs) == 0.0
-
-    def test_modulus_sigma_monotone_in_diagonal(self):
-        small = make_set([CorrelationMatrix.identity(2)])
-        big = make_set([CorrelationMatrix.identity(2),
-                        inter_task(np.diag([2.0, 1.0]))])
-        assert modulus_sigma(0.01, 0.6, big) >= modulus_sigma(0.01, 0.6, small)
-
-    def test_modulus_mu_empty_dataset(self):
-        cs = make_set([CorrelationMatrix.identity(2)])
-        post = gp.fit(gp.MultiTaskDataset.empty(1), CorrelationMatrix.identity(2), PARAMS)
-        assert modulus_mu(0.001, 0.6, cs, [post]) == 0.0
-
-    def test_modulus_mu_hand_value(self):
-        # singleton set, unit diagonal, mean norm pinned to 1 via a 1-point fit
-        ds = gp.MultiTaskDataset(np.array([[0.0]]), [1], [1.0])
-        params = KernelParams(1.0, [1.0], 0.0)
-        post = gp.fit(ds, CorrelationMatrix.identity(1), params)
-        assert post.mean_rkhs_norm() == pytest.approx(1.0, abs=1e-4)
-        cs = make_set([CorrelationMatrix.identity(1)])
-        value = modulus_mu(0.001, 1.0 / np.sqrt(np.e), cs, [post])
-        assert value == pytest.approx(0.034829, abs=1e-4)
-
-    def test_modulus_mu_scales_sqrt_tau(self):
-        rng = np.random.default_rng(3)
-        ds = task_dataset(rng)
-        member = CorrelationMatrix.two_task(0.5)
-        post = gp.fit(ds, member, PARAMS)
-        cs = make_set([member])
-        a = modulus_mu(0.001, 0.6, cs, [post])
-        b = modulus_mu(0.004, 0.6, cs, [post])
-        assert b == pytest.approx(2.0 * a, rel=1e-9)
-
-
-class TestFeatureLipschitz:
-    def test_zero_signal_variance_limit(self):
-        params = KernelParams(1e-12, [0.5])
-        assert estimate_feature_lipschitz(params, 0.05, n_paths=50, grid_spec=80) < 1e-4
-
-    def test_reproducible_across_seeds(self):
-        params = KernelParams(1.0, [1.0])
-        values = [estimate_feature_lipschitz(params, 0.05, n_paths=500, grid_spec=200, seed=s)
-                  for s in (0, 1)]
-        assert abs(values[0] - values[1]) / values[0] < 0.10
-
-    def test_scales_with_signal_std(self):
-        base = estimate_feature_lipschitz(KernelParams(1.0, [1.0]), 0.05, 200, 100, seed=5)
-        scaled = estimate_feature_lipschitz(KernelParams(4.0, [1.0]), 0.05, 200, 100, seed=5)
-        assert scaled == pytest.approx(2.0 * base, rel=1e-9)
-
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            estimate_feature_lipschitz(KernelParams(1.0, [0.05]), 0.05, 50, 10)
-
-
-class TestSampleLipschitzBound:
-    def test_single_task(self):
-        cs = make_set([CorrelationMatrix.identity(1)])
-        assert sample_lipschitz_bound(cs, 0.7) == pytest.approx(0.7)
-
-    def test_scaled_identity(self):
-        cs = make_set([inter_task(2.0 * np.eye(2))])
-        assert sample_lipschitz_bound(cs, 1.0) == pytest.approx(2.0)
-
-    def test_identity_two_tasks(self):
-        cs = make_set([CorrelationMatrix.identity(2)])
-        assert sample_lipschitz_bound(cs, 1.0) == pytest.approx(np.sqrt(2.0))
 
 
 class TestGammaFactor:
@@ -539,8 +457,8 @@ class TestKernelDominance:
 
     def test_corollary_ratio(self):
         rng = np.random.default_rng(16)
-        for _ in range(50):
-            u = rng.integers(2, 4)
+        for _ in range(100):
+            u = rng.integers(2, 5)
             s, sp = random_correlation(u, rng), random_correlation(u, rng)
             beta2 = np.linalg.norm(sp.matrix @ np.linalg.inv(s.matrix), 2)
             assert kernel_dominance(s, sp, np.sqrt(beta2))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +31,7 @@ BAD_VALUES = [
     ("rho", 1.5), ("seed_points", 0), ("lengthscale", 0),
     ("signal_variance", 0), ("noise_variance", 0),
     ("frequentist_trials", -2), ("bayesian_trials", -1), ("grid_size", 0), ("jobs", 0),
+    ("algorithm", ","), ("algorithm", "ucb, ucb"),
 ]
 REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance",
                 "include_psi", "mcmc_samples", "supplementary_batch"]
@@ -184,11 +186,28 @@ class TestPlotdata:
             record = dict(zip(PLOTDATA_HEADER, row.split(",")))
             assert float(record["median"]) == pytest.approx(float(record["mean"]))
 
-    def test_schema_mismatch_names_file(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("nope,nope\n1,2\n")
-        with pytest.raises(ConfigError, match="bad.csv"):
-            cmd_plotdata([str(bad)], str(tmp_path / "out.csv"))
+    def test_schema_mismatch_names_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SAMSBO_OUT", raising=False)
+        header = ",".join(RAW_HEADER)
+        contents = {
+            "bad.csv": "nope,nope\n1,2\n",
+            "short.csv": f"{header}\nalg,0,1\n",
+            "noint.csv": f"{header}\nalg,0,one,1,0.5,1.0,1.0,1.0,1,1.0,0.0,4,0\n",
+        }
+        for name, text in contents.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "bin.csv").write_bytes(b"\xff\xfe\n")
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / "out.csv"
+        # each error names the path, and the line of a bad row
+        for name, where in [("bad.csv", ""), ("short.csv", ": line 2"), ("noint.csv", ": line 2"),
+                            ("bin.csv", ""), ("missing.csv", ""), ("dir", "")]:
+            path = str(tmp_path / name)
+            with pytest.raises(ConfigError, match=re.escape(path + where)):
+                cmd_plotdata([path], str(out))
+            assert main(["plotdata", path, "--out", str(out)]) == 2
+            assert path + where in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestBestCurves:
@@ -236,6 +255,10 @@ class TestMainEntry:
             assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
             assert key in capsys.readouterr().err
             assert not out.exists()          # no repetition started
+        for path in (tmp_path / "missing.cfg", tmp_path):     # absent, and not a file
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+            assert str(path) in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestBuildProblem:

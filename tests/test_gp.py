@@ -171,27 +171,6 @@ class TestLogMarginalLikelihood:
             log_marginal_likelihood(shuffled, sigma, params), abs=1e-9)
 
 
-class TestMeanRkhsNorm:
-    def test_empty_dataset(self):
-        post = fit(MultiTaskDataset.empty(1), CorrelationMatrix.identity(1), make_params())
-        assert post.mean_rkhs_norm() == 0.0
-
-    def test_single_point_noiseless(self):
-        ds = MultiTaskDataset(np.array([[0.0]]), [1], [1.0])
-        post = fit(ds, CorrelationMatrix.identity(1), KernelParams(1.0, [1.0], 0.0))
-        assert post.mean_rkhs_norm() == pytest.approx(1.0, abs=1e-4)
-
-    def test_scales_with_observations(self):
-        rng = np.random.default_rng(8)
-        X, y = rng.random((6, 1)), rng.standard_normal(6)
-        params = make_params()
-        base = fit(MultiTaskDataset(X, np.ones(6, int), y),
-                   CorrelationMatrix.identity(1), params).mean_rkhs_norm()
-        scaled = fit(MultiTaskDataset(X, np.ones(6, int), 3.0 * y),
-                     CorrelationMatrix.identity(1), params).mean_rkhs_norm()
-        assert scaled == pytest.approx(3.0 * base, rel=1e-9)
-
-
 class TestMeanValues:
     def test_empty_points(self):
         ds = MultiTaskDataset(np.array([[0.0]]), [1], [1.0])

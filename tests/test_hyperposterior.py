@@ -14,7 +14,6 @@ from samsbo.hyperposterior import (
     angles_to_correlation,
     cell_matrices,
     confidence_set,
-    lkj_log_density,
     sample_hyperposterior,
     sample_prior_offdiagonal,
 )
@@ -55,28 +54,6 @@ def normalized_weights(post):
 
 def offdiagonals(matrix):
     return matrix[np.triu_indices(matrix.shape[0], 1)]
-
-
-class TestLkjLogDensity:
-    def test_zero_correlation_is_zero(self):
-        for eta in (0.1, 1.0, 3.0):
-            assert lkj_log_density(CorrelationMatrix.two_task(0.0), eta) == 0.0
-
-    def test_hand_value(self):
-        value = lkj_log_density(CorrelationMatrix.two_task(0.6), 0.1)
-        assert value == pytest.approx(-0.9 * np.log(0.64), abs=1e-9)
-        assert value == pytest.approx(0.40164, abs=1e-4)
-
-    def test_uniform_prior_at_eta_one(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            r = rng.random() * 0.95
-            assert lkj_log_density(CorrelationMatrix.two_task(r), 1.0) == 0.0
-
-    def test_requires_unit_diagonal(self):
-        # a non-unit diagonal cannot reach the density: CorrelationMatrix refuses it
-        with pytest.raises(ValueError, match="unit diagonal"):
-            lkj_log_density(CorrelationMatrix(np.diag([2.0, 1.0])), 0.5)
 
 
 class TestSampleHyperposterior:

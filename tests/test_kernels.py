@@ -1,13 +1,10 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from samsbo.bounds import kernel_dominance
 from samsbo.gp import MultiTaskDataset
-from samsbo.kernels import CorrelationMatrix, KernelParams, gram, kernel_lipschitz
+from samsbo.kernels import CorrelationMatrix, KernelParams, gram
 
-from oracles import kernel_lipschitz_grid, multitask_kernel, multitask_lipschitz, se_kernel
+from oracles import multitask_kernel, se_kernel
 
 
 def params_1d(sf2=1.0, ell=1.0, noise=0.0):
@@ -23,16 +20,6 @@ def random_correlation(u, rng):
         m = m / np.outer(d, d)
         if np.min(m) >= 0.0 and np.min(np.linalg.eigvalsh(m)) > 1e-8:
             return CorrelationMatrix(m)
-
-
-def inter_task(matrix):
-    """Inter-task matrix with any positive diagonal, which ``CorrelationMatrix`` refuses.
-
-    The moduli and Lipschitz constants are defined for the largest diagonal
-    entry q of a general Sigma and read only ``matrix`` and ``size``.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    return SimpleNamespace(matrix=matrix, size=matrix.shape[0])
 
 
 class TestSeKernel:
@@ -139,57 +126,3 @@ class TestGram:
         with pytest.raises(ValueError):
             gram(MultiTaskDataset.empty(1), CorrelationMatrix.identity(1), params_1d())
 
-
-class TestKernelLipschitz:
-    def test_1d_matches_analytic_peak(self):
-        assert kernel_lipschitz(params_1d()) == pytest.approx(1.0 / np.sqrt(np.e), abs=1e-12)
-        grid_value = kernel_lipschitz_grid(params_1d(), n_pairs=40_000)
-        assert grid_value <= kernel_lipschitz(params_1d()) + 1e-9
-        assert grid_value == pytest.approx(1.0 / np.sqrt(np.e), rel=0.05)
-
-    def test_scales_linearly_in_signal_variance(self):
-        base = kernel_lipschitz(params_1d())
-        assert kernel_lipschitz(params_1d(sf2=3.0)) == pytest.approx(3.0 * base)
-
-    def test_halving_lengthscale_doubles(self):
-        assert kernel_lipschitz(params_1d(ell=0.5)) == pytest.approx(
-            2.0 * kernel_lipschitz(params_1d()))
-        assert kernel_lipschitz_grid(params_1d(ell=0.5), n_pairs=40_000) == pytest.approx(
-            2.0 / np.sqrt(np.e), rel=0.05)
-
-    @pytest.mark.parametrize("norm_p", [1, 2, np.inf])
-    def test_bound_holds_on_random_pairs(self, norm_p):
-        rng = np.random.default_rng(3)
-        p = KernelParams(1.3, [0.5, 0.8])
-        l_k = kernel_lipschitz(p, norm_p)
-        x = rng.random((10_000, 2))
-        y = rng.random((10_000, 2))
-        x_ref = rng.random((10_000, 2))
-        kx = np.array([se_kernel(a, b, p) for a, b in zip(x[:500], x_ref[:500])])
-        ky = np.array([se_kernel(a, b, p) for a, b in zip(y[:500], x_ref[:500])])
-        dist = np.linalg.norm((x - y)[:500], ord=norm_p, axis=1)
-        assert np.all(np.abs(kx - ky) <= l_k * dist + 1e-12)
-
-
-class TestMultitaskLipschitz:
-    def test_unit_diagonal(self):
-        assert multitask_lipschitz(CorrelationMatrix.identity(3), 0.5) == pytest.approx(0.5)
-
-    def test_scaled_identity(self):
-        sigma = inter_task(2.0 * np.eye(2))
-        assert multitask_lipschitz(sigma, 0.7) == pytest.approx(1.4)
-
-    def test_max_diagonal(self):
-        sigma = inter_task(np.diag([1.0, 3.0]))
-        assert multitask_lipschitz(sigma, 1.0) == pytest.approx(3.0)
-
-
-class TestKernelDominance:
-    def test_ratio_bound_makes_dominant(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            u = rng.integers(2, 5)
-            s = random_correlation(u, rng)
-            sp = random_correlation(u, rng)
-            beta2 = np.linalg.norm(sp.matrix @ np.linalg.inv(s.matrix), 2)
-            assert kernel_dominance(s, sp, np.sqrt(beta2))
