@@ -8,9 +8,11 @@
 # REF is exported with `git archive` to a temporary directory.  The working
 # tree's scripts/fixed_seed_outputs.sh then writes its 19-file set once from
 # REF's src/ and once from the working tree's src/, so both sides run the same
-# configurations, and `diff -r` compares the two sets.  Exits 0 when every file
-# is byte-identical and 1 on any difference; a failing run exits with its own
-# status.  Each side takes about 10 s on a 2-core VM.
+# configurations, and `diff -r` compares the two sets.  After the verdict it
+# prints the line totals of REF's src/samsbo/*.py and of the working tree's, so
+# a size claim comes from the same command as the identity check.  Exits 0 when
+# every file is byte-identical and 1 on any difference; a failing run exits
+# with its own status.  Each side takes about 10 s on a 2-core VM.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
@@ -31,9 +33,13 @@ cp "$root/scripts/fixed_seed_outputs.sh" "$work/ref/scripts/"
 "$root/scripts/fixed_seed_outputs.sh" "$work/out/tree" > /dev/null
 
 files=$(find "$work/out/tree" -type f | wc -l)
+status=0
 if diff -r "$work/out/ref" "$work/out/tree"; then
     echo "identical: all $files files of ${commit:0:7} and the working tree"
 else
     echo "$0: outputs of ${commit:0:7} and the working tree differ" >&2
-    exit 1
+    status=1
 fi
+echo "src/samsbo lines: ${commit:0:7} $(cat "$work"/ref/src/samsbo/*.py | wc -l)," \
+    "working tree $(cat "$root"/src/samsbo/*.py | wc -l)"
+exit "$status"

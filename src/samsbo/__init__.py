@@ -11,7 +11,6 @@ from .hyperposterior import (
     sample_hyperposterior,
 )
 from .bounds import (
-    LatentNormSpec,
     ScalingBundle,
     beta_bayes,
     beta_freq,

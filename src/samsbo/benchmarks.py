@@ -102,13 +102,10 @@ class SyntheticProblem:
     def evaluate(self, z: int, x: np.ndarray, rng: np.random.Generator) -> float:
         return self.true_value(z, x) + self.noise_sd * rng.standard_normal()
 
-    def with_disturbance_seed(self, seed: int) -> "SyntheticProblem":
-        rng = np.random.default_rng(seed)
-        directions = rng.choice([-1.0, 1.0], size=(self.n_tasks - 1, self.dimension))
-        return SyntheticProblem(
-            self.name, self.base, self.domain, self.threshold, self.shift_factor,
-            self.n_tasks, directions, self.noise_sd, seed,
-        )
+
+def _signs(seed: int, n_tasks: int, cols: int) -> np.ndarray:
+    """One seeded sign vector per supplementary task."""
+    return np.random.default_rng(seed).choice([-1.0, 1.0], size=(n_tasks - 1, cols))
 
 
 def _output_scale(base: Callable[[np.ndarray], float], domain: np.ndarray) -> float:
@@ -128,9 +125,8 @@ def branin_problem(shift_factor: float = 0.3, n_tasks: int = 2,
                    noise_multiplier: float = 0.01,
                    disturbance_seed: int = 0) -> SyntheticProblem:
     noise = noise_multiplier * _output_scale(branin, BRANIN_DOMAIN)
-    base = SyntheticProblem("branin", branin, BRANIN_DOMAIN, threshold, shift_factor,
-                            n_tasks, np.ones((max(n_tasks - 1, 1), 2)), noise, 0)
-    return base.with_disturbance_seed(disturbance_seed)
+    return SyntheticProblem("branin", branin, BRANIN_DOMAIN, threshold, shift_factor, n_tasks,
+                            _signs(disturbance_seed, n_tasks, 2), noise, disturbance_seed)
 
 
 def powell_problem(dimension: int = 4, shift_factor: float = 0.3, n_tasks: int = 2,
@@ -139,9 +135,9 @@ def powell_problem(dimension: int = 4, shift_factor: float = 0.3, n_tasks: int =
                    disturbance_seed: int = 0) -> SyntheticProblem:
     domain = np.tile(np.array(POWELL_DOMAIN), (dimension, 1))
     noise = noise_multiplier * _output_scale(powell, domain)
-    base = SyntheticProblem("powell", powell, domain, threshold, shift_factor,
-                            n_tasks, np.ones((max(n_tasks - 1, 1), dimension)), noise, 0)
-    return base.with_disturbance_seed(disturbance_seed)
+    return SyntheticProblem("powell", powell, domain, threshold, shift_factor, n_tasks,
+                            _signs(disturbance_seed, n_tasks, dimension), noise,
+                            disturbance_seed)
 
 
 def lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -195,15 +191,6 @@ class LaserChainProblem:
     @property
     def domain(self) -> np.ndarray:
         return self.box
-
-    def with_disturbance_seed(self, seed: int) -> "LaserChainProblem":
-        rng = np.random.default_rng(seed)
-        signs = rng.choice([-1.0, 1.0], size=(self.n_tasks - 1, self.n_subsystems + 1))
-        return LaserChainProblem(
-            self.n_subsystems, self.omega, self.zeta, self.filter_poles,
-            self.filter_gain, self.output_scale, self.threshold, self.box,
-            self.disturbance_factor, self.n_tasks, signs, self.noise_sd, seed,
-        )
 
     def _poles_for_task(self, z: int) -> np.ndarray:
         if z == 1:
@@ -296,9 +283,9 @@ def laser_problem(n_subsystems: int = 5, disturbance_factor: float = 0.3,
         n_subsystems=n, omega=omega, zeta=0.7, filter_poles=filter_poles,
         filter_gain=1.0, output_scale=OUTPUT_SCALE_LASER, threshold=threshold,
         box=box, disturbance_factor=disturbance_factor, n_tasks=n_tasks,
-        filter_signs=np.ones((max(n_tasks - 1, 1), n + 1)),
-        noise_sd=noise_multiplier * threshold, disturbance_seed=0,
-    ).with_disturbance_seed(disturbance_seed)
+        filter_signs=_signs(disturbance_seed, n_tasks, n + 1),
+        noise_sd=noise_multiplier * threshold, disturbance_seed=disturbance_seed,
+    )
     seed_cost = h2_cost(problem.default_safe_seed(), problem, 1)
     if not seed_cost <= threshold:
         raise StabilityError(f"default seed cost {seed_cost:.2f} exceeds threshold")

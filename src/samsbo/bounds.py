@@ -36,7 +36,6 @@ from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
 __all__ = [
     "ScalingBundle",
-    "LatentNormSpec",
     "beta_freq",
     "operator_norm_lambda",
     "rkhs_norm_exact",
@@ -62,36 +61,6 @@ class ScalingBundle:
     beta_bar: float
 
 
-@dataclass(frozen=True)
-class LatentNormSpec:
-    """Known norms of the latent single-task functions, or their full inner products."""
-
-    norms: np.ndarray | None = None
-    inner_products: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.norms is None) == (self.inner_products is None):
-            raise ValueError("provide exactly one of norms or inner_products")
-        if self.norms is not None:
-            v = np.atleast_1d(np.asarray(self.norms, dtype=float))
-            if np.any(v < 0.0):
-                raise ValueError("latent norms must be nonnegative")
-            object.__setattr__(self, "norms", v)
-        else:
-            g = np.asarray(self.inner_products, dtype=float)
-            if g.ndim != 2 or g.shape[0] != g.shape[1]:
-                raise ValueError("inner product matrix must be square")
-            if np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) < -1e-10:
-                raise ValueError("inner product matrix must be positive semidefinite")
-            object.__setattr__(self, "inner_products", g)
-
-    def stacked_norm(self) -> float:
-        """Norm of the stacked latent vector, sqrt(sum of squared norms)."""
-        if self.norms is not None:
-            return float(np.sqrt(np.sum(self.norms ** 2)))
-        return float(np.sqrt(max(np.trace(self.inner_products), 0.0)))
-
-
 def _noise_term(n_obs: int, delta: float) -> float:
     log_inv = math.log(1.0 / delta)
     return math.sqrt(n_obs + 2.0 * math.sqrt(n_obs * log_inv) + 2.0 * log_inv)
@@ -106,10 +75,14 @@ def beta_freq(rkhs_norm: float, n_obs: int, delta: float) -> float:
     return (rkhs_norm + _noise_term(n_obs, delta)) ** 2
 
 
+def _spectral_ratio(sigma_prime: CorrelationMatrix, sigma: CorrelationMatrix) -> float:
+    """|S'^-1 S|_2, the largest variance ratio of the two kernels."""
+    return float(np.linalg.norm(solve(sigma_prime.matrix, sigma.matrix, assume_a="pos"), 2))
+
+
 def operator_norm_lambda(sigma: CorrelationMatrix, sigma_prime: CorrelationMatrix) -> float:
     """Norm of the operator mapping expansions between the two RKHSs, sqrt(|S'^-1 S|_2)."""
-    product = solve(sigma_prime.matrix, sigma.matrix, assume_a="pos")
-    return float(np.sqrt(np.linalg.norm(product, 2)))
+    return math.sqrt(_spectral_ratio(sigma_prime, sigma))
 
 
 def rkhs_norm_exact(sigma: CorrelationMatrix, inner_products: np.ndarray) -> float:
@@ -122,15 +95,20 @@ def rkhs_norm_exact(sigma: CorrelationMatrix, inner_products: np.ndarray) -> flo
     return float(np.sqrt(max(val, 0.0)))
 
 
-def beta_freq_robust(latent_norms: LatentNormSpec, sigma_prime: CorrelationMatrix,
+def beta_freq_robust(latent_norms: np.ndarray, sigma_prime: CorrelationMatrix,
                      n_obs: int, delta: float) -> float:
     """Robust frequentist factor with the norm inflated by lambda = sqrt(|S'^-1|_2).
 
-    Specializes the norm transport to the identity correlation matrix, where
-    the stacked latent norm is the exact RKHS norm.
+    ``latent_norms`` holds the nonnegative RKHS norm of each latent
+    single-task function.  Specializes the norm transport to the identity
+    correlation matrix, where the stacked latent norm sqrt(sum of squares) is
+    the exact RKHS norm.
     """
+    norms = np.atleast_1d(np.asarray(latent_norms, dtype=float))
+    if np.any(norms < 0.0):
+        raise ValueError("latent norms must be nonnegative")
     lam = operator_norm_lambda(CorrelationMatrix.identity(sigma_prime.size), sigma_prime)
-    return beta_freq(lam * latent_norms.stacked_norm(), n_obs, delta)
+    return beta_freq(lam * float(np.linalg.norm(norms)), n_obs, delta)
 
 
 def covering_number(tau: float, d: int) -> int:
@@ -179,10 +157,7 @@ def select_sigma_prime(confidence_set: ConfidenceSet) -> CorrelationMatrix:
     unique = _unique_members(members)
     best, best_val = unique[0], np.inf
     for candidate in unique:
-        worst = max(
-            np.linalg.norm(np.linalg.solve(candidate.matrix, other.matrix), 2)
-            for other in unique
-        )
+        worst = max(_spectral_ratio(candidate, other) for other in unique)
         if worst < best_val - 1e-15:
             best, best_val = candidate, worst
     return best
@@ -202,11 +177,8 @@ def gamma_factor(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) 
     rs = confidence_set.offdiagonals
     if rs is not None:
         return twotask.gamma(rs, sigma_prime.matrix[0, 1])
-    best = 0.0
-    for member in _unique_members(confidence_set.members):
-        product = solve(sigma_prime.matrix, member.matrix, assume_a="pos")
-        best = max(best, float(np.linalg.norm(product, 2)))
-    return float(np.sqrt(best))
+    return math.sqrt(max(_spectral_ratio(sigma_prime, member)
+                         for member in _unique_members(confidence_set.members)))
 
 
 def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
@@ -303,7 +275,7 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if n_tasks > 1 else None
     factor = twotask.TwoTaskFactor.build(dataset, params, base) if n_tasks == 2 else None
     if n_tasks == 1:
-        cset = ConfidenceSet((CorrelationMatrix.identity(1),), rho, np.zeros(1))
+        cset = ConfidenceSet((CorrelationMatrix.identity(1),))
     else:
         hyper = hyperposterior.sample_hyperposterior(dataset, n_tasks, eta, params, seed=seed,
                                                      factor=factor)

@@ -3,7 +3,8 @@
 Posterior mean and variance follow the standard closed form with the
 single-task Gram matrix replaced by its multi-task counterpart.  The fitted
 state is a Cholesky factor L of the regularized Gram matrix, the jitter that
-factor carries, the weight vector and the whitened observations L^-1 y.
+factor carries and the whitened observations L^-1 y, which the mean and the
+log marginal likelihood read in place of a weight vector K^-1 y.
 
 Growing data.  :func:`fit` given the ``previous`` posterior extends its factor
 by the new rows (Seeger 2004) when the correlation matrix and the kernel
@@ -46,10 +47,10 @@ first).  Each V_z is a read-only view of the leading rows of a buffer, which
 only ever appends behind every view and grows its capacity by GRID_GROWTH.
 The check and the append happen under the buffer's lock.
 
-The factor, weights and dataset never change after :func:`fit`; the grid
-cache is the only mutable state.  A fill empties it and then stores every
-task's entry at once, so a reader sees one fill's entries or none; fills are
-deterministic, so threads that race on one compute the same value.
+The factor, whitened observations and dataset never change after :func:`fit`;
+the grid cache is the only mutable state.  A fill empties it and then stores
+every task's entry at once, so a reader sees one fill's entries or none; fills
+are deterministic, so threads that race on one compute the same value.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri
 
 from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
@@ -249,7 +250,6 @@ class Posterior:
     sigma_used: CorrelationMatrix
     params: KernelParams
     chol: np.ndarray
-    alpha: np.ndarray
     jitter: float
     whitened_obs: np.ndarray
     _grid: list = field(default_factory=list, repr=False, compare=False)
@@ -375,7 +375,7 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
     result agrees with a fresh fit to rounding.
     """
     if dataset.n == 0:
-        return Posterior(dataset, sigma, params, np.zeros((0, 0)), np.zeros(0), 0.0, np.zeros(0))
+        return Posterior(dataset, sigma, params, np.zeros((0, 0)), 0.0, np.zeros(0))
     L = None if previous is None else _extended_factor(previous, dataset, sigma, params,
                                                        base_gram)
     if L is None:
@@ -384,24 +384,22 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
         grid = []
     else:
         jitter, grid = previous.jitter, list(previous._grid)
-    y = dataset.observations
-    alpha = cho_solve((L, True), y)
-    whitened_obs = solve_triangular(L, y, lower=True)
-    return Posterior(dataset, sigma, params, L, alpha, jitter, whitened_obs, grid)
+    whitened_obs = solve_triangular(L, dataset.observations, lower=True)
+    return Posterior(dataset, sigma, params, L, jitter, whitened_obs, grid)
 
 
 def log_marginal_likelihood(dataset: MultiTaskDataset, sigma: CorrelationMatrix,
                             params: KernelParams, base_gram: np.ndarray | None = None) -> float:
     """Log density of the observations under the zero-mean GP prior plus noise.
 
-    Reads the factor and the weights of :func:`fit`, so both factor the same
-    regularized system.
+    Reads the factor and the whitened observations w = L^-1 y of :func:`fit`,
+    so both factor the same regularized system: y' K^-1 y = |w|^2.
     """
     if dataset.n == 0:
         return 0.0
     posterior = fit(dataset, sigma, params, base_gram)
-    y = dataset.observations
+    w = posterior.whitened_obs
     return float(
-        -0.5 * y @ posterior.alpha - np.sum(np.log(np.diag(posterior.chol)))
+        -0.5 * w @ w - np.sum(np.log(np.diag(posterior.chol)))
         - 0.5 * dataset.n * np.log(2.0 * np.pi)
     )

@@ -74,14 +74,10 @@ class ChainDivergenceError(RuntimeError):
 class McmcDiagnostics:
     """Health of the angle walk.
 
-    The two-task quadrature has nothing to reject: it reports acceptance 1.0
-    and its cells as one chain without burn-in.
+    The two-task quadrature has nothing to reject: it reports acceptance 1.0.
     """
 
     acceptance_rate: float
-    chain_length: int
-    burn_in: int
-    n_chains: int
 
     def __post_init__(self):
         if not 0.0 <= self.acceptance_rate <= 1.0:
@@ -116,15 +112,11 @@ class EmpiricalHyperPosterior:
 
 @dataclass(frozen=True)
 class ConfidenceSet:
-    """Highest posterior density subset covering the true Sigma w.p. 1 - rho."""
+    """Densest samples covering Sigma w.p. 1 - rho, densest first, then any cell edges."""
 
     members: tuple[CorrelationMatrix, ...]
-    rho: float
-    log_densities: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
         if len(self.members) == 0:
             raise ValueError("confidence set must be nonempty")
         if len({m.size for m in self.members}) > 1:
@@ -294,10 +286,9 @@ def sample_hyperposterior(
             )
         # equal cells: a cell's mass is its density up to one constant
         log_weights = factor.log_likelihood(CELL_MIDPOINTS) + _log_cell_masses(eta)
-        diag = McmcDiagnostics(acceptance_rate=1.0, chain_length=QUADRATURE_CELLS,
-                               burn_in=0, n_chains=1)
         midpoints, edges = cell_matrices()
-        return EmpiricalHyperPosterior(midpoints, log_weights, log_weights, diag, edges)
+        return EmpiricalHyperPosterior(midpoints, log_weights, log_weights, McmcDiagnostics(1.0),
+                                       edges)
 
     total_keep = n_samples if n_samples is not None else CHAINS * SAMPLES_PER_CHAIN
     if total_keep < MIN_SAMPLES:
@@ -338,14 +329,8 @@ def sample_hyperposterior(
         if s.tobytes() not in distinct:
             distinct[s.tobytes()] = CorrelationMatrix(angles_to_correlation(s, n_tasks))
     samples = tuple(distinct[s.tobytes()] for s in all_states)
-    chain_length = int(np.ceil(per_chain / (1.0 - BURN_IN_FRACTION)))
-    diag = McmcDiagnostics(
-        acceptance_rate=acceptance,
-        chain_length=chain_length,
-        burn_in=chain_length - per_chain,
-        n_chains=CHAINS,
-    )
-    return EmpiricalHyperPosterior(samples, all_logs, np.zeros(len(samples)), diag)
+    return EmpiricalHyperPosterior(samples, all_logs, np.zeros(len(samples)),
+                                   McmcDiagnostics(acceptance))
 
 
 def confidence_set(posterior: EmpiricalHyperPosterior, rho: float) -> ConfidenceSet:
@@ -357,9 +342,8 @@ def confidence_set(posterior: EmpiricalHyperPosterior, rho: float) -> Confidence
     the exact integers 1..m.
 
     Cells stand for their whole extent: each run of adjacent kept cells also
-    contributes its two outer edges, after the cells and carrying the log
-    density of the cell each bounds, so the members' range of r holds every
-    r whose mass was kept.
+    contributes its two outer edges, after the cells and in the order of r,
+    so the members' range of r holds every r whose mass was kept.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
@@ -370,14 +354,13 @@ def confidence_set(posterior: EmpiricalHyperPosterior, rho: float) -> Confidence
     order = order[:keep]
     members = tuple(posterior.samples[i] for i in order)
     if posterior.edges is None:
-        return ConfidenceSet(members, rho, posterior.log_densities[order])
+        return ConfidenceSet(members)
     cells = np.sort(order)
     breaks = np.flatnonzero(np.diff(cells) > 1)
     firsts = cells[np.r_[0, breaks + 1]]
     lasts = cells[np.r_[breaks, len(cells) - 1]]
-    bounded = np.column_stack([firsts, lasts]).ravel()
     edges = tuple(posterior.edges[e] for e in np.column_stack([firsts, lasts + 1]).ravel())
-    return ConfidenceSet(members + edges, rho, posterior.log_densities[np.r_[order, bounded]])
+    return ConfidenceSet(members + edges)
 
 
 def sample_prior_offdiagonal(eta: float, rng: np.random.Generator) -> float:

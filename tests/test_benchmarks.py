@@ -185,6 +185,19 @@ class TestProblemInterface:
         again = p.evaluate(1, x, np.random.default_rng(1))
         assert noisy == again
 
+    @pytest.mark.parametrize("factory, attribute, cols", [
+        (lambda seed: branin_problem(n_tasks=3, disturbance_seed=seed), "directions", 2),
+        (lambda seed: powell_problem(dimension=8, n_tasks=3, disturbance_seed=seed),
+         "directions", 8),
+        (lambda seed: laser_problem(n_tasks=3, disturbance_seed=seed), "filter_signs", 6),
+    ])
+    def test_signs_come_from_the_disturbance_seed(self, factory, attribute, cols):
+        for seed in (0, 3, 11):
+            p = factory(seed)
+            expected = np.random.default_rng(seed).choice([-1.0, 1.0], size=(2, cols))
+            assert np.array_equal(getattr(p, attribute), expected)
+            assert p.disturbance_seed == seed
+
     def test_disturbance_reseeding_changes_supplementary(self):
         a = branin_problem(disturbance_seed=1)
         b = branin_problem(disturbance_seed=2)

@@ -170,6 +170,23 @@ class TestLogMarginalLikelihood:
         assert log_marginal_likelihood(ds, sigma, params) == pytest.approx(
             log_marginal_likelihood(shuffled, sigma, params), abs=1e-9)
 
+    def test_two_task_dense_gaussian_density(self):
+        # -1/2 y' K^-1 y - 1/2 log det K - n/2 log 2 pi with K the fit's regularized system
+        rng = np.random.default_rng(8)
+        n = 14
+        ds = MultiTaskDataset(rng.random((n, 2)), rng.integers(1, 3, n),
+                              rng.standard_normal(n))
+        sigma = CorrelationMatrix.two_task(0.7)
+        params = KernelParams(1.3, [0.4, 0.6], noise_variance=0.05)
+        jitter = fit(ds, sigma, params).jitter
+        K = (gram(ds, sigma, params)
+             + (params.noise_variance + jitter * params.signal_variance) * np.eye(n))
+        y = ds.observations
+        sign, logdet = np.linalg.slogdet(K)
+        assert sign > 0
+        reference = -0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
+        assert log_marginal_likelihood(ds, sigma, params) == pytest.approx(reference, abs=1e-10)
+
 
 class TestMeanValues:
     def test_empty_points(self):
@@ -206,10 +223,10 @@ def grown_and_fresh(previous, dataset, sigma, params, base_gram=None):
 
 
 def assert_close_to(grown, fresh, points, tol=1e-10):
-    """Factor, weights and predictions of both tasks agree within ``tol``."""
+    """Factor, whitened observations and predictions of both tasks agree within ``tol``."""
     assert grown.jitter == fresh.jitter
     assert np.max(np.abs(grown.chol - fresh.chol)) <= tol
-    assert np.max(np.abs(grown.alpha - fresh.alpha)) <= tol
+    assert np.max(np.abs(grown.whitened_obs - fresh.whitened_obs)) <= tol
     for z in range(1, fresh.sigma_used.size + 1):
         for got, want in zip(grown.predict_batch(points, z), fresh.predict_batch(points, z)):
             assert np.max(np.abs(got - want)) <= tol
@@ -218,7 +235,7 @@ def assert_close_to(grown, fresh, points, tol=1e-10):
 def assert_bitwise(grown, fresh, points):
     assert grown.jitter == fresh.jitter
     assert np.array_equal(grown.chol, fresh.chol)
-    assert np.array_equal(grown.alpha, fresh.alpha)
+    assert np.array_equal(grown.whitened_obs, fresh.whitened_obs)
     for z in range(1, fresh.sigma_used.size + 1):
         for got, want in zip(grown.predict_batch(points, z), fresh.predict_batch(points, z)):
             assert np.array_equal(got, want)
@@ -513,8 +530,8 @@ class TestJitter:
         assert np.max(np.abs(grown.chol - fresh.chol)) <= 1e-10
         for got, want in zip(grown.predict_batch(points, 1), fresh.predict_batch(points, 1)):
             assert np.max(np.abs(got - want)) <= 1e-10
-        # the weights inherit the system's conditioning (about 1e8 here)
-        assert np.allclose(grown.alpha, fresh.alpha, rtol=1e-6, atol=0.0)
+        # L^-1 y inherits the factor's conditioning (about 1e4 here)
+        assert np.allclose(grown.whitened_obs, fresh.whitened_obs, rtol=1e-6, atol=0.0)
 
     def test_non_pd_schur_complement_falls_back(self):
         dataset, base = self.case(twin=10)

@@ -226,12 +226,12 @@ class TestConfidenceSet:
         edges = tuple(CorrelationMatrix.two_task(0.1 * i) for i in range(6))
         cells = tuple(CorrelationMatrix.two_task(0.1 * i + 0.05) for i in range(5))
         logw = np.log([0.3, 0.4, 1e-6, 0.3, 1e-6])
-        diag = McmcDiagnostics(1.0, 5, 0, 1)
+        diag = McmcDiagnostics(1.0)
         post = EmpiricalHyperPosterior(cells, logw, logw, diag, edges)
         cs = confidence_set(post, 0.05)
-        assert cs.members[:3] == (cells[1], cells[0], cells[3])
-        assert cs.members[3:] == (edges[0], edges[2], edges[3], edges[4])
-        assert np.array_equal(cs.log_densities, logw[[1, 0, 3, 0, 1, 3, 3]])
+        # kept cells densest first, then each run's two outer edges in the order of r
+        assert cs.members == (cells[1], cells[0], cells[3], edges[0], edges[2], edges[3], edges[4])
+        assert np.allclose(cs.offdiagonals, [0.15, 0.05, 0.35, 0.0, 0.2, 0.3, 0.4])
         with pytest.raises(ValueError, match="edges"):
             EmpiricalHyperPosterior(cells, logw, logw, diag, edges[:-1])
 

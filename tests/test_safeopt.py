@@ -30,7 +30,7 @@ PARAMS = KernelParams(1.0, [0.4], noise_variance=0.01)
 
 
 def make_state(dataset, sigma, beta_bar=4.0, grid=None):
-    cs = ConfidenceSet((sigma,), 0.15, np.zeros(1))
+    cs = ConfidenceSet((sigma,))
     bundle = bounds.ScalingBundle(beta_b=beta_bar, nu=0.0, gamma=1.0, beta_bar=beta_bar)
     posterior = gp.fit(dataset, sigma, PARAMS)
     return OptimizationState(
@@ -232,7 +232,7 @@ class TestAcquireSupplementary:
 class TestSelectSigmaPrime:
     def test_singleton(self):
         s = CorrelationMatrix.two_task(0.4)
-        cs = ConfidenceSet((s,), 0.15, np.zeros(1))
+        cs = ConfidenceSet((s,))
         assert select_sigma_prime(cs).key() == s.key()
 
     def test_matches_exhaustive_minimax(self):
@@ -240,7 +240,7 @@ class TestSelectSigmaPrime:
         for _ in range(20):
             members = tuple(CorrelationMatrix.two_task(float(r))
                             for r in rng.random(6) * 0.9)
-            cs = ConfidenceSet(members, 0.15, np.zeros(6))
+            cs = ConfidenceSet(members)
             chosen = select_sigma_prime(cs)
             worst = []
             for cand in members:
@@ -257,7 +257,7 @@ class TestSelectSigmaPrime:
         from test_kernels import random_correlation
         rng = np.random.default_rng(4)
         members = tuple(random_correlation(3, rng) for _ in range(5))
-        cs = ConfidenceSet(members, 0.15, np.arange(5, 0, -1, dtype=float))
+        cs = ConfidenceSet(members)
         chosen = select_sigma_prime(cs)
         worst_chosen = max(
             np.linalg.norm(np.linalg.solve(chosen.matrix, m.matrix), 2) for m in members)

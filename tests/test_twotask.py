@@ -78,7 +78,7 @@ class TestNu:
             params = KernelParams(1.3, [0.3, 0.5], noise_variance=0.02)
             members = [CorrelationMatrix.two_task(float(r)) for r in rng.random(8) * 0.95]
             members += members[:3]
-            cs = ConfidenceSet(tuple(members), 0.15, np.zeros(len(members)))
+            cs = ConfidenceSet(tuple(members))
             for sp in (members[0], CorrelationMatrix.two_task(0.2)):
                 reference = cholesky_nu(dataset, sp, members, params)
                 assert bounds.nu_factor(dataset, sp, cs, params) == pytest.approx(
@@ -92,7 +92,7 @@ class TestNu:
         task_one = gp.MultiTaskDataset(rng.random((25, 1)), np.ones(25, int),
                                        rng.standard_normal(25))
         identity = CorrelationMatrix.identity(1)
-        single = ConfidenceSet((identity,), 0.15, np.zeros(1))
+        single = ConfidenceSet((identity,))
         assert bounds.nu_factor(task_one, identity, single, PARAMS) == 0.0
         assert cholesky_nu(task_one, identity, [identity], PARAMS) == 0.0
         # nu is a square root: rounding of about 1e-13 in the quadratic form
@@ -100,7 +100,7 @@ class TestNu:
         mixed = datasets()["mixed"]
         for r in (0.0, 0.4, 0.9):
             sp = CorrelationMatrix.two_task(r)
-            cs = ConfidenceSet((sp, sp), 0.15, np.zeros(2))
+            cs = ConfidenceSet((sp, sp))
             assert bounds.nu_factor(mixed, sp, cs, PARAMS) == 0.0
             assert cholesky_nu(mixed, sp, [sp], PARAMS) == pytest.approx(0.0, abs=1e-6)
             assert factor_for(mixed).nu(r, np.array([r])) == pytest.approx(0.0, abs=1e-6)
@@ -113,7 +113,7 @@ class TestSizeSelectsTheRoute:
 
     def test_near_unit_diagonal_takes_the_closed_forms(self):
         members = [self.near_unit(r) for r in (0.1, 0.35, 0.6, 0.85)]
-        cs = ConfidenceSet(tuple(members), 0.15, np.zeros(len(members)))
+        cs = ConfidenceSet(tuple(members))
         assert cs.offdiagonals is not None
         assert np.array_equal(cs.offdiagonals, [0.1, 0.35, 0.6, 0.85])
         for sp in (members[1], self.near_unit(0.2)):
@@ -127,8 +127,8 @@ class TestSizeSelectsTheRoute:
     def test_mixed_sizes_raise(self):
         two, three = CorrelationMatrix.two_task(0.3), CorrelationMatrix.identity(3)
         with pytest.raises(ValueError, match="one size"):
-            ConfidenceSet((two, three), 0.15, np.zeros(2))
-        cs = ConfidenceSet((two, CorrelationMatrix.two_task(0.6)), 0.15, np.zeros(2))
+            ConfidenceSet((two, three))
+        cs = ConfidenceSet((two, CorrelationMatrix.two_task(0.6)))
         with pytest.raises(ValueError, match="3x3.*2x2"):
             bounds.gamma_factor(three, cs)
         with pytest.raises(ValueError, match="3x3.*2x2"):
