@@ -9,8 +9,9 @@
 # tree's scripts/fixed_seed_outputs.sh then writes its 19-file set once from
 # REF's src/ and once from the working tree's src/, so both sides run the same
 # configurations, and `diff -r` compares the two sets.  After the verdict it
-# prints the line totals of REF's src/samsbo/*.py and of the working tree's, so
-# a size claim comes from the same command as the identity check.  Exits 0 when
+# prints the line totals of REF's src/samsbo/*.py and tests/*.py and of the
+# working tree's, so a size claim comes from the same command as the identity
+# check, and code moved from the package into the tests reads as a move.  Exits 0 when
 # every file is byte-identical and 1 on any difference; a failing run exits
 # with its own status.  Each side takes about 10 s on a 2-core VM.
 set -euo pipefail
@@ -26,7 +27,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 mkdir -p "$work/ref/scripts"
-git -C "$root" archive "$commit" src | tar -x -C "$work/ref"
+git -C "$root" archive "$commit" src tests | tar -x -C "$work/ref"
 cp "$root/scripts/fixed_seed_outputs.sh" "$work/ref/scripts/"
 
 "$work/ref/scripts/fixed_seed_outputs.sh" "$work/out/ref" > /dev/null
@@ -40,6 +41,8 @@ else
     echo "$0: outputs of ${commit:0:7} and the working tree differ" >&2
     status=1
 fi
-echo "src/samsbo lines: ${commit:0:7} $(cat "$work"/ref/src/samsbo/*.py | wc -l)," \
-    "working tree $(cat "$root"/src/samsbo/*.py | wc -l)"
+for dir in src/samsbo tests; do
+    echo "$dir lines: ${commit:0:7} $(cat "$work/ref/$dir"/*.py | wc -l)," \
+        "working tree $(cat "$root/$dir"/*.py | wc -l)"
+done
 exit "$status"

@@ -14,13 +14,9 @@ from .bounds import (
     ScalingBundle,
     beta_bayes,
     beta_freq,
-    beta_freq_robust,
     covering_number,
     gamma_factor,
-    kernel_dominance,
     nu_factor,
-    operator_norm_lambda,
-    rkhs_norm_exact,
     scaling_bundle,
     select_sigma_prime,
 )

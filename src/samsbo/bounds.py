@@ -1,8 +1,8 @@
 """Scaling factors turning posterior standard deviations into uniform error bounds.
 
-Frequentist route: beta_f from a known RKHS norm plus a concentration term on
-the noise vector, made robust to the correlation matrix used for inference via
-the operator norm linking the two reproducing kernel Hilbert spaces.
+The Bayesian route, plus the plain frequentist factor :func:`beta_freq` (a
+known RKHS norm plus a concentration term on the noise vector) that the
+frequentist coverage suite checks at the true correlation matrix.
 
 Bayesian route: beta_b = 2 log(|I| / delta) on the finite discretization I
 whose points are certified, made robust over a confidence set of correlation
@@ -37,9 +37,6 @@ from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 __all__ = [
     "ScalingBundle",
     "beta_freq",
-    "operator_norm_lambda",
-    "rkhs_norm_exact",
-    "beta_freq_robust",
     "covering_number",
     "beta_bayes",
     "select_sigma_prime",
@@ -47,7 +44,6 @@ __all__ = [
     "nu_factor",
     "scaling_bundle",
     "robust_model",
-    "kernel_dominance",
 ]
 
 
@@ -73,42 +69,6 @@ def beta_freq(rkhs_norm: float, n_obs: int, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return (rkhs_norm + _noise_term(n_obs, delta)) ** 2
-
-
-def _spectral_ratio(sigma_prime: CorrelationMatrix, sigma: CorrelationMatrix) -> float:
-    """|S'^-1 S|_2, the largest variance ratio of the two kernels."""
-    return float(np.linalg.norm(solve(sigma_prime.matrix, sigma.matrix, assume_a="pos"), 2))
-
-
-def operator_norm_lambda(sigma: CorrelationMatrix, sigma_prime: CorrelationMatrix) -> float:
-    """Norm of the operator mapping expansions between the two RKHSs, sqrt(|S'^-1 S|_2)."""
-    return math.sqrt(_spectral_ratio(sigma_prime, sigma))
-
-
-def rkhs_norm_exact(sigma: CorrelationMatrix, inner_products: np.ndarray) -> float:
-    """Exact RKHS norm sqrt(sum_ij [S^-1]_ij <h_i, h_j>) from latent inner products."""
-    g = np.asarray(inner_products, dtype=float)
-    if np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) < -1e-10:
-        raise ValueError("inner product matrix must be positive semidefinite")
-    inv = np.linalg.inv(sigma.matrix)
-    val = float(np.sum(inv * g))
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def beta_freq_robust(latent_norms: np.ndarray, sigma_prime: CorrelationMatrix,
-                     n_obs: int, delta: float) -> float:
-    """Robust frequentist factor with the norm inflated by lambda = sqrt(|S'^-1|_2).
-
-    ``latent_norms`` holds the nonnegative RKHS norm of each latent
-    single-task function.  Specializes the norm transport to the identity
-    correlation matrix, where the stacked latent norm sqrt(sum of squares) is
-    the exact RKHS norm.
-    """
-    norms = np.atleast_1d(np.asarray(latent_norms, dtype=float))
-    if np.any(norms < 0.0):
-        raise ValueError("latent norms must be nonnegative")
-    lam = operator_norm_lambda(CorrelationMatrix.identity(sigma_prime.size), sigma_prime)
-    return beta_freq(lam * float(np.linalg.norm(norms)), n_obs, delta)
 
 
 def covering_number(tau: float, d: int) -> int:
@@ -140,6 +100,11 @@ def _check_size(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) -
     u, size = sigma_prime.size, confidence_set.members[0].size
     if u != size:
         raise ValueError(f"sigma-prime is {u}x{u} but the set's members are {size}x{size}")
+
+
+def _spectral_ratio(sigma_prime: CorrelationMatrix, sigma: CorrelationMatrix) -> float:
+    """|S'^-1 S|_2, the largest variance ratio of the two kernels."""
+    return float(np.linalg.norm(solve(sigma_prime.matrix, sigma.matrix, assume_a="pos"), 2))
 
 
 def select_sigma_prime(confidence_set: ConfidenceSet) -> CorrelationMatrix:
@@ -286,15 +251,3 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
     posterior = gp.fit(dataset, sigma_prime, params, base_gram=base, previous=previous)
     return cset, bundle, posterior
 
-
-def kernel_dominance(sigma: CorrelationMatrix, sigma_prime: CorrelationMatrix,
-                     beta: float) -> bool:
-    """Whether beta^2 * Sigma - Sigma' is positive semidefinite.
-
-    For a positive semidefinite base kernel this is equivalent to
-    beta^2 K_Sigma - K_Sigma' being a positive definite kernel, the inclusion
-    criterion between the two RKHSs.
-    """
-    diff = beta ** 2 * sigma.matrix - sigma_prime.matrix
-    scale = max(float(np.max(np.abs(diff))), 1.0)
-    return bool(np.min(np.linalg.eigvalsh(diff)) >= -1e-10 * scale)

@@ -131,9 +131,18 @@ def _aggregate_rows(algorithm: str, traces: list[list[TraceRecord]],
             for t in range(1, iterations + 1)]
 
 
+def _output_dir(path: str) -> Path:
+    """The output directory, created; one that cannot be made is a ConfigError naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+    return out
+
+
 def cmd_run(config: ExperimentConfig) -> int:
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config.out)
     rep_seeds = _repetition_seeds(config)
     manifest = {
         "config": serialize_config(config),
@@ -191,14 +200,13 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 
 def cmd_verify_bounds(config: ExperimentConfig) -> int:
+    out = _output_dir(config.out)
     reports = [
         verify.frequentist_coverage(trials=config.frequentist_trials,
                                     delta=config.delta, seed=config.seed),
         verify.bayesian_coverage(trials=config.bayesian_trials, delta=config.delta,
                                  rho=config.rho, eta=config.eta, seed=config.seed),
     ]
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload = []
     for report in reports:
         print(report.line())
@@ -237,7 +245,11 @@ def cmd_plotdata(raw_paths: list[str], out_path: str) -> int:
         max_iter = max(max(best) for best in reps.values())
         curves = _forward_fill([reps[rep] for rep in sorted(reps)], max_iter)
         out_rows.extend([alg, t, *_summary(curves[:, t - 1])] for t in range(1, max_iter + 1))
-    with open(out_path, "w", newline="", encoding="utf-8") as handle:
+    try:
+        handle = open(out_path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from exc
+    with handle:
         writer = csv.writer(handle)
         writer.writerow(PLOTDATA_HEADER)
         writer.writerows(out_rows)

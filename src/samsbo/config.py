@@ -116,7 +116,7 @@ class ExperimentConfig(LoopConfig):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        for name in ("frequentist_trials", "bayesian_trials"):
+        for name in ("seed", "frequentist_trials", "bayesian_trials"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")

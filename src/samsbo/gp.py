@@ -121,10 +121,6 @@ class MultiTaskDataset:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
-
     def extended(self, inputs, tasks, observations) -> "MultiTaskDataset":
         X = np.atleast_2d(np.asarray(inputs, dtype=float))
         z = np.atleast_1d(np.asarray(tasks, dtype=int))

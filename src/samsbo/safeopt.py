@@ -11,7 +11,6 @@ safe set at an infinite threshold, which holds the whole candidate grid.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +186,6 @@ class TraceRecord:
     nu: float
     safe_set_size: int
     violation: bool
-    wall_time: float
 
 
 @dataclass
@@ -301,7 +299,7 @@ def _greedy_variance_picks(posterior: gp.Posterior, points: np.ndarray,
 
 
 def _record(state: OptimizationState, repetition: int, task: int, x_raw: np.ndarray,
-            observed: float, violation: bool, safe_size: int, started: float) -> TraceRecord:
+            observed: float, violation: bool, safe_size: int) -> TraceRecord:
     best = state.best_observation[1] if state.best_observation else np.inf
     return TraceRecord(
         repetition=repetition, iteration=state.iteration, task=task,
@@ -309,8 +307,17 @@ def _record(state: OptimizationState, repetition: int, task: int, x_raw: np.ndar
         beta_bar=state.bundle.beta_bar, confidence_set_size=len(state.confidence_set),
         gamma=state.bundle.gamma, nu=state.bundle.nu,
         safe_set_size=safe_size, violation=violation,
-        wall_time=time.perf_counter() - started,
     )
+
+
+def _record_main(state: OptimizationState, problem, repetition: int, x_raw: np.ndarray,
+                 observed: float, safe_size: int) -> TraceRecord:
+    """Trace row of a main-task evaluation, counting a violation and updating the incumbent."""
+    violation = problem.true_value(1, x_raw) > problem.threshold
+    state.violation_count += int(violation)
+    if state.best_observation is None or observed < state.best_observation[1]:
+        state.best_observation = (x_raw, float(observed))
+    return _record(state, repetition, 1, x_raw, observed, violation, safe_size)
 
 
 def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
@@ -318,7 +325,6 @@ def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
     """Evaluate the safe seed inputs on the main task and build the initial model."""
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"the loop runs one algorithm at a time, got {cfg.algorithm!r}")
-    started = time.perf_counter()
     seed_inputs = np.atleast_2d(np.asarray(seed_inputs, dtype=float))
     observations = [problem.evaluate(1, x, rng) for x in seed_inputs]
     dataset = gp.MultiTaskDataset(
@@ -331,20 +337,14 @@ def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
     _refresh_model(state, problem, cfg, rng)
     state.grid = make_grid(problem.dimension, cfg.grid_size, seed=0,
                            extra_points=state.transforms.normalize(seed_inputs))
-    trace = []
-    for x, y in zip(seed_inputs, observations):
-        violation = problem.true_value(1, x) > problem.threshold
-        state.violation_count += int(violation)
-        if state.best_observation is None or y < state.best_observation[1]:
-            state.best_observation = (x, float(y))
-        trace.append(_record(state, repetition, 1, x, y, violation, -1, started))
+    trace = [_record_main(state, problem, repetition, x, y, -1)
+             for x, y in zip(seed_inputs, observations)]
     return state, trace
 
 
 def step(state: OptimizationState, problem, cfg: LoopConfig,
          rng: np.random.Generator, repetition: int = 0) -> list[TraceRecord]:
     """Advance the loop by one iteration and return the new trace rows."""
-    started = time.perf_counter()
     state.iteration += 1
     trace: list[TraceRecord] = []
     multitask = _is_multitask(cfg.algorithm) and problem.n_tasks > 1
@@ -369,7 +369,7 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
 
     if multitask:
         for x_raw, task, y_raw in zip(new_x, new_z, new_y):
-            trace.append(_record(state, repetition, task, x_raw, y_raw, False, -1, started))
+            trace.append(_record(state, repetition, task, x_raw, y_raw, False, -1))
 
     threshold_std = (state.transforms.threshold_std(problem.threshold)
                      if _is_safe(cfg.algorithm) else np.inf)
@@ -384,12 +384,7 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
     x_raw = state.transforms.denormalize(x_norm)
     y_raw = problem.evaluate(1, x_raw, rng)
     state.dataset = state.dataset.extended([x_raw], [1], [y_raw])
-    violation = problem.true_value(1, x_raw) > problem.threshold
-    state.violation_count += int(violation)
-    if state.best_observation is None or y_raw < state.best_observation[1]:
-        state.best_observation = (x_raw, float(y_raw))
-    trace.append(_record(state, repetition, 1, x_raw, y_raw, violation,
-                         current.size(), started))
+    trace.append(_record_main(state, problem, repetition, x_raw, y_raw, current.size()))
     return trace
 
 

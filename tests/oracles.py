@@ -3,11 +3,22 @@
 Nothing in the package calls these: they are the plain, per-point or
 Cholesky-per-node forms of what the package computes in batches or through
 closed forms, kept here so a test does not share the code it checks.
+
+The frequentist robust route (Fiedler, Scherer and Trimpe 2021, AAAI) lives
+here too: the operator norm lambda between the RKHSs of two correlation
+matrices, the exact RKHS norm from latent inner products, the lambda-inflated
+beta_f and the kernel-dominance criterion.  No run calls it, since the
+frequentist coverage suite fits at the true correlation matrix; it stays here,
+with its tests, until ROADMAP item 5 gives it a suite that fits at a
+sigma-prime other than Sigma.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from samsbo.bounds import beta_freq
 from samsbo.gp import log_marginal_likelihood
 from samsbo.hyperposterior import R_MAX
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
@@ -68,3 +79,46 @@ def posterior_grid_two_task(dataset, params: KernelParams, eta: float,
     logs = two_task_log_likelihoods(dataset, params, r) + (eta - 1.0) * np.log1p(-r * r)
     w = np.exp(logs - logs.max())
     return r, w / w.sum()
+
+
+def operator_norm_lambda(sigma: CorrelationMatrix, sigma_prime: CorrelationMatrix) -> float:
+    """Norm of the operator mapping expansions between the two RKHSs, sqrt(|S'^-1 S|_2)."""
+    return math.sqrt(float(np.linalg.norm(np.linalg.solve(sigma_prime.matrix, sigma.matrix), 2)))
+
+
+def rkhs_norm_exact(sigma: CorrelationMatrix, inner_products: np.ndarray) -> float:
+    """Exact RKHS norm sqrt(sum_ij [S^-1]_ij <h_i, h_j>) from latent inner products."""
+    g = np.asarray(inner_products, dtype=float)
+    if np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) < -1e-10:
+        raise ValueError("inner product matrix must be positive semidefinite")
+    val = float(np.sum(np.linalg.inv(sigma.matrix) * g))
+    return float(np.sqrt(max(val, 0.0)))
+
+
+def beta_freq_robust(latent_norms: np.ndarray, sigma_prime: CorrelationMatrix,
+                     n_obs: int, delta: float) -> float:
+    """Robust frequentist factor with the norm inflated by lambda = sqrt(|S'^-1|_2).
+
+    ``latent_norms`` holds the nonnegative RKHS norm of each latent
+    single-task function.  Specializes the norm transport to the identity
+    correlation matrix, where the stacked latent norm sqrt(sum of squares) is
+    the exact RKHS norm.
+    """
+    norms = np.atleast_1d(np.asarray(latent_norms, dtype=float))
+    if np.any(norms < 0.0):
+        raise ValueError("latent norms must be nonnegative")
+    lam = operator_norm_lambda(CorrelationMatrix.identity(sigma_prime.size), sigma_prime)
+    return beta_freq(lam * float(np.linalg.norm(norms)), n_obs, delta)
+
+
+def kernel_dominance(sigma: CorrelationMatrix, sigma_prime: CorrelationMatrix,
+                     beta: float) -> bool:
+    """Whether beta^2 * Sigma - Sigma' is positive semidefinite.
+
+    For a positive semidefinite base kernel this is equivalent to
+    beta^2 K_Sigma - K_Sigma' being a positive definite kernel, the inclusion
+    criterion between the two RKHSs.
+    """
+    diff = beta ** 2 * sigma.matrix - sigma_prime.matrix
+    scale = max(float(np.max(np.abs(diff))), 1.0)
+    return bool(np.min(np.linalg.eigvalsh(diff)) >= -1e-10 * scale)

@@ -7,13 +7,9 @@ from samsbo import bounds, gp, hyperposterior, kernels, twotask
 from samsbo.bounds import (
     beta_bayes,
     beta_freq,
-    beta_freq_robust,
     covering_number,
     gamma_factor,
-    kernel_dominance,
     nu_factor,
-    operator_norm_lambda,
-    rkhs_norm_exact,
     robust_model,
     scaling_bundle,
     select_sigma_prime,
@@ -21,6 +17,7 @@ from samsbo.bounds import (
 from samsbo.hyperposterior import ConfidenceSet
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
+from oracles import beta_freq_robust, kernel_dominance, operator_norm_lambda, rkhs_norm_exact
 from test_kernels import random_correlation
 
 PARAMS = KernelParams(1.0, [0.3], noise_variance=0.05)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
+from samsbo import cli, verify
 from samsbo.cli import (
     AGGREGATE_HEADER,
     PLOTDATA_HEADER,
@@ -31,7 +32,7 @@ BAD_VALUES = [
     ("rho", 1.5), ("seed_points", 0), ("lengthscale", 0),
     ("signal_variance", 0), ("noise_variance", 0),
     ("frequentist_trials", -2), ("bayesian_trials", -1), ("grid_size", 0), ("jobs", 0),
-    ("algorithm", ","), ("algorithm", "ucb, ucb"),
+    ("algorithm", ","), ("algorithm", "ucb, ucb"), ("seed", -1),
 ]
 REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance",
                 "include_psi", "mcmc_samples", "supplementary_batch"]
@@ -216,7 +217,7 @@ class TestBestCurves:
 
         def row(iteration, observed):
             return TraceRecord(0, iteration, 1, np.zeros(1), observed,
-                               observed, 1.0, 1, 1.0, 0.0, 4, False, 0.0)
+                               observed, 1.0, 1, 1.0, 0.0, 4, False)
 
         trace = [row(0, 5.0), row(1, 4.0), row(3, 3.0)]  # iteration 2 stalled
         curves = best_curves([trace], 4)
@@ -259,6 +260,32 @@ class TestMainEntry:
             assert main(["run", "--config", str(path), "--out", str(out)]) == 2
             assert str(path) in capsys.readouterr().err
             assert not out.exists()
+
+    def test_negative_seed_flag_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SAMSBO_OUT", raising=False)
+        out = tmp_path / "results"
+        for command in ("run", "verify-bounds"):
+            assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+            assert "seed" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_unwritable_output_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SAMSBO_OUT", raising=False)
+        called = []
+        for module, name in ((cli, "run_repetition"), (verify, "frequentist_coverage"),
+                             (verify, "bayesian_coverage")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: called.append(_name))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for command in ("run", "verify-bounds"):
+            assert main([command, "--out", str(taken)]) == 2
+            assert f"cannot write {taken}" in capsys.readouterr().err
+        assert called == []              # nothing ran before the output was refused
+        raw = tmp_path / "raw.csv"
+        raw.write_text(",".join(RAW_HEADER) + "\n")
+        missing = tmp_path / "missing" / "plot.csv"
+        assert main(["plotdata", str(raw), "--out", str(missing)]) == 2
+        assert f"cannot write {missing}" in capsys.readouterr().err
 
 
 class TestBuildProblem:
