@@ -15,7 +15,6 @@ from .bounds import (
     beta_bayes,
     beta_freq,
     covering_number,
-    gamma_factor,
     nu_factor,
     scaling_bundle,
     select_sigma_prime,

@@ -8,16 +8,19 @@ Bayesian route: beta_b = 2 log(|I| / delta) on the finite discretization I
 whose points are certified, made robust over a confidence set of correlation
 matrices through a mean-shift term nu and a variance-ratio factor gamma.  The
 robust factor is beta_bar = (nu + gamma * sqrt(beta_b))^2.  The bound covers
-the points of I only; nothing here extends it off them.
+the points of I only; nothing here extends it off them.  Its centre
+sigma-prime is the member with the smallest worst spectral ratio; gamma is the
+root of that minimum, so one minimax gives both, and :class:`ScalingBundle`
+holds both.
 
 Sigma's size selects the route: sets of 2x2 members take the closed forms of
-:mod:`samsbo.twotask` for sigma-prime selection, gamma and nu, so nu costs
-O(n^2) per unique member from one shared :class:`~samsbo.twotask.TwoTaskFactor`
-instead of a Cholesky factorization each; larger sets take the general path.
+:mod:`samsbo.twotask` for that minimax and for nu, so nu costs O(n^2) per
+unique member from one shared :class:`~samsbo.twotask.TwoTaskFactor` instead
+of a Cholesky factorization each; larger sets take the general path.
 The closed forms read r alone, so for a member whose diagonal is off 1 by up
 to the 1e-9 :class:`~samsbo.kernels.CorrelationMatrix` allows they differ from
-the general path by O(1e-9) relative.  A sigma-prime of another size than the
-members raises ``ValueError``.
+the general path by O(1e-9) relative.  A sigma-prime given to :func:`nu_factor`
+of another size than the members raises ``ValueError``.
 
 :func:`robust_model` is the one model refresh of the optimization loop and of
 the Bayesian coverage suite, and the one place that builds that factor.
@@ -40,7 +43,6 @@ __all__ = [
     "covering_number",
     "beta_bayes",
     "select_sigma_prime",
-    "gamma_factor",
     "nu_factor",
     "scaling_bundle",
     "robust_model",
@@ -51,6 +53,7 @@ __all__ = [
 class ScalingBundle:
     """All bound ingredients for one iteration, with beta_bar = (nu + gamma * sqrt(beta_b))^2."""
 
+    sigma_prime: CorrelationMatrix      # the gamma-minimizing member, centre of the bound
     beta_b: float
     nu: float
     gamma: float
@@ -107,43 +110,28 @@ def _spectral_ratio(sigma_prime: CorrelationMatrix, sigma: CorrelationMatrix) ->
     return float(np.linalg.norm(solve(sigma_prime.matrix, sigma.matrix, assume_a="pos"), 2))
 
 
-def select_sigma_prime(confidence_set: ConfidenceSet) -> CorrelationMatrix:
-    """Member minimizing the worst-case spectral ratio over the set (smallest gamma).
+def select_sigma_prime(confidence_set: ConfidenceSet) -> tuple[CorrelationMatrix, float]:
+    """Member S' minimizing the worst spectral ratio, and gamma = sqrt(max_S |S'^-1 S|_2).
 
-    Ties resolve toward the highest recorded posterior density, which is the
-    set's ordering.
+    2x2 members share eigenvectors, so their ratios reduce to scalar arithmetic
+    on the off-diagonals; the general path decomposes each pair of unique
+    members.  A set of one matrix gives gamma exactly 1.  Ties resolve toward
+    the highest recorded posterior density, which is the set's ordering.
     """
     members = confidence_set.members
-    if len(members) == 1:
-        return members[0]
+    if all(member.key() == members[0].key() for member in members):
+        return members[0], 1.0
     rs = confidence_set.offdiagonals
     if rs is not None:
-        return members[twotask.minimax_index(rs)]
+        index, worst = twotask.minimax(rs)
+        return members[index], math.sqrt(worst)
     unique = _unique_members(members)
     best, best_val = unique[0], np.inf
     for candidate in unique:
         worst = max(_spectral_ratio(candidate, other) for other in unique)
         if worst < best_val - 1e-15:
             best, best_val = candidate, worst
-    return best
-
-
-def gamma_factor(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) -> float:
-    """Variance-ratio factor sqrt(max over the set of |S'^-1 S|_2).
-
-    2x2 members share eigenvectors, so their spectral ratios reduce to scalar
-    arithmetic on the off-diagonal entries; the general path decomposes each
-    member.  A set whose every member is sigma_prime has ratio one: gamma is
-    exactly 1.
-    """
-    _check_size(sigma_prime, confidence_set)
-    if all(member.key() == sigma_prime.key() for member in confidence_set.members):
-        return 1.0
-    rs = confidence_set.offdiagonals
-    if rs is not None:
-        return twotask.gamma(rs, sigma_prime.matrix[0, 1])
-    return math.sqrt(max(_spectral_ratio(sigma_prime, member)
-                         for member in _unique_members(confidence_set.members)))
+    return best, math.sqrt(best_val)
 
 
 def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
@@ -203,7 +191,6 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
 
 def scaling_bundle(
     dataset: gp.MultiTaskDataset,
-    sigma_prime: CorrelationMatrix,
     confidence_set: ConfidenceSet,
     cardinality: int,
     params: KernelParams,
@@ -212,15 +199,17 @@ def scaling_bundle(
 ) -> ScalingBundle:
     """Assemble every bound ingredient for the current iteration.
 
-    The resulting bound holds at the ``cardinality`` points of the finite set
-    I it certifies with probability (1 - delta)(1 - rho).  ``factor`` passes
-    the two-task decomposition of ``dataset`` on to :func:`nu_factor`.
+    Sigma-prime and gamma come from :func:`select_sigma_prime`, nu at that
+    sigma-prime.  The bound holds at the ``cardinality`` points of the finite
+    set I it certifies with probability (1 - delta)(1 - rho).  ``factor``
+    passes the two-task decomposition of ``dataset`` on to :func:`nu_factor`.
     """
     b_bayes = beta_bayes(cardinality, delta)
-    gam = gamma_factor(sigma_prime, confidence_set)
+    sigma_prime, gam = select_sigma_prime(confidence_set)
     nu = nu_factor(dataset, sigma_prime, confidence_set, params, factor=factor)
     beta_bar = (nu + gam * math.sqrt(b_bayes)) ** 2
-    return ScalingBundle(beta_b=b_bayes, nu=nu, gamma=gam, beta_bar=beta_bar)
+    return ScalingBundle(sigma_prime=sigma_prime, beta_b=b_bayes, nu=nu, gamma=gam,
+                         beta_bar=beta_bar)
 
 
 def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: float,
@@ -245,9 +234,7 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
         hyper = hyperposterior.sample_hyperposterior(dataset, n_tasks, eta, params, seed=seed,
                                                      factor=factor)
         cset = hyperposterior.confidence_set(hyper, rho)
-    sigma_prime = select_sigma_prime(cset)
-    bundle = scaling_bundle(dataset, sigma_prime, cset, cardinality, params, delta,
-                            factor=factor)
-    posterior = gp.fit(dataset, sigma_prime, params, base_gram=base, previous=previous)
+    bundle = scaling_bundle(dataset, cset, cardinality, params, delta, factor=factor)
+    posterior = gp.fit(dataset, bundle.sigma_prime, params, base_gram=base, previous=previous)
     return cset, bundle, posterior
 

@@ -78,8 +78,16 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
+def _open_output(path: Path | str):
+    """``path`` opened for writing; a file that cannot be opened is a ConfigError naming it."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_raw_csv(path: Path, algorithm: str, traces: list[list[TraceRecord]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _open_output(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(RAW_HEADER)
         for rows in traces:
@@ -180,10 +188,12 @@ def cmd_run(config: ExperimentConfig) -> int:
                     traces[rep] = _run_one(config, algorithm, rep, rep_seeds[rep])
                 except Exception as exc:  # noqa: BLE001 - repetition isolation
                     errors[rep] = str(exc)
+        for rep in sorted(errors):
+            print(f"{algorithm}: repetition {rep} failed: {errors[rep]}", file=sys.stderr)
         succeeded = [t for t in traces if t]
         any_success = any_success or bool(succeeded)
         _write_raw_csv(out / f"{algorithm}_raw.csv", algorithm, succeeded)
-        with open(out / f"{algorithm}_aggregate.csv", "w", newline="", encoding="utf-8") as handle:
+        with _open_output(out / f"{algorithm}_aggregate.csv") as handle:
             writer = csv.writer(handle)
             writer.writerow(AGGREGATE_HEADER)
             if succeeded and config.iterations:
@@ -194,7 +204,7 @@ def cmd_run(config: ExperimentConfig) -> int:
             "violations": sum(r.violation for t in succeeded for r in t),
             "evaluations": sum(len(t) for t in succeeded),
         }
-    with open(out / "manifest.json", "w", encoding="utf-8") as handle:
+    with _open_output(out / "manifest.json") as handle:
         json.dump(manifest, handle, indent=2)
     return 0 if any_success else 1
 
@@ -215,7 +225,7 @@ def cmd_verify_bounds(config: ExperimentConfig) -> int:
             "successes": report.successes, "empirical": report.empirical,
             "target": report.target, "slack": report.slack, "passed": report.passed,
         })
-    with open(out / "coverage.json", "w", encoding="utf-8") as handle:
+    with _open_output(out / "coverage.json") as handle:
         json.dump(payload, handle, indent=2)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -245,11 +255,7 @@ def cmd_plotdata(raw_paths: list[str], out_path: str) -> int:
         max_iter = max(max(best) for best in reps.values())
         curves = _forward_fill([reps[rep] for rep in sorted(reps)], max_iter)
         out_rows.extend([alg, t, *_summary(curves[:, t - 1])] for t in range(1, max_iter + 1))
-    try:
-        handle = open(out_path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from exc
-    with handle:
+    with _open_output(out_path) as handle:
         writer = csv.writer(handle)
         writer.writerow(PLOTDATA_HEADER)
         writer.writerows(out_rows)

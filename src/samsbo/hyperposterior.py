@@ -129,7 +129,7 @@ class ConfidenceSet:
     def offdiagonals(self) -> np.ndarray | None:
         """Read-only off-diagonals r when the members are 2x2, else None.
 
-        Computed on first access; sigma-prime selection, gamma and nu share it.
+        Computed on first access; the sigma-prime minimax and nu share it.
         """
         if self.members[0].size != 2:
             return None

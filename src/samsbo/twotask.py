@@ -16,11 +16,12 @@ costs O(n^2).  :class:`TwoTaskFactor` holds that decomposition; the hyper-
 posterior quadrature over r and the mean-shift term nu share one per model
 refresh.
 
-2x2 correlation matrices also share their eigenvectors, so the spectral
-ratios behind sigma-prime selection and the variance-ratio factor gamma reduce
-to scalar arithmetic on the off-diagonal entries.  Every function here reads
-r alone and takes the diagonal as exactly 1; :mod:`samsbo.bounds` routes a
-confidence set here by its members' size (see its module notes).
+2x2 correlation matrices also share their eigenvectors, so their spectral
+ratios reduce to scalar arithmetic on the off-diagonal entries, and one
+minimax gives both sigma-prime and the variance-ratio factor gamma.  Every
+function here reads r alone and takes the diagonal as exactly 1;
+:mod:`samsbo.bounds` routes a confidence set here by its members' size (see
+its module notes).
 """
 from __future__ import annotations
 
@@ -33,24 +34,19 @@ from scipy.linalg import solve_triangular
 from . import gp
 from .kernels import KernelParams
 
-__all__ = ["TwoTaskFactor", "minimax_index", "gamma"]
+__all__ = ["TwoTaskFactor", "minimax"]
 
 
-def minimax_index(rs: np.ndarray) -> int:
-    """Index of the r minimizing the worst spectral ratio max |S(r)^-1 S(r_i)|_2.
+def minimax(rs: np.ndarray) -> tuple[int, float]:
+    """Index of the r minimizing the worst ratio max_i |S(r)^-1 S(r_i)|_2, and that ratio.
 
     The eigenvalues of S(r) are 1 + r and 1 - r, so the worst ratio is set by
     the largest and the smallest off-diagonal.  Ties resolve to the first index.
     """
     r_lo, r_hi = float(np.min(rs)), float(np.max(rs))
     worst = np.maximum((1.0 + r_hi) / (1.0 + rs), (1.0 - r_lo) / (1.0 - rs))
-    return int(np.argmin(worst))
-
-
-def gamma(rs: np.ndarray, r_prime: float) -> float:
-    """Variance-ratio factor sqrt(max_i |S(r')^-1 S(r_i)|_2)."""
-    ratios = np.maximum((1.0 + rs) / (1.0 + r_prime), (1.0 - rs) / (1.0 - r_prime))
-    return float(np.sqrt(np.max(ratios)))
+    index = int(np.argmin(worst))
+    return index, float(worst[index])
 
 
 @dataclass(frozen=True)

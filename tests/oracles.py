@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import solve
 
 from samsbo.bounds import beta_freq
 from samsbo.gp import log_marginal_likelihood
@@ -79,6 +80,25 @@ def posterior_grid_two_task(dataset, params: KernelParams, eta: float,
     logs = two_task_log_likelihoods(dataset, params, r) + (eta - 1.0) * np.log1p(-r * r)
     w = np.exp(logs - logs.max())
     return r, w / w.sum()
+
+
+def gamma_at(sigma_prime: CorrelationMatrix, members) -> float:
+    """Variance-ratio factor sqrt(max over ``members`` of |S'^-1 S|_2) at any sigma-prime.
+
+    2x2 members take the closed form in their off-diagonals r, since S(r) has
+    eigenvalues 1 + r and 1 - r; larger ones take one solve and 2-norm per
+    unique member.  A set whose every member is sigma_prime gives exactly 1.
+    """
+    if all(member.key() == sigma_prime.key() for member in members):
+        return 1.0
+    if sigma_prime.size == 2:
+        rs, r_prime = np.array([m.matrix[0, 1] for m in members]), sigma_prime.matrix[0, 1]
+        ratios = np.maximum((1.0 + rs) / (1.0 + r_prime), (1.0 - rs) / (1.0 - r_prime))
+        return float(np.sqrt(np.max(ratios)))
+    unique = {member.key(): member for member in members}.values()
+    return math.sqrt(max(
+        float(np.linalg.norm(solve(sigma_prime.matrix, m.matrix, assume_a="pos"), 2))
+        for m in unique))
 
 
 def operator_norm_lambda(sigma: CorrelationMatrix, sigma_prime: CorrelationMatrix) -> float:

@@ -8,7 +8,6 @@ from samsbo.bounds import (
     beta_bayes,
     beta_freq,
     covering_number,
-    gamma_factor,
     nu_factor,
     robust_model,
     scaling_bundle,
@@ -17,7 +16,13 @@ from samsbo.bounds import (
 from samsbo.hyperposterior import ConfidenceSet
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
-from oracles import beta_freq_robust, kernel_dominance, operator_norm_lambda, rkhs_norm_exact
+from oracles import (
+    beta_freq_robust,
+    gamma_at,
+    kernel_dominance,
+    operator_norm_lambda,
+    rkhs_norm_exact,
+)
 from test_kernels import random_correlation
 
 PARAMS = KernelParams(1.0, [0.3], noise_variance=0.05)
@@ -129,25 +134,58 @@ class TestBetaBayes:
             2.0 * np.log(2.0))
 
 
+def minimax_sets(kind):
+    """Confidence-set member lists of one kind for the sigma-prime minimax."""
+    rng = np.random.default_rng(21)
+    if kind == "2x2":
+        sets = [[CorrelationMatrix.two_task(float(r)) for r in rng.random(k) * 0.9]
+                for k in (2, 5, 8)]
+        return sets + [[CorrelationMatrix.two_task(r) for r in (0.3, 0.6, 0.3, 0.6)]]
+    if kind == "near-unit 2x2":     # a valid diagonal off 1 still takes the closed form
+        return [[CorrelationMatrix(np.array([[1.0 + 1e-10, r], [r, 1.0]]))
+                 for r in (0.1, 0.35, 0.6, 0.85)]]
+    if kind == "3x3":
+        return [[random_correlation(3, rng) for _ in range(k)] for k in (2, 4, 6)]
+    return [[sp] * copies for sp in (CorrelationMatrix.identity(1),
+                                     CorrelationMatrix.two_task(0.4),
+                                     random_correlation(3, rng)) for copies in (1, 3)]
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("gamma decomposed a member equal to sigma-prime")
+
+
 class TestGammaFactor:
+    """gamma is the value of the minimax that picks sigma-prime."""
+
+    @pytest.mark.parametrize("kind", ["2x2", "near-unit 2x2", "3x3", "single"])
+    def test_gamma_is_the_minimax_value(self, kind, monkeypatch):
+        if kind == "single":
+            monkeypatch.setattr(bounds, "solve", no_solve)
+        for members in minimax_sets(kind):
+            sp, gamma = select_sigma_prime(make_set(members))
+            assert any(member is sp for member in members)
+            assert gamma == gamma_at(sp, members)           # bit for bit
+            assert all(gamma_at(member, members) >= gamma for member in members)
+            if kind == "single":
+                assert gamma == 1.0
+
     def test_singleton(self):
         s = CorrelationMatrix.two_task(0.4)
-        assert gamma_factor(s, make_set([s])) == pytest.approx(1.0)
+        sp, gamma = select_sigma_prime(make_set([s]))
+        assert sp is s and gamma == pytest.approx(1.0)
 
     @pytest.mark.parametrize("copies", [1, 3])
     def test_every_member_sigma_prime_is_exactly_one(self, copies, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("gamma decomposed a member equal to sigma-prime")
-
         monkeypatch.setattr(bounds, "solve", no_solve)
         rng = np.random.default_rng(3)
         for sp in (CorrelationMatrix.identity(1), CorrelationMatrix.two_task(0.4),
                    random_correlation(3, rng)):
-            assert gamma_factor(sp, make_set([sp] * copies)) == 1.0
+            assert select_sigma_prime(make_set([sp] * copies)) == (sp, 1.0)
 
     def test_one_distinct_member_takes_the_general_path(self, monkeypatch):
         rng = np.random.default_rng(6)
-        sp, member = random_correlation(3, rng), random_correlation(3, rng)
+        first, member = random_correlation(3, rng), random_correlation(3, rng)
         solves = []
         real = bounds.solve
 
@@ -156,32 +194,28 @@ class TestGammaFactor:
             return real(a, b, **kwargs)
 
         monkeypatch.setattr(bounds, "solve", recording)
-        expected = np.sqrt(np.linalg.norm(np.linalg.solve(sp.matrix, member.matrix), 2))
-        assert gamma_factor(sp, make_set([member, member])) == pytest.approx(expected, abs=1e-12)
-        assert solves == [(3, 3)]
+        members = [first, member, member]
+        sp, gamma = select_sigma_prime(make_set(members))
+        expected = min(np.sqrt(max(np.linalg.norm(np.linalg.solve(c.matrix, m.matrix), 2)
+                                   for m in members)) for c in members)
+        assert gamma == pytest.approx(expected, abs=1e-12)
+        assert solves == [(3, 3)] * 4               # each ordered pair of unique members once
         two = CorrelationMatrix.two_task(0.5)
-        assert gamma_factor(CorrelationMatrix.identity(2), make_set([two, two])) == pytest.approx(
-            np.sqrt(1.5), abs=1e-12)
+        sp, gamma = select_sigma_prime(make_set([CorrelationMatrix.identity(2), two, two]))
+        assert sp.key() == CorrelationMatrix.identity(2).key()
+        assert gamma == pytest.approx(np.sqrt(1.5), abs=1e-12)
 
     def test_identity_prime_hand_value(self):
         cs = make_set([CorrelationMatrix.identity(2), CorrelationMatrix.two_task(0.5)])
-        assert gamma_factor(CorrelationMatrix.identity(2), cs) == pytest.approx(
-            np.sqrt(1.5), abs=1e-10)
-
-    def test_subset_monotone(self):
-        rng = np.random.default_rng(4)
-        members = [random_correlation(2, rng) for _ in range(6)]
-        sp = members[0]
-        full = gamma_factor(sp, make_set(members))
-        reduced = gamma_factor(sp, make_set(members[:3]))
-        assert reduced <= full + 1e-12
+        sp, gamma = select_sigma_prime(cs)
+        assert sp is cs.members[0]
+        assert gamma == pytest.approx(np.sqrt(1.5), abs=1e-10)
 
     def test_fast_path_matches_general(self):
         rng = np.random.default_rng(5)
         rs = rng.random(8) * 0.9
         members = [CorrelationMatrix.two_task(float(r)) for r in rs]
-        sp = members[3]
-        fast = gamma_factor(sp, make_set(members))
+        sp, fast = select_sigma_prime(make_set(members))
         best = max(np.linalg.norm(np.linalg.solve(sp.matrix, m.matrix), 2) for m in members)
         assert fast == pytest.approx(np.sqrt(best), abs=1e-10)
 
@@ -296,17 +330,17 @@ class TestVarianceRatio:
         violations = 0
         for _ in range(200):
             ds = task_dataset(rng, n=rng.integers(3, 10), u=u)
-            sp = random_correlation(u, rng)
-            member = random_correlation(u, rng)
-            gamma = gamma_factor(sp, make_set([sp, member]))
+            members = [random_correlation(u, rng), random_correlation(u, rng)]
+            sp, gamma = select_sigma_prime(make_set(members))
             post_prime = gp.fit(ds, sp, PARAMS)
-            post_member = gp.fit(ds, member, PARAMS)
+            posts = [gp.fit(ds, member, PARAMS) for member in members]
             queries = rng.random((5, 1))
             for z in range(1, u + 1):
                 _, vp = post_prime.predict_batch(queries, z)
-                _, vm = post_member.predict_batch(queries, z)
-                if np.any(np.sqrt(vm) > gamma * np.sqrt(vp) + 1e-8):
-                    violations += 1
+                for post_member in posts:
+                    _, vm = post_member.predict_batch(queries, z)
+                    if np.any(np.sqrt(vm) > gamma * np.sqrt(vp) + 1e-8):
+                        violations += 1
         assert violations == 0
 
 
@@ -336,14 +370,12 @@ class TestScalingBundle:
     def _setup(self, rng):
         ds = task_dataset(rng, n=10)
         members = [CorrelationMatrix.two_task(float(r)) for r in rng.random(5) * 0.8]
-        cs = make_set(members)
-        sp = members[0]
-        return ds, sp, cs, covering_number(0.001, 2)
+        return ds, make_set(members), covering_number(0.001, 2)
 
     def test_identities_hold(self):
         rng = np.random.default_rng(12)
-        ds, sp, cs, cardinality = self._setup(rng)
-        bundle = scaling_bundle(ds, sp, cs, cardinality, PARAMS, 0.05)
+        ds, cs, cardinality = self._setup(rng)
+        bundle = scaling_bundle(ds, cs, cardinality, PARAMS, 0.05)
         assert bundle.beta_bar == pytest.approx(
             (bundle.nu + bundle.gamma * np.sqrt(bundle.beta_b)) ** 2, abs=1e-12)
         assert bundle.gamma >= 1.0
@@ -352,18 +384,21 @@ class TestScalingBundle:
         rng = np.random.default_rng(13)
         ds = task_dataset(rng)
         sp = CorrelationMatrix.two_task(0.5)
-        bundle = scaling_bundle(ds, sp, make_set([sp]), covering_number(0.001, 2), PARAMS, 0.05)
+        bundle = scaling_bundle(ds, make_set([sp]), covering_number(0.001, 2), PARAMS, 0.05)
+        assert bundle.sigma_prime is sp
         assert bundle.nu == pytest.approx(0.0, abs=1e-6)
         assert bundle.gamma == pytest.approx(1.0, abs=1e-10)
         assert bundle.beta_bar == pytest.approx(30.857, abs=1e-2)
 
-    def test_bundle_holds_the_four_ingredients(self):
+    def test_bundle_holds_the_centre_and_four_ingredients(self):
         # the bound is certified on the discretization only: no correction term
         rng = np.random.default_rng(14)
-        ds, sp, cs, cardinality = self._setup(rng)
-        bundle = scaling_bundle(ds, sp, cs, cardinality, PARAMS, 0.05)
-        assert [f.name for f in dataclasses.fields(bundle)] == ["beta_b", "nu", "gamma",
-                                                                "beta_bar"]
+        ds, cs, cardinality = self._setup(rng)
+        bundle = scaling_bundle(ds, cs, cardinality, PARAMS, 0.05)
+        assert [f.name for f in dataclasses.fields(bundle)] == ["sigma_prime", "beta_b", "nu",
+                                                                "gamma", "beta_bar"]
+        assert (bundle.sigma_prime, bundle.gamma) == select_sigma_prime(cs)
+        assert bundle.nu == nu_factor(ds, bundle.sigma_prime, cs, PARAMS)
         assert bundle.beta_b == beta_bayes(cardinality, 0.05)
 
 class TestRobustModel:
@@ -432,13 +467,13 @@ class TestRobustModel:
         factor = twotask.TwoTaskFactor.build(ds, PARAMS, base) if u == 2 else None
         hyper = hyperposterior.sample_hyperposterior(ds, u, 0.1, PARAMS, seed=5, factor=factor)
         cs_hand = hyperposterior.confidence_set(hyper, 0.15)
-        sp = select_sigma_prime(cs_hand)
-        bundle_hand = scaling_bundle(ds, sp, cs_hand, self.CARDINALITY, PARAMS, 0.05,
-                                     factor=factor)
+        bundle_hand = scaling_bundle(ds, cs_hand, self.CARDINALITY, PARAMS, 0.05, factor=factor)
+        sp = bundle_hand.sigma_prime
         posterior_hand = gp.fit(ds, sp, PARAMS, base_gram=base, previous=previous)
 
         assert [m.key() for m in cs.members] == [m.key() for m in cs_hand.members]
-        assert bundle == bundle_hand
+        assert bundle.sigma_prime.key() == sp.key()
+        assert dataclasses.replace(bundle, sigma_prime=sp) == bundle_hand
         assert bundle.nu > 0.0
         assert posterior.sigma_used.key() == sp.key()
         for name in ("chol", "whitened_obs"):

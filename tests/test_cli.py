@@ -272,9 +272,12 @@ class TestMainEntry:
     def test_unwritable_output_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SAMSBO_OUT", raising=False)
         called = []
-        for module, name in ((cli, "run_repetition"), (verify, "frequentist_coverage"),
-                             (verify, "bayesian_coverage")):
-            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: called.append(_name))
+        report = verify.CoverageReport("stub", 0, 0, 1.0, 0.0)
+        for module, name, result in ((cli, "run_repetition", []),
+                                     (verify, "frequentist_coverage", report),
+                                     (verify, "bayesian_coverage", report)):
+            monkeypatch.setattr(module, name, lambda *a, _name=name, _result=result, **k:
+                                called.append(_name) or _result)
         taken = tmp_path / "taken"
         taken.write_text("")
         for command in ("run", "verify-bounds"):
@@ -286,6 +289,28 @@ class TestMainEntry:
         missing = tmp_path / "missing" / "plot.csv"
         assert main(["plotdata", str(raw), "--out", str(missing)]) == 2
         assert f"cannot write {missing}" in capsys.readouterr().err
+        # a file inside the directory is only opened after the work
+        out = tmp_path / "results"
+        for command, name in (("run", "samsbo_raw.csv"), ("verify-bounds", "coverage.json")):
+            (out / name).mkdir(parents=True)
+            assert main([command, "--out", str(out)]) == 2
+            assert f"cannot write {out / name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_repetitions_print_their_reason(self, tmp_path, monkeypatch, capsys, jobs):
+        monkeypatch.delenv("SAMSBO_OUT", raising=False)
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("problem = branin\nthreshold = 0.1\nrepetitions = 2\n")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out),
+                     "--jobs", str(jobs)]) == 1
+        captured = capsys.readouterr()
+        reason = "no safe seed found within the draw budget"
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"samsbo: repetition {rep} failed: {reason}"
+                                             for rep in (0, 1)]
+        errors = json.loads((out / "manifest.json").read_text())["algorithms"]["samsbo"]["errors"]
+        assert errors == {"0": reason, "1": reason}
 
 
 class TestBuildProblem:

@@ -31,7 +31,8 @@ PARAMS = KernelParams(1.0, [0.4], noise_variance=0.01)
 
 def make_state(dataset, sigma, beta_bar=4.0, grid=None):
     cs = ConfidenceSet((sigma,))
-    bundle = bounds.ScalingBundle(beta_b=beta_bar, nu=0.0, gamma=1.0, beta_bar=beta_bar)
+    bundle = bounds.ScalingBundle(sigma_prime=sigma, beta_b=beta_bar, nu=0.0, gamma=1.0,
+                                  beta_bar=beta_bar)
     posterior = gp.fit(dataset, sigma, PARAMS)
     return OptimizationState(
         dataset=dataset, transforms=None, confidence_set=cs, bundle=bundle,
@@ -233,7 +234,7 @@ class TestSelectSigmaPrime:
     def test_singleton(self):
         s = CorrelationMatrix.two_task(0.4)
         cs = ConfidenceSet((s,))
-        assert select_sigma_prime(cs).key() == s.key()
+        assert select_sigma_prime(cs)[0].key() == s.key()
 
     def test_matches_exhaustive_minimax(self):
         rng = np.random.default_rng(3)
@@ -241,7 +242,7 @@ class TestSelectSigmaPrime:
             members = tuple(CorrelationMatrix.two_task(float(r))
                             for r in rng.random(6) * 0.9)
             cs = ConfidenceSet(members)
-            chosen = select_sigma_prime(cs)
+            chosen, _ = select_sigma_prime(cs)
             worst = []
             for cand in members:
                 worst.append(max(
@@ -258,7 +259,7 @@ class TestSelectSigmaPrime:
         rng = np.random.default_rng(4)
         members = tuple(random_correlation(3, rng) for _ in range(5))
         cs = ConfidenceSet(members)
-        chosen = select_sigma_prime(cs)
+        chosen, _ = select_sigma_prime(cs)
         worst_chosen = max(
             np.linalg.norm(np.linalg.solve(chosen.matrix, m.matrix), 2) for m in members)
         for cand in members:

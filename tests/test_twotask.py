@@ -116,9 +116,10 @@ class TestSizeSelectsTheRoute:
         cs = ConfidenceSet(tuple(members))
         assert cs.offdiagonals is not None
         assert np.array_equal(cs.offdiagonals, [0.1, 0.35, 0.6, 0.85])
-        for sp in (members[1], self.near_unit(0.2)):
-            ratios = [np.linalg.norm(np.linalg.solve(sp.matrix, m.matrix), 2) for m in members]
-            assert bounds.gamma_factor(sp, cs) == pytest.approx(np.sqrt(max(ratios)), rel=1e-8)
+        chosen, gamma = bounds.select_sigma_prime(cs)
+        ratios = [np.linalg.norm(np.linalg.solve(chosen.matrix, m.matrix), 2) for m in members]
+        assert gamma == pytest.approx(np.sqrt(max(ratios)), rel=1e-8)
+        for sp in (chosen, self.near_unit(0.2)):
             for name in ("mixed", "task-1 only"):
                 dataset = datasets()[name]
                 assert bounds.nu_factor(dataset, sp, cs, PARAMS) == pytest.approx(
@@ -129,8 +130,6 @@ class TestSizeSelectsTheRoute:
         with pytest.raises(ValueError, match="one size"):
             ConfidenceSet((two, three))
         cs = ConfidenceSet((two, CorrelationMatrix.two_task(0.6)))
-        with pytest.raises(ValueError, match="3x3.*2x2"):
-            bounds.gamma_factor(three, cs)
         with pytest.raises(ValueError, match="3x3.*2x2"):
             bounds.nu_factor(datasets()["mixed"], three, cs, PARAMS)
 
