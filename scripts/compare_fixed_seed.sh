@@ -16,6 +16,14 @@
 # src/samsbo/*.py on each side, the size of the public surface.  Exits 0 when
 # every file is byte-identical and 1 on any difference; a failing run exits
 # with its own status.  Each side takes about 10 s on a 2-core VM.
+#
+# When files differ it also prints, for each CSV present on both sides whose
+# bytes differ: the largest absolute and relative difference of each float
+# column (a column whose every value parses as a float and not every value as
+# an integer), and the first row where another column differs (task,
+# iteration, input, set sizes, violation), with both values.  Those lines
+# describe the difference; the exit status stays 1 for anything but byte
+# identity.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
@@ -58,6 +66,65 @@ if diff -r "$work/out/ref" "$work/out/tree"; then
 else
     echo "$0: outputs of ${commit:0:7} and the working tree differ" >&2
     status=1
+    python3 - "$work/out/ref" "$work/out/tree" <<'PY'
+import csv
+import math
+import pathlib
+import sys
+
+ref, tree = (pathlib.Path(p) for p in sys.argv[1:3])
+
+
+def is_float(value):
+    try:
+        float(value)
+    except ValueError:
+        return False
+    return True
+
+
+def is_int(value):
+    try:
+        int(value)
+    except ValueError:
+        return False
+    return True
+
+
+for path in sorted(ref.rglob("*.csv")):
+    name = path.relative_to(ref)
+    other = tree / name
+    if not other.exists() or path.read_bytes() == other.read_bytes():
+        continue
+    with open(path, newline="") as a, open(other, newline="") as b:
+        (head_a, *rows_a), (head_b, *rows_b) = list(csv.reader(a)), list(csv.reader(b))
+    print(f"{name}: {len(rows_a)} rows against {len(rows_b)}")
+    if head_a != head_b:
+        print(f"  headers differ: {head_a} against {head_b}")
+        continue
+    rows = list(zip(rows_a, rows_b))
+    floats = [j for j in range(len(head_a))
+              if all(is_float(x[j]) and is_float(y[j]) for x, y in rows)
+              and not all(is_int(x[j]) and is_int(y[j]) for x, y in rows)]
+    for j in floats:
+        worst_abs = worst_rel = 0.0
+        for x, y in rows:
+            u, v = float(x[j]), float(y[j])
+            if u == v:
+                continue
+            diff = abs(u - v) if math.isfinite(u) and math.isfinite(v) else math.inf
+            worst_abs = max(worst_abs, diff)
+            worst_rel = max(worst_rel, diff / max(abs(u), abs(v)))
+        print(f"  {head_a[j]}: max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}")
+    others = [j for j in range(len(head_a)) if j not in floats]
+    for i, (x, y) in enumerate(rows, start=1):
+        changed = [f"{head_a[j]} {x[j]} -> {y[j]}" for j in others if x[j] != y[j]]
+        if changed:
+            print(f"  first differing row {i}: " + "; ".join(changed))
+            break
+    else:
+        print("  every other column is identical on the common rows")
+PY
 fi
 for dir in src/samsbo tests; do
     echo "$dir lines: ${commit:0:7} $(cat "$work/ref/$dir"/*.py | wc -l)," \

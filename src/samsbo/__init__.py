@@ -39,7 +39,6 @@ from .benchmarks import (
     branin_problem,
     h2_cost,
     laser_problem,
-    lyapunov_solve,
     powell,
     powell_problem,
 )

@@ -24,7 +24,6 @@ __all__ = [
     "LaserChainProblem",
     "powell",
     "branin",
-    "lyapunov_solve",
     "h2_cost",
     "branin_problem",
     "powell_problem",
@@ -141,11 +140,21 @@ def powell_problem(dimension: int = 4, shift_factor: float = 0.3, n_tasks: int =
 
 
 def lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve A P + P A' + Q = 0 for a Hurwitz A; P is symmetric PSD."""
+    """Solve A P + P A' + Q = 0 for a Hurwitz A; P is symmetric PSD.
+
+    Checks stability first.  :func:`h2_cost` makes a stricter check of its own
+    and calls the solve behind this one, so no run calls this; it is not
+    exported.
+    """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if np.max(np.linalg.eigvals(A).real) >= -1e-12:
         raise StabilityError("matrix is not Hurwitz")
+    return _lyapunov_solution(A, Q)
+
+
+def _lyapunov_solution(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """:func:`lyapunov_solve` after its stability check, which the caller has made."""
     P = solve_continuous_lyapunov(A, -Q)
     P = 0.5 * (P + P.T)
     residual = np.linalg.norm(A @ P + P @ A.T + Q)
@@ -261,9 +270,10 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int = 1) -> fl
     if not 1 <= z <= problem.n_tasks:
         raise ValueError(f"task must lie in 1..{problem.n_tasks}")
     A, B, C = problem.closed_loop(pi_params, z)
+    # stricter than lyapunov_solve's own check, so the solve can skip it
     if np.max(np.linalg.eigvals(A).real) >= -1e-9:
         return INSTABILITY_PENALTY_FACTOR * problem.threshold
-    P = lyapunov_solve(A, B @ B.T)
+    P = _lyapunov_solution(A, B @ B.T)
     value = problem.output_scale * float(np.sqrt(max(np.trace(C @ P @ C.T), 0.0)))
     return min(value, INSTABILITY_PENALTY_FACTOR * problem.threshold)
 

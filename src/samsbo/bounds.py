@@ -15,15 +15,20 @@ holds both.
 
 Sigma's size selects the route: sets of 2x2 members take the closed forms of
 :mod:`samsbo.twotask` for that minimax and for nu, so nu costs O(n^2) per
-unique member from one shared :class:`~samsbo.twotask.TwoTaskFactor` instead
-of a Cholesky factorization each; larger sets take the general path.
+unique member from one shared :class:`~samsbo.twotask.TwoTaskFactor` (per-task
+factors and the singular values +-s of the whitened cross block) instead of a
+Cholesky factorization each; larger sets take the general path.
 The closed forms read r alone, so for a member whose diagonal is off 1 by up
 to the 1e-9 :class:`~samsbo.kernels.CorrelationMatrix` allows they differ from
 the general path by O(1e-9) relative.  A sigma-prime given to :func:`nu_factor`
 of another size than the members raises ``ValueError``.
 
 :func:`robust_model` is the one model refresh of the optimization loop and of
-the Bayesian coverage suite, and the one place that builds that factor.
+the Bayesian coverage suite, and the one place that builds that factor.  A
+two-task refresh grows the factor's per-task fits from the previous refresh's
+and returns the factor's posterior at sigma-prime, so it factors no n x n
+system besides the hyper-posterior's one-node cross-check; one task and three
+or more fit at sigma-prime with :func:`samsbo.gp.fit`.
 """
 from __future__ import annotations
 
@@ -221,13 +226,18 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
     One task takes the identity set, so nu = 0, gamma = 1 and beta_bar =
     beta_b.  More tasks keep the 1 - ``rho`` set of the LKJ(``eta``) hyper-
     posterior; ``seed`` drives the angle walk of three or more.  The stages
-    of a two-task refresh share one factor and its base Gram; a single task
-    needs none, so a grown fit computes only the new rows' kernel columns.
-    ``cardinality`` is |I| of beta_b, and ``previous`` goes to
-    :func:`samsbo.gp.fit`.
+    of a two-task refresh share one factor and its base Gram, and the
+    posterior is the factor's :class:`~samsbo.twotask.TwoTaskPosterior`; a
+    single task needs no base Gram, so a grown fit computes only the new
+    rows' kernel columns.  ``cardinality`` is |I| of beta_b.  ``previous``,
+    the posterior of an earlier refresh, goes to :func:`samsbo.gp.fit`, or for
+    two tasks lends its factor's per-task fits to the new factor.
     """
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if n_tasks > 1 else None
-    factor = twotask.TwoTaskFactor.build(dataset, params, base) if n_tasks == 2 else None
+    factor = None
+    if n_tasks == 2:
+        grown = previous.factor if isinstance(previous, twotask.TwoTaskPosterior) else None
+        factor = twotask.TwoTaskFactor.build(dataset, params, base, previous=grown)
     if n_tasks == 1:
         cset = ConfidenceSet((CorrelationMatrix.identity(1),))
     else:
@@ -235,6 +245,7 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
                                                      factor=factor)
         cset = hyperposterior.confidence_set(hyper, rho)
     bundle = scaling_bundle(dataset, cset, cardinality, params, delta, factor=factor)
+    if factor is not None:
+        return cset, bundle, factor.posterior(bundle.sigma_prime)
     posterior = gp.fit(dataset, bundle.sigma_prime, params, base_gram=base, previous=previous)
     return cset, bundle, posterior
-

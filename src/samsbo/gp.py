@@ -47,6 +47,16 @@ first).  Each V_z is a read-only view of the leading rows of a buffer, which
 only ever appends behind every view and grows its capacity by GRID_GROWTH.
 The check and the append happen under the buffer's lock.
 
+Posterior types.  :meth:`Posterior.predict_batch` clamps the mean and
+variance of the ``_moments`` hook, and :meth:`Posterior.pick_covariance` is
+the covariance a fantasized pick downdates with.  The two-task posterior of
+:mod:`samsbo.twotask` subclasses :class:`Posterior` and overrides both: it has
+no joint factor and reads its grid moments from two single-task fits of this
+module, one per task, whose grid caches grow as above.  So :func:`fit` serves
+one task, three or more tasks, the frequentist coverage suite, the per-task
+fits of a two-task factor and the hyper-posterior's Cholesky cross-check; no
+two-task model refresh factors the joint n x n system at sigma-prime.
+
 The factor, whitened observations and dataset never change after :func:`fit`;
 the grid cache is the only mutable state.  A fill empties it and then stores
 every task's entry at once, so a reader sees one fill's entries or none; fills
@@ -260,11 +270,28 @@ class Posterior:
         u = self.sigma_used.size
         if not 1 <= z <= u:
             raise ValueError(f"task index must lie in 1..{u}")
-        prior_var = self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance
         if self.dataset.n == 0:
+            prior_var = self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance
             return np.zeros(points.shape[0]), np.full(points.shape[0], prior_var)
+        mean, variance = self._moments(points, z)
+        return mean, clamp_variances(variance)
+
+    def _moments(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and unclamped variance of task ``z`` at ``points``, for nonempty data."""
         whitened, sumsq = self.whitened(points, z)
-        return whitened.T @ self.whitened_obs, clamp_variances(prior_var - sumsq)
+        prior_var = self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance
+        return whitened.T @ self.whitened_obs, prior_var - sumsq
+
+    def pick_covariance(self, points: np.ndarray, z: int, task: int, idx: int) -> np.ndarray:
+        """Posterior covariance of task ``z`` at every point with task ``task`` at ``points[idx]``.
+
+        It is Sigma[z, task] k(x, x_idx) - V_z(x)' V_task(x_idx), the whitened
+        cross-Grams V coming from the grid cache.
+        """
+        prior = se_kernel_matrix(points, points[idx:idx + 1], self.params)[:, 0]
+        at_pick = self.whitened(points, task)[0][:, idx]
+        whitened = self.whitened(points, z)[0]
+        return self.sigma_used.matrix[z - 1, task - 1] * prior - whitened.T @ at_pick
 
     def whitened(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """L^-1 k_z(data, points) and its column sums of squares.
@@ -319,8 +346,9 @@ def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: Corr
                      ) -> np.ndarray | None:
     """Cholesky factor of ``dataset``'s system grown from ``previous``'s, or None when that does not apply.
 
-    Applies when the correlation matrix and the kernel parameters are equal and
-    the previous inputs and tasks are an exact prefix of ``dataset``'s.  The
+    Applies when ``previous`` has a factor (a two-task posterior has none), the
+    correlation matrix and the kernel parameters are equal and the previous
+    inputs and tasks are an exact prefix of ``dataset``'s.  The
     new rows' kernel columns [K12; K22] come from one cross-kernel call, or
     from the new columns of ``base_gram`` when given.  The new block carries
     the previous factor's jitter; a Schur complement that is not positive
@@ -328,8 +356,8 @@ def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: Corr
     """
     old = previous.dataset
     m, n = old.n, dataset.n
-    if not (0 < m <= n and previous.sigma_used.key() == sigma.key()
-            and _same_params(previous.params, params)
+    if not (0 < m <= n and previous.chol is not None
+            and previous.sigma_used.key() == sigma.key() and _same_params(previous.params, params)
             and np.array_equal(old.tasks, dataset.tasks[:m])
             and np.array_equal(old.inputs, dataset.inputs[:m])):
         return None

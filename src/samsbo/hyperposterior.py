@@ -10,7 +10,8 @@ Two tasks.  Sigma has the single free entry r in [0, R_MAX), so the posterior
 is computed exactly on ``QUADRATURE_CELLS`` equal cells of that interval.  A
 cell's log weight is the log likelihood at its midpoint plus the exact log
 prior mass of the cell.  The likelihoods come from one
-:class:`samsbo.twotask.TwoTaskFactor` in one vectorized pass, O(n) per cell.
+:class:`samsbo.twotask.TwoTaskFactor` in one vectorized pass, O(min(n1, n2))
+per cell for n1 and n2 rows of the two tasks.
 The LKJ marginal is (r + 1) / 2 ~ Beta(eta, eta) (Lewandowski, Kurowicka and
 Joe 2009).  Cell masses rather than midpoint densities keep the integrable
 singularity of a small eta at r -> 1 from handing the last cell most of the

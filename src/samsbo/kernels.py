@@ -55,13 +55,13 @@ class KernelParams:
         return self.lengthscales.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Symmetric positive definite inter-task matrix with nonnegative entries and unit diagonal.
 
     The unit diagonal is the regime of standardized outputs.  Instances are
-    immutable and hashable through :meth:`key`, which makes deduplication of
-    repeated MCMC samples cheap.
+    immutable; equality and hashing go through :meth:`key`, which makes
+    deduplication of repeated MCMC samples cheap.
     """
 
     matrix: np.ndarray
@@ -89,6 +89,14 @@ class CorrelationMatrix:
 
     def key(self) -> bytes:
         return self.matrix.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CorrelationMatrix):
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
     @classmethod
     def identity(cls, u: int) -> "CorrelationMatrix":

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import benchmarks, bounds, gp, hyperposterior
 from .config import ALGORITHMS, ConfigError, LoopConfig
-from .kernels import se_kernel_matrix
+from .kernels import se_kernel_matrix  # noqa: F401  (perfbench/layertrace.py wraps this binding)
 from .sobol import scrambled_sobol
 
 __all__ = [
@@ -264,17 +264,13 @@ def _greedy_variance_picks(posterior: gp.Posterior, points: np.ndarray,
     (Desautels et al. 2014): with c_j(x) the covariance of x with pick j given
     the earlier picks, var(x) -= c_j(x)^2 / (var(x_j) + noise + jitter), the
     Schur complement a refit on the extended data would factor.  The
-    whitened grid cross-Gram comes from the posterior's grid cache.
+    variances come from ``predict_batch`` and each c_j from the posterior's
+    ``pick_covariance``, which both posterior types serve from their grid
+    caches.
     """
     params = posterior.params
-    sigma = posterior.sigma_used.matrix
     used = sorted(set(tasks))
-    # posterior cov((x, z), (x', z')) = Sigma[z, z'] k(x, x') - w_z(x)' w_z'(x')
-    # with w_z = L^-1 k_z(data, .)
-    whitened, variances = {}, {}
-    for z in used:
-        whitened[z], sumsq = posterior.whitened(points, z)
-        variances[z] = sigma[z - 1, z - 1] * params.signal_variance - sumsq
+    variances = {z: posterior.predict_batch(points, z)[1] for z in used}
     shift = params.noise_variance + gp.JITTER_START * params.signal_variance
     downdates: dict[int, list[np.ndarray]] = {z: [] for z in used}   # c_i(., z) per pick
     schurs: list[float] = []
@@ -286,10 +282,9 @@ def _greedy_variance_picks(posterior: gp.Posterior, points: np.ndarray,
         if j + 1 == len(tasks):
             break
         schur = float(variances[task][idx]) + shift
-        k_pick = se_kernel_matrix(points, points[idx:idx + 1], params)[:, 0]
         at_pick = [c[idx] for c in downdates[task]]
         for z in used:
-            c = sigma[z - 1, task - 1] * k_pick - whitened[z].T @ whitened[task][:, idx]
+            c = posterior.pick_covariance(points, z, task, idx)
             for c_i, a_i, s_i in zip(downdates[z], at_pick, schurs):
                 c -= c_i * (a_i / s_i)
             downdates[z].append(c)

@@ -125,6 +125,22 @@ class TestLaserChain:
         value = h2_cost(np.zeros(10), p, 1)
         assert value == pytest.approx(10.0 * p.threshold)
 
+    def test_stable_cost_checks_stability_once(self, monkeypatch):
+        p = laser_problem(disturbance_seed=0)
+        seed = p.default_safe_seed()
+        A, B, C = p.closed_loop(seed, 1)
+        expected = p.output_scale * float(np.sqrt(np.trace(C @ lyapunov_solve(A, B @ B.T) @ C.T)))
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        assert h2_cost(seed, p, 1) == min(expected, 10.0 * p.threshold)
+        assert calls == [A.shape]
+
     def test_noise_scaling_doubles_cost(self):
         p = laser_problem(disturbance_seed=0)
         seed = p.default_safe_seed()

@@ -15,6 +15,7 @@ from samsbo.bounds import (
 )
 from samsbo.hyperposterior import ConfidenceSet
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
+from samsbo.safeopt import make_grid
 
 from oracles import (
     beta_freq_robust,
@@ -469,15 +470,24 @@ class TestRobustModel:
         cs_hand = hyperposterior.confidence_set(hyper, 0.15)
         bundle_hand = scaling_bundle(ds, cs_hand, self.CARDINALITY, PARAMS, 0.05, factor=factor)
         sp = bundle_hand.sigma_prime
-        posterior_hand = gp.fit(ds, sp, PARAMS, base_gram=base, previous=previous)
+        if u == 2:
+            posterior_hand = factor.posterior(sp)
+        else:
+            posterior_hand = gp.fit(ds, sp, PARAMS, base_gram=base, previous=previous)
 
-        assert [m.key() for m in cs.members] == [m.key() for m in cs_hand.members]
-        assert bundle.sigma_prime.key() == sp.key()
-        assert dataclasses.replace(bundle, sigma_prime=sp) == bundle_hand
+        assert cs.members == cs_hand.members
+        assert bundle == bundle_hand
         assert bundle.nu > 0.0
-        assert posterior.sigma_used.key() == sp.key()
-        for name in ("chol", "whitened_obs"):
-            assert np.array_equal(getattr(posterior, name), getattr(posterior_hand, name))
+        assert posterior.sigma_used == sp
+        assert type(posterior) is type(posterior_hand)
+        points = make_grid(1, size=64).points
+        for z in range(1, u + 1):
+            for got, want in zip(posterior.predict_batch(points, z),
+                                 posterior_hand.predict_batch(points, z)):
+                assert np.array_equal(got, want)
+        if u == 3:
+            for name in ("chol", "whitened_obs"):
+                assert np.array_equal(getattr(posterior, name), getattr(posterior_hand, name))
 
 
 class TestKernelDominance:

@@ -74,6 +74,14 @@ class TestCorrelationMatrix:
                 CorrelationMatrix(np.diag(diagonal))
         CorrelationMatrix(np.diag([1.0 + 1e-10, 1.0]))
 
+    def test_equality_and_hash_follow_the_key(self):
+        a, b = CorrelationMatrix.two_task(0.3), CorrelationMatrix.two_task(0.3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != CorrelationMatrix.two_task(0.4)
+        assert CorrelationMatrix.identity(1) != CorrelationMatrix.identity(2)
+        assert a != a.key() and a != 0.3
+        assert len({a, b, CorrelationMatrix.identity(2)}) == 2
+
 
 class TestMultitaskKernel:
     def test_identity_decouples_tasks(self):
