@@ -13,7 +13,11 @@
 # working tree's, so a size claim comes from the same command as the identity
 # check, and code moved from the package into the tests reads as a move.  Next
 # to them it prints the number of names in the __all__ lists of
-# src/samsbo/*.py on each side, the size of the public surface.  Exits 0 when
+# src/samsbo/*.py on each side, the size of the public surface, and the
+# settable values on each side: the fields of ExperimentConfig (every config
+# key) and the parameters with a default of the public functions in
+# src/samsbo/*.py (module-level functions and methods of public classes
+# whose names do not start with an underscore).  Exits 0 when
 # every file is byte-identical and 1 on any difference; a failing run exits
 # with its own status.  Each side takes about 10 s on a 2-core VM.
 #
@@ -46,6 +50,35 @@ print(sum(len(ast.literal_eval(node.value))
           for node in ast.parse(path.read_text()).body
           if isinstance(node, ast.Assign)
           and any(getattr(target, "id", None) == "__all__" for target in node.targets)))
+PY
+}
+
+# settable_values DIR: "F fields + P defaulted parameters" of the package in DIR/src/samsbo
+settable_values() {
+    python3 - "$1" <<'PY'
+import ast
+import dataclasses
+import pathlib
+import sys
+
+sys.path.insert(0, f"{sys.argv[1]}/src")
+from samsbo.config import ExperimentConfig  # noqa: E402
+
+
+def public_functions(tree):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from (f for f in node.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+
+
+params = sum(len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
+             for path in sorted(pathlib.Path(sys.argv[1], "src", "samsbo").glob("*.py"))
+             for f in public_functions(ast.parse(path.read_text())))
+fields = len(dataclasses.fields(ExperimentConfig))
+print(f"{fields} fields + {params} defaulted parameters = {fields + params}")
 PY
 }
 
@@ -132,4 +165,6 @@ for dir in src/samsbo tests; do
 done
 echo "src/samsbo __all__ names: ${commit:0:7} $(public_names "$work/ref/src/samsbo")," \
     "working tree $(public_names "$root/src/samsbo")"
+echo "settable values: ${commit:0:7} $(settable_values "$work/ref")," \
+    "working tree $(settable_values "$root")"
 exit "$status"

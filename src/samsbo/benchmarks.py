@@ -38,6 +38,9 @@ BRANIN_THRESHOLD = 150.0
 LASER_THRESHOLD = 40.0
 INSTABILITY_PENALTY_FACTOR = 10.0
 NOISE_SCALE_SAMPLES = 512
+NOISE_MULTIPLIER = 0.01         # noise standard deviation as a share of the output scale
+LASER_SUBSYSTEMS = 5
+SAFE_SEED_DRAWS = 10_000
 
 
 class StabilityError(RuntimeError):
@@ -121,40 +124,24 @@ def _output_scale(base: Callable[[np.ndarray], float], domain: np.ndarray) -> fl
 
 def branin_problem(shift_factor: float = 0.3, n_tasks: int = 2,
                    threshold: float = BRANIN_THRESHOLD,
-                   noise_multiplier: float = 0.01,
                    disturbance_seed: int = 0) -> SyntheticProblem:
-    noise = noise_multiplier * _output_scale(branin, BRANIN_DOMAIN)
+    noise = NOISE_MULTIPLIER * _output_scale(branin, BRANIN_DOMAIN)
     return SyntheticProblem("branin", branin, BRANIN_DOMAIN, threshold, shift_factor, n_tasks,
                             _signs(disturbance_seed, n_tasks, 2), noise, disturbance_seed)
 
 
 def powell_problem(dimension: int = 4, shift_factor: float = 0.3, n_tasks: int = 2,
                    threshold: float = POWELL_THRESHOLD,
-                   noise_multiplier: float = 0.01,
                    disturbance_seed: int = 0) -> SyntheticProblem:
     domain = np.tile(np.array(POWELL_DOMAIN), (dimension, 1))
-    noise = noise_multiplier * _output_scale(powell, domain)
+    noise = NOISE_MULTIPLIER * _output_scale(powell, domain)
     return SyntheticProblem("powell", powell, domain, threshold, shift_factor, n_tasks,
                             _signs(disturbance_seed, n_tasks, dimension), noise,
                             disturbance_seed)
 
 
-def lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve A P + P A' + Q = 0 for a Hurwitz A; P is symmetric PSD.
-
-    Checks stability first.  :func:`h2_cost` makes a stricter check of its own
-    and calls the solve behind this one, so no run calls this; it is not
-    exported.
-    """
-    A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if np.max(np.linalg.eigvals(A).real) >= -1e-12:
-        raise StabilityError("matrix is not Hurwitz")
-    return _lyapunov_solution(A, Q)
-
-
 def _lyapunov_solution(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """:func:`lyapunov_solve` after its stability check, which the caller has made."""
+    """Symmetric PSD P solving A P + P A' + Q = 0 for an A the caller has checked is Hurwitz."""
     P = solve_continuous_lyapunov(A, -Q)
     P = 0.5 * (P + P.T)
     residual = np.linalg.norm(A @ P + P @ A.T + Q)
@@ -270,7 +257,7 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int = 1) -> fl
     if not 1 <= z <= problem.n_tasks:
         raise ValueError(f"task must lie in 1..{problem.n_tasks}")
     A, B, C = problem.closed_loop(pi_params, z)
-    # stricter than lyapunov_solve's own check, so the solve can skip it
+    # the solve needs a Hurwitz A; the margin also sends near-marginal loops to the penalty
     if np.max(np.linalg.eigvals(A).real) >= -1e-9:
         return INSTABILITY_PENALTY_FACTOR * problem.threshold
     P = _lyapunov_solution(A, B @ B.T)
@@ -278,13 +265,12 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int = 1) -> fl
     return min(value, INSTABILITY_PENALTY_FACTOR * problem.threshold)
 
 
-def laser_problem(n_subsystems: int = 5, disturbance_factor: float = 0.3,
-                  n_tasks: int = 2, threshold: float = LASER_THRESHOLD,
-                  noise_multiplier: float = 0.01,
+def laser_problem(disturbance_factor: float = 0.3, n_tasks: int = 2,
+                  threshold: float = LASER_THRESHOLD,
                   disturbance_seed: int = 0) -> LaserChainProblem:
-    omega = 2.0 + 0.25 * np.arange(n_subsystems)
-    filter_poles = np.concatenate([[0.2], 0.3 + 0.05 * np.arange(n_subsystems)])
-    n = n_subsystems
+    n = LASER_SUBSYSTEMS
+    omega = 2.0 + 0.25 * np.arange(n)
+    filter_poles = np.concatenate([[0.2], 0.3 + 0.05 * np.arange(n)])
     box = np.vstack([
         np.tile([0.05, 6.0], (n, 1)),   # proportional gains
         np.tile([0.05, 8.0], (n, 1)),   # integral gains
@@ -294,7 +280,7 @@ def laser_problem(n_subsystems: int = 5, disturbance_factor: float = 0.3,
         filter_gain=1.0, output_scale=OUTPUT_SCALE_LASER, threshold=threshold,
         box=box, disturbance_factor=disturbance_factor, n_tasks=n_tasks,
         filter_signs=_signs(disturbance_seed, n_tasks, n + 1),
-        noise_sd=noise_multiplier * threshold, disturbance_seed=disturbance_seed,
+        noise_sd=NOISE_MULTIPLIER * threshold, disturbance_seed=disturbance_seed,
     )
     seed_cost = h2_cost(problem.default_safe_seed(), problem, 1)
     if not seed_cost <= threshold:
@@ -307,10 +293,10 @@ def laser_problem(n_subsystems: int = 5, disturbance_factor: float = 0.3,
 OUTPUT_SCALE_LASER = 10.0
 
 
-def find_safe_seed(problem, rng: np.random.Generator, max_draws: int = 10_000) -> np.ndarray:
+def find_safe_seed(problem, rng: np.random.Generator) -> np.ndarray:
     """Rejection-sample an input whose noise-free main-task value is below threshold."""
     domain = problem.domain
-    for _ in range(max_draws):
+    for _ in range(SAFE_SEED_DRAWS):
         x = domain[:, 0] + rng.random(domain.shape[0]) * (domain[:, 1] - domain[:, 0])
         if problem.true_value(1, x) <= problem.threshold:
             return x

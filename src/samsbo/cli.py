@@ -43,7 +43,6 @@ def build_problem(config: ExperimentConfig, disturbance_seed: int):
         return benchmarks.branin_problem(
             shift_factor=config.disturbance, n_tasks=config.n_tasks,
             threshold=config.threshold or benchmarks.BRANIN_THRESHOLD,
-            noise_multiplier=config.observation_noise,
             disturbance_seed=disturbance_seed,
         )
     if config.problem == "powell":
@@ -51,13 +50,11 @@ def build_problem(config: ExperimentConfig, disturbance_seed: int):
             dimension=config.dimension or 4,
             shift_factor=config.disturbance, n_tasks=config.n_tasks,
             threshold=config.threshold or benchmarks.POWELL_THRESHOLD,
-            noise_multiplier=config.observation_noise,
             disturbance_seed=disturbance_seed,
         )
     return benchmarks.laser_problem(
         disturbance_factor=config.disturbance, n_tasks=config.n_tasks,
         threshold=config.threshold or benchmarks.LASER_THRESHOLD,
-        noise_multiplier=config.observation_noise,
         disturbance_seed=disturbance_seed,
     )
 

@@ -21,6 +21,11 @@ __all__ = [
 ALGORITHMS = ("samsbo", "safe-ucb", "ucb", "multi-task-ucb")
 FIXED_DIMENSIONS = {"branin": 2, "laser": 10}     # powell takes any positive multiple of 4
 
+TAU = 0.001
+LENGTHSCALE = 0.2
+SIGNAL_VARIANCE = 1.0
+NOISE_VARIANCE = 0.01               # nu needs it positive
+
 
 class ConfigError(ValueError):
     """Unusable setting, named by its key (and its line when read from a file)."""
@@ -34,24 +39,18 @@ class LoopConfig:
     iterations: int = 40
     delta: float = 0.05
     rho: float = 0.15
-    tau: float = 0.001
     eta: float = 0.1
     grid_size: int = 2048
-    lengthscale: float = 0.2
-    signal_variance: float = 1.0
-    noise_variance: float = 0.01        # nu needs it positive
     seed_points: int = 3
 
     def __post_init__(self):
         self._check_algorithms()
-        for name in ("delta", "rho", "tau"):
+        for name in ("delta", "rho"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {value}")
-        for name in ("eta", "lengthscale", "signal_variance", "noise_variance"):
-            value = getattr(self, name)
-            if value <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        if not 0.0 < self.eta < np.inf:
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         for name in ("grid_size", "seed_points"):
@@ -62,11 +61,6 @@ class LoopConfig:
     def _check_algorithms(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-
-    def kernel_params(self, dimension: int) -> KernelParams:
-        return KernelParams(self.signal_variance,
-                            np.full(dimension, self.lengthscale),
-                            self.noise_variance)
 
     def batch_size(self, dimension: int) -> int:
         """Supplementary evaluations per iteration: 2 * dimension, the standard protocol."""
@@ -80,9 +74,16 @@ class ExperimentConfig(LoopConfig):
     ``algorithm`` may list several loops separated by commas; each runs on a
     copy naming that loop alone, ``dataclasses.replace(config, algorithm=name)``,
     since the loop refuses a list.  Defaults follow the standard protocol: 40
-    iterations, 15 repetitions, delta 0.05, rho 0.15, tau 0.001, eta 0.1, one
+    iterations, 15 repetitions, delta 0.05, rho 0.15, eta 0.1, one
     supplementary task evaluated 2 * dimension times per iteration,
     disturbance factor 0.3.
+
+    The protocol's other values are constants, not keys: ``TAU`` (0.001), the
+    resolution of the cube's cover whose size |I| enters beta_b;
+    ``LENGTHSCALE`` (0.2 per input), ``SIGNAL_VARIANCE`` (1.0) and
+    ``NOISE_VARIANCE`` (0.01), the fixed kernel of the standardized GP
+    (:func:`kernel_params`); ``benchmarks.NOISE_MULTIPLIER`` (0.01), the noise
+    standard deviation as a share of each problem's output scale.
     """
 
     problem: str = "branin"
@@ -90,7 +91,6 @@ class ExperimentConfig(LoopConfig):
     threshold: float = 0.0              # 0 keeps the problem's default
     n_tasks: int = 2
     disturbance: float = 0.3
-    observation_noise: float = 0.01
     repetitions: int = 15
     seed: int = 0
     frequentist_trials: int = 500
@@ -102,6 +102,10 @@ class ExperimentConfig(LoopConfig):
         super().__post_init__()
         if self.problem not in ("branin", "powell", "laser"):
             raise ConfigError(f"unknown problem {self.problem!r}")
+        for name in ("threshold", "disturbance"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.n_tasks < 1:
             raise ConfigError(f"n_tasks must be >= 1, got {self.n_tasks}")
         if self.dimension != 0:
@@ -131,6 +135,11 @@ class ExperimentConfig(LoopConfig):
 
     def algorithms(self) -> list[str]:
         return [a.strip() for a in self.algorithm.split(",") if a.strip()]
+
+
+def kernel_params(dimension: int) -> KernelParams:
+    """The fixed kernel of the standardized GP on ``dimension`` inputs."""
+    return KernelParams(SIGNAL_VARIANCE, np.full(dimension, LENGTHSCALE), NOISE_VARIANCE)
 
 
 def _coerce(name: str, kind: type, raw: str, line_no: int):

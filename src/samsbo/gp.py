@@ -123,10 +123,6 @@ class MultiTaskDataset:
         object.__setattr__(self, "tasks", z)
         object.__setattr__(self, "observations", y)
 
-    @classmethod
-    def empty(cls, dim: int) -> "MultiTaskDataset":
-        return cls(np.zeros((0, dim)), np.zeros(0, dtype=int), np.zeros(0))
-
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
@@ -156,6 +152,16 @@ def _chol_with_jitter(system: np.ndarray, scale: float) -> tuple[np.ndarray, flo
     raise NumericalError(
         f"system matrix not positive definite after jitter up to {JITTER_MAX:g} * signal_variance"
     )
+
+
+def inverse_factor(chol: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower-triangular factor (LAPACK ``dtrtri``); an empty factor is its own."""
+    if chol.size == 0:
+        return chol
+    inverse, info = dtrtri(chol, lower=1)
+    if info != 0:
+        raise NumericalError(f"triangular factor is singular (dtrtri info {info})")
+    return inverse
 
 
 def clamp_variances(variances: np.ndarray) -> np.ndarray:
@@ -321,10 +327,7 @@ class Posterior:
         the module notes give the product.
         """
         m = entries[0].rows if entries else 0
-        trailing = self.chol[m:, m:]
-        inverse, info = dtrtri(trailing, lower=1) if trailing.size else (np.zeros((0, 0)), 0)
-        if info != 0:
-            raise NumericalError(f"triangular factor is singular (dtrtri info {info})")
+        inverse = inverse_factor(self.chol[m:, m:])
         base = se_kernel_matrix(points, self.dataset.inputs[m:], self.params)
         blocks = [(inverse * scale) @ base.T
                   for scale in self.sigma_used.matrix[:, self.dataset.tasks[m:] - 1]]

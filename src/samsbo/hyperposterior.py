@@ -264,8 +264,8 @@ def sample_hyperposterior(
     """
     if n_tasks < 2:
         raise ValueError("hyper-posterior sampling needs at least two tasks")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < np.inf:          # a NaN eta makes every cell mass NaN
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     base = (factor.base if factor is not None
             else se_kernel_matrix(dataset.inputs, dataset.inputs, params))
 
@@ -344,13 +344,18 @@ def confidence_set(posterior: EmpiricalHyperPosterior, rho: float) -> Confidence
 
     Cells stand for their whole extent: each run of adjacent kept cells also
     contributes its two outer edges, after the cells and in the order of r,
-    so the members' range of r holds every r whose mass was kept.
+    so the members' range of r holds every r whose mass was kept.  Weights
+    that do not normalize (a NaN or +inf log weight, or none above -inf)
+    raise ``ValueError``.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     order = np.argsort(-posterior.log_densities, kind="stable")
     log_w = posterior.log_weights[order]
-    cumulative = np.cumsum(np.exp(log_w - np.max(log_w)))
+    top = np.max(log_w)
+    if not np.isfinite(top):
+        raise ValueError("log weights must not be NaN or +inf, nor all -inf")
+    cumulative = np.cumsum(np.exp(log_w - top))
     keep = int(np.searchsorted(cumulative, (1.0 - rho) * cumulative[-1])) + 1
     order = order[:keep]
     members = tuple(posterior.samples[i] for i in order)
@@ -373,6 +378,8 @@ def sample_prior_offdiagonal(eta: float, rng: np.random.Generator) -> float:
     substantial mass arbitrarily close to 1, and the model support must match
     the sampler's support for coverage statements to be well posed.
     """
+    if not 0.0 < eta < np.inf:          # rng.beta(inf, inf) is NaN, which no draw accepts
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     while True:
         b = rng.beta(eta, eta)
         r = 2.0 * b - 1.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmarks, bounds, gp, hyperposterior
-from .config import ALGORITHMS, ConfigError, LoopConfig
+from .config import ALGORITHMS, TAU, ConfigError, LoopConfig, kernel_params
 from .kernels import se_kernel_matrix  # noqa: F401  (perfbench/layertrace.py wraps this binding)
 from .sobol import scrambled_sobol
 
@@ -222,8 +222,8 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
     seed = int(rng.integers(2 ** 63)) if n_tasks > 1 else 0
     state.confidence_set, state.bundle, state.posterior = bounds.robust_model(
         _standardized_dataset(state.dataset, state.transforms), n_tasks, cfg.eta, cfg.rho,
-        bounds.covering_number(cfg.tau, problem.dimension),
-        cfg.kernel_params(problem.dimension), cfg.delta, seed=seed,
+        bounds.covering_number(TAU, problem.dimension),
+        kernel_params(problem.dimension), cfg.delta, seed=seed,
         previous=state.posterior,
     )
 
@@ -383,13 +383,11 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
     return trace
 
 
-def run_repetition(problem, cfg: LoopConfig, seed: int, repetition: int = 0,
-                   seed_inputs: np.ndarray | None = None) -> list[TraceRecord]:
+def run_repetition(problem, cfg: LoopConfig, seed: int, repetition: int = 0) -> list[TraceRecord]:
     """One full optimization run: seed evaluations plus ``cfg.iterations`` steps."""
     rng = np.random.default_rng(seed)
-    if seed_inputs is None:
-        seed_inputs = np.array([benchmarks.find_safe_seed(problem, rng)
-                                for _ in range(cfg.seed_points)])
+    seed_inputs = np.array([benchmarks.find_safe_seed(problem, rng)
+                            for _ in range(cfg.seed_points)])
     state, trace = initialize_state(problem, cfg, rng, seed_inputs, repetition)
     for _ in range(cfg.iterations):
         trace.extend(step(state, problem, cfg, rng, repetition))

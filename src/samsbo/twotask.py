@@ -56,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from . import gp, kernels
 from .kernels import CorrelationMatrix, KernelParams
@@ -88,16 +87,6 @@ def _coefficients(singular: np.ndarray, r) -> tuple[np.ndarray, np.ndarray, np.n
     if det.size and det.min() <= 0.0:
         raise gp.NumericalError(f"A + r B not positive definite at r = {r!r}")
     return rs * rs / det, -rs / det, det
-
-
-def _inverse_factor(chol: np.ndarray) -> np.ndarray:
-    """L^-1 of a lower-triangular factor (LAPACK ``dtrtri``)."""
-    if chol.size == 0:
-        return chol
-    inverse, info = dtrtri(chol, lower=1)
-    if info != 0:
-        raise gp.NumericalError(f"triangular factor is singular (dtrtri info {info})")
-    return inverse
 
 
 @dataclass(frozen=True)
@@ -152,7 +141,7 @@ class TwoTaskFactor:
                     " * signal_variance")
             fits.append(fit)
         one, two = fits
-        inverses = (_inverse_factor(one.chol), _inverse_factor(two.chol))
+        inverses = (gp.inverse_factor(one.chol), gp.inverse_factor(two.chol))
         cross = inverses[0] @ base_gram[np.ix_(*rows)] @ inverses[1].T  # M = L1^-1 K12 L2^-T
         left, singular, right = np.linalg.svd(cross, full_matrices=False)
         right = right.T

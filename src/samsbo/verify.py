@@ -33,6 +33,7 @@ __all__ = ["CoverageReport", "frequentist_coverage", "bayesian_coverage"]
 
 NUMERIC_SLACK = 1e-9
 DRAW_JITTER = 1e-10         # diagonal added to the grid kernel before factoring it
+FREQUENTIST_OBSERVATIONS = 30   # design size of the frequentist suite, half on each task
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ def _covers(posterior: gp.Posterior, grid: np.ndarray, f_grid: dict[int, np.ndar
     return True
 
 
-def frequentist_coverage(trials: int = 500, n_obs: int = 30, delta: float = 0.05,
-                         grid_size: int = 200, seed: int = 0) -> CoverageReport:
+def frequentist_coverage(trials: int = 500, delta: float = 0.05, grid_size: int = 200,
+                         seed: int = 0) -> CoverageReport:
     """Coverage of the frequentist band around a fixed finite kernel expansion.
 
     One-dimensional two-task setup; only the observation noise is redrawn per
@@ -126,6 +127,7 @@ def frequentist_coverage(trials: int = 500, n_obs: int = 30, delta: float = 0.05
     expansion = gp.MultiTaskDataset(centers, center_tasks, np.zeros(m))
     norm = float(np.sqrt(coefficients @ gram(expansion, sigma, params) @ coefficients))
 
+    n_obs = FREQUENTIST_OBSERVATIONS
     half = n_obs // 2
     design = np.vstack([rng.random((half, 1)), rng.random((n_obs - half, 1))])
     design_tasks = np.concatenate([np.ones(half, dtype=int), np.full(n_obs - half, 2, dtype=int)])

@@ -11,6 +11,10 @@ beta_f and the kernel-dominance criterion.  No run calls it, since the
 frequentist coverage suite fits at the true correlation matrix; it stays here,
 with its tests, until ROADMAP item 5 gives it a suite that fits at a
 sigma-prime other than Sigma.
+
+Two helpers only tests call live here as well: :func:`empty_dataset` and
+:func:`lyapunov_solve`, the stability-checked form of the solve behind
+:func:`samsbo.benchmarks.h2_cost`.
 """
 from __future__ import annotations
 
@@ -19,10 +23,29 @@ import math
 import numpy as np
 from scipy.linalg import solve
 
+from samsbo.benchmarks import StabilityError, _lyapunov_solution
 from samsbo.bounds import beta_freq
-from samsbo.gp import log_marginal_likelihood
+from samsbo.gp import MultiTaskDataset, log_marginal_likelihood
 from samsbo.hyperposterior import R_MAX
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
+
+
+def empty_dataset(dim: int) -> MultiTaskDataset:
+    """A dataset of no rows on ``dim`` inputs."""
+    return MultiTaskDataset(np.zeros((0, dim)), np.zeros(0, dtype=int), np.zeros(0))
+
+
+def lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve A P + P A' + Q = 0 for a Hurwitz A; P is symmetric PSD.
+
+    Checks stability first, at -1e-12; :func:`samsbo.benchmarks.h2_cost`
+    makes its own check, at -1e-9, before the same solve.
+    """
+    A = np.asarray(A, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if np.max(np.linalg.eigvals(A).real) >= -1e-12:
+        raise StabilityError("matrix is not Hurwitz")
+    return _lyapunov_solution(A, Q)
 
 
 def se_kernel(x: np.ndarray, x_prime: np.ndarray, params: KernelParams) -> float:

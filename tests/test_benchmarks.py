@@ -9,10 +9,11 @@ from samsbo.benchmarks import (
     find_safe_seed,
     h2_cost,
     laser_problem,
-    lyapunov_solve,
     powell,
     powell_problem,
 )
+
+from oracles import lyapunov_solve
 
 
 class TestPowell:

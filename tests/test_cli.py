@@ -20,6 +20,7 @@ from samsbo.cli import (
     main,
 )
 from samsbo.config import (
+    TAU,
     ConfigError,
     ExperimentConfig,
     LoopConfig,
@@ -29,13 +30,15 @@ from samsbo.config import (
 
 # settings the loop cannot run, each with the key its error must name
 BAD_VALUES = [
-    ("rho", 1.5), ("seed_points", 0), ("lengthscale", 0),
-    ("signal_variance", 0), ("noise_variance", 0),
+    ("rho", 1.5), ("seed_points", 0),
     ("frequentist_trials", -2), ("bayesian_trials", -1), ("grid_size", 0), ("jobs", 0),
     ("algorithm", ","), ("algorithm", "ucb, ucb"), ("seed", -1),
+    ("eta", "nan"), ("eta", "inf"), ("threshold", "inf"), ("threshold", "nan"),
+    ("disturbance", "nan"), ("disturbance", "-inf"),
 ]
 REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance",
-                "include_psi", "mcmc_samples", "supplementary_batch"]
+                "include_psi", "mcmc_samples", "supplementary_batch",
+                "tau", "lengthscale", "signal_variance", "noise_variance", "observation_noise"]
 # problem settings no problem can be built with: (key named, config text)
 BAD_PROBLEMS = [
     ("n_tasks", "n_tasks = 0"), ("n_tasks", "problem = powell\nn_tasks = -1"),
@@ -50,7 +53,7 @@ class TestParseConfig:
         cfg = parse_config_text("")
         assert cfg == ExperimentConfig()
         assert cfg.delta == 0.05 and cfg.rho == 0.15
-        assert cfg.tau == 0.001 and cfg.eta == 0.1
+        assert TAU == 0.001 and cfg.eta == 0.1
         assert cfg.iterations == 40 and cfg.repetitions == 15
         assert cfg.disturbance == 0.3
 
@@ -259,6 +262,17 @@ class TestMainEntry:
         for path in (tmp_path / "missing.cfg", tmp_path):     # absent, and not a file
             assert main(["run", "--config", str(path), "--out", str(out)]) == 2
             assert str(path) in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_non_finite_eta_stops_verify_bounds(self, tmp_path, monkeypatch, capsys):
+        # eta = inf used to spin forever in the Bayesian suite's prior draw
+        monkeypatch.delenv("SAMSBO_OUT", raising=False)
+        cfg_file = tmp_path / "cfg.txt"
+        out = tmp_path / "v"
+        for value in ("inf", "nan"):
+            cfg_file.write_text(f"eta = {value}\nfrequentist_trials = 0\nbayesian_trials = 1\n")
+            assert main(["verify-bounds", "--config", str(cfg_file), "--out", str(out)]) == 2
+            assert "eta" in capsys.readouterr().err
             assert not out.exists()
 
     def test_negative_seed_flag_exit_code(self, tmp_path, monkeypatch, capsys):

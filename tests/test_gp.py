@@ -9,7 +9,7 @@ from samsbo import gp, kernels
 from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
-from oracles import mean_values, predict
+from oracles import empty_dataset, mean_values, predict
 from test_kernels import random_correlation
 
 
@@ -32,7 +32,7 @@ def dense_posterior(dataset, sigma, params, x, z):
 
 class TestFit:
     def test_empty_dataset_predicts_prior(self):
-        post = fit(MultiTaskDataset.empty(1), CorrelationMatrix.two_task(0.5), make_params())
+        post = fit(empty_dataset(1), CorrelationMatrix.two_task(0.5), make_params())
         mean, var = predict(post, [0.3], 1)
         assert mean == 0.0 and var == pytest.approx(1.0)
         mean, var = predict(post, [0.3], 2)

@@ -19,7 +19,7 @@ from samsbo.hyperposterior import (
 )
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
-from oracles import posterior_grid_two_task
+from oracles import empty_dataset, posterior_grid_two_task
 
 
 PARAMS = KernelParams(1.0, [0.2], noise_variance=0.01)
@@ -123,14 +123,21 @@ class TestSampleHyperposterior:
 
     def test_requires_two_tasks(self):
         with pytest.raises(ValueError):
-            sample_hyperposterior(MultiTaskDataset.empty(1), 1, 0.1, PARAMS, 50)
+            sample_hyperposterior(empty_dataset(1), 1, 0.1, PARAMS, 50)
 
     @pytest.mark.parametrize("n_tasks", [2, 3])
     def test_requires_positive_eta(self, n_tasks):
-        dataset = MultiTaskDataset.empty(1)
-        for eta in (0.0, -0.5):
+        dataset = empty_dataset(1)
+        for eta in (0.0, -0.5, np.nan, np.inf):
             with pytest.raises(ValueError, match="eta must be positive"):
                 sample_hyperposterior(dataset, n_tasks, eta, PARAMS)
+
+    def test_prior_draw_requires_positive_finite_eta(self):
+        # rng.beta(inf, inf) is NaN, which the rejection loop would never accept
+        rng = np.random.default_rng(0)
+        for eta in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta must be positive"):
+                sample_prior_offdiagonal(eta, rng)
 
 
 class TestTwoTaskQuadrature:
@@ -245,6 +252,16 @@ class TestConfidenceSet:
         assert sum(kept) >= 1.0 - rho
         assert sum(kept[:-1]) < 1.0 - rho
         assert kept == sorted(kept, reverse=True)
+
+    def test_weights_that_do_not_normalize_raise(self):
+        # a NaN weight used to keep the first cell and its two edges whatever the data
+        cells = tuple(CorrelationMatrix.two_task(0.1 * i + 0.05) for i in range(3))
+        edges = tuple(CorrelationMatrix.two_task(0.1 * i) for i in range(4))
+        for logw in ([np.nan] * 3, [0.0, np.nan, 0.0], [0.0, np.inf, 0.0], [-np.inf] * 3):
+            logw = np.array(logw)
+            post = EmpiricalHyperPosterior(cells, logw, logw, McmcDiagnostics(1.0), edges)
+            with pytest.raises(ValueError, match="log weights"):
+                confidence_set(post, 0.15)
 
     def test_invalid_rho(self):
         post = self._posterior(20, seed=3)

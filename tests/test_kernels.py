@@ -4,7 +4,7 @@ import pytest
 from samsbo.gp import MultiTaskDataset
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram
 
-from oracles import multitask_kernel, se_kernel
+from oracles import empty_dataset, multitask_kernel, se_kernel
 
 
 def params_1d(sf2=1.0, ell=1.0, noise=0.0):
@@ -132,5 +132,5 @@ class TestGram:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            gram(MultiTaskDataset.empty(1), CorrelationMatrix.identity(1), params_1d())
+            gram(empty_dataset(1), CorrelationMatrix.identity(1), params_1d())
 

@@ -24,7 +24,7 @@ from samsbo.safeopt import (
     step,
 )
 
-from oracles import predict
+from oracles import empty_dataset, predict
 
 PARAMS = KernelParams(1.0, [0.4], noise_variance=0.01)
 
@@ -109,8 +109,8 @@ class TestSafeSet:
         assert result.size() == 32
 
     def test_prior_bound_exceeds_threshold_empty(self):
-        post = gp.fit(gp.MultiTaskDataset.empty(1), CorrelationMatrix.identity(1), PARAMS)
-        state = make_state(gp.MultiTaskDataset.empty(1), CorrelationMatrix.identity(1),
+        post = gp.fit(empty_dataset(1), CorrelationMatrix.identity(1), PARAMS)
+        state = make_state(empty_dataset(1), CorrelationMatrix.identity(1),
                            beta_bar=9.0)
         grid = make_grid(1, size=32)
         # prior mean 0, std 1 -> upper bound 3 everywhere
@@ -190,7 +190,7 @@ class TestAcquireMain:
 
 class TestAcquireSupplementary:
     def test_empty_data_picks_lowest_index_of_max_prior_variance(self):
-        ds = gp.MultiTaskDataset.empty(1)
+        ds = empty_dataset(1)
         sigma = CorrelationMatrix.two_task(0.5)
         state = make_state(ds, sigma)
         grid = make_grid(1, size=8)
@@ -200,7 +200,7 @@ class TestAcquireSupplementary:
         assert picks[0][1] == 2
 
     def test_second_pick_differs(self):
-        ds = gp.MultiTaskDataset.empty(1)
+        ds = empty_dataset(1)
         sigma = CorrelationMatrix.two_task(0.5)
         state = make_state(ds, sigma)
         grid = make_grid(1, size=16)
@@ -307,6 +307,27 @@ class TestStepComposition:
         supp_rows = [r for r in trace if r.task == 2]
         assert [tuple(np.round(r.x, 12)) for r in supp_rows] == \
             [tuple(np.round(x, 12)) for x, _ in new]
+
+
+class TestProtocolConstants:
+    def test_branin_refresh_sees_the_protocol_kernel_and_cover(self, monkeypatch):
+        """The fixed kernel and tau reach every refresh, written out here, not read from config."""
+        seen = []
+        real = bounds.robust_model
+
+        def recording(dataset, n_tasks, eta, rho, cardinality, params, delta, **kwargs):
+            seen.append((cardinality, params))
+            return real(dataset, n_tasks, eta, rho, cardinality, params, delta, **kwargs)
+
+        monkeypatch.setattr(bounds, "robust_model", recording)
+        cfg = LoopConfig(iterations=1, grid_size=64, seed_points=2)
+        trace = run_repetition(branin_problem(disturbance_seed=1), cfg, seed=0)
+        assert max(r.iteration for r in trace) == 1
+        assert len(seen) == 2                           # initialization and one step
+        for cardinality, params in seen:
+            assert cardinality == bounds.covering_number(0.001, 2)
+            assert params.signal_variance == 1.0 and params.noise_variance == 0.01
+            assert params.lengthscales.tolist() == [0.2, 0.2]
 
 
 class TestStepPrediction:

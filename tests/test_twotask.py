@@ -15,7 +15,7 @@ from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 from samsbo.safeopt import _greedy_variance_picks, make_grid
 from samsbo.twotask import TwoTaskFactor
 
-from oracles import two_task_log_likelihoods
+from oracles import empty_dataset, two_task_log_likelihoods
 from test_hyperposterior import synthetic_two_task
 
 PARAMS = KernelParams(1.0, [0.2], noise_variance=0.01)
@@ -59,7 +59,7 @@ def datasets():
     task_two = gp.MultiTaskDataset(rng.random((20, 1)), np.full(20, 2),
                                    rng.standard_normal(20))
     return {"mixed": mixed, "task-1 only": task_one, "task-2 only": task_two,
-            "empty": gp.MultiTaskDataset.empty(1)}
+            "empty": empty_dataset(1)}
 
 
 def frozen_grid(size=300):
