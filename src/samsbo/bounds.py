@@ -97,13 +97,6 @@ def beta_bayes(cardinality: int, delta: float) -> float:
     return 2.0 * math.log(cardinality / delta)
 
 
-def _unique_members(members):
-    seen = {}
-    for m in members:
-        seen.setdefault(m.key(), m)
-    return list(seen.values())
-
-
 def _check_size(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) -> None:
     u, size = sigma_prime.size, confidence_set.members[0].size
     if u != size:
@@ -124,13 +117,13 @@ def select_sigma_prime(confidence_set: ConfidenceSet) -> tuple[CorrelationMatrix
     the highest recorded posterior density, which is the set's ordering.
     """
     members = confidence_set.members
-    if all(member.key() == members[0].key() for member in members):
+    if len(set(members)) == 1:
         return members[0], 1.0
     rs = confidence_set.offdiagonals
     if rs is not None:
         index, worst = twotask.minimax(rs)
         return members[index], math.sqrt(worst)
-    unique = _unique_members(members)
+    unique = list(dict.fromkeys(members))
     best, best_val = unique[0], np.inf
     for candidate in unique:
         worst = max(_spectral_ratio(candidate, other) for other in unique)
@@ -159,7 +152,7 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
         return 0.0
     if params.noise_variance <= 0.0:
         raise ValueError("nu requires positive noise variance")
-    if all(member.key() == sigma_prime.key() for member in confidence_set.members):
+    if set(confidence_set.members) == {sigma_prime}:
         return 0.0
     base = (factor.base if factor is not None
             else se_kernel_matrix(dataset.inputs, dataset.inputs, params))
@@ -183,7 +176,7 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
     head = float(alpha_prime @ g_prime @ alpha_prime)
 
     worst = 0.0
-    for member in _unique_members(confidence_set.members):
+    for member in dict.fromkeys(confidence_set.members):
         s = member.matrix
         g_s = scaled(s)
         alpha = cho_solve(cho_factor(g_s + sn2 * eye, lower=True), y)

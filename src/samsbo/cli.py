@@ -10,13 +10,15 @@ suites; ``plotdata`` condenses raw CSVs into long-format summary rows.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,24 +41,18 @@ PLOTDATA_HEADER = ["algorithm", "iteration", "median", "q10", "q90", "mean", "st
 
 
 def build_problem(config: ExperimentConfig, disturbance_seed: int):
+    """The configured problem; a zero threshold or dimension keeps the problem's own default."""
+    settings = {"threshold": config.threshold} if config.threshold else {}
     if config.problem == "branin":
-        return benchmarks.branin_problem(
-            shift_factor=config.disturbance, n_tasks=config.n_tasks,
-            threshold=config.threshold or benchmarks.BRANIN_THRESHOLD,
-            disturbance_seed=disturbance_seed,
-        )
+        return benchmarks.branin_problem(shift_factor=config.disturbance, n_tasks=config.n_tasks,
+                                         disturbance_seed=disturbance_seed, **settings)
     if config.problem == "powell":
-        return benchmarks.powell_problem(
-            dimension=config.dimension or 4,
-            shift_factor=config.disturbance, n_tasks=config.n_tasks,
-            threshold=config.threshold or benchmarks.POWELL_THRESHOLD,
-            disturbance_seed=disturbance_seed,
-        )
-    return benchmarks.laser_problem(
-        disturbance_factor=config.disturbance, n_tasks=config.n_tasks,
-        threshold=config.threshold or benchmarks.LASER_THRESHOLD,
-        disturbance_seed=disturbance_seed,
-    )
+        if config.dimension:
+            settings["dimension"] = config.dimension
+        return benchmarks.powell_problem(shift_factor=config.disturbance, n_tasks=config.n_tasks,
+                                         disturbance_seed=disturbance_seed, **settings)
+    return benchmarks.laser_problem(disturbance_factor=config.disturbance, n_tasks=config.n_tasks,
+                                    disturbance_seed=disturbance_seed, **settings)
 
 
 def _repetition_seeds(config: ExperimentConfig) -> list[int]:
@@ -147,12 +143,17 @@ def _output_dir(path: str) -> Path:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
-    out = _output_dir(config.out)
     rep_seeds = _repetition_seeds(config)
+    try:
+        problem = build_problem(config, disturbance_seed=rep_seeds[0])
+    except benchmarks.StabilityError as exc:
+        raise ConfigError(f"cannot build the {config.problem} problem: {exc}") from exc
+    out = _output_dir(config.out)
     manifest = {
         "config": serialize_config(config),
         "master_seed": config.seed,
         "repetition_seeds": rep_seeds,
+        "problem": {"threshold": problem.threshold, "dimension": problem.dimension},
         "versions": {
             "samsbo": __version__,
             "numpy": np.__version__,
@@ -166,27 +167,19 @@ def cmd_run(config: ExperimentConfig) -> int:
         started = time.perf_counter()
         traces: list[list[TraceRecord]] = [[] for _ in range(config.repetitions)]
         errors: dict[int, str] = {}
+        runs = [partial(_run_one, config, algorithm, rep, rep_seeds[rep])
+                for rep in range(config.repetitions)]
         jobs = min(config.jobs, config.repetitions)
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {
-                    pool.submit(_run_one, config, algorithm, rep, rep_seeds[rep]): rep
-                    for rep in range(config.repetitions)
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    rep = futures[future]
-                    try:
-                        traces[rep] = future.result()
-                    except Exception as exc:  # noqa: BLE001 - repetition isolation
-                        errors[rep] = str(exc)
-        else:
-            for rep in range(config.repetitions):
+        with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()) as pool:
+            if pool is not None:
+                runs = [pool.submit(run).result for run in runs]
+            for rep, run in enumerate(runs):
                 try:
-                    traces[rep] = _run_one(config, algorithm, rep, rep_seeds[rep])
+                    traces[rep] = run()
                 except Exception as exc:  # noqa: BLE001 - repetition isolation
                     errors[rep] = str(exc)
-        for rep in sorted(errors):
-            print(f"{algorithm}: repetition {rep} failed: {errors[rep]}", file=sys.stderr)
+        for rep, reason in errors.items():
+            print(f"{algorithm}: repetition {rep} failed: {reason}", file=sys.stderr)
         succeeded = [t for t in traces if t]
         any_success = any_success or bool(succeeded)
         _write_raw_csv(out / f"{algorithm}_raw.csv", algorithm, succeeded)

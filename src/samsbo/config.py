@@ -78,6 +78,11 @@ class ExperimentConfig(LoopConfig):
     supplementary task evaluated 2 * dimension times per iteration,
     disturbance factor 0.3.
 
+    ``threshold`` and ``dimension`` are sentinels: 0 keeps the problem's own
+    default, so a threshold of exactly 0 cannot be set, and a negative
+    threshold is refused because every objective is nonnegative.  The
+    manifest of ``samsbo run`` records the threshold and dimension in use.
+
     The protocol's other values are constants, not keys: ``TAU`` (0.001), the
     resolution of the cube's cover whose size |I| enters beta_b;
     ``LENGTHSCALE`` (0.2 per input), ``SIGNAL_VARIANCE`` (1.0) and
@@ -106,6 +111,8 @@ class ExperimentConfig(LoopConfig):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if self.threshold < 0.0:
+            raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
         if self.n_tasks < 1:
             raise ConfigError(f"n_tasks must be >= 1, got {self.n_tasks}")
         if self.dimension != 0:

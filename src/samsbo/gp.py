@@ -4,7 +4,9 @@ Posterior mean and variance follow the standard closed form with the
 single-task Gram matrix replaced by its multi-task counterpart.  The fitted
 state is a Cholesky factor L of the regularized Gram matrix, the jitter that
 factor carries and the whitened observations L^-1 y, which the mean and the
-log marginal likelihood read in place of a weight vector K^-1 y.
+log marginal likelihood read in place of a weight vector K^-1 y.  A jitter is
+a multiple of the signal variance, here and in :mod:`samsbo.twotask`: the
+diagonal carries noise variance + jitter * signal variance.
 
 Growing data.  :func:`fit` given the ``previous`` posterior extends its factor
 by the new rows (Seeger 2004) when the correlation matrix and the kernel
@@ -339,11 +341,6 @@ class Posterior:
         return [(block, np.sum(block * block, axis=0)) for block in blocks]
 
 
-def _same_params(a: KernelParams, b: KernelParams) -> bool:
-    return (a.signal_variance == b.signal_variance and a.noise_variance == b.noise_variance
-            and np.array_equal(a.lengthscales, b.lengthscales))
-
-
 def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: CorrelationMatrix,
                      params: KernelParams, base_gram: np.ndarray | None = None
                      ) -> np.ndarray | None:
@@ -360,7 +357,7 @@ def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: Corr
     old = previous.dataset
     m, n = old.n, dataset.n
     if not (0 < m <= n and previous.chol is not None
-            and previous.sigma_used.key() == sigma.key() and _same_params(previous.params, params)
+            and previous.sigma_used == sigma and previous.params == params
             and np.array_equal(old.tasks, dataset.tasks[:m])
             and np.array_equal(old.inputs, dataset.inputs[:m])):
         return None

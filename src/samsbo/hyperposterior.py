@@ -54,6 +54,7 @@ R_MAX = 1.0 - 1e-6
 CROSS_CHECK_RTOL = 1e-8     # relative to max(|log likelihood|, 1 nat)
 ANGLE_MARGIN = 1e-6
 MIN_SAMPLES = 10
+PRIOR_MASS_FLOOR = 1e-6     # least truncated prior mass to draw from: about 1e6 proposals
 
 # two tasks: equal cells of [0, R_MAX)
 QUADRATURE_CELLS = 200
@@ -376,10 +377,15 @@ def sample_prior_offdiagonal(eta: float, rng: np.random.Generator) -> float:
     restriction to nonnegative r is a symmetric truncation.  Draws beyond
     R_MAX are rejected rather than clamped: for small eta the prior carries
     substantial mass arbitrarily close to 1, and the model support must match
-    the sampler's support for coverage statements to be well posed.
+    the sampler's support for coverage statements to be well posed.  An eta
+    whose truncated mass is below ``PRIOR_MASS_FLOOR`` raises ``ValueError``.
     """
     if not 0.0 < eta < np.inf:          # rng.beta(inf, inf) is NaN, which no draw accepts
         raise ValueError(f"eta must be positive and finite, got {eta}")
+    mass = betainc(eta, eta, 0.5) - betainc(eta, eta, 0.5 * (1.0 - R_MAX))
+    if mass < PRIOR_MASS_FLOOR:
+        raise ValueError(f"eta = {eta:g} leaves the prior mass {mass:.3g} on [0, R_MAX], below "
+                         f"{PRIOR_MASS_FLOOR:g}: about {1.0 / mass:.3g} draws per accepted r")
     while True:
         b = rng.beta(eta, eta)
         r = 2.0 * b - 1.0

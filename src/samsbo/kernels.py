@@ -25,13 +25,26 @@ __all__ = [
 SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class _ByKey:
+    """Equality and hashing of an immutable value through its ``key()``."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+
+@dataclass(frozen=True, eq=False)
+class KernelParams(_ByKey):
     """Hyperparameters of the squared-exponential kernel.
 
     ``signal_variance`` is the prior variance at zero distance, ``lengthscales``
     holds one positive scale per input dimension and ``noise_variance`` is the
-    observation noise added to the Gram diagonal during inference.
+    observation noise added to the Gram diagonal during inference.  Instances
+    are immutable; equality and hashing go through :meth:`key`.
     """
 
     signal_variance: float
@@ -39,7 +52,8 @@ class KernelParams:
     noise_variance: float = 0.0
 
     def __post_init__(self):
-        ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
+        ls = np.atleast_1d(np.array(self.lengthscales, dtype=float))
+        ls.setflags(write=False)
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "signal_variance", float(self.signal_variance))
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
@@ -54,9 +68,12 @@ class KernelParams:
     def dim(self) -> int:
         return self.lengthscales.size
 
+    def key(self) -> tuple[float, bytes, float]:
+        return self.signal_variance, self.lengthscales.tobytes(), self.noise_variance
+
 
 @dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
+class CorrelationMatrix(_ByKey):
     """Symmetric positive definite inter-task matrix with nonnegative entries and unit diagonal.
 
     The unit diagonal is the regime of standardized outputs.  Instances are
@@ -89,14 +106,6 @@ class CorrelationMatrix:
 
     def key(self) -> bytes:
         return self.matrix.tobytes()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CorrelationMatrix):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
     @classmethod
     def identity(cls, u: int) -> "CorrelationMatrix":

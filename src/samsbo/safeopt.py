@@ -271,7 +271,7 @@ def _greedy_variance_picks(posterior: gp.Posterior, points: np.ndarray,
     params = posterior.params
     used = sorted(set(tasks))
     variances = {z: posterior.predict_batch(points, z)[1] for z in used}
-    shift = params.noise_variance + gp.JITTER_START * params.signal_variance
+    shift = params.noise_variance + posterior.jitter * params.signal_variance
     downdates: dict[int, list[np.ndarray]] = {z: [] for z in used}   # c_i(., z) per pick
     schurs: list[float] = []
     picks: list[tuple[int, np.ndarray]] = []

@@ -4,8 +4,8 @@ With two tasks and a unit-diagonal correlation matrix Sigma(r) = [[1, r], [r, 1]
 the regularized Gram matrix splits as K(r) + noise I = A + r B.  ``A`` is
 block diagonal over the tasks: each task's own block of the base Gram plus
 the diagonal shift that :func:`samsbo.gp.fit` factors (noise variance plus
-``gp.JITTER_START`` times the signal variance).  ``B`` holds the cross-task
-blocks K12 and K21 alone.
+the jitter ``gp.JITTER_START`` times the signal variance; a jitter is such a
+multiple everywhere).  ``B`` holds the cross-task blocks K12 and K21 alone.
 
 Per-task factors.  Each task's rows get a single-task :func:`samsbo.gp.fit`
 at Sigma = identity(1), so its factor L_z is the Cholesky factor of task z's
@@ -157,11 +157,6 @@ class TwoTaskFactor:
     def n(self) -> int:
         return self.second.size
 
-    @property
-    def jitter(self) -> float:
-        """The part of A's diagonal shift that is jitter: gp.JITTER_START * signal_variance."""
-        return gp.JITTER_START * self.params.signal_variance
-
     def log_likelihood(self, r):
         """Log marginal likelihood at Sigma(r), O(p) per r; an array of r gives an array."""
         rs = np.asarray(r, dtype=float)
@@ -196,9 +191,10 @@ class TwoTaskFactor:
 
         The pencil P = A + r B inverts as L_A^-T (I + r C)^-1 L_A^-1, through
         the per-task inverse factors and :meth:`_solve_whitened`.  It carries
-        ``jitter`` on its diagonal; one correction step P^-1 y + jitter P^-2 y
-        removes it up to a relative (jitter/noise)^2.
+        the fits' shift e = gp.JITTER_START * signal_variance on its diagonal;
+        one correction step P^-1 y + e P^-2 y removes it up to a relative (e/noise)^2.
         """
+        shift = gp.JITTER_START * self.params.signal_variance
         c1, c2, _ = (c.T for c in _coefficients(self.singular, rs))
         (l1, l2), (one, two) = self.inverses, self.tasks
         t1, t2 = self._solve_whitened(one.whitened_obs[:, None], two.whitened_obs[:, None],
@@ -206,8 +202,8 @@ class TwoTaskFactor:
         first = (l1.T @ t1, l2.T @ t2)                                  # P^-1 y
         t1, t2 = self._solve_whitened(l1 @ first[0], l2 @ first[1], c1, c2)
         out = np.empty((self.n, rs.size))
-        out[self.rows[0]] = first[0] + self.jitter * (l1.T @ t1)
-        out[self.rows[1]] = first[1] + self.jitter * (l2.T @ t2)
+        out[self.rows[0]] = first[0] + shift * (l1.T @ t1)
+        out[self.rows[1]] = first[1] + shift * (l2.T @ t2)
         return out
 
     def _blocks(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

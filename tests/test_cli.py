@@ -1,6 +1,9 @@
 import json
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +37,7 @@ BAD_VALUES = [
     ("frequentist_trials", -2), ("bayesian_trials", -1), ("grid_size", 0), ("jobs", 0),
     ("algorithm", ","), ("algorithm", "ucb, ucb"), ("seed", -1),
     ("eta", "nan"), ("eta", "inf"), ("threshold", "inf"), ("threshold", "nan"),
+    ("threshold", -1.0),
     ("disturbance", "nan"), ("disturbance", "-inf"),
 ]
 REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance",
@@ -129,6 +133,18 @@ class TestCmdRun:
         assert len(manifest["repetition_seeds"]) == 2
         assert "samsbo" in manifest["algorithms"]
         assert manifest["versions"]["scipy"] == scipy.__version__
+
+    def test_manifest_records_the_problem_in_use(self, tmp_path):
+        # a zero threshold or dimension is the sentinel for the problem's own
+        for problem, threshold, dimension, want in (("branin", 0.0, 0, (150.0, 2)),
+                                                    ("powell", 0.0, 8, (35_000.0, 8)),
+                                                    ("branin", 99.0, 0, (99.0, 2))):
+            cfg = small_config(tmp_path / f"{problem}{threshold}", problem=problem,
+                               threshold=threshold, dimension=dimension, iterations=0,
+                               repetitions=1)
+            assert cmd_run(cfg) == 0
+            manifest = json.loads((Path(cfg.out) / "manifest.json").read_text())
+            assert manifest["problem"] == {"threshold": want[0], "dimension": want[1]}
 
     def test_zero_iterations_only_seed_rows(self, tmp_path):
         cfg = small_config(tmp_path, iterations=0, repetitions=1)
@@ -253,7 +269,8 @@ class TestMainEntry:
         cfg_file = tmp_path / "cfg.txt"
         out = tmp_path / "results"
         cases = [("rho", "rho = 2.0")] + [(k, f"{k} = {v}") for k, v in BAD_VALUES] + \
-            [(k, f"{k} = 0") for k in REMOVED_KEYS] + BAD_PROBLEMS
+            [(k, f"{k} = 0") for k in REMOVED_KEYS] + BAD_PROBLEMS + \
+            [("threshold", "problem = laser\nthreshold = 5")]    # below the seed's cost
         for key, text in cases:
             cfg_file.write_text(text + "\n")
             assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
@@ -274,6 +291,19 @@ class TestMainEntry:
             assert main(["verify-bounds", "--config", str(cfg_file), "--out", str(out)]) == 2
             assert "eta" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_eta_without_prior_mass_stops_verify_bounds(self, tmp_path):
+        # eta = 1e-10 passes parsing, but its prior draw needs about 1.4e9 proposals
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("eta = 1e-10\nfrequentist_trials = 0\nbayesian_trials = 1\n")
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "samsbo.cli", "verify-bounds", "--config",
+                              str(cfg_file), "--out", str(tmp_path / "v")],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": path, "SAMSBO_OUT": ""})
+        assert run.returncode != 0
+        assert "eta = 1e-10" in run.stderr
 
     def test_negative_seed_flag_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SAMSBO_OUT", raising=False)
@@ -325,6 +355,26 @@ class TestMainEntry:
                                              for rep in (0, 1)]
         errors = json.loads((out / "manifest.json").read_text())["algorithms"]["samsbo"]["errors"]
         assert errors == {"0": reason, "1": reason}
+
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched run_repetition")
+    def test_dead_worker_fails_every_repetition(self, tmp_path, monkeypatch, capsys):
+        # a worker that exits breaks the pool, so each repetition's result() raises
+        monkeypatch.delenv("SAMSBO_OUT", raising=False)
+        monkeypatch.setattr(cli, "run_repetition", lambda *args, **kwargs: os._exit(3))
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("repetitions = 3\n")
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out), "--jobs", "2"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[1] for line in lines] == [f" repetition {rep} failed"
+                                                          for rep in range(3)]
+        errors = json.loads((out / "manifest.json").read_text())["algorithms"]["samsbo"]["errors"]
+        assert sorted(errors) == ["0", "1", "2"]
+        assert (out / "samsbo_raw.csv").read_text().splitlines() == [",".join(RAW_HEADER)]
+        assert (out / "samsbo_aggregate.csv").read_text().splitlines() == \
+            [",".join(AGGREGATE_HEADER)]
 
 
 class TestBuildProblem:

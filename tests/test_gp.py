@@ -8,6 +8,7 @@ from scipy.linalg import solve_triangular
 from samsbo import gp, kernels
 from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
 from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
+from samsbo.safeopt import _greedy_variance_picks
 
 from oracles import empty_dataset, mean_values, predict
 from test_kernels import random_correlation
@@ -548,6 +549,21 @@ class TestJitter:
         grown, fresh = grown_and_fresh(previous, dataset, self.SIGMA, self.PARAMS, base)
         assert grown.jitter == pytest.approx(1e-8)
         assert_bitwise(grown, fresh, points)
+
+
+    def test_fantasy_downdate_shifts_by_the_escalated_jitter(self):
+        # each pick's variances against a grown refit on the fantasized data, which
+        # carries the factor's jitter of 1e-8 rather than the starting 1e-10
+        dataset, base = self.case(twin=1)
+        posterior = fit(dataset, self.SIGMA, self.PARAMS, base_gram=base)
+        assert posterior.jitter == pytest.approx(1e-8)
+        points = frozen(np.random.default_rng(5).random((200, 2)))
+        refit = posterior
+        for idx, variances in _greedy_variance_picks(posterior, points, [1] * 4):
+            assert np.max(np.abs(variances - refit.predict_batch(points, 1)[1])) <= 1e-10
+            refit = fit(refit.dataset.extended([points[idx]], [1], [0.0]), self.SIGMA,
+                        self.PARAMS, previous=refit)
+            assert refit.jitter == posterior.jitter
 
 
 def triangular_solve_reference(posterior, points, z):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.stats import beta
@@ -138,6 +140,16 @@ class TestSampleHyperposterior:
         for eta in (0.0, -0.5, np.nan, np.inf):
             with pytest.raises(ValueError, match="eta must be positive"):
                 sample_prior_offdiagonal(eta, rng)
+
+    def test_prior_draw_refuses_an_eta_without_mass(self):
+        # mass on [0, R_MAX]: 7.3e-6 at eta = 1e-6 and 7.3e-10 at 1e-10, which the
+        # rejection loop would need about 1.4e9 proposals per draw to find
+        rng = np.random.default_rng(0)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="eta = 1e-10"):
+            sample_prior_offdiagonal(1e-10, rng)
+        assert time.perf_counter() - started < 1.0
+        assert 0.0 <= sample_prior_offdiagonal(1e-6, rng) <= R_MAX
 
 
 class TestTwoTaskQuadrature:

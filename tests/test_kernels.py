@@ -55,6 +55,25 @@ class TestSeKernel:
             KernelParams(1.0, [1.0, -0.2])
 
 
+class TestKernelParams:
+    def test_equality_and_hash_by_value(self):
+        a = KernelParams(1.0, [0.2, 0.3], 0.01)
+        b = KernelParams(1.0, np.array([0.2, 0.3]), 0.01)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != KernelParams(1.0, [0.2, 0.4], 0.01)
+        assert a != KernelParams(1.0, [0.2], 0.01) and a != KernelParams(1.0, [0.2, 0.3])
+        assert a != (1.0, [0.2, 0.3], 0.01)
+        assert len({a, b, KernelParams(2.0, [0.2, 0.3], 0.01)}) == 2
+
+    def test_lengthscales_are_a_read_only_copy(self):
+        scales = np.array([0.2, 0.3])
+        params = KernelParams(1.0, scales)
+        scales[0] = 5.0
+        assert params.lengthscales.tolist() == [0.2, 0.3]
+        with pytest.raises(ValueError):
+            params.lengthscales[0] = 5.0
+
+
 class TestCorrelationMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
