@@ -17,7 +17,9 @@
 # settable values on each side: the fields of ExperimentConfig (every config
 # key) and the parameters with a default of the public functions in
 # src/samsbo/*.py (module-level functions and methods of public classes
-# whose names do not start with an underscore).  Exits 0 when
+# whose names do not start with an underscore), and the fields of the
+# problem types SyntheticProblem and LaserChainProblem, which hold what a
+# caller can vary about a problem.  Exits 0 when
 # every file is byte-identical and 1 on any difference; a failing run exits
 # with its own status.  Each side takes about 10 s on a 2-core VM.
 #
@@ -79,6 +81,20 @@ params = sum(len(f.args.defaults) + sum(d is not None for d in f.args.kw_default
              for f in public_functions(ast.parse(path.read_text())))
 fields = len(dataclasses.fields(ExperimentConfig))
 print(f"{fields} fields + {params} defaulted parameters = {fields + params}")
+PY
+}
+
+# problem_fields DIR: the field counts of the problem types in DIR/src/samsbo
+problem_fields() {
+    python3 - "$1" <<'PY'
+import dataclasses
+import sys
+
+sys.path.insert(0, f"{sys.argv[1]}/src")
+from samsbo.benchmarks import LaserChainProblem, SyntheticProblem  # noqa: E402
+
+print(", ".join(f"{cls.__name__} {len(dataclasses.fields(cls))}"
+                for cls in (SyntheticProblem, LaserChainProblem)))
 PY
 }
 
@@ -167,4 +183,6 @@ echo "src/samsbo __all__ names: ${commit:0:7} $(public_names "$work/ref/src/sams
     "working tree $(public_names "$root/src/samsbo")"
 echo "settable values: ${commit:0:7} $(settable_values "$work/ref")," \
     "working tree $(settable_values "$root")"
+echo "problem fields: ${commit:0:7} $(problem_fields "$work/ref")," \
+    "working tree $(problem_fields "$root")"
 exit "$status"

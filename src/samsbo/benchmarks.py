@@ -7,6 +7,15 @@ seeded random sign direction.  The controller problem tunes the PI gains of a
 serial chain of second-order subsystems under colored disturbances, with the
 root-mean-square performance cost computed through a Lyapunov equation;
 unstable closed loops map to a finite penalty above the safety threshold.
+
+Problem facts are module constants, and a problem holds only what a caller
+varies.  ``DISTURBANCE`` and ``N_TASKS`` are the standard protocol's
+disturbance factor and task count, read by the factories and by
+``config.ExperimentConfig``.  ``BRANIN_DOMAIN`` and ``POWELL_DOMAIN`` are the
+functions' standard boxes.  The thresholds and the laser chain's ``LASER_*``
+plant, filters, gain box and output scale are chosen in this package, the scale
+so that the default gains land well below the threshold while a sizable part
+of ``LASER_BOX`` is unstable or above it.
 """
 from __future__ import annotations
 
@@ -31,6 +40,8 @@ __all__ = [
     "find_safe_seed",
 ]
 
+DISTURBANCE = 0.3
+N_TASKS = 2
 POWELL_DOMAIN = (-4.0, 5.0)
 BRANIN_DOMAIN = np.array([[-5.0, 10.0], [0.0, 15.0]])
 POWELL_THRESHOLD = 35_000.0
@@ -39,8 +50,17 @@ LASER_THRESHOLD = 40.0
 INSTABILITY_PENALTY_FACTOR = 10.0
 NOISE_SCALE_SAMPLES = 512
 NOISE_MULTIPLIER = 0.01         # noise standard deviation as a share of the output scale
-LASER_SUBSYSTEMS = 5
 SAFE_SEED_DRAWS = 10_000
+
+LASER_SUBSYSTEMS = 5
+LASER_OMEGA = 2.0 + 0.25 * np.arange(LASER_SUBSYSTEMS)     # plant natural frequencies
+LASER_ZETA = 0.7                                            # plant damping ratio
+# a_r of the reference filter, then a_1..a_N of the subsystems' disturbance filters
+LASER_FILTER_POLES = np.concatenate([[0.2], 0.3 + 0.05 * np.arange(LASER_SUBSYSTEMS)])
+LASER_BOX = np.repeat([[0.05, 6.0], [0.05, 8.0]], LASER_SUBSYSTEMS, axis=0)  # kp_i, then ki_i
+LASER_OUTPUT_SCALE = 10.0
+for _array in (LASER_OMEGA, LASER_FILTER_POLES, LASER_BOX):
+    _array.setflags(write=False)
 
 
 class StabilityError(RuntimeError):
@@ -75,7 +95,6 @@ def branin(x: np.ndarray) -> float:
 class SyntheticProblem:
     """Multi-task view of a base function with shifted supplementary tasks."""
 
-    name: str
     base: Callable[[np.ndarray], float]
     domain: np.ndarray          # (d, 2) rows of [lower, upper]
     threshold: float
@@ -122,20 +141,20 @@ def _output_scale(base: Callable[[np.ndarray], float], domain: np.ndarray) -> fl
     return float(np.std(values))
 
 
-def branin_problem(shift_factor: float = 0.3, n_tasks: int = 2,
+def branin_problem(shift_factor: float = DISTURBANCE, n_tasks: int = N_TASKS,
                    threshold: float = BRANIN_THRESHOLD,
                    disturbance_seed: int = 0) -> SyntheticProblem:
     noise = NOISE_MULTIPLIER * _output_scale(branin, BRANIN_DOMAIN)
-    return SyntheticProblem("branin", branin, BRANIN_DOMAIN, threshold, shift_factor, n_tasks,
+    return SyntheticProblem(branin, BRANIN_DOMAIN, threshold, shift_factor, n_tasks,
                             _signs(disturbance_seed, n_tasks, 2), noise, disturbance_seed)
 
 
-def powell_problem(dimension: int = 4, shift_factor: float = 0.3, n_tasks: int = 2,
-                   threshold: float = POWELL_THRESHOLD,
+def powell_problem(dimension: int = 4, shift_factor: float = DISTURBANCE,
+                   n_tasks: int = N_TASKS, threshold: float = POWELL_THRESHOLD,
                    disturbance_seed: int = 0) -> SyntheticProblem:
     domain = np.tile(np.array(POWELL_DOMAIN), (dimension, 1))
     noise = NOISE_MULTIPLIER * _output_scale(powell, domain)
-    return SyntheticProblem("powell", powell, domain, threshold, shift_factor, n_tasks,
+    return SyntheticProblem(powell, domain, threshold, shift_factor, n_tasks,
                             _signs(disturbance_seed, n_tasks, dimension), noise,
                             disturbance_seed)
 
@@ -157,23 +176,17 @@ def _lyapunov_solution(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 class LaserChainProblem:
     """PI tuning of a serial synchronization chain with an H2 performance cost.
 
-    Each of the N subsystems is a second-order low-pass plant with a PI
-    controller tracking the output of its predecessor; the first tracks a
-    colored reference disturbance.  First-order filters colorize one white
-    noise input per subsystem plus one for the reference.  The cost is the
-    root-mean-square norm of the stacked tracking errors.  Supplementary tasks
-    perturb the filter state matrices element-wise by the disturbance factor
-    with seeded random signs.
+    Each of the N = ``LASER_SUBSYSTEMS`` subsystems is a second-order low-pass
+    plant with a PI controller tracking the output of its predecessor; the
+    first tracks a colored reference disturbance.  First-order filters with
+    unit gain colorize one white noise input per subsystem plus one for the
+    reference.  The cost is the root-mean-square norm of the stacked tracking
+    errors.  Supplementary tasks perturb the filter state matrices element-wise
+    by the disturbance factor with seeded random signs.  The plant, the filters,
+    the gain box and the output scale are the module's ``LASER_*`` constants.
     """
 
-    n_subsystems: int
-    omega: np.ndarray           # plant natural frequencies
-    zeta: float
-    filter_poles: np.ndarray    # a_r followed by a_1..a_N (all positive)
-    filter_gain: float
-    output_scale: float
     threshold: float
-    box: np.ndarray             # (2N, 2) bounds: kp_1..kp_N then ki_1..ki_N
     disturbance_factor: float
     n_tasks: int
     filter_signs: np.ndarray    # (n_tasks - 1, N + 1) perturbation signs
@@ -182,17 +195,18 @@ class LaserChainProblem:
 
     @property
     def dimension(self) -> int:
-        return 2 * self.n_subsystems
+        return 2 * LASER_SUBSYSTEMS
 
     @property
     def domain(self) -> np.ndarray:
-        return self.box
+        """(2N, 2) bounds: kp_1..kp_N then ki_1..ki_N."""
+        return LASER_BOX
 
     def _poles_for_task(self, z: int) -> np.ndarray:
         if z == 1:
-            return self.filter_poles
+            return LASER_FILTER_POLES
         signs = self.filter_signs[z - 2]
-        return self.filter_poles * (1.0 + signs * self.disturbance_factor)
+        return LASER_FILTER_POLES * (1.0 + signs * self.disturbance_factor)
 
     def closed_loop(self, pi_params: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """State matrices (A, B, C) of the closed loop for task ``z``.
@@ -200,7 +214,7 @@ class LaserChainProblem:
         State order: reference filter, then per subsystem (position, velocity,
         integrator, disturbance filter); outputs are the tracking errors.
         """
-        n = self.n_subsystems
+        n = LASER_SUBSYSTEMS
         pi_params = np.asarray(pi_params, dtype=float)
         if pi_params.size != 2 * n:
             raise ValueError(f"expected {2 * n} PI parameters")
@@ -212,28 +226,24 @@ class LaserChainProblem:
         C = np.zeros((n, dim))
         A[0, 0] = -poles[0]
         B[0, 0] = 1.0
-        cf = self.filter_gain
         for i in range(n):
             b = 1 + 4 * i
-            w = self.omega[i]
+            w = LASER_OMEGA[i]
             w2 = w * w
             # predecessor timing: reference filter output for the first subsystem
-            if i == 0:
-                pred_col, pred_gain = 0, cf
-            else:
-                pred_col, pred_gain = 1 + 4 * (i - 1), 1.0
+            pred_col = 0 if i == 0 else b - 4
             A[b, b + 1] = 1.0
             A[b + 1, b] = -w2 * (1.0 + kp[i])
-            A[b + 1, b + 1] = -2.0 * self.zeta * w
+            A[b + 1, b + 1] = -2.0 * LASER_ZETA * w
             A[b + 1, b + 2] = w2 * ki[i]
-            A[b + 1, b + 3] = w2 * cf
-            A[b + 1, pred_col] += w2 * kp[i] * pred_gain
+            A[b + 1, b + 3] = w2
+            A[b + 1, pred_col] += w2 * kp[i]
             A[b + 2, b] = -1.0
-            A[b + 2, pred_col] += pred_gain
+            A[b + 2, pred_col] += 1.0
             A[b + 3, b + 3] = -poles[1 + i]
             B[b + 3, 1 + i] = 1.0
             C[i, b] = -1.0
-            C[i, pred_col] += pred_gain
+            C[i, pred_col] += 1.0
         return A, B, C
 
     def true_value(self, z: int, pi_params: np.ndarray) -> float:
@@ -243,11 +253,10 @@ class LaserChainProblem:
         return self.true_value(z, pi_params) + self.noise_sd * rng.standard_normal()
 
     def default_safe_seed(self) -> np.ndarray:
-        n = self.n_subsystems
-        return np.concatenate([np.full(n, 2.0), np.full(n, 1.0)])
+        return np.repeat([2.0, 1.0], LASER_SUBSYSTEMS)
 
 
-def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int = 1) -> float:
+def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
     """Root-mean-square cost sqrt(trace(C P C')) of the closed loop.
 
     Unstable configurations return the finite penalty 10 * threshold, which
@@ -261,36 +270,22 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int = 1) -> fl
     if np.max(np.linalg.eigvals(A).real) >= -1e-9:
         return INSTABILITY_PENALTY_FACTOR * problem.threshold
     P = _lyapunov_solution(A, B @ B.T)
-    value = problem.output_scale * float(np.sqrt(max(np.trace(C @ P @ C.T), 0.0)))
+    value = LASER_OUTPUT_SCALE * float(np.sqrt(max(np.trace(C @ P @ C.T), 0.0)))
     return min(value, INSTABILITY_PENALTY_FACTOR * problem.threshold)
 
 
-def laser_problem(disturbance_factor: float = 0.3, n_tasks: int = 2,
+def laser_problem(disturbance_factor: float = DISTURBANCE, n_tasks: int = N_TASKS,
                   threshold: float = LASER_THRESHOLD,
                   disturbance_seed: int = 0) -> LaserChainProblem:
-    n = LASER_SUBSYSTEMS
-    omega = 2.0 + 0.25 * np.arange(n)
-    filter_poles = np.concatenate([[0.2], 0.3 + 0.05 * np.arange(n)])
-    box = np.vstack([
-        np.tile([0.05, 6.0], (n, 1)),   # proportional gains
-        np.tile([0.05, 8.0], (n, 1)),   # integral gains
-    ])
     problem = LaserChainProblem(
-        n_subsystems=n, omega=omega, zeta=0.7, filter_poles=filter_poles,
-        filter_gain=1.0, output_scale=OUTPUT_SCALE_LASER, threshold=threshold,
-        box=box, disturbance_factor=disturbance_factor, n_tasks=n_tasks,
-        filter_signs=_signs(disturbance_seed, n_tasks, n + 1),
+        threshold=threshold, disturbance_factor=disturbance_factor, n_tasks=n_tasks,
+        filter_signs=_signs(disturbance_seed, n_tasks, LASER_SUBSYSTEMS + 1),
         noise_sd=NOISE_MULTIPLIER * threshold, disturbance_seed=disturbance_seed,
     )
     seed_cost = h2_cost(problem.default_safe_seed(), problem, 1)
     if not seed_cost <= threshold:
         raise StabilityError(f"default seed cost {seed_cost:.2f} exceeds threshold")
     return problem
-
-
-# Calibrated so the default stabilizing gains land well below the threshold
-# while a sizable part of the gain box is unstable or above it.
-OUTPUT_SCALE_LASER = 10.0
 
 
 def find_safe_seed(problem, rng: np.random.Generator) -> np.ndarray:

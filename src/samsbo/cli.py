@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, benchmarks, verify
+from . import __version__, benchmarks, hyperposterior, verify
 from .config import ConfigError, ExperimentConfig, parse_config, read_input, serialize_config
 from .safeopt import TraceRecord, run_repetition
 
@@ -200,6 +200,11 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 
 def cmd_verify_bounds(config: ExperimentConfig) -> int:
+    if config.bayesian_trials:      # the loop runs with any positive eta; the prior draw may not
+        try:
+            hyperposterior.truncated_prior_mass(config.eta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     out = _output_dir(config.out)
     reports = [
         verify.frequentist_coverage(trials=config.frequentist_trials,

@@ -5,6 +5,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import benchmarks
 from .kernels import KernelParams
 
 __all__ = [
@@ -19,7 +20,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("samsbo", "safe-ucb", "ucb", "multi-task-ucb")
-FIXED_DIMENSIONS = {"branin": 2, "laser": 10}     # powell takes any positive multiple of 4
+FIXED_DIMENSIONS = {"branin": len(benchmarks.BRANIN_DOMAIN), "laser": len(benchmarks.LASER_BOX)}
 
 TAU = 0.001
 LENGTHSCALE = 0.2
@@ -62,10 +63,6 @@ class LoopConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
 
-    def batch_size(self, dimension: int) -> int:
-        """Supplementary evaluations per iteration: 2 * dimension, the standard protocol."""
-        return 2 * dimension
-
 
 @dataclass(frozen=True)
 class ExperimentConfig(LoopConfig):
@@ -73,29 +70,27 @@ class ExperimentConfig(LoopConfig):
 
     ``algorithm`` may list several loops separated by commas; each runs on a
     copy naming that loop alone, ``dataclasses.replace(config, algorithm=name)``,
-    since the loop refuses a list.  Defaults follow the standard protocol: 40
-    iterations, 15 repetitions, delta 0.05, rho 0.15, eta 0.1, one
-    supplementary task evaluated 2 * dimension times per iteration,
-    disturbance factor 0.3.
+    since the loop refuses a list.
 
     ``threshold`` and ``dimension`` are sentinels: 0 keeps the problem's own
     default, so a threshold of exactly 0 cannot be set, and a negative
     threshold is refused because every objective is nonnegative.  The
     manifest of ``samsbo run`` records the threshold and dimension in use.
 
-    The protocol's other values are constants, not keys: ``TAU`` (0.001), the
-    resolution of the cube's cover whose size |I| enters beta_b;
-    ``LENGTHSCALE`` (0.2 per input), ``SIGNAL_VARIANCE`` (1.0) and
-    ``NOISE_VARIANCE`` (0.01), the fixed kernel of the standardized GP
-    (:func:`kernel_params`); ``benchmarks.NOISE_MULTIPLIER`` (0.01), the noise
-    standard deviation as a share of each problem's output scale.
+    Each protocol value is stated once.  The loop's defaults are those of
+    :class:`LoopConfig`, ``n_tasks`` and ``disturbance`` are
+    ``benchmarks.N_TASKS`` and ``benchmarks.DISTURBANCE``, and the coverage
+    suites of :mod:`samsbo.verify` default to these fields.  Constants, not
+    keys: ``TAU``, the resolution of the cube's cover whose size |I| enters
+    beta_b; the kernel of :func:`kernel_params`; the 2 * d supplementary batch,
+    ``safeopt.SUPPLEMENTARY_PER_INPUT``; the problems' facts in ``benchmarks``.
     """
 
     problem: str = "branin"
     dimension: int = 0                  # 0 keeps the problem's default; only powell has a choice
     threshold: float = 0.0              # 0 keeps the problem's default
-    n_tasks: int = 2
-    disturbance: float = 0.3
+    n_tasks: int = benchmarks.N_TASKS
+    disturbance: float = benchmarks.DISTURBANCE
     repetitions: int = 15
     seed: int = 0
     frequentist_trials: int = 500
@@ -152,19 +147,14 @@ def kernel_params(dimension: int) -> KernelParams:
 def _coerce(name: str, kind: type, raw: str, line_no: int):
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)                # int, float or str: the type of the key's default
     except ValueError:
         raise ConfigError(f"line {line_no}: cannot parse {name} value {raw!r} as {kind.__name__}")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines; '#' starts a comment, blank lines are ignored."""
-    defaults = ExperimentConfig()
-    kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(ExperimentConfig)}
+    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -197,7 +187,4 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Key-value text that parses back to an equal configuration."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        lines.append(f"{f.name} = {getattr(config, f.name)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(ExperimentConfig))

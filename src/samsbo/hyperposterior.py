@@ -48,6 +48,7 @@ __all__ = [
     "confidence_set",
     "angles_to_correlation",
     "sample_prior_offdiagonal",
+    "truncated_prior_mass",
 ]
 
 R_MAX = 1.0 - 1e-6
@@ -240,6 +241,18 @@ def _log_cell_masses(eta: float) -> np.ndarray:
     return np.log(tail[:-1] - tail[1:])
 
 
+def truncated_prior_mass(eta: float) -> float:
+    """LKJ(eta) mass of r in [0, R_MAX], the cells' total; ValueError naming eta if too small."""
+    if not 0.0 < eta < np.inf:          # rng.beta(inf, inf) is NaN, which no draw accepts
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    upper, lower = betainc(eta, eta, 0.5 * (1.0 - CELL_EDGES[[0, -1]]))    # as _log_cell_masses
+    mass = float(upper - lower)
+    if mass < PRIOR_MASS_FLOOR:
+        raise ValueError(f"eta = {eta:g} leaves the prior mass {mass:.3g} on [0, R_MAX], below "
+                         f"{PRIOR_MASS_FLOOR:g}: about {1.0 / mass:.3g} draws per accepted r")
+    return mass
+
+
 def sample_hyperposterior(
     dataset: MultiTaskDataset,
     n_tasks: int,
@@ -378,14 +391,9 @@ def sample_prior_offdiagonal(eta: float, rng: np.random.Generator) -> float:
     R_MAX are rejected rather than clamped: for small eta the prior carries
     substantial mass arbitrarily close to 1, and the model support must match
     the sampler's support for coverage statements to be well posed.  An eta
-    whose truncated mass is below ``PRIOR_MASS_FLOOR`` raises ``ValueError``.
+    that :func:`truncated_prior_mass` refuses raises its ``ValueError``.
     """
-    if not 0.0 < eta < np.inf:          # rng.beta(inf, inf) is NaN, which no draw accepts
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-    mass = betainc(eta, eta, 0.5) - betainc(eta, eta, 0.5 * (1.0 - R_MAX))
-    if mass < PRIOR_MASS_FLOOR:
-        raise ValueError(f"eta = {eta:g} leaves the prior mass {mass:.3g} on [0, R_MAX], below "
-                         f"{PRIOR_MASS_FLOOR:g}: about {1.0 / mass:.3g} draws per accepted r")
+    truncated_prior_mass(eta)
     while True:
         b = rng.beta(eta, eta)
         r = 2.0 * b - 1.0

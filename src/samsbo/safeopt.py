@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 STD_FLOOR = 1e-8
+SUPPLEMENTARY_PER_INPUT = 2     # supplementary evaluations per iteration and input: 2 * d
 
 
 class NoSafeActionError(RuntimeError):
@@ -119,7 +120,7 @@ class CandidateGrid:
         return self.points.shape[0]
 
 
-def make_grid(dimension: int, size: int = 2048, seed: int = 0,
+def make_grid(dimension: int, size: int, seed: int = 0,
               extra_points: np.ndarray | None = None) -> CandidateGrid:
     """Lattice grid in one dimension, scrambled Sobol points otherwise.
 
@@ -346,7 +347,7 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
     grid = state.grid
 
     if multitask:
-        picks = acquire_supplementary(state, cfg.batch_size(problem.dimension),
+        picks = acquire_supplementary(state, SUPPLEMENTARY_PER_INPUT * problem.dimension,
                                       grid, problem.n_tasks)
         new_x, new_z, new_y = [], [], []
         for x_norm, task in picks:

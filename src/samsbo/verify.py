@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, gp, hyperposterior
+from .config import ExperimentConfig, kernel_params
 from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
 __all__ = ["CoverageReport", "frequentist_coverage", "bayesian_coverage"]
@@ -35,6 +36,7 @@ NUMERIC_SLACK = 1e-9
 COVERAGE_SLACK = 0.05       # how far below its target a suite's empirical coverage may fall
 DRAW_JITTER = 1e-10         # diagonal added to the grid kernel before factoring it
 FREQUENTIST_OBSERVATIONS = 30   # design size of the frequentist suite, half on each task
+DEFAULTS = ExperimentConfig()   # the suites' delta, rho, eta, trial counts and seed
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,8 @@ def _covers(posterior: gp.Posterior, grid: np.ndarray, f_grid: dict[int, np.ndar
     return True
 
 
-def frequentist_coverage(trials: int = 500, delta: float = 0.05, grid_size: int = 200,
-                         seed: int = 0) -> CoverageReport:
+def frequentist_coverage(trials: int = DEFAULTS.frequentist_trials, delta: float = DEFAULTS.delta,
+                         grid_size: int = 200, seed: int = DEFAULTS.seed) -> CoverageReport:
     """Coverage of the frequentist band around a fixed finite kernel expansion.
 
     One-dimensional two-task setup; only the observation noise is redrawn per
@@ -152,9 +154,10 @@ def frequentist_coverage(trials: int = 500, delta: float = 0.05, grid_size: int 
     return CoverageReport("frequentist", trials, successes, 1.0 - delta, COVERAGE_SLACK)
 
 
-def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.05,
-                      rho: float = 0.15, eta: float = 0.1, grid_size: int = 200,
-                      seed: int = 0) -> CoverageReport:
+def bayesian_coverage(trials: int = DEFAULTS.bayesian_trials, n_per_task: int = 20,
+                      delta: float = DEFAULTS.delta, rho: float = DEFAULTS.rho,
+                      eta: float = DEFAULTS.eta, grid_size: int = 200,
+                      seed: int = DEFAULTS.seed) -> CoverageReport:
     """Coverage of the robust Bayesian band under prior-drawn correlation matrices.
 
     Each trial draws the true correlation r from the LKJ prior restricted to
@@ -170,7 +173,7 @@ def bayesian_coverage(trials: int = 200, n_per_task: int = 20, delta: float = 0.
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     master = np.random.SeedSequence(seed).spawn(trials)
-    params = KernelParams(1.0, [0.2], noise_variance=0.01)
+    params = kernel_params(1)
     grid = _read_only_grid(grid_size)
     noise_sd = np.sqrt(params.noise_variance)
     chol_grid = np.linalg.cholesky(se_kernel_matrix(grid, grid, params)

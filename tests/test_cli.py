@@ -1,3 +1,4 @@
+import inspect
 import json
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from samsbo import cli, verify
+from samsbo import benchmarks, cli, verify
 from samsbo.cli import (
     AGGREGATE_HEADER,
     PLOTDATA_HEADER,
@@ -293,17 +294,26 @@ class TestMainEntry:
             assert not out.exists()
 
     def test_eta_without_prior_mass_stops_verify_bounds(self, tmp_path):
-        # eta = 1e-10 passes parsing, but its prior draw needs about 1.4e9 proposals
-        cfg_file = tmp_path / "cfg.txt"
-        cfg_file.write_text("eta = 1e-10\nfrequentist_trials = 0\nbayesian_trials = 1\n")
+        # eta = 1e-10 passes parsing, but its prior draw needs about 1.4e9 proposals;
+        # without Bayesian trials nothing draws from the prior, so the same eta runs
         path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
                                              os.environ.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-m", "samsbo.cli", "verify-bounds", "--config",
-                              str(cfg_file), "--out", str(tmp_path / "v")],
-                             capture_output=True, text=True, timeout=60,
-                             env={**os.environ, "PYTHONPATH": path, "SAMSBO_OUT": ""})
-        assert run.returncode != 0
-        assert "eta = 1e-10" in run.stderr
+        for bayesian_trials, code in ((1, 2), (0, 0)):
+            cfg_file = tmp_path / "cfg.txt"
+            cfg_file.write_text(
+                f"eta = 1e-10\nfrequentist_trials = 0\nbayesian_trials = {bayesian_trials}\n")
+            out = tmp_path / f"v{bayesian_trials}"
+            run = subprocess.run([sys.executable, "-m", "samsbo.cli", "verify-bounds", "--config",
+                                  str(cfg_file), "--out", str(out)],
+                                 capture_output=True, text=True, timeout=60,
+                                 env={**os.environ, "PYTHONPATH": path, "SAMSBO_OUT": ""})
+            assert run.returncode == code
+            assert "Traceback" not in run.stderr
+            if code:
+                assert run.stderr.startswith("error: eta = 1e-10")
+                assert not out.exists()
+            else:
+                assert (out / "coverage.json").exists()
 
     def test_negative_seed_flag_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SAMSBO_OUT", raising=False)
@@ -375,6 +385,39 @@ class TestMainEntry:
         assert (out / "samsbo_raw.csv").read_text().splitlines() == [",".join(RAW_HEADER)]
         assert (out / "samsbo_aggregate.csv").read_text().splitlines() == \
             [",".join(AGGREGATE_HEADER)]
+
+
+class TestSharedDefaults:
+    """The suites and the problem factories read their defaults from one statement.
+
+    The benchmark calls them at their defaults and ``samsbo verify-bounds`` /
+    ``samsbo run`` pass config values, so the two agree only if these match.
+    """
+
+    @staticmethod
+    def defaults(function) -> dict:
+        return {name: p.default for name, p in inspect.signature(function).parameters.items()
+                if p.default is not inspect.Parameter.empty}
+
+    def test_coverage_suites_default_to_the_config(self):
+        cfg = ExperimentConfig()
+        assert self.defaults(verify.frequentist_coverage) == {
+            "trials": cfg.frequentist_trials, "delta": cfg.delta, "grid_size": 200,
+            "seed": cfg.seed}
+        assert self.defaults(verify.bayesian_coverage) == {
+            "trials": cfg.bayesian_trials, "n_per_task": 20, "delta": cfg.delta,
+            "rho": cfg.rho, "eta": cfg.eta, "grid_size": 200, "seed": cfg.seed}
+
+    @pytest.mark.parametrize("factory, disturbance", [
+        (benchmarks.branin_problem, "shift_factor"),
+        (benchmarks.powell_problem, "shift_factor"),
+        (benchmarks.laser_problem, "disturbance_factor"),
+    ])
+    def test_problem_factories_default_to_the_config(self, factory, disturbance):
+        cfg = ExperimentConfig()
+        defaults = self.defaults(factory)
+        assert defaults[disturbance] == cfg.disturbance
+        assert defaults["n_tasks"] == cfg.n_tasks
 
 
 class TestBuildProblem:

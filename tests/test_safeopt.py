@@ -10,6 +10,7 @@ from samsbo.config import ConfigError, ExperimentConfig
 from samsbo.hyperposterior import ConfidenceSet
 from samsbo.kernels import CorrelationMatrix, KernelParams
 from samsbo.safeopt import (
+    SUPPLEMENTARY_PER_INPUT,
     CandidateGrid,
     LoopConfig,
     NoSafeActionError,
@@ -287,7 +288,7 @@ class TestStepComposition:
         # scripted equivalent: supplementary batch, evaluations, refresh, safe
         # set, main acquisition, in the same order with the same rng stream
         grid = state_b.grid
-        picks = acquire_supplementary(state_b, cfg.batch_size(2), grid, 2)
+        picks = acquire_supplementary(state_b, SUPPLEMENTARY_PER_INPUT * 2, grid, 2)
         new = [(state_b.transforms.denormalize(x), z) for x, z in picks]
         ys = [problem.evaluate(z, x, rng_b) for x, z in new]
         state_b.dataset = state_b.dataset.extended(
@@ -384,7 +385,7 @@ class TestLoopBehavior:
         for r in trace:
             per_iter.setdefault(r.iteration, []).append(r)
         assert len(per_iter[0]) == 2                       # seed rows
-        batch = cfg.batch_size(problem.dimension)
+        batch = SUPPLEMENTARY_PER_INPUT * problem.dimension
         for t in (1, 2, 3):
             assert len(per_iter[t]) in (batch, batch + 1)
         assert not any(r.violation for r in trace)
