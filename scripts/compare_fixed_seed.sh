@@ -6,7 +6,7 @@
 #     scripts/compare_fixed_seed.sh REF
 #
 # REF is exported with `git archive` to a temporary directory.  The working
-# tree's scripts/fixed_seed_outputs.sh then writes its 19-file set once from
+# tree's scripts/fixed_seed_outputs.sh then writes its 23-file set once from
 # REF's src/ and once from the working tree's src/, so both sides run the same
 # configurations, and `diff -r` compares the two sets.  After the verdict it
 # prints the line totals of REF's src/samsbo/*.py and tests/*.py and of the

@@ -5,10 +5,11 @@
 #
 #     scripts/fixed_seed_outputs.sh OUTDIR
 #
-# OUTDIR receives 19 files, all at seed 3 with one BLAS thread:
+# OUTDIR receives 23 files, all at seed 3 with one BLAS thread:
 #   branin/      samsbo, safe-ucb, ucb and multi-task-ucb, 6 iterations x 2 repetitions
 #   laser/       samsbo and safe-ucb, 2 iterations x 2 repetitions
 #   powell/      samsbo and safe-ucb, 2 iterations x 2 repetitions
+#   powell8/     the same with dimension = 8
 #   branin3/     samsbo with n_tasks = 3, 3 iterations x 1 repetition
 #   verify/      coverage.json of verify-bounds at its default sizes, 500 frequentist
 #                and 200 Bayesian trials
@@ -54,6 +55,8 @@ run branin run "problem = branin" "algorithm = samsbo,safe-ucb,ucb,multi-task-uc
     "iterations = 6" "repetitions = 2"
 run laser run "problem = laser" "algorithm = samsbo,safe-ucb" "iterations = 2" "repetitions = 2"
 run powell run "problem = powell" "algorithm = samsbo,safe-ucb" "iterations = 2" "repetitions = 2"
+run powell8 run "problem = powell" "dimension = 8" "algorithm = samsbo,safe-ucb" "iterations = 2" \
+    "repetitions = 2"
 run branin3 run "problem = branin" "n_tasks = 3" "algorithm = samsbo" "iterations = 3" \
     "repetitions = 1"
 run verify verify-bounds "frequentist_trials = 500" "bayesian_trials = 200"

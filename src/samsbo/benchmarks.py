@@ -9,13 +9,16 @@ root-mean-square performance cost computed through a Lyapunov equation;
 unstable closed loops map to a finite penalty above the safety threshold.
 
 Problem facts are module constants, and a problem holds only what a caller
-varies.  ``DISTURBANCE`` and ``N_TASKS`` are the standard protocol's
-disturbance factor and task count, read by the factories and by
-``config.ExperimentConfig``.  ``BRANIN_DOMAIN`` and ``POWELL_DOMAIN`` are the
-functions' standard boxes.  The thresholds and the laser chain's ``LASER_*``
-plant, filters, gain box and output scale are chosen in this package, the scale
-so that the default gains land well below the threshold while a sizable part
-of ``LASER_BOX`` is unstable or above it.
+varies.  ``PROBLEMS`` maps each problem name to its factory, and
+``FIXED_DIMENSIONS`` holds the dimension of each problem whose factory takes
+none.  ``DISTURBANCE`` and ``N_TASKS``, the protocol's disturbance factor and
+task count, are the defaults of the factories and of ``config.ExperimentConfig``.
+``BRANIN_DOMAIN`` and ``POWELL_DOMAIN`` are the functions' standard boxes.  The
+thresholds and the laser chain's ``LASER_*`` plant, filters, gain box, output
+scale and known-safe gains ``LASER_SAFE_SEED`` are chosen in this package, the
+scale so that those gains land well below the threshold while a sizable part
+of ``LASER_BOX`` is unstable or above it.  The module's arrays and the problems'
+domains are read-only, because problems share them.
 """
 from __future__ import annotations
 
@@ -40,10 +43,16 @@ __all__ = [
     "find_safe_seed",
 ]
 
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 DISTURBANCE = 0.3
 N_TASKS = 2
 POWELL_DOMAIN = (-4.0, 5.0)
-BRANIN_DOMAIN = np.array([[-5.0, 10.0], [0.0, 15.0]])
+BRANIN_DOMAIN = _read_only(np.array([[-5.0, 10.0], [0.0, 15.0]]))
 POWELL_THRESHOLD = 35_000.0
 BRANIN_THRESHOLD = 150.0
 LASER_THRESHOLD = 40.0
@@ -53,14 +62,13 @@ NOISE_MULTIPLIER = 0.01         # noise standard deviation as a share of the out
 SAFE_SEED_DRAWS = 10_000
 
 LASER_SUBSYSTEMS = 5
-LASER_OMEGA = 2.0 + 0.25 * np.arange(LASER_SUBSYSTEMS)     # plant natural frequencies
-LASER_ZETA = 0.7                                            # plant damping ratio
+LASER_OMEGA = _read_only(2.0 + 0.25 * np.arange(LASER_SUBSYSTEMS))  # plant natural frequencies
+LASER_ZETA = 0.7                                                     # plant damping ratio
 # a_r of the reference filter, then a_1..a_N of the subsystems' disturbance filters
-LASER_FILTER_POLES = np.concatenate([[0.2], 0.3 + 0.05 * np.arange(LASER_SUBSYSTEMS)])
-LASER_BOX = np.repeat([[0.05, 6.0], [0.05, 8.0]], LASER_SUBSYSTEMS, axis=0)  # kp_i, then ki_i
+LASER_FILTER_POLES = _read_only(np.concatenate([[0.2], 0.3 + 0.05 * np.arange(LASER_SUBSYSTEMS)]))
+LASER_BOX = _read_only(np.repeat([[0.05, 6.0], [0.05, 8.0]], LASER_SUBSYSTEMS, axis=0))
 LASER_OUTPUT_SCALE = 10.0
-for _array in (LASER_OMEGA, LASER_FILTER_POLES, LASER_BOX):
-    _array.setflags(write=False)
+LASER_SAFE_SEED = _read_only(np.repeat([2.0, 1.0], LASER_SUBSYSTEMS))
 
 
 class StabilityError(RuntimeError):
@@ -98,11 +106,10 @@ class SyntheticProblem:
     base: Callable[[np.ndarray], float]
     domain: np.ndarray          # (d, 2) rows of [lower, upper]
     threshold: float
-    shift_factor: float
+    disturbance: float
     n_tasks: int
-    directions: np.ndarray      # (n_tasks - 1, d) sign vectors
+    signs: np.ndarray           # (n_tasks - 1, d) shift signs
     noise_sd: float
-    disturbance_seed: int
 
     @property
     def dimension(self) -> int:
@@ -113,7 +120,7 @@ class SyntheticProblem:
         if z == 1:
             return np.zeros(self.dimension)
         width = self.domain[:, 1] - self.domain[:, 0]
-        return self.directions[z - 2] * self.shift_factor * width / 2.0
+        return self.signs[z - 2] * self.disturbance * width / 2.0
 
     def true_value(self, z: int, x: np.ndarray) -> float:
         if not 1 <= z <= self.n_tasks:
@@ -141,22 +148,21 @@ def _output_scale(base: Callable[[np.ndarray], float], domain: np.ndarray) -> fl
     return float(np.std(values))
 
 
-def branin_problem(shift_factor: float = DISTURBANCE, n_tasks: int = N_TASKS,
+def branin_problem(disturbance: float = DISTURBANCE, n_tasks: int = N_TASKS,
                    threshold: float = BRANIN_THRESHOLD,
                    disturbance_seed: int = 0) -> SyntheticProblem:
     noise = NOISE_MULTIPLIER * _output_scale(branin, BRANIN_DOMAIN)
-    return SyntheticProblem(branin, BRANIN_DOMAIN, threshold, shift_factor, n_tasks,
-                            _signs(disturbance_seed, n_tasks, 2), noise, disturbance_seed)
+    return SyntheticProblem(branin, BRANIN_DOMAIN, threshold, disturbance, n_tasks,
+                            _signs(disturbance_seed, n_tasks, 2), noise)
 
 
-def powell_problem(dimension: int = 4, shift_factor: float = DISTURBANCE,
+def powell_problem(dimension: int = 4, disturbance: float = DISTURBANCE,
                    n_tasks: int = N_TASKS, threshold: float = POWELL_THRESHOLD,
                    disturbance_seed: int = 0) -> SyntheticProblem:
-    domain = np.tile(np.array(POWELL_DOMAIN), (dimension, 1))
+    domain = _read_only(np.tile(np.array(POWELL_DOMAIN), (dimension, 1)))
     noise = NOISE_MULTIPLIER * _output_scale(powell, domain)
-    return SyntheticProblem(powell, domain, threshold, shift_factor, n_tasks,
-                            _signs(disturbance_seed, n_tasks, dimension), noise,
-                            disturbance_seed)
+    return SyntheticProblem(powell, domain, threshold, disturbance, n_tasks,
+                            _signs(disturbance_seed, n_tasks, dimension), noise)
 
 
 def _lyapunov_solution(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -187,11 +193,10 @@ class LaserChainProblem:
     """
 
     threshold: float
-    disturbance_factor: float
+    disturbance: float
     n_tasks: int
-    filter_signs: np.ndarray    # (n_tasks - 1, N + 1) perturbation signs
+    signs: np.ndarray           # (n_tasks - 1, N + 1) filter perturbation signs
     noise_sd: float
-    disturbance_seed: int
 
     @property
     def dimension(self) -> int:
@@ -205,8 +210,7 @@ class LaserChainProblem:
     def _poles_for_task(self, z: int) -> np.ndarray:
         if z == 1:
             return LASER_FILTER_POLES
-        signs = self.filter_signs[z - 2]
-        return LASER_FILTER_POLES * (1.0 + signs * self.disturbance_factor)
+        return LASER_FILTER_POLES * (1.0 + self.signs[z - 2] * self.disturbance)
 
     def closed_loop(self, pi_params: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """State matrices (A, B, C) of the closed loop for task ``z``.
@@ -252,9 +256,6 @@ class LaserChainProblem:
     def evaluate(self, z: int, pi_params: np.ndarray, rng: np.random.Generator) -> float:
         return self.true_value(z, pi_params) + self.noise_sd * rng.standard_normal()
 
-    def default_safe_seed(self) -> np.ndarray:
-        return np.repeat([2.0, 1.0], LASER_SUBSYSTEMS)
-
 
 def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
     """Root-mean-square cost sqrt(trace(C P C')) of the closed loop.
@@ -274,15 +275,15 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
     return min(value, INSTABILITY_PENALTY_FACTOR * problem.threshold)
 
 
-def laser_problem(disturbance_factor: float = DISTURBANCE, n_tasks: int = N_TASKS,
+def laser_problem(disturbance: float = DISTURBANCE, n_tasks: int = N_TASKS,
                   threshold: float = LASER_THRESHOLD,
                   disturbance_seed: int = 0) -> LaserChainProblem:
     problem = LaserChainProblem(
-        threshold=threshold, disturbance_factor=disturbance_factor, n_tasks=n_tasks,
-        filter_signs=_signs(disturbance_seed, n_tasks, LASER_SUBSYSTEMS + 1),
-        noise_sd=NOISE_MULTIPLIER * threshold, disturbance_seed=disturbance_seed,
+        threshold=threshold, disturbance=disturbance, n_tasks=n_tasks,
+        signs=_signs(disturbance_seed, n_tasks, LASER_SUBSYSTEMS + 1),
+        noise_sd=NOISE_MULTIPLIER * threshold,
     )
-    seed_cost = h2_cost(problem.default_safe_seed(), problem, 1)
+    seed_cost = h2_cost(LASER_SAFE_SEED, problem, 1)
     if not seed_cost <= threshold:
         raise StabilityError(f"default seed cost {seed_cost:.2f} exceeds threshold")
     return problem
@@ -296,3 +297,7 @@ def find_safe_seed(problem, rng: np.random.Generator) -> np.ndarray:
         if problem.true_value(1, x) <= problem.threshold:
             return x
     raise RuntimeError("no safe seed found within the draw budget")
+
+
+PROBLEMS = {"branin": branin_problem, "powell": powell_problem, "laser": laser_problem}
+FIXED_DIMENSIONS = {"branin": len(BRANIN_DOMAIN), "laser": len(LASER_BOX)}

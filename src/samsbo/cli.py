@@ -43,16 +43,11 @@ PLOTDATA_HEADER = ["algorithm", "iteration", "median", "q10", "q90", "mean", "st
 def build_problem(config: ExperimentConfig, disturbance_seed: int):
     """The configured problem; a zero threshold or dimension keeps the problem's own default."""
     settings = {"threshold": config.threshold} if config.threshold else {}
-    if config.problem == "branin":
-        return benchmarks.branin_problem(shift_factor=config.disturbance, n_tasks=config.n_tasks,
-                                         disturbance_seed=disturbance_seed, **settings)
-    if config.problem == "powell":
-        if config.dimension:
-            settings["dimension"] = config.dimension
-        return benchmarks.powell_problem(shift_factor=config.disturbance, n_tasks=config.n_tasks,
-                                         disturbance_seed=disturbance_seed, **settings)
-    return benchmarks.laser_problem(disturbance_factor=config.disturbance, n_tasks=config.n_tasks,
-                                    disturbance_seed=disturbance_seed, **settings)
+    if config.dimension and config.problem not in benchmarks.FIXED_DIMENSIONS:
+        settings["dimension"] = config.dimension
+    return benchmarks.PROBLEMS[config.problem](
+        disturbance=config.disturbance, n_tasks=config.n_tasks,
+        disturbance_seed=disturbance_seed, **settings)
 
 
 def _repetition_seeds(config: ExperimentConfig) -> list[int]:
@@ -79,20 +74,20 @@ def _open_output(path: Path | str):
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_raw_csv(path: Path, algorithm: str, traces: list[list[TraceRecord]]) -> None:
+def _write_csv(path: Path | str, header: list[str], rows) -> None:
     with _open_output(path) as handle:
         writer = csv.writer(handle)
-        writer.writerow(RAW_HEADER)
-        for rows in traces:
-            for r in rows:
-                writer.writerow([
-                    algorithm, r.repetition, r.iteration, r.task,
-                    ";".join(_format_float(v) for v in r.x),
-                    _format_float(r.observed), _format_float(r.best_so_far),
-                    _format_float(r.beta_bar), r.confidence_set_size,
-                    _format_float(r.gamma), _format_float(r.nu),
-                    r.safe_set_size, int(r.violation),
-                ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _raw_row(algorithm: str, r: TraceRecord) -> list:
+    return [algorithm, r.repetition, r.iteration, r.task,
+            ";".join(_format_float(v) for v in r.x),
+            _format_float(r.observed), _format_float(r.best_so_far),
+            _format_float(r.beta_bar), r.confidence_set_size,
+            _format_float(r.gamma), _format_float(r.nu),
+            r.safe_set_size, int(r.violation)]
 
 
 def _forward_fill(best_by_iteration: list[dict[int, float]], iterations: int) -> np.ndarray:
@@ -182,12 +177,10 @@ def cmd_run(config: ExperimentConfig) -> int:
             print(f"{algorithm}: repetition {rep} failed: {reason}", file=sys.stderr)
         succeeded = [t for t in traces if t]
         any_success = any_success or bool(succeeded)
-        _write_raw_csv(out / f"{algorithm}_raw.csv", algorithm, succeeded)
-        with _open_output(out / f"{algorithm}_aggregate.csv") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(AGGREGATE_HEADER)
-            if succeeded and config.iterations:
-                writer.writerows(_aggregate_rows(algorithm, succeeded, config.iterations))
+        _write_csv(out / f"{algorithm}_raw.csv", RAW_HEADER,
+                   (_raw_row(algorithm, r) for rows in succeeded for r in rows))
+        _write_csv(out / f"{algorithm}_aggregate.csv", AGGREGATE_HEADER,
+                   _aggregate_rows(algorithm, succeeded, config.iterations) if succeeded else [])
         manifest["algorithms"][algorithm] = {
             "wall_time_seconds": time.perf_counter() - started,
             "errors": errors,
@@ -250,10 +243,7 @@ def cmd_plotdata(raw_paths: list[str], out_path: str) -> int:
         max_iter = max(max(best) for best in reps.values())
         curves = _forward_fill([reps[rep] for rep in sorted(reps)], max_iter)
         out_rows.extend([alg, t, *_summary(curves[:, t - 1])] for t in range(1, max_iter + 1))
-    with _open_output(out_path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PLOTDATA_HEADER)
-        writer.writerows(out_rows)
+    _write_csv(out_path, PLOTDATA_HEADER, out_rows)
     return 0
 
 

@@ -20,7 +20,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("samsbo", "safe-ucb", "ucb", "multi-task-ucb")
-FIXED_DIMENSIONS = {"branin": len(benchmarks.BRANIN_DOMAIN), "laser": len(benchmarks.LASER_BOX)}
 
 TAU = 0.001
 LENGTHSCALE = 0.2
@@ -77,7 +76,8 @@ class ExperimentConfig(LoopConfig):
     threshold is refused because every objective is nonnegative.  The
     manifest of ``samsbo run`` records the threshold and dimension in use.
 
-    Each protocol value is stated once.  The loop's defaults are those of
+    Each protocol value is stated once.  ``problem`` is a key of
+    ``benchmarks.PROBLEMS``.  The loop's defaults are those of
     :class:`LoopConfig`, ``n_tasks`` and ``disturbance`` are
     ``benchmarks.N_TASKS`` and ``benchmarks.DISTURBANCE``, and the coverage
     suites of :mod:`samsbo.verify` default to these fields.  Constants, not
@@ -100,7 +100,7 @@ class ExperimentConfig(LoopConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.problem not in ("branin", "powell", "laser"):
+        if self.problem not in benchmarks.PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}")
         for name in ("threshold", "disturbance"):
             value = getattr(self, name)
@@ -111,7 +111,7 @@ class ExperimentConfig(LoopConfig):
         if self.n_tasks < 1:
             raise ConfigError(f"n_tasks must be >= 1, got {self.n_tasks}")
         if self.dimension != 0:
-            own = FIXED_DIMENSIONS.get(self.problem)
+            own = benchmarks.FIXED_DIMENSIONS.get(self.problem)
             if own is None and (self.dimension < 0 or self.dimension % 4):
                 raise ConfigError(
                     f"dimension must be 0 or a positive multiple of 4 for powell, got {self.dimension}")

@@ -61,6 +61,8 @@ PRIOR_MASS_FLOOR = 1e-6     # least truncated prior mass to draw from: about 1e6
 QUADRATURE_CELLS = 200
 CELL_EDGES = np.linspace(0.0, R_MAX, QUADRATURE_CELLS + 1)
 CELL_MIDPOINTS = 0.5 * (CELL_EDGES[:-1] + CELL_EDGES[1:])
+CELL_EDGES.setflags(write=False)
+CELL_MIDPOINTS.setflags(write=False)
 
 # three or more tasks: the angle walk
 CHAINS = 2

@@ -39,6 +39,7 @@ __all__ = [
 
 STD_FLOOR = 1e-8
 SUPPLEMENTARY_PER_INPUT = 2     # supplementary evaluations per iteration and input: 2 * d
+GRID_SEED = 0                   # scrambling seed of the candidate grid's Sobol points
 
 
 class NoSafeActionError(RuntimeError):
@@ -120,12 +121,12 @@ class CandidateGrid:
         return self.points.shape[0]
 
 
-def make_grid(dimension: int, size: int, seed: int = 0,
+def make_grid(dimension: int, size: int,
               extra_points: np.ndarray | None = None) -> CandidateGrid:
     """Lattice grid in one dimension, scrambled Sobol points otherwise.
 
-    The Sobol points are :func:`samsbo.sobol.scrambled_sobol` of ``seed``,
-    bit-identical to ``qmc.Sobol(dimension, scramble=True, seed=seed)``.
+    The Sobol points are :func:`samsbo.sobol.scrambled_sobol` of ``GRID_SEED``,
+    bit-identical to ``qmc.Sobol(dimension, scramble=True, seed=GRID_SEED)``.
     ``extra_points`` (normalized) are appended and deduplicated; the loop adds
     the known-safe seed inputs this way so the safe set can never start empty
     merely because no candidate lies near a seed.  Raises ``ValueError`` when
@@ -138,7 +139,7 @@ def make_grid(dimension: int, size: int, seed: int = 0,
     if dimension == 1:
         points = np.linspace(0.0, 1.0, size).reshape(-1, 1)
     else:
-        points = scrambled_sobol(dimension, size, seed)
+        points = scrambled_sobol(dimension, size, GRID_SEED)
     if extra_points is not None and len(extra_points):
         extra = np.clip(np.atleast_2d(np.asarray(extra_points, dtype=float)), 0.0, 1.0)
         points = np.unique(np.vstack([points, extra]), axis=0)
@@ -200,7 +201,7 @@ class OptimizationState:
     posterior: gp.Posterior
     grid: CandidateGrid | None = None
     iteration: int = 0
-    best_observation: tuple[np.ndarray, float] | None = None
+    best_so_far: float = np.inf         # lowest main-task observation
     violation_count: int = 0
     stalled_iterations: int = 0
 
@@ -296,10 +297,9 @@ def _greedy_variance_picks(posterior: gp.Posterior, points: np.ndarray,
 
 def _record(state: OptimizationState, repetition: int, task: int, x_raw: np.ndarray,
             observed: float, violation: bool, safe_size: int) -> TraceRecord:
-    best = state.best_observation[1] if state.best_observation else np.inf
     return TraceRecord(
         repetition=repetition, iteration=state.iteration, task=task,
-        x=np.array(x_raw), observed=float(observed), best_so_far=float(best),
+        x=np.array(x_raw), observed=float(observed), best_so_far=state.best_so_far,
         beta_bar=state.bundle.beta_bar, confidence_set_size=len(state.confidence_set),
         gamma=state.bundle.gamma, nu=state.bundle.nu,
         safe_set_size=safe_size, violation=violation,
@@ -311,8 +311,7 @@ def _record_main(state: OptimizationState, problem, repetition: int, x_raw: np.n
     """Trace row of a main-task evaluation, counting a violation and updating the incumbent."""
     violation = problem.true_value(1, x_raw) > problem.threshold
     state.violation_count += int(violation)
-    if state.best_observation is None or observed < state.best_observation[1]:
-        state.best_observation = (x_raw, float(observed))
+    state.best_so_far = min(state.best_so_far, float(observed))
     return _record(state, repetition, 1, x_raw, observed, violation, safe_size)
 
 
@@ -331,7 +330,7 @@ def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
         posterior=None,
     )
     _refresh_model(state, problem, cfg, rng)
-    state.grid = make_grid(problem.dimension, cfg.grid_size, seed=0,
+    state.grid = make_grid(problem.dimension, cfg.grid_size,
                            extra_points=state.transforms.normalize(seed_inputs))
     trace = [_record_main(state, problem, repetition, x, y, -1)
              for x, y in zip(seed_inputs, observations)]

@@ -1,9 +1,14 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import samsbo
 from samsbo.benchmarks import (
     LASER_OUTPUT_SCALE,
+    LASER_SAFE_SEED,
     StabilityError,
     branin,
     branin_problem,
@@ -57,26 +62,26 @@ class TestBranin:
 
 class TestShiftedSupplementary:
     def test_powell_shift_magnitude(self):
-        p = powell_problem(shift_factor=0.1, disturbance_seed=1)
+        p = powell_problem(disturbance=0.1, disturbance_seed=1)
         shift = p.shift(2)
         assert np.allclose(np.abs(shift), 0.45)
 
     def test_zero_factor_identity(self):
-        p = powell_problem(shift_factor=0.0, disturbance_seed=1)
+        p = powell_problem(disturbance=0.0, disturbance_seed=1)
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = -4.0 + 9.0 * rng.random(4)
             assert p.true_value(2, x) == pytest.approx(p.true_value(1, x))
 
     def test_branin_axis_magnitude(self):
-        p = branin_problem(shift_factor=0.3, disturbance_seed=2)
+        p = branin_problem(disturbance=0.3, disturbance_seed=2)
         assert abs(p.shift(2)[0]) == pytest.approx(2.25)
         assert abs(p.shift(2)[1]) == pytest.approx(2.25)
 
     def test_shift_inverse(self):
         seed = 5
-        plus = powell_problem(shift_factor=0.1, disturbance_seed=seed)
-        minus = powell_problem(shift_factor=-0.1, disturbance_seed=seed)
+        plus = powell_problem(disturbance=0.1, disturbance_seed=seed)
+        minus = powell_problem(disturbance=-0.1, disturbance_seed=seed)
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = -3.0 + 6.0 * rng.random(4)
@@ -118,7 +123,7 @@ class TestLyapunovSolve:
 class TestLaserChain:
     def test_default_seed_is_safe_and_stable(self):
         p = laser_problem(disturbance_seed=0)
-        cost = h2_cost(p.default_safe_seed(), p, 1)
+        cost = h2_cost(LASER_SAFE_SEED, p, 1)
         assert np.isfinite(cost)
         assert cost <= p.threshold
 
@@ -129,7 +134,7 @@ class TestLaserChain:
 
     def test_stable_cost_checks_stability_once(self, monkeypatch):
         p = laser_problem(disturbance_seed=0)
-        seed = p.default_safe_seed()
+        seed = LASER_SAFE_SEED
         A, B, C = p.closed_loop(seed, 1)
         expected = LASER_OUTPUT_SCALE * float(np.sqrt(np.trace(C @ lyapunov_solve(A, B @ B.T) @ C.T)))
         calls = []
@@ -145,7 +150,7 @@ class TestLaserChain:
 
     def test_noise_scaling_doubles_cost(self):
         p = laser_problem(disturbance_seed=0)
-        seed = p.default_safe_seed()
+        seed = LASER_SAFE_SEED
         A, B, C = p.closed_loop(seed, 1)
         P1 = lyapunov_solve(A, B @ B.T)
         P2 = lyapunov_solve(A, (2.0 * B) @ (2.0 * B).T)
@@ -197,7 +202,7 @@ class TestLaserChain:
     @pytest.mark.parametrize("gains", ["seed", "uniform", "graded", "stiff"])
     def test_costs_match_recorded_values(self, gains, n_tasks):
         p = laser_problem(n_tasks=n_tasks)
-        x = p.default_safe_seed() if gains == "seed" else self.GAINS[gains]
+        x = LASER_SAFE_SEED if gains == "seed" else self.GAINS[gains]
         costs = [h2_cost(x, p, z) for z in range(1, n_tasks + 1)]
         assert costs == pytest.approx(self.RECORDED[gains][:n_tasks], rel=1e-12, abs=0.0)
 
@@ -226,21 +231,34 @@ class TestProblemInterface:
         again = p.evaluate(1, x, np.random.default_rng(1))
         assert noisy == again
 
-    @pytest.mark.parametrize("factory, attribute, cols", [
-        (lambda seed: branin_problem(n_tasks=3, disturbance_seed=seed), "directions", 2),
-        (lambda seed: powell_problem(dimension=8, n_tasks=3, disturbance_seed=seed),
-         "directions", 8),
-        (lambda seed: laser_problem(n_tasks=3, disturbance_seed=seed), "filter_signs", 6),
+    @pytest.mark.parametrize("factory, cols", [
+        (lambda seed: branin_problem(n_tasks=3, disturbance_seed=seed), 2),
+        (lambda seed: powell_problem(dimension=8, n_tasks=3, disturbance_seed=seed), 8),
+        (lambda seed: laser_problem(n_tasks=3, disturbance_seed=seed), 6),
     ])
-    def test_signs_come_from_the_disturbance_seed(self, factory, attribute, cols):
+    def test_signs_come_from_the_disturbance_seed(self, factory, cols):
         for seed in (0, 3, 11):
             p = factory(seed)
             expected = np.random.default_rng(seed).choice([-1.0, 1.0], size=(2, cols))
-            assert np.array_equal(getattr(p, attribute), expected)
-            assert p.disturbance_seed == seed
+            assert np.array_equal(p.signs, expected)
 
     def test_disturbance_reseeding_changes_supplementary(self):
         a = branin_problem(disturbance_seed=1)
         b = branin_problem(disturbance_seed=2)
         assert not np.allclose(a.shift(2), b.shift(2))
         assert np.allclose(a.shift(1), 0.0)
+
+
+def test_module_arrays_are_read_only():
+    """Problems share the package's module arrays, so writing one would change every problem."""
+    writable = [f"{info.name}.{name}"
+                for info in pkgutil.iter_modules(samsbo.__path__)
+                for name, value in vars(importlib.import_module(f"samsbo.{info.name}")).items()
+                if isinstance(value, np.ndarray) and value.flags.writeable]
+    assert writable == []
+    p = branin_problem()
+    with pytest.raises(ValueError, match="read-only"):
+        p.domain[0, 0] = -6.0
+    assert branin_problem().domain[0].tolist() == [-5.0, 10.0]
+    with pytest.raises(ValueError, match="read-only"):
+        powell_problem().domain[0, 0] = -6.0

@@ -91,6 +91,19 @@ class TestParseConfig:
                      "dimension = 2", "n_tasks = 1"):
             parse_config_text(text + "\n")
 
+    def test_problem_must_be_a_key_of_the_problem_table(self, monkeypatch):
+        for name in benchmarks.PROBLEMS:
+            assert ExperimentConfig(problem=name).problem == name
+        for name in ("", "Branin", "branin ", "rosenbrock"):
+            with pytest.raises(ConfigError, match="unknown problem"):
+                ExperimentConfig(problem=name)
+        # the table itself decides: an added entry parses, a removed one does not
+        monkeypatch.setitem(benchmarks.PROBLEMS, "rosenbrock", benchmarks.branin_problem)
+        monkeypatch.delitem(benchmarks.PROBLEMS, "laser")
+        assert parse_config_text("problem = rosenbrock\n").problem == "rosenbrock"
+        with pytest.raises(ConfigError, match="unknown problem"):
+            parse_config_text("problem = laser\n")
+
     def test_campaign_extends_loop_settings(self):
         cfg = parse_config_text("algorithm = samsbo,ucb\ngrid_size = 256\n")
         assert isinstance(cfg, LoopConfig)
@@ -408,24 +421,26 @@ class TestSharedDefaults:
             "trials": cfg.bayesian_trials, "n_per_task": 20, "delta": cfg.delta,
             "rho": cfg.rho, "eta": cfg.eta, "grid_size": 200, "seed": cfg.seed}
 
-    @pytest.mark.parametrize("factory, disturbance", [
-        (benchmarks.branin_problem, "shift_factor"),
-        (benchmarks.powell_problem, "shift_factor"),
-        (benchmarks.laser_problem, "disturbance_factor"),
-    ])
-    def test_problem_factories_default_to_the_config(self, factory, disturbance):
+    @pytest.mark.parametrize("name", sorted(benchmarks.PROBLEMS))
+    def test_problem_factories_default_to_the_config(self, name):
         cfg = ExperimentConfig()
-        defaults = self.defaults(factory)
-        assert defaults[disturbance] == cfg.disturbance
+        defaults = self.defaults(benchmarks.PROBLEMS[name])
+        assert defaults["disturbance"] == cfg.disturbance
         assert defaults["n_tasks"] == cfg.n_tasks
 
 
 class TestBuildProblem:
     def test_each_problem_constructs(self):
-        for name, dim in (("branin", 2), ("powell", 4), ("laser", 10)):
-            cfg = ExperimentConfig(problem=name)
-            problem = build_problem(cfg, disturbance_seed=1)
-            assert problem.dimension == dim
+        for name, factory in benchmarks.PROBLEMS.items():
+            problem = build_problem(ExperimentConfig(problem=name), disturbance_seed=1)
+            own = factory(disturbance_seed=1)
+            assert type(problem) is type(own)
+            assert problem.dimension == own.dimension
+            assert problem.dimension == benchmarks.FIXED_DIMENSIONS.get(name, 4)
+            assert np.array_equal(problem.signs, own.signs)
+            if name not in benchmarks.FIXED_DIMENSIONS:
+                wide = build_problem(ExperimentConfig(problem=name, dimension=8), 1)
+                assert wide.dimension == 8
 
     def test_threshold_override(self):
         cfg = ExperimentConfig(problem="branin", threshold=99.0)

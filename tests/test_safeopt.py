@@ -74,7 +74,7 @@ class TestTransforms:
 
 class TestCandidateGrid:
     def test_unit_cube_and_distinct(self):
-        grid = make_grid(2, size=128, seed=1)
+        grid = make_grid(2, size=128)
         assert len(grid) == 128
         assert np.min(grid.points) >= 0.0 and np.max(grid.points) <= 1.0
 

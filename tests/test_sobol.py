@@ -43,7 +43,7 @@ def test_bit_identical_to_scipy(d, seed):
 def test_make_grid_matches_qmc(d):
     extra = np.full((2, d), 0.5)
     extra[1, 0] = 1.5
-    grid = make_grid(d, 2048, seed=0, extra_points=extra)
+    grid = make_grid(d, 2048, extra_points=extra)
     points = np.unique(np.vstack([reference(d, 2048, 0), np.clip(extra, 0.0, 1.0)]), axis=0)
     assert np.array_equal(grid.points, points)
 

@@ -246,7 +246,7 @@ class TestFantasyDowndate:
     def test_variances_match_refit_after_each_pick(self):
         """Cholesky fits of two and three tasks, and the two-task factor's posterior."""
         rng = np.random.default_rng(2)
-        grid = make_grid(2, size=256, seed=1)
+        grid = make_grid(2, size=256)
         three = CorrelationMatrix(np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.4], [0.2, 0.4, 1.0]]))
         params = KernelParams(1.0, [0.25, 0.25], noise_variance=0.01)
         for sigma, data_tasks, factored in ((CorrelationMatrix.two_task(0.7), (1, 2), False),
