@@ -3,24 +3,39 @@
 #
 # Usage, from anywhere inside a git checkout:
 #
-#     scripts/bench_pairs.sh REF PAIRS [WORKLOAD]
+#     scripts/bench_pairs.sh REF PAIRS [WORKLOAD [FIRST]]
 #
 # REF's src/ is exported with `git archive` to .bench_build/pairs/ref/, beside
 # copies of the working tree's perfbench/ and BENCHMARK.json, so both sides run
-# one harness.  Pair i runs `perfbench/run.py --workload WORKLOAD --seed i
-# --seconds 34 --trace 0` once on each side, REF first in odd pairs and the
-# working tree first in even ones.  WORKLOAD defaults to `all`.  Each run's
-# per-workload results are kept under .bench_build/pairs/{ref,tree}/seedI/.
+# one harness.  The pairs use the seeds FIRST to FIRST + PAIRS - 1 (FIRST
+# defaults to 1, so a claim can be confirmed on seeds not used before).  Pair
+# i runs `perfbench/run.py --workload WORKLOAD --seed i --seconds 34 --trace 0`
+# once on each side, REF first at odd seeds and the working tree first at even
+# ones.  WORKLOAD defaults to `all`.  Each run's per-workload results, and only
+# that run's, are kept under .bench_build/pairs/{ref,tree}/seedI/.
 #
 # For every workload and end-to-end metric the summary prints REF's median and
 # quartiles, the working tree's median and its change in percent, the number
-# of pairs in which the working tree reads lower (ties count for neither), and
-# the failed operations of each side.  Tracked files are left unchanged.  One
-# pair of `all` takes about 5 minutes on a 2-core VM.
+# of pairs in which the working tree reads better (ties count for neither), a
+# verdict, and the failed operations of each side.  "Better" is the metric's
+# `better` direction in BENCHMARK.json; every end-to-end metric there is
+# better lower.  The verdict is the first that holds of:
+#
+#     worse         the tree's median is worse than REF's by more than the
+#                   metric's `bound` in BENCHMARK.json (a fraction of REF's)
+#     gain          the tree reads better in at least 9 of 10 pairs and its
+#                   median is better by more than REF's interquartile range
+#     unresolved    REF's interquartile range exceeds the bound, and some
+#                   run of the tree is no better than some run of REF
+#     within bound  otherwise
+#
+# A gain also needs failed operations no higher than REF's; compare the
+# failed-operation lines.  Tracked files are left unchanged.  One pair of
+# `all` takes about 5 minutes on a 2-core VM.
 set -euo pipefail
 
-if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
-    echo "usage: $0 REF PAIRS [WORKLOAD]" >&2
+if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
+    echo "usage: $0 REF PAIRS [WORKLOAD [FIRST]]" >&2
     exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -31,6 +46,11 @@ case "$pairs" in
     ''|*[!0-9]*|0) echo "$0: PAIRS must be a positive integer" >&2; exit 2 ;;
 esac
 workload=${3:-all}
+first=${4:-1}
+case "$first" in
+    ''|*[!0-9]*) echo "$0: FIRST must be a nonnegative integer" >&2; exit 2 ;;
+esac
+last=$((first + pairs - 1))
 
 work="$root/.bench_build/pairs"
 rm -rf "$work"
@@ -43,13 +63,15 @@ run() {
     local side=$1 dir=$2 seed=$3
     local out="$work/$side/seed$seed"
     mkdir -p "$out"
+    # results of earlier runs at this seed, of any workload, must not be copied
+    rm -f "$dir"/.bench_build/results/*-seed"$seed"-trace0.json
     (cd "$dir" && python3 perfbench/run.py --workload "$workload" --seed "$seed" \
             --seconds 34 --trace 0 > "$out/stdout.txt" \
         && cp .bench_build/results/*-seed"$seed"-trace0.json "$out/")
     echo "pair $seed: $side done ($(tail -n 1 "$out/stdout.txt" | cut -c1-60)...)"
 }
 
-for seed in $(seq 1 "$pairs"); do
+for seed in $(seq "$first" "$last"); do
     if [ $((seed % 2)) -eq 1 ]; then
         run ref "$work/ref" "$seed"
         run tree "$root" "$seed"
@@ -59,21 +81,21 @@ for seed in $(seq 1 "$pairs"); do
     fi
 done
 
-python3 - "$work" "$pairs" "${commit:0:7}" <<'EOF'
+python3 - "$work" "$first" "$last" "${commit:0:7}" <<'EOF'
 import glob
 import json
 import os
 import sys
 
-work, pairs, ref = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+work, first, last, ref = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
 with open(os.path.join(work, "ref", "BENCHMARK.json"), encoding="utf-8") as handle:
-    metrics = [m["name"] for m in json.load(handle)["end_to_end"]]
+    metrics = json.load(handle)["end_to_end"]
 
 
 def load(side):
     """{workload: [result per pair]} of one side."""
     runs = {}
-    for seed in range(1, pairs + 1):
+    for seed in range(first, last + 1):
         for path in sorted(glob.glob(os.path.join(work, side, f"seed{seed}", "*-trace0.json"))):
             with open(path, encoding="utf-8") as handle:
                 details = json.load(handle)
@@ -89,23 +111,39 @@ def quantile(values, q):
     return ordered[low] + (pos - low) * (ordered[high] - ordered[low])
 
 
+def verdict(a, b, bound):
+    """One verdict for REF's runs ``a`` and the tree's ``b``, paired, of a lower-is-better metric."""
+    med_a, med_b = quantile(a, 0.5), quantile(b, 0.5)
+    iqr = quantile(a, 0.75) - quantile(a, 0.25)
+    if med_b - med_a > bound * abs(med_a):
+        return "worse"
+    if 10 * sum(y < x for x, y in zip(a, b)) >= 9 * len(a) and med_a - med_b > iqr:
+        return "gain"
+    if iqr > bound * abs(med_a) and max(b) >= min(a):
+        return "unresolved"
+    return "within bound"
+
+
 before, after = load("ref"), load("tree")
-print(f"{pairs} alternated pair(s): {ref} against the working tree")
+print(f"{last - first + 1} alternated pair(s), seeds {first}-{last}: {ref} against the working tree")
 print(f"{'workload':16s} {'metric':12s} {'median [q1, q3] of ' + ref:>34s} "
-      f"{'tree median':>12s} {'change':>8s} {'lower':>6s}")
+      f"{'tree median':>12s} {'change':>8s} {'better':>7s}  verdict")
 for name in before:
     for metric in metrics:
-        a = [r["metrics"][metric]["value"] for r in before[name]]
-        b = [r["metrics"][metric]["value"] for r in after.get(name, [])]
+        key, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        a = [r["metrics"][key]["value"] for r in before[name]]
+        b = [r["metrics"][key]["value"] for r in after.get(name, [])]
         if None in a or None in b or len(a) != len(b):
-            print(f"{name:16s} {metric:12s} not measured on every run")
+            print(f"{name:16s} {key:12s} not measured on every run")
             continue
         med_a, med_b = quantile(a, 0.5), quantile(b, 0.5)
         spread = f"{med_a:.4g} [{quantile(a, 0.25):.4g}, {quantile(a, 0.75):.4g}]"
         change = 100.0 * (med_b - med_a) / med_a if med_a else float("nan")
-        lower = sum(y < x for x, y in zip(a, b))
-        print(f"{name:16s} {metric:12s} {spread:>34s} {med_b:12.4g} {change:+7.1f}% "
-              f"{lower:3d}/{len(a)}")
+        # the verdict reads every metric as lower-is-better
+        a, b = [sign * x for x in a], [sign * y for y in b]
+        better = sum(y < x for x, y in zip(a, b))
+        print(f"{name:16s} {key:12s} {spread:>34s} {med_b:12.4g} {change:+7.1f}% "
+              f"{better:4d}/{len(a)}  {verdict(a, b, metric['bound'])}")
     for side, runs in ((ref, before[name]), ("tree", after.get(name, []))):
         failed = [r["failed"] for r in runs]
         attempted = sum(r["attempted"] for r in runs)

@@ -5,8 +5,12 @@ evaluate the base function at a shifted input, with per-coordinate shift
 magnitude equal to the disturbance factor times half the domain width along a
 seeded random sign direction.  The controller problem tunes the PI gains of a
 serial chain of second-order subsystems under colored disturbances, with the
-root-mean-square performance cost computed through a Lyapunov equation;
-unstable closed loops map to a finite penalty above the safety threshold.
+root-mean-square performance cost computed through a Lyapunov equation.  One
+real Schur factorization of the closed loop (LAPACK ``dgees``) serves both
+steps of an evaluation: its eigenvalues decide stability against
+``HURWITZ_MARGIN``, and its factors feed the Bartels-Stewart solve
+(``dtrsyl``).  Unstable and near-marginal closed loops map to a finite penalty
+above the safety threshold, and a LAPACK failure raises ``StabilityError``.
 
 Problem facts are module constants, and a problem holds only what a caller
 varies.  ``PROBLEMS`` maps each problem name to its factory, and
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import get_lapack_funcs
 
 from .sobol import scrambled_sobol
 
@@ -57,6 +61,7 @@ POWELL_THRESHOLD = 35_000.0
 BRANIN_THRESHOLD = 150.0
 LASER_THRESHOLD = 40.0
 INSTABILITY_PENALTY_FACTOR = 10.0
+HURWITZ_MARGIN = -1e-9          # a loop is stable when every eigenvalue real part lies below
 NOISE_SCALE_SAMPLES = 512
 NOISE_MULTIPLIER = 0.01         # noise standard deviation as a share of the output scale
 SAFE_SEED_DRAWS = 10_000
@@ -72,7 +77,18 @@ LASER_SAFE_SEED = _read_only(np.repeat([2.0, 1.0], LASER_SUBSYSTEMS))
 
 
 class StabilityError(RuntimeError):
-    """Raised when a Lyapunov equation is requested for a non-Hurwitz matrix."""
+    """Raised when a Lyapunov solution fails or cannot be trusted, or safe gains are unsafe."""
+
+
+def _no_select(real: float, imag: float) -> int:
+    """``dgees``'s eigenvalue-ordering callback; unused, since no ordering is asked for."""
+    return 0
+
+
+_gees, _trsyl = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
+# the workspace scipy.linalg.schur queries before each dgees; it depends on the
+# order alone, and the same size keeps the Schur factors bit-identical to scipy's
+_GEES_LWORK = int(_gees(_no_select, np.zeros((1 + 4 * LASER_SUBSYSTEMS,) * 2), lwork=-1)[-2][0])
 
 
 def powell(x: np.ndarray) -> float:
@@ -165,19 +181,6 @@ def powell_problem(dimension: int = 4, disturbance: float = DISTURBANCE,
                             _signs(disturbance_seed, n_tasks, dimension), noise)
 
 
-def _lyapunov_solution(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Symmetric PSD P solving A P + P A' + Q = 0 for an A the caller has checked is Hurwitz."""
-    P = solve_continuous_lyapunov(A, -Q)
-    P = 0.5 * (P + P.T)
-    residual = np.linalg.norm(A @ P + P @ A.T + Q)
-    # backward-error criterion: near-marginal systems have large ||P|| and the
-    # attainable residual scales with ||A|| ||P||, not with ||Q|| alone
-    bound = 1e-8 * max(np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * np.linalg.norm(P), 1e-30)
-    if residual > bound:
-        raise StabilityError(f"Lyapunov residual too large: {residual:.3e}")
-    return P
-
-
 @dataclass(frozen=True)
 class LaserChainProblem:
     """PI tuning of a serial synchronization chain with an H2 performance cost.
@@ -260,19 +263,45 @@ class LaserChainProblem:
 def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
     """Root-mean-square cost sqrt(trace(C P C')) of the closed loop.
 
-    Unstable configurations return the finite penalty 10 * threshold, which
-    always violates the safety constraint while keeping the surrogate model
-    numerically sane.
+    P solves A P + P A' + B B' = 0 by Bartels-Stewart from one real Schur
+    factorization A = U T U' (``dgees``): T's eigenvalues decide stability,
+    then ``dtrsyl`` solves T Y + Y T' = -U' B B' U and P = U Y U'.  The steps
+    are those of ``scipy.linalg.solve_continuous_lyapunov``, so P is the same
+    to the last bit.  A loop whose largest eigenvalue real part is at least
+    ``HURWITZ_MARGIN`` returns the finite penalty 10 * threshold, which always
+    violates the safety constraint while keeping the surrogate model
+    numerically sane; near the margin, rounding decides the side, and both
+    sides clip to the penalty.  Costs above the penalty clip to it too.  A
+    LAPACK failure or a residual beyond backward-error size raises
+    :class:`StabilityError`.
     """
     if not 1 <= z <= problem.n_tasks:
         raise ValueError(f"task must lie in 1..{problem.n_tasks}")
     A, B, C = problem.closed_loop(pi_params, z)
-    # the solve needs a Hurwitz A; the margin also sends near-marginal loops to the penalty
-    if np.max(np.linalg.eigvals(A).real) >= -1e-9:
-        return INSTABILITY_PENALTY_FACTOR * problem.threshold
-    P = _lyapunov_solution(A, B @ B.T)
+    if not np.isfinite(A).all():
+        raise ValueError("PI gains must be finite")
+    penalty = INSTABILITY_PENALTY_FACTOR * problem.threshold
+    T, _, real_parts, _, U, _, info = _gees(_no_select, A, lwork=_GEES_LWORK)
+    if info != 0:
+        raise StabilityError(f"dgees failed with info = {info}")
+    if real_parts.max() >= HURWITZ_MARGIN:
+        return penalty
+    Q = B @ B.T
+    Y, scale, info = _trsyl(T, T, U.T.dot((-Q).dot(U)), tranb="T")
+    if info != 0:
+        # info = 1: eigenvalues of T and -T nearly meet and LAPACK perturbed the solve
+        raise StabilityError(f"dtrsyl failed with info = {info}")
+    Y *= scale                  # scipy's step; LAPACK sets scale < 1 only against overflow
+    P = U.dot(Y).dot(U.T)
+    P = 0.5 * (P + P.T)
+    residual = np.linalg.norm(A @ P + P @ A.T + Q)
+    # backward-error criterion: near-marginal systems have large ||P|| and the
+    # attainable residual scales with ||A|| ||P||, not with ||Q|| alone
+    bound = 1e-8 * max(np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * np.linalg.norm(P), 1e-30)
+    if residual > bound:
+        raise StabilityError(f"Lyapunov residual too large: {residual:.3e}")
     value = LASER_OUTPUT_SCALE * float(np.sqrt(max(np.trace(C @ P @ C.T), 0.0)))
-    return min(value, INSTABILITY_PENALTY_FACTOR * problem.threshold)
+    return min(value, penalty)
 
 
 def laser_problem(disturbance: float = DISTURBANCE, n_tasks: int = N_TASKS,

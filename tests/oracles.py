@@ -12,18 +12,27 @@ frequentist coverage suite fits at the true correlation matrix; it stays here,
 with its tests, until ROADMAP item 5 gives it a suite that fits at a
 sigma-prime other than Sigma.
 
-Two helpers only tests call live here as well: :func:`empty_dataset` and
-:func:`lyapunov_solve`, the stability-checked form of the solve behind
-:func:`samsbo.benchmarks.h2_cost`.
+Helpers only tests call live here as well: :func:`empty_dataset` and the
+Lyapunov reference.  :func:`lyapunov_solution` is scipy's
+``solve_continuous_lyapunov`` with the residual check of
+:func:`samsbo.benchmarks.h2_cost`; :func:`lyapunov_solve` checks stability
+before it.  :func:`h2_cost_reference` computes the laser cost from a separate
+``geev`` stability check and that solve, which factors the closed loop again,
+where the package reads both from one Schur factorization.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.linalg import solve
+from scipy.linalg import solve, solve_continuous_lyapunov
 
-from samsbo.benchmarks import StabilityError, _lyapunov_solution
+from samsbo.benchmarks import (
+    INSTABILITY_PENALTY_FACTOR,
+    LASER_OUTPUT_SCALE,
+    LaserChainProblem,
+    StabilityError,
+)
 from samsbo.bounds import beta_freq
 from samsbo.gp import MultiTaskDataset, log_marginal_likelihood
 from samsbo.hyperposterior import R_MAX
@@ -35,17 +44,44 @@ def empty_dataset(dim: int) -> MultiTaskDataset:
     return MultiTaskDataset(np.zeros((0, dim)), np.zeros(0, dtype=int), np.zeros(0))
 
 
+def lyapunov_solution(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Symmetric PSD P solving A P + P A' + Q = 0 for an A the caller has checked is Hurwitz."""
+    P = solve_continuous_lyapunov(A, -Q)
+    P = 0.5 * (P + P.T)
+    residual = np.linalg.norm(A @ P + P @ A.T + Q)
+    # backward-error criterion: near-marginal systems have large ||P|| and the
+    # attainable residual scales with ||A|| ||P||, not with ||Q|| alone
+    bound = 1e-8 * max(np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * np.linalg.norm(P), 1e-30)
+    if residual > bound:
+        raise StabilityError(f"Lyapunov residual too large: {residual:.3e}")
+    return P
+
+
 def lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve A P + P A' + Q = 0 for a Hurwitz A; P is symmetric PSD.
 
-    Checks stability first, at -1e-12; :func:`samsbo.benchmarks.h2_cost`
-    makes its own check, at -1e-9, before the same solve.
+    Checks stability first, at -1e-12; :func:`h2_cost_reference` makes its
+    own check, at -1e-9, before the same solve.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if np.max(np.linalg.eigvals(A).real) >= -1e-12:
         raise StabilityError("matrix is not Hurwitz")
-    return _lyapunov_solution(A, Q)
+    return lyapunov_solution(A, Q)
+
+
+def h2_cost_reference(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
+    """:func:`samsbo.benchmarks.h2_cost` with its stability check and solve factored apart.
+
+    The margin reads ``np.linalg.eigvals`` (LAPACK ``geev``) and the solve is
+    scipy's, which computes its own Schur form; the penalty and clip are the same.
+    """
+    A, B, C = problem.closed_loop(pi_params, z)
+    penalty = INSTABILITY_PENALTY_FACTOR * problem.threshold
+    if np.max(np.linalg.eigvals(A).real) >= -1e-9:
+        return penalty
+    P = lyapunov_solution(A, B @ B.T)
+    return min(LASER_OUTPUT_SCALE * float(np.sqrt(max(np.trace(C @ P @ C.T), 0.0))), penalty)
 
 
 def se_kernel(x: np.ndarray, x_prime: np.ndarray, params: KernelParams) -> float:

@@ -6,8 +6,9 @@ import pytest
 from scipy.optimize import minimize
 
 import samsbo
+from samsbo import benchmarks
 from samsbo.benchmarks import (
-    LASER_OUTPUT_SCALE,
+    LASER_BOX,
     LASER_SAFE_SEED,
     StabilityError,
     branin,
@@ -19,7 +20,7 @@ from samsbo.benchmarks import (
     powell_problem,
 )
 
-from oracles import lyapunov_solve
+from oracles import h2_cost_reference, lyapunov_solve
 
 
 class TestPowell:
@@ -132,21 +133,52 @@ class TestLaserChain:
         value = h2_cost(np.zeros(10), p, 1)
         assert value == pytest.approx(10.0 * p.threshold)
 
-    def test_stable_cost_checks_stability_once(self, monkeypatch):
+    def test_cost_factors_the_loop_once(self, monkeypatch):
+        """One dgees per evaluation decides stability and feeds the solve; geev never runs."""
         p = laser_problem(disturbance_seed=0)
-        seed = LASER_SAFE_SEED
-        A, B, C = p.closed_loop(seed, 1)
-        expected = LASER_OUTPUT_SCALE * float(np.sqrt(np.trace(C @ lyapunov_solve(A, B @ B.T) @ C.T)))
-        calls = []
-        eigvals = np.linalg.eigvals
+        unstable = np.concatenate([np.full(5, 0.05), np.full(5, 8.0)])
+        expected = h2_cost_reference(LASER_SAFE_SEED, p, 1)
+        gees_calls, eigvals_calls = [], []
+        gees, eigvals = benchmarks._gees, np.linalg.eigvals
 
-        def counting(matrix):
-            calls.append(np.shape(matrix))
+        def counting_gees(*args, **kwargs):
+            gees_calls.append(np.shape(args[1]))
+            return gees(*args, **kwargs)
+
+        def counting_eigvals(matrix):
+            eigvals_calls.append(np.shape(matrix))
             return eigvals(matrix)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        assert h2_cost(seed, p, 1) == min(expected, 10.0 * p.threshold)
-        assert calls == [A.shape]
+        monkeypatch.setattr(benchmarks, "_gees", counting_gees)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        assert h2_cost(LASER_SAFE_SEED, p, 1) == expected < p.threshold
+        assert gees_calls == [(21, 21)] and eigvals_calls == []
+        assert h2_cost(unstable, p, 1) == 10.0 * p.threshold
+        assert gees_calls == [(21, 21)] * 2 and eigvals_calls == []
+
+    @pytest.mark.parametrize("routine, gains", [
+        ("_gees", "unstable"), ("_gees", "seed"), ("_trsyl", "seed")])
+    def test_lapack_failure_raises(self, monkeypatch, routine, gains):
+        """A nonzero info is an error naming the routine, never a perturbed or skipped solve."""
+        p = laser_problem(disturbance_seed=0)
+        x = LASER_SAFE_SEED if gains == "seed" else np.concatenate([np.full(5, 0.05),
+                                                                     np.full(5, 8.0)])
+        binding = getattr(benchmarks, routine)
+
+        def failing(*args, **kwargs):
+            return *binding(*args, **kwargs)[:-1], 2
+
+        monkeypatch.setattr(benchmarks, routine, failing)
+        with pytest.raises(StabilityError, match=rf"d{routine[1:]} failed with info = 2"):
+            h2_cost(x, p, 1)
+
+    def test_non_finite_gains_are_refused(self):
+        p = laser_problem(disturbance_seed=0)
+        for bad in (np.nan, np.inf):
+            x = np.array(LASER_SAFE_SEED)
+            x[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                h2_cost(x, p, 1)
 
     def test_noise_scaling_doubles_cost(self):
         p = laser_problem(disturbance_seed=0)
@@ -211,6 +243,57 @@ class TestLaserChain:
         # huge integral gain with tiny proportional gain violates the Routh bound
         bad = np.concatenate([np.full(5, 0.05), np.full(5, 8.0)])
         assert h2_cost(bad, p, 1) == pytest.approx(10.0 * p.threshold)
+
+
+class TestAgainstReference:
+    """h2_cost equals the geev-check-plus-scipy-solve reference exactly, not within a tolerance."""
+
+    @staticmethod
+    def _outcome(cost, x, p, z):
+        try:
+            return cost(x, p, z)
+        except StabilityError as exc:
+            return repr(exc)
+
+    @pytest.mark.parametrize("disturbance_seed, n_tasks", [(0, 2), (5, 3)])
+    def test_seeded_gains(self, disturbance_seed, n_tasks):
+        p = laser_problem(n_tasks=n_tasks, disturbance_seed=disturbance_seed)
+        rng = np.random.default_rng(disturbance_seed)
+        xs = LASER_BOX[:, 0] + rng.random((2000, 10)) * (LASER_BOX[:, 1] - LASER_BOX[:, 0])
+        for z in range(1, n_tasks + 1):
+            costs = [h2_cost(x, p, z) for x in xs]
+            assert costs == [h2_cost_reference(x, p, z) for x in xs]
+            # both sides of the margin are sampled, and the safe region too
+            assert 0 < costs.count(10.0 * p.threshold) < len(xs)
+            assert min(costs) < p.threshold
+
+    def test_bisection_onto_the_margin(self):
+        """Near the margin geev and dgees can disagree; both sides then clip to the penalty."""
+        p = laser_problem(n_tasks=3, disturbance_seed=5)
+        rng = np.random.default_rng(11)
+        lo, hi = LASER_BOX[:, 0], LASER_BOX[:, 1]
+
+        def stable(x, z):
+            return np.max(np.linalg.eigvals(p.closed_loop(x, z)[0]).real) < -1e-9
+
+        lines = 0
+        while lines < 30:
+            z = int(rng.integers(1, 4))
+            good, bad = lo + rng.random((2, 10)) * (hi - lo)
+            if stable(good, z) == stable(bad, z):
+                continue
+            if not stable(good, z):
+                good, bad = bad, good
+            lines += 1
+            for _ in range(60):
+                mid = 0.5 * (good + bad)
+                assert self._outcome(h2_cost, mid, p, z) == self._outcome(h2_cost_reference, mid, p, z)
+                if stable(mid, z):
+                    good = mid
+                else:
+                    bad = mid
+            # the line is bisected down to adjacent floating-point inputs
+            assert np.all(np.abs(good - bad) <= 4 * np.spacing(np.maximum(abs(good), abs(bad))))
 
 
 class TestProblemInterface:
