@@ -59,6 +59,13 @@ one task, three or more tasks, the frequentist coverage suite, the per-task
 fits of a two-task factor and the hyper-posterior's Cholesky cross-check; no
 two-task model refresh factors the joint n x n system at sigma-prime.
 
+Triangular solves.  The whitened observations and the growth's L21' call
+LAPACK ``dtrtrs`` directly with the arguments ``scipy.linalg.solve_triangular``
+would pass, so they are bit-identical to it without its wrapper or its
+finiteness scan of both operands.  Non-finite values are refused where they
+enter instead: a dataset holds finite inputs and observations, and a factor
+whose diagonal is not finite is refused where it is made.
+
 The factor, whitened observations and dataset never change after :func:`fit`;
 the grid cache is the only mutable state.  A fill empties it and then stores
 every task's entry at once, so a reader sees one fill's entries or none; fills
@@ -72,8 +79,7 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
 
@@ -119,6 +125,8 @@ class MultiTaskDataset:
             raise ValueError("inputs, tasks and observations must have equal length")
         if z.size and z.min() < 1:
             raise ValueError("task indices are 1-based")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("inputs and observations must be finite")
         for a in (X, z, y):
             a.setflags(write=False)
         object.__setattr__(self, "inputs", X)
@@ -140,6 +148,15 @@ class MultiTaskDataset:
         )
 
 
+def _finite_factor(chol: np.ndarray) -> bool:
+    """Whether a Cholesky factor is finite.
+
+    A NaN or infinite entry of the factored system reaches the diagonal of its
+    row, and OpenBLAS returns such a factor without an error.
+    """
+    return bool(np.isfinite(chol.diagonal()).all())
+
+
 def _chol_with_jitter(system: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     """Cholesky factor of ``system``; escalating diagonal jitter on failure."""
     n = system.shape[0]
@@ -148,9 +165,13 @@ def _chol_with_jitter(system: np.ndarray, scale: float) -> tuple[np.ndarray, flo
     jitter = JITTER_START
     while jitter <= JITTER_MAX * 1.001:
         try:
-            return np.linalg.cholesky(system + jitter * scale * np.eye(n)), jitter
+            chol = np.linalg.cholesky(system + jitter * scale * np.eye(n))
         except np.linalg.LinAlgError:
             jitter *= 10.0
+            continue
+        if not _finite_factor(chol):
+            raise NumericalError("system matrix has non-finite entries")
+        return chol, jitter
     raise NumericalError(
         f"system matrix not positive definite after jitter up to {JITTER_MAX:g} * signal_variance"
     )
@@ -164,6 +185,21 @@ def inverse_factor(chol: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericalError(f"triangular factor is singular (dtrtri info {info})")
     return inverse
+
+
+def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs for a nonempty lower-triangular factor, bit-identical to scipy's solve.
+
+    As ``solve_triangular(chol, rhs, lower=True)`` does, it passes an F-ordered factor as it is and a C-ordered one as
+    its transpose with the triangle and the transposition flipped.
+    """
+    if chol.flags.f_contiguous:
+        solution, info = dtrtrs(chol, rhs, lower=1, trans=0)
+    else:
+        solution, info = dtrtrs(chol.T, rhs, lower=0, trans=1)
+    if info != 0:
+        raise NumericalError(f"triangular solve failed (dtrtrs info {info})")
+    return solution
 
 
 def clamp_variances(variances: np.ndarray) -> np.ndarray:
@@ -352,7 +388,7 @@ def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: Corr
     new rows' kernel columns [K12; K22] come from one cross-kernel call, or
     from the new columns of ``base_gram`` when given.  The new block carries
     the previous factor's jitter; a Schur complement that is not positive
-    definite at that jitter returns None.
+    definite at that jitter, or whose factor is not finite, returns None.
     """
     old = previous.dataset
     m, n = old.n, dataset.n
@@ -371,7 +407,7 @@ def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: Corr
     else:
         base = base_gram[:, m:]
     columns = sigma.matrix[np.ix_(zi, zi[m:])] * base               # [K12; K22]
-    cross = solve_triangular(previous.chol, columns[:m], lower=True)   # L21'
+    cross = _solve_lower(previous.chol, columns[:m])   # L21'
     # noise, then jitter: the order of a full fit's K + noise I and its jitter
     schur = (columns[m:] + params.noise_variance * np.eye(n - m)
              + previous.jitter * params.signal_variance * np.eye(n - m)
@@ -379,6 +415,8 @@ def _extended_factor(previous: Posterior, dataset: MultiTaskDataset, sigma: Corr
     try:
         lower = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
+        return None
+    if not _finite_factor(lower):
         return None
     L = np.zeros((n, n))
     L[:m, :m] = previous.chol
@@ -408,7 +446,7 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
         grid = []
     else:
         jitter, grid = previous.jitter, list(previous._grid)
-    whitened_obs = solve_triangular(L, dataset.observations, lower=True)
+    whitened_obs = _solve_lower(L, dataset.observations)
     return Posterior(dataset, sigma, params, L, jitter, whitened_obs, grid)
 
 

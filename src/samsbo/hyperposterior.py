@@ -20,6 +20,7 @@ outer edges as members, so its range holds all of the kept mass.  Each call
 first evaluates the exact Cholesky likelihood at r = 0.5 and raises
 :class:`samsbo.gp.NumericalError` if the factorized value disagrees by more
 than ``CROSS_CHECK_RTOL``, so a wrong likelihood is never used silently.
+The cells' prior masses are computed once per eta per process.
 
 More tasks.  Adaptive random-walk Metropolis chains act on the hyperspherical
 angles of the correlation Cholesky factor, with the change-of-variables
@@ -232,19 +233,26 @@ def cell_matrices() -> tuple[tuple[CorrelationMatrix, ...], tuple[CorrelationMat
             tuple(CorrelationMatrix.two_task(float(r)) for r in CELL_EDGES))
 
 
+@cache
 def _log_cell_masses(eta: float) -> np.ndarray:
-    """Log LKJ prior mass of each quadrature cell.
+    """Log LKJ prior mass of each quadrature cell, read-only and computed once per eta.
 
     (r + 1) / 2 ~ Beta(eta, eta) gives P(r > e) = I_{(1 - e)/2}(eta, eta), so a
     cell [e_i, e_i+1) holds the difference of two upper tails; tails rather
     than the CDF keep the small masses near r = 1 free of cancellation.
     """
     tail = betainc(eta, eta, 0.5 * (1.0 - CELL_EDGES))
-    return np.log(tail[:-1] - tail[1:])
+    masses = np.log(tail[:-1] - tail[1:])
+    masses.setflags(write=False)
+    return masses
 
 
+@cache
 def truncated_prior_mass(eta: float) -> float:
-    """LKJ(eta) mass of r in [0, R_MAX], the cells' total; ValueError naming eta if too small."""
+    """LKJ(eta) mass of r in [0, R_MAX], the cells' total, computed once per eta.
+
+    ValueError naming eta if the mass is too small.
+    """
     if not 0.0 < eta < np.inf:          # rng.beta(inf, inf) is NaN, which no draw accepts
         raise ValueError(f"eta must be positive and finite, got {eta}")
     upper, lower = betainc(eta, eta, 0.5 * (1.0 - CELL_EDGES[[0, -1]]))    # as _log_cell_masses

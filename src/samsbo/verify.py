@@ -13,9 +13,9 @@ function from the corresponding multi-task GP, runs the optimization loop's
 own model refresh, :func:`samsbo.bounds.robust_model`, on the noisy
 observations, and checks the robust band the same way.  The ICM prior
 covariance of the function on the G-point grid is the Kronecker product
-Sigma (x) K, so one call factors the grid kernel once, L_K = chol(K + eps I)
-with eps = DRAW_JITTER, and each trial draws (L_Sigma (x) L_K) xi: no 2G x 2G
-matrix is formed.
+Sigma (x) K, so the grid kernel is factored once per grid size per process,
+L_K = chol(K + eps I) with eps = DRAW_JITTER (:func:`_draw_factor`), and each
+trial draws (L_Sigma (x) L_K) xi: no 2G x 2G matrix is formed.
 
 Each suite queries its own read-only grid, so the posterior's grid cache
 applies and the two tasks of one posterior share one base kernel.
@@ -23,6 +23,7 @@ applies and the two tasks of one posterior share one base kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -79,6 +80,21 @@ def _read_only_grid(size: int) -> np.ndarray:
     grid = np.linspace(0.0, 1.0, size).reshape(-1, 1).copy()
     grid.setflags(write=False)
     return grid
+
+
+@cache
+def _draw_factor(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Bayesian suite's read-only grid of ``grid_size`` points and L_K on it.
+
+    L_K = chol(K + DRAW_JITTER I) of the grid kernel under ``kernel_params(1)``.
+    The kernel parameters and the jitter are constants, so the grid size is
+    the whole key, and a process factors each grid size once.
+    """
+    grid = _read_only_grid(grid_size)
+    chol = np.linalg.cholesky(se_kernel_matrix(grid, grid, kernel_params(1))
+                              + DRAW_JITTER * np.eye(grid_size))
+    chol.setflags(write=False)
+    return grid, chol
 
 
 def _two_task_draw(chol_grid: np.ndarray, r: float,
@@ -168,16 +184,15 @@ def bayesian_coverage(trials: int = DEFAULTS.bayesian_trials, n_per_task: int = 
 
     The function is drawn as (L_Sigma (x) L_K) xi for one standard normal xi
     of length 2G, with L_K = chol(K + DRAW_JITTER I) of the G x G grid kernel
-    factored once per call.  Its covariance is Sigma(r) (x) (K + DRAW_JITTER I).
+    factored once per grid size per process (:func:`_draw_factor`).  Its
+    covariance is Sigma(r) (x) (K + DRAW_JITTER I).
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     master = np.random.SeedSequence(seed).spawn(trials)
     params = kernel_params(1)
-    grid = _read_only_grid(grid_size)
+    grid, chol_grid = _draw_factor(grid_size)
     noise_sd = np.sqrt(params.noise_variance)
-    chol_grid = np.linalg.cholesky(se_kernel_matrix(grid, grid, params)
-                                   + DRAW_JITTER * np.eye(grid_size))
 
     successes = 0
     for trial_seed in master:

@@ -665,3 +665,58 @@ class TestGridFill:
             assert np.shares_memory(whitened, posterior._grid[z - 1].buffer.data)
             assert not whitened.flags.writeable
         assert len(blocks) == 2                     # one fill for both tasks
+
+
+class TestSolveLower:
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_bit_identical_to_solve_triangular(self, n, order, columns):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        chol = np.asarray(np.linalg.cholesky(a @ a.T + n * np.eye(n)), order=order)
+        assert chol.flags[f"{order}_CONTIGUOUS"]
+        rhs = rng.standard_normal(n if columns is None else (n, columns))
+        got = gp._solve_lower(chol, rhs)
+        want = solve_triangular(chol, rhs, lower=True)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_diagonal_raises(self, order):
+        chol = np.asarray(np.tril(np.ones((4, 4))), order=order)
+        chol[2, 2] = 0.0
+        with pytest.raises(gp.NumericalError, match="dtrtrs info 3"):
+            gp._solve_lower(chol, np.ones(4))
+
+
+class TestNonFinite:
+    """Non-finite values are refused where they enter, since the solves scan nothing."""
+
+    SIGMA = CorrelationMatrix.two_task(0.6)
+
+    def test_nan_observation_is_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            MultiTaskDataset([[0.1], [0.2]], [1, 2], [0.0, np.nan])
+
+    def test_inf_input_is_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            MultiTaskDataset([[0.1], [np.inf]], [1, 2], [0.0, 1.0])
+
+    def test_extension_by_a_nan_row_is_refused(self):
+        dataset = MultiTaskDataset([[0.1], [0.2]], [1, 2], [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            dataset.extended([[np.nan]], [1], [0.5])
+
+    def test_extended_factor_with_a_nan_gram_row_falls_back_and_the_fit_raises(self):
+        rng = np.random.default_rng(3)
+        params = make_params()
+        dataset = MultiTaskDataset(rng.random((10, 1)), rng.integers(1, 3, 10),
+                                   rng.standard_normal(10))
+        head = MultiTaskDataset(dataset.inputs[:8], dataset.tasks[:8], dataset.observations[:8])
+        previous = fit(head, self.SIGMA, params)
+        base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
+        base[9, :] = base[:, 9] = np.nan
+        assert gp._extended_factor(previous, dataset, self.SIGMA, params, base) is None
+        with pytest.raises(gp.NumericalError):
+            fit(dataset, self.SIGMA, params, base_gram=base, previous=previous)

@@ -18,6 +18,7 @@ from samsbo.hyperposterior import (
     confidence_set,
     sample_hyperposterior,
     sample_prior_offdiagonal,
+    truncated_prior_mass,
 )
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
@@ -181,6 +182,12 @@ class TestTwoTaskQuadrature:
         assert masses.sum() == pytest.approx(support, rel=1e-10)
         if eta == 1.0:
             assert np.allclose(masses, masses[0], rtol=1e-10)
+
+    def test_prior_constants_are_computed_once_per_eta(self):
+        masses = _log_cell_masses(0.3)
+        assert _log_cell_masses(0.3) is masses and not masses.flags.writeable
+        assert np.array_equal(masses, _log_cell_masses.__wrapped__(0.3))
+        assert truncated_prior_mass(0.3) == truncated_prior_mass.__wrapped__(0.3)
 
     def test_prior_set_at_small_eta_spans_the_exact_hpd_interval(self):
         # on task-1-only data the set is the prior's 85 % HPD set, [0.576, R_MAX)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from samsbo import bounds, gp, verify
+from samsbo.config import kernel_params
 from samsbo.hyperposterior import R_MAX
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
@@ -71,6 +72,7 @@ class TestBayesianDraw:
         assert np.max(np.abs(M @ M.T - expected)) <= 1e-12
 
     def test_no_factor_larger_than_the_grid(self, monkeypatch):
+        # two calls from an empty cache factor the grid kernel once between them
         shapes = []
         cholesky = np.linalg.cholesky
 
@@ -80,9 +82,37 @@ class TestBayesianDraw:
 
         monkeypatch.setattr(np.linalg, "cholesky", recording)
         grid_size = 200
+        verify._draw_factor.cache_clear()
         verify.bayesian_coverage(trials=3, grid_size=grid_size)
+        verify.bayesian_coverage(trials=3, grid_size=grid_size, seed=1)
         assert shapes and max(shape[0] for shape in shapes) <= grid_size
         assert shapes.count((grid_size, grid_size)) == 1
+
+
+class TestDrawFactorCache:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cold_and_warm_cache_give_equal_trials(self, monkeypatch, seed):
+        digests, reports = [], []
+        verify._draw_factor.cache_clear()
+        for _ in range(2):
+            trials = recorded_trials(monkeypatch)
+            reports.append(verify.bayesian_coverage(trials=3, seed=seed))
+            digests.append(predictions_digest(trials, fresh=False))
+            monkeypatch.undo()
+        assert reports[0] == reports[1]
+        assert digests[0] == digests[1]
+
+    def test_cached_grid_and_factor_are_read_only_and_exact(self):
+        grid, chol = verify._draw_factor(50)
+        again = verify._draw_factor(50)
+        assert again[0] is grid and again[1] is chol
+        assert np.array_equal(grid, verify._read_only_grid(50))
+        kernel = se_kernel_matrix(grid, grid, kernel_params(1))
+        assert np.array_equal(chol, np.linalg.cholesky(kernel + verify.DRAW_JITTER * np.eye(50)))
+        for array in (grid, chol):
+            assert gp._frozen(array)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
 
 
 class TestFrequentistReuse:
