@@ -25,10 +25,13 @@ of another size than the members raises ``ValueError``.
 
 :func:`robust_model` is the one model refresh of the optimization loop and of
 the Bayesian coverage suite, and the one place that builds that factor.  A
-two-task refresh grows the factor's per-task fits from the previous refresh's
-and returns the factor's posterior at sigma-prime, so it factors no n x n
-system besides the hyper-posterior's one-node cross-check; one task and three
-or more fit at sigma-prime with :func:`samsbo.gp.fit`.
+two-task refresh grows the factor's base Gram, per-task fits and cross-check
+fit from the previous refresh's and returns the factor's posterior at
+sigma-prime, so it factors no n x n system besides the cross-check, and that
+one only when there is no previous factor to grow from (the coverage suite's
+trials).  Grown refreshes compute k new rows' kernel entries and factor k x k
+Schur complements.  One task and three or more fit at sigma-prime with
+:func:`samsbo.gp.fit`.
 """
 from __future__ import annotations
 
@@ -210,6 +213,27 @@ def scaling_bundle(
                          beta_bar=beta_bar)
 
 
+def _base_gram(inputs: np.ndarray, params: KernelParams,
+               previous: twotask.TwoTaskFactor | None) -> np.ndarray:
+    """The squared-exponential Gram of ``inputs``, grown from ``previous``'s when that applies.
+
+    It applies when the kernel parameters are equal and ``previous``'s inputs
+    are a prefix of ``inputs``; then only the k new rows' kernel entries are
+    computed, O(n k d) against O(n^2 d), and they are bit-identical to a
+    fresh Gram's (see :mod:`samsbo.kernels`).
+    """
+    n, m = inputs.shape[0], 0 if previous is None else previous.n
+    if not (previous is not None and previous.params == params and m <= n
+            and np.array_equal(previous.dataset.inputs, inputs[:m])):
+        return se_kernel_matrix(inputs, inputs, params)
+    rows = se_kernel_matrix(inputs[m:], inputs, params)
+    base = np.empty((n, n))
+    base[:m, :m] = previous.base
+    base[m:] = rows
+    base[:m, m:] = rows[:, :m].T
+    return base
+
+
 def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: float,
                  cardinality: int, params: KernelParams, delta: float, seed: int = 0,
                  previous: gp.Posterior | None = None,
@@ -224,12 +248,13 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
     single task needs no base Gram, so a grown fit computes only the new
     rows' kernel columns.  ``cardinality`` is |I| of beta_b.  ``previous``,
     the posterior of an earlier refresh, goes to :func:`samsbo.gp.fit`, or for
-    two tasks lends its factor's per-task fits to the new factor.
+    two tasks lends its factor's base Gram, per-task fits and cross-check fit
+    to the new factor, which grows them by the new rows.
     """
-    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params) if n_tasks > 1 else None
+    grown = previous.factor if isinstance(previous, twotask.TwoTaskPosterior) else None
+    base = _base_gram(dataset.inputs, params, grown) if n_tasks > 1 else None
     factor = None
     if n_tasks == 2:
-        grown = previous.factor if isinstance(previous, twotask.TwoTaskPosterior) else None
         factor = twotask.TwoTaskFactor.build(dataset, params, base, previous=grown)
     if n_tasks == 1:
         cset = ConfidenceSet((CorrelationMatrix.identity(1),))

@@ -26,6 +26,10 @@ keeps per task the whitened cross-Gram V_z = L^-1 k_z(data, points) and its
 column sums of squares, so the mean is V_z' L^-1 y and the variance the prior
 minus those sums.  A repeated query is a lookup, and an extended posterior
 inherits its predecessor's entries and grows them by the new rows only.
+Beside them the cache keeps the points divided by the lengthscales, made
+once per point array and kernel and inherited along the chain, so a fill and
+the prior covariance of a fantasized pick (:meth:`Posterior.kernel_row`)
+each pay one short ``cdist`` and one ``exp`` (:func:`samsbo.kernels.se_kernel_scaled`).
 
 A fill of rows m.. serves every task at once, so all tasks' entries cover the
 same rows.  It inverts the factor's trailing block, M = L[m:, m:]^-1 (LAPACK
@@ -81,7 +85,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
-from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
+from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix, se_kernel_scaled
 
 __all__ = [
     "MultiTaskDataset",
@@ -97,7 +101,7 @@ logger = logging.getLogger(__name__)
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 VARIANCE_WARN = -1e-8
-GRID_GROWTH = 1.25        # capacity factor of a full grid row buffer
+GRID_GROWTH = 2.0         # capacity factor of a full grid row buffer
 
 
 class NumericalError(RuntimeError):
@@ -262,14 +266,15 @@ class _GridEntry:
     """Whitened cross-Gram of one task at one read-only point array."""
 
     points: np.ndarray
+    scaled: np.ndarray          # points / lengthscales, read-only and shared by every task
     rows: int                   # leading data rows covered by ``whitened``
     buffer: _RowBuffer          # ``whitened`` is a view of its leading rows
     whitened: np.ndarray        # rows x len(points)
     sumsq: np.ndarray           # column sums of squares of ``whitened``
 
     @classmethod
-    def extended(cls, entry: "_GridEntry | None", points: np.ndarray, block: np.ndarray,
-                 sumsq: np.ndarray) -> "_GridEntry":
+    def extended(cls, entry: "_GridEntry | None", points: np.ndarray, scaled: np.ndarray,
+                 block: np.ndarray, sumsq: np.ndarray) -> "_GridEntry":
         """``entry`` grown by ``block`` (C-contiguous; its column sums of squares are ``sumsq``).
 
         Appends to ``entry``'s buffer when its rows are the last written there.
@@ -285,7 +290,7 @@ class _GridEntry:
         if entry is not None:
             sumsq = entry.sumsq + sumsq
         sumsq.setflags(write=False)
-        return cls(points, whitened.shape[0], buffer, whitened, sumsq)
+        return cls(points, scaled, whitened.shape[0], buffer, whitened, sumsq)
 
 
 @dataclass(frozen=True)
@@ -332,10 +337,19 @@ class Posterior:
         It is Sigma[z, task] k(x, x_idx) - V_z(x)' V_task(x_idx), the whitened
         cross-Grams V coming from the grid cache.
         """
-        prior = se_kernel_matrix(points, points[idx:idx + 1], self.params)[:, 0]
         at_pick = self.whitened(points, task)[0][:, idx]
         whitened = self.whitened(points, z)[0]
-        return self.sigma_used.matrix[z - 1, task - 1] * prior - whitened.T @ at_pick
+        return (self.sigma_used.matrix[z - 1, task - 1] * self.kernel_row(points, idx)
+                - whitened.T @ at_pick)
+
+    def kernel_row(self, points: np.ndarray, idx: int) -> np.ndarray:
+        """k(points[idx], x) at every x of ``points``, from the grid cache's scaled copy.
+
+        A writable ``points`` is scaled for the call.
+        """
+        scaled = (self._entries(points)[0].scaled if _frozen(points)
+                  else points / self.params.lengthscales)
+        return se_kernel_scaled(scaled[idx:idx + 1], scaled, self.params)[0]
 
     def whitened(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """L^-1 k_z(data, points) and its column sums of squares.
@@ -346,27 +360,39 @@ class Posterior:
         if not 1 <= z <= self.sigma_used.size:
             raise ValueError(f"task index must lie in 1..{self.sigma_used.size}")
         if not _frozen(points):
-            return self._new_rows([], points)[z - 1]
+            return self._new_rows([], points / self.params.lengthscales)[z - 1]
+        entry = self._entries(points)[z - 1]
+        return entry.whitened, entry.sumsq
+
+    def _entries(self, points: np.ndarray) -> list[_GridEntry]:
+        """Every task's grid cache entry at a read-only ``points``, filled up to the data's rows."""
         grid = [entry for entry in self._grid[:] if entry.points is points]   # one fill's, or none
         if not grid or grid[0].rows < self.dataset.n:
-            rows = self._new_rows(grid, points)
+            if grid:
+                scaled = grid[0].scaled
+            else:
+                scaled = points / self.params.lengthscales
+                scaled.setflags(write=False)
+            rows = self._new_rows(grid, scaled)
             self._grid.clear()      # each old entry dies once grown; a racing reader refills
             grid = grid or [None] * len(rows)
             for i, new in enumerate(rows):
-                grid[i] = _GridEntry.extended(grid[i], points, *new)
+                grid[i] = _GridEntry.extended(grid[i], points, scaled, *new)
             self._grid[:] = grid
-        return grid[z - 1].whitened, grid[z - 1].sumsq
+        return grid
 
     def _new_rows(self, entries: list[_GridEntry],
-                  points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+                  scaled: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per task, the rows of V_z past the m rows ``entries`` cover and their sums of squares.
 
         ``entries`` holds every task's entry, or none for a fresh fill (m = 0);
-        the module notes give the product.
+        ``scaled`` is the query points divided by the lengthscales.  The
+        module notes give the product.
         """
         m = entries[0].rows if entries else 0
         inverse = inverse_factor(self.chol[m:, m:])
-        base = se_kernel_matrix(points, self.dataset.inputs[m:], self.params)
+        base = se_kernel_scaled(scaled, self.dataset.inputs[m:] / self.params.lengthscales,
+                                self.params)
         blocks = [(inverse * scale) @ base.T
                   for scale in self.sigma_used.matrix[:, self.dataset.tasks[m:] - 1]]
         del base        # so the squares below never coexist with it: u + 1 blocks at most
@@ -451,15 +477,19 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
 
 
 def log_marginal_likelihood(dataset: MultiTaskDataset, sigma: CorrelationMatrix,
-                            params: KernelParams, base_gram: np.ndarray | None = None) -> float:
+                            params: KernelParams, base_gram: np.ndarray | None = None,
+                            previous: Posterior | None = None) -> float:
     """Log density of the observations under the zero-mean GP prior plus noise.
 
     Reads the factor and the whitened observations w = L^-1 y of :func:`fit`,
     so both factor the same regularized system: y' K^-1 y = |w|^2.
+    ``base_gram`` and ``previous`` go to :func:`fit`; a ``previous`` fitted to
+    the same inputs and tasks lends its factor as it is, so the call costs one
+    triangular solve.
     """
     if dataset.n == 0:
         return 0.0
-    posterior = fit(dataset, sigma, params, base_gram)
+    posterior = fit(dataset, sigma, params, base_gram, previous)
     w = posterior.whitened_obs
     return float(
         -0.5 * w @ w - np.sum(np.log(np.diag(posterior.chol)))

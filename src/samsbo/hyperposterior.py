@@ -17,10 +17,14 @@ Joe 2009).  Cell masses rather than midpoint densities keep the integrable
 singularity of a small eta at r -> 1 from handing the last cell most of the
 prior.  The confidence set keeps whole cells: each run of kept cells adds its
 outer edges as members, so its range holds all of the kept mass.  Each call
-first evaluates the exact Cholesky likelihood at r = 0.5 and raises
-:class:`samsbo.gp.NumericalError` if the factorized value disagrees by more
-than ``CROSS_CHECK_RTOL``, so a wrong likelihood is never used silently.
-The cells' prior masses are computed once per eta per process.
+first evaluates the exact Cholesky likelihood of the data at r =
+``twotask.CHECK_R`` and raises :class:`samsbo.gp.NumericalError` if the
+factorized value disagrees by more than ``CROSS_CHECK_RTOL``, so a wrong
+likelihood is never used silently.  The Cholesky factor is the factor's joint
+fit, which grows along a chain of refreshes; the call reuses it when the data
+have its inputs and tasks, and solves for the data's own observations, so a
+factor of other observations still fails the check.  The cells' prior masses
+are computed once per eta per process.
 
 More tasks.  Adaptive random-walk Metropolis chains act on the hyperspherical
 angles of the correlation Cholesky factor, with the change-of-variables
@@ -38,7 +42,7 @@ from scipy.special import betainc
 
 from .gp import MultiTaskDataset, NumericalError, log_marginal_likelihood
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
-from .twotask import TwoTaskFactor
+from .twotask import CHECK_R, TwoTaskFactor
 
 __all__ = [
     "McmcDiagnostics",
@@ -302,12 +306,14 @@ def sample_hyperposterior(
     if n_tasks == 2:
         if factor is None:
             factor = TwoTaskFactor.build(dataset, params, base)
-        exact = loglik(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        fast = factor.log_likelihood(0.5)
+        check = factor.check
+        exact = log_marginal_likelihood(dataset, check.sigma_used, params, base_gram=base,
+                                        previous=check)
+        fast = factor.log_likelihood(CHECK_R)
         if abs(fast - exact) > CROSS_CHECK_RTOL * max(abs(exact), 1.0):
             raise NumericalError(
                 f"factorized log likelihood {fast!r} differs from the Cholesky value "
-                f"{exact!r} at r = 0.5"
+                f"{exact!r} at r = {CHECK_R}"
             )
         # equal cells: a cell's mass is its density up to one constant
         log_weights = factor.log_likelihood(CELL_MIDPOINTS) + _log_cell_masses(eta)

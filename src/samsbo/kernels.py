@@ -7,6 +7,18 @@ The multi-task covariance between task/input pairs factorizes as
 where ``k`` is a scalar anisotropic squared-exponential kernel and ``Sigma``
 is a symmetric positive definite inter-task matrix with nonnegative entries
 and unit diagonal (intrinsic coregionalization with standardized outputs).
+
+Kernel matrices.  :func:`se_kernel_matrix` divides both row stacks by the
+lengthscales and hands them to :func:`se_kernel_scaled`, which callers that
+keep a scaled copy of their points (the grid cache of :mod:`samsbo.gp`) call
+directly, so a grid is divided once per kernel rather than once per call.
+The squared distances come from one ``cdist`` call whose first operand is
+never the taller: ``cdist`` pays per row of its first operand, so a G x 1
+column costs about six times a 1 x G row.  When the second stack is the
+shorter one the product is computed that way round and returned as a
+C-contiguous transpose.  Each entry is the same sequential sum of squared
+coordinate differences either way, and (a - b)^2 = (b - a)^2, so the result
+is bit-identical to the other orientation.
 """
 from __future__ import annotations
 
@@ -19,6 +31,7 @@ __all__ = [
     "KernelParams",
     "CorrelationMatrix",
     "se_kernel_matrix",
+    "se_kernel_scaled",
     "gram",
 ]
 
@@ -43,8 +56,9 @@ class KernelParams(_ByKey):
 
     ``signal_variance`` is the prior variance at zero distance, ``lengthscales``
     holds one positive scale per input dimension and ``noise_variance`` is the
-    observation noise added to the Gram diagonal during inference.  Instances
-    are immutable; equality and hashing go through :meth:`key`.
+    observation noise added to the Gram diagonal during inference.  Every
+    value must be finite; a ``ValueError`` names the field that is not.
+    Instances are immutable; equality and hashing go through :meth:`key`.
     """
 
     signal_variance: float
@@ -57,6 +71,10 @@ class KernelParams(_ByKey):
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "signal_variance", float(self.signal_variance))
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
+        for name, value in (("signal_variance", self.signal_variance), ("lengthscales", ls),
+                            ("noise_variance", self.noise_variance)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.signal_variance <= 0.0:
             raise ValueError("signal_variance must be strictly positive")
         if ls.ndim != 1 or ls.size == 0 or np.any(ls <= 0.0):
@@ -124,8 +142,18 @@ def se_kernel_matrix(X: np.ndarray, Y: np.ndarray, params: KernelParams) -> np.n
         raise ValueError("input dimension does not match lengthscales")
     if X.shape[0] == 0 or Y.shape[0] == 0:
         return np.zeros((X.shape[0], Y.shape[0]))
-    d2 = cdist(X / params.lengthscales, Y / params.lengthscales, metric="sqeuclidean")
-    return params.signal_variance * np.exp(-0.5 * d2)
+    return se_kernel_scaled(X / params.lengthscales, Y / params.lengthscales, params)
+
+
+def se_kernel_scaled(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Cross Gram matrix of row stacks already divided by the lengthscales.
+
+    It equals ``se_kernel_matrix`` of the unscaled stacks bit for bit; the
+    shorter stack goes first to ``cdist`` (see the module notes).
+    """
+    if B.shape[0] < A.shape[0]:
+        return np.ascontiguousarray(se_kernel_scaled(B, A, params).T)
+    return params.signal_variance * np.exp(-0.5 * cdist(A, B, metric="sqeuclidean"))
 
 
 def gram(dataset, sigma: CorrelationMatrix, params: KernelParams,

@@ -32,10 +32,13 @@ and b = V' w2 the log likelihood is therefore O(p) per r,
 
 and a weight vector (A + r B)^-1 y = L_A^-T (I + r C)^-1 w costs O(n p) plus
 two products with the per-task inverse factors L_z^-1.  No n x n factor or
-eigendecomposition is formed.
+eigendecomposition is formed for these.
 :class:`TwoTaskFactor` holds these pieces; the hyper-posterior quadrature
 over r, the mean-shift term nu and the posterior at sigma-prime share one per
-model refresh.
+model refresh.  It also holds the one joint Cholesky fit of a refresh, at
+Sigma(``CHECK_R``), which the hyper-posterior's cross-check compares the
+closed form with.  Like the per-task fits it grows from the previous
+factor's, O(n^2 k) for k new rows, so only a fresh factor pays O(n^3) for it.
 
 The posterior at Sigma(r') (:class:`TwoTaskPosterior`) reads the per-task
 whitened grids W_z = L_z^-1 k(X_z, grid) from the grid caches of the per-task
@@ -57,12 +60,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp, kernels
+from . import gp
 from .kernels import CorrelationMatrix, KernelParams
 
 __all__ = ["TwoTaskFactor", "TwoTaskPosterior", "minimax"]
 
 _ONE_TASK = CorrelationMatrix.identity(1)
+CHECK_R = 0.5       # the r of the joint Cholesky fit the hyper-posterior checks a factor against
 
 
 def minimax(rs: np.ndarray) -> tuple[int, float]:
@@ -97,8 +101,9 @@ class TwoTaskFactor:
     are L1 and L2, and ``inverses`` their inverses; ``rows`` the dataset rows
     of each task.  ``base`` is the
     caller's squared-exponential Gram matrix of all rows, kept for the block
-    products of :meth:`nu` and the hyper-posterior's cross-check.  Build it
-    with :meth:`build`.
+    products of :meth:`nu` and the hyper-posterior's cross-check, and
+    ``check`` the joint Cholesky fit at Sigma(``CHECK_R``) that the cross-check
+    reads.  Build it with :meth:`build`.
     """
 
     dataset: gp.MultiTaskDataset
@@ -113,6 +118,7 @@ class TwoTaskFactor:
     singular: np.ndarray                        # s
     projected: tuple[np.ndarray, np.ndarray]    # a = U' w1, b = V' w2
     log_det_a: float
+    check: gp.Posterior                         # the joint fit at Sigma(CHECK_R)
 
     @classmethod
     def build(cls, dataset: gp.MultiTaskDataset, params: KernelParams, base_gram: np.ndarray,
@@ -120,7 +126,9 @@ class TwoTaskFactor:
         """Fit each task's rows and take the thin SVD of the whitened cross block.
 
         ``previous``, the factor of an earlier dataset, lets each task's fit
-        grow by its new rows when :func:`samsbo.gp.fit` can extend it.  Raises
+        and the joint fit at Sigma(``CHECK_R``) grow by their new rows when
+        :func:`samsbo.gp.fit` can extend them: O(n^2 k) for k new rows where a
+        fresh joint fit costs O(n^3).  Raises
         ``gp.NumericalError`` when a task's block is not positive definite at
         the starting jitter, where the fit would escalate its jitter and no
         longer factor the system of the Cholesky path.
@@ -146,11 +154,13 @@ class TwoTaskFactor:
         left, singular, right = np.linalg.svd(cross, full_matrices=False)
         right = right.T
         log_diag = sum(float(np.sum(np.log(np.diag(fit.chol)))) for fit in fits)
+        check = gp.fit(dataset, CorrelationMatrix.two_task(CHECK_R), params, base_gram=base_gram,
+                       previous=None if previous is None else previous.check)
         return cls(
             dataset=dataset, params=params, base=base_gram, second=second, rows=rows,
             tasks=(one, two), inverses=inverses, left=left, right=right, singular=singular,
             projected=(left.T @ one.whitened_obs, right.T @ two.whitened_obs),
-            log_det_a=2.0 * log_diag,
+            log_det_a=2.0 * log_diag, check=check,
         )
 
     @property
@@ -294,6 +304,9 @@ class TwoTaskPosterior(gp.Posterior):
         t1, t2 = self.factor._solve_whitened(h1 * w1[:, idx], h2 * w2[:, idx],
                                              *self.coefficients)
         g1, g2 = self.sigma_used.matrix[z - 1]
-        prior = kernels.se_kernel_matrix(points, points[idx:idx + 1], self.params)[:, 0]
-        return self.sigma_used.matrix[z - 1, task - 1] * prior - (g1 * (w1.T @ t1)
-                                                                  + g2 * (w2.T @ t2))
+        return (self.sigma_used.matrix[z - 1, task - 1] * self.kernel_row(points, idx)
+                - (g1 * (w1.T @ t1) + g2 * (w2.T @ t2)))
+
+    def kernel_row(self, points: np.ndarray, idx: int) -> np.ndarray:
+        """:meth:`samsbo.gp.Posterior.kernel_row` of the first task's fit, from its grid cache."""
+        return self.factor.tasks[0].kernel_row(points, idx)

@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 from scipy.linalg import solve, solve_continuous_lyapunov
+from scipy.spatial.distance import cdist
 
 from samsbo.benchmarks import (
     INSTABILITY_PENALTY_FACTOR,
@@ -82,6 +83,12 @@ def h2_cost_reference(pi_params: np.ndarray, problem: LaserChainProblem, z: int)
         return penalty
     P = lyapunov_solution(A, B @ B.T)
     return min(LASER_OUTPUT_SCALE * float(np.sqrt(max(np.trace(C @ P @ C.T), 0.0))), penalty)
+
+
+def se_kernel_oracle(X: np.ndarray, Y: np.ndarray, params: KernelParams) -> np.ndarray:
+    """sf2 * exp(-0.5 * cdist(X / ell, Y / ell)) with the operands in the order given."""
+    d2 = cdist(X / params.lengthscales, Y / params.lengthscales, metric="sqeuclidean")
+    return params.signal_variance * np.exp(-0.5 * d2)
 
 
 def se_kernel(x: np.ndarray, x_prime: np.ndarray, params: KernelParams) -> float:

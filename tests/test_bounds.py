@@ -455,6 +455,30 @@ class TestRobustModel:
         assert np.array_equal(rs, [m.matrix[0, 1] for m in cs.members])
         assert make_set([CorrelationMatrix.identity(3)]).offdiagonals is None
 
+    def test_grown_refreshes_match_fresh_ones(self):
+        """Along a chain of two-task refreshes the base Gram grows bit for bit and the
+        cross-check's joint fit grows to a fresh fit's log likelihood."""
+        rng = np.random.default_rng(21)
+        full = task_dataset(rng, n=35, d=2)
+        params = KernelParams(1.0, [0.3, 0.4], noise_variance=0.05)
+        previous, m = None, 0
+        for n in (10, 13, 19, 20, 28, 35):
+            ds = gp.MultiTaskDataset(full.inputs[:n], full.tasks[:n],
+                                     rng.standard_normal(n))   # refits re-standardize every y
+            _, _, previous = robust_model(ds, 2, 0.1, 0.15, self.CARDINALITY, params, 0.05,
+                                          previous=previous)
+            if m:                               # the old rows' factor is kept as it was
+                assert np.array_equal(previous.factor.check.chol[:m, :m], check_chol)
+            factor = previous.factor
+            check_chol, m = factor.check.chol, n
+            assert np.array_equal(factor.base, se_kernel_matrix(ds.inputs, ds.inputs, params))
+            sigma = factor.check.sigma_used
+            assert sigma == CorrelationMatrix.two_task(twotask.CHECK_R)
+            grown = gp.log_marginal_likelihood(ds, sigma, params, previous=factor.check)
+            fresh = gp.log_marginal_likelihood(ds, sigma, params)
+            assert abs(grown - fresh) <= 1e-10 * abs(fresh)
+            assert abs(factor.log_likelihood(twotask.CHECK_R) - fresh) <= 1e-8 * abs(fresh)
+
     @pytest.mark.parametrize("u", [2, 3])
     def test_equals_the_scripted_pipeline(self, u):
         rng = np.random.default_rng(17)

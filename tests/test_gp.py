@@ -293,13 +293,13 @@ class TestExtension:
         first = previous.predict_batch(points, 1)
         grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
         widths = []
-        real = gp.se_kernel_matrix
+        real = gp.se_kernel_scaled          # the grid fills' kernel, on the cached scaled grid
 
         def recording(X, Y, params):
             widths.append(np.atleast_2d(Y).shape[0])
             return real(X, Y, params)
 
-        monkeypatch.setattr(gp, "se_kernel_matrix", recording)
+        monkeypatch.setattr(gp, "se_kernel_scaled", recording)
         assert all(np.array_equal(a, b) for a, b in zip(previous.predict_batch(points, 1), first))
         assert widths == []                                   # a hit on the unchanged posterior
         means, variances = grown.predict_batch(points, 1)
@@ -622,7 +622,7 @@ class TestGridFill:
         full = TestExtension().data(45)
         points = frozen(np.random.default_rng(13).random((150, 2)))
         kernels, inversions = [], []
-        real_kernel, real_dtrtri = gp.se_kernel_matrix, gp.dtrtri
+        real_kernel, real_dtrtri = gp.se_kernel_scaled, gp.dtrtri
 
         def recording_kernel(X, Y, params):
             result = real_kernel(X, Y, params)
@@ -633,7 +633,7 @@ class TestGridFill:
             inversions.append(block.shape)
             return real_dtrtri(block, **kwargs)
 
-        monkeypatch.setattr(gp, "se_kernel_matrix", recording_kernel)
+        monkeypatch.setattr(gp, "se_kernel_scaled", recording_kernel)
         monkeypatch.setattr(gp, "dtrtri", recording_dtrtri)
         previous = fit(TestExtension().prefix(full, 40), self.SIGMA, self.PARAMS)
         previous.whitened(points, 1)                # fills task 2 as well

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from samsbo.gp import MultiTaskDataset
-from samsbo.kernels import CorrelationMatrix, KernelParams, gram
+from samsbo.kernels import (CorrelationMatrix, KernelParams, gram, se_kernel_matrix,
+                            se_kernel_scaled)
 
-from oracles import empty_dataset, multitask_kernel, se_kernel
+from oracles import empty_dataset, multitask_kernel, se_kernel, se_kernel_oracle
 
 
 def params_1d(sf2=1.0, ell=1.0, noise=0.0):
@@ -55,7 +56,36 @@ class TestSeKernel:
             KernelParams(1.0, [1.0, -0.2])
 
 
+class TestKernelMatrixOrientation:
+    """The shorter stack goes first to cdist; the result must not change by a bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("rows", [(2051, 1), (300, 7), (7, 300), (40, 40)],
+                             ids=["Gx1", "Gxk", "kxG", "nxn"])
+    def test_equals_cdist_in_the_given_order(self, d, rows):
+        rng = np.random.default_rng(d * 1000 + rows[0])
+        params = KernelParams(1.3, rng.random(d) + 0.1)
+        X, Y = rng.random((rows[0], d)), rng.random((rows[1], d))
+        got = se_kernel_matrix(X, Y, params)
+        assert got.flags.c_contiguous and got.shape == rows
+        assert np.array_equal(got, se_kernel_oracle(X, Y, params))
+        scaled = se_kernel_scaled(X / params.lengthscales, Y / params.lengthscales, params)
+        assert scaled.flags.c_contiguous and np.array_equal(scaled, got)
+
+
 class TestKernelParams:
+    @pytest.mark.parametrize("field, args", [
+        ("signal_variance", (np.nan, [0.2])),
+        ("signal_variance", (np.inf, [0.2])),
+        ("lengthscales", (1.0, [0.2, np.nan])),
+        ("lengthscales", (1.0, [np.inf])),
+        ("noise_variance", (1.0, [0.2], np.nan)),
+        ("noise_variance", (1.0, [0.2], np.inf)),
+    ])
+    def test_refuses_non_finite_values_by_name(self, field, args):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            KernelParams(*args)
+
     def test_equality_and_hash_by_value(self):
         a = KernelParams(1.0, [0.2, 0.3], 0.01)
         b = KernelParams(1.0, np.array([0.2, 0.3]), 0.01)

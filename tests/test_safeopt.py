@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from samsbo import bounds, gp
+from samsbo import bounds, gp, kernels
 from samsbo.benchmarks import branin_problem, find_safe_seed, laser_problem, powell_problem
 from samsbo.bounds import select_sigma_prime
 from samsbo.config import ConfigError, ExperimentConfig
@@ -480,6 +480,47 @@ class TestIncrementalRefresh:
         # only full factorizations
         assert grown_rows > 0
         assert len(full_factorizations) == cfg.iterations
+
+    def test_laser_step_puts_the_shorter_stack_first_in_every_cdist(self, monkeypatch):
+        problem = laser_problem()
+        cfg = LoopConfig(iterations=1)
+        rng = np.random.default_rng(3)
+        seeds = np.array([find_safe_seed(problem, rng) for _ in range(cfg.seed_points)])
+        state, _ = initialize_state(problem, cfg, rng, seeds)
+        rows = []
+        real = kernels.cdist
+
+        def recording(A, B, **kwargs):
+            rows.append((A.shape[0], B.shape[0]))
+            return real(A, B, **kwargs)
+
+        monkeypatch.setattr(kernels, "cdist", recording)
+        step(state, problem, cfg, rng)
+        assert rows and all(first <= second for first, second in rows)
+        assert (1, len(state.grid)) in rows          # a fantasized pick's prior row
+
+    def test_samsbo_factors_no_full_system_after_the_first_refresh(self, monkeypatch):
+        problem = branin_problem(disturbance_seed=5)
+        cfg = LoopConfig(iterations=5, grid_size=128)
+        refreshes = []                      # (rows, shapes factored) per refresh
+        real_refresh, real_cholesky = bounds.robust_model, np.linalg.cholesky
+
+        def recording_refresh(dataset, *args, **kwargs):
+            refreshes.append((dataset.n, []))
+            return real_refresh(dataset, *args, **kwargs)
+
+        def recording_cholesky(a):
+            refreshes[-1][1].append(a.shape)
+            return real_cholesky(a)
+
+        monkeypatch.setattr(bounds, "robust_model", recording_refresh)
+        monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+        run_repetition(problem, cfg, seed=4)
+        (n, first), *later = refreshes
+        assert (n, n) in first              # the cross-check's joint fit starts fresh
+        assert len(later) == cfg.iterations
+        for n, shapes in later:
+            assert shapes and (n, n) not in shapes
 
     def test_step_without_new_rows_keeps_the_model(self, monkeypatch):
         problem = branin_problem(disturbance_seed=6, threshold=-1e3)    # nothing is safe

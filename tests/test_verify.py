@@ -118,7 +118,7 @@ class TestDrawFactorCache:
 class TestFrequentistReuse:
     def test_trials_share_one_factor_and_one_grid_kernel(self, monkeypatch):
         factors, kernels = [], []
-        chol_with_jitter, kernel = gp._chol_with_jitter, gp.se_kernel_matrix
+        chol_with_jitter, kernel = gp._chol_with_jitter, gp.se_kernel_scaled
 
         def recording_factor(*args):
             factors.append(args[0].shape)
@@ -129,7 +129,7 @@ class TestFrequentistReuse:
             return kernel(*args)
 
         monkeypatch.setattr(gp, "_chol_with_jitter", recording_factor)
-        monkeypatch.setattr(gp, "se_kernel_matrix", recording_kernel)
+        monkeypatch.setattr(gp, "se_kernel_scaled", recording_kernel)
         verify.frequentist_coverage(trials=20)
         assert factors == [(30, 30)]
         assert kernels == [(200, 1)]
