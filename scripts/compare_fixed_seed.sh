@@ -19,9 +19,13 @@
 # src/samsbo/*.py (module-level functions and methods of public classes
 # whose names do not start with an underscore), and the fields of the
 # problem types SyntheticProblem and LaserChainProblem, which hold what a
-# caller can vary about a problem.  Exits 0 when
+# caller can vary about a problem.  Last it prints the total of
+# scripts/reach.py, the statements of src/samsbo that no fixed-seed run
+# executes, on each side: REF's from a copy of the working tree's reach.py
+# placed in REF's export beside fixed_seed_outputs.sh, so a claim about dead
+# branches comes from the same command as the identity check.  Exits 0 when
 # every file is byte-identical and 1 on any difference; a failing run exits
-# with its own status.  Each side takes about 10 s on a 2-core VM.
+# with its own status.  Each side takes about 15 s on a 2-core VM.
 #
 # When files differ it also prints, for each CSV present on both sides whose
 # bytes differ: the largest absolute and relative difference of each float
@@ -84,6 +88,11 @@ print(f"{fields} fields + {params} defaulted parameters = {fields + params}")
 PY
 }
 
+# unreached DIR: "U of S" statements of DIR/src/samsbo that DIR/scripts/reach.py finds unreached
+unreached() {
+    python3 "$1/scripts/reach.py" | sed -n 's/^total: \([0-9]* of [0-9]*\) .*/\1/p'
+}
+
 # problem_fields DIR: the field counts of the problem types in DIR/src/samsbo
 problem_fields() {
     python3 - "$1" <<'PY'
@@ -103,7 +112,7 @@ trap 'rm -rf "$work"' EXIT
 
 mkdir -p "$work/ref/scripts"
 git -C "$root" archive "$commit" src tests | tar -x -C "$work/ref"
-cp "$root/scripts/fixed_seed_outputs.sh" "$work/ref/scripts/"
+cp "$root/scripts/fixed_seed_outputs.sh" "$root/scripts/reach.py" "$work/ref/scripts/"
 
 "$work/ref/scripts/fixed_seed_outputs.sh" "$work/out/ref" > /dev/null
 "$root/scripts/fixed_seed_outputs.sh" "$work/out/tree" > /dev/null
@@ -185,4 +194,6 @@ echo "settable values: ${commit:0:7} $(settable_values "$work/ref")," \
     "working tree $(settable_values "$root")"
 echo "problem fields: ${commit:0:7} $(problem_fields "$work/ref")," \
     "working tree $(problem_fields "$root")"
+echo "unreached statements: ${commit:0:7} $(unreached "$work/ref")," \
+    "working tree $(unreached "$root")"
 exit "$status"

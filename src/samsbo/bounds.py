@@ -25,13 +25,13 @@ of another size than the members raises ``ValueError``.
 
 :func:`robust_model` is the one model refresh of the optimization loop and of
 the Bayesian coverage suite, and the one place that builds that factor.  A
-two-task refresh grows the factor's base Gram, per-task fits and cross-check
-fit from the previous refresh's and returns the factor's posterior at
-sigma-prime, so it factors no n x n system besides the cross-check, and that
-one only when there is no previous factor to grow from (the coverage suite's
-trials).  Grown refreshes compute k new rows' kernel entries and factor k x k
-Schur complements.  One task and three or more fit at sigma-prime with
-:func:`samsbo.gp.fit`.
+two-task refresh hands the factor its data and the previous refresh's
+factor, which grows its base Gram, per-task fits and cross-check fit by the
+new rows (see :mod:`samsbo.twotask`), and returns the factor's posterior at
+sigma-prime.  So it factors no n x n system besides the cross-check, and
+that one only when there is no previous factor to grow from (the coverage
+suite's trials).  One task and three or more fit at sigma-prime with
+:func:`samsbo.gp.fit`, which forms its own Gram.
 """
 from __future__ import annotations
 
@@ -157,13 +157,12 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
         raise ValueError("nu requires positive noise variance")
     if set(confidence_set.members) == {sigma_prime}:
         return 0.0
-    base = (factor.base if factor is not None
-            else se_kernel_matrix(dataset.inputs, dataset.inputs, params))
     rs = confidence_set.offdiagonals
     if rs is not None:
         if factor is None:
-            factor = twotask.TwoTaskFactor.build(dataset, params, base)
+            factor = twotask.TwoTaskFactor.build(dataset, params)
         return factor.nu(float(sigma_prime.matrix[0, 1]), np.unique(rs))
+    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
     zi = dataset.tasks - 1
     y = dataset.observations
     sn2 = params.noise_variance
@@ -213,27 +212,6 @@ def scaling_bundle(
                          beta_bar=beta_bar)
 
 
-def _base_gram(inputs: np.ndarray, params: KernelParams,
-               previous: twotask.TwoTaskFactor | None) -> np.ndarray:
-    """The squared-exponential Gram of ``inputs``, grown from ``previous``'s when that applies.
-
-    It applies when the kernel parameters are equal and ``previous``'s inputs
-    are a prefix of ``inputs``; then only the k new rows' kernel entries are
-    computed, O(n k d) against O(n^2 d), and they are bit-identical to a
-    fresh Gram's (see :mod:`samsbo.kernels`).
-    """
-    n, m = inputs.shape[0], 0 if previous is None else previous.n
-    if not (previous is not None and previous.params == params and m <= n
-            and np.array_equal(previous.dataset.inputs, inputs[:m])):
-        return se_kernel_matrix(inputs, inputs, params)
-    rows = se_kernel_matrix(inputs[m:], inputs, params)
-    base = np.empty((n, n))
-    base[:m, :m] = previous.base
-    base[m:] = rows
-    base[:m, m:] = rows[:, :m].T
-    return base
-
-
 def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: float,
                  cardinality: int, params: KernelParams, delta: float, seed: int = 0,
                  previous: gp.Posterior | None = None,
@@ -243,19 +221,16 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
     One task takes the identity set, so nu = 0, gamma = 1 and beta_bar =
     beta_b.  More tasks keep the 1 - ``rho`` set of the LKJ(``eta``) hyper-
     posterior; ``seed`` drives the angle walk of three or more.  The stages
-    of a two-task refresh share one factor and its base Gram, and the
-    posterior is the factor's :class:`~samsbo.twotask.TwoTaskPosterior`; a
-    single task needs no base Gram, so a grown fit computes only the new
-    rows' kernel columns.  ``cardinality`` is |I| of beta_b.  ``previous``,
-    the posterior of an earlier refresh, goes to :func:`samsbo.gp.fit`, or for
-    two tasks lends its factor's base Gram, per-task fits and cross-check fit
-    to the new factor, which grows them by the new rows.
+    of a two-task refresh share one factor, and the posterior is the
+    factor's :class:`~samsbo.twotask.TwoTaskPosterior`.  ``cardinality`` is
+    |I| of beta_b.  ``previous``, the posterior of an earlier refresh, goes
+    to :func:`samsbo.gp.fit`, or for two tasks lends its factor to the new
+    one, which grows it by the new rows.
     """
-    grown = previous.factor if isinstance(previous, twotask.TwoTaskPosterior) else None
-    base = _base_gram(dataset.inputs, params, grown) if n_tasks > 1 else None
     factor = None
     if n_tasks == 2:
-        factor = twotask.TwoTaskFactor.build(dataset, params, base, previous=grown)
+        grown = previous.factor if isinstance(previous, twotask.TwoTaskPosterior) else None
+        factor = twotask.TwoTaskFactor.build(dataset, params, previous=grown)
     if n_tasks == 1:
         cset = ConfidenceSet((CorrelationMatrix.identity(1),))
     else:
@@ -265,5 +240,4 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
     bundle = scaling_bundle(dataset, cset, cardinality, params, delta, factor=factor)
     if factor is not None:
         return cset, bundle, factor.posterior(bundle.sigma_prime)
-    posterior = gp.fit(dataset, bundle.sigma_prime, params, base_gram=base, previous=previous)
-    return cset, bundle, posterior
+    return cset, bundle, gp.fit(dataset, bundle.sigma_prime, params, previous=previous)

@@ -164,8 +164,6 @@ def _finite_factor(chol: np.ndarray) -> bool:
 def _chol_with_jitter(system: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     """Cholesky factor of ``system``; escalating diagonal jitter on failure."""
     n = system.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), 0.0
     jitter = JITTER_START
     while jitter <= JITTER_MAX * 1.001:
         try:
@@ -319,14 +317,11 @@ class Posterior:
         u = self.sigma_used.size
         if not 1 <= z <= u:
             raise ValueError(f"task index must lie in 1..{u}")
-        if self.dataset.n == 0:
-            prior_var = self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance
-            return np.zeros(points.shape[0]), np.full(points.shape[0], prior_var)
         mean, variance = self._moments(points, z)
         return mean, clamp_variances(variance)
 
     def _moments(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and unclamped variance of task ``z`` at ``points``, for nonempty data."""
+        """Mean and unclamped variance of task ``z`` at ``points``; empty data give the prior."""
         whitened, sumsq = self.whitened(points, z)
         prior_var = self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance
         return whitened.T @ self.whitened_obs, prior_var - sumsq

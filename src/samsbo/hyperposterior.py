@@ -22,9 +22,10 @@ first evaluates the exact Cholesky likelihood of the data at r =
 factorized value disagrees by more than ``CROSS_CHECK_RTOL``, so a wrong
 likelihood is never used silently.  The Cholesky factor is the factor's joint
 fit, which grows along a chain of refreshes; the call reuses it when the data
-have its inputs and tasks, and solves for the data's own observations, so a
-factor of other observations still fails the check.  The cells' prior masses
-are computed once per eta per process.
+have its inputs and tasks and otherwise refits from the data alone, and it
+solves for the data's own observations, so a factor of other inputs or other
+observations fails the check.  The cells' prior masses are computed once per
+eta per process.
 
 More tasks.  Adaptive random-walk Metropolis chains act on the hyperspherical
 angles of the correlation Cholesky factor, with the change-of-variables
@@ -287,28 +288,19 @@ def sample_hyperposterior(
     :class:`CorrelationMatrix`; fixed seeds give bit-identical output.
     ``factor`` optionally supplies the two-task decomposition of ``dataset``
     so a caller that also needs it for nu builds it once; two-task calls
-    without one build their own.  The squared-exponential Gram matrix of the
-    inputs is the factor's when given, and computed here otherwise.
+    without one build their own.  More tasks form the squared-exponential
+    Gram matrix of the inputs here.
     """
     if n_tasks < 2:
         raise ValueError("hyper-posterior sampling needs at least two tasks")
     if not 0.0 < eta < np.inf:          # a NaN eta makes every cell mass NaN
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    base = (factor.base if factor is not None
-            else se_kernel_matrix(dataset.inputs, dataset.inputs, params))
-
-    def loglik(matrix: np.ndarray) -> float:
-        if dataset.n == 0:
-            return 0.0
-        sigma = CorrelationMatrix(matrix)
-        return log_marginal_likelihood(dataset, sigma, params, base_gram=base)
 
     if n_tasks == 2:
         if factor is None:
-            factor = TwoTaskFactor.build(dataset, params, base)
+            factor = TwoTaskFactor.build(dataset, params)
         check = factor.check
-        exact = log_marginal_likelihood(dataset, check.sigma_used, params, base_gram=base,
-                                        previous=check)
+        exact = log_marginal_likelihood(dataset, check.sigma_used, params, previous=check)
         fast = factor.log_likelihood(CHECK_R)
         if abs(fast - exact) > CROSS_CHECK_RTOL * max(abs(exact), 1.0):
             raise NumericalError(
@@ -325,6 +317,7 @@ def sample_hyperposterior(
     if total_keep < MIN_SAMPLES:
         raise ValueError(f"request at least {MIN_SAMPLES} samples")
     n_angles = n_tasks * (n_tasks - 1) // 2
+    base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
 
     def log_target(state: np.ndarray) -> tuple[float, float]:
         matrix = angles_to_correlation(state, n_tasks)
@@ -333,7 +326,9 @@ def sample_hyperposterior(
         sign, logdet = np.linalg.slogdet(matrix)
         if sign <= 0:
             return -np.inf, -np.inf
-        record = loglik(matrix) + (eta - 1.0) * logdet
+        loglik = log_marginal_likelihood(dataset, CorrelationMatrix(matrix), params,
+                                         base_gram=base)
+        record = loglik + (eta - 1.0) * logdet
         return record + _angle_log_jacobian(state, n_tasks), record
 
     bounds = (ANGLE_MARGIN, np.pi - ANGLE_MARGIN)

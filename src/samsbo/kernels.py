@@ -140,8 +140,6 @@ def se_kernel_matrix(X: np.ndarray, Y: np.ndarray, params: KernelParams) -> np.n
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != params.dim or Y.shape[1] != params.dim:
         raise ValueError("input dimension does not match lengthscales")
-    if X.shape[0] == 0 or Y.shape[0] == 0:
-        return np.zeros((X.shape[0], Y.shape[0]))
     return se_kernel_scaled(X / params.lengthscales, Y / params.lengthscales, params)
 
 

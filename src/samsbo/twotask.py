@@ -35,10 +35,13 @@ two products with the per-task inverse factors L_z^-1.  No n x n factor or
 eigendecomposition is formed for these.
 :class:`TwoTaskFactor` holds these pieces; the hyper-posterior quadrature
 over r, the mean-shift term nu and the posterior at sigma-prime share one per
-model refresh.  It also holds the one joint Cholesky fit of a refresh, at
-Sigma(``CHECK_R``), which the hyper-posterior's cross-check compares the
-closed form with.  Like the per-task fits it grows from the previous
-factor's, O(n^2 k) for k new rows, so only a fresh factor pays O(n^3) for it.
+model refresh.  It forms the base Gram k(X, X) itself, the one kernel matrix
+of a two-task refresh, and given the previous refresh's factor grows it by
+the new rows' kernel entries, O(n k d) for k new rows.  It also holds the one
+joint Cholesky fit of a refresh, at Sigma(``CHECK_R``), which the
+hyper-posterior's cross-check compares the closed form with.  Like the
+per-task fits it grows from the previous factor's, O(n^2 k), so only a fresh
+factor pays O(n^3) for it.
 
 The posterior at Sigma(r') (:class:`TwoTaskPosterior`) reads the per-task
 whitened grids W_z = L_z^-1 k(X_z, grid) from the grid caches of the per-task
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp
+from . import gp, kernels
 from .kernels import CorrelationMatrix, KernelParams
 
 __all__ = ["TwoTaskFactor", "TwoTaskPosterior", "minimax"]
@@ -93,17 +96,31 @@ def _coefficients(singular: np.ndarray, r) -> tuple[np.ndarray, np.ndarray, np.n
     return rs * rs / det, -rs / det, det
 
 
+def _base_gram(inputs: np.ndarray, params: KernelParams,
+               previous: "TwoTaskFactor | None") -> np.ndarray:
+    """The squared-exponential Gram of ``inputs``, grown from ``previous``'s where it applies."""
+    n, m = inputs.shape[0], 0 if previous is None else previous.n
+    if not (previous is not None and previous.params == params and m <= n
+            and np.array_equal(previous.dataset.inputs, inputs[:m])):
+        return kernels.se_kernel_matrix(inputs, inputs, params)
+    rows = kernels.se_kernel_matrix(inputs[m:], inputs, params)
+    base = np.empty((n, n))
+    base[:m, :m] = previous.base
+    base[m:] = rows
+    base[:m, m:] = rows[:, :m].T
+    return base
+
+
 @dataclass(frozen=True)
 class TwoTaskFactor:
     """Per-task factors of the two-task Gram pencil (A, B) and the thin SVD of its cross block.
 
     ``tasks`` holds the single-task fits of each task's rows, whose factors
     are L1 and L2, and ``inverses`` their inverses; ``rows`` the dataset rows
-    of each task.  ``base`` is the
-    caller's squared-exponential Gram matrix of all rows, kept for the block
-    products of :meth:`nu` and the hyper-posterior's cross-check, and
-    ``check`` the joint Cholesky fit at Sigma(``CHECK_R``) that the cross-check
-    reads.  Build it with :meth:`build`.
+    of each task.  ``base`` is the squared-exponential Gram matrix of all
+    rows, which :meth:`build` forms or grows and :meth:`nu`'s block products
+    read, and ``check`` the joint Cholesky fit at Sigma(``CHECK_R``) that the
+    hyper-posterior's cross-check reads.  Build it with :meth:`build`.
     """
 
     dataset: gp.MultiTaskDataset
@@ -121,13 +138,17 @@ class TwoTaskFactor:
     check: gp.Posterior                         # the joint fit at Sigma(CHECK_R)
 
     @classmethod
-    def build(cls, dataset: gp.MultiTaskDataset, params: KernelParams, base_gram: np.ndarray,
+    def build(cls, dataset: gp.MultiTaskDataset, params: KernelParams,
               previous: "TwoTaskFactor | None" = None) -> "TwoTaskFactor":
-        """Fit each task's rows and take the thin SVD of the whitened cross block.
+        """Form the base Gram, fit each task's rows and take the thin SVD of the cross block.
 
-        ``previous``, the factor of an earlier dataset, lets each task's fit
-        and the joint fit at Sigma(``CHECK_R``) grow by their new rows when
-        :func:`samsbo.gp.fit` can extend them: O(n^2 k) for k new rows where a
+        ``previous``, the factor of an earlier dataset, lends its base Gram,
+        per-task fits and joint fit at Sigma(``CHECK_R``) to grow by the new
+        rows.  The base Gram grows when the kernel parameters are equal and
+        ``previous``'s inputs are a prefix of ``dataset``'s: only the k new
+        rows' kernel entries are computed, O(n k d) against O(n^2 d), and they
+        are bit-identical to a fresh Gram's (see :mod:`samsbo.kernels`).  The
+        fits grow when :func:`samsbo.gp.fit` can extend them: O(n^2 k) where a
         fresh joint fit costs O(n^3).  Raises
         ``gp.NumericalError`` when a task's block is not positive definite at
         the starting jitter, where the fit would escalate its jitter and no
@@ -135,6 +156,7 @@ class TwoTaskFactor:
         """
         if dataset.n and dataset.tasks.max() > 2:
             raise ValueError("a two-task factor needs task indices in 1..2")
+        base_gram = _base_gram(dataset.inputs, params, previous)
         second = dataset.tasks == 2
         rows = (np.flatnonzero(~second), np.flatnonzero(second))
         fits = []

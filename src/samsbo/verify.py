@@ -133,6 +133,8 @@ def frequentist_coverage(trials: int = DEFAULTS.frequentist_trials, delta: float
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     rng = np.random.default_rng(seed)
     params = KernelParams(1.0, [0.25], noise_variance=0.01)
     sigma = CorrelationMatrix.two_task(0.6)
@@ -189,6 +191,10 @@ def bayesian_coverage(trials: int = DEFAULTS.bayesian_trials, n_per_task: int = 
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    if not 0 <= n_per_task <= grid_size:
+        raise ValueError(f"n_per_task must lie in 0..grid_size = {grid_size}, got {n_per_task}")
     master = np.random.SeedSequence(seed).spawn(trials)
     params = kernel_params(1)
     grid, chol_grid = _draw_factor(grid_size)

@@ -9,6 +9,8 @@ import importlib
 import json
 from pathlib import Path
 
+import pytest
+
 import samsbo
 from samsbo import benchmarks, bounds, gp, hyperposterior, kernels, safeopt, verify
 
@@ -71,5 +73,36 @@ def test_safe_ucb_fires_expected_spans_only(monkeypatch):
 
     fired = _traced_spans(monkeypatch, run)
     spec = _spec("safeucb-branin")
+    assert set(spec["expect_spans"]) <= fired
+    assert not set(spec["expect_silent"]) & fired
+
+
+def _loop(problem, **config):
+    def run():
+        safeopt.run_repetition(problem(disturbance_seed=1), safeopt.LoopConfig(**config), seed=0)
+    return run
+
+
+def _coverage_suites():
+    verify.bayesian_coverage(trials=1)
+    verify.frequentist_coverage(trials=1)
+
+
+SHORT_RUNS = {
+    "branin-samsbo": _loop(benchmarks.branin_problem, iterations=1, grid_size=64, seed_points=2),
+    "laser-samsbo": _loop(benchmarks.laser_problem, iterations=1, grid_size=64, seed_points=2),
+    "safeucb-branin": _loop(benchmarks.branin_problem, algorithm="safe-ucb", iterations=2,
+                            seed_points=3),
+    "verify-bounds": _coverage_suites,
+}
+
+
+@pytest.mark.parametrize("workload", sorted(json.loads((PERFBENCH / "spec.json").read_text())
+                                            ["workloads"]))
+def test_short_run_fires_expected_spans_and_no_silent_one(workload, monkeypatch):
+    """One short operation of each workload fires every ``expect_spans`` layer and no
+    ``expect_silent`` one."""
+    fired = _traced_spans(monkeypatch, SHORT_RUNS[workload])
+    spec = _spec(workload)
     assert set(spec["expect_spans"]) <= fired
     assert not set(spec["expect_silent"]) & fired

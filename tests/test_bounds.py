@@ -19,6 +19,7 @@ from samsbo.safeopt import make_grid
 
 from oracles import (
     beta_freq_robust,
+    empty_dataset,
     gamma_at,
     kernel_dominance,
     operator_norm_lambda,
@@ -416,6 +417,21 @@ class TestRobustModel:
         assert bundle.beta_b == beta_bayes(self.CARDINALITY, 0.05)
         assert bundle.beta_bar == pytest.approx(bundle.beta_b, rel=1e-15)   # (sqrt(b))^2
 
+    @pytest.mark.parametrize("u", [1, 2, 3])
+    def test_empty_data_predict_the_prior(self, u):
+        """No special case: each route's general path gives mean 0 and the prior variance."""
+        _, bundle, posterior = robust_model(empty_dataset(1), u, 0.1, 0.15, self.CARDINALITY,
+                                            PARAMS, 0.05)
+        writable = np.linspace(0.0, 1.0, 7).reshape(-1, 1)
+        frozen = writable.copy()
+        frozen.setflags(write=False)
+        for points in (frozen, writable):
+            for z in range(1, u + 1):
+                mean, variance = posterior.predict_batch(points, z)
+                prior = bundle.sigma_prime.matrix[z - 1, z - 1] * PARAMS.signal_variance
+                assert np.all(mean == 0.0) and np.all(variance == prior)
+                assert mean.shape == variance.shape == (7,)
+
     def test_one_task_grown_refresh_computes_new_columns_only(self, monkeypatch):
         rng = np.random.default_rng(18)
         ds = task_dataset(rng, n=12, u=1)
@@ -488,8 +504,7 @@ class TestRobustModel:
         cs, bundle, posterior = robust_model(ds, u, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05,
                                              seed=5, previous=previous)
 
-        base = se_kernel_matrix(ds.inputs, ds.inputs, PARAMS)
-        factor = twotask.TwoTaskFactor.build(ds, PARAMS, base) if u == 2 else None
+        factor = twotask.TwoTaskFactor.build(ds, PARAMS) if u == 2 else None
         hyper = hyperposterior.sample_hyperposterior(ds, u, 0.1, PARAMS, seed=5, factor=factor)
         cs_hand = hyperposterior.confidence_set(hyper, 0.15)
         bundle_hand = scaling_bundle(ds, cs_hand, self.CARDINALITY, PARAMS, 0.05, factor=factor)
@@ -497,7 +512,7 @@ class TestRobustModel:
         if u == 2:
             posterior_hand = factor.posterior(sp)
         else:
-            posterior_hand = gp.fit(ds, sp, PARAMS, base_gram=base, previous=previous)
+            posterior_hand = gp.fit(ds, sp, PARAMS, previous=previous)
 
         assert cs.members == cs_hand.members
         assert bundle == bundle_hand

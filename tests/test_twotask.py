@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from samsbo import bounds, gp
+from samsbo import bounds, gp, kernels
 from samsbo.hyperposterior import (
     CELL_MIDPOINTS,
     R_MAX,
@@ -22,8 +22,7 @@ PARAMS = KernelParams(1.0, [0.2], noise_variance=0.01)
 
 
 def factor_for(dataset, params=PARAMS):
-    return TwoTaskFactor.build(dataset, params,
-                               se_kernel_matrix(dataset.inputs, dataset.inputs, params))
+    return TwoTaskFactor.build(dataset, params)
 
 
 def cholesky_nu(dataset, sigma_prime, members, params):
@@ -156,25 +155,32 @@ class TestNotPositiveDefinite:
 
     PARAMS = KernelParams(1.0, [0.3], 0.0)
 
-    def case(self, task):
+    def case(self, task, monkeypatch):
+        """The dataset, with the kernel returning the perturbed Gram's entries by input."""
         rng = np.random.default_rng(0)
         X = rng.random((12, 1))
         X[5] = X[1] + 1e-9
         tasks = np.where(np.arange(12) % 2 == 1, task, 3 - task)
         base = se_kernel_matrix(X, X, self.PARAMS)
         base[5, 5] -= 3e-9
-        return gp.MultiTaskDataset(X, tasks, np.sin(3.0 * X[:, 0])), base
+
+        def rows(stack):
+            return [int(np.flatnonzero((X == x).all(axis=1))[0]) for x in stack]
+
+        monkeypatch.setattr(kernels, "se_kernel_matrix",
+                            lambda A, B, params: base[np.ix_(rows(A), rows(B))])
+        return gp.MultiTaskDataset(X, tasks, np.sin(3.0 * X[:, 0]))
 
     @pytest.mark.parametrize("task", [1, 2])
-    def test_raises_at_the_starting_jitter(self, task):
-        dataset, base = self.case(task)
+    def test_raises_at_the_starting_jitter(self, task, monkeypatch):
+        dataset = self.case(task, monkeypatch)
         with pytest.raises(gp.NumericalError, match="not positive definite"):
-            TwoTaskFactor.build(dataset, self.PARAMS, base)
+            TwoTaskFactor.build(dataset, self.PARAMS)
         head = gp.MultiTaskDataset(dataset.inputs[:4], dataset.tasks[:4],
                                    dataset.observations[:4])
-        previous = TwoTaskFactor.build(head, self.PARAMS, base[:4, :4])
+        previous = TwoTaskFactor.build(head, self.PARAMS)
         with pytest.raises(gp.NumericalError, match="not positive definite"):
-            TwoTaskFactor.build(dataset, self.PARAMS, base, previous=previous)
+            TwoTaskFactor.build(dataset, self.PARAMS, previous=previous)
 
 
 class TestNu:
@@ -287,5 +293,21 @@ class TestSampler:
         rng = np.random.default_rng(5)
         dataset = synthetic_two_task(0.5, 10, rng)
         other = gp.MultiTaskDataset(dataset.inputs, dataset.tasks, dataset.observations + 0.1)
+        with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
+            sample_hyperposterior(dataset, 2, 0.1, PARAMS, factor=factor_for(other))
+
+    def test_factor_of_other_inputs_fails_the_cross_check(self):
+        """The check refits from the data's own inputs when it cannot reuse the factor's fit."""
+        rng = np.random.default_rng(5)
+        dataset = synthetic_two_task(0.5, 6, rng)
+        other = gp.MultiTaskDataset(rng.random(dataset.inputs.shape), dataset.tasks,
+                                    dataset.observations)
+        with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
+            sample_hyperposterior(dataset, 2, 0.1, PARAMS, factor=factor_for(other))
+
+    def test_factor_of_another_size_fails_the_cross_check(self):
+        rng = np.random.default_rng(5)
+        dataset = synthetic_two_task(0.5, 6, rng)
+        other = synthetic_two_task(0.5, 4, rng)
         with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
             sample_hyperposterior(dataset, 2, 0.1, PARAMS, factor=factor_for(other))

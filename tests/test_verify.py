@@ -167,3 +167,13 @@ class TestSuites:
     def test_negative_trials_are_refused(self, suite):
         with pytest.raises(ValueError, match="trials"):
             suite(trials=-1)
+
+    @pytest.mark.parametrize("suite", [verify.bayesian_coverage, verify.frequentist_coverage])
+    def test_empty_grid_is_refused(self, suite):
+        with pytest.raises(ValueError, match="grid_size"):
+            suite(trials=1, grid_size=0)
+
+    @pytest.mark.parametrize("n_per_task", [-1, 6])
+    def test_sample_size_outside_the_grid_is_refused(self, n_per_task):
+        with pytest.raises(ValueError, match="n_per_task"):
+            verify.bayesian_coverage(trials=1, n_per_task=n_per_task, grid_size=5)
