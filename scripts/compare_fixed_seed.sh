@@ -19,7 +19,11 @@
 # src/samsbo/*.py (module-level functions and methods of public classes
 # whose names do not start with an underscore), and the fields of the
 # problem types SyntheticProblem and LaserChainProblem, which hold what a
-# caller can vary about a problem.  Last it prints the total of
+# caller can vary about a problem.  Below the counts it names, for each side,
+# the settable values that the other side lacks, such as
+# gp.log_marginal_likelihood(previous) for a parameter, or
+# ExperimentConfig.seed for a config field, so a change in the count comes
+# with the names of the knobs that came or went.  Last it prints the total of
 # scripts/reach.py, the statements of src/samsbo that no fixed-seed run
 # executes, on each side: REF's from a copy of the working tree's reach.py
 # placed in REF's export beside fixed_seed_outputs.sh, so a claim about dead
@@ -59,9 +63,10 @@ print(sum(len(ast.literal_eval(node.value))
 PY
 }
 
-# settable_values DIR: "F fields + P defaulted parameters" of the package in DIR/src/samsbo
+# settable_values DIR NAMES: "F fields + P defaulted parameters" of the package in
+# DIR/src/samsbo; the name of each settable value goes to the file NAMES, one a line
 settable_values() {
-    python3 - "$1" <<'PY'
+    python3 - "$1" "$2" <<'PY'
 import ast
 import dataclasses
 import pathlib
@@ -72,20 +77,36 @@ from samsbo.config import ExperimentConfig  # noqa: E402
 
 
 def public_functions(tree):
+    """(qualified name, node) of each public function and public class's public method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            yield from (f for f in node.body
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
 
 
-params = sum(len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
-             for path in sorted(pathlib.Path(sys.argv[1], "src", "samsbo").glob("*.py"))
-             for f in public_functions(ast.parse(path.read_text())))
-fields = len(dataclasses.fields(ExperimentConfig))
-print(f"{fields} fields + {params} defaulted parameters = {fields + params}")
+def defaulted(args):
+    positional = args.posonlyargs + args.args
+    yield from positional[len(positional) - len(args.defaults):]
+    yield from (a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+params = [f"{path.stem}.{name}({arg.arg})"
+          for path in sorted(pathlib.Path(sys.argv[1], "src", "samsbo").glob("*.py"))
+          for name, f in public_functions(ast.parse(path.read_text()))
+          for arg in defaulted(f.args)]
+fields = [f"ExperimentConfig.{f.name}" for f in dataclasses.fields(ExperimentConfig)]
+pathlib.Path(sys.argv[2]).write_text("".join(f"{name}\n" for name in sorted(fields + params)))
+print(f"{len(fields)} fields + {len(params)} defaulted parameters = {len(fields) + len(params)}")
 PY
+}
+
+# only_in A B: the lines of the sorted file A that B lacks, comma-separated, or "none"
+only_in() {
+    local names
+    names=$(LC_ALL=C comm -23 "$1" "$2" | paste -sd, - | sed 's/,/, /g')
+    echo "${names:-none}"
 }
 
 # unreached DIR: "U of S" statements of DIR/src/samsbo that DIR/scripts/reach.py finds unreached
@@ -190,8 +211,11 @@ for dir in src/samsbo tests; do
 done
 echo "src/samsbo __all__ names: ${commit:0:7} $(public_names "$work/ref/src/samsbo")," \
     "working tree $(public_names "$root/src/samsbo")"
-echo "settable values: ${commit:0:7} $(settable_values "$work/ref")," \
-    "working tree $(settable_values "$root")"
+echo "settable values: ${commit:0:7} $(settable_values "$work/ref" "$work/ref.settable")," \
+    "working tree $(settable_values "$root" "$work/tree.settable")"
+echo "settable values only in ${commit:0:7}: $(only_in "$work/ref.settable" "$work/tree.settable")"
+echo "settable values only in the working tree:" \
+    "$(only_in "$work/tree.settable" "$work/ref.settable")"
 echo "problem fields: ${commit:0:7} $(problem_fields "$work/ref")," \
     "working tree $(problem_fields "$root")"
 echo "unreached statements: ${commit:0:7} $(unreached "$work/ref")," \

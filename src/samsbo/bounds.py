@@ -146,21 +146,20 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
     respective fit; the data part reduces through the smoother identity
     mean(  x_n, z_n) = y_n - noise_variance * a_n to
     noise_variance * |a_S - a_S'|^2.  The maximum is taken over the set.
-    Sets of 2x2 members go through ``factor`` (built here when not supplied),
-    the weight vectors of both paths solving the same unjittered systems.  A
-    set whose every member is sigma_prime has no mean shift: nu is exactly 0.
+    Sets of 2x2 members go through ``factor`` (built here when not supplied,
+    checked against ``dataset`` when it is), the weight vectors of both paths
+    solving the same unjittered systems.  A set whose every member is
+    sigma_prime has no mean shift: nu is exactly 0.
     """
     _check_size(sigma_prime, confidence_set)
-    if dataset.n == 0:
-        return 0.0
     if params.noise_variance <= 0.0:
         raise ValueError("nu requires positive noise variance")
     if set(confidence_set.members) == {sigma_prime}:
         return 0.0
     rs = confidence_set.offdiagonals
     if rs is not None:
-        if factor is None:
-            factor = twotask.TwoTaskFactor.build(dataset, params)
+        factor = (twotask.TwoTaskFactor.build(dataset, params) if factor is None
+                  else factor.of(dataset))
         return factor.nu(float(sigma_prime.matrix[0, 1]), np.unique(rs))
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
     zi = dataset.tasks - 1

@@ -4,8 +4,9 @@ Posterior mean and variance follow the standard closed form with the
 single-task Gram matrix replaced by its multi-task counterpart.  The fitted
 state is a Cholesky factor L of the regularized Gram matrix, the jitter that
 factor carries and the whitened observations L^-1 y, which the mean and the
-log marginal likelihood read in place of a weight vector K^-1 y.  A jitter is
-a multiple of the signal variance, here and in :mod:`samsbo.twotask`: the
+log marginal likelihood read in place of a weight vector K^-1 y; the caller
+of :func:`log_marginal_likelihood` names the fit it reads.  A jitter is a
+multiple of the signal variance, here and in :mod:`samsbo.twotask`: the
 diagonal carries noise variance + jitter * signal variance.
 
 Growing data.  :func:`fit` given the ``previous`` posterior extends its factor
@@ -60,7 +61,7 @@ the covariance a fantasized pick downdates with.  The two-task posterior of
 no joint factor and reads its grid moments from two single-task fits of this
 module, one per task, whose grid caches grow as above.  So :func:`fit` serves
 one task, three or more tasks, the frequentist coverage suite, the per-task
-fits of a two-task factor and the hyper-posterior's Cholesky cross-check; no
+fits of a two-task factor and that factor's Cholesky cross-check; no
 two-task model refresh factors the joint n x n system at sigma-prime.
 
 Triangular solves.  The whitened observations and the growth's L21' call
@@ -471,22 +472,17 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
     return Posterior(dataset, sigma, params, L, jitter, whitened_obs, grid)
 
 
-def log_marginal_likelihood(dataset: MultiTaskDataset, sigma: CorrelationMatrix,
-                            params: KernelParams, base_gram: np.ndarray | None = None,
-                            previous: Posterior | None = None) -> float:
-    """Log density of the observations under the zero-mean GP prior plus noise.
+def log_marginal_likelihood(posterior: Posterior) -> float:
+    """Log density of a fit's observations under its zero-mean GP prior plus noise.
 
-    Reads the factor and the whitened observations w = L^-1 y of :func:`fit`,
-    so both factor the same regularized system: y' K^-1 y = |w|^2.
-    ``base_gram`` and ``previous`` go to :func:`fit`; a ``previous`` fitted to
-    the same inputs and tasks lends its factor as it is, so the call costs one
-    triangular solve.
+    Reads the factor and the whitened observations w = L^-1 y of a
+    :func:`fit`, so both factor the same regularized system: y' K^-1 y = |w|^2.
+    It factors nothing itself; an empty fit gives 0.  A posterior without a
+    joint factor raises ``TypeError``.
     """
-    if dataset.n == 0:
-        return 0.0
-    posterior = fit(dataset, sigma, params, base_gram, previous)
+    if posterior.chol is None:
+        raise TypeError("a posterior without a joint factor has no Cholesky log likelihood; "
+                        "read TwoTaskFactor.log_likelihood")
     w = posterior.whitened_obs
-    return float(
-        -0.5 * w @ w - np.sum(np.log(np.diag(posterior.chol)))
-        - 0.5 * dataset.n * np.log(2.0 * np.pi)
-    )
+    return float(-0.5 * w @ w - np.sum(np.log(np.diag(posterior.chol)))
+                 - 0.5 * posterior.dataset.n * np.log(2.0 * np.pi))

@@ -16,16 +16,10 @@ The LKJ marginal is (r + 1) / 2 ~ Beta(eta, eta) (Lewandowski, Kurowicka and
 Joe 2009).  Cell masses rather than midpoint densities keep the integrable
 singularity of a small eta at r -> 1 from handing the last cell most of the
 prior.  The confidence set keeps whole cells: each run of kept cells adds its
-outer edges as members, so its range holds all of the kept mass.  Each call
-first evaluates the exact Cholesky likelihood of the data at r =
-``twotask.CHECK_R`` and raises :class:`samsbo.gp.NumericalError` if the
-factorized value disagrees by more than ``CROSS_CHECK_RTOL``, so a wrong
-likelihood is never used silently.  The Cholesky factor is the factor's joint
-fit, which grows along a chain of refreshes; the call reuses it when the data
-have its inputs and tasks and otherwise refits from the data alone, and it
-solves for the data's own observations, so a factor of other inputs or other
-observations fails the check.  The cells' prior masses are computed once per
-eta per process.
+outer edges as members, so its range holds all of the kept mass.  The
+factor's closed form is checked against a Cholesky fit of the data in
+:mod:`samsbo.twotask` (see its module notes).  The cells' prior masses are
+computed once per eta per process.
 
 More tasks.  Adaptive random-walk Metropolis chains act on the hyperspherical
 angles of the correlation Cholesky factor, with the change-of-variables
@@ -41,9 +35,10 @@ from functools import cache, cached_property
 import numpy as np
 from scipy.special import betainc
 
-from .gp import MultiTaskDataset, NumericalError, log_marginal_likelihood
+from . import gp
+from .gp import MultiTaskDataset, log_marginal_likelihood
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
-from .twotask import CHECK_R, TwoTaskFactor
+from .twotask import TwoTaskFactor
 
 __all__ = [
     "McmcDiagnostics",
@@ -58,7 +53,6 @@ __all__ = [
 ]
 
 R_MAX = 1.0 - 1e-6
-CROSS_CHECK_RTOL = 1e-8     # relative to max(|log likelihood|, 1 nat)
 ANGLE_MARGIN = 1e-6
 MIN_SAMPLES = 10
 PRIOR_MASS_FLOOR = 1e-6     # least truncated prior mass to draw from: about 1e6 proposals
@@ -288,8 +282,9 @@ def sample_hyperposterior(
     :class:`CorrelationMatrix`; fixed seeds give bit-identical output.
     ``factor`` optionally supplies the two-task decomposition of ``dataset``
     so a caller that also needs it for nu builds it once; two-task calls
-    without one build their own.  More tasks form the squared-exponential
-    Gram matrix of the inputs here.
+    without one build their own, and one built on other data raises
+    ``gp.NumericalError`` (:meth:`~samsbo.twotask.TwoTaskFactor.of`).  More
+    tasks form the squared-exponential Gram matrix of the inputs here.
     """
     if n_tasks < 2:
         raise ValueError("hyper-posterior sampling needs at least two tasks")
@@ -297,16 +292,7 @@ def sample_hyperposterior(
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
     if n_tasks == 2:
-        if factor is None:
-            factor = TwoTaskFactor.build(dataset, params)
-        check = factor.check
-        exact = log_marginal_likelihood(dataset, check.sigma_used, params, previous=check)
-        fast = factor.log_likelihood(CHECK_R)
-        if abs(fast - exact) > CROSS_CHECK_RTOL * max(abs(exact), 1.0):
-            raise NumericalError(
-                f"factorized log likelihood {fast!r} differs from the Cholesky value "
-                f"{exact!r} at r = {CHECK_R}"
-            )
+        factor = TwoTaskFactor.build(dataset, params) if factor is None else factor.of(dataset)
         # equal cells: a cell's mass is its density up to one constant
         log_weights = factor.log_likelihood(CELL_MIDPOINTS) + _log_cell_masses(eta)
         midpoints, edges = cell_matrices()
@@ -326,8 +312,8 @@ def sample_hyperposterior(
         sign, logdet = np.linalg.slogdet(matrix)
         if sign <= 0:
             return -np.inf, -np.inf
-        loglik = log_marginal_likelihood(dataset, CorrelationMatrix(matrix), params,
-                                         base_gram=base)
+        loglik = log_marginal_likelihood(gp.fit(dataset, CorrelationMatrix(matrix), params,
+                                                base_gram=base))
         record = loglik + (eta - 1.0) * logdet
         return record + _angle_log_jacobian(state, n_tasks), record
 

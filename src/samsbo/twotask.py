@@ -37,11 +37,16 @@ eigendecomposition is formed for these.
 over r, the mean-shift term nu and the posterior at sigma-prime share one per
 model refresh.  It forms the base Gram k(X, X) itself, the one kernel matrix
 of a two-task refresh, and given the previous refresh's factor grows it by
-the new rows' kernel entries, O(n k d) for k new rows.  It also holds the one
-joint Cholesky fit of a refresh, at Sigma(``CHECK_R``), which the
-hyper-posterior's cross-check compares the closed form with.  Like the
-per-task fits it grows from the previous factor's, O(n^2 k), so only a fresh
-factor pays O(n^3) for it.
+the new rows' kernel entries, O(n k d) for k new rows.
+
+A factor checks itself where it is made: :meth:`TwoTaskFactor.build` raises
+:class:`samsbo.gp.NumericalError` when its closed-form log likelihood at
+Sigma(``CHECK_R``) is off the Cholesky value of the refresh's one joint fit
+there by more than ``CROSS_CHECK_RTOL``.  That fit grows from the previous
+factor's like the per-task fits, O(n^2 k), so only a fresh factor pays O(n^3)
+for it.  :meth:`TwoTaskFactor.of` checks a factor handed to another dataset
+against a fit of that dataset alone, so a factor of other inputs, other
+observations or another size fails.
 
 The posterior at Sigma(r') (:class:`TwoTaskPosterior`) reads the per-task
 whitened grids W_z = L_z^-1 k(X_z, grid) from the grid caches of the per-task
@@ -69,7 +74,8 @@ from .kernels import CorrelationMatrix, KernelParams
 __all__ = ["TwoTaskFactor", "TwoTaskPosterior", "minimax"]
 
 _ONE_TASK = CorrelationMatrix.identity(1)
-CHECK_R = 0.5       # the r of the joint Cholesky fit the hyper-posterior checks a factor against
+CHECK_R = 0.5               # the r of the joint Cholesky fit a factor checks itself against
+CROSS_CHECK_RTOL = 1e-8     # relative to max(|log likelihood|, 1 nat)
 
 
 def minimax(rs: np.ndarray) -> tuple[int, float]:
@@ -119,8 +125,8 @@ class TwoTaskFactor:
     are L1 and L2, and ``inverses`` their inverses; ``rows`` the dataset rows
     of each task.  ``base`` is the squared-exponential Gram matrix of all
     rows, which :meth:`build` forms or grows and :meth:`nu`'s block products
-    read, and ``check`` the joint Cholesky fit at Sigma(``CHECK_R``) that the
-    hyper-posterior's cross-check reads.  Build it with :meth:`build`.
+    read, and ``check`` the joint Cholesky fit at Sigma(``CHECK_R``) it checks
+    itself against.  Build it with :meth:`build`, hand it on with :meth:`of`.
     """
 
     dataset: gp.MultiTaskDataset
@@ -149,8 +155,9 @@ class TwoTaskFactor:
         rows' kernel entries are computed, O(n k d) against O(n^2 d), and they
         are bit-identical to a fresh Gram's (see :mod:`samsbo.kernels`).  The
         fits grow when :func:`samsbo.gp.fit` can extend them: O(n^2 k) where a
-        fresh joint fit costs O(n^3).  Raises
-        ``gp.NumericalError`` when a task's block is not positive definite at
+        fresh joint fit costs O(n^3).  The factor checks itself against the
+        joint fit (see the module notes) and raises ``gp.NumericalError`` when
+        that check fails, or when a task's block is not positive definite at
         the starting jitter, where the fit would escalate its jitter and no
         longer factor the system of the Cholesky path.
         """
@@ -183,7 +190,21 @@ class TwoTaskFactor:
             tasks=(one, two), inverses=inverses, left=left, right=right, singular=singular,
             projected=(left.T @ one.whitened_obs, right.T @ two.whitened_obs),
             log_det_a=2.0 * log_diag, check=check,
-        )
+        )._checked(check)
+
+    def of(self, dataset: gp.MultiTaskDataset) -> "TwoTaskFactor":
+        """This factor, checked against a fit of ``dataset`` unless that is its own."""
+        if dataset is self.dataset:
+            return self
+        return self._checked(gp.fit(dataset, CorrelationMatrix.two_task(CHECK_R), self.params))
+
+    def _checked(self, check: gp.Posterior) -> "TwoTaskFactor":
+        """This factor if its log likelihood at ``CHECK_R`` matches the Cholesky fit ``check``."""
+        exact, fast = gp.log_marginal_likelihood(check), self.log_likelihood(CHECK_R)
+        if abs(fast - exact) > CROSS_CHECK_RTOL * max(abs(exact), 1.0):
+            raise gp.NumericalError(f"factorized log likelihood {fast!r} differs from the "
+                                    f"Cholesky value {exact!r} at r = {CHECK_R}")
+        return self
 
     @property
     def n(self) -> int:
@@ -252,8 +273,6 @@ class TwoTaskFactor:
         S S'^-1 S = [[p, q], [q, p]] gives G = p A0 + q B, so every member
         costs O(n^2).
         """
-        if self.n == 0:
-            return 0.0
         rs = np.asarray(rs, dtype=float)
         weights = self._weights(np.concatenate([[r_prime], rs]))
         same, cross = self._blocks(weights)

@@ -35,7 +35,7 @@ from samsbo.benchmarks import (
     StabilityError,
 )
 from samsbo.bounds import beta_freq
-from samsbo.gp import MultiTaskDataset, log_marginal_likelihood
+from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
 from samsbo.hyperposterior import R_MAX
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
@@ -131,8 +131,8 @@ def two_task_log_likelihoods(dataset, params: KernelParams, rs: np.ndarray) -> n
     if dataset.n == 0:
         return np.zeros(len(rs))
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
-    return np.array([log_marginal_likelihood(dataset, CorrelationMatrix.two_task(float(r)),
-                                             params, base_gram=base) for r in rs])
+    return np.array([log_marginal_likelihood(fit(dataset, CorrelationMatrix.two_task(float(r)),
+                                                 params, base_gram=base)) for r in rs])
 
 
 def posterior_grid_two_task(dataset, params: KernelParams, eta: float,

@@ -265,6 +265,14 @@ class TestNuFactor:
         sp = CorrelationMatrix.two_task(0.6)
         assert nu_factor(ds, sp, make_set([sp]), PARAMS) == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("u", [2, 3])
+    def test_empty_data_reach_the_noise_check(self, u):
+        sp = CorrelationMatrix.identity(u)
+        cs = make_set([sp, random_correlation(u, np.random.default_rng(u))])
+        noiseless = KernelParams(1.0, [0.3], noise_variance=0.0)
+        with pytest.raises(ValueError, match="positive noise variance"):
+            nu_factor(empty_dataset(1), sp, cs, noiseless)
+
     def test_scales_with_observations(self):
         rng = np.random.default_rng(7)
         ds = task_dataset(rng, n=10)
@@ -419,9 +427,11 @@ class TestRobustModel:
 
     @pytest.mark.parametrize("u", [1, 2, 3])
     def test_empty_data_predict_the_prior(self, u):
-        """No special case: each route's general path gives mean 0 and the prior variance."""
-        _, bundle, posterior = robust_model(empty_dataset(1), u, 0.1, 0.15, self.CARDINALITY,
-                                            PARAMS, 0.05)
+        """No special case: each route's general path gives mean 0, the prior variance and
+        nu exactly 0, from a set of several members for two and three tasks."""
+        cs, bundle, posterior = robust_model(empty_dataset(1), u, 0.1, 0.15, self.CARDINALITY,
+                                             PARAMS, 0.05)
+        assert bundle.nu == 0.0 and (u == 1 or len(set(cs.members)) > 1)
         writable = np.linspace(0.0, 1.0, 7).reshape(-1, 1)
         frozen = writable.copy()
         frozen.setflags(write=False)
@@ -471,6 +481,28 @@ class TestRobustModel:
         assert np.array_equal(rs, [m.matrix[0, 1] for m in cs.members])
         assert make_set([CorrelationMatrix.identity(3)]).offdiagonals is None
 
+    def test_two_task_refresh_fits_three_times(self, monkeypatch):
+        """Two per-task fits and the joint fit at Sigma(CHECK_R), whose likelihood is read once."""
+        rng = np.random.default_rng(22)
+        ds = task_dataset(rng, n=16)
+        head = gp.MultiTaskDataset(ds.inputs[:12], ds.tasks[:12], ds.observations[:12])
+        calls = {"fit": 0, "log_marginal_likelihood": 0}
+        for name in calls:
+            real = getattr(gp, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(gp, name, counting)
+        previous = None
+        for data in (head, ds):                 # fresh, then grown
+            for name in calls:
+                calls[name] = 0
+            _, _, previous = robust_model(data, 2, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05,
+                                          previous=previous)
+            assert calls == {"fit": 3, "log_marginal_likelihood": 1}
+
     def test_grown_refreshes_match_fresh_ones(self):
         """Along a chain of two-task refreshes the base Gram grows bit for bit and the
         cross-check's joint fit grows to a fresh fit's log likelihood."""
@@ -490,8 +522,8 @@ class TestRobustModel:
             assert np.array_equal(factor.base, se_kernel_matrix(ds.inputs, ds.inputs, params))
             sigma = factor.check.sigma_used
             assert sigma == CorrelationMatrix.two_task(twotask.CHECK_R)
-            grown = gp.log_marginal_likelihood(ds, sigma, params, previous=factor.check)
-            fresh = gp.log_marginal_likelihood(ds, sigma, params)
+            grown = gp.log_marginal_likelihood(factor.check)
+            fresh = gp.log_marginal_likelihood(gp.fit(ds, sigma, params))
             assert abs(grown - fresh) <= 1e-10 * abs(fresh)
             assert abs(factor.log_likelihood(twotask.CHECK_R) - fresh) <= 1e-8 * abs(fresh)
 

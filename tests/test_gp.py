@@ -143,7 +143,7 @@ class TestLogMarginalLikelihood:
     def test_univariate_normal_density(self):
         ds = MultiTaskDataset(np.array([[0.0]]), [1], [0.0])
         params = KernelParams(0.5, [1.0], noise_variance=0.5)
-        value = log_marginal_likelihood(ds, CorrelationMatrix.identity(1), params)
+        value = log_marginal_likelihood(fit(ds, CorrelationMatrix.identity(1), params))
         assert value == pytest.approx(-0.5 * np.log(2.0 * np.pi), abs=1e-9)
 
     def test_independent_tasks_add(self):
@@ -156,9 +156,9 @@ class TestLogMarginalLikelihood:
                                  np.concatenate([y1, y2]))
         single1 = MultiTaskDataset(X1, np.ones(5, int), y1)
         single2 = MultiTaskDataset(X2, np.ones(4, int), y2)
-        lj = log_marginal_likelihood(joint, CorrelationMatrix.identity(2), params)
-        l1 = log_marginal_likelihood(single1, CorrelationMatrix.identity(1), params)
-        l2 = log_marginal_likelihood(single2, CorrelationMatrix.identity(1), params)
+        lj = log_marginal_likelihood(fit(joint, CorrelationMatrix.identity(2), params))
+        l1 = log_marginal_likelihood(fit(single1, CorrelationMatrix.identity(1), params))
+        l2 = log_marginal_likelihood(fit(single2, CorrelationMatrix.identity(1), params))
         assert lj == pytest.approx(l1 + l2, abs=1e-8)
 
     def test_row_permutation_invariance(self):
@@ -168,8 +168,8 @@ class TestLogMarginalLikelihood:
         params = make_params()
         perm = rng.permutation(8)
         shuffled = MultiTaskDataset(ds.inputs[perm], ds.tasks[perm], ds.observations[perm])
-        assert log_marginal_likelihood(ds, sigma, params) == pytest.approx(
-            log_marginal_likelihood(shuffled, sigma, params), abs=1e-9)
+        assert log_marginal_likelihood(fit(ds, sigma, params)) == pytest.approx(
+            log_marginal_likelihood(fit(shuffled, sigma, params)), abs=1e-9)
 
     def test_two_task_dense_gaussian_density(self):
         # -1/2 y' K^-1 y - 1/2 log det K - n/2 log 2 pi with K the fit's regularized system
@@ -186,7 +186,8 @@ class TestLogMarginalLikelihood:
         sign, logdet = np.linalg.slogdet(K)
         assert sign > 0
         reference = -0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
-        assert log_marginal_likelihood(ds, sigma, params) == pytest.approx(reference, abs=1e-10)
+        assert log_marginal_likelihood(fit(ds, sigma, params)) == pytest.approx(reference,
+                                                                         abs=1e-10)
 
 
 class TestMeanValues:

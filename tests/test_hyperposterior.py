@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta
 
-from samsbo.gp import MultiTaskDataset, log_marginal_likelihood
+from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
 from samsbo.hyperposterior import (
     CELL_EDGES,
     CELL_MIDPOINTS,
@@ -108,7 +108,7 @@ class TestSampleHyperposterior:
         assert len(distinct) < len(post.samples)
         assert len({id(s) for s in post.samples}) == len(distinct)
         for sample, logd in distinct.values():
-            exact = (log_marginal_likelihood(dataset, sample, PARAMS)
+            exact = (log_marginal_likelihood(fit(dataset, sample, PARAMS))
                      + (eta - 1.0) * np.linalg.slogdet(sample.matrix)[1])
             assert logd == pytest.approx(exact, rel=1e-8)
 

@@ -73,7 +73,8 @@ class TestLogLikelihood:
         dataset = datasets()[name]
         factor = factor_for(dataset)
         for r in (0.0, 0.3, 0.5, 0.9, R_MAX):
-            exact = gp.log_marginal_likelihood(dataset, CorrelationMatrix.two_task(r), PARAMS)
+            exact = gp.log_marginal_likelihood(gp.fit(dataset, CorrelationMatrix.two_task(r),
+                                                      PARAMS))
             assert factor.log_likelihood(r) == pytest.approx(exact, rel=1e-10, abs=1e-12)
 
     def test_spectrum_is_plus_minus_the_singular_values(self):
@@ -112,6 +113,8 @@ class TestPosterior:
                     assert np.max(np.abs(got - want)) <= 1e-10
             with pytest.raises(TypeError, match="no joint factor"):
                 posterior.whitened(points, 1)
+            with pytest.raises(TypeError, match="TwoTaskFactor.log_likelihood"):
+                gp.log_marginal_likelihood(posterior)
 
     def test_sigma_prime_moves_and_the_task_grids_only_grow(self, monkeypatch):
         fills = []
@@ -311,3 +314,44 @@ class TestSampler:
         other = synthetic_two_task(0.5, 4, rng)
         with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
             sample_hyperposterior(dataset, 2, 0.1, PARAMS, factor=factor_for(other))
+
+
+class TestCrossCheck:
+    """A factor checks itself where it is made, and ``of`` checks it against other data."""
+
+    def test_own_and_equal_data_return_the_factor(self):
+        dataset = synthetic_two_task(0.5, 6, np.random.default_rng(5))
+        factor = factor_for(dataset)
+        copy = gp.MultiTaskDataset(dataset.inputs.copy(), dataset.tasks.copy(),
+                                   dataset.observations.copy())
+        assert factor.of(dataset) is factor and factor.of(copy) is factor
+
+    def test_nu_and_the_bundle_refuse_a_factor_of_other_data(self):
+        """Factors of other observations, other inputs and another size."""
+        rng = np.random.default_rng(5)
+        dataset = synthetic_two_task(0.5, 6, rng)
+        others = (gp.MultiTaskDataset(dataset.inputs, dataset.tasks, dataset.observations + 0.1),
+                  gp.MultiTaskDataset(rng.random(dataset.inputs.shape), dataset.tasks,
+                                      dataset.observations),
+                  synthetic_two_task(0.5, 4, rng))
+        sigma_prime = CorrelationMatrix.two_task(0.3)
+        cs = ConfidenceSet((sigma_prime, CorrelationMatrix.two_task(0.7)))
+        for other in others:
+            factor = factor_for(other)
+            with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
+                bounds.nu_factor(dataset, sigma_prime, cs, PARAMS, factor=factor)
+            with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
+                bounds.scaling_bundle(dataset, cs, 100, PARAMS, 0.05, factor=factor)
+
+    def test_build_checks_itself(self, monkeypatch):
+        """A closed form off by 1 nat fails in build, fresh and grown, before any sampler call."""
+        dataset = synthetic_two_task(0.5, 8, np.random.default_rng(5))
+        head = gp.MultiTaskDataset(dataset.inputs[:10], dataset.tasks[:10],
+                                   dataset.observations[:10])
+        previous = factor_for(head)
+        real = TwoTaskFactor.log_likelihood
+        monkeypatch.setattr(TwoTaskFactor, "log_likelihood",
+                            lambda factor, r: real(factor, r) + 1.0)
+        for grown in (None, previous):
+            with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
+                TwoTaskFactor.build(dataset, PARAMS, previous=grown)
