@@ -27,7 +27,12 @@
 # scripts/reach.py, the statements of src/samsbo that no fixed-seed run
 # executes, on each side: REF's from a copy of the working tree's reach.py
 # placed in REF's export beside fixed_seed_outputs.sh, so a claim about dead
-# branches comes from the same command as the identity check.  Exits 0 when
+# branches comes from the same command as the identity check.  Below the
+# totals it names, one a line, the unreached statements of each side that the
+# other side lacks, as "module: source text" without the line number (for
+# example "safeopt: points = np.linspace(0.0, 1.0, size).reshape(-1, 1)"), so
+# code that moves does not count and a change in the total names the
+# statements that came or went.  Exits 0 when
 # every file is byte-identical and 1 on any difference; a failing run exits
 # with its own status.  Each side takes about 15 s on a 2-core VM.
 #
@@ -109,9 +114,18 @@ only_in() {
     echo "${names:-none}"
 }
 
-# unreached DIR: "U of S" statements of DIR/src/samsbo that DIR/scripts/reach.py finds unreached
+# unreached DIR NAMES: "U of S" statements of DIR/src/samsbo that DIR/scripts/reach.py finds
+# unreached; each unreached statement goes to the file NAMES as "module: source text", one a line
 unreached() {
-    python3 "$1/scripts/reach.py" | sed -n 's/^total: \([0-9]* of [0-9]*\) .*/\1/p'
+    python3 "$1/scripts/reach.py" > "$2.report"
+    awk '/^samsbo\/.*\.py: / { module = $1; sub(/^samsbo\//, "", module); sub(/\.py:$/, "", module) }
+         /^  / { sub(/^ *[0-9]+  /, ""); print module ": " $0 }' "$2.report" | LC_ALL=C sort > "$2"
+    sed -n 's/^total: \([0-9]* of [0-9]*\) .*/\1/p' "$2.report"
+}
+
+# listed_only_in A B: the lines of the sorted file A that B lacks, each indented, or "    none"
+listed_only_in() {
+    LC_ALL=C comm -23 "$1" "$2" | sed 's/^/    /' | grep . || echo "    none"
 }
 
 # problem_fields DIR: the field counts of the problem types in DIR/src/samsbo
@@ -218,6 +232,10 @@ echo "settable values only in the working tree:" \
     "$(only_in "$work/tree.settable" "$work/ref.settable")"
 echo "problem fields: ${commit:0:7} $(problem_fields "$work/ref")," \
     "working tree $(problem_fields "$root")"
-echo "unreached statements: ${commit:0:7} $(unreached "$work/ref")," \
-    "working tree $(unreached "$root")"
+echo "unreached statements: ${commit:0:7} $(unreached "$work/ref" "$work/ref.unreached")," \
+    "working tree $(unreached "$root" "$work/tree.unreached")"
+echo "unreached statements only in ${commit:0:7}:"
+listed_only_in "$work/ref.unreached" "$work/tree.unreached"
+echo "unreached statements only in the working tree:"
+listed_only_in "$work/tree.unreached" "$work/ref.unreached"
 exit "$status"

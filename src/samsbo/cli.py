@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify-bounds":
             return cmd_verify_bounds(_load_config(args))
         out = os.environ.get("SAMSBO_OUT")
-        out_path = str(Path(out) / "plotdata.csv") if out else args.out
+        out_path = str(_output_dir(out) / "plotdata.csv") if out else args.out
         return cmd_plotdata(args.raw, out_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

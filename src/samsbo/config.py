@@ -126,6 +126,12 @@ class ExperimentConfig(LoopConfig):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
+        for f in fields(self):          # serialize_config must parse back to an equal config
+            value = getattr(self, f.name)
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} cannot hold a '#', a line break or whitespace "
+                                  f"at either end in config text, got {value!r}")
 
     def _check_algorithms(self) -> None:
         names = self.algorithms()
@@ -153,9 +159,9 @@ def _coerce(name: str, kind: type, raw: str, line_no: int):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines are ignored."""
+    """Parse ``key = value`` lines, each key once; '#' starts a comment, blank lines are ignored."""
     kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
-    values = {}
+    values, lines = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -166,7 +172,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in kinds:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        values[key] = _coerce(key, kinds[key], raw, line_no)
+        if key in lines:
+            raise ConfigError(f"line {line_no}: {key} is already set on line {lines[key]}")
+        values[key], lines[key] = _coerce(key, kinds[key], raw, line_no), line_no
     return ExperimentConfig(**values)
 
 

@@ -14,11 +14,13 @@ own model refresh, :func:`samsbo.bounds.robust_model`, on the noisy
 observations, and checks the robust band the same way.  The ICM prior
 covariance of the function on the G-point grid is the Kronecker product
 Sigma (x) K, so the grid kernel is factored once per grid size per process,
-L_K = chol(K + eps I) with eps = DRAW_JITTER (:func:`_draw_factor`), and each
-trial draws (L_Sigma (x) L_K) xi: no 2G x 2G matrix is formed.
+L_K = chol(K + eps I) with eps = ``gp.JITTER_START`` times the signal
+variance (:func:`_draw_factor`), and each trial draws (L_Sigma (x) L_K) xi:
+no 2G x 2G matrix is formed.
 
-Each suite queries its own read-only grid, so the posterior's grid cache
-applies and the two tasks of one posterior share one base kernel.
+Both suites check the band on the read-only ``make_grid(1, GRID_SIZE).points``,
+so the posterior's grid cache applies and the two tasks of one posterior
+share one base kernel.
 """
 from __future__ import annotations
 
@@ -30,13 +32,15 @@ import numpy as np
 from . import bounds, gp, hyperposterior
 from .config import ExperimentConfig, kernel_params
 from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
+from .safeopt import make_grid
 
 __all__ = ["CoverageReport", "frequentist_coverage", "bayesian_coverage"]
 
 NUMERIC_SLACK = 1e-9
 COVERAGE_SLACK = 0.05       # how far below its target a suite's empirical coverage may fall
-DRAW_JITTER = 1e-10         # diagonal added to the grid kernel before factoring it
+GRID_SIZE = 200             # points of the 1-D grid on which both suites check the band
 FREQUENTIST_OBSERVATIONS = 30   # design size of the frequentist suite, half on each task
+BAYESIAN_OBSERVATIONS_PER_TASK = 20     # grid points the Bayesian suite observes on each task
 DEFAULTS = ExperimentConfig()   # the suites' delta, rho, eta, trial counts and seed
 
 
@@ -71,28 +75,19 @@ def _expansion_values(grid: np.ndarray, centers: np.ndarray, center_tasks: np.nd
     return base @ weights
 
 
-def _read_only_grid(size: int) -> np.ndarray:
-    """``size`` equispaced points of [0, 1] as a column array that owns its read-only data.
-
-    A read-only view of a writable array does not count as read-only for the
-    grid cache, so the points are copied.
-    """
-    grid = np.linspace(0.0, 1.0, size).reshape(-1, 1).copy()
-    grid.setflags(write=False)
-    return grid
-
-
 @cache
 def _draw_factor(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Bayesian suite's read-only grid of ``grid_size`` points and L_K on it.
+    """The read-only points of ``make_grid(1, grid_size)`` and L_K on them.
 
-    L_K = chol(K + DRAW_JITTER I) of the grid kernel under ``kernel_params(1)``.
-    The kernel parameters and the jitter are constants, so the grid size is
-    the whole key, and a process factors each grid size once.
+    L_K = chol(K + eps I) of the grid kernel under ``kernel_params(1)``, with
+    eps = ``gp.JITTER_START`` times its signal variance.  The kernel
+    parameters and the jitter are constants, so the grid size is the whole
+    key, and a process factors each grid size once.
     """
-    grid = _read_only_grid(grid_size)
-    chol = np.linalg.cholesky(se_kernel_matrix(grid, grid, kernel_params(1))
-                              + DRAW_JITTER * np.eye(grid_size))
+    grid = make_grid(1, grid_size).points
+    params = kernel_params(1)
+    chol = np.linalg.cholesky(se_kernel_matrix(grid, grid, params)
+                              + gp.JITTER_START * params.signal_variance * np.eye(grid_size))
     chol.setflags(write=False)
     return grid, chol
 
@@ -123,7 +118,7 @@ def _covers(posterior: gp.Posterior, grid: np.ndarray, f_grid: dict[int, np.ndar
 
 
 def frequentist_coverage(trials: int = DEFAULTS.frequentist_trials, delta: float = DEFAULTS.delta,
-                         grid_size: int = 200, seed: int = DEFAULTS.seed) -> CoverageReport:
+                         seed: int = DEFAULTS.seed) -> CoverageReport:
     """Coverage of the frequentist band around a fixed finite kernel expansion.
 
     One-dimensional two-task setup; only the observation noise is redrawn per
@@ -133,8 +128,6 @@ def frequentist_coverage(trials: int = DEFAULTS.frequentist_trials, delta: float
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     rng = np.random.default_rng(seed)
     params = KernelParams(1.0, [0.25], noise_variance=0.01)
     sigma = CorrelationMatrix.two_task(0.6)
@@ -156,7 +149,7 @@ def frequentist_coverage(trials: int = DEFAULTS.frequentist_trials, delta: float
         for i in range(n_obs)
     ])
 
-    grid = _read_only_grid(grid_size)
+    grid = make_grid(1, GRID_SIZE).points
     f_grid = {z: _expansion_values(grid, centers, center_tasks, coefficients, sigma, params, z)
               for z in (1, 2)}
     beta = bounds.beta_freq(norm, n_obs, delta)
@@ -172,9 +165,8 @@ def frequentist_coverage(trials: int = DEFAULTS.frequentist_trials, delta: float
     return CoverageReport("frequentist", trials, successes, 1.0 - delta, COVERAGE_SLACK)
 
 
-def bayesian_coverage(trials: int = DEFAULTS.bayesian_trials, n_per_task: int = 20,
-                      delta: float = DEFAULTS.delta, rho: float = DEFAULTS.rho,
-                      eta: float = DEFAULTS.eta, grid_size: int = 200,
+def bayesian_coverage(trials: int = DEFAULTS.bayesian_trials, delta: float = DEFAULTS.delta,
+                      rho: float = DEFAULTS.rho, eta: float = DEFAULTS.eta,
                       seed: int = DEFAULTS.seed) -> CoverageReport:
     """Coverage of the robust Bayesian band under prior-drawn correlation matrices.
 
@@ -185,18 +177,16 @@ def bayesian_coverage(trials: int = DEFAULTS.bayesian_trials, n_per_task: int = 
     every grid point.  beta_b counts |I| = G, the points checked.
 
     The function is drawn as (L_Sigma (x) L_K) xi for one standard normal xi
-    of length 2G, with L_K = chol(K + DRAW_JITTER I) of the G x G grid kernel
+    of length 2G, with L_K = chol(K + eps I) of the G x G grid kernel
     factored once per grid size per process (:func:`_draw_factor`).  Its
-    covariance is Sigma(r) (x) (K + DRAW_JITTER I).
+    covariance is Sigma(r) (x) (K + eps I).  Each task observes
+    ``BAYESIAN_OBSERVATIONS_PER_TASK`` distinct grid points.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    if not 0 <= n_per_task <= grid_size:
-        raise ValueError(f"n_per_task must lie in 0..grid_size = {grid_size}, got {n_per_task}")
     master = np.random.SeedSequence(seed).spawn(trials)
     params = kernel_params(1)
+    grid_size, n_per_task = GRID_SIZE, BAYESIAN_OBSERVATIONS_PER_TASK
     grid, chol_grid = _draw_factor(grid_size)
     noise_sd = np.sqrt(params.noise_variance)
 

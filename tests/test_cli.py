@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +120,29 @@ class TestParseConfig:
         cfg = parse_config_text("problem = laser\nseed = 9\neta = 0.5\n")
         again = parse_config_text(serialize_config(cfg))
         assert again == cfg
+
+    def test_every_field_roundtrips_at_a_non_default_value(self):
+        cfg = ExperimentConfig(
+            algorithm="safe-ucb, ucb", iterations=7, delta=0.1, rho=0.2, eta=0.3, grid_size=64,
+            seed_points=2, problem="powell", dimension=8, threshold=1.5, n_tasks=3,
+            disturbance=-0.25, repetitions=2, seed=9, frequentist_trials=10, bayesian_trials=11,
+            jobs=2, out="runs/a b=c")
+        for f in fields(ExperimentConfig):
+            assert getattr(cfg, f.name) != f.default, f.name
+        assert parse_config_text(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("out", "res#1"), ("out", " res"), ("out", "res "), ("out", "res\nseed = 1"),
+        ("out", "a\rb"), ("algorithm", "samsbo "), ("algorithm", "\tucb")])
+    def test_string_the_text_form_cannot_hold_is_refused(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} cannot hold"):
+            ExperimentConfig(**{key: value})
+
+    def test_key_set_twice_names_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: seed is already set on line 1"):
+            parse_config_text("seed = 1\neta = 0.5\nseed = 2\n")
+        with pytest.raises(ConfigError, match="line 2: out is already set on line 1"):
+            parse_config_text("out = a\n out = a  # the same value\n")
 
 
 def small_config(tmp_path, **overrides):
@@ -269,6 +292,15 @@ class TestMainEntry:
         assert (env_out / "samsbo_raw.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_env_var_out_is_created_for_plotdata(self, tmp_path, monkeypatch):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(",".join(RAW_HEADER) + "\nalg,0,1,1,0.5,1.0,1.0,1.0,1,1.0,0.0,4,0\n")
+        env_out = tmp_path / "missing" / "from_env"
+        monkeypatch.setenv("SAMSBO_OUT", str(env_out))
+        assert main(["plotdata", str(raw), "--out", str(tmp_path / "ignored.csv")]) == 0
+        assert (env_out / "plotdata.csv").read_text().splitlines()[0] == ",".join(PLOTDATA_HEADER)
+        assert not (tmp_path / "ignored.csv").exists()
+
     def test_verify_bounds_zero_trials(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SAMSBO_OUT", raising=False)
         cfg_file = tmp_path / "cfg.txt"
@@ -415,11 +447,15 @@ class TestSharedDefaults:
     def test_coverage_suites_default_to_the_config(self):
         cfg = ExperimentConfig()
         assert self.defaults(verify.frequentist_coverage) == {
-            "trials": cfg.frequentist_trials, "delta": cfg.delta, "grid_size": 200,
-            "seed": cfg.seed}
+            "trials": cfg.frequentist_trials, "delta": cfg.delta, "seed": cfg.seed}
         assert self.defaults(verify.bayesian_coverage) == {
-            "trials": cfg.bayesian_trials, "n_per_task": 20, "delta": cfg.delta,
-            "rho": cfg.rho, "eta": cfg.eta, "grid_size": 200, "seed": cfg.seed}
+            "trials": cfg.bayesian_trials, "delta": cfg.delta, "rho": cfg.rho, "eta": cfg.eta,
+            "seed": cfg.seed}
+        assert list(inspect.signature(verify.frequentist_coverage).parameters) == [
+            "trials", "delta", "seed"]
+        assert list(inspect.signature(verify.bayesian_coverage).parameters) == [
+            "trials", "delta", "rho", "eta", "seed"]
+        assert verify.GRID_SIZE == 200 and verify.BAYESIAN_OBSERVATIONS_PER_TASK == 20
 
     @pytest.mark.parametrize("name", sorted(benchmarks.PROBLEMS))
     def test_problem_factories_default_to_the_config(self, name):

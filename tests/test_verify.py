@@ -7,6 +7,7 @@ from samsbo import bounds, gp, verify
 from samsbo.config import kernel_params
 from samsbo.hyperposterior import R_MAX
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
+from samsbo.safeopt import make_grid
 
 
 def recorded_trials(monkeypatch) -> list:
@@ -62,9 +63,10 @@ class TestBayesianDraw:
     @pytest.mark.parametrize("r", [0.0, 0.5, R_MAX])
     def test_draw_has_the_kronecker_covariance(self, r):
         g = 30
-        grid = verify._read_only_grid(g)
-        K = se_kernel_matrix(grid, grid, KernelParams(1.0, [0.2], noise_variance=0.01))
-        regularized = K + verify.DRAW_JITTER * np.eye(g)
+        grid = make_grid(1, g).points
+        params = KernelParams(1.0, [0.2], noise_variance=0.01)
+        K = se_kernel_matrix(grid, grid, params)
+        regularized = K + gp.JITTER_START * params.signal_variance * np.eye(g)
         chol = np.linalg.cholesky(regularized)
         M = np.column_stack([np.concatenate(verify._two_task_draw(chol, r, xi))
                              for xi in np.eye(2 * g)])
@@ -81,10 +83,10 @@ class TestBayesianDraw:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", recording)
-        grid_size = 200
+        grid_size = verify.GRID_SIZE
         verify._draw_factor.cache_clear()
-        verify.bayesian_coverage(trials=3, grid_size=grid_size)
-        verify.bayesian_coverage(trials=3, grid_size=grid_size, seed=1)
+        verify.bayesian_coverage(trials=3)
+        verify.bayesian_coverage(trials=3, seed=1)
         assert shapes and max(shape[0] for shape in shapes) <= grid_size
         assert shapes.count((grid_size, grid_size)) == 1
 
@@ -106,9 +108,11 @@ class TestDrawFactorCache:
         grid, chol = verify._draw_factor(50)
         again = verify._draw_factor(50)
         assert again[0] is grid and again[1] is chol
-        assert np.array_equal(grid, verify._read_only_grid(50))
-        kernel = se_kernel_matrix(grid, grid, kernel_params(1))
-        assert np.array_equal(chol, np.linalg.cholesky(kernel + verify.DRAW_JITTER * np.eye(50)))
+        assert np.array_equal(grid, make_grid(1, 50).points)
+        params = kernel_params(1)
+        kernel = se_kernel_matrix(grid, grid, params)
+        jitter = gp.JITTER_START * params.signal_variance
+        assert np.array_equal(chol, np.linalg.cholesky(kernel + jitter * np.eye(50)))
         for array in (grid, chol):
             assert gp._frozen(array)
             with pytest.raises(ValueError, match="read-only"):
@@ -160,7 +164,9 @@ class TestSuites:
             return factors[-1]
 
         monkeypatch.setattr(bounds, "beta_bayes", recording)
-        verify.bayesian_coverage(trials=2, n_per_task=5, delta=0.05, grid_size=grid_size)
+        monkeypatch.setattr(verify, "GRID_SIZE", grid_size)
+        monkeypatch.setattr(verify, "BAYESIAN_OBSERVATIONS_PER_TASK", 5)
+        verify.bayesian_coverage(trials=2, delta=0.05)
         assert factors == [beta_bayes(grid_size, 0.05)] * 2
 
     @pytest.mark.parametrize("suite", [verify.bayesian_coverage, verify.frequentist_coverage])
@@ -169,11 +175,10 @@ class TestSuites:
             suite(trials=-1)
 
     @pytest.mark.parametrize("suite", [verify.bayesian_coverage, verify.frequentist_coverage])
-    def test_empty_grid_is_refused(self, suite):
-        with pytest.raises(ValueError, match="grid_size"):
-            suite(trials=1, grid_size=0)
-
-    @pytest.mark.parametrize("n_per_task", [-1, 6])
-    def test_sample_size_outside_the_grid_is_refused(self, n_per_task):
-        with pytest.raises(ValueError, match="n_per_task"):
-            verify.bayesian_coverage(trials=1, n_per_task=n_per_task, grid_size=5)
+    def test_band_is_checked_on_the_loop_grid(self, monkeypatch, suite):
+        trials = recorded_trials(monkeypatch)
+        suite(trials=2)
+        assert len(trials) == 2
+        for _, grid in trials:
+            assert np.array_equal(grid, make_grid(1, verify.GRID_SIZE).points)
+            assert gp._frozen(grid)
