@@ -30,8 +30,14 @@
 #     within bound  otherwise
 #
 # A gain also needs failed operations no higher than REF's; compare the
-# failed-operation lines.  Tracked files are left unchanged.  One pair of
-# `all` takes about 5 minutes on a 2-core VM.
+# failed-operation lines.
+#
+# The summary is also written to BENCH_<REF's short sha>.json at the root of
+# the checkout: for every workload and end-to-end metric, REF's and the
+# tree's medians and interquartile ranges, the number of pairs the tree won,
+# the number of pairs and the verdict, and for every workload each side's
+# failed operations per pair.  Other tracked files are left unchanged.  One
+# pair of `all` takes about 5 minutes on a 2-core VM.
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
@@ -81,13 +87,14 @@ for seed in $(seq "$first" "$last"); do
     fi
 done
 
-python3 - "$work" "$first" "$last" "${commit:0:7}" <<'EOF'
+python3 - "$work" "$first" "$last" "${commit:0:7}" "$root" <<'EOF'
 import glob
 import json
 import os
 import sys
 
-work, first, last, ref = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+work, first, last, ref, root = (sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4],
+                                sys.argv[5])
 with open(os.path.join(work, "ref", "BENCHMARK.json"), encoding="utf-8") as handle:
     metrics = json.load(handle)["end_to_end"]
 
@@ -125,10 +132,12 @@ def verdict(a, b, bound):
 
 
 before, after = load("ref"), load("tree")
+record = {"ref": ref, "seeds": [first, last], "workloads": {}}
 print(f"{last - first + 1} alternated pair(s), seeds {first}-{last}: {ref} against the working tree")
 print(f"{'workload':16s} {'metric':12s} {'median [q1, q3] of ' + ref:>34s} "
       f"{'tree median':>12s} {'change':>8s} {'better':>7s}  verdict")
 for name in before:
+    summary = record["workloads"][name] = {"metrics": {}}
     for metric in metrics:
         key, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         a = [r["metrics"][key]["value"] for r in before[name]]
@@ -137,16 +146,28 @@ for name in before:
             print(f"{name:16s} {key:12s} not measured on every run")
             continue
         med_a, med_b = quantile(a, 0.5), quantile(b, 0.5)
+        iqr_a, iqr_b = (quantile(x, 0.75) - quantile(x, 0.25) for x in (a, b))
         spread = f"{med_a:.4g} [{quantile(a, 0.25):.4g}, {quantile(a, 0.75):.4g}]"
         change = 100.0 * (med_b - med_a) / med_a if med_a else float("nan")
         # the verdict reads every metric as lower-is-better
         a, b = [sign * x for x in a], [sign * y for y in b]
         better = sum(y < x for x, y in zip(a, b))
+        ruling = verdict(a, b, metric["bound"])
         print(f"{name:16s} {key:12s} {spread:>34s} {med_b:12.4g} {change:+7.1f}% "
-              f"{better:4d}/{len(a)}  {verdict(a, b, metric['bound'])}")
-    for side, runs in ((ref, before[name]), ("tree", after.get(name, []))):
+              f"{better:4d}/{len(a)}  {ruling}")
+        summary["metrics"][key] = {
+            "ref_median": med_a, "ref_iqr": iqr_a, "tree_median": med_b, "tree_iqr": iqr_b,
+            "tree_better": better, "pairs": len(a), "verdict": ruling,
+        }
+    for side, label, runs in ((ref, "ref", before[name]), ("tree", "tree", after.get(name, []))):
         failed = [r["failed"] for r in runs]
         attempted = sum(r["attempted"] for r in runs)
+        summary[f"failed_{label}"] = failed
         print(f"{name:16s} failed operations of {side}: {sum(failed)} of {attempted} "
               f"(per pair {failed})")
+path = os.path.join(root, f"BENCH_{ref}.json")
+with open(path, "w", encoding="utf-8") as handle:
+    json.dump(record, handle, indent=1)
+    handle.write("\n")
+print(f"summary written to {path}")
 EOF

@@ -1,6 +1,7 @@
 """Settings: the loop's knobs, the campaign around them, and their key-value file format."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -145,8 +146,13 @@ class ExperimentConfig(LoopConfig):
         return [a.strip() for a in self.algorithm.split(",") if a.strip()]
 
 
+@functools.cache
 def kernel_params(dimension: int) -> KernelParams:
-    """The fixed kernel of the standardized GP on ``dimension`` inputs."""
+    """The fixed kernel of the standardized GP on ``dimension`` inputs.
+
+    One immutable instance per dimension (its lengthscales are read-only), so
+    a model refresh reads it instead of building it.
+    """
     return KernelParams(SIGNAL_VARIANCE, np.full(dimension, LENGTHSCALE), NOISE_VARIANCE)
 
 

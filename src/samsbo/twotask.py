@@ -52,7 +52,16 @@ The posterior at Sigma(r') (:class:`TwoTaskPosterior`) reads the per-task
 whitened grids W_z = L_z^-1 k(X_z, grid) from the grid caches of the per-task
 fits.  They do not depend on r, so along a chain of refreshes they grow by the
 new rows only, even when sigma-prime moves.  A refresh recomputes only the
-projections U' W1 and V' W2, O(p n G) for G points.
+projections U' W1 and V' W2, O(p n G) for G points.  The mean's parts
+W1' t1 and W2' t2 ride in the same products, t1 as one extra row under U'
+and t2 under V', so each grid is read once per posterior and a prediction
+from the cached entry is O(G).  The means differ from separate products in
+their last bits (about 1e-14).  The projection rows, and so the variances,
+mostly keep their bits on OpenBLAS, but that is a property of its ``gemm``
+kernels, not a guarantee: a one-row product (p = 1) goes through ``gemv``
+unstacked, and an extra row can change how ``gemm`` splits the others.  In
+the benchmark's two-task loops one point of one posterior's variances moved,
+by 1.1e-16; no decision and no fixed-seed output changed.
 
 2x2 correlation matrices also share their eigenvectors, so their spectral
 ratios reduce to scalar arithmetic on the off-diagonal entries, and one
@@ -115,6 +124,13 @@ def _base_gram(inputs: np.ndarray, params: KernelParams,
     base[m:] = rows
     base[:m, m:] = rows[:, :m].T
     return base
+
+
+def _projected(basis: np.ndarray, weights: np.ndarray, grid: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """basis' grid and grid' weights from one product, ``weights`` riding as an extra row."""
+    product = np.vstack([basis.T, weights]) @ grid
+    return product[:-1], product[-1]
 
 
 @dataclass(frozen=True)
@@ -298,9 +314,9 @@ class TwoTaskPosterior(gp.Posterior):
     :meth:`whitened` raises ``TypeError``.  ``weights`` are the two tasks' parts of
     t = (I + r' C)^-1 w, so a mean is q' t for q = L_A^-1 k, and
     ``coefficients`` are c1 and c2 at r'.  For each point array the grid cache
-    holds the per-task whitened grids of the factor's fits and the column sums
-    the variances read, which take the projections U' W1 and V' W2 (see the
-    module notes).
+    holds the per-task whitened grids of the factor's fits, the column sums
+    the variances read, which take the projections U' W1 and V' W2, and the
+    mean parts W1' t1 and W2' t2 of the same products (see the module notes).
     """
 
     factor: TwoTaskFactor
@@ -312,29 +328,32 @@ class TwoTaskPosterior(gp.Posterior):
                         "read predict_batch or pick_covariance")
 
     def _grids(self, points: np.ndarray) -> tuple:
-        """The whitened grids W1 and W2 at ``points`` and the column sums S11,
+        """The whitened grids W1 and W2 at ``points``, the column sums S11,
         S22 and S12 of W1^2 + c1 P1^2, W2^2 + c1 P2^2 and c2 P1 P2, where
-        P1 = U' W1 and P2 = V' W2.
+        P1 = U' W1 and P2 = V' W2, and the mean parts W1' t1 and W2' t2.
 
-        An entry is reused while the fits return the same whitened grids, that
-        is for a read-only ``points`` whose grids the fits cache.
+        Each grid is read once: t1 rides under U' and t2 under V' as one
+        extra row of the projection product (see the module notes).  An entry
+        is reused while the fits return the same whitened grids, that is for a
+        read-only ``points`` whose grids the fits cache.
         """
         (w1, sq1), (w2, sq2) = (fit.whitened(points, 1) for fit in self.factor.tasks)
         for entry in self._grid[:]:
             if entry[0] is w1 and entry[1] is w2:
                 return entry
         c1, c2 = self.coefficients
-        p1, p2 = self.factor.left.T @ w1, self.factor.right.T @ w2
-        entry = (w1, w2, sq1 + c1 @ (p1 * p1), sq2 + c1 @ (p2 * p2), c2 @ (p1 * p2))
+        t1, t2 = self.weights
+        (p1, m1), (p2, m2) = (_projected(basis, t, w) for basis, t, w in
+                              ((self.factor.left, t1, w1), (self.factor.right, t2, w2)))
+        entry = (w1, w2, sq1 + c1 @ (p1 * p1), sq2 + c1 @ (p2 * p2), c2 @ (p1 * p2), m1, m2)
         self._grid[:] = [entry]
         return entry
 
     def _moments(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
-        w1, w2, s11, s22, s12 = self._grids(points)
-        t1, t2 = self.weights
+        _, _, s11, s22, s12, m1, m2 = self._grids(points)
         # the whitened cross-covariance of task z is q = (S[z, 1] W1, S[z, 2] W2)
         g1, g2 = self.sigma_used.matrix[z - 1]
-        mean = g1 * (w1.T @ t1) + g2 * (w2.T @ t2)
+        mean = g1 * m1 + g2 * m2
         explained = g1 * g1 * s11 + g2 * g2 * s22 + 2.0 * g1 * g2 * s12
         return mean, self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance - explained
 

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from samsbo.config import (
     ConfigError,
     ExperimentConfig,
     LoopConfig,
+    kernel_params,
     parse_config_text,
     serialize_config,
 )
@@ -463,6 +464,18 @@ class TestSharedDefaults:
         defaults = self.defaults(benchmarks.PROBLEMS[name])
         assert defaults["disturbance"] == cfg.disturbance
         assert defaults["n_tasks"] == cfg.n_tasks
+
+
+class TestKernelParams:
+    def test_one_read_only_instance_per_dimension(self):
+        first = kernel_params(2)
+        assert kernel_params(2) is first
+        assert kernel_params(3) is not first and kernel_params(3).dim == 3
+        assert not first.lengthscales.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.lengthscales[0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            first.signal_variance = 2.0
 
 
 class TestBuildProblem:

@@ -654,9 +654,9 @@ class TestGridFill:
         blocks = []
         real = gp.Posterior._new_rows
 
-        def recording(self, entries, points):
-            result = real(self, entries, points)
-            blocks.extend(block for block, _ in result)
+        def recording(self, entries, points, *means):
+            result = real(self, entries, points, *means)
+            blocks.extend(block for block, *_ in result)
             return result
 
         monkeypatch.setattr(gp.Posterior, "_new_rows", recording)
@@ -666,6 +666,127 @@ class TestGridFill:
             assert np.shares_memory(whitened, posterior._grid[z - 1].buffer.data)
             assert not whitened.flags.writeable
         assert len(blocks) == 2                     # one fill for both tasks
+
+
+class GridSpy(np.ndarray):
+    """A cached whitened grid that counts the entries matrix products read from it."""
+
+    read = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            GridSpy.read += sum(x.size for x in inputs if isinstance(x, GridSpy))
+        inputs = [np.asarray(x) if isinstance(x, GridSpy) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def spy_on_grids(monkeypatch):
+    """Hand out every cached whitened grid as a GridSpy and reset its count."""
+    def view(buffer):
+        rows = buffer.data[:buffer.filled].view(GridSpy)
+        rows.setflags(write=False)
+        return rows
+
+    monkeypatch.setattr(gp._RowBuffer, "view", view)
+    GridSpy.read = 0
+
+
+class TestFusedMeans:
+    """A prediction's fill computes the mean V_z' w in the product that grows the grid."""
+
+    SIGMA = TestExtension.SIGMA
+    PARAMS = TestExtension.PARAMS
+    POINTS = frozen(np.random.default_rng(21).random((250, 2)))
+
+    def data(self, n, u=2, seed=0):
+        rng = np.random.default_rng(seed)
+        return MultiTaskDataset(rng.random((n, 2)), rng.integers(1, u + 1, n),
+                                rng.standard_normal(n))
+
+    def assert_means_match(self, posterior, points=POINTS):
+        for z in range(1, posterior.sigma_used.size + 1):
+            got = posterior.predict_batch(points, z)[0]        # the prediction fills first
+            want = posterior.whitened(points, z)[0].T @ posterior.whitened_obs
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_fresh_fill(self):
+        posterior = fit(self.data(150), self.SIGMA, self.PARAMS)
+        self.assert_means_match(posterior)
+        assert posterior._means and posterior._means[0][0] is self.POINTS
+
+    @pytest.mark.parametrize("m", [40, 150])     # one product, and blocks of GRID_BLOCK rows
+    def test_appended_fill(self, m):
+        full = self.data(m + 3)
+        previous = fit(TestExtension().prefix(full, m), self.SIGMA, self.PARAMS)
+        previous.predict_batch(self.POINTS, 1)
+        grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
+        assert grown._means == []                  # a mean is not inherited
+        self.assert_means_match(grown)
+        assert grown._grid[0].buffer is previous._grid[0].buffer     # appended in place
+
+    def test_sibling_copy_fill(self):
+        full = self.data(125)
+        parent = fit(TestExtension().prefix(full, 120), self.SIGMA, self.PARAMS)
+        parent.predict_batch(self.POINTS, 1)
+        first = fit(TestExtension().prefix(full, 122), self.SIGMA, self.PARAMS, previous=parent)
+        second = fit(full, self.SIGMA, self.PARAMS, previous=parent)
+        first.predict_batch(self.POINTS, 1)
+        self.assert_means_match(second)
+        assert second._grid[0].buffer is not parent._grid[0].buffer   # copied the prefix
+        self.assert_means_match(first)
+
+    def test_three_tasks(self):
+        sigma = random_correlation(3, np.random.default_rng(22))
+        full = self.data(105, u=3)
+        previous = fit(TestExtension().prefix(full, 100), sigma, self.PARAMS)
+        previous.predict_batch(self.POINTS, 2)
+        grown = fit(full, sigma, self.PARAMS, previous=previous)
+        grown.predict_batch(self.POINTS, 3)        # one fill keeps every task's mean
+        assert len(grown._means[0][1]) == 3
+        self.assert_means_match(grown)
+
+    def test_writable_points(self):
+        full = self.data(103)
+        previous = fit(TestExtension().prefix(full, 100), self.SIGMA, self.PARAMS)
+        previous.predict_batch(self.POINTS, 1)
+        grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
+        self.assert_means_match(grown, np.array(self.POINTS))
+        assert grown._means == []
+
+    def test_whitened_fill_keeps_no_mean(self):
+        full = self.data(103)
+        previous = fit(TestExtension().prefix(full, 100), self.SIGMA, self.PARAMS)
+        previous.whitened(self.POINTS, 1)
+        grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
+        grown.whitened(self.POINTS, 2)
+        assert grown._means == []
+        self.assert_means_match(grown)             # the rows are covered: V_z' w
+
+    def test_covered_rows_with_other_observations_read_their_own_mean(self):
+        dataset = self.data(60)
+        first = fit(dataset, self.SIGMA, self.PARAMS)
+        first.predict_batch(self.POINTS, 1)
+        other = MultiTaskDataset(dataset.inputs, dataset.tasks, -2.0 * dataset.observations)
+        second = fit(other, self.SIGMA, self.PARAMS, previous=first)
+        assert second.chol is first.chol and second._means == []
+        self.assert_means_match(second)
+        assert np.allclose(second.predict_batch(self.POINTS, 1)[0],
+                           -2.0 * first.predict_batch(self.POINTS, 1)[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("u", [1, 2])
+    def test_prediction_after_a_grown_fit_reads_the_grid_once(self, u, monkeypatch):
+        spy_on_grids(monkeypatch)
+        sigma = CorrelationMatrix.identity(1) if u == 1 else self.SIGMA
+        m, g = 150, self.POINTS.shape[0]
+        full = self.data(m + 1, u=u)
+        previous = fit(TestExtension().prefix(full, m), sigma, self.PARAMS)
+        previous.predict_batch(self.POINTS, 1)
+        grown = fit(full, sigma, self.PARAMS, previous=previous)
+        GridSpy.read = 0
+        for _ in range(2):
+            for z in range(1, u + 1):
+                grown.predict_batch(self.POINTS, z)
+        assert GridSpy.read == u * m * g           # each task's covered rows, once
 
 
 class TestSolveLower:

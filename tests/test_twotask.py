@@ -16,6 +16,7 @@ from samsbo.safeopt import _greedy_variance_picks, make_grid
 from samsbo.twotask import TwoTaskFactor
 
 from oracles import empty_dataset, two_task_log_likelihoods
+from test_gp import GridSpy, spy_on_grids
 from test_hyperposterior import synthetic_two_task
 
 PARAMS = KernelParams(1.0, [0.2], noise_variance=0.01)
@@ -120,9 +121,9 @@ class TestPosterior:
         fills = []
         real = gp.Posterior._new_rows
 
-        def recording(posterior, entries, points):
+        def recording(posterior, entries, points, *means):
             fills.append((posterior.dataset.n, entries[0].rows if entries else 0))
-            return real(posterior, entries, points)
+            return real(posterior, entries, points, *means)
 
         monkeypatch.setattr(gp.Posterior, "_new_rows", recording)
         rng = np.random.default_rng(3)
@@ -150,6 +151,60 @@ class TestPosterior:
         exact_fills = len(centres)                         # the reference fits' fresh fills
         assert len(from_zero) == 2 + exact_fills           # one per task, then only growth
         assert len(grown) == 2 * (len(centres) - 1)
+
+
+class TestFusedProjection:
+    """The weights t1 and t2 ride under U' and V' in the one product over each task's grid."""
+
+    @staticmethod
+    def factors(points):
+        mixed = datasets()["mixed"]                 # task 1's rows, then task 2's
+        order = np.ravel(np.column_stack([np.arange(40), np.arange(40, 80)]))
+        both = gp.MultiTaskDataset(mixed.inputs[order], mixed.tasks[order],
+                                   mixed.observations[order])
+        head = gp.MultiTaskDataset(both.inputs[:30], both.tasks[:30], both.observations[:30])
+        previous = factor_for(head)
+        for fit in previous.tasks:
+            fit.whitened(points, 1)                 # the grown factor's fits append to these
+        grown = TwoTaskFactor.build(both, PARAMS, previous=previous)
+        for fit, old in zip(grown.tasks, previous.tasks):
+            fit.whitened(points, 1)
+            assert fit._grid[0].buffer is old._grid[0].buffer
+        return {**{name: factor_for(d) for name, d in datasets().items()}, "grown": grown}
+
+    @pytest.mark.parametrize("name", ["mixed", "task-1 only", "task-2 only", "empty", "grown"])
+    def test_variances_equal_separate_projections_and_means_agree(self, name):
+        """Bit for bit on OpenBLAS at these sizes; the module notes say where it is not."""
+        points = frozen_grid()
+        factor = self.factors(points)[name]
+        (w1, sq1), (w2, sq2) = (fit.whitened(points, 1) for fit in factor.tasks)
+        p1, p2 = factor.left.T @ w1, factor.right.T @ w2
+        for r in (0.0, 0.5, R_MAX):
+            posterior = factor.posterior(CorrelationMatrix.two_task(r))
+            (c1, c2), (t1, t2) = posterior.coefficients, posterior.weights
+            for z in (1, 2):
+                g1, g2 = posterior.sigma_used.matrix[z - 1]
+                explained = (g1 * g1 * (sq1 + c1 @ (p1 * p1)) + g2 * g2 * (sq2 + c1 @ (p2 * p2))
+                             + 2.0 * g1 * g2 * (c2 @ (p1 * p2)))
+                variance = gp.clamp_variances(PARAMS.signal_variance - explained)
+                mean = g1 * (w1.T @ t1) + g2 * (w2.T @ t2)
+                got_mean, got_variance = posterior.predict_batch(points, z)
+                assert np.array_equal(got_variance, variance)
+                assert np.max(np.abs(got_mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+
+    def test_prediction_reads_each_task_grid_once(self, monkeypatch):
+        spy_on_grids(monkeypatch)
+        dataset = datasets()["mixed"]
+        factor = factor_for(dataset)
+        points = frozen_grid()
+        for fit in factor.tasks:
+            fit.whitened(points, 1)
+        posterior = factor.posterior(CorrelationMatrix.two_task(0.5))
+        GridSpy.read = 0
+        for _ in range(2):
+            for z in (1, 2):
+                posterior.predict_batch(points, z)
+        assert GridSpy.read == dataset.n * points.shape[0]
 
 
 class TestNotPositiveDefinite:
