@@ -6,7 +6,7 @@
 #     scripts/compare_fixed_seed.sh REF
 #
 # REF is exported with `git archive` to a temporary directory.  The working
-# tree's scripts/fixed_seed_outputs.sh then writes its 23-file set once from
+# tree's scripts/fixed_seed_outputs.sh then writes its 25-file set once from
 # REF's src/ and once from the working tree's src/, so both sides run the same
 # configurations, and `diff -r` compares the two sets.  After the verdict it
 # prints the line totals of REF's src/samsbo/*.py and tests/*.py and of the
@@ -32,7 +32,10 @@
 # other side lacks, as "module: source text" without the line number (for
 # example "safeopt: points = np.linspace(0.0, 1.0, size).reshape(-1, 1)"), so
 # code that moves does not count and a change in the total names the
-# statements that came or went.  Exits 0 when
+# statements that came or went.  Last of all it prints, for each module whose
+# number of counted statements differs between the sides (the S of reach.py's
+# "U of S" line per module), both counts, so a claim about the size of a
+# module comes from the same command.  Exits 0 when
 # every file is byte-identical and 1 on any difference; a failing run exits
 # with its own status.  Each side takes about 15 s on a 2-core VM.
 #
@@ -121,6 +124,12 @@ unreached() {
     awk '/^samsbo\/.*\.py: / { module = $1; sub(/^samsbo\//, "", module); sub(/\.py:$/, "", module) }
          /^  / { sub(/^ *[0-9]+  /, ""); print module ": " $0 }' "$2.report" | LC_ALL=C sort > "$2"
     sed -n 's/^total: \([0-9]* of [0-9]*\) .*/\1/p' "$2.report"
+}
+
+# statements REPORT: "module S" per module of a reach.py report, S its counted statements
+statements() {
+    sed -n 's#^samsbo/\(.*\)\.py: [0-9]* of \([0-9]*\) statements unreached$#\1 \2#p' "$1" \
+        | LC_ALL=C sort
 }
 
 # listed_only_in A B: the lines of the sorted file A that B lacks, each indented, or "    none"
@@ -238,4 +247,9 @@ echo "unreached statements only in ${commit:0:7}:"
 listed_only_in "$work/ref.unreached" "$work/tree.unreached"
 echo "unreached statements only in the working tree:"
 listed_only_in "$work/tree.unreached" "$work/ref.unreached"
+echo "statements per module where they differ:"
+LC_ALL=C join -a 1 -a 2 -e 0 -o 0,1.2,2.2 <(statements "$work/ref.unreached.report") \
+    <(statements "$work/tree.unreached.report") \
+    | awk -v ref="${commit:0:7}" '$2 != $3 { print "    " $1 ": " ref " " $2 ", working tree " $3; n++ }
+                                   END { if (!n) print "    none" }'
 exit "$status"

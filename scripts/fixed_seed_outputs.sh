@@ -5,9 +5,11 @@
 #
 #     scripts/fixed_seed_outputs.sh OUTDIR
 #
-# OUTDIR receives 23 files, all at seed 3 with one BLAS thread:
+# OUTDIR receives 25 files, all at seed 3 with one BLAS thread:
 #   branin/      samsbo, safe-ucb, ucb and multi-task-ucb, 6 iterations x 2 repetitions
 #   laser/       samsbo and safe-ucb, 2 iterations x 2 repetitions
+#   laser10/     samsbo, 10 iterations x 1 repetition: its per-task grids grow past
+#                gp.GRID_BLOCK rows, so the blocked grid product runs
 #   powell/      samsbo and safe-ucb, 2 iterations x 2 repetitions
 #   powell8/     the same with dimension = 8
 #   branin3/     samsbo with n_tasks = 3, 3 iterations x 1 repetition
@@ -54,6 +56,7 @@ run() {
 run branin run "problem = branin" "algorithm = samsbo,safe-ucb,ucb,multi-task-ucb" \
     "iterations = 6" "repetitions = 2"
 run laser run "problem = laser" "algorithm = samsbo,safe-ucb" "iterations = 2" "repetitions = 2"
+run laser10 run "problem = laser" "algorithm = samsbo" "iterations = 10" "repetitions = 1"
 run powell run "problem = powell" "algorithm = samsbo,safe-ucb" "iterations = 2" "repetitions = 2"
 run powell8 run "problem = powell" "dimension = 8" "algorithm = samsbo,safe-ucb" "iterations = 2" \
     "repetitions = 2"

@@ -22,21 +22,26 @@ rows, K12 and K22, are computed; the full Gram is never formed on this path.
 Anything else, including a Schur complement that is not positive definite,
 takes the full factorization.
 
-Grid cache.  For a read-only array of query points, :meth:`Posterior.predict_batch`
-keeps per task the whitened cross-Gram V_z = L^-1 k_z(data, points) and its
-column sums of squares, so the mean is V_z' L^-1 y and the variance the prior
-minus those sums.  A repeated query is a lookup, and an extended posterior
-inherits its predecessor's entries and grows them by the new rows only.
-Beside them the cache keeps the points divided by the lengthscales, made
-once per point array and kernel and inherited along the chain, so a fill and
-the prior covariance of a fantasized pick (:meth:`Posterior.kernel_row`)
+Grid cache.  For an array of query points, :meth:`Posterior.predict_batch`
+keeps per task the whitened cross-Gram V_z = L^-1 k_z(data, points), its
+column sums of squares and the mean V_z' w, w = L^-1 y, so the variance is
+the prior minus those sums.  A repeated query is a lookup, and an extended
+posterior inherits its predecessor's entries and grows them by the new rows
+only.  Beside them the cache keeps the points divided by the lengthscales,
+made once per point array and kernel and inherited along the chain, so a
+fill and the prior covariance of a fantasized pick (``_GridEntry.kernel_row``)
 each pay one short ``cdist`` and one ``exp`` (:func:`samsbo.kernels.se_kernel_scaled`).
 
-A fill of rows m.. serves every task at once, so all tasks' entries cover the
-same rows.  It inverts the factor's trailing block, M = L[m:, m:]^-1 (LAPACK
-``dtrtri``: the whole factor for a fresh fill, m = 0, and the k x k block of
-the new rows for a grown one), evaluates the base kernel k(data[m:], points)
-once, and computes per task one matrix product
+Entries are found by the identity of a read-only point array.  ``_entries``,
+the one lookup, first freezes a writable ``points`` into a read-only copy,
+so a writable query is a fresh fill (m = 0 below) whose entries replace the
+cached ones.  The loop and the coverage suites pass read-only grids only.
+
+One fill path.  A fill of rows m.. serves every task at once, so all tasks'
+entries cover the same rows.  It inverts the factor's trailing block,
+M = L[m:, m:]^-1 (LAPACK ``dtrtri``: the whole factor for a fresh fill, m = 0,
+and the k x k block of the new rows for a grown one), evaluates the base
+kernel k(data[m:], points) once, and computes per task one matrix product
 
     V_z[m:] = M diag(s_z) k(data[m:], points) - (M L[m:, :m]) V_z[:m],
 
@@ -45,30 +50,33 @@ cache entries outlive it.  Against a triangular solve, V_z agrees to about
 cond(L) times the unit roundoff: 2e-14 at noise 0.01 and 1e-12 at cond(L) =
 2.5e4 (a jitter-escalated factor); the tests hold it to 1e-10.
 
-A grown fill that a prediction asks for also gives every task's mean
-V_z' w, w = L^-1 y, without a second read of the grid: w[:m]' rides under
-M L[m:, :m] as one extra row of the product above, which then also yields
-w[:m]' V_z[:m], and the mean is that row plus V_z[m:]' w[m:] over the new
-rows (a fresh fill computes V_z' w over its own block).  The posterior keeps
-these means beside its grid entries.  They belong to it alone: an extension
-inherits the rows but has other observations.  A fill that only
-:meth:`Posterior.whitened` asks for (the per-task fits of a two-task factor)
-adds no row; a writable point array, and a posterior whose entries already
-cover its rows (the frequentist coverage suite), take V_z' w.
+Every fill also gives every task's mean V_z' w without a second read of the
+grid: w[:m]' rides under M L[m:, :m] as one extra row of the product above,
+which then also yields w[:m]' V_z[:m], and the mean is that row plus
+V_z[m:]' w[m:] over the new rows (a fresh fill computes V_z' w over its own
+block).  The entry keeps the mean with the w it belongs to.  A posterior
+reads the kept mean when that w is its own (``is``) and computes V_z' w
+otherwise, which happens when inherited entries already cover its rows but
+its observations differ: the frequentist coverage suite, and the per-task fit
+of a two-task factor whose task gained no rows (:mod:`samsbo.twotask`).
 
 The product with the extra row runs over blocks of GRID_BLOCK grid rows.  On
 OpenBLAS a product of two rows with more than about 250 grid rows at G = 2,051
 leaves ``gemm``'s small-matrix kernel for its packed path, which copies the
 grid before reading it and costs as much as the two separate products; in
-blocks it costs about one.  The split sums round differently from one product
-over all rows: the mean agrees with V_z' w to about 1e-14 relative (the tests
-hold it to 1e-12).  The extra row can also move the last bits of the new
-rows, and so of the variances: numpy computes a one-row product (k = 1, every
-step of a one-task loop) with BLAS ``gemv`` and a taller one with ``gemm``,
-whose sums are ordered differently.  In one-task loops on OpenBLAS the
-variances moved by at most 2e-15 and no decision changed; the fixed-seed
-outputs are byte-identical.  Fills without the extra row keep their products
-as they were.
+blocks it costs about one.  A tall block pays for it: laser's two-task fits
+grow by k = 20 rows a step, and at m = 200 and G = 2,051 (one thread of a
+2-core Xeon VM) their 21-row blocked product takes about 570 us against 475 us
+for the 20-row single product without the mean; the two-task posterior then
+runs no product over the grids for its means.
+The split sums round differently from one product over all rows: the mean
+agrees with V_z' w to about 1e-14 relative (the tests hold it to 1e-12).
+The extra row can also move the last bits of the new rows, and so of the
+variances: numpy computes a one-row product (k = 1, every step of a one-task
+loop) with BLAS ``gemv`` and a taller one with ``gemm``, whose sums are
+ordered differently.  In the benchmark's loops on OpenBLAS the means moved by
+at most 2e-14 and the variances by at most 5e-14 against single products; no
+decision changed and the fixed-seed outputs are byte-identical.
 
 Row i of V_z is the same for every posterior whose data agree on their first
 i + 1 rows, so a task's entries along a chain of extensions share one row
@@ -83,11 +91,12 @@ Posterior types.  :meth:`Posterior.predict_batch` clamps the mean and
 variance of the ``_moments`` hook, and :meth:`Posterior.pick_covariance` is
 the covariance a fantasized pick downdates with.  The two-task posterior of
 :mod:`samsbo.twotask` subclasses :class:`Posterior` and overrides both: it has
-no joint factor and reads its grid moments from two single-task fits of this
-module, one per task, whose grid caches grow as above.  So :func:`fit` serves
-one task, three or more tasks, the frequentist coverage suite, the per-task
-fits of a two-task factor and that factor's Cholesky cross-check; no
-two-task model refresh factors the joint n x n system at sigma-prime.
+no joint factor and reads its grid moments, means included, from the entries
+of two single-task fits of this module, one per task, which grow as above.
+So :func:`fit` serves one task, three or more tasks, the frequentist coverage
+suite, the per-task fits of a two-task factor and that factor's Cholesky
+cross-check; no two-task model refresh factors the joint n x n system at
+sigma-prime.
 
 Triangular solves.  The whitened observations and the growth's L21' call
 LAPACK ``dtrtrs`` directly with the arguments ``scipy.linalg.solve_triangular``
@@ -97,11 +106,10 @@ enter instead: a dataset holds finite inputs and observations, and a factor
 whose diagonal is not finite is refused where it is made.
 
 The factor, whitened observations and dataset never change after :func:`fit`;
-the grid cache and the means kept beside it are the only mutable state.  A
-fill empties the cache and then stores every task's entry at once, so a reader
+the grid cache is the only mutable state.  A fill empties the cache and then
+stores every task's entry, mean included, in one list assignment, so a reader
 sees one fill's entries or none; fills are deterministic, so threads that race
-on one compute the same value, and a reader that finds no kept mean computes
-the same one.
+on one compute the same value.
 """
 from __future__ import annotations
 
@@ -130,7 +138,7 @@ JITTER_START = 1e-10
 JITTER_MAX = 1e-6
 VARIANCE_WARN = -1e-8
 GRID_GROWTH = 2.0         # capacity factor of a full grid row buffer
-GRID_BLOCK = 64           # grid rows per product when a fill also computes the means
+GRID_BLOCK = 64           # grid rows per product of a grown fill
 
 
 class NumericalError(RuntimeError):
@@ -290,7 +298,7 @@ class _RowBuffer:
 
 @dataclass(frozen=True)
 class _GridEntry:
-    """Whitened cross-Gram of one task at one read-only point array."""
+    """Whitened cross-Gram of one task at one read-only point array, and its mean."""
 
     points: np.ndarray
     scaled: np.ndarray          # points / lengthscales, read-only and shared by every task
@@ -298,11 +306,15 @@ class _GridEntry:
     buffer: _RowBuffer          # ``whitened`` is a view of its leading rows
     whitened: np.ndarray        # rows x len(points)
     sumsq: np.ndarray           # column sums of squares of ``whitened``
+    obs: np.ndarray             # the whitened observations w of the fill's posterior
+    mean: np.ndarray            # whitened' obs, read-only
 
     @classmethod
     def extended(cls, entry: "_GridEntry | None", points: np.ndarray, scaled: np.ndarray,
-                 block: np.ndarray, sumsq: np.ndarray) -> "_GridEntry":
-        """``entry`` grown by ``block`` (C-contiguous; its column sums of squares are ``sumsq``).
+                 block: np.ndarray, sumsq: np.ndarray, obs: np.ndarray, mean: np.ndarray
+                 ) -> "_GridEntry":
+        """``entry`` grown by ``block`` (C-contiguous; its column sums of squares are ``sumsq``),
+        with the mean ``mean`` of the grown rows against ``obs``.
 
         Appends to ``entry``'s buffer when its rows are the last written there.
         Otherwise a new buffer takes ``block`` itself as its storage, behind a
@@ -317,7 +329,15 @@ class _GridEntry:
         if entry is not None:
             sumsq = entry.sumsq + sumsq
         sumsq.setflags(write=False)
-        return cls(points, scaled, whitened.shape[0], buffer, whitened, sumsq)
+        return cls(points, scaled, whitened.shape[0], buffer, whitened, sumsq, obs, mean)
+
+    def mean_of(self, obs: np.ndarray) -> np.ndarray:
+        """whitened' obs as a new array: a copy of the kept mean when it belongs to ``obs``."""
+        return self.mean.copy() if obs is self.obs else self.whitened.T @ obs
+
+    def kernel_row(self, idx: int, params: KernelParams) -> np.ndarray:
+        """k(points[idx], x) at every x of the points, from the scaled copy."""
+        return se_kernel_scaled(self.scaled[idx:idx + 1], self.scaled, params)[0]
 
 
 @dataclass(frozen=True)
@@ -335,13 +355,12 @@ class Posterior:
     jitter: float
     whitened_obs: np.ndarray
     _grid: list = field(default_factory=list, repr=False, compare=False)
-    _means: list = field(default_factory=list, repr=False, compare=False)
 
     def predict_batch(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior mean/variance of one task at many inputs.
 
-        For a read-only ``points`` the whitened cross-Gram comes from the grid
-        cache (see the module notes); the returned arrays are new each call.
+        The whitened cross-Gram and the mean come from the grid cache (see the
+        module notes); the returned arrays are new each call.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         u = self.sigma_used.size
@@ -353,19 +372,12 @@ class Posterior:
     def _moments(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Mean and unclamped variance of task ``z`` at ``points``; empty data give the prior.
 
-        At a read-only ``points`` the mean is the one this posterior's own
-        fill kept (see the module notes), or V_z' w when no fill of this
-        posterior computed one.
+        The mean is the one the entry keeps when a fill of this posterior made
+        it, and V_z' w otherwise (see the module notes).
         """
-        if _frozen(points):
-            entry = self._entries(points, means=True)[z - 1]    # a fill made here keeps the means
-            whitened, sumsq = entry.whitened, entry.sumsq
-        else:
-            whitened, sumsq = self.whitened(points, z)
-        kept = [means[z - 1] for at, means in self._means[:] if at is points]
-        mean = kept[0].copy() if kept else whitened.T @ self.whitened_obs
+        entry = self._entries(points)[z - 1]
         prior_var = self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance
-        return mean, prior_var - sumsq
+        return entry.mean_of(self.whitened_obs), prior_var - entry.sumsq
 
     def pick_covariance(self, points: np.ndarray, z: int, task: int, idx: int) -> np.ndarray:
         """Posterior covariance of task ``z`` at every point with task ``task`` at ``points[idx]``.
@@ -373,39 +385,23 @@ class Posterior:
         It is Sigma[z, task] k(x, x_idx) - V_z(x)' V_task(x_idx), the whitened
         cross-Grams V coming from the grid cache.
         """
-        at_pick = self.whitened(points, task)[0][:, idx]
-        whitened = self.whitened(points, z)[0]
-        return (self.sigma_used.matrix[z - 1, task - 1] * self.kernel_row(points, idx)
-                - whitened.T @ at_pick)
+        u = self.sigma_used.size
+        if not (1 <= z <= u and 1 <= task <= u):
+            raise ValueError(f"task indices must lie in 1..{u}")
+        grid = self._entries(points)
+        at_pick = grid[task - 1].whitened[:, idx]
+        return (self.sigma_used.matrix[z - 1, task - 1] * grid[0].kernel_row(idx, self.params)
+                - grid[z - 1].whitened.T @ at_pick)
 
-    def kernel_row(self, points: np.ndarray, idx: int) -> np.ndarray:
-        """k(points[idx], x) at every x of ``points``, from the grid cache's scaled copy.
+    def _entries(self, points: np.ndarray) -> list[_GridEntry]:
+        """Every task's grid cache entry at ``points``, filled up to the data's rows.
 
-        A writable ``points`` is scaled for the call.
+        A writable ``points`` is first frozen into a read-only copy, whose
+        fresh entries replace the cached ones (see the module notes).
         """
-        scaled = (self._entries(points)[0].scaled if _frozen(points)
-                  else points / self.params.lengthscales)
-        return se_kernel_scaled(scaled[idx:idx + 1], scaled, self.params)[0]
-
-    def whitened(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
-        """L^-1 k_z(data, points) and its column sums of squares.
-
-        For a read-only ``points`` every task is filled at once and cached (see
-        the module notes); the returned arrays are then shared and read-only.
-        """
-        if not 1 <= z <= self.sigma_used.size:
-            raise ValueError(f"task index must lie in 1..{self.sigma_used.size}")
         if not _frozen(points):
-            return self._new_rows([], points / self.params.lengthscales)[z - 1][:2]
-        entry = self._entries(points)[z - 1]
-        return entry.whitened, entry.sumsq
-
-    def _entries(self, points: np.ndarray, means: bool = False) -> list[_GridEntry]:
-        """Every task's grid cache entry at a read-only ``points``, filled up to the data's rows.
-
-        With ``means`` a fill also keeps every task's mean V_z' w beside the
-        entries, for this posterior only (see the module notes).
-        """
+            points = points.copy()
+            points.setflags(write=False)
         grid = [entry for entry in self._grid[:] if entry.points is points]   # one fill's, or none
         if not grid or grid[0].rows < self.dataset.n:
             if grid:
@@ -413,20 +409,19 @@ class Posterior:
             else:
                 scaled = points / self.params.lengthscales
                 scaled.setflags(write=False)
-            rows = self._new_rows(grid, scaled, means)
+            rows = self._new_rows(grid, scaled)
             self._grid.clear()      # each old entry dies once grown; a racing reader refills
             grid = grid or [None] * len(rows)
-            for i, (block, sumsq, _) in enumerate(rows):
-                grid[i] = _GridEntry.extended(grid[i], points, scaled, block, sumsq)
-            if means:
-                self._means[:] = [(points, [mean for *_, mean in rows])]
+            for i, (block, sumsq, mean) in enumerate(rows):
+                grid[i] = _GridEntry.extended(grid[i], points, scaled, block, sumsq,
+                                              self.whitened_obs, mean)
             self._grid[:] = grid
         return grid
 
-    def _new_rows(self, entries: list[_GridEntry], scaled: np.ndarray, means: bool = False
-                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    def _new_rows(self, entries: list[_GridEntry], scaled: np.ndarray
+                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per task, the rows of V_z past the m rows ``entries`` cover, their sums of squares
-        and, with ``means``, the read-only mean V_z' w (None without).
+        and the read-only mean V_z' w.
 
         ``entries`` holds every task's entry, or none for a fresh fill (m = 0);
         ``scaled`` is the query points divided by the lengthscales.  The
@@ -439,27 +434,18 @@ class Posterior:
         blocks = [(inverse * scale) @ base.T
                   for scale in self.sigma_used.matrix[:, self.dataset.tasks[m:] - 1]]
         del base        # so the squares below never coexist with it: u + 1 blocks at most
-        heads = [None] * len(blocks)            # w[:m]' V_z[:m] from the extra row
         if m:
-            projection = inverse @ self.chol[m:, :m]
-            if means:
-                projection = np.vstack([projection, self.whitened_obs[:m]])
+            projection = np.vstack([inverse @ self.chol[m:, :m], self.whitened_obs[:m]])
             k = self.dataset.n - m
-            for i, (block, entry) in enumerate(zip(blocks, entries)):
-                if means:
-                    product = _blocked_product(projection, entry.whitened)
-                    heads[i] = product[k]
-                else:
-                    product = projection @ entry.whitened
-                block -= product[:k]
         rows = []
-        for block, head in zip(blocks, heads):
-            mean = None
-            if means:
-                mean = block.T @ self.whitened_obs[m:]
-                if head is not None:
-                    mean += head
-                mean.setflags(write=False)
+        for i, block in enumerate(blocks):
+            if m:
+                product = _blocked_product(projection, entries[i].whitened)
+                block -= product[:k]
+            mean = block.T @ self.whitened_obs[m:]
+            if m:
+                mean += product[k]              # w[:m]' V_z[:m], from the extra row
+            mean.setflags(write=False)
             rows.append((block, np.sum(block * block, axis=0), mean))
         return rows
 

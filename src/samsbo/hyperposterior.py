@@ -54,7 +54,6 @@ __all__ = [
 
 R_MAX = 1.0 - 1e-6
 ANGLE_MARGIN = 1e-6
-MIN_SAMPLES = 10
 PRIOR_MASS_FLOOR = 1e-6     # least truncated prior mass to draw from: about 1e6 proposals
 
 # two tasks: equal cells of [0, R_MAX)
@@ -267,7 +266,6 @@ def sample_hyperposterior(
     n_tasks: int,
     eta: float,
     params: KernelParams,
-    n_samples: int | None = None,
     seed: int = 0,
     factor: TwoTaskFactor | None = None,
 ) -> EmpiricalHyperPosterior:
@@ -277,9 +275,9 @@ def sample_hyperposterior(
     LKJ prior of shape ``eta`` > 0, restricted to nonnegative entries.  Two
     tasks give the ``QUADRATURE_CELLS`` cells of the module notes and their
     edges, the same matrix objects on every call.  More tasks run the angle
-    walk: ``n_samples`` (default ``CHAINS * SAMPLES_PER_CHAIN``) states
-    merged across chains seeded from ``seed``, repeated states sharing one
-    :class:`CorrelationMatrix`; fixed seeds give bit-identical output.
+    walk: ``CHAINS * SAMPLES_PER_CHAIN`` states merged across chains seeded
+    from ``seed``, repeated states sharing one :class:`CorrelationMatrix`;
+    fixed seeds give bit-identical output.
     ``factor`` optionally supplies the two-task decomposition of ``dataset``
     so a caller that also needs it for nu builds it once; two-task calls
     without one build their own, and one built on other data raises
@@ -299,9 +297,6 @@ def sample_hyperposterior(
         return EmpiricalHyperPosterior(midpoints, log_weights, log_weights, McmcDiagnostics(1.0),
                                        edges)
 
-    total_keep = n_samples if n_samples is not None else CHAINS * SAMPLES_PER_CHAIN
-    if total_keep < MIN_SAMPLES:
-        raise ValueError(f"request at least {MIN_SAMPLES} samples")
     n_angles = n_tasks * (n_tasks - 1) // 2
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
 
@@ -320,11 +315,10 @@ def sample_hyperposterior(
     bounds = (ANGLE_MARGIN, np.pi - ANGLE_MARGIN)
     # start at the identity matrix; nonnegativity is enforced by rejection
     start = np.full(n_angles, np.pi / 2.0)
-    per_chain = int(np.ceil(total_keep / CHAINS))
     states, log_records, rates = [], [], []
     for chain_seed in np.random.SeedSequence(seed).spawn(CHAINS):
         rng = np.random.default_rng(chain_seed)
-        kept, kept_log, rate = _run_chain(start, log_target, per_chain, rng, bounds)
+        kept, kept_log, rate = _run_chain(start, log_target, SAMPLES_PER_CHAIN, rng, bounds)
         states.append(kept)
         log_records.append(kept_log)
         rates.append(rate)
@@ -334,8 +328,8 @@ def sample_hyperposterior(
         raise ChainDivergenceError(
             f"acceptance rate {acceptance:.4f} below 0.01 after adaptation"
         )
-    all_states = np.vstack(states)[:total_keep]
-    all_logs = np.concatenate(log_records)[:total_keep]
+    all_states = np.vstack(states)
+    all_logs = np.concatenate(log_records)
     distinct: dict[bytes, CorrelationMatrix] = {}
     for s in all_states:
         if s.tobytes() not in distinct:

@@ -51,17 +51,20 @@ observations or another size fails.
 The posterior at Sigma(r') (:class:`TwoTaskPosterior`) reads the per-task
 whitened grids W_z = L_z^-1 k(X_z, grid) from the grid caches of the per-task
 fits.  They do not depend on r, so along a chain of refreshes they grow by the
-new rows only, even when sigma-prime moves.  A refresh recomputes only the
-projections U' W1 and V' W2, O(p n G) for G points.  The mean's parts
-W1' t1 and W2' t2 ride in the same products, t1 as one extra row under U'
-and t2 under V', so each grid is read once per posterior and a prediction
-from the cached entry is O(G).  The means differ from separate products in
-their last bits (about 1e-14).  The projection rows, and so the variances,
-mostly keep their bits on OpenBLAS, but that is a property of its ``gemm``
-kernels, not a guarantee: a one-row product (p = 1) goes through ``gemv``
-unstacked, and an extra row can change how ``gemm`` splits the others.  In
-the benchmark's two-task loops one point of one posterior's variances moved,
-by 1.1e-16; no decision and no fixed-seed output changed.
+new rows only, even when sigma-prime moves.  A posterior computes only the
+projections P1 = U' W1 and P2 = V' W2, one product each, O(p n G) for G
+points.  Its means need no further read of a grid: with t = (I + r' C)^-1 w
+split by task, t1 = w1 + U (c1 a + c2 b) and t2 = w2 + V (c2 a + c1 b), so
+
+    W1' t1 = W1' w1 + P1' (c1 a + c2 b),   W2' t2 = W2' w2 + P2' (c2 a + c1 b).
+
+W_z' w_z is the mean the fit's grid entry keeps (see :mod:`samsbo.gp`), or
+computed from the entry when the fit inherited it with other observations:
+a task that gains no rows keeps its factor and grid, but standardizing the
+grown data changes its w_z.  The rest is O(p G), and a prediction from the
+posterior's cached entry is O(G).  The means differ from W_z' t_z computed
+directly in their last bits (about 1e-14); the variances are formed from P1
+and P2 themselves.
 
 2x2 correlation matrices also share their eigenvectors, so their spectral
 ratios reduce to scalar arithmetic on the off-diagonal entries, and one
@@ -124,13 +127,6 @@ def _base_gram(inputs: np.ndarray, params: KernelParams,
     base[m:] = rows
     base[:m, m:] = rows[:, :m].T
     return base
-
-
-def _projected(basis: np.ndarray, weights: np.ndarray, grid: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """basis' grid and grid' weights from one product, ``weights`` riding as an extra row."""
-    product = np.vstack([basis.T, weights]) @ grid
-    return product[:-1], product[-1]
 
 
 @dataclass(frozen=True)
@@ -240,10 +236,10 @@ class TwoTaskFactor:
     def posterior(self, sigma_prime: CorrelationMatrix) -> "TwoTaskPosterior":
         """The GP posterior at ``sigma_prime``, which must be 2x2, without a joint factor."""
         c1, c2, _ = _coefficients(self.singular, float(sigma_prime.matrix[0, 1]))
-        one, two = self.tasks
-        weights = self._solve_whitened(one.whitened_obs, two.whitened_obs, c1, c2)
+        a, b = self.projected
         return TwoTaskPosterior(self.dataset, sigma_prime, self.params, None, gp.JITTER_START,
-                                None, factor=self, weights=weights, coefficients=(c1, c2))
+                                None, factor=self, shifts=(c1 * a + c2 * b, c2 * a + c1 * b),
+                                coefficients=(c1, c2))
 
     def _solve_whitened(self, top: np.ndarray, bottom: np.ndarray, c1: np.ndarray,
                         c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,44 +306,41 @@ class TwoTaskFactor:
 class TwoTaskPosterior(gp.Posterior):
     """The GP posterior at Sigma(r') read from a :class:`TwoTaskFactor`.
 
-    It has no joint factor: ``chol`` and ``whitened_obs`` are None and
-    :meth:`whitened` raises ``TypeError``.  ``weights`` are the two tasks' parts of
-    t = (I + r' C)^-1 w, so a mean is q' t for q = L_A^-1 k, and
-    ``coefficients`` are c1 and c2 at r'.  For each point array the grid cache
-    holds the per-task whitened grids of the factor's fits, the column sums
-    the variances read, which take the projections U' W1 and V' W2, and the
-    mean parts W1' t1 and W2' t2 of the same products (see the module notes).
+    It has no joint factor: ``chol`` and ``whitened_obs`` are None.  With
+    t = (I + r' C)^-1 w, a mean is q' t for q = L_A^-1 k; each task's part is
+    t_z = w_z + U_z shift_z (U_1 = U, U_2 = V), and ``shifts`` holds
+    shift_1 = c1 a + c2 b and shift_2 = c2 a + c1 b.  ``coefficients`` are c1
+    and c2 at r'.  For each point array the grid cache holds the fits'
+    entries, the column sums the variances read, which take the projections
+    U' W1 and V' W2, and the mean parts W1' t1 and W2' t2 (see the module notes).
     """
 
     factor: TwoTaskFactor
-    weights: tuple[np.ndarray, np.ndarray]
+    shifts: tuple[np.ndarray, np.ndarray]
     coefficients: tuple[np.ndarray, np.ndarray]
 
-    def whitened(self, points: np.ndarray, z: int):
-        raise TypeError("a two-task posterior has no joint factor to whiten with; "
-                        "read predict_batch or pick_covariance")
-
     def _grids(self, points: np.ndarray) -> tuple:
-        """The whitened grids W1 and W2 at ``points``, the column sums S11,
-        S22 and S12 of W1^2 + c1 P1^2, W2^2 + c1 P2^2 and c2 P1 P2, where
-        P1 = U' W1 and P2 = V' W2, and the mean parts W1' t1 and W2' t2.
+        """The fits' grid entries at ``points``, whose whitened grids are W1 and W2, the
+        column sums S11, S22 and S12 of W1^2 + c1 P1^2, W2^2 + c1 P2^2 and
+        c2 P1 P2, where P1 = U' W1 and P2 = V' W2, and the mean parts W1' t1
+        and W2' t2.
 
-        Each grid is read once: t1 rides under U' and t2 under V' as one
-        extra row of the projection product (see the module notes).  An entry
-        is reused while the fits return the same whitened grids, that is for a
-        read-only ``points`` whose grids the fits cache.
+        W_z' t_z is the fit's mean W_z' w_z plus P_z' shift_z (see the module
+        notes).  The result is reused while the fits return the same entries.
         """
-        (w1, sq1), (w2, sq2) = (fit.whitened(points, 1) for fit in self.factor.tasks)
-        for entry in self._grid[:]:
-            if entry[0] is w1 and entry[1] is w2:
-                return entry
+        fits = self.factor.tasks
+        e1, e2 = (fit._entries(points)[0] for fit in fits)
+        for grids in self._grid[:]:
+            if grids[0] is e1 and grids[1] is e2:
+                return grids
         c1, c2 = self.coefficients
-        t1, t2 = self.weights
-        (p1, m1), (p2, m2) = (_projected(basis, t, w) for basis, t, w in
-                              ((self.factor.left, t1, w1), (self.factor.right, t2, w2)))
-        entry = (w1, w2, sq1 + c1 @ (p1 * p1), sq2 + c1 @ (p2 * p2), c2 @ (p1 * p2), m1, m2)
-        self._grid[:] = [entry]
-        return entry
+        p1, p2 = self.factor.left.T @ e1.whitened, self.factor.right.T @ e2.whitened
+        m1, m2 = (entry.mean_of(fit.whitened_obs) for entry, fit in zip((e1, e2), fits))
+        s1, s2 = self.shifts
+        grids = (e1, e2, e1.sumsq + c1 @ (p1 * p1), e2.sumsq + c1 @ (p2 * p2), c2 @ (p1 * p2),
+                 m1 + p1.T @ s1, m2 + p2.T @ s2)
+        self._grid[:] = [grids]
+        return grids
 
     def _moments(self, points: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray]:
         _, _, s11, s22, s12, m1, m2 = self._grids(points)
@@ -358,15 +351,12 @@ class TwoTaskPosterior(gp.Posterior):
         return mean, self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance - explained
 
     def pick_covariance(self, points: np.ndarray, z: int, task: int, idx: int) -> np.ndarray:
-        w1, w2 = self._grids(points)[:2]
+        e1, e2 = self._grids(points)[:2]
+        w1, w2 = e1.whitened, e2.whitened
         h1, h2 = self.sigma_used.matrix[task - 1]
         # q_z' (I + r' C)^-1 q_task at the pick, with the inverse applied on the pick's side
         t1, t2 = self.factor._solve_whitened(h1 * w1[:, idx], h2 * w2[:, idx],
                                              *self.coefficients)
         g1, g2 = self.sigma_used.matrix[z - 1]
-        return (self.sigma_used.matrix[z - 1, task - 1] * self.kernel_row(points, idx)
+        return (self.sigma_used.matrix[z - 1, task - 1] * e1.kernel_row(idx, self.params)
                 - (g1 * (w1.T @ t1) + g2 * (w2.T @ t2)))
-
-    def kernel_row(self, points: np.ndarray, idx: int) -> np.ndarray:
-        """:meth:`samsbo.gp.Posterior.kernel_row` of the first task's fit, from its grid cache."""
-        return self.factor.tasks[0].kernel_row(points, idx)

@@ -213,6 +213,13 @@ class TestMeanValues:
         assert np.allclose(mean_values(post, grid, 1), expected, atol=1e-9)
 
 
+def whitened(posterior, points, z):
+    """The cached whitened cross-Gram V_z of ``posterior`` at ``points`` and its column
+    sums of squares."""
+    entry = posterior._entries(points)[z - 1]
+    return entry.whitened, entry.sumsq
+
+
 def frozen(points):
     points = np.array(points, dtype=float)
     points.setflags(write=False)
@@ -264,7 +271,7 @@ class TestExtension:
             previous.predict_batch(points, z)       # fills the cache the extension grows
         grown, fresh = grown_and_fresh(previous, full, self.SIGMA, self.PARAMS)
         assert_close_to(grown, fresh, points)
-        assert_close_to(grown, fresh, np.array(points))     # writable: the uncached path
+        assert_close_to(grown, fresh, np.array(points))     # writable: a fresh fill
 
     def test_restandardized_observations(self):
         full = self.data(45)
@@ -316,7 +323,7 @@ class TestExtension:
         other = MultiTaskDataset(rng.random((2, 2)), [2, 1], rng.standard_normal(2))
         parent = fit(self.prefix(full, 40), self.SIGMA, self.PARAMS)
         before = {z: [np.array(a) for a in parent.predict_batch(points, z)] for z in (1, 2)}
-        rows = {z: np.array(parent.whitened(points, z)[0]) for z in (1, 2)}
+        rows = {z: np.array(whitened(parent, points, z)[0]) for z in (1, 2)}
         first = fit(self.prefix(full, 43), self.SIGMA, self.PARAMS, previous=parent)
         second = fit(parent.dataset.extended(other.inputs, other.tasks, other.observations),
                      self.SIGMA, self.PARAMS, previous=parent)
@@ -328,10 +335,11 @@ class TestExtension:
             assert_close_to(posterior, fit(posterior.dataset, self.SIGMA, self.PARAMS), points)
         fresh = fit(parent.dataset, self.SIGMA, self.PARAMS)
         for z in (1, 2):
-            assert np.shares_memory(chained.whitened(points, z)[0], first.whitened(points, z)[0])
-            assert not np.shares_memory(second.whitened(points, z)[0],
-                                        first.whitened(points, z)[0])
-            assert np.array_equal(parent.whitened(points, z)[0], rows[z])
+            assert np.shares_memory(whitened(chained, points, z)[0],
+                                    whitened(first, points, z)[0])
+            assert not np.shares_memory(whitened(second, points, z)[0],
+                                        whitened(first, points, z)[0])
+            assert np.array_equal(whitened(parent, points, z)[0], rows[z])
             for got, kept, want in zip(parent.predict_batch(points, z), before[z],
                                        fresh.predict_batch(points, z)):
                 assert np.array_equal(got, kept) and np.array_equal(got, want)
@@ -492,10 +500,13 @@ class TestExtension:
     def test_cached_results_are_read_only(self):
         posterior = fit(self.data(30), self.SIGMA, self.PARAMS)
         points = frozen(np.random.default_rng(7).random((50, 2)))
-        whitened, sumsq = posterior.whitened(points, 2)
-        assert not whitened.flags.writeable and not sumsq.flags.writeable
-        with pytest.raises(ValueError):
-            posterior.whitened(points, 3)
+        rows, sumsq = whitened(posterior, points, 2)
+        assert not rows.flags.writeable and not sumsq.flags.writeable
+        for query in (lambda: posterior.predict_batch(points, 3),
+                      lambda: posterior.pick_covariance(points, 3, 1, 0),
+                      lambda: posterior.pick_covariance(points, 1, 0, 0)):
+            with pytest.raises(ValueError, match="must lie in 1..2"):
+                query()
 
 
 class TestJitter:
@@ -587,7 +598,7 @@ class TestGridFill:
     def assert_matches_triangular_solve(self, posterior, points, tol=1e-10):
         for z in (1, 2):
             want = triangular_solve_reference(posterior, points, z)
-            got = (posterior.whitened(points, z)[0], *posterior.predict_batch(points, z))
+            got = (whitened(posterior, points, z)[0], *posterior.predict_batch(points, z))
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= tol
@@ -600,7 +611,7 @@ class TestGridFill:
         grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
         assert all(entry.rows == 52 for entry in grown._grid)    # grown, not refilled
         self.assert_matches_triangular_solve(grown, points)
-        # a writable point array takes the uncached fresh fill
+        # a writable point array is a fresh fill of a read-only copy
         self.assert_matches_triangular_solve(grown, np.array(points))
 
     def test_escalated_jitter_fills_match_a_triangular_solve(self):
@@ -637,14 +648,14 @@ class TestGridFill:
         monkeypatch.setattr(gp, "se_kernel_scaled", recording_kernel)
         monkeypatch.setattr(gp, "dtrtri", recording_dtrtri)
         previous = fit(TestExtension().prefix(full, 40), self.SIGMA, self.PARAMS)
-        previous.whitened(points, 1)                # fills task 2 as well
+        whitened(previous, points, 1)               # fills task 2 as well
         assert kernels == [(150, 40)] and inversions == [(40, 40)]
         grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
         kernels.clear()
         inversions.clear()
         for z in (2, 1):
             grown.predict_batch(points, z)
-        previous.whitened(points, 2)                # a hit on the first fill
+        whitened(previous, points, 2)               # a hit on the first fill
         assert kernels == [(150, 5)] and inversions == [(5, 5)]
         assert_close_to(grown, fit(full, self.SIGMA, self.PARAMS), points)
 
@@ -654,17 +665,17 @@ class TestGridFill:
         blocks = []
         real = gp.Posterior._new_rows
 
-        def recording(self, entries, points, *means):
-            result = real(self, entries, points, *means)
+        def recording(self, entries, scaled):
+            result = real(self, entries, scaled)
             blocks.extend(block for block, *_ in result)
             return result
 
         monkeypatch.setattr(gp.Posterior, "_new_rows", recording)
         for z in (1, 2):
-            whitened = posterior.whitened(points, z)[0]
-            assert np.shares_memory(whitened, blocks[z - 1])
-            assert np.shares_memory(whitened, posterior._grid[z - 1].buffer.data)
-            assert not whitened.flags.writeable
+            rows = whitened(posterior, points, z)[0]
+            assert np.shares_memory(rows, blocks[z - 1])
+            assert np.shares_memory(rows, posterior._grid[z - 1].buffer.data)
+            assert not rows.flags.writeable
         assert len(blocks) == 2                     # one fill for both tasks
 
 
@@ -692,7 +703,8 @@ def spy_on_grids(monkeypatch):
 
 
 class TestFusedMeans:
-    """A prediction's fill computes the mean V_z' w in the product that grows the grid."""
+    """Every fill computes the means V_z' w in the product that grows the grid, and its
+    entries keep them for the posterior that made them."""
 
     SIGMA = TestExtension.SIGMA
     PARAMS = TestExtension.PARAMS
@@ -704,15 +716,27 @@ class TestFusedMeans:
                                 rng.standard_normal(n))
 
     def assert_means_match(self, posterior, points=POINTS):
+        """Each task's mean is within 1e-12 relative of V_z' w of this posterior's own w."""
         for z in range(1, posterior.sigma_used.size + 1):
             got = posterior.predict_batch(points, z)[0]        # the prediction fills first
-            want = posterior.whitened(points, z)[0].T @ posterior.whitened_obs
+            want = whitened(posterior, points, z)[0].T @ posterior.whitened_obs
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_fresh_fill(self):
+    @staticmethod
+    def assert_kept(posterior, points=POINTS):
+        """Every task's prediction reads no whitened grid: the fill kept the means.
+
+        The grids must come from fills made under :func:`spy_on_grids`."""
+        GridSpy.read = 0
+        for z in range(1, posterior.sigma_used.size + 1):
+            posterior.predict_batch(points, z)
+        assert GridSpy.read == 0
+
+    def test_fresh_fill(self, monkeypatch):
+        spy_on_grids(monkeypatch)
         posterior = fit(self.data(150), self.SIGMA, self.PARAMS)
         self.assert_means_match(posterior)
-        assert posterior._means and posterior._means[0][0] is self.POINTS
+        self.assert_kept(posterior)
 
     @pytest.mark.parametrize("m", [40, 150])     # one product, and blocks of GRID_BLOCK rows
     def test_appended_fill(self, m):
@@ -720,9 +744,9 @@ class TestFusedMeans:
         previous = fit(TestExtension().prefix(full, m), self.SIGMA, self.PARAMS)
         previous.predict_batch(self.POINTS, 1)
         grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
-        assert grown._means == []                  # a mean is not inherited
         self.assert_means_match(grown)
         assert grown._grid[0].buffer is previous._grid[0].buffer     # appended in place
+        self.assert_means_match(previous)          # the parent still reads its own means
 
     def test_sibling_copy_fill(self):
         full = self.data(125)
@@ -735,14 +759,15 @@ class TestFusedMeans:
         assert second._grid[0].buffer is not parent._grid[0].buffer   # copied the prefix
         self.assert_means_match(first)
 
-    def test_three_tasks(self):
+    def test_three_tasks(self, monkeypatch):
+        spy_on_grids(monkeypatch)
         sigma = random_correlation(3, np.random.default_rng(22))
         full = self.data(105, u=3)
         previous = fit(TestExtension().prefix(full, 100), sigma, self.PARAMS)
         previous.predict_batch(self.POINTS, 2)
         grown = fit(full, sigma, self.PARAMS, previous=previous)
-        grown.predict_batch(self.POINTS, 3)        # one fill keeps every task's mean
-        assert len(grown._means[0][1]) == 3
+        grown.predict_batch(self.POINTS, 3)
+        self.assert_kept(grown)                    # one fill keeps every task's mean
         self.assert_means_match(grown)
 
     def test_writable_points(self):
@@ -751,16 +776,26 @@ class TestFusedMeans:
         previous.predict_batch(self.POINTS, 1)
         grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
         self.assert_means_match(grown, np.array(self.POINTS))
-        assert grown._means == []
 
-    def test_whitened_fill_keeps_no_mean(self):
+        def unfilled():
+            return gp.Posterior(grown.dataset, grown.sigma_used, grown.params, grown.chol,
+                                grown.jitter, grown.whitened_obs)
+
+        for z in (1, 2):            # a writable query is a fresh fill of the same factor
+            for got, want in zip(grown.predict_batch(np.array(self.POINTS), z),
+                                 unfilled().predict_batch(self.POINTS, z)):
+                assert np.array_equal(got, want)
+        assert_close_to(grown, fit(full, self.SIGMA, self.PARAMS), self.POINTS)
+
+    def test_every_fill_keeps_the_means(self, monkeypatch):
+        spy_on_grids(monkeypatch)
         full = self.data(103)
         previous = fit(TestExtension().prefix(full, 100), self.SIGMA, self.PARAMS)
-        previous.whitened(self.POINTS, 1)
+        whitened(previous, self.POINTS, 1)
         grown = fit(full, self.SIGMA, self.PARAMS, previous=previous)
-        grown.whitened(self.POINTS, 2)
-        assert grown._means == []
-        self.assert_means_match(grown)             # the rows are covered: V_z' w
+        whitened(grown, self.POINTS, 2)             # a fill no prediction asked for
+        self.assert_kept(grown)
+        self.assert_means_match(grown)
 
     def test_covered_rows_with_other_observations_read_their_own_mean(self):
         dataset = self.data(60)
@@ -768,10 +803,11 @@ class TestFusedMeans:
         first.predict_batch(self.POINTS, 1)
         other = MultiTaskDataset(dataset.inputs, dataset.tasks, -2.0 * dataset.observations)
         second = fit(other, self.SIGMA, self.PARAMS, previous=first)
-        assert second.chol is first.chol and second._means == []
-        self.assert_means_match(second)
+        assert second.chol is first.chol and second._grid[0] is first._grid[0]
+        self.assert_means_match(second)             # the rows are covered: V_z' w
         assert np.allclose(second.predict_batch(self.POINTS, 1)[0],
                            -2.0 * first.predict_batch(self.POINTS, 1)[0], rtol=0, atol=1e-12)
+        self.assert_means_match(first)
 
     @pytest.mark.parametrize("u", [1, 2])
     def test_prediction_after_a_grown_fit_reads_the_grid_once(self, u, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta
 
+from samsbo import hyperposterior
 from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
 from samsbo.hyperposterior import (
     CELL_EDGES,
@@ -75,26 +76,28 @@ class TestSampleHyperposterior:
         nodes, weights = posterior_grid_two_task(dataset, PARAMS, eta=0.1, nodes=2000)
         assert abs(mean - float(nodes @ weights)) < 1e-3
 
-    def test_chain_reproducibility_across_seeds(self):
+    def test_chain_reproducibility_across_seeds(self, monkeypatch):
+        monkeypatch.setattr(hyperposterior, "SAMPLES_PER_CHAIN", 300)
         dataset = synthetic(SIGMA_3, 10, np.random.default_rng(3))
         means = []
         for seed in (5, 6):
-            post = sample_hyperposterior(dataset, 3, 0.5, PARAMS,
-                                         n_samples=600, seed=seed)
+            post = sample_hyperposterior(dataset, 3, 0.5, PARAMS, seed=seed)
             means.append(np.mean([offdiagonals(s.matrix) for s in post.samples], axis=0))
         assert np.max(np.abs(means[0] - means[1])) < 0.05
 
-    def test_fixed_seed_bit_identical(self):
+    def test_fixed_seed_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(hyperposterior, "SAMPLES_PER_CHAIN", 25)
         dataset = synthetic(SIGMA_3, 4, np.random.default_rng(4))
-        a = sample_hyperposterior(dataset, 3, 0.1, PARAMS, 50, seed=42)
-        b = sample_hyperposterior(dataset, 3, 0.1, PARAMS, 50, seed=42)
+        a = sample_hyperposterior(dataset, 3, 0.1, PARAMS, seed=42)
+        b = sample_hyperposterior(dataset, 3, 0.1, PARAMS, seed=42)
         assert all(x.key() == y.key() for x, y in zip(a.samples, b.samples))
         assert np.array_equal(a.log_densities, b.log_densities)
 
-    def test_samples_respect_support(self):
+    def test_samples_respect_support(self, monkeypatch):
+        monkeypatch.setattr(hyperposterior, "SAMPLES_PER_CHAIN", 50)
         eta = 0.1
         dataset = synthetic(SIGMA_3, 4, np.random.default_rng(5))
-        post = sample_hyperposterior(dataset, 3, eta, PARAMS, 100, seed=7)
+        post = sample_hyperposterior(dataset, 3, eta, PARAMS, seed=7)
         for s in post.samples:
             assert np.min(s.matrix) >= 0.0
             assert np.min(np.linalg.eigvalsh(s.matrix)) > 0.0
@@ -112,12 +115,13 @@ class TestSampleHyperposterior:
                      + (eta - 1.0) * np.linalg.slogdet(sample.matrix)[1])
             assert logd == pytest.approx(exact, rel=1e-8)
 
-    def test_three_task_support(self):
+    def test_three_task_support(self, monkeypatch):
+        monkeypatch.setattr(hyperposterior, "SAMPLES_PER_CHAIN", 30)
         rng = np.random.default_rng(6)
         inputs = rng.random((12, 1))
         tasks = np.tile([1, 2, 3], 4)
         dataset = MultiTaskDataset(inputs, tasks, rng.standard_normal(12))
-        post = sample_hyperposterior(dataset, 3, 0.5, PARAMS, 60, seed=8)
+        post = sample_hyperposterior(dataset, 3, 0.5, PARAMS, seed=8)
         for s in post.samples:
             assert s.size == 3
             assert np.min(s.matrix) >= 0.0
@@ -126,7 +130,7 @@ class TestSampleHyperposterior:
 
     def test_requires_two_tasks(self):
         with pytest.raises(ValueError):
-            sample_hyperposterior(empty_dataset(1), 1, 0.1, PARAMS, 50)
+            sample_hyperposterior(empty_dataset(1), 1, 0.1, PARAMS)
 
     @pytest.mark.parametrize("n_tasks", [2, 3])
     def test_requires_positive_eta(self, n_tasks):
@@ -218,17 +222,20 @@ class TestAnglesToCorrelation:
 
 
 class TestConfidenceSet:
-    def _posterior(self, n, seed=0):
+    @staticmethod
+    def _posterior(monkeypatch, n, seed=0):
+        """A three-task hyper-posterior of ``n`` samples, ``n`` a multiple of the chains."""
+        monkeypatch.setattr(hyperposterior, "SAMPLES_PER_CHAIN", n // hyperposterior.CHAINS)
         dataset = synthetic(SIGMA_3, 4, np.random.default_rng(seed))
-        return sample_hyperposterior(dataset, 3, 0.1, PARAMS, n, seed=seed)
+        return sample_hyperposterior(dataset, 3, 0.1, PARAMS, seed=seed)
 
-    def test_rho_near_zero_keeps_all(self):
-        post = self._posterior(50)
+    def test_rho_near_zero_keeps_all(self, monkeypatch):
+        post = self._posterior(monkeypatch, 50)
         cs = confidence_set(post, 1e-9)
         assert len(cs) == 50
 
-    def test_ceiling_count(self):
-        post = self._posterior(100, seed=1)
+    def test_ceiling_count(self, monkeypatch):
+        post = self._posterior(monkeypatch, 100, seed=1)
         cs = confidence_set(post, 0.15)
         assert len(cs) == 85
 
@@ -282,8 +289,8 @@ class TestConfidenceSet:
             with pytest.raises(ValueError, match="log weights"):
                 confidence_set(post, 0.15)
 
-    def test_invalid_rho(self):
-        post = self._posterior(20, seed=3)
+    def test_invalid_rho(self, monkeypatch):
+        post = self._posterior(monkeypatch, 20, seed=3)
         with pytest.raises(ValueError):
             confidence_set(post, 0.0)
 

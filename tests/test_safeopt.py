@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from samsbo import bounds, gp, kernels
+from samsbo import bounds, gp, kernels, verify
 from samsbo.benchmarks import branin_problem, find_safe_seed, laser_problem, powell_problem
 from samsbo.bounds import select_sigma_prime
 from samsbo.config import ConfigError, ExperimentConfig
@@ -449,6 +449,43 @@ class TestLoopBehavior:
             means, variances = state.posterior.predict_batch(grid.points, 1)
             upper = means + np.sqrt(state.bundle.beta_bar) * np.sqrt(variances)
             assert np.array_equal(sset.mask, upper <= threshold_std)
+
+
+class TestReadOnlyQueries:
+    """Every grid query of a run hands the posterior a read-only array, so it reaches the
+    grid cache instead of a fresh fill of a frozen copy."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Whether each ``Posterior._entries`` call received a read-only array, in call order."""
+        frozen = []
+        real = gp.Posterior._entries
+
+        def recording(posterior, points):
+            frozen.append(gp._frozen(points))
+            return real(posterior, points)
+
+        monkeypatch.setattr(gp.Posterior, "_entries", recording)
+        return frozen
+
+    @pytest.mark.parametrize("make, algorithm", [(branin_problem, "samsbo"),
+                                                 (laser_problem, "samsbo"),
+                                                 (branin_problem, "safe-ucb")])
+    def test_one_step(self, make, algorithm, monkeypatch):
+        problem = make()
+        cfg = LoopConfig(algorithm=algorithm, iterations=1)
+        rng = np.random.default_rng(3)
+        seeds = np.array([find_safe_seed(problem, rng) for _ in range(cfg.seed_points)])
+        frozen = self.spy(monkeypatch)
+        state, _ = initialize_state(problem, cfg, rng, seeds)
+        step(state, problem, cfg, rng)
+        assert frozen and all(frozen)
+
+    @pytest.mark.parametrize("suite", [verify.bayesian_coverage, verify.frequentist_coverage])
+    def test_one_coverage_trial(self, suite, monkeypatch):
+        frozen = self.spy(monkeypatch)
+        suite(trials=1)
+        assert frozen and all(frozen)
 
 
 class TestIncrementalRefresh:

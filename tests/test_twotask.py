@@ -16,7 +16,7 @@ from samsbo.safeopt import _greedy_variance_picks, make_grid
 from samsbo.twotask import TwoTaskFactor
 
 from oracles import empty_dataset, two_task_log_likelihoods
-from test_gp import GridSpy, spy_on_grids
+from test_gp import GridSpy, spy_on_grids, whitened
 from test_hyperposterior import synthetic_two_task
 
 PARAMS = KernelParams(1.0, [0.2], noise_variance=0.01)
@@ -108,12 +108,10 @@ class TestPosterior:
                 for got, want in zip(posterior.predict_batch(points, z),
                                      exact.predict_batch(points, z)):
                     assert np.max(np.abs(got - want)) <= 1e-10
-                # a writable copy of the points bypasses every grid cache
+                # a writable copy of the points is a fresh fill of every grid
                 for got, want in zip(posterior.predict_batch(np.array(points), z),
                                      exact.predict_batch(points, z)):
                     assert np.max(np.abs(got - want)) <= 1e-10
-            with pytest.raises(TypeError, match="no joint factor"):
-                posterior.whitened(points, 1)
             with pytest.raises(TypeError, match="TwoTaskFactor.log_likelihood"):
                 gp.log_marginal_likelihood(posterior)
 
@@ -121,9 +119,9 @@ class TestPosterior:
         fills = []
         real = gp.Posterior._new_rows
 
-        def recording(posterior, entries, points, *means):
+        def recording(posterior, entries, scaled):
             fills.append((posterior.dataset.n, entries[0].rows if entries else 0))
-            return real(posterior, entries, points, *means)
+            return real(posterior, entries, scaled)
 
         monkeypatch.setattr(gp.Posterior, "_new_rows", recording)
         rng = np.random.default_rng(3)
@@ -154,7 +152,22 @@ class TestPosterior:
 
 
 class TestFusedProjection:
-    """The weights t1 and t2 ride under U' and V' in the one product over each task's grid."""
+    """A two-task mean is the fits' kept means plus P1' shift_1 and P2' shift_2, with
+    P1 = U' W1 and P2 = V' W2 the projections the variances read."""
+
+    @staticmethod
+    def separate(posterior, points, z):
+        """Mean and clamped variance of task ``z`` from separate products over the fits' grids."""
+        factor = posterior.factor
+        (w1, sq1), (w2, sq2) = (whitened(fit, points, 1) for fit in factor.tasks)
+        p1, p2 = factor.left.T @ w1, factor.right.T @ w2
+        (c1, c2), (one, two) = posterior.coefficients, factor.tasks
+        t1, t2 = factor._solve_whitened(one.whitened_obs, two.whitened_obs, c1, c2)
+        g1, g2 = posterior.sigma_used.matrix[z - 1]
+        explained = (g1 * g1 * (sq1 + c1 @ (p1 * p1)) + g2 * g2 * (sq2 + c1 @ (p2 * p2))
+                     + 2.0 * g1 * g2 * (c2 @ (p1 * p2)))
+        return (g1 * (w1.T @ t1) + g2 * (w2.T @ t2),
+                gp.clamp_variances(PARAMS.signal_variance - explained))
 
     @staticmethod
     def factors(points):
@@ -165,10 +178,10 @@ class TestFusedProjection:
         head = gp.MultiTaskDataset(both.inputs[:30], both.tasks[:30], both.observations[:30])
         previous = factor_for(head)
         for fit in previous.tasks:
-            fit.whitened(points, 1)                 # the grown factor's fits append to these
+            whitened(fit, points, 1)                # the grown factor's fits append to these
         grown = TwoTaskFactor.build(both, PARAMS, previous=previous)
         for fit, old in zip(grown.tasks, previous.tasks):
-            fit.whitened(points, 1)
+            whitened(fit, points, 1)
             assert fit._grid[0].buffer is old._grid[0].buffer
         return {**{name: factor_for(d) for name, d in datasets().items()}, "grown": grown}
 
@@ -177,20 +190,44 @@ class TestFusedProjection:
         """Bit for bit on OpenBLAS at these sizes; the module notes say where it is not."""
         points = frozen_grid()
         factor = self.factors(points)[name]
-        (w1, sq1), (w2, sq2) = (fit.whitened(points, 1) for fit in factor.tasks)
-        p1, p2 = factor.left.T @ w1, factor.right.T @ w2
         for r in (0.0, 0.5, R_MAX):
             posterior = factor.posterior(CorrelationMatrix.two_task(r))
-            (c1, c2), (t1, t2) = posterior.coefficients, posterior.weights
             for z in (1, 2):
-                g1, g2 = posterior.sigma_used.matrix[z - 1]
-                explained = (g1 * g1 * (sq1 + c1 @ (p1 * p1)) + g2 * g2 * (sq2 + c1 @ (p2 * p2))
-                             + 2.0 * g1 * g2 * (c2 @ (p1 * p2)))
-                variance = gp.clamp_variances(PARAMS.signal_variance - explained)
-                mean = g1 * (w1.T @ t1) + g2 * (w2.T @ t2)
+                mean, variance = self.separate(posterior, points, z)
                 got_mean, got_variance = posterior.predict_batch(points, z)
                 assert np.array_equal(got_variance, variance)
                 assert np.max(np.abs(got_mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+
+    def test_task_without_new_rows_reads_its_new_observations(self):
+        """Laser's case: task 1 gains no rows, but restandardizing changes its observations."""
+        points = frozen_grid()
+        rng = np.random.default_rng(5)
+        head = synthetic_two_task(0.7, 20, rng)
+        previous = factor_for(head)
+        for r in (0.3, 0.8):
+            previous.posterior(CorrelationMatrix.two_task(r)).predict_batch(points, 1)
+        extra = rng.random((4, 1))
+        inputs = np.vstack([head.inputs, extra])
+        tasks = np.concatenate([head.tasks, np.full(4, 2)])
+        y = np.concatenate([head.observations, np.sin(6.0 * extra[:, 0])])
+        dataset = gp.MultiTaskDataset(inputs, tasks, (y - y.mean()) / y.std())
+        grown = TwoTaskFactor.build(dataset, PARAMS, previous=previous)
+        one, old = grown.tasks[0], previous.tasks[0]
+        assert one.chol is old.chol and one._grid[0] is old._grid[0]     # covered, inherited
+        assert not np.array_equal(one.whitened_obs, old.whitened_obs)
+        assert grown.tasks[1]._grid[0].rows < grown.tasks[1].dataset.n  # task 2 grows
+        for r in (0.3, 0.8):
+            posterior = grown.posterior(CorrelationMatrix.two_task(r))
+            for z in (1, 2):
+                mean, variance = self.separate(posterior, points, z)
+                got_mean, got_variance = posterior.predict_batch(points, z)
+                assert np.max(np.abs(got_mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+                assert np.max(np.abs(got_variance - variance)) <= 1e-12
+            exact = gp.fit(dataset, posterior.sigma_used, PARAMS)
+            for z in (1, 2):
+                for got, want in zip(posterior.predict_batch(points, z),
+                                     exact.predict_batch(points, z)):
+                    assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_prediction_reads_each_task_grid_once(self, monkeypatch):
         spy_on_grids(monkeypatch)
@@ -198,7 +235,7 @@ class TestFusedProjection:
         factor = factor_for(dataset)
         points = frozen_grid()
         for fit in factor.tasks:
-            fit.whitened(points, 1)
+            whitened(fit, points, 1)
         posterior = factor.posterior(CorrelationMatrix.two_task(0.5))
         GridSpy.read = 0
         for _ in range(2):
