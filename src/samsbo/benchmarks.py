@@ -17,7 +17,8 @@ varies.  ``PROBLEMS`` maps each problem name to its factory, and
 ``FIXED_DIMENSIONS`` holds the dimension of each problem whose factory takes
 none.  ``DISTURBANCE`` and ``N_TASKS``, the protocol's disturbance factor and
 task count, are the defaults of the factories and of ``config.ExperimentConfig``.
-``BRANIN_DOMAIN`` and ``POWELL_DOMAIN`` are the functions' standard boxes.  The
+``BRANIN_DOMAIN`` and ``POWELL_DOMAIN`` are the functions' standard boxes.  Each
+factory gives its problem the safety threshold ``*_THRESHOLD``.  The
 thresholds and the laser chain's ``LASER_*`` plant, filters, gain box, output
 scale and known-safe gains ``LASER_SAFE_SEED`` are chosen in this package, the
 scale so that those gains land well below the threshold while a sizable part
@@ -77,7 +78,7 @@ LASER_SAFE_SEED = _read_only(np.repeat([2.0, 1.0], LASER_SUBSYSTEMS))
 
 
 class StabilityError(RuntimeError):
-    """Raised when a Lyapunov solution fails or cannot be trusted, or safe gains are unsafe."""
+    """Raised when a Lyapunov solution fails or cannot be trusted."""
 
 
 def _no_select(real: float, imag: float) -> int:
@@ -165,19 +166,17 @@ def _output_scale(base: Callable[[np.ndarray], float], domain: np.ndarray) -> fl
 
 
 def branin_problem(disturbance: float = DISTURBANCE, n_tasks: int = N_TASKS,
-                   threshold: float = BRANIN_THRESHOLD,
                    disturbance_seed: int = 0) -> SyntheticProblem:
     noise = NOISE_MULTIPLIER * _output_scale(branin, BRANIN_DOMAIN)
-    return SyntheticProblem(branin, BRANIN_DOMAIN, threshold, disturbance, n_tasks,
+    return SyntheticProblem(branin, BRANIN_DOMAIN, BRANIN_THRESHOLD, disturbance, n_tasks,
                             _signs(disturbance_seed, n_tasks, 2), noise)
 
 
 def powell_problem(dimension: int = 4, disturbance: float = DISTURBANCE,
-                   n_tasks: int = N_TASKS, threshold: float = POWELL_THRESHOLD,
-                   disturbance_seed: int = 0) -> SyntheticProblem:
+                   n_tasks: int = N_TASKS, disturbance_seed: int = 0) -> SyntheticProblem:
     domain = _read_only(np.tile(np.array(POWELL_DOMAIN), (dimension, 1)))
     noise = NOISE_MULTIPLIER * _output_scale(powell, domain)
-    return SyntheticProblem(powell, domain, threshold, disturbance, n_tasks,
+    return SyntheticProblem(powell, domain, POWELL_THRESHOLD, disturbance, n_tasks,
                             _signs(disturbance_seed, n_tasks, dimension), noise)
 
 
@@ -305,17 +304,13 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
 
 
 def laser_problem(disturbance: float = DISTURBANCE, n_tasks: int = N_TASKS,
-                  threshold: float = LASER_THRESHOLD,
                   disturbance_seed: int = 0) -> LaserChainProblem:
-    problem = LaserChainProblem(
-        threshold=threshold, disturbance=disturbance, n_tasks=n_tasks,
+    """The laser chain at ``LASER_THRESHOLD``, with noise sd ``NOISE_MULTIPLIER`` times it."""
+    return LaserChainProblem(
+        threshold=LASER_THRESHOLD, disturbance=disturbance, n_tasks=n_tasks,
         signs=_signs(disturbance_seed, n_tasks, LASER_SUBSYSTEMS + 1),
-        noise_sd=NOISE_MULTIPLIER * threshold,
+        noise_sd=NOISE_MULTIPLIER * LASER_THRESHOLD,
     )
-    seed_cost = h2_cost(LASER_SAFE_SEED, problem, 1)
-    if not seed_cost <= threshold:
-        raise StabilityError(f"default seed cost {seed_cost:.2f} exceeds threshold")
-    return problem
 
 
 def find_safe_seed(problem, rng: np.random.Generator) -> np.ndarray:

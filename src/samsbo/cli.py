@@ -41,8 +41,8 @@ PLOTDATA_HEADER = ["algorithm", "iteration", "median", "q10", "q90", "mean", "st
 
 
 def build_problem(config: ExperimentConfig, disturbance_seed: int):
-    """The configured problem; a zero threshold or dimension keeps the problem's own default."""
-    settings = {"threshold": config.threshold} if config.threshold else {}
+    """The configured problem at its own threshold; a zero dimension keeps its default."""
+    settings = {}
     if config.dimension and config.problem not in benchmarks.FIXED_DIMENSIONS:
         settings["dimension"] = config.dimension
     return benchmarks.PROBLEMS[config.problem](
@@ -139,10 +139,7 @@ def _output_dir(path: str) -> Path:
 
 def cmd_run(config: ExperimentConfig) -> int:
     rep_seeds = _repetition_seeds(config)
-    try:
-        problem = build_problem(config, disturbance_seed=rep_seeds[0])
-    except benchmarks.StabilityError as exc:
-        raise ConfigError(f"cannot build the {config.problem} problem: {exc}") from exc
+    problem = build_problem(config, disturbance_seed=rep_seeds[0])
     out = _output_dir(config.out)
     manifest = {
         "config": serialize_config(config),

@@ -41,7 +41,6 @@ class LoopConfig:
     delta: float = 0.05
     rho: float = 0.15
     eta: float = 0.1
-    grid_size: int = 2048
     seed_points: int = 3
 
     def __post_init__(self):
@@ -54,10 +53,8 @@ class LoopConfig:
             raise ConfigError(f"eta must be positive and finite, got {self.eta}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        for name in ("grid_size", "seed_points"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.seed_points < 1:
+            raise ConfigError(f"seed_points must be >= 1, got {self.seed_points}")
 
     def _check_algorithms(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -72,9 +69,7 @@ class ExperimentConfig(LoopConfig):
     copy naming that loop alone, ``dataclasses.replace(config, algorithm=name)``,
     since the loop refuses a list.
 
-    ``threshold`` and ``dimension`` are sentinels: 0 keeps the problem's own
-    default, so a threshold of exactly 0 cannot be set, and a negative
-    threshold is refused because every objective is nonnegative.  The
+    ``dimension`` is a sentinel: 0 keeps the problem's own default.  The
     manifest of ``samsbo run`` records the threshold and dimension in use.
 
     Each protocol value is stated once.  ``problem`` is a key of
@@ -84,12 +79,13 @@ class ExperimentConfig(LoopConfig):
     suites of :mod:`samsbo.verify` default to these fields.  Constants, not
     keys: ``TAU``, the resolution of the cube's cover whose size |I| enters
     beta_b; the kernel of :func:`kernel_params`; the 2 * d supplementary batch,
-    ``safeopt.SUPPLEMENTARY_PER_INPUT``; the problems' facts in ``benchmarks``.
+    ``safeopt.SUPPLEMENTARY_PER_INPUT``; the candidate grid's size,
+    ``safeopt.GRID_SIZE``; the problems' safety thresholds ``*_THRESHOLD`` and
+    their other facts in ``benchmarks``.
     """
 
     problem: str = "branin"
     dimension: int = 0                  # 0 keeps the problem's default; only powell has a choice
-    threshold: float = 0.0              # 0 keeps the problem's default
     n_tasks: int = benchmarks.N_TASKS
     disturbance: float = benchmarks.DISTURBANCE
     repetitions: int = 15
@@ -103,12 +99,8 @@ class ExperimentConfig(LoopConfig):
         super().__post_init__()
         if self.problem not in benchmarks.PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}")
-        for name in ("threshold", "disturbance"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.threshold < 0.0:
-            raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
+        if not np.isfinite(self.disturbance):
+            raise ConfigError(f"disturbance must be finite, got {self.disturbance}")
         if self.n_tasks < 1:
             raise ConfigError(f"n_tasks must be >= 1, got {self.n_tasks}")
         if self.dimension != 0:

@@ -229,13 +229,11 @@ def inverse_factor(chol: np.ndarray) -> np.ndarray:
 def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """L^-1 rhs for a nonempty lower-triangular factor, bit-identical to scipy's solve.
 
-    As ``solve_triangular(chol, rhs, lower=True)`` does, it passes an F-ordered factor as it is and a C-ordered one as
-    its transpose with the triangle and the transposition flipped.
+    As ``solve_triangular(chol, rhs, lower=True)`` does with the C-ordered factors
+    this module makes, it passes the transpose with the triangle and the
+    transposition flipped, which is correct for any layout.
     """
-    if chol.flags.f_contiguous:
-        solution, info = dtrtrs(chol, rhs, lower=1, trans=0)
-    else:
-        solution, info = dtrtrs(chol.T, rhs, lower=0, trans=1)
+    solution, info = dtrtrs(chol.T, rhs, lower=0, trans=1)
     if info != 0:
         raise NumericalError(f"triangular solve failed (dtrtrs info {info})")
     return solution

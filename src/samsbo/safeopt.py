@@ -39,6 +39,7 @@ __all__ = [
 
 STD_FLOOR = 1e-8
 SUPPLEMENTARY_PER_INPUT = 2     # supplementary evaluations per iteration and input: 2 * d
+GRID_SIZE = 2048                # Sobol points of the candidate grid, before the seeds
 GRID_SEED = 0                   # scrambling seed of the candidate grid's Sobol points
 
 
@@ -248,12 +249,15 @@ def acquire_supplementary(state: OptimizationState, batch_size: int,
     Each pick conditions the posterior on a zero-valued fantasy observation at
     the chosen point (variance does not depend on the observed value), so later
     picks spread out.  Supplementary tasks are cycled when there are several.
-    The whole grid is admissible.
+    The whole grid is admissible, since :func:`step` evaluates the picks
+    without a safety check; so ``n_tasks`` below 2, which would leave only
+    main-task picks, is refused.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    supplementary = [z for z in range(2, n_tasks + 1)] or [1]
-    tasks = [supplementary[j % len(supplementary)] for j in range(batch_size)]
+    if n_tasks < 2:
+        raise ValueError(f"supplementary picks need n_tasks >= 2, got {n_tasks}")
+    tasks = [2 + j % (n_tasks - 1) for j in range(batch_size)]
     picks = _greedy_variance_picks(state.posterior, grid.points, tasks)
     return [(grid.points[idx], task) for (idx, _), task in zip(picks, tasks)]
 
@@ -330,7 +334,7 @@ def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
         posterior=None,
     )
     _refresh_model(state, problem, cfg, rng)
-    state.grid = make_grid(problem.dimension, cfg.grid_size,
+    state.grid = make_grid(problem.dimension, GRID_SIZE,
                            extra_points=state.transforms.normalize(seed_inputs))
     trace = [_record_main(state, problem, repetition, x, y, -1)
              for x, y in zip(seed_inputs, observations)]

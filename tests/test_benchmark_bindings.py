@@ -50,8 +50,10 @@ def _expected(workload: str) -> set[str]:
 
 
 def test_install_binds_every_site_and_unpatch_restores(monkeypatch):
+    monkeypatch.setattr(safeopt, "GRID_SIZE", 64)
+
     def run():
-        cfg = safeopt.LoopConfig(iterations=1, grid_size=64, seed_points=2)
+        cfg = safeopt.LoopConfig(iterations=1, seed_points=2)
         safeopt.run_repetition(benchmarks.branin_problem(disturbance_seed=1), cfg, seed=0)
 
     assert _expected("branin-samsbo") <= _traced_spans(monkeypatch, run)
@@ -89,12 +91,13 @@ def _coverage_suites():
 
 
 SHORT_RUNS = {
-    "branin-samsbo": _loop(benchmarks.branin_problem, iterations=1, grid_size=64, seed_points=2),
-    "laser-samsbo": _loop(benchmarks.laser_problem, iterations=1, grid_size=64, seed_points=2),
+    "branin-samsbo": _loop(benchmarks.branin_problem, iterations=1, seed_points=2),
+    "laser-samsbo": _loop(benchmarks.laser_problem, iterations=1, seed_points=2),
     "safeucb-branin": _loop(benchmarks.branin_problem, algorithm="safe-ucb", iterations=2,
                             seed_points=3),
     "verify-bounds": _coverage_suites,
 }
+SMALL_GRID_RUNS = {"branin-samsbo", "laser-samsbo"}     # these run on a 64-point grid
 
 
 @pytest.mark.parametrize("workload", sorted(json.loads((PERFBENCH / "spec.json").read_text())
@@ -102,6 +105,8 @@ SHORT_RUNS = {
 def test_short_run_fires_expected_spans_and_no_silent_one(workload, monkeypatch):
     """One short operation of each workload fires every ``expect_spans`` layer and no
     ``expect_silent`` one."""
+    if workload in SMALL_GRID_RUNS:
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 64)
     fired = _traced_spans(monkeypatch, SHORT_RUNS[workload])
     spec = _spec(workload)
     assert set(spec["expect_spans"]) <= fired

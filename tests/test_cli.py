@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import multiprocessing
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
-from samsbo import benchmarks, cli, verify
+from samsbo import benchmarks, cli, safeopt, verify
 from samsbo.cli import (
     AGGREGATE_HEADER,
     PLOTDATA_HEADER,
@@ -33,18 +34,19 @@ from samsbo.config import (
     serialize_config,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # settings the loop cannot run, each with the key its error must name
 BAD_VALUES = [
     ("rho", 1.5), ("seed_points", 0),
-    ("frequentist_trials", -2), ("bayesian_trials", -1), ("grid_size", 0), ("jobs", 0),
+    ("frequentist_trials", -2), ("bayesian_trials", -1), ("jobs", 0),
     ("algorithm", ","), ("algorithm", "ucb, ucb"), ("seed", -1),
-    ("eta", "nan"), ("eta", "inf"), ("threshold", "inf"), ("threshold", "nan"),
-    ("threshold", -1.0),
-    ("disturbance", "nan"), ("disturbance", "-inf"),
+    ("eta", "nan"), ("eta", "inf"), ("disturbance", "nan"), ("disturbance", "-inf"),
 ]
 REMOVED_KEYS = ["refresh_every", "mcmc_chains", "mcmc_burn_in", "mcmc_target_acceptance",
                 "include_psi", "mcmc_samples", "supplementary_batch",
-                "tau", "lengthscale", "signal_variance", "noise_variance", "observation_noise"]
+                "tau", "lengthscale", "signal_variance", "noise_variance", "observation_noise",
+                "threshold", "grid_size"]
 # problem settings no problem can be built with: (key named, config text)
 BAD_PROBLEMS = [
     ("n_tasks", "n_tasks = 0"), ("n_tasks", "problem = powell\nn_tasks = -1"),
@@ -106,10 +108,10 @@ class TestParseConfig:
             parse_config_text("problem = laser\n")
 
     def test_campaign_extends_loop_settings(self):
-        cfg = parse_config_text("algorithm = samsbo,ucb\ngrid_size = 256\n")
+        cfg = parse_config_text("algorithm = samsbo,ucb\nseed_points = 5\n")
         assert isinstance(cfg, LoopConfig)
         single = replace(cfg, algorithm="ucb")
-        assert single.algorithm == "ucb" and single.grid_size == 256
+        assert single.algorithm == "ucb" and single.seed_points == 5
         with pytest.raises(ConfigError, match="unknown algorithm"):
             LoopConfig(algorithm="samsbo,ucb")
 
@@ -124,8 +126,8 @@ class TestParseConfig:
 
     def test_every_field_roundtrips_at_a_non_default_value(self):
         cfg = ExperimentConfig(
-            algorithm="safe-ucb, ucb", iterations=7, delta=0.1, rho=0.2, eta=0.3, grid_size=64,
-            seed_points=2, problem="powell", dimension=8, threshold=1.5, n_tasks=3,
+            algorithm="safe-ucb, ucb", iterations=7, delta=0.1, rho=0.2, eta=0.3,
+            seed_points=2, problem="powell", dimension=8, n_tasks=3,
             disturbance=-0.25, repetitions=2, seed=9, frequentist_trials=10, bayesian_trials=11,
             jobs=2, out="runs/a b=c")
         for f in fields(ExperimentConfig):
@@ -139,6 +141,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{key} cannot hold"):
             ExperimentConfig(**{key: value})
 
+    def test_every_fixed_seed_run_parses(self):
+        """A key that is gone fails here in seconds, not partway through a fixed-seed comparison."""
+        spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
+        reach = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reach)
+        runs = reach.fixed_seed_runs()
+        assert {"branin", "laser10", "powell8", "branin3", "verify"} <= {r[0] for r in runs}
+        for _, _, settings in runs:
+            parse_config_text("\n".join(settings) + "\n")
+
     def test_key_set_twice_names_both_lines(self):
         with pytest.raises(ConfigError, match="line 3: seed is already set on line 1"):
             parse_config_text("seed = 1\neta = 0.5\nseed = 2\n")
@@ -149,15 +161,20 @@ class TestParseConfig:
 def small_config(tmp_path, **overrides):
     base = dict(
         problem="branin", algorithm="samsbo", iterations=2, repetitions=2,
-        grid_size=128, seed=3, seed_points=2,
-        out=str(tmp_path / "results"),
+        seed=3, seed_points=2, out=str(tmp_path / "results"),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
 
 
+@pytest.fixture
+def small_grid(monkeypatch):
+    """A 128-point candidate grid for the loops run in this process."""
+    monkeypatch.setattr(safeopt, "GRID_SIZE", 128)
+
+
 class TestCmdRun:
-    def test_writes_expected_files_and_schema(self, tmp_path):
+    def test_writes_expected_files_and_schema(self, tmp_path, small_grid):
         cfg = small_config(tmp_path)
         assert cmd_run(cfg) == 0
         out = Path(cfg.out)
@@ -172,25 +189,23 @@ class TestCmdRun:
         assert "samsbo" in manifest["algorithms"]
         assert manifest["versions"]["scipy"] == scipy.__version__
 
-    def test_manifest_records_the_problem_in_use(self, tmp_path):
-        # a zero threshold or dimension is the sentinel for the problem's own
-        for problem, threshold, dimension, want in (("branin", 0.0, 0, (150.0, 2)),
-                                                    ("powell", 0.0, 8, (35_000.0, 8)),
-                                                    ("branin", 99.0, 0, (99.0, 2))):
-            cfg = small_config(tmp_path / f"{problem}{threshold}", problem=problem,
-                               threshold=threshold, dimension=dimension, iterations=0,
-                               repetitions=1)
+    def test_manifest_records_the_problem_in_use(self, tmp_path, small_grid):
+        # a zero dimension is the sentinel for the problem's own
+        for problem, dimension, want in (("branin", 0, (150.0, 2)),
+                                         ("powell", 8, (35_000.0, 8))):
+            cfg = small_config(tmp_path / problem, problem=problem, dimension=dimension,
+                               iterations=0, repetitions=1)
             assert cmd_run(cfg) == 0
             manifest = json.loads((Path(cfg.out) / "manifest.json").read_text())
             assert manifest["problem"] == {"threshold": want[0], "dimension": want[1]}
 
-    def test_zero_iterations_only_seed_rows(self, tmp_path):
+    def test_zero_iterations_only_seed_rows(self, tmp_path, small_grid):
         cfg = small_config(tmp_path, iterations=0, repetitions=1)
         cmd_run(cfg)
         rows = (Path(cfg.out) / "samsbo_raw.csv").read_text().splitlines()
         assert len(rows) == 1 + cfg.seed_points
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, small_grid):
         cfg_a = small_config(tmp_path / "a")
         cfg_b = small_config(tmp_path / "b")
         cmd_run(cfg_a)
@@ -200,6 +215,7 @@ class TestCmdRun:
                 (Path(cfg_b.out) / name).read_bytes()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
+        # at the default grid, so that no worker needs to inherit a patch
         serial = small_config(tmp_path / "serial", jobs=1)
         parallel = small_config(tmp_path / "parallel", jobs=2)
         cmd_run(serial)
@@ -207,7 +223,7 @@ class TestCmdRun:
         assert (Path(serial.out) / "samsbo_raw.csv").read_bytes() == \
             (Path(parallel.out) / "samsbo_raw.csv").read_bytes()
 
-    def test_multiple_algorithms(self, tmp_path):
+    def test_multiple_algorithms(self, tmp_path, small_grid):
         cfg = small_config(tmp_path, algorithm="safe-ucb,ucb", iterations=1)
         cmd_run(cfg)
         out = Path(cfg.out)
@@ -233,7 +249,7 @@ class TestPlotdata:
         assert float(record["median"]) == pytest.approx(5.5)
         assert float(record["mean"]) == pytest.approx(5.5)
 
-    def test_single_repetition_median_equals_mean(self, tmp_path):
+    def test_single_repetition_median_equals_mean(self, tmp_path, small_grid):
         cfg = small_config(tmp_path, repetitions=1)
         cmd_run(cfg)
         out = tmp_path / "plot.csv"
@@ -282,10 +298,9 @@ class TestBestCurves:
 
 
 class TestMainEntry:
-    def test_env_var_overrides_out(self, tmp_path, monkeypatch):
+    def test_env_var_overrides_out(self, tmp_path, monkeypatch, small_grid):
         cfg_file = tmp_path / "cfg.txt"
-        cfg_file.write_text(
-            "iterations = 1\nrepetitions = 1\ngrid_size = 128\nseed_points = 2\n")
+        cfg_file.write_text("iterations = 1\nrepetitions = 1\nseed_points = 2\n")
         env_out = tmp_path / "from_env"
         monkeypatch.setenv("SAMSBO_OUT", str(env_out))
         code = main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "ignored")])
@@ -316,13 +331,17 @@ class TestMainEntry:
         cfg_file = tmp_path / "cfg.txt"
         out = tmp_path / "results"
         cases = [("rho", "rho = 2.0")] + [(k, f"{k} = {v}") for k, v in BAD_VALUES] + \
-            [(k, f"{k} = 0") for k in REMOVED_KEYS] + BAD_PROBLEMS + \
-            [("threshold", "problem = laser\nthreshold = 5")]    # below the seed's cost
+            BAD_PROBLEMS
         for key, text in cases:
             cfg_file.write_text(text + "\n")
             assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
             assert key in capsys.readouterr().err
             assert not out.exists()          # no repetition started
+        for key in REMOVED_KEYS:             # a key that is gone is named with its line
+            cfg_file.write_text(f"problem = laser\n{key} = 5\n")
+            assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+            assert f"line 2: unknown key {key!r}" in capsys.readouterr().err
+            assert not out.exists()
         for path in (tmp_path / "missing.cfg", tmp_path):     # absent, and not a file
             assert main(["run", "--config", str(path), "--out", str(out)]) == 2
             assert str(path) in capsys.readouterr().err
@@ -398,9 +417,12 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_repetitions_print_their_reason(self, tmp_path, monkeypatch, capsys, jobs):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the workers must inherit the patched threshold")
         monkeypatch.delenv("SAMSBO_OUT", raising=False)
+        monkeypatch.setattr(benchmarks, "BRANIN_THRESHOLD", 0.1)     # below Branin's minimum
         cfg_file = tmp_path / "cfg.txt"
-        cfg_file.write_text("problem = branin\nthreshold = 0.1\nrepetitions = 2\n")
+        cfg_file.write_text("problem = branin\nrepetitions = 2\n")
         out = tmp_path / "results"
         assert main(["run", "--config", str(cfg_file), "--out", str(out),
                      "--jobs", str(jobs)]) == 1
@@ -490,7 +512,3 @@ class TestBuildProblem:
             if name not in benchmarks.FIXED_DIMENSIONS:
                 wide = build_problem(ExperimentConfig(problem=name, dimension=8), 1)
                 assert wide.dimension == 8
-
-    def test_threshold_override(self):
-        cfg = ExperimentConfig(problem="branin", threshold=99.0)
-        assert build_problem(cfg, 1).threshold == 99.0

@@ -830,13 +830,16 @@ class TestSolveLower:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("columns", [None, 3])
     def test_bit_identical_to_solve_triangular(self, n, order, columns):
+        """Scipy's solve of the C-ordered factor, which gp makes, whatever the layout."""
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n))
-        chol = np.asarray(np.linalg.cholesky(a @ a.T + n * np.eye(n)), order=order)
+        c_chol = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+        assert c_chol.flags.c_contiguous
+        chol = np.asarray(c_chol, order=order)
         assert chol.flags[f"{order}_CONTIGUOUS"]
         rhs = rng.standard_normal(n if columns is None else (n, columns))
         got = gp._solve_lower(chol, rhs)
-        want = solve_triangular(chol, rhs, lower=True)
+        want = solve_triangular(c_chol, rhs, lower=True)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 

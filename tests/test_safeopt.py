@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from samsbo import bounds, gp, kernels, verify
+from samsbo import bounds, gp, kernels, safeopt, verify
 from samsbo.benchmarks import branin_problem, find_safe_seed, laser_problem, powell_problem
 from samsbo.bounds import select_sigma_prime
 from samsbo.config import ConfigError, ExperimentConfig
@@ -200,6 +200,13 @@ class TestAcquireSupplementary:
         assert np.allclose(picks[0][0], grid.points[0])
         assert picks[0][1] == 2
 
+    @pytest.mark.parametrize("n_tasks", [0, 1])
+    def test_refuses_a_problem_without_supplementary_tasks(self, n_tasks):
+        # the loop evaluates the picks without a safety check, so none may be main-task
+        state = make_state(empty_dataset(1), CorrelationMatrix.identity(1))
+        with pytest.raises(ValueError, match="n_tasks >= 2"):
+            acquire_supplementary(state, 2, make_grid(1, size=8), n_tasks=n_tasks)
+
     def test_second_pick_differs(self):
         ds = empty_dataset(1)
         sigma = CorrelationMatrix.two_task(0.5)
@@ -270,12 +277,13 @@ class TestSelectSigmaPrime:
 
 
 class TestStepComposition:
-    def test_full_step_matches_scripted_suboperations(self):
+    def test_full_step_matches_scripted_suboperations(self, monkeypatch):
         """One SaMSBO step equals the same suboperations called by hand."""
         from samsbo.safeopt import _refresh_model
 
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 64)
         problem = branin_problem(disturbance_seed=7)
-        cfg = LoopConfig(iterations=1, grid_size=64, seed_points=2)
+        cfg = LoopConfig(iterations=1, seed_points=2)
         rng_a = np.random.default_rng(123)
         rng_b = np.random.default_rng(123)
 
@@ -321,7 +329,8 @@ class TestProtocolConstants:
             return real(dataset, n_tasks, eta, rho, cardinality, params, delta, **kwargs)
 
         monkeypatch.setattr(bounds, "robust_model", recording)
-        cfg = LoopConfig(iterations=1, grid_size=64, seed_points=2)
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 64)
+        cfg = LoopConfig(iterations=1, seed_points=2)
         trace = run_repetition(branin_problem(disturbance_seed=1), cfg, seed=0)
         assert max(r.iteration for r in trace) == 1
         assert len(seen) == 2                           # initialization and one step
@@ -331,18 +340,32 @@ class TestProtocolConstants:
             assert params.lengthscales.tolist() == [0.2, 0.2]
 
 
+    @pytest.mark.parametrize("size", [None, 64])
+    def test_initial_grid_is_the_constant_size_grid_with_the_seeds(self, size, monkeypatch):
+        assert safeopt.GRID_SIZE == 2048
+        if size is not None:
+            monkeypatch.setattr(safeopt, "GRID_SIZE", size)
+        problem = branin_problem(disturbance_seed=1)
+        seeds = np.array([[2.0, 3.0], [1.0, 8.0]])
+        state, _ = initialize_state(problem, LoopConfig(), np.random.default_rng(0), seeds)
+        want = make_grid(2, safeopt.GRID_SIZE, extra_points=state.transforms.normalize(seeds))
+        assert np.array_equal(state.grid.points, want.points)
+        assert len(want) == safeopt.GRID_SIZE + len(seeds)
+
+
 class TestStepPrediction:
     @staticmethod
-    def start(algorithm):
+    def start(algorithm, monkeypatch):
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 64)
         problem = branin_problem(disturbance_seed=6, n_tasks=1)
-        cfg = LoopConfig(algorithm=algorithm, iterations=1, grid_size=64)
+        cfg = LoopConfig(algorithm=algorithm, iterations=1)
         rng = np.random.default_rng(21)
         seeds = np.array([find_safe_seed(problem, rng) for _ in range(3)])
         state, _ = initialize_state(problem, cfg, rng, seeds)
         return problem, cfg, rng, state
 
     def test_safe_ucb_step_predicts_the_main_task_once(self, monkeypatch):
-        problem, cfg, rng, state = self.start("safe-ucb")
+        problem, cfg, rng, state = self.start("safe-ucb", monkeypatch)
         tasks = []
         real = gp.Posterior.predict_batch
 
@@ -355,8 +378,8 @@ class TestStepPrediction:
         assert [r.task for r in trace] == [1]           # the step reached acquisition
         assert tasks == [1]                             # safe set and acquisition share it
 
-    def test_ucb_step_takes_the_argmin_of_lower_over_the_whole_grid(self):
-        problem, cfg, rng, state = self.start("ucb")
+    def test_ucb_step_takes_the_argmin_of_lower_over_the_whole_grid(self, monkeypatch):
+        problem, cfg, rng, state = self.start("ucb", monkeypatch)
         grid, posterior, bundle = state.grid, state.posterior, state.bundle
         lower = []
         for point in grid.points:
@@ -373,9 +396,10 @@ class TestStepPrediction:
 class TestLoopBehavior:
     @pytest.mark.parametrize("make_problem", [branin_problem, powell_problem, laser_problem],
                              ids=["branin", "powell", "laser"])
-    def test_iteration_and_dataset_growth(self, make_problem):
+    def test_iteration_and_dataset_growth(self, make_problem, monkeypatch):
         problem = make_problem(disturbance_seed=1)
-        cfg = LoopConfig(iterations=3, grid_size=128, seed_points=2)
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 128)
+        cfg = LoopConfig(iterations=3, seed_points=2)
         rng = np.random.default_rng(0)          # the draws of run_repetition(seed=0)
         seeds = np.array([find_safe_seed(problem, rng) for _ in range(cfg.seed_points)])
         state, trace = initialize_state(problem, cfg, rng, seeds)
@@ -399,16 +423,18 @@ class TestLoopBehavior:
         with pytest.raises(ConfigError, match="one algorithm"):
             run_repetition(problem, cfg, seed=0)
 
-    def test_zero_iterations_only_seed(self):
+    def test_zero_iterations_only_seed(self, monkeypatch):
         problem = branin_problem(disturbance_seed=1)
-        cfg = LoopConfig(iterations=0, grid_size=64, seed_points=3)
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 64)
+        cfg = LoopConfig(iterations=0, seed_points=3)
         trace = run_repetition(problem, cfg, seed=0)
         assert len(trace) == 3
         assert all(r.iteration == 0 for r in trace)
 
-    def test_fixed_seed_reproducible(self):
+    def test_fixed_seed_reproducible(self, monkeypatch):
         problem = branin_problem(disturbance_seed=1)
-        cfg = LoopConfig(iterations=2, grid_size=128)
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 128)
+        cfg = LoopConfig(iterations=2)
         a = run_repetition(problem, cfg, seed=5)
         b = run_repetition(problem, cfg, seed=5)
         assert len(a) == len(b)
@@ -417,17 +443,19 @@ class TestLoopBehavior:
             assert ra.observed == rb.observed
             assert ra.beta_bar == rb.beta_bar
 
-    def test_best_observation_monotone(self):
+    def test_best_observation_monotone(self, monkeypatch):
         problem = branin_problem(disturbance_seed=2)
-        cfg = LoopConfig(iterations=5, grid_size=256)
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 256)
+        cfg = LoopConfig(iterations=5)
         trace = run_repetition(problem, cfg, seed=1)
         main = [r.best_so_far for r in trace if r.task == 1]
         assert all(b <= a + 1e-12 for a, b in zip(main, main[1:]))
 
-    def test_single_task_reduction_matches_safe_ucb(self):
+    def test_single_task_reduction_matches_safe_ucb(self, monkeypatch):
         problem = branin_problem(disturbance_seed=3, n_tasks=1)
-        cfg_m = LoopConfig(algorithm="samsbo", iterations=4, grid_size=256)
-        cfg_s = LoopConfig(algorithm="safe-ucb", iterations=4, grid_size=256)
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 256)
+        cfg_m = LoopConfig(algorithm="samsbo", iterations=4)
+        cfg_s = LoopConfig(algorithm="safe-ucb", iterations=4)
         a = run_repetition(problem, cfg_m, seed=7)
         b = run_repetition(problem, cfg_s, seed=7)
         assert len(a) == len(b)
@@ -435,9 +463,10 @@ class TestLoopBehavior:
             assert np.array_equal(ra.x, rb.x)
             assert ra.observed == rb.observed
 
-    def test_safe_set_soundness_recorded_states(self):
+    def test_safe_set_soundness_recorded_states(self, monkeypatch):
         problem = branin_problem(disturbance_seed=4)
-        cfg = LoopConfig(iterations=3, grid_size=128)
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 128)
+        cfg = LoopConfig(iterations=3)
         rng = np.random.default_rng(11)
         seeds = np.array([find_safe_seed(problem, rng) for _ in range(3)])
         state, _ = initialize_state(problem, cfg, rng, seeds)
@@ -538,7 +567,8 @@ class TestIncrementalRefresh:
 
     def test_samsbo_factors_no_full_system_after_the_first_refresh(self, monkeypatch):
         problem = branin_problem(disturbance_seed=5)
-        cfg = LoopConfig(iterations=5, grid_size=128)
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 128)
+        cfg = LoopConfig(iterations=5)
         refreshes = []                      # (rows, shapes factored) per refresh
         real_refresh, real_cholesky = bounds.robust_model, np.linalg.cholesky
 
@@ -560,8 +590,10 @@ class TestIncrementalRefresh:
             assert shapes and (n, n) not in shapes
 
     def test_step_without_new_rows_keeps_the_model(self, monkeypatch):
-        problem = branin_problem(disturbance_seed=6, threshold=-1e3)    # nothing is safe
-        cfg = LoopConfig(algorithm="safe-ucb", iterations=2, grid_size=64)
+        problem = dataclasses.replace(branin_problem(disturbance_seed=6),
+                                      threshold=-1e3)                   # nothing is safe
+        monkeypatch.setattr(safeopt, "GRID_SIZE", 64)
+        cfg = LoopConfig(algorithm="safe-ucb", iterations=2)
         rng = np.random.default_rng(17)
         seeds = np.array([[2.0, 3.0], [1.0, 8.0], [5.0, 5.0]])
         state, _ = initialize_state(problem, cfg, rng, seeds)
