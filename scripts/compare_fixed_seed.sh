@@ -23,7 +23,11 @@
 # the settable values that the other side lacks, such as
 # gp.log_marginal_likelihood(previous) for a parameter, or
 # ExperimentConfig.seed for a config field, so a change in the count comes
-# with the names of the knobs that came or went.  Last it prints the total of
+# with the names of the knobs that came or went.  Beside them it prints, for
+# each side, how many modules a fresh interpreter holds after
+# `import samsbo, samsbo.cli` and which scipy subpackages (scipy.X with an
+# __init__) that import initializes, so an import regression shows in the same
+# report.  Last it prints the total of
 # scripts/reach.py, the statements of src/samsbo that no fixed-seed run
 # executes, on each side: REF's from a copy of the working tree's reach.py
 # placed in REF's export beside fixed_seed_outputs.sh, so a claim about dead
@@ -137,6 +141,22 @@ listed_only_in() {
     LC_ALL=C comm -23 "$1" "$2" | sed 's/^/    /' | grep . || echo "    none"
 }
 
+# imports DIR: "M modules, scipy subpackages A, B, ..." after `import samsbo, samsbo.cli`
+# from DIR/src in a fresh interpreter
+imports() {
+    python3 - "$1" <<'PY'
+import sys
+
+sys.path.insert(0, f"{sys.argv[1]}/src")
+import samsbo, samsbo.cli  # noqa: E401, E402
+
+packages = sorted(name for name, module in sys.modules.items()
+                  if name.count(".") == 1 and name.startswith("scipy.")
+                  and hasattr(module, "__path__"))
+print(f"{len(sys.modules)} modules, scipy subpackages {', '.join(packages) or 'none'}")
+PY
+}
+
 # problem_fields DIR: the field counts of the problem types in DIR/src/samsbo
 problem_fields() {
     python3 - "$1" <<'PY'
@@ -239,6 +259,8 @@ echo "settable values: ${commit:0:7} $(settable_values "$work/ref" "$work/ref.se
 echo "settable values only in ${commit:0:7}: $(only_in "$work/ref.settable" "$work/tree.settable")"
 echo "settable values only in the working tree:" \
     "$(only_in "$work/tree.settable" "$work/ref.settable")"
+echo "import samsbo, samsbo.cli: ${commit:0:7} $(imports "$work/ref");" \
+    "working tree $(imports "$root")"
 echo "problem fields: ${commit:0:7} $(problem_fields "$work/ref")," \
     "working tree $(problem_fields "$root")"
 echo "unreached statements: ${commit:0:7} $(unreached "$work/ref" "$work/ref.unreached")," \

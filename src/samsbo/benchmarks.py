@@ -9,8 +9,11 @@ root-mean-square performance cost computed through a Lyapunov equation.  One
 real Schur factorization of the closed loop (LAPACK ``dgees``) serves both
 steps of an evaluation: its eigenvalues decide stability against
 ``HURWITZ_MARGIN``, and its factors feed the Bartels-Stewart solve
-(``dtrsyl``).  Unstable and near-marginal closed loops map to a finite penalty
-above the safety threshold, and a LAPACK failure raises ``StabilityError``.
+(``dtrsyl``).  Both routines come from scipy's compiled ``_flapack`` module,
+loaded without the package init of ``scipy.linalg`` (:mod:`samsbo._scipy`);
+they are what ``get_lapack_funcs`` returns.  Unstable and near-marginal
+closed loops map to a finite penalty above the safety threshold, and a LAPACK
+failure raises ``StabilityError``.
 
 Problem facts are module constants, and a problem holds only what a caller
 varies.  ``PROBLEMS`` maps each problem name to its factory, and
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._scipy import extension
 from .sobol import scrambled_sobol
 
 __all__ = [
@@ -86,7 +89,8 @@ def _no_select(real: float, imag: float) -> int:
     return 0
 
 
-_gees, _trsyl = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
+_flapack = extension("linalg", "_flapack")
+_gees, _trsyl = _flapack.dgees, _flapack.dtrsyl     # get_lapack_funcs(("gees", "trsyl"))
 # the workspace scipy.linalg.schur queries before each dgees; it depends on the
 # order alone, and the same size keeps the Schur factors bit-identical to scipy's
 _GEES_LWORK = int(_gees(_no_select, np.zeros((1 + 4 * LASER_SUBSYSTEMS,) * 2), lwork=-1)[-2][0])

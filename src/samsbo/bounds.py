@@ -32,6 +32,13 @@ sigma-prime.  So it factors no n x n system besides the cross-check, and
 that one only when there is no previous factor to grow from (the coverage
 suite's trials).  One task and three or more fit at sigma-prime with
 :func:`samsbo.gp.fit`, which forms its own Gram.
+
+The general path imports ``scipy.linalg`` on first use, for ``solve`` in the
+spectral ratio and ``cho_factor``/``cho_solve`` in nu.  Only sets of 3x3 or
+larger members reach it, so a run at one or two tasks (the default is two)
+never executes the package init of ``scipy.linalg`` (see
+:mod:`samsbo._scipy`).  The batched ``solve`` that scipy uses for
+``assume_a="pos"`` has no single LAPACK routine to call instead.
 """
 from __future__ import annotations
 
@@ -39,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve
 
 from . import gp, hyperposterior, twotask
 from .hyperposterior import ConfidenceSet
@@ -108,6 +114,8 @@ def _check_size(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) -
 
 def _spectral_ratio(sigma_prime: CorrelationMatrix, sigma: CorrelationMatrix) -> float:
     """|S'^-1 S|_2, the largest variance ratio of the two kernels."""
+    from scipy.linalg import solve      # u >= 3 only (see the module notes)
+
     return float(np.linalg.norm(solve(sigma_prime.matrix, sigma.matrix, assume_a="pos"), 2))
 
 
@@ -161,6 +169,8 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
         factor = (twotask.TwoTaskFactor.build(dataset, params) if factor is None
                   else factor.of(dataset))
         return factor.nu(float(sigma_prime.matrix[0, 1]), np.unique(rs))
+    from scipy.linalg import cho_factor, cho_solve      # u >= 3 only (see the module notes)
+
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
     zi = dataset.tasks - 1
     y = dataset.observations

@@ -30,7 +30,7 @@ posterior inherits its predecessor's entries and grows them by the new rows
 only.  Beside them the cache keeps the points divided by the lengthscales,
 made once per point array and kernel and inherited along the chain, so a
 fill and the prior covariance of a fantasized pick (``_GridEntry.kernel_row``)
-each pay one short ``cdist`` and one ``exp`` (:func:`samsbo.kernels.se_kernel_scaled`).
+each pay one short distance call and one ``exp`` (:func:`samsbo.kernels.se_kernel_scaled`).
 
 Entries are found by the identity of a read-only point array.  ``_entries``,
 the one lookup, first freezes a writable ``points`` into a read-only copy,
@@ -101,7 +101,10 @@ sigma-prime.
 Triangular solves.  The whitened observations and the growth's L21' call
 LAPACK ``dtrtrs`` directly with the arguments ``scipy.linalg.solve_triangular``
 would pass, so they are bit-identical to it without its wrapper or its
-finiteness scan of both operands.  Non-finite values are refused where they
+finiteness scan of both operands.  ``dtrtrs`` and ``dtrtri`` come from scipy's
+compiled ``_flapack`` module, loaded without the package init of
+``scipy.linalg`` (:mod:`samsbo._scipy`); they are the objects
+``scipy.linalg.lapack`` exports.  Non-finite values are refused where they
 enter instead: a dataset holds finite inputs and observations, and a factor
 whose diagonal is not finite is refused where it is made.
 
@@ -119,8 +122,8 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri, dtrtrs
 
+from ._scipy import extension
 from .kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix, se_kernel_scaled
 
 __all__ = [
@@ -133,6 +136,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+_flapack = extension("linalg", "_flapack")
+dtrtri, dtrtrs = _flapack.dtrtri, _flapack.dtrtrs     # those of scipy.linalg.lapack
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6

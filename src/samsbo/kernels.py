@@ -12,20 +12,25 @@ Kernel matrices.  :func:`se_kernel_matrix` divides both row stacks by the
 lengthscales and hands them to :func:`se_kernel_scaled`, which callers that
 keep a scaled copy of their points (the grid cache of :mod:`samsbo.gp`) call
 directly, so a grid is divided once per kernel rather than once per call.
-The squared distances come from one ``cdist`` call whose first operand is
-never the taller: ``cdist`` pays per row of its first operand, so a G x 1
-column costs about six times a 1 x G row.  When the second stack is the
-shorter one the product is computed that way round and returned as a
-C-contiguous transpose.  Each entry is the same sequential sum of squared
-coordinate differences either way, and (a - b)^2 = (b - a)^2, so the result
-is bit-identical to the other orientation.
+The squared distances come from one call of ``cdist_sqeuclidean``, the C
+function of scipy's ``_distance_pybind`` module that
+``scipy.spatial.distance.cdist(A, B, "sqeuclidean")`` dispatches to, so the
+result is ``cdist``'s bit for bit without importing ``scipy.spatial`` (see
+:mod:`samsbo._scipy`).  Its first operand is never the taller: the function
+pays per row of its first operand, so a G x 1 column costs about six times a
+1 x G row.  When the second stack is the shorter one the product is computed
+that way round and returned as a C-contiguous transpose.  Each entry is the
+same sequential sum of squared coordinate differences either way, and
+(a - b)^2 = (b - a)^2, so the result is bit-identical to the other
+orientation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ._scipy import extension
 
 __all__ = [
     "KernelParams",
@@ -36,6 +41,8 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
+# the C function scipy.spatial.distance.cdist(A, B, "sqeuclidean") dispatches to
+_cdist_sqeuclidean = extension("spatial", "_distance_pybind").cdist_sqeuclidean
 
 
 class _ByKey:
@@ -94,7 +101,8 @@ class KernelParams(_ByKey):
 class CorrelationMatrix(_ByKey):
     """Symmetric positive definite inter-task matrix with nonnegative entries and unit diagonal.
 
-    The unit diagonal is the regime of standardized outputs.  Instances are
+    The unit diagonal is the regime of standardized outputs.  Every entry
+    must be finite; a ``ValueError`` says so otherwise.  Instances are
     immutable; equality and hashing go through :meth:`key`, which makes
     deduplication of repeated MCMC samples cheap.
     """
@@ -106,6 +114,8 @@ class CorrelationMatrix(_ByKey):
         m = np.atleast_2d(m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("correlation matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("correlation matrix entries must be finite")
         if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
             raise ValueError("correlation matrix must be symmetric within 1e-12")
         m = 0.5 * (m + m.T)
@@ -147,11 +157,11 @@ def se_kernel_scaled(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.n
     """Cross Gram matrix of row stacks already divided by the lengthscales.
 
     It equals ``se_kernel_matrix`` of the unscaled stacks bit for bit; the
-    shorter stack goes first to ``cdist`` (see the module notes).
+    shorter stack goes first to the distance function (see the module notes).
     """
     if B.shape[0] < A.shape[0]:
         return np.ascontiguousarray(se_kernel_scaled(B, A, params).T)
-    return params.signal_variance * np.exp(-0.5 * cdist(A, B, metric="sqeuclidean"))
+    return params.signal_variance * np.exp(-0.5 * _cdist_sqeuclidean(A, B))
 
 
 def gram(dataset, sigma: CorrelationMatrix, params: KernelParams,

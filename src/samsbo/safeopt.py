@@ -104,14 +104,17 @@ def fit_transforms(dataset: gp.MultiTaskDataset, domain_box: np.ndarray,
 
 @dataclass(frozen=True)
 class CandidateGrid:
-    """Finite acquisition grid in the normalized unit cube."""
+    """Finite acquisition grid in the normalized unit cube.
+
+    A point outside the cube, NaN included, raises ``ValueError``.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
         # an owned read-only copy: posteriors cache their whitened grids by identity
         pts = np.array(self.points, dtype=float, ndmin=2)
-        if np.min(pts) < 0.0 or np.max(pts) > 1.0:
+        if not np.isfinite(pts).all() or np.min(pts) < 0.0 or np.max(pts) > 1.0:
             raise ValueError("grid points must lie in the unit cube")
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
             raise ValueError("grid points must be pairwise distinct")
@@ -130,8 +133,9 @@ def make_grid(dimension: int, size: int,
     bit-identical to ``qmc.Sobol(dimension, scramble=True, seed=GRID_SEED)``.
     ``extra_points`` (normalized) are appended and deduplicated; the loop adds
     the known-safe seed inputs this way so the safe set can never start empty
-    merely because no candidate lies near a seed.  Raises ``ValueError`` when
-    ``dimension`` or ``size`` is below 1.
+    merely because no candidate lies near a seed; clipping keeps a NaN, which
+    the grid refuses.  Raises ``ValueError`` when ``dimension`` or ``size`` is
+    below 1.
     """
     if dimension < 1:
         raise ValueError(f"dimension must be at least 1, got {dimension}")

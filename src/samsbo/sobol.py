@@ -21,26 +21,25 @@ scipy's construction and the order in which scipy draws its random bits:
    zero bit of i - 1 into point i - 1 (Gray-code order).  Points are scaled
    by 2^-30.
 
-The Joe–Kuo table is the one scipy ships,
-``<dirname(scipy.__file__)>/stats/_sobol_direction_numbers.npz``.  Its path
-is resolved through the top-level ``scipy`` package, which does not execute
-``scipy/stats/__init__.py``; the table is read once per process.
+The Joe–Kuo table is the one scipy ships, ``stats/_sobol_direction_numbers.npz``
+in the installed scipy.  Its path comes from :func:`samsbo._scipy.path`,
+which knows scipy's file layout without executing ``scipy/stats/__init__.py``;
+the table is read once per process.
 """
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
-import scipy
+
+from . import _scipy
 
 __all__ = ["scrambled_sobol"]
 
 BITS = 30
 MAX_DIMENSION = 21201
 MAX_POINTS = 2 ** BITS
-TABLE_PATH = os.path.join(os.path.dirname(scipy.__file__), "stats",
-                          "_sobol_direction_numbers.npz")
+TABLE_PATH = _scipy.path("stats", "_sobol_direction_numbers.npz")
 
 
 @functools.cache

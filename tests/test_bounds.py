@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from samsbo import bounds, gp, hyperposterior, kernels, twotask
 from samsbo.bounds import (
@@ -163,7 +164,7 @@ class TestGammaFactor:
     @pytest.mark.parametrize("kind", ["2x2", "near-unit 2x2", "3x3", "single"])
     def test_gamma_is_the_minimax_value(self, kind, monkeypatch):
         if kind == "single":
-            monkeypatch.setattr(bounds, "solve", no_solve)
+            monkeypatch.setattr(scipy.linalg, "solve", no_solve)
         for members in minimax_sets(kind):
             sp, gamma = select_sigma_prime(make_set(members))
             assert any(member is sp for member in members)
@@ -179,7 +180,7 @@ class TestGammaFactor:
 
     @pytest.mark.parametrize("copies", [1, 3])
     def test_every_member_sigma_prime_is_exactly_one(self, copies, monkeypatch):
-        monkeypatch.setattr(bounds, "solve", no_solve)
+        monkeypatch.setattr(scipy.linalg, "solve", no_solve)
         rng = np.random.default_rng(3)
         for sp in (CorrelationMatrix.identity(1), CorrelationMatrix.two_task(0.4),
                    random_correlation(3, rng)):
@@ -189,13 +190,13 @@ class TestGammaFactor:
         rng = np.random.default_rng(6)
         first, member = random_correlation(3, rng), random_correlation(3, rng)
         solves = []
-        real = bounds.solve
+        real = scipy.linalg.solve
 
         def recording(a, b, **kwargs):
             solves.append(a.shape)
             return real(a, b, **kwargs)
 
-        monkeypatch.setattr(bounds, "solve", recording)
+        monkeypatch.setattr(scipy.linalg, "solve", recording)
         members = [first, member, member]
         sp, gamma = select_sigma_prime(make_set(members))
         expected = min(np.sqrt(max(np.linalg.norm(np.linalg.solve(c.matrix, m.matrix), 2)
@@ -472,8 +473,8 @@ class TestRobustModel:
         def general_path(*args, **kwargs):
             raise AssertionError("a two-task refresh reached the general path")
 
-        monkeypatch.setattr(bounds, "solve", general_path)
-        monkeypatch.setattr(bounds, "cho_factor", general_path)
+        monkeypatch.setattr(scipy.linalg, "solve", general_path)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", general_path)
         cs, bundle, _ = robust_model(ds, 2, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
         assert len(cs) > 1 and bundle.nu > 0.0 and bundle.gamma > 1.0
         rs = cs.offdiagonals

@@ -113,6 +113,14 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             CorrelationMatrix(np.array([[1.0, -0.1], [-0.1, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        """A NaN max or min compares False, so every other check passes them."""
+        with pytest.raises(ValueError, match="entries must be finite"):
+            CorrelationMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="entries must be finite"):
+            CorrelationMatrix.two_task(bad)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             CorrelationMatrix.two_task(1.0)

@@ -92,6 +92,16 @@ class TestCandidateGrid:
         with pytest.raises(ValueError):
             CandidateGrid(points=np.array([[1.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="unit cube"):
+            CandidateGrid(points=np.array([[0.5, bad], [0.2, 0.3]]))
+
+    def test_rejects_a_nan_seed(self):
+        """np.clip keeps a NaN, and np.min and np.max of it are NaN, which compares False."""
+        with pytest.raises(ValueError, match="unit cube"):
+            make_grid(2, 8, extra_points=[[np.nan, 0.5]])
+
     @pytest.mark.parametrize("dimension, size, name", [
         (0, 10, "dimension"), (-1, 10, "dimension"), (2, 0, "size"), (1, 0, "size"),
     ])
@@ -554,13 +564,13 @@ class TestIncrementalRefresh:
         seeds = np.array([find_safe_seed(problem, rng) for _ in range(cfg.seed_points)])
         state, _ = initialize_state(problem, cfg, rng, seeds)
         rows = []
-        real = kernels.cdist
+        real = kernels._cdist_sqeuclidean
 
         def recording(A, B, **kwargs):
             rows.append((A.shape[0], B.shape[0]))
             return real(A, B, **kwargs)
 
-        monkeypatch.setattr(kernels, "cdist", recording)
+        monkeypatch.setattr(kernels, "_cdist_sqeuclidean", recording)
         step(state, problem, cfg, rng)
         assert rows and all(first <= second for first, second in rows)
         assert (1, len(state.grid)) in rows          # a fantasized pick's prior row

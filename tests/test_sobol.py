@@ -80,14 +80,34 @@ def test_missing_table_names_its_path(tmp_path, monkeypatch):
 
 
 def test_package_does_not_import_scipy_stats():
+    """Nor the packages scipy.linalg, scipy.spatial and scipy.sparse, in a run's every stage.
+
+    Only the two compiled modules that samsbo._scipy registers are allowed
+    under them.
+    """
     # pytest itself imports scipy.stats (above), so only a fresh interpreter
     # shows what the package loads
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import samsbo, samsbo.cli\n"
-        "from samsbo import branin_problem, laser_problem, make_grid, powell_problem\n"
+        "from samsbo import (LoopConfig, branin_problem, laser_problem, make_grid,\n"
+        "                    powell_problem, safeopt, verify)\n"
+        "from samsbo.benchmarks import find_safe_seed\n"
         "branin_problem(); powell_problem(); laser_problem(); make_grid(10, 2048)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        "safeopt.GRID_SIZE = 64\n"
+        "for problem, algorithm in ((branin_problem(), 'samsbo'), (laser_problem(), 'samsbo'),\n"
+        "                           (branin_problem(), 'safe-ucb')):\n"
+        "    cfg = LoopConfig(algorithm=algorithm, iterations=1)\n"
+        "    rng = np.random.default_rng(0)\n"
+        "    seeds = np.array([find_safe_seed(problem, rng) for _ in range(cfg.seed_points)])\n"
+        "    state, _ = safeopt.initialize_state(problem, cfg, rng, seeds)\n"
+        "    safeopt.step(state, problem, cfg, rng)\n"
+        "verify.bayesian_coverage(trials=1); verify.frequentist_coverage(trials=2)\n"
+        "allowed = {'scipy.linalg._flapack', 'scipy.spatial._distance_pybind'}\n"
+        "print(sorted(m for m in set(sys.modules) - allowed\n"
+        "             if m.startswith(('scipy.stats', 'scipy.linalg', 'scipy.spatial',\n"
+        "                              'scipy.sparse'))))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
