@@ -36,8 +36,10 @@
 # the checkout: for every workload and end-to-end metric, REF's and the
 # tree's medians and interquartile ranges, the number of pairs the tree won,
 # the number of pairs and the verdict, and for every workload each side's
-# failed operations per pair.  Other tracked files are left unchanged.  One
-# pair of `all` takes about 5 minutes on a 2-core VM.
+# failed operations per pair.  Other tracked files are left unchanged.  On a
+# 2-core VM one pair of `all` takes about 25 s and ten pairs about 4 minutes
+# (`time scripts/bench_pairs.sh REF 1 all` read 25.2 s, and with 10 pairs
+# 3 min 41 s); ten pairs of one workload take about 1 minute.
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then

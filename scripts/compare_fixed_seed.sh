@@ -5,9 +5,10 @@
 #
 #     scripts/compare_fixed_seed.sh REF
 #
-# REF is exported with `git archive` to a temporary directory.  The working
-# tree's scripts/fixed_seed_outputs.sh then writes its 25-file set once from
-# REF's src/ and once from the working tree's src/, so both sides run the same
+# REF is exported with `git archive` to a temporary directory, and a copy of
+# the working tree's scripts/fixed_seed.py is placed in REF's export.  That
+# runner then writes its 25-file set once from REF's src/ and once from the
+# working tree's src/, one in-process pass per side, so both sides run the same
 # configurations, and `diff -r` compares the two sets.  After the verdict it
 # prints the line totals of REF's src/samsbo/*.py and tests/*.py and of the
 # working tree's, so a size claim comes from the same command as the identity
@@ -27,21 +28,21 @@
 # each side, how many modules a fresh interpreter holds after
 # `import samsbo, samsbo.cli` and which scipy subpackages (scipy.X with an
 # __init__) that import initializes, so an import regression shows in the same
-# report.  Last it prints the total of
-# scripts/reach.py, the statements of src/samsbo that no fixed-seed run
-# executes, on each side: REF's from a copy of the working tree's reach.py
-# placed in REF's export beside fixed_seed_outputs.sh, so a claim about dead
-# branches comes from the same command as the identity check.  Below the
-# totals it names, one a line, the unreached statements of each side that the
-# other side lacks, as "module: source text" without the line number (for
-# example "safeopt: points = np.linspace(0.0, 1.0, size).reshape(-1, 1)"), so
-# code that moves does not count and a change in the total names the
-# statements that came or went.  Last of all it prints, for each module whose
-# number of counted statements differs between the sides (the S of reach.py's
-# "U of S" line per module), both counts, so a claim about the size of a
-# module comes from the same command.  Exits 0 when
+# report.  Then it prints each side's runner wall time, and last the total of
+# the runner's report of the statements of src/samsbo that no fixed-seed run
+# executes, taken from the same pass that wrote the side's set, so a claim
+# about dead branches comes from the same command as the identity check.
+# Below the totals it names, one a line, the unreached statements of each
+# side that the other side lacks, as "module: source text" without the line
+# number (for example "safeopt: points = np.linspace(0.0, 1.0,
+# size).reshape(-1, 1)"), so code that moves does not count and a change in
+# the total names the statements that came or went.  Last of all it prints,
+# for each module whose number of counted statements differs between the
+# sides (the S of the runner's "U of S" line per module), both counts, so a
+# claim about the size of a module comes from the same command.  Exits 0 when
 # every file is byte-identical and 1 on any difference; a failing run exits
-# with its own status.  Each side takes about 15 s on a 2-core VM.
+# with its own status.  The whole comparison takes about 13 s on a 2-core VM,
+# 3 to 5 s of it in each side's runner.
 #
 # When files differ it also prints, for each CSV present on both sides whose
 # bytes differ: the largest absolute and relative difference of each float
@@ -121,16 +122,26 @@ only_in() {
     echo "${names:-none}"
 }
 
-# unreached DIR NAMES: "U of S" statements of DIR/src/samsbo that DIR/scripts/reach.py finds
-# unreached; each unreached statement goes to the file NAMES as "module: source text", one a line
-unreached() {
-    python3 "$1/scripts/reach.py" > "$2.report"
-    awk '/^samsbo\/.*\.py: / { module = $1; sub(/^samsbo\//, "", module); sub(/\.py:$/, "", module) }
-         /^  / { sub(/^ *[0-9]+  /, ""); print module ": " $0 }' "$2.report" | LC_ALL=C sort > "$2"
-    sed -n 's/^total: \([0-9]* of [0-9]*\) .*/\1/p' "$2.report"
+# fixed_seed DIR SIDE: run DIR/scripts/fixed_seed.py, its set to $work/out/SIDE, its
+# report to $work/SIDE.report and its wall time ("T s") to $work/SIDE.seconds
+fixed_seed() {
+    local start=$EPOCHREALTIME
+    python3 "$1/scripts/fixed_seed.py" "$work/out/$2" > "$work/$2.report"
+    awk -v start="$start" -v end="$EPOCHREALTIME" 'BEGIN { printf "%.1f s", end - start }' \
+        > "$work/$2.seconds"
 }
 
-# statements REPORT: "module S" per module of a reach.py report, S its counted statements
+# unreached SIDE: "U of S" statements of the runner's report $work/SIDE.report; each
+# unreached statement goes to the file $work/SIDE.unreached as "module: source text",
+# one a line
+unreached() {
+    awk '/^samsbo\/.*\.py: / { module = $1; sub(/^samsbo\//, "", module); sub(/\.py:$/, "", module) }
+         /^  / { sub(/^ *[0-9]+  /, ""); print module ": " $0 }' "$work/$1.report" \
+        | LC_ALL=C sort > "$work/$1.unreached"
+    sed -n 's/^total: \([0-9]* of [0-9]*\) .*/\1/p' "$work/$1.report"
+}
+
+# statements REPORT: "module S" per module of a runner's report, S its counted statements
 statements() {
     sed -n 's#^samsbo/\(.*\)\.py: [0-9]* of \([0-9]*\) statements unreached$#\1 \2#p' "$1" \
         | LC_ALL=C sort
@@ -176,10 +187,10 @@ trap 'rm -rf "$work"' EXIT
 
 mkdir -p "$work/ref/scripts"
 git -C "$root" archive "$commit" src tests | tar -x -C "$work/ref"
-cp "$root/scripts/fixed_seed_outputs.sh" "$root/scripts/reach.py" "$work/ref/scripts/"
+cp "$root/scripts/fixed_seed.py" "$work/ref/scripts/"
 
-"$work/ref/scripts/fixed_seed_outputs.sh" "$work/out/ref" > /dev/null
-"$root/scripts/fixed_seed_outputs.sh" "$work/out/tree" > /dev/null
+fixed_seed "$work/ref" ref
+fixed_seed "$root" tree
 
 files=$(find "$work/out/tree" -type f | wc -l)
 status=0
@@ -263,15 +274,16 @@ echo "import samsbo, samsbo.cli: ${commit:0:7} $(imports "$work/ref");" \
     "working tree $(imports "$root")"
 echo "problem fields: ${commit:0:7} $(problem_fields "$work/ref")," \
     "working tree $(problem_fields "$root")"
-echo "unreached statements: ${commit:0:7} $(unreached "$work/ref" "$work/ref.unreached")," \
-    "working tree $(unreached "$root" "$work/tree.unreached")"
+echo "runner wall time: ${commit:0:7} $(cat "$work/ref.seconds")," \
+    "working tree $(cat "$work/tree.seconds")"
+echo "unreached statements: ${commit:0:7} $(unreached ref), working tree $(unreached tree)"
 echo "unreached statements only in ${commit:0:7}:"
 listed_only_in "$work/ref.unreached" "$work/tree.unreached"
 echo "unreached statements only in the working tree:"
 listed_only_in "$work/tree.unreached" "$work/ref.unreached"
 echo "statements per module where they differ:"
-LC_ALL=C join -a 1 -a 2 -e 0 -o 0,1.2,2.2 <(statements "$work/ref.unreached.report") \
-    <(statements "$work/tree.unreached.report") \
+LC_ALL=C join -a 1 -a 2 -e 0 -o 0,1.2,2.2 <(statements "$work/ref.report") \
+    <(statements "$work/tree.report") \
     | awk -v ref="${commit:0:7}" '$2 != $3 { print "    " $1 ": " ref " " $2 ", working tree " $3; n++ }
                                    END { if (!n) print "    none" }'
 exit "$status"

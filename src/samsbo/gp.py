@@ -33,9 +33,11 @@ fill and the prior covariance of a fantasized pick (``_GridEntry.kernel_row``)
 each pay one short distance call and one ``exp`` (:func:`samsbo.kernels.se_kernel_scaled`).
 
 Entries are found by the identity of a read-only point array.  ``_entries``,
-the one lookup, first freezes a writable ``points`` into a read-only copy,
-so a writable query is a fresh fill (m = 0 below) whose entries replace the
-cached ones.  The loop and the coverage suites pass read-only grids only.
+the one lookup, converts a query to a float row stack, refuses one whose width
+is not the model's input count, and freezes a writable ``points`` into a
+read-only copy, so a writable query is a fresh fill (m = 0 below) whose
+entries replace the cached ones.  The loop and the coverage suites pass
+read-only grids only, which keep their identity.
 
 One fill path.  A fill of rows m.. serves every task at once, so all tasks'
 entries cover the same rows.  It inverts the factor's trailing block,
@@ -366,7 +368,6 @@ class Posterior:
         The whitened cross-Gram and the mean come from the grid cache (see the
         module notes); the returned arrays are new each call.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
         u = self.sigma_used.size
         if not 1 <= z <= u:
             raise ValueError(f"task index must lie in 1..{u}")
@@ -400,9 +401,13 @@ class Posterior:
     def _entries(self, points: np.ndarray) -> list[_GridEntry]:
         """Every task's grid cache entry at ``points``, filled up to the data's rows.
 
-        A writable ``points`` is first frozen into a read-only copy, whose
-        fresh entries replace the cached ones (see the module notes).
+        ``points`` is taken as a float row stack of the model's input width; a
+        writable one is first frozen into a read-only copy, whose fresh entries
+        replace the cached ones (see the module notes).
         """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self.params.dim:
+            raise ValueError("input dimension does not match lengthscales")
         if not _frozen(points):
             points = points.copy()
             points.setflags(write=False)

@@ -143,19 +143,67 @@ class TestParseConfig:
 
     def test_every_fixed_seed_run_parses(self):
         """A key that is gone fails here in seconds, not partway through a fixed-seed comparison."""
-        spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
-        reach = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(reach)
-        runs = reach.fixed_seed_runs()
+        runner = fixed_seed_runner()
+        runs = runner.RUNS
         assert {"branin", "laser10", "powell8", "branin3", "verify"} <= {r[0] for r in runs}
         for _, _, settings in runs:
-            parse_config_text("\n".join(settings) + "\n")
+            parse_config_text(runner.config_text(settings))
 
     def test_key_set_twice_names_both_lines(self):
         with pytest.raises(ConfigError, match="line 3: seed is already set on line 1"):
             parse_config_text("seed = 1\neta = 0.5\nseed = 2\n")
         with pytest.raises(ConfigError, match="line 2: out is already set on line 1"):
             parse_config_text("out = a\n out = a  # the same value\n")
+
+
+def fixed_seed_runner():
+    """scripts/fixed_seed.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("fixed_seed", ROOT / "scripts" / "fixed_seed.py")
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    return runner
+
+
+def test_fixed_seed_runner_pins_blas_before_numpy_or_samsbo_loads(tmp_path):
+    """The set's bits hold with one BLAS thread only, so loading the runner must not load
+    numpy or samsbo, and its main must pin the threads and drop SAMSBO_OUT before either loads.
+
+    In a fresh interpreter whose environment asks for four threads, an import hook records
+    the environment at the first import of numpy or samsbo and stops the run there.
+    """
+    code = (
+        "import importlib.util, json, os, sys\n"
+        "spec = importlib.util.spec_from_file_location('fixed_seed', sys.argv[1])\n"
+        "runner = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(runner)\n"
+        "loaded = sorted({'numpy', 'samsbo'} & set(sys.modules))\n"
+        "class Stop(Exception):\n"
+        "    pass\n"
+        "class Hook:\n"
+        "    seen = None\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name in ('numpy', 'samsbo'):\n"
+        "            names = (*runner.THREAD_VARIABLES, 'SAMSBO_OUT')\n"
+        "            Hook.seen = [name, {v: os.environ.get(v) for v in names}]\n"
+        "            raise Stop\n"
+        "sys.meta_path.insert(0, Hook())\n"
+        "try:\n"
+        "    runner.main([sys.argv[2]])\n"
+        "except Stop:\n"
+        "    pass\n"
+        "print(json.dumps([loaded, Hook.seen]))\n"
+    )
+    asked = {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "4",
+             "SAMSBO_OUT": str(tmp_path / "elsewhere")}
+    run = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts" / "fixed_seed.py"),
+                          str(tmp_path / "out")],
+                         capture_output=True, text=True, env={**os.environ, **asked}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    loaded, (first, environment) = json.loads(run.stdout)
+    assert loaded == []
+    assert first == "samsbo"
+    assert environment == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                           "MKL_NUM_THREADS": "1", "SAMSBO_OUT": None}
 
 
 def small_config(tmp_path, **overrides):

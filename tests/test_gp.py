@@ -881,3 +881,34 @@ class TestNonFinite:
         assert gp._extended_factor(previous, dataset, self.SIGMA, params, base) is None
         with pytest.raises(gp.NumericalError):
             fit(dataset, self.SIGMA, params, base_gram=base, previous=previous)
+
+
+class TestQueryWidth:
+    """Both grid queries convert their points as one lookup and refuse another width."""
+
+    @staticmethod
+    def posterior():
+        rng = np.random.default_rng(11)
+        dataset = MultiTaskDataset(rng.random((6, 3)), [1, 2, 1, 2, 1, 2],
+                                   rng.standard_normal(6))
+        return fit(dataset, CorrelationMatrix.two_task(0.5), make_params(d=3))
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_another_width_is_refused(self, width):
+        # a single column used to broadcast across the three inputs
+        post = self.posterior()
+        points = np.random.default_rng(0).random((5, width))
+        for query in (points, frozen(points)):
+            with pytest.raises(ValueError, match="input dimension does not match lengthscales"):
+                post.predict_batch(query, 1)
+            with pytest.raises(ValueError, match="input dimension does not match lengthscales"):
+                post.pick_covariance(query, 1, 2, 0)
+
+    def test_a_list_is_a_query(self):
+        post = self.posterior()
+        points = frozen(np.random.default_rng(0).random((5, 3)))
+        for got, want in zip(post.predict_batch(points.tolist(), 2),
+                             self.posterior().predict_batch(points, 2)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(post.pick_covariance(points.tolist(), 1, 2, 3),
+                              self.posterior().pick_covariance(points, 1, 2, 3))

@@ -115,6 +115,25 @@ class TestPosterior:
             with pytest.raises(TypeError, match="TwoTaskFactor.log_likelihood"):
                 gp.log_marginal_likelihood(posterior)
 
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_a_query_of_another_width_is_refused(self, width):
+        posterior = factor_for(datasets()["mixed"]).posterior(CorrelationMatrix.two_task(0.5))
+        points = np.random.default_rng(0).random((5, width))
+        with pytest.raises(ValueError, match="input dimension does not match lengthscales"):
+            posterior.predict_batch(points, 1)
+        with pytest.raises(ValueError, match="input dimension does not match lengthscales"):
+            posterior.pick_covariance(points, 1, 2, 0)
+
+    def test_a_list_is_a_query(self):
+        factor = factor_for(datasets()["mixed"])
+        sigma = CorrelationMatrix.two_task(0.5)
+        points = frozen_grid(20)
+        for got, want in zip(factor.posterior(sigma).predict_batch(points.tolist(), 2),
+                             factor.posterior(sigma).predict_batch(points, 2)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(factor.posterior(sigma).pick_covariance(points.tolist(), 1, 2, 3),
+                              factor.posterior(sigma).pick_covariance(points, 1, 2, 3))
+
     def test_sigma_prime_moves_and_the_task_grids_only_grow(self, monkeypatch):
         fills = []
         real = gp.Posterior._new_rows
