@@ -16,16 +16,17 @@ OUTDIR receives 25 files, all at seed 3 with one BLAS thread:
   verify/      coverage.json of verify-bounds at its default sizes, 500 frequentist
                and 200 Bayesian trials
 Each run directory keeps the raw and aggregate CSVs; manifest.json holds wall
-times and is left out.  Compare the outputs of two commits byte for byte with
-
-    diff -r OUTDIR_A OUTDIR_B
+times and is left out.  ``scripts/compare_fixed_seed.py REF`` runs this script
+on REF and on the working tree and compares the two sets byte for byte.
 
 Every run goes through ``samsbo.cli.main`` in this process, under
 ``sys.settrace``, and is followed by ``samsbo plotdata`` on the branin raw
 CSVs, whose output is not kept.  From that same pass it prints, per module of
 src/samsbo, each statement no run executed, as its line number and first
-source line, and at the end the total.  ``raise`` statements are left out:
-they are the error paths, which tests reach and a fixed-seed run should not.
+source line, then the total and the pass's wall time.  ``raise`` statements
+are left out: they are the error paths, which tests reach and a fixed-seed run
+should not.  :func:`format_report` writes that report and :func:`read_report`
+reads it back; no other code knows its format.
 
 A statement counts as executed when a line event fires on one of its own
 lines, the lines of its span less those of the statements nested in it.
@@ -40,11 +41,14 @@ from __future__ import annotations
 import ast
 import io
 import os
+import re
 import shutil
 import sys
 import tempfile
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "samsbo"
@@ -152,7 +156,46 @@ def unreached(path: Path, executed: set[int]) -> tuple[int, list[tuple[int, str]
     return counted, sorted(missed)
 
 
+class Report(NamedTuple):
+    """What one pass found: per module of src/samsbo, by file stem, its number of counted
+    statements and the (line, first source line) of each unreached one; and the pass's
+    wall time in seconds."""
+
+    modules: dict[str, tuple[int, list[tuple[int, str]]]]
+    seconds: float
+
+
+def format_report(report: Report) -> str:
+    """The report as the runner prints it, which :func:`read_report` reads back."""
+    lines = []
+    for name, (counted, missed) in report.modules.items():
+        lines.append(f"samsbo/{name}.py: {len(missed)} of {counted} statements unreached")
+        lines.extend(f"  {line:5d}  {text}" for line, text in missed)
+    total = sum(counted for counted, _ in report.modules.values())
+    total_missed = sum(len(missed) for _, missed in report.modules.values())
+    lines += [f"total: {total_missed} of {total} statements unreached (raise statements left out)",
+              f"wall time: {report.seconds:.1f} s"]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def read_report(text: str) -> Report:
+    """The :class:`Report` that :func:`format_report` wrote into ``text``; the total and
+    the file count are left out, since they follow from the rest."""
+    modules: dict[str, tuple[int, list[tuple[int, str]]]] = {}
+    seconds = None
+    for line in text.splitlines():
+        if match := re.fullmatch(r"samsbo/(\w+)\.py: \d+ of (\d+) statements unreached", line):
+            missed: list[tuple[int, str]] = []
+            modules[match[1]] = (int(match[2]), missed)
+        elif match := re.fullmatch(r" +(\d+)  (.*)", line):
+            missed.append((int(match[1]), match[2]))
+        elif match := re.fullmatch(r"wall time: (\S+) s", line):
+            seconds = float(match[1])
+    return Report(modules, seconds)
+
+
 def main(argv: list[str] | None = None) -> int:
+    start = time.perf_counter()
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print(f"usage: {sys.argv[0]} OUTDIR", file=sys.stderr)
@@ -165,16 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         executed = run_all(Path(work), out)
-    total = total_missed = 0
+    modules = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        hit = {line for file, line in executed if file == str(path)}
-        counted, missed = unreached(path, hit)
-        total, total_missed = total + counted, total_missed + len(missed)
-        print(f"{path.relative_to(ROOT / 'src')}: {len(missed)} of {counted} statements unreached")
-        for line, text in missed:
-            print(f"  {line:5d}  {text}")
-    print(f"total: {total_missed} of {total} statements unreached (raise statements left out)")
+        modules[path.stem] = unreached(path, {line for file, line in executed if file == str(path)})
     print(f"{sum(1 for p in out.rglob('*') if p.is_file())} files in {out}")
+    print(format_report(Report(modules, time.perf_counter() - start)), end="")
     return 0
 
 

@@ -217,6 +217,7 @@ def cmd_verify_bounds(config: ExperimentConfig) -> int:
 
 def cmd_plotdata(raw_paths: list[str], out_path: str) -> int:
     best_by_alg: dict[str, dict[int, dict[int, float]]] = {}
+    source: dict[tuple[str, int], str] = {}     # the file each (algorithm, repetition) is from
     for path in raw_paths:
         reader = csv.reader(read_input(path).splitlines())
         header = next(reader, None)
@@ -232,6 +233,10 @@ def cmd_plotdata(raw_paths: list[str], out_path: str) -> int:
                 best = float(record["best_so_far"])
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
+            earlier = source.setdefault((record["algorithm"], rep), path)
+            if earlier != path:
+                raise ConfigError(f"{where}: {record['algorithm']} repetition {rep} is already"
+                                  f" in {earlier}")
             if task == 1:
                 best_by_alg.setdefault(record["algorithm"], {}).setdefault(rep, {})[iteration] = best
     out_rows = []

@@ -204,7 +204,7 @@ class OptimizationState:
     confidence_set: hyperposterior.ConfidenceSet
     bundle: bounds.ScalingBundle
     posterior: gp.Posterior
-    grid: CandidateGrid | None = None
+    grid: CandidateGrid
     iteration: int = 0
     best_so_far: float = np.inf         # lowest main-task observation
     violation_count: int = 0
@@ -333,13 +333,14 @@ def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
     dataset = gp.MultiTaskDataset(
         seed_inputs, np.ones(len(observations), dtype=int), observations
     )
+    # normalizing reads only the box, and make_grid draws from no RNG
+    grid = make_grid(problem.dimension, GRID_SIZE,
+                     extra_points=fit_transforms(dataset, problem.domain).normalize(seed_inputs))
     state = OptimizationState(
         dataset=dataset, transforms=None, confidence_set=None, bundle=None,
-        posterior=None,
+        posterior=None, grid=grid,
     )
     _refresh_model(state, problem, cfg, rng)
-    state.grid = make_grid(problem.dimension, GRID_SIZE,
-                           extra_points=state.transforms.normalize(seed_inputs))
     trace = [_record_main(state, problem, repetition, x, y, -1)
              for x, y in zip(seed_inputs, observations)]
     return state, trace

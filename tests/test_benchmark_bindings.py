@@ -45,40 +45,6 @@ def _spec(workload: str) -> dict:
     return json.loads((PERFBENCH / "spec.json").read_text())["workloads"][workload]
 
 
-def _expected(workload: str) -> set[str]:
-    return set(_spec(workload)["expect_spans"])
-
-
-def test_install_binds_every_site_and_unpatch_restores(monkeypatch):
-    monkeypatch.setattr(safeopt, "GRID_SIZE", 64)
-
-    def run():
-        cfg = safeopt.LoopConfig(iterations=1, seed_points=2)
-        safeopt.run_repetition(benchmarks.branin_problem(disturbance_seed=1), cfg, seed=0)
-
-    assert _expected("branin-samsbo") <= _traced_spans(monkeypatch, run)
-
-
-def test_coverage_suites_fire_every_expected_span(monkeypatch):
-    def run():
-        verify.bayesian_coverage(trials=1)
-        verify.frequentist_coverage(trials=1)
-
-    assert _expected("verify-bounds") <= _traced_spans(monkeypatch, run)
-
-
-def test_safe_ucb_fires_expected_spans_only(monkeypatch):
-    """The grown-factor refresh still goes through the traced gp and kernel layers."""
-    def run():
-        cfg = safeopt.LoopConfig(algorithm="safe-ucb", iterations=2, seed_points=3)
-        safeopt.run_repetition(benchmarks.branin_problem(disturbance_seed=1), cfg, seed=0)
-
-    fired = _traced_spans(monkeypatch, run)
-    spec = _spec("safeucb-branin")
-    assert set(spec["expect_spans"]) <= fired
-    assert not set(spec["expect_silent"]) & fired
-
-
 def _loop(problem, **config):
     def run():
         safeopt.run_repetition(problem(disturbance_seed=1), safeopt.LoopConfig(**config), seed=0)

@@ -206,6 +206,87 @@ def test_fixed_seed_runner_pins_blas_before_numpy_or_samsbo_loads(tmp_path):
                            "MKL_NUM_THREADS": "1", "SAMSBO_OUT": None}
 
 
+def test_runner_report_reads_back_as_printed():
+    runner = fixed_seed_runner()
+    report = runner.Report({"cli": (172, [(12, "x = 1"), (123456, "return a  # two  spaces")]),
+                            "gp": (238, [])}, 4.4)
+    text = runner.format_report(report)
+    assert text.splitlines()[-2:] == [
+        "total: 2 of 410 statements unreached (raise statements left out)", "wall time: 4.4 s"]
+    assert runner.read_report("25 files in /out\n" + text) == report
+
+
+def comparer(monkeypatch):
+    """scripts/compare_fixed_seed.py, loaded as a module; it imports the runner beside it."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    return importlib.import_module("compare_fixed_seed")
+
+
+class TestCompareFixedSeed:
+    def test_csv_summary_gives_float_differences_and_first_differing_row(self, monkeypatch):
+        compare = comparer(monkeypatch)
+        a = "task,iteration,observed\n1,0,1.0\n1,1,2.0\n2,2,4.0\n"
+        b = "task,iteration,observed\n1,0,1.0\n1,1,2.5\n1,2,3.0\n"
+        assert compare.csv_summary("x.csv", a, b) == [
+            "x.csv: 3 rows against 3",
+            "  observed: max abs diff 1, max rel diff 0.25",
+            "  first differing row 3: task 2 -> 1",
+        ]
+        assert compare.csv_summary("y.csv", "a,b\n1,2\n", "a,c\n1,2\n1,3\n") == [
+            "y.csv: 1 rows against 2",
+            "  headers differ: ['a', 'b'] against ['a', 'c']",
+        ]
+
+    def test_difference_names_each_file_and_diffs_coverage(self, tmp_path, monkeypatch):
+        compare = comparer(monkeypatch)
+        ref, tree = tmp_path / "ref", tmp_path / "tree"
+        for side, coverage, value in ((ref, '{"rate": 0.9}\n', "1.0"),
+                                      (tree, '{"rate": 0.8}\n', "1.5")):
+            (side / "verify").mkdir(parents=True)
+            (side / "verify" / "coverage.json").write_text(coverage)
+            (side / "same.csv").write_text("observed\n1.0\n")
+            (side / "run.csv").write_text(f"observed\n{value}\n")
+        (ref / "gone.csv").write_text("observed\n1.0\n")
+        assert compare.compare_sets(ref, tree, "abc1234") == [
+            "only in abc1234: gone.csv",
+            "differs: run.csv",
+            "differs: verify/coverage.json",
+            "--- abc1234/verify/coverage.json",
+            "+++ working tree/verify/coverage.json",
+            "@@ -1 +1 @@",
+            '-{"rate": 0.9}',
+            '+{"rate": 0.8}',
+            "run.csv: 1 rows against 1",
+            "  observed: max abs diff 0.5, max rel diff 0.333",
+            "  every other column is identical on the common rows",
+        ]
+        assert compare.compare_sets(ref, ref, "abc1234") == []
+
+    def test_statement_unreached_twice_against_once_is_named_once(self, monkeypatch):
+        compare = comparer(monkeypatch)
+        probe = {"fields": ["ExperimentConfig.seed"], "imports": "", "problems": ""}
+        ref = compare.Report({"safeopt": (10, [(5, "return None"), (9, "return None")])}, 1.0)
+        tree = compare.Report({"safeopt": (9, [(7, "return None")])}, 1.0)
+        lines = compare.summary("abc1234", compare.side_facts(ROOT, probe, ref),
+                                compare.side_facts(ROOT, probe, tree))
+        start = lines.index("unreached statements only in abc1234:")
+        assert lines[start - 1] == "unreached statements: abc1234 2 of 10, working tree 1 of 9"
+        assert lines[start:] == [
+            "unreached statements only in abc1234:",
+            "    safeopt: return None",
+            "unreached statements only in the working tree:",
+            "    none",
+            "statements per module where they differ:",
+            "    safeopt: abc1234 10, working tree 9",
+        ]
+
+    def test_bad_usage_or_a_ref_that_is_no_commit_exits_2(self, monkeypatch, capsys):
+        compare = comparer(monkeypatch)
+        assert compare.main([]) == 2
+        assert compare.main(["no-such-ref-anywhere"]) == 2
+        assert "no-such-ref-anywhere is not a commit" in capsys.readouterr().err
+
+
 def small_config(tmp_path, **overrides):
     base = dict(
         problem="branin", algorithm="samsbo", iterations=2, repetitions=2,
@@ -330,6 +411,23 @@ class TestPlotdata:
             assert main(["plotdata", path, "--out", str(out)]) == 2
             assert path + where in capsys.readouterr().err
             assert not out.exists()
+
+    def test_repetition_in_two_files_is_refused(self, tmp_path, monkeypatch, capsys):
+        """Two runs' repetition 0 of one algorithm would splice into one curve neither had."""
+        monkeypatch.delenv("SAMSBO_OUT", raising=False)
+        header = ",".join(RAW_HEADER)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(header + "\n" + "".join(
+            f"samsbo,0,{i},1,0.5,{v}.0,{v}.0,1.0,1,1.0,0.0,4,0\n" for i, v in enumerate((5, 4, 3))))
+        b.write_text(header + "\n" + "".join(
+            f"samsbo,0,{i},1,0.5,{v}.0,{v}.0,1.0,1,1.0,0.0,4,0\n" for i, v in enumerate((100, 90))))
+        out = tmp_path / "plot.csv"
+        message = f"{b}: line 2: samsbo repetition 0 is already in {a}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cmd_plotdata([str(a), str(b)], str(out))
+        assert main(["plotdata", str(a), str(b), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBestCurves:
