@@ -6,11 +6,12 @@ Usage, from anywhere inside a git checkout:
     python3 scripts/compare_fixed_seed.py REF
 
 REF's ``src/`` and ``tests/`` are exported with ``git archive`` to a temporary
-directory, and a copy of the working tree's scripts/fixed_seed.py is placed in
-REF's export.  That runner then writes its 25-file set from REF's src/ and from
-the working tree's src/, one in-process pass per side, both sides at once, so
-both sides run the same configurations; the two sets are then compared byte for
-byte.  Each runner's report is read with the runner's own ``read_report``.
+directory by scripts/bench_pairs.py's ``export_commit``, and a copy of the
+working tree's scripts/fixed_seed.py is placed in REF's export.  That runner
+then writes its 25-file set from REF's src/ and from the working tree's src/,
+one in-process pass per side, both sides at once, so both sides run the same
+configurations; the two sets are then compared byte for byte.  Each runner's
+report is read with the runner's own ``read_report``.
 
 After the verdict it prints:
 
@@ -77,11 +78,11 @@ import math
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 from collections import Counter
 from pathlib import Path
 
+from bench_pairs import export_commit
 from fixed_seed import Report, read_report
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -274,21 +275,15 @@ def main(argv: list[str] | None = None) -> int:
     if len(argv) != 1:
         print(f"usage: {sys.argv[0]} REF", file=sys.stderr)
         return 2
-    found = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
-                            f"{argv[0]}^{{commit}}"], capture_output=True, text=True)
-    if found.returncode != 0:
-        print(f"{sys.argv[0]}: {argv[0]} is not a commit", file=sys.stderr)
-        return 2
-    commit = found.stdout.strip()
-    label = commit[:7]
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit, "src", "tests"],
-                                 stdout=subprocess.PIPE)
-        if archive.returncode != 0:
-            return archive.returncode
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(work / "ref", filter="data")
+        try:
+            label = export_commit(argv[0], ["src", "tests"], work / "ref")[:7]
+        except LookupError as error:
+            print(f"{sys.argv[0]}: {error}", file=sys.stderr)
+            return 2
+        except subprocess.CalledProcessError as error:
+            return error.returncode
         (work / "ref" / "scripts").mkdir()
         shutil.copy(ROOT / "scripts" / "fixed_seed.py", work / "ref" / "scripts")
         sides = {"ref": work / "ref", "tree": ROOT}

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
@@ -285,6 +286,165 @@ class TestCompareFixedSeed:
         assert compare.main([]) == 2
         assert compare.main(["no-such-ref-anywhere"]) == 2
         assert "no-such-ref-anywhere is not a commit" in capsys.readouterr().err
+
+
+def bench_pairs(monkeypatch):
+    """scripts/bench_pairs.py, loaded as a module."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    return importlib.import_module("bench_pairs")
+
+
+def pair_result(value, failed=0, correct=True):
+    """A run.py result line of one lower-is-better metric ``m`` and 10 operations."""
+    return {"correct": correct, "attempted": 10, "failed": failed,
+            "metrics": {"m": {"value": value, "unit": "s"}}}
+
+
+LOWER = [{"name": "m", "unit": "s", "better": "lower", "bound": 0.2}]
+
+
+class TestBenchPairs:
+    def test_each_verdict(self, monkeypatch):
+        verdict = bench_pairs(monkeypatch).verdict
+        flat = [1.0] * 10
+        assert verdict(flat, [1.3] * 10, 0.2) == "worse"
+        assert verdict(flat, [0.9] * 10, 0.2) == "gain"
+        # 8 of 10 pairs better is not enough for a gain
+        assert verdict(flat, [0.9] * 8 + [1.0] * 2, 0.2) == "within bound"
+        # better in every pair, but by less than REF's interquartile range
+        spread = [0.8, 0.9, 1.0, 1.1, 1.2] * 2
+        assert verdict(spread, [x - 0.05 for x in spread], 0.3) == "within bound"
+        wide = [0.5, 1.0, 1.5, 2.0]
+        assert verdict(wide, wide, 0.2) == "unresolved"
+        assert verdict(wide, [0.4], 0.2) == "within bound"  # no run of the tree is as high
+        assert verdict(flat, [1.1] * 10, 0.2) == "within bound"
+
+    def test_ties_count_for_neither_side(self, monkeypatch):
+        summarize = bench_pairs(monkeypatch).summarize
+        before = {"w": [pair_result(1.0) for _ in range(10)]}
+        for values, better, ruling in (([1.0] * 10, 0, "within bound"),
+                                       ([0.9] * 9 + [1.0], 9, "gain"),
+                                       ([0.9] * 8 + [1.0] * 2, 8, "within bound")):
+            _, record = summarize("abc1234", 1, LOWER, before,
+                                  {"w": [pair_result(v) for v in values]})
+            entry = record["workloads"]["w"]["metrics"]["m"]
+            assert (entry["tree_better"], entry["verdict"]) == (better, ruling)
+
+    def test_a_higher_is_better_metric_flips_sign(self, monkeypatch):
+        summarize = bench_pairs(monkeypatch).summarize
+        higher = [{**LOWER[0], "better": "higher", "bound": 0.1}]
+        before = {"w": [pair_result(1.0) for _ in range(10)]}
+        lines, record = summarize("abc1234", 1, higher, before,
+                                  {"w": [pair_result(1.2) for _ in range(10)]})
+        assert record["workloads"]["w"]["metrics"]["m"] == {
+            "ref_median": 1.0, "ref_iqr": 0.0, "tree_median": 1.2, "tree_iqr": 0.0,
+            "tree_better": 10, "pairs": 10, "verdict": "gain"}
+        assert lines[2].split()[-3:] == ["+20.0%", "10/10", "gain"]
+        _, record = summarize("abc1234", 1, higher, before,
+                              {"w": [pair_result(0.8) for _ in range(10)]})
+        entry = record["workloads"]["w"]["metrics"]["m"]
+        assert (entry["tree_better"], entry["verdict"]) == (0, "worse")
+
+    def test_a_missing_value_or_pair_is_not_measured(self, monkeypatch):
+        summarize = bench_pairs(monkeypatch).summarize
+        before = {"w": [pair_result(1.0), pair_result(1.0)]}
+        for after in ([pair_result(1.0), pair_result(None)], [pair_result(1.0)]):
+            lines, record = summarize("abc1234", 1, LOWER, before, {"w": after})
+            assert "w                m            not measured on every run" in lines
+            assert record["workloads"]["w"]["metrics"] == {}
+
+    def test_record_schema_and_incorrect_runs(self, monkeypatch):
+        summarize = bench_pairs(monkeypatch).summarize
+        before = {"w": [pair_result(1.0), pair_result(3.0, failed=2)]}
+        after = {"w": [pair_result(1.0, correct=False), pair_result(2.0)]}
+        lines, record = summarize("abc1234", 101, LOWER, before, after)
+        assert record == {"ref": "abc1234", "seeds": [101, 102], "workloads": {"w": {
+            "metrics": {"m": {"ref_median": 2.0, "ref_iqr": 1.0, "tree_median": 1.5,
+                              "tree_iqr": 0.5, "tree_better": 1, "pairs": 2,
+                              "verdict": "unresolved"}},
+            "failed_ref": [0, 2], "incorrect_ref": [],
+            "failed_tree": [0, 0], "incorrect_tree": [101]}}}
+        assert lines[0] == "2 alternated pair(s), seeds 101-102: abc1234 against the working tree"
+        assert lines[-4:] == [
+            "w                failed operations of abc1234: 2 of 20 (per pair [0, 2])",
+            "w                incorrect runs of abc1234: none",
+            "w                failed operations of tree: 0 of 20 (per pair [0, 0])",
+            "w                incorrect runs of tree: seeds [101]",
+        ]
+
+    def test_only_all_from_seed_1_writes_the_plain_record(self, monkeypatch):
+        name = bench_pairs(monkeypatch).record_name
+        assert name("abc1234", "all", 1) == "BENCH_abc1234.json"
+        assert name("abc1234", "all", 101) == "BENCH_abc1234_all_101.json"
+        assert name("abc1234", "safeucb-branin", 1) == "BENCH_abc1234_safeucb-branin_1.json"
+
+    def test_run_reads_the_last_line_from_the_sides_root(self, tmp_path, monkeypatch):
+        pairs = bench_pairs(monkeypatch)
+        monkeypatch.setattr(pairs, "WORK", tmp_path / "pairs")
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text(
+            "import json, os, sys\n"
+            "print('== progress')\n"
+            "print(json.dumps({'argv': sys.argv[1:], 'cwd': os.getcwd()}))\n")
+        result = pairs.run("ref", tmp_path, "w", 3, 34)
+        assert result == {"argv": ["--workload", "w", "--seed", "3", "--seconds", "34",
+                                   "--trace", "0"], "cwd": str(tmp_path)}
+        kept = (tmp_path / "pairs" / "ref" / "seed3" / "w.txt").read_text()
+        assert kept.startswith("== progress\n")
+
+    def test_sides_alternate_and_the_record_is_named_by_what_ran(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        pairs = bench_pairs(monkeypatch)
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 34, "end_to_end": LOWER,
+            "workloads": [{"name": "w2"}, {"name": "w1"}]}))
+        monkeypatch.setattr(pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(pairs, "WORK", tmp_path / "pairs")
+
+        def export(ref, paths, dest):
+            shutil.rmtree(dest, ignore_errors=True)
+            dest.mkdir(parents=True)
+            return "abc1234" + "0" * 33
+
+        calls = []
+
+        def run(side, root, workload, seed, seconds):
+            calls.append((seed, side, workload))
+            assert root == {"ref": tmp_path / "pairs" / "ref", "tree": tmp_path}[side]
+            return pair_result(1.0)
+
+        monkeypatch.setattr(pairs, "export_commit", export)
+        monkeypatch.setattr(pairs, "run", run)
+        assert pairs.main(["HEAD", "2", "all", "5"]) == 0
+        assert calls == [(5, "ref", "w2"), (5, "ref", "w1"), (5, "tree", "w2"),
+                         (5, "tree", "w1"), (6, "tree", "w2"), (6, "tree", "w1"),
+                         (6, "ref", "w2"), (6, "ref", "w1")]
+        record = json.loads((tmp_path / "BENCH_abc1234_all_5.json").read_text())
+        assert (record["seeds"], list(record["workloads"])) == ([5, 6], ["w2", "w1"])
+        assert capsys.readouterr().out.endswith(
+            f"summary written to {tmp_path / 'BENCH_abc1234_all_5.json'}\n")
+
+        def failing(side, root, workload, seed, seconds):
+            raise subprocess.CalledProcessError(3, "run.py")
+
+        monkeypatch.setattr(pairs, "run", failing)
+        assert pairs.main(["HEAD", "1", "w1"]) == 3
+        assert not (tmp_path / "BENCH_abc1234_w1_1.json").exists()
+
+    def test_bad_usage_or_a_ref_that_is_no_commit_exits_2(self, tmp_path, monkeypatch, capsys):
+        pairs = bench_pairs(monkeypatch)
+        monkeypatch.setattr(pairs, "WORK", tmp_path / "pairs")
+        for argv, message in ((["HEAD"], "usage:"),
+                              (["HEAD", "1", "all", "1", "extra"], "usage:"),
+                              (["HEAD", "0"], "PAIRS must be a positive integer"),
+                              (["HEAD", "x"], "PAIRS must be a positive integer"),
+                              (["HEAD", "1", "all", "-1"], "FIRST must be a nonnegative integer"),
+                              (["no-such-ref-anywhere", "1"],
+                               "no-such-ref-anywhere is not a commit")):
+            assert pairs.main(argv) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "pairs").exists()
 
 
 def small_config(tmp_path, **overrides):
