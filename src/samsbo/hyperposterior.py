@@ -18,8 +18,11 @@ singularity of a small eta at r -> 1 from handing the last cell most of the
 prior.  The confidence set keeps whole cells: each run of kept cells adds its
 outer edges as members, so its range holds all of the kept mass.  The
 factor's closed form is checked against a Cholesky fit of the data in
-:mod:`samsbo.twotask` (see its module notes).  The cells' prior masses are
-computed once per eta per process.
+:mod:`samsbo.twotask` (see its module notes).  The prior tails at the cell
+edges, which give both the cells' masses and their total, are computed once
+per eta per process with the C function of ``scipy.special.betainc``
+(:data:`samsbo._scipy.ibeta`), so the package does not import
+``scipy.special``.
 
 More tasks.  Adaptive random-walk Metropolis chains act on the hyperspherical
 angles of the correlation Cholesky factor, with the change-of-variables
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import betainc
 
 from . import gp
+from ._scipy import ibeta
 from .gp import MultiTaskDataset, log_marginal_likelihood
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 from .twotask import TwoTaskFactor
@@ -232,14 +235,26 @@ def cell_matrices() -> tuple[tuple[CorrelationMatrix, ...], tuple[CorrelationMat
 
 
 @cache
+def _prior_tails(eta: float) -> np.ndarray:
+    """LKJ(eta) upper tail P(r > e) at each cell edge e, read-only and computed once per eta.
+
+    (r + 1) / 2 ~ Beta(eta, eta) gives P(r > e) = I_{(1 - e)/2}(eta, eta),
+    the value ``scipy.special.betainc`` gives, bit for bit.
+    """
+    tails = np.array([ibeta(eta, eta, x) for x in (0.5 * (1.0 - CELL_EDGES)).tolist()])
+    tails.setflags(write=False)
+    return tails
+
+
+@cache
 def _log_cell_masses(eta: float) -> np.ndarray:
     """Log LKJ prior mass of each quadrature cell, read-only and computed once per eta.
 
-    (r + 1) / 2 ~ Beta(eta, eta) gives P(r > e) = I_{(1 - e)/2}(eta, eta), so a
-    cell [e_i, e_i+1) holds the difference of two upper tails; tails rather
-    than the CDF keep the small masses near r = 1 free of cancellation.
+    A cell [e_i, e_i+1) holds the difference of the two upper tails at its
+    edges; tails rather than the CDF keep the small masses near r = 1 free of
+    cancellation.
     """
-    tail = betainc(eta, eta, 0.5 * (1.0 - CELL_EDGES))
+    tail = _prior_tails(eta)
     masses = np.log(tail[:-1] - tail[1:])
     masses.setflags(write=False)
     return masses
@@ -253,8 +268,8 @@ def truncated_prior_mass(eta: float) -> float:
     """
     if not 0.0 < eta < np.inf:          # rng.beta(inf, inf) is NaN, which no draw accepts
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    upper, lower = betainc(eta, eta, 0.5 * (1.0 - CELL_EDGES[[0, -1]]))    # as _log_cell_masses
-    mass = float(upper - lower)
+    tail = _prior_tails(eta)
+    mass = float(tail[0] - tail[-1])
     if mass < PRIOR_MASS_FLOOR:
         raise ValueError(f"eta = {eta:g} leaves the prior mass {mass:.3g} on [0, R_MAX], below "
                          f"{PRIOR_MASS_FLOOR:g}: about {1.0 / mass:.3g} draws per accepted r")
