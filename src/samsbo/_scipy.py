@@ -31,6 +31,12 @@ the same module object, and a module already there is returned as it is.  A
 missing file raises ``FileNotFoundError`` naming its path; there is no
 fallback, and a missing export raises ``LookupError`` naming the module,
 the export and the scipy version.
+
+The files, their module names and the export are scipy's private layout, and
+:mod:`samsbo.sobol` reads the Joe–Kuo table's private npz member by member;
+all of it is verified on scipy 1.17.1 only.  So ``pyproject.toml`` asks for
+``scipy>=1.17.1``: an older scipy may lack a file or the export, or store the
+table in another layout.
 """
 from __future__ import annotations
 

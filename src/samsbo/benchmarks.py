@@ -31,6 +31,7 @@ domains are read-only, because problems share them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -184,6 +185,43 @@ def powell_problem(dimension: int = 4, disturbance: float = DISTURBANCE,
                             _signs(disturbance_seed, n_tasks, dimension), noise)
 
 
+_LASER_OMEGA2 = _read_only(LASER_OMEGA * LASER_OMEGA)
+
+
+def _laser_loop_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What no gain changes in the laser closed loop, all read-only: A without its
+    gain and filter-pole entries, B, C, and the flat indices into A of its gain entries.
+
+    Subsystem i's states start at b = 1 + 4 i (position, velocity, integrator,
+    disturbance filter).  Row b + 1 of A holds its gains, at columns b (kp),
+    b + 2 (ki) and its predecessor's position (kp), the reference filter's
+    state 0 for the first subsystem.
+    """
+    n, dim = LASER_SUBSYSTEMS, 1 + 4 * LASER_SUBSYSTEMS
+    starts = 1 + 4 * np.arange(n)
+    predecessors = np.concatenate([[0], starts[:-1]])
+    A = np.zeros((dim, dim))
+    A[starts, starts + 1] = 1.0
+    A[starts + 1, starts + 1] = -2.0 * LASER_ZETA * LASER_OMEGA
+    A[starts + 1, starts + 3] = _LASER_OMEGA2
+    A[starts + 2, starts] = -1.0
+    A[starts + 2, predecessors] = 1.0
+    B = np.zeros((dim, n + 1))
+    B[0, 0] = 1.0
+    B[starts + 3, 1 + np.arange(n)] = 1.0
+    C = np.zeros((n, dim))
+    C[np.arange(n), starts] = -1.0
+    C[np.arange(n), predecessors] = 1.0
+    gains = np.ravel_multi_index((np.tile(starts + 1, 3),
+                                  np.concatenate([starts, starts + 2, predecessors])), (dim, dim))
+    return _read_only(A), _read_only(B), _read_only(C), _read_only(gains)
+
+
+_LASER_A, _LASER_B, _LASER_C, _LASER_GAIN_INDEX = _laser_loop_constants()
+_LASER_Q = _read_only(_LASER_B @ _LASER_B.T)       # the Lyapunov equation's B B'
+_LASER_Q_NORM = float(np.linalg.norm(_LASER_Q))
+
+
 @dataclass(frozen=True)
 class LaserChainProblem:
     """PI tuning of a serial synchronization chain with an H2 performance cost.
@@ -218,43 +256,39 @@ class LaserChainProblem:
             return LASER_FILTER_POLES
         return LASER_FILTER_POLES * (1.0 + self.signs[z - 2] * self.disturbance)
 
+    @cached_property
+    def _skeletons(self) -> tuple[np.ndarray, ...]:
+        """Per task, the closed loop's A with its gain entries zero, read-only and built once."""
+        filters = np.arange(0, _LASER_A.shape[0], 4)       # the states of the filters' poles
+        skeletons = []
+        for z in range(1, self.n_tasks + 1):
+            A = _LASER_A.copy()
+            A[filters, filters] = -self._poles_for_task(z)
+            skeletons.append(_read_only(A))
+        return tuple(skeletons)
+
     def closed_loop(self, pi_params: np.ndarray, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """State matrices (A, B, C) of the closed loop for task ``z``.
 
         State order: reference filter, then per subsystem (position, velocity,
-        integrator, disturbance filter); outputs are the tracking errors.
+        integrator, disturbance filter); outputs are the tracking errors, and
+        each subsystem tracks its predecessor's position, the first the
+        reference filter's output.  B and C are the same read-only arrays for
+        every gain and task.  A is the task's gain-free skeleton with its 3N
+        gain entries filled in.
         """
+        if not 1 <= z <= self.n_tasks:
+            raise ValueError(f"task must lie in 1..{self.n_tasks}")
         n = LASER_SUBSYSTEMS
         pi_params = np.asarray(pi_params, dtype=float)
         if pi_params.size != 2 * n:
             raise ValueError(f"expected {2 * n} PI parameters")
         kp, ki = pi_params[:n], pi_params[n:]
-        poles = self._poles_for_task(z)
-        dim = 1 + 4 * n
-        A = np.zeros((dim, dim))
-        B = np.zeros((dim, n + 1))
-        C = np.zeros((n, dim))
-        A[0, 0] = -poles[0]
-        B[0, 0] = 1.0
-        for i in range(n):
-            b = 1 + 4 * i
-            w = LASER_OMEGA[i]
-            w2 = w * w
-            # predecessor timing: reference filter output for the first subsystem
-            pred_col = 0 if i == 0 else b - 4
-            A[b, b + 1] = 1.0
-            A[b + 1, b] = -w2 * (1.0 + kp[i])
-            A[b + 1, b + 1] = -2.0 * LASER_ZETA * w
-            A[b + 1, b + 2] = w2 * ki[i]
-            A[b + 1, b + 3] = w2
-            A[b + 1, pred_col] += w2 * kp[i]
-            A[b + 2, b] = -1.0
-            A[b + 2, pred_col] += 1.0
-            A[b + 3, b + 3] = -poles[1 + i]
-            B[b + 3, 1 + i] = 1.0
-            C[i, b] = -1.0
-            C[i, pred_col] += 1.0
-        return A, B, C
+        A = self._skeletons[z - 1].copy()
+        # + 0.0: the predecessor's kp entry is a sum into a zero, which turns -0.0 into 0.0
+        A.flat[_LASER_GAIN_INDEX] = np.concatenate([
+            -_LASER_OMEGA2 * (1.0 + kp), _LASER_OMEGA2 * ki, _LASER_OMEGA2 * kp + 0.0])
+        return A, _LASER_B, _LASER_C
 
     def true_value(self, z: int, pi_params: np.ndarray) -> float:
         return h2_cost(pi_params, self, z)
@@ -278,9 +312,7 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
     LAPACK failure or a residual beyond backward-error size raises
     :class:`StabilityError`.
     """
-    if not 1 <= z <= problem.n_tasks:
-        raise ValueError(f"task must lie in 1..{problem.n_tasks}")
-    A, B, C = problem.closed_loop(pi_params, z)
+    A, _, C = problem.closed_loop(pi_params, z)
     if not np.isfinite(A).all():
         raise ValueError("PI gains must be finite")
     penalty = INSTABILITY_PENALTY_FACTOR * problem.threshold
@@ -289,7 +321,7 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
         raise StabilityError(f"dgees failed with info = {info}")
     if real_parts.max() >= HURWITZ_MARGIN:
         return penalty
-    Q = B @ B.T
+    Q = _LASER_Q
     Y, scale, info = _trsyl(T, T, U.T.dot((-Q).dot(U)), tranb="T")
     if info != 0:
         # info = 1: eigenvalues of T and -T nearly meet and LAPACK perturbed the solve
@@ -300,7 +332,7 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
     residual = np.linalg.norm(A @ P + P @ A.T + Q)
     # backward-error criterion: near-marginal systems have large ||P|| and the
     # attainable residual scales with ||A|| ||P||, not with ||Q|| alone
-    bound = 1e-8 * max(np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * np.linalg.norm(P), 1e-30)
+    bound = 1e-8 * max(_LASER_Q_NORM + 2.0 * np.linalg.norm(A) * np.linalg.norm(P), 1e-30)
     if residual > bound:
         raise StabilityError(f"Lyapunov residual too large: {residual:.3e}")
     value = LASER_OUTPUT_SCALE * float(np.sqrt(max(np.trace(C @ P @ C.T), 0.0)))

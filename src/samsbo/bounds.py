@@ -14,10 +14,12 @@ root of that minimum, so one minimax gives both, and :class:`ScalingBundle`
 holds both.
 
 Sigma's size selects the route: sets of 2x2 members take the closed forms of
-:mod:`samsbo.twotask` for that minimax and for nu, so nu costs O(n^2) per
-unique member from one shared :class:`~samsbo.twotask.TwoTaskFactor` (per-task
-factors and the singular values +-s of the whitened cross block) instead of a
-Cholesky factorization each; larger sets take the general path.
+:mod:`samsbo.twotask` for that minimax and for nu, reading the set's array of
+r (:attr:`~samsbo.hyperposterior.ConfidenceSet.offdiagonals`) alone, so nu
+costs O(n^2) per unique member from one shared
+:class:`~samsbo.twotask.TwoTaskFactor` (per-task factors and the singular
+values +-s of the whitened cross block) instead of a Cholesky factorization
+each; larger sets take the general path.
 The closed forms read r alone, so for a member whose diagonal is off 1 by up
 to the 1e-9 :class:`~samsbo.kernels.CorrelationMatrix` allows they differ from
 the general path by O(1e-9) relative.  A sigma-prime given to :func:`nu_factor`
@@ -107,7 +109,7 @@ def beta_bayes(cardinality: int, delta: float) -> float:
 
 
 def _check_size(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) -> None:
-    u, size = sigma_prime.size, confidence_set.members[0].size
+    u, size = sigma_prime.size, confidence_set.size
     if u != size:
         raise ValueError(f"sigma-prime is {u}x{u} but the set's members are {size}x{size}")
 
@@ -123,17 +125,20 @@ def select_sigma_prime(confidence_set: ConfidenceSet) -> tuple[CorrelationMatrix
     """Member S' minimizing the worst spectral ratio, and gamma = sqrt(max_S |S'^-1 S|_2).
 
     2x2 members share eigenvectors, so their ratios reduce to scalar arithmetic
-    on the off-diagonals; the general path decomposes each pair of unique
-    members.  A set of one matrix gives gamma exactly 1.  Ties resolve toward
-    the highest recorded posterior density, which is the set's ordering.
+    on the off-diagonals, and only the chosen member is built
+    (:meth:`~samsbo.hyperposterior.ConfidenceSet.member`); the general path
+    decomposes each pair of unique members.  A set of one matrix gives gamma
+    exactly 1, for 2x2 members as the minimax's value at equal r.  Ties
+    resolve toward the highest recorded posterior density, which is the
+    set's ordering.
     """
-    members = confidence_set.members
-    if len(set(members)) == 1:
-        return members[0], 1.0
     rs = confidence_set.offdiagonals
     if rs is not None:
         index, worst = twotask.minimax(rs)
-        return members[index], math.sqrt(worst)
+        return confidence_set.member(index), math.sqrt(worst)
+    members = confidence_set.members
+    if len(set(members)) == 1:
+        return members[0], 1.0
     unique = list(dict.fromkeys(members))
     best, best_val = unique[0], np.inf
     for candidate in unique:
@@ -156,19 +161,24 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
     noise_variance * |a_S - a_S'|^2.  The maximum is taken over the set.
     Sets of 2x2 members go through ``factor`` (built here when not supplied,
     checked against ``dataset`` when it is), the weight vectors of both paths
-    solving the same unjittered systems.  A set whose every member is
-    sigma_prime has no mean shift: nu is exactly 0.
+    solving the same unjittered systems, and read each distinct r once.  A set
+    whose every member is sigma_prime (for 2x2 members, has its r) has no
+    mean shift: nu is exactly 0.
     """
     _check_size(sigma_prime, confidence_set)
     if params.noise_variance <= 0.0:
         raise ValueError("nu requires positive noise variance")
-    if set(confidence_set.members) == {sigma_prime}:
-        return 0.0
     rs = confidence_set.offdiagonals
     if rs is not None:
+        r_prime = float(sigma_prime.matrix[0, 1])
+        if np.all(rs == r_prime):
+            return 0.0
         factor = (twotask.TwoTaskFactor.build(dataset, params) if factor is None
                   else factor.of(dataset))
-        return factor.nu(float(sigma_prime.matrix[0, 1]), np.unique(rs))
+        ordered = np.sort(rs)       # np.unique's output, without its numpy.ma import
+        return factor.nu(r_prime, ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])])
+    if set(confidence_set.members) == {sigma_prime}:
+        return 0.0
     from scipy.linalg import cho_factor, cho_solve      # u >= 3 only (see the module notes)
 
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)

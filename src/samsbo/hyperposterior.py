@@ -16,7 +16,14 @@ The LKJ marginal is (r + 1) / 2 ~ Beta(eta, eta) (Lewandowski, Kurowicka and
 Joe 2009).  Cell masses rather than midpoint densities keep the integrable
 singularity of a small eta at r -> 1 from handing the last cell most of the
 prior.  The confidence set keeps whole cells: each run of kept cells adds its
-outer edges as members, so its range holds all of the kept mass.  The
+outer edges as members, so its range holds all of the kept mass.  The cells
+are the read-only arrays ``CELL_MIDPOINTS`` and ``CELL_EDGES`` of r, and a
+two-task confidence set is an array of r too
+(:meth:`ConfidenceSet.of_offdiagonals`): sigma-prime's minimax and nu, all
+that reads it, read r alone.  The one matrix a refresh builds from it is
+sigma-prime, taken from a cache of Sigma(r) per r that also serves the set's
+``members`` when they are asked for, so equal r are one object.  The cache
+has room for the 401 cell values, all that the quadrature's sets hold.  The
 factor's closed form is checked against a Cholesky fit of the data in
 :mod:`samsbo.twotask` (see its module notes).  The prior tails at the cell
 edges, which give both the cells' masses and their total, are computed once
@@ -33,7 +40,7 @@ samples weigh equally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -99,14 +106,16 @@ class EmpiricalHyperPosterior:
     mass: a cell's mass for the two-task quadrature, zero for every MCMC
     sample.  ``edges`` are the cell boundaries of the quadrature, sample i
     standing for the cell from ``edges[i]`` to ``edges[i + 1]``; MCMC samples
-    have none.
+    have none.  The quadrature's samples and edges are the arrays of r
+    ``CELL_MIDPOINTS`` and ``CELL_EDGES``; the angle walk's samples are
+    correlation matrices.
     """
 
-    samples: tuple[CorrelationMatrix, ...]
+    samples: tuple[CorrelationMatrix, ...] | np.ndarray
     log_densities: np.ndarray
     log_weights: np.ndarray
     diagnostics: McmcDiagnostics
-    edges: tuple[CorrelationMatrix, ...] | None = None
+    edges: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.samples) == 0:
@@ -117,32 +126,66 @@ class EmpiricalHyperPosterior:
             raise ValueError("cell edges must bound every sample")
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=2 * QUADRATURE_CELLS + 1)
+def _two_task(r: float) -> CorrelationMatrix:
+    """Sigma(r), one object per r; the cache holds every cell midpoint and edge."""
+    return CorrelationMatrix.two_task(r)
+
+
 class ConfidenceSet:
-    """Densest samples covering Sigma w.p. 1 - rho, densest first, then any cell edges."""
+    """Densest samples covering Sigma w.p. 1 - rho, densest first, then any cell edges.
 
-    members: tuple[CorrelationMatrix, ...]
+    A set is made of its members, or for two tasks of their off-diagonals r
+    alone (:meth:`of_offdiagonals`).  ``offdiagonals`` holds the r of a set of
+    2x2 members, read-only, and is None for any other size.  A set made of r
+    builds its ``members`` on first access, and :meth:`member` one at a time,
+    from one Sigma(r) per r (see the module notes), so equal r are one object.
+    """
 
-    def __post_init__(self):
-        if len(self.members) == 0:
+    def __init__(self, members: tuple[CorrelationMatrix, ...]):
+        members = tuple(members)
+        if len(members) == 0:
             raise ValueError("confidence set must be nonempty")
-        if len({m.size for m in self.members}) > 1:
+        if len({m.size for m in members}) > 1:
             raise ValueError("confidence set members must share one size")
+        self._members = members
+        self.offdiagonals = None
+        if members[0].size == 2:
+            self.offdiagonals = np.array([m.matrix[0, 1] for m in members])
+            self.offdiagonals.setflags(write=False)
+
+    @classmethod
+    def of_offdiagonals(cls, rs: np.ndarray) -> "ConfidenceSet":
+        """The set of the matrices Sigma(r), r in ``rs``; each r must lie in [0, 1)."""
+        rs = np.array(rs, dtype=float)
+        if rs.ndim != 1 or rs.size == 0:
+            raise ValueError("confidence set must be a nonempty vector of r")
+        if not np.all((rs >= 0.0) & (rs < 1.0)):
+            raise ValueError("every r of a confidence set must lie in [0, 1)")
+        rs.setflags(write=False)
+        cset = cls.__new__(cls)
+        cset._members, cset.offdiagonals = None, rs
+        return cset
+
+    @property
+    def members(self) -> tuple[CorrelationMatrix, ...]:
+        if self._members is None:
+            self._members = tuple(map(_two_task, self.offdiagonals.tolist()))
+        return self._members
+
+    def member(self, index: int) -> CorrelationMatrix:
+        """Member ``index``, the only one built when the set is made of r."""
+        if self._members is None:
+            return _two_task(float(self.offdiagonals[index]))
+        return self._members[index]
+
+    @property
+    def size(self) -> int:
+        """The members' size u."""
+        return 2 if self.offdiagonals is not None else self._members[0].size
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    @cached_property
-    def offdiagonals(self) -> np.ndarray | None:
-        """Read-only off-diagonals r when the members are 2x2, else None.
-
-        Computed on first access; the sigma-prime minimax and nu share it.
-        """
-        if self.members[0].size != 2:
-            return None
-        rs = np.array([m.matrix[0, 1] for m in self.members])
-        rs.setflags(write=False)
-        return rs
+        return len(self.offdiagonals) if self._members is None else len(self._members)
 
 
 def _reflect(value: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -228,13 +271,6 @@ def _run_chain(start: np.ndarray, log_target, n_keep: int,
 
 
 @cache
-def cell_matrices() -> tuple[tuple[CorrelationMatrix, ...], tuple[CorrelationMatrix, ...]]:
-    """The quadrature's midpoint and edge matrices, built once on first use."""
-    return (tuple(CorrelationMatrix.two_task(float(r)) for r in CELL_MIDPOINTS),
-            tuple(CorrelationMatrix.two_task(float(r)) for r in CELL_EDGES))
-
-
-@cache
 def _prior_tails(eta: float) -> np.ndarray:
     """LKJ(eta) upper tail P(r > e) at each cell edge e, read-only and computed once per eta.
 
@@ -284,12 +320,12 @@ def sample_hyperposterior(
     seed: int = 0,
     factor: TwoTaskFactor | None = None,
 ) -> EmpiricalHyperPosterior:
-    """Weighted correlation matrices representing p(Sigma | data).
+    """Weighted samples of p(Sigma | data): correlation matrices, or for two tasks their r.
 
     The target combines the GP log marginal likelihood of the dataset with the
     LKJ prior of shape ``eta`` > 0, restricted to nonnegative entries.  Two
-    tasks give the ``QUADRATURE_CELLS`` cells of the module notes and their
-    edges, the same matrix objects on every call.  More tasks run the angle
+    tasks give the ``QUADRATURE_CELLS`` cells of the module notes, as the
+    arrays ``CELL_MIDPOINTS`` and ``CELL_EDGES`` of r.  More tasks run the angle
     walk: ``CHAINS * SAMPLES_PER_CHAIN`` states merged across chains seeded
     from ``seed``, repeated states sharing one :class:`CorrelationMatrix`;
     fixed seeds give bit-identical output.
@@ -308,9 +344,8 @@ def sample_hyperposterior(
         factor = TwoTaskFactor.build(dataset, params) if factor is None else factor.of(dataset)
         # equal cells: a cell's mass is its density up to one constant
         log_weights = factor.log_likelihood(CELL_MIDPOINTS) + _log_cell_masses(eta)
-        midpoints, edges = cell_matrices()
-        return EmpiricalHyperPosterior(midpoints, log_weights, log_weights, McmcDiagnostics(1.0),
-                                       edges)
+        return EmpiricalHyperPosterior(CELL_MIDPOINTS, log_weights, log_weights,
+                                       McmcDiagnostics(1.0), CELL_EDGES)
 
     n_angles = n_tasks * (n_tasks - 1) // 2
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
@@ -364,9 +399,10 @@ def confidence_set(posterior: EmpiricalHyperPosterior, rho: float) -> Confidence
 
     Cells stand for their whole extent: each run of adjacent kept cells also
     contributes its two outer edges, after the cells and in the order of r,
-    so the members' range of r holds every r whose mass was kept.  Weights
-    that do not normalize (a NaN or +inf log weight, or none above -inf)
-    raise ``ValueError``.
+    so the members' range of r holds every r whose mass was kept.  A
+    quadrature's set is made of those r (:meth:`ConfidenceSet.of_offdiagonals`).
+    Weights that do not normalize (a NaN or +inf log weight, or none above
+    -inf) raise ``ValueError``.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
@@ -378,15 +414,15 @@ def confidence_set(posterior: EmpiricalHyperPosterior, rho: float) -> Confidence
     cumulative = np.cumsum(np.exp(log_w - top))
     keep = int(np.searchsorted(cumulative, (1.0 - rho) * cumulative[-1])) + 1
     order = order[:keep]
-    members = tuple(posterior.samples[i] for i in order)
     if posterior.edges is None:
-        return ConfidenceSet(members)
+        return ConfidenceSet(tuple(posterior.samples[i] for i in order))
     cells = np.sort(order)
     breaks = np.flatnonzero(np.diff(cells) > 1)
     firsts = cells[np.r_[0, breaks + 1]]
     lasts = cells[np.r_[breaks, len(cells) - 1]]
-    edges = tuple(posterior.edges[e] for e in np.column_stack([firsts, lasts + 1]).ravel())
-    return ConfidenceSet(members + edges)
+    edges = np.column_stack([firsts, lasts + 1]).ravel()
+    return ConfidenceSet.of_offdiagonals(np.concatenate([posterior.samples[order],
+                                                         posterior.edges[edges]]))
 
 
 def sample_prior_offdiagonal(eta: float, rng: np.random.Generator) -> float:

@@ -102,6 +102,13 @@ def fit_transforms(dataset: gp.MultiTaskDataset, domain_box: np.ndarray,
     return Transforms(lower=box[:, 0], upper=box[:, 1], y_mean=mean, y_std=std)
 
 
+def _unique_rows(points: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``points`` in lexicographic order, as ``np.unique(points, axis=0)``
+    gives them, without the ``numpy.ma`` import that numpy's ``unique`` makes."""
+    ordered = points[np.lexsort(points.T[::-1])]
+    return ordered[np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])]
+
+
 @dataclass(frozen=True)
 class CandidateGrid:
     """Finite acquisition grid in the normalized unit cube.
@@ -116,7 +123,7 @@ class CandidateGrid:
         pts = np.array(self.points, dtype=float, ndmin=2)
         if not np.isfinite(pts).all() or np.min(pts) < 0.0 or np.max(pts) > 1.0:
             raise ValueError("grid points must lie in the unit cube")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        if _unique_rows(pts).shape[0] != pts.shape[0]:
             raise ValueError("grid points must be pairwise distinct")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -147,7 +154,7 @@ def make_grid(dimension: int, size: int,
         points = scrambled_sobol(dimension, size, GRID_SEED)
     if extra_points is not None and len(extra_points):
         extra = np.clip(np.atleast_2d(np.asarray(extra_points, dtype=float)), 0.0, 1.0)
-        points = np.unique(np.vstack([points, extra]), axis=0)
+        points = _unique_rows(np.vstack([points, extra]))
     return CandidateGrid(points=points)
 
 

@@ -19,6 +19,8 @@ Lyapunov reference.  :func:`lyapunov_solution` is scipy's
 before it.  :func:`h2_cost_reference` computes the laser cost from a separate
 ``geev`` stability check and that solve, which factors the closed loop again,
 where the package reads both from one Schur factorization.
+:func:`closed_loop_reference` builds the laser closed loop entry by entry,
+where the package fills the gain entries of a per-task skeleton.
 """
 from __future__ import annotations
 
@@ -30,7 +32,11 @@ from scipy.spatial.distance import cdist
 
 from samsbo.benchmarks import (
     INSTABILITY_PENALTY_FACTOR,
+    LASER_FILTER_POLES,
+    LASER_OMEGA,
     LASER_OUTPUT_SCALE,
+    LASER_SUBSYSTEMS,
+    LASER_ZETA,
     LaserChainProblem,
     StabilityError,
 )
@@ -208,3 +214,39 @@ def kernel_dominance(sigma: CorrelationMatrix, sigma_prime: CorrelationMatrix,
     diff = beta ** 2 * sigma.matrix - sigma_prime.matrix
     scale = max(float(np.max(np.abs(diff))), 1.0)
     return bool(np.min(np.linalg.eigvalsh(diff)) >= -1e-10 * scale)
+
+
+def closed_loop_reference(problem: LaserChainProblem, pi_params: np.ndarray,
+                          z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`LaserChainProblem.closed_loop`'s (A, B, C), built entry by entry in loops."""
+    n = LASER_SUBSYSTEMS
+    pi_params = np.asarray(pi_params, dtype=float)
+    kp, ki = pi_params[:n], pi_params[n:]
+    poles = LASER_FILTER_POLES
+    if z > 1:
+        poles = LASER_FILTER_POLES * (1.0 + problem.signs[z - 2] * problem.disturbance)
+    dim = 1 + 4 * n
+    A = np.zeros((dim, dim))
+    B = np.zeros((dim, n + 1))
+    C = np.zeros((n, dim))
+    A[0, 0] = -poles[0]
+    B[0, 0] = 1.0
+    for i in range(n):
+        b = 1 + 4 * i
+        w = LASER_OMEGA[i]
+        w2 = w * w
+        # predecessor timing: reference filter output for the first subsystem
+        pred_col = 0 if i == 0 else b - 4
+        A[b, b + 1] = 1.0
+        A[b + 1, b] = -w2 * (1.0 + kp[i])
+        A[b + 1, b + 1] = -2.0 * LASER_ZETA * w
+        A[b + 1, b + 2] = w2 * ki[i]
+        A[b + 1, b + 3] = w2
+        A[b + 1, pred_col] += w2 * kp[i]
+        A[b + 2, b] = -1.0
+        A[b + 2, pred_col] += 1.0
+        A[b + 3, b + 3] = -poles[1 + i]
+        B[b + 3, 1 + i] = 1.0
+        C[i, b] = -1.0
+        C[i, pred_col] += 1.0
+    return A, B, C

@@ -20,7 +20,7 @@ from samsbo.benchmarks import (
     powell_problem,
 )
 
-from oracles import h2_cost_reference, lyapunov_solve
+from oracles import closed_loop_reference, h2_cost_reference, lyapunov_solve
 
 
 class TestPowell:
@@ -171,6 +171,28 @@ class TestLaserChain:
         monkeypatch.setattr(benchmarks, routine, failing)
         with pytest.raises(StabilityError, match=rf"d{routine[1:]} failed with info = 2"):
             h2_cost(x, p, 1)
+
+    @pytest.mark.parametrize("n_tasks", [2, 3])
+    def test_closed_loop_is_the_loop_build_bit_for_bit(self, n_tasks):
+        """Gains inside and outside the box, signed zeros and non-finite ones, every task."""
+        p = laser_problem(n_tasks=n_tasks, disturbance_seed=3)
+        rng = np.random.default_rng(12)
+        lo, hi = LASER_BOX[:, 0], LASER_BOX[:, 1]
+        gains = [lo + rng.random(10) * (hi - lo) for _ in range(40)]
+        gains += [rng.uniform(-20.0, 30.0, 10) for _ in range(40)]
+        gains += [np.zeros(10), np.full(10, -0.0), np.full(10, np.nan), np.full(10, -np.inf),
+                  list(LASER_SAFE_SEED)]
+        for x in gains:
+            for z in range(1, n_tasks + 1):
+                got, want = p.closed_loop(x, z), closed_loop_reference(p, x, z)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        A, B, C = p.closed_loop(LASER_SAFE_SEED, 1)
+        assert A.flags.writeable and not B.flags.writeable and not C.flags.writeable
+        for z in (0, n_tasks + 1):
+            with pytest.raises(ValueError, match="task must lie"):
+                p.closed_loop(LASER_SAFE_SEED, z)
 
     def test_non_finite_gains_are_refused(self):
         p = laser_problem(disturbance_seed=0)

@@ -482,6 +482,28 @@ class TestRobustModel:
         assert np.array_equal(rs, [m.matrix[0, 1] for m in cs.members])
         assert make_set([CorrelationMatrix.identity(3)]).offdiagonals is None
 
+    def test_nu_reads_each_distinct_r_once(self, monkeypatch):
+        """nu's sorted distinct r are np.unique's, on a set with repeated cell edges."""
+        rng = np.random.default_rng(23)
+        ds = task_dataset(rng, n=12, u=2)
+        rs = np.concatenate([hyperposterior.CELL_MIDPOINTS[[7, 5, 6]],
+                             hyperposterior.CELL_EDGES[[5, 8, 5, 8, 0]]])
+        cs = ConfidenceSet.of_offdiagonals(rs)
+        seen = []
+        real = twotask.TwoTaskFactor.nu
+
+        def recording(self, r_prime, distinct):
+            seen.append(distinct)
+            return real(self, r_prime, distinct)
+
+        monkeypatch.setattr(twotask.TwoTaskFactor, "nu", recording)
+        sp = cs.member(1)
+        nu = nu_factor(ds, sp, cs, PARAMS)
+        assert np.array_equal(seen[0], np.unique(rs)) and len(seen[0]) == 6
+        factor = twotask.TwoTaskFactor.build(ds, PARAMS)
+        assert nu == real(factor, float(sp.matrix[0, 1]), np.unique(rs))
+        assert nu_factor(ds, sp, ConfidenceSet.of_offdiagonals(rs[[1, 1]]), PARAMS) == 0.0
+
     def test_two_task_refresh_fits_three_times(self, monkeypatch):
         """Two per-task fits and the joint fit at Sigma(CHECK_R), whose likelihood is read once."""
         rng = np.random.default_rng(22)

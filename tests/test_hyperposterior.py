@@ -11,11 +11,11 @@ from samsbo.hyperposterior import (
     CELL_MIDPOINTS,
     QUADRATURE_CELLS,
     R_MAX,
+    ConfidenceSet,
     EmpiricalHyperPosterior,
     McmcDiagnostics,
     _log_cell_masses,
     angles_to_correlation,
-    cell_matrices,
     confidence_set,
     sample_hyperposterior,
     sample_prior_offdiagonal,
@@ -162,19 +162,16 @@ class TestTwoTaskQuadrature:
         dataset = synthetic_two_task(0.7, 25, np.random.default_rng(9))
         a, b = (sample_hyperposterior(dataset, 2, 0.1, PARAMS, seed=seed)
                 for seed in (0, 1))
-        midpoints, edges = cell_matrices()
-        assert a.samples is midpoints and b.samples is midpoints
-        assert a.edges is edges and b.edges is edges
+        assert a.samples is CELL_MIDPOINTS and b.samples is CELL_MIDPOINTS
+        assert a.edges is CELL_EDGES and b.edges is CELL_EDGES
         assert np.array_equal(a.log_weights, b.log_weights)
         assert np.array_equal(a.log_densities, b.log_densities)
         assert a.diagnostics.acceptance_rate == 1.0
 
     def test_cells_partition_the_support(self):
-        midpoints, edges = cell_matrices()
-        rs = np.array([m.matrix[0, 1] for m in midpoints])
-        assert len(rs) == QUADRATURE_CELLS
-        assert np.array_equal(rs, CELL_MIDPOINTS)
-        assert np.array_equal([m.matrix[0, 1] for m in edges], CELL_EDGES)
+        rs = CELL_MIDPOINTS
+        assert len(rs) == QUADRATURE_CELLS and len(CELL_EDGES) == QUADRATURE_CELLS + 1
+        assert not rs.flags.writeable and not CELL_EDGES.flags.writeable
         assert CELL_EDGES[0] == 0.0 and CELL_EDGES[-1] == R_MAX
         assert np.all((CELL_EDGES[:-1] < rs) & (rs < CELL_EDGES[1:]))
 
@@ -245,8 +242,7 @@ class TestConfidenceSet:
         post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
         cs = confidence_set(post, 0.2)
         kept = np.array([m.matrix[0, 1] for m in cs.members])
-        excluded = [s.matrix[0, 1] for s in post.samples
-                    if not any(s.key() == m.key() for m in cs.members)]
+        excluded = [r for r in post.samples if r not in kept]
         lo, hi = kept.min(), kept.max()
         assert all(r < lo or r > hi for r in excluded)
         # the retained range contains the grid-oracle mode
@@ -256,33 +252,55 @@ class TestConfidenceSet:
 
     def test_each_run_of_kept_cells_adds_its_outer_edges(self):
         # cells 0, 1 and 3 of five hold the weight: runs [0, 1] and [3, 3]
-        edges = tuple(CorrelationMatrix.two_task(0.1 * i) for i in range(6))
-        cells = tuple(CorrelationMatrix.two_task(0.1 * i + 0.05) for i in range(5))
+        edges = 0.1 * np.arange(6)
+        cells = 0.1 * np.arange(5) + 0.05
         logw = np.log([0.3, 0.4, 1e-6, 0.3, 1e-6])
         diag = McmcDiagnostics(1.0)
         post = EmpiricalHyperPosterior(cells, logw, logw, diag, edges)
         cs = confidence_set(post, 0.05)
         # kept cells densest first, then each run's two outer edges in the order of r
-        assert cs.members == (cells[1], cells[0], cells[3], edges[0], edges[2], edges[3], edges[4])
+        rs = [cells[1], cells[0], cells[3], edges[0], edges[2], edges[3], edges[4]]
+        assert np.array_equal(cs.offdiagonals, rs)
+        assert cs.members == tuple(CorrelationMatrix.two_task(r) for r in rs)
         assert np.allclose(cs.offdiagonals, [0.15, 0.05, 0.35, 0.0, 0.2, 0.3, 0.4])
         with pytest.raises(ValueError, match="edges"):
             EmpiricalHyperPosterior(cells, logw, logw, diag, edges[:-1])
+
+    def test_a_set_of_r_builds_only_the_members_asked_for(self):
+        """offdiagonals are the members' off-diagonals; equal r are one matrix, and
+        sigma-prime is the member the set later builds."""
+        dataset = synthetic_two_task(0.6, 12, np.random.default_rng(12))
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
+        cs = confidence_set(post, 0.15)
+        twin = confidence_set(post, 0.15)
+        sp = cs.member(3)
+        assert len(cs) == len(cs.offdiagonals) and cs.size == 2
+        assert not cs.offdiagonals.flags.writeable
+        members = cs.members
+        assert cs.members is members and len(members) == len(cs)
+        assert all(m.size == 2 for m in members)
+        assert np.array_equal(cs.offdiagonals, [m.matrix[0, 1] for m in members])
+        assert members[3] is sp and all(cs.member(i) is m for i, m in enumerate(members))
+        assert all(a is b for a, b in zip(twin.members, members))
+        for bad in ([], [0.2, -0.1], [0.2, 1.0], [np.nan]):
+            with pytest.raises(ValueError):
+                ConfidenceSet.of_offdiagonals(np.array(bad))
 
     @pytest.mark.parametrize("rho", [0.05, 0.15, 0.5])
     def test_kept_weight_is_the_smallest_reaching_one_minus_rho(self, rho):
         dataset = synthetic_two_task(0.5, 10, np.random.default_rng(11))
         post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
-        weight = dict(zip((m.key() for m in post.samples), normalized_weights(post)))
-        kept = [weight[m.key()] for m in confidence_set(post, rho).members
-                if m.key() in weight]
+        weight = dict(zip(post.samples.tolist(), normalized_weights(post)))
+        kept = [weight[r] for r in confidence_set(post, rho).offdiagonals.tolist()
+                if r in weight]
         assert sum(kept) >= 1.0 - rho
         assert sum(kept[:-1]) < 1.0 - rho
         assert kept == sorted(kept, reverse=True)
 
     def test_weights_that_do_not_normalize_raise(self):
         # a NaN weight used to keep the first cell and its two edges whatever the data
-        cells = tuple(CorrelationMatrix.two_task(0.1 * i + 0.05) for i in range(3))
-        edges = tuple(CorrelationMatrix.two_task(0.1 * i) for i in range(4))
+        cells = 0.1 * np.arange(3) + 0.05
+        edges = 0.1 * np.arange(4)
         for logw in ([np.nan] * 3, [0.0, np.nan, 0.0], [0.0, np.inf, 0.0], [-np.inf] * 3):
             logw = np.array(logw)
             post = EmpiricalHyperPosterior(cells, logw, logw, McmcDiagnostics(1.0), edges)

@@ -92,6 +92,24 @@ class TestCandidateGrid:
         with pytest.raises(ValueError):
             CandidateGrid(points=np.array([[1.5]]))
 
+    def test_dedup_is_numpys_unique_rows(self):
+        """The lexsort dedup gives np.unique(axis=0)'s rows in its order, repeats or not."""
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3, 10):
+            for _ in range(50):
+                coarse = rng.integers(0, 3, (int(rng.integers(1, 30)), d)) / 2.0
+                points = np.vstack([coarse, coarse[rng.integers(0, len(coarse), 4)],
+                                    rng.random((3, d))])
+                got = safeopt._unique_rows(points)
+                assert np.array_equal(got.view(np.int64), np.unique(points, axis=0).view(np.int64))
+        sobol = make_grid(10, 64).points
+        extra = sobol[[5, 5, 9]]
+        grid = make_grid(10, 64, extra_points=np.vstack([extra, [[0.5] * 10]]))
+        assert np.array_equal(grid.points, np.unique(np.vstack([sobol, extra, [[0.5] * 10]]),
+                                                     axis=0))
+        with pytest.raises(ValueError, match="distinct"):
+            CandidateGrid(points=np.vstack([sobol, sobol[[7]]]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_points(self, bad):
         with pytest.raises(ValueError, match="unit cube"):

@@ -68,15 +68,46 @@ def test_out_of_range_arguments_raise(d, n, name):
         scrambled_sobol(d, n, 0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 10, 40, MAX_DIMENSION])
+def test_rows_read_are_the_tables_first_rows(d):
+    """The first d polynomials, and of vinit the first d rows of the columns their degrees
+    reach, past which those rows hold zeros."""
+    poly, vinit = sobol._joe_kuo_rows(d)
+    with np.load(sobol.TABLE_PATH) as table:
+        full_poly, full_vinit = table["poly"], table["vinit"]
+    degree = max(int(p).bit_length() - 1 for p in full_poly[:d])
+    assert vinit.shape == (d, degree)
+    assert np.array_equal(poly, full_poly[:d]) and poly.dtype == full_poly.dtype
+    assert np.array_equal(vinit, full_vinit[:d, :degree]) and vinit.dtype == full_vinit.dtype
+    assert not np.any(full_vinit[1:d, degree:])      # dimension 0 reads none: all ones
+
+
+def test_a_call_holds_no_copy_of_the_table():
+    """Reading the whole table allocates about 4.4 MB; d = 10 reads 5 of 18 columns."""
+    import tracemalloc
+
+    sobol._direction_numbers.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        points = scrambled_sobol(10, 4, 0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - before < 100_000 and peak - before < 1_500_000
+    assert np.array_equal(points, reference(10, 4, 0))
+    assert not sobol._direction_numbers(10).flags.writeable
+
+
 def test_missing_table_names_its_path(tmp_path, monkeypatch):
     missing = tmp_path / "missing.npz"
     monkeypatch.setattr(sobol, "TABLE_PATH", str(missing))
-    sobol._joe_kuo_table.cache_clear()
+    sobol._direction_numbers.cache_clear()
     try:
         with pytest.raises(FileNotFoundError, match="missing.npz"):
             scrambled_sobol(2, 4, 0)
     finally:
-        sobol._joe_kuo_table.cache_clear()
+        sobol._direction_numbers.cache_clear()
 
 
 def test_package_does_not_import_scipy_stats():
@@ -118,3 +149,30 @@ def test_package_does_not_import_scipy_stats():
                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_runs_do_not_import_numpy_ma():
+    """numpy's ``unique`` imports ``numpy.ma``; the grid's dedup, its distinctness check
+    and nu's distinct r do without it."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from samsbo import bounds, gp, make_grid\n"
+        "from samsbo.kernels import KernelParams\n"
+        "from samsbo.sobol import scrambled_sobol\n"
+        "rng = np.random.default_rng(0)\n"
+        "ds = gp.MultiTaskDataset(rng.random((12, 1)), np.tile([1, 2], 6),\n"
+        "                         rng.standard_normal(12))\n"
+        "params = KernelParams(1.0, [0.3], noise_variance=0.05)\n"
+        "cset, bundle, _ = bounds.robust_model(ds, 2, 0.1, 0.15, 1000, params, 0.05)\n"
+        "assert np.ptp(cset.offdiagonals) > 0.0 and bundle.nu > 0.0\n"
+        "loaded = 'numpy.ma' in sys.modules\n"
+        "extra = scrambled_sobol(10, 64, 0)[[5, 5, 9]]    # grid points, one of them twice\n"
+        "assert len(make_grid(10, 64, extra_points=extra)) == 64\n"
+        "print(loaded, 'numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False False"
