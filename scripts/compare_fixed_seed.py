@@ -33,7 +33,8 @@ After the verdict it prints:
   __init__) that import initializes, and the interpreter's peak resident set
   (``ru_maxrss``) after it, so an import regression shows in the same report;
 - the fields of the problem types SyntheticProblem and LaserChainProblem, which
-  hold what a caller can vary about a problem;
+  hold what a caller can vary about a problem, and of safeopt.OptimizationState,
+  what the loop carries from one step to the next;
 - each side's runner wall time;
 - the total of the runner's report of the statements of src/samsbo that no
   fixed-seed run executes, taken from the same pass that wrote the side's set,
@@ -48,8 +49,8 @@ After the verdict it prints:
   about the size of a module comes from the same command.
 
 The module count, the scipy subpackages, the peak resident set, the config
-fields and the problem fields come from one fresh interpreter per side, which
-imports samsbo before anything else; the ``__all__`` names, defaulted
+fields and the problem and state fields come from one fresh interpreter per
+side, which imports samsbo before anything else; the ``__all__`` names, defaulted
 parameters and line counts are read with ``ast`` in this process.  The "only in" lists count repeats: a
 statement text unreached twice on one side and once on the other is named once.
 
@@ -102,12 +103,13 @@ packages = sorted(name for name, module in sys.modules.items()
 import dataclasses, json
 from samsbo.benchmarks import LaserChainProblem, SyntheticProblem
 from samsbo.config import ExperimentConfig
+from samsbo.safeopt import OptimizationState
 print(json.dumps({
     "imports": f"{modules} modules, scipy subpackages {', '.join(packages) or 'none'}"
                f", ru_maxrss {rss:.1f} MB",
     "fields": [f"ExperimentConfig.{f.name}" for f in dataclasses.fields(ExperimentConfig)],
     "problems": ", ".join(f"{cls.__name__} {len(dataclasses.fields(cls))}"
-                          for cls in (SyntheticProblem, LaserChainProblem)),
+                          for cls in (SyntheticProblem, LaserChainProblem, OptimizationState)),
 }))
 """
 
@@ -235,7 +237,7 @@ def side_facts(root: Path, probe: dict, report: Report) -> dict:
                             f" = {len(fields) + len(params)}"),
         "settable": fields + params,
         "import samsbo, samsbo.cli": probe["imports"],
-        "problem fields": probe["problems"],
+        "problem and state fields": probe["problems"],
         "runner wall time": f"{report.seconds:.1f} s",
         "unreached statements": (f"{len(unreached_statements(report))} of"
                                  f" {sum(c for c, _ in report.modules.values())}"),
@@ -262,7 +264,7 @@ def summary(label: str, ref: dict, tree: dict) -> list[str]:
         f"{', '.join(only_in(ref['settable'], tree['settable'])) or 'none'}",
         "settable values only in the working tree: "
         f"{', '.join(only_in(tree['settable'], ref['settable'])) or 'none'}",
-        both("import samsbo, samsbo.cli", ";"), both("problem fields"),
+        both("import samsbo, samsbo.cli", ";"), both("problem and state fields"),
         both("runner wall time"), both("unreached statements"),
         f"unreached statements only in {label}:",
         *indented(only_in(ref["unreached"], tree["unreached"])),

@@ -25,15 +25,15 @@ to the 1e-9 :class:`~samsbo.kernels.CorrelationMatrix` allows they differ from
 the general path by O(1e-9) relative.  A sigma-prime given to :func:`nu_factor`
 of another size than the members raises ``ValueError``.
 
-:func:`robust_model` is the one model refresh of the optimization loop and of
-the Bayesian coverage suite, and the one place that builds that factor.  A
-two-task refresh hands the factor its data and the previous refresh's
-factor, which grows its base Gram, per-task fits and cross-check fit by the
-new rows (see :mod:`samsbo.twotask`), and returns the factor's posterior at
-sigma-prime.  So it factors no n x n system besides the cross-check, and
-that one only when there is no previous factor to grow from (the coverage
-suite's trials).  One task and three or more fit at sigma-prime with
-:func:`samsbo.gp.fit`, which forms its own Gram.
+:func:`robust_model`, the one model refresh of the optimization loop and of
+the Bayesian coverage suite, returns one :class:`RobustModel` and is the one
+place that builds that factor; each stage takes it as the required ``factor``
+(None without two tasks).  A two-task refresh grows the previous model's
+factor by the new rows (base Gram, per-task fits and cross-check fit; see
+:mod:`samsbo.twotask`) and returns its posterior at sigma-prime, so it factors
+no n x n system besides the cross-check, and that one only without a previous
+factor (the coverage suite's trials).  One task and three or more fit at
+sigma-prime with :func:`samsbo.gp.fit`, which forms its own Gram.
 
 The general path imports ``scipy.linalg`` on first use, for ``solve`` in the
 spectral ratio and ``cho_factor``/``cho_solve`` in nu.  Only sets of 3x3 or
@@ -55,6 +55,7 @@ from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
 __all__ = [
     "ScalingBundle",
+    "RobustModel",
     "beta_freq",
     "covering_number",
     "beta_bayes",
@@ -74,6 +75,15 @@ class ScalingBundle:
     nu: float
     gamma: float
     beta_bar: float
+
+
+@dataclass(frozen=True)
+class RobustModel:
+    """One model refresh: the confidence set, its scaling bundle and the posterior at sigma-prime."""
+
+    confidence_set: ConfidenceSet
+    bundle: ScalingBundle
+    posterior: gp.Posterior
 
 
 def _noise_term(n_obs: int, delta: float) -> float:
@@ -149,8 +159,8 @@ def select_sigma_prime(confidence_set: ConfidenceSet) -> tuple[CorrelationMatrix
 
 
 def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
-              confidence_set: ConfidenceSet, params: KernelParams,
-              factor: twotask.TwoTaskFactor | None = None) -> float:
+              confidence_set: ConfidenceSet, params: KernelParams, *,
+              factor: twotask.TwoTaskFactor | None) -> float:
     """Mean-shift term bounding |mean_S'(x) - mean_S(x)| by nu * std_S'(x).
 
     nu is the posterior-kernel RKHS norm of the mean difference, evaluated in
@@ -159,22 +169,21 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
     respective fit; the data part reduces through the smoother identity
     mean(  x_n, z_n) = y_n - noise_variance * a_n to
     noise_variance * |a_S - a_S'|^2.  The maximum is taken over the set.
-    Sets of 2x2 members go through ``factor`` (built here when not supplied,
-    checked against ``dataset`` when it is), the weight vectors of both paths
-    solving the same unjittered systems, and read each distinct r once.  A set
-    whose every member is sigma_prime (for 2x2 members, has its r) has no
-    mean shift: nu is exactly 0.
+    Sets of 2x2 members go through ``factor``, which must be built on
+    ``dataset`` itself (:func:`~samsbo.twotask.own_factor`), the weight
+    vectors of both paths solving the same unjittered systems, and read each
+    distinct r once.  A set whose every member is sigma_prime (for 2x2
+    members, has its r) has no mean shift: nu is exactly 0.
     """
     _check_size(sigma_prime, confidence_set)
     if params.noise_variance <= 0.0:
         raise ValueError("nu requires positive noise variance")
     rs = confidence_set.offdiagonals
     if rs is not None:
+        factor = twotask.own_factor(factor, dataset)
         r_prime = float(sigma_prime.matrix[0, 1])
         if np.all(rs == r_prime):
             return 0.0
-        factor = (twotask.TwoTaskFactor.build(dataset, params) if factor is None
-                  else factor.of(dataset))
         ordered = np.sort(rs)       # np.unique's output, without its numpy.ma import
         return factor.nu(r_prime, ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])])
     if set(confidence_set.members) == {sigma_prime}:
@@ -214,14 +223,14 @@ def scaling_bundle(
     cardinality: int,
     params: KernelParams,
     delta: float,
-    factor: twotask.TwoTaskFactor | None = None,
+    *, factor: twotask.TwoTaskFactor | None,
 ) -> ScalingBundle:
     """Assemble every bound ingredient for the current iteration.
 
     Sigma-prime and gamma come from :func:`select_sigma_prime`, nu at that
     sigma-prime.  The bound holds at the ``cardinality`` points of the finite
-    set I it certifies with probability (1 - delta)(1 - rho).  ``factor``
-    passes the two-task decomposition of ``dataset`` on to :func:`nu_factor`.
+    set I it certifies with probability (1 - delta)(1 - rho).  ``factor``,
+    the two-task factor of ``dataset`` or None, goes on to :func:`nu_factor`.
     """
     b_bayes = beta_bayes(cardinality, delta)
     sigma_prime, gam = select_sigma_prime(confidence_set)
@@ -233,22 +242,21 @@ def scaling_bundle(
 
 def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: float,
                  cardinality: int, params: KernelParams, delta: float, seed: int = 0,
-                 previous: gp.Posterior | None = None,
-                 ) -> tuple[ConfidenceSet, ScalingBundle, gp.Posterior]:
-    """Confidence set, scaling bundle and posterior at sigma-prime.
+                 previous: RobustModel | None = None) -> RobustModel:
+    """The :class:`RobustModel` of ``dataset``: confidence set, bundle, posterior at sigma-prime.
 
     One task takes the identity set, so nu = 0, gamma = 1 and beta_bar =
     beta_b.  More tasks keep the 1 - ``rho`` set of the LKJ(``eta``) hyper-
-    posterior; ``seed`` drives the angle walk of three or more.  The stages
-    of a two-task refresh share one factor, and the posterior is the
-    factor's :class:`~samsbo.twotask.TwoTaskPosterior`.  ``cardinality`` is
-    |I| of beta_b.  ``previous``, the posterior of an earlier refresh, goes
-    to :func:`samsbo.gp.fit`, or for two tasks lends its factor to the new
-    one, which grows it by the new rows.
+    posterior; ``seed`` drives the angle walk of three or more.  Two tasks
+    give the factor's :class:`~samsbo.twotask.TwoTaskPosterior`.
+    ``cardinality`` is |I| of beta_b.  ``previous``, the model of an earlier
+    refresh, hands its posterior to :func:`samsbo.gp.fit`, or for two tasks
+    lends its factor to the new one, which grows it by the new rows.
     """
+    last = None if previous is None else previous.posterior
     factor = None
     if n_tasks == 2:
-        grown = previous.factor if isinstance(previous, twotask.TwoTaskPosterior) else None
+        grown = last.factor if isinstance(last, twotask.TwoTaskPosterior) else None
         factor = twotask.TwoTaskFactor.build(dataset, params, previous=grown)
     if n_tasks == 1:
         cset = ConfidenceSet((CorrelationMatrix.identity(1),))
@@ -258,5 +266,5 @@ def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: fl
         cset = hyperposterior.confidence_set(hyper, rho)
     bundle = scaling_bundle(dataset, cset, cardinality, params, delta, factor=factor)
     if factor is not None:
-        return cset, bundle, factor.posterior(bundle.sigma_prime)
-    return cset, bundle, gp.fit(dataset, bundle.sigma_prime, params, previous=previous)
+        return RobustModel(cset, bundle, factor.posterior(bundle.sigma_prime))
+    return RobustModel(cset, bundle, gp.fit(dataset, bundle.sigma_prime, params, previous=last))

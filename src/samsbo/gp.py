@@ -89,16 +89,16 @@ first).  Each V_z is a read-only view of the leading rows of a buffer, which
 only ever appends behind every view and grows its capacity by GRID_GROWTH.
 The check and the append happen under the buffer's lock.
 
-Posterior types.  :meth:`Posterior.predict_batch` clamps the mean and
-variance of the ``_moments`` hook, and :meth:`Posterior.pick_covariance` is
-the covariance a fantasized pick downdates with.  The two-task posterior of
-:mod:`samsbo.twotask` subclasses :class:`Posterior` and overrides both: it has
-no joint factor and reads its grid moments, means included, from the entries
-of two single-task fits of this module, one per task, which grow as above.
-So :func:`fit` serves one task, three or more tasks, the frequentist coverage
-suite, the per-task fits of a two-task factor and that factor's Cholesky
-cross-check; no two-task model refresh factors the joint n x n system at
-sigma-prime.
+Posterior types.  :meth:`Posterior.predict_batch` checks the task index and
+clamps the variance of the ``_moments`` hook; :meth:`Posterior.pick_covariance`,
+the covariance a fantasized pick downdates with, checks both task indices and
+returns the ``_pick_covariance`` hook's.  The two-task posterior of
+:mod:`samsbo.twotask` overrides both hooks: it has no joint factor and reads
+its grid moments, means included, from the entries of two single-task fits
+of this module, one per task, which grow as above.  So :func:`fit` serves one
+task, three or more tasks, the frequentist coverage suite, the per-task fits
+of a two-task factor and that factor's Cholesky cross-check; no two-task
+model refresh factors the joint n x n system at sigma-prime.
 
 Triangular solves.  The whitened observations and the growth's L21' call
 LAPACK ``dtrtrs`` directly with the arguments ``scipy.linalg.solve_triangular``
@@ -385,14 +385,14 @@ class Posterior:
         return entry.mean_of(self.whitened_obs), prior_var - entry.sumsq
 
     def pick_covariance(self, points: np.ndarray, z: int, task: int, idx: int) -> np.ndarray:
-        """Posterior covariance of task ``z`` at every point with task ``task`` at ``points[idx]``.
-
-        It is Sigma[z, task] k(x, x_idx) - V_z(x)' V_task(x_idx), the whitened
-        cross-Grams V coming from the grid cache.
-        """
+        """Posterior covariance of task ``z`` at every point with task ``task`` at ``points[idx]``."""
         u = self.sigma_used.size
         if not (1 <= z <= u and 1 <= task <= u):
             raise ValueError(f"task indices must lie in 1..{u}")
+        return self._pick_covariance(points, z, task, idx)
+
+    def _pick_covariance(self, points: np.ndarray, z: int, task: int, idx: int) -> np.ndarray:
+        """Sigma[z, task] k(x, x_idx) - V_z(x)' V_task(x_idx), the V from the grid cache."""
         grid = self._entries(points)
         at_pick = grid[task - 1].whitened[:, idx]
         return (self.sigma_used.matrix[z - 1, task - 1] * grid[0].kernel_row(idx, self.params)

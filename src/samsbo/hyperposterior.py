@@ -9,7 +9,7 @@ the weight.
 Two tasks.  Sigma has the single free entry r in [0, R_MAX), so the posterior
 is computed exactly on ``QUADRATURE_CELLS`` equal cells of that interval.  A
 cell's log weight is the log likelihood at its midpoint plus the exact log
-prior mass of the cell.  The likelihoods come from one
+prior mass of the cell.  The likelihoods come from the refresh's own
 :class:`samsbo.twotask.TwoTaskFactor` in one vectorized pass, O(min(n1, n2))
 per cell for n1 and n2 rows of the two tasks.
 The LKJ marginal is (r + 1) / 2 ~ Beta(eta, eta) (Lewandowski, Kurowicka and
@@ -48,7 +48,7 @@ from . import gp
 from ._scipy import ibeta
 from .gp import MultiTaskDataset, log_marginal_likelihood
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
-from .twotask import TwoTaskFactor
+from .twotask import TwoTaskFactor, own_factor
 
 __all__ = [
     "McmcDiagnostics",
@@ -318,7 +318,7 @@ def sample_hyperposterior(
     eta: float,
     params: KernelParams,
     seed: int = 0,
-    factor: TwoTaskFactor | None = None,
+    *, factor: TwoTaskFactor | None,
 ) -> EmpiricalHyperPosterior:
     """Weighted samples of p(Sigma | data): correlation matrices, or for two tasks their r.
 
@@ -329,11 +329,9 @@ def sample_hyperposterior(
     walk: ``CHAINS * SAMPLES_PER_CHAIN`` states merged across chains seeded
     from ``seed``, repeated states sharing one :class:`CorrelationMatrix`;
     fixed seeds give bit-identical output.
-    ``factor`` optionally supplies the two-task decomposition of ``dataset``
-    so a caller that also needs it for nu builds it once; two-task calls
-    without one build their own, and one built on other data raises
-    ``gp.NumericalError`` (:meth:`~samsbo.twotask.TwoTaskFactor.of`).  More
-    tasks form the squared-exponential Gram matrix of the inputs here.
+    ``factor`` is the refresh's two-task factor, built on ``dataset`` itself
+    (:func:`~samsbo.twotask.own_factor`), or None for more tasks, which form
+    the squared-exponential Gram matrix of the inputs here.
     """
     if n_tasks < 2:
         raise ValueError("hyper-posterior sampling needs at least two tasks")
@@ -341,9 +339,9 @@ def sample_hyperposterior(
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
     if n_tasks == 2:
-        factor = TwoTaskFactor.build(dataset, params) if factor is None else factor.of(dataset)
         # equal cells: a cell's mass is its density up to one constant
-        log_weights = factor.log_likelihood(CELL_MIDPOINTS) + _log_cell_masses(eta)
+        log_weights = (own_factor(factor, dataset).log_likelihood(CELL_MIDPOINTS)
+                       + _log_cell_masses(eta))
         return EmpiricalHyperPosterior(CELL_MIDPOINTS, log_weights, log_weights,
                                        McmcDiagnostics(1.0), CELL_EDGES)
 

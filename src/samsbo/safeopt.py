@@ -4,10 +4,11 @@ One iteration evaluates a batch of supplementary-task inputs chosen by greedy
 fantasized-variance maximization, refits the normalization, refreshes the
 model with :func:`samsbo.bounds.robust_model` (the refresh the Bayesian
 coverage suite checks) and the safe set, and finally evaluates the main task
-at the safe candidate with the lowest optimistic value.  The single-task
-variant skips everything involving supplementary tasks, which reduces the
-loop to the safe upper confidence bound baseline; non-safe variants take the
-safe set at an infinite threshold, which holds the whole candidate grid.
+at the safe candidate with the lowest optimistic value.  The state keeps the
+refresh as one :class:`~samsbo.bounds.RobustModel`.  The single-task variant
+skips everything involving supplementary tasks, which reduces the loop to the
+safe upper confidence bound baseline; non-safe variants take the safe set at
+an infinite threshold, which holds the whole candidate grid.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import benchmarks, bounds, gp, hyperposterior
+from . import benchmarks, bounds, gp
 from .config import ALGORITHMS, TAU, ConfigError, LoopConfig, kernel_params
 from .kernels import se_kernel_matrix  # noqa: F401  (perfbench/layertrace.py wraps this binding)
 from .sobol import scrambled_sobol
@@ -173,14 +174,13 @@ class SafeSet:
         return int(np.sum(self.mask))
 
 
-def safe_set(posterior: gp.Posterior, bundle: bounds.ScalingBundle,
-             threshold_std: float, grid: CandidateGrid) -> SafeSet:
+def safe_set(model: bounds.RobustModel, threshold_std: float, grid: CandidateGrid) -> SafeSet:
     """Candidates with mean + sqrt(beta_bar) std below the standardized threshold.
 
-    One main-task prediction gives both bounds; an infinite threshold keeps all.
+    The model's one main-task prediction gives both bounds; an infinite threshold keeps all.
     """
-    means, variances = posterior.predict_batch(grid.points, 1)
-    band = np.sqrt(bundle.beta_bar) * np.sqrt(variances)
+    means, variances = model.posterior.predict_batch(grid.points, 1)
+    band = np.sqrt(model.bundle.beta_bar) * np.sqrt(variances)
     return SafeSet(grid=grid, mask=means + band <= threshold_std, lower=means - band)
 
 
@@ -208,9 +208,7 @@ class OptimizationState:
 
     dataset: gp.MultiTaskDataset        # raw units
     transforms: Transforms
-    confidence_set: hyperposterior.ConfidenceSet
-    bundle: bounds.ScalingBundle
-    posterior: gp.Posterior
+    model: bounds.RobustModel           # the last refresh, of standardized data
     grid: CandidateGrid
     iteration: int = 0
     best_so_far: float = np.inf         # lowest main-task observation
@@ -234,11 +232,11 @@ def _refresh_model(state: OptimizationState, problem, cfg: LoopConfig,
     state.transforms = fit_transforms(state.dataset, problem.domain, threshold)
     # two tasks ignore the seed; drawing it for every task count keeps one RNG stream
     seed = int(rng.integers(2 ** 63)) if n_tasks > 1 else 0
-    state.confidence_set, state.bundle, state.posterior = bounds.robust_model(
+    state.model = bounds.robust_model(
         _standardized_dataset(state.dataset, state.transforms), n_tasks, cfg.eta, cfg.rho,
         bounds.covering_number(TAU, problem.dimension),
         kernel_params(problem.dimension), cfg.delta, seed=seed,
-        previous=state.posterior,
+        previous=state.model,
     )
 
 
@@ -269,7 +267,7 @@ def acquire_supplementary(state: OptimizationState, batch_size: int,
     if n_tasks < 2:
         raise ValueError(f"supplementary picks need n_tasks >= 2, got {n_tasks}")
     tasks = [2 + j % (n_tasks - 1) for j in range(batch_size)]
-    picks = _greedy_variance_picks(state.posterior, grid.points, tasks)
+    picks = _greedy_variance_picks(state.model.posterior, grid.points, tasks)
     return [(grid.points[idx], task) for (idx, _), task in zip(picks, tasks)]
 
 
@@ -312,11 +310,12 @@ def _greedy_variance_picks(posterior: gp.Posterior, points: np.ndarray,
 
 def _record(state: OptimizationState, repetition: int, task: int, x_raw: np.ndarray,
             observed: float, violation: bool, safe_size: int) -> TraceRecord:
+    model = state.model
     return TraceRecord(
         repetition=repetition, iteration=state.iteration, task=task,
         x=np.array(x_raw), observed=float(observed), best_so_far=state.best_so_far,
-        beta_bar=state.bundle.beta_bar, confidence_set_size=len(state.confidence_set),
-        gamma=state.bundle.gamma, nu=state.bundle.nu,
+        beta_bar=model.bundle.beta_bar, confidence_set_size=len(model.confidence_set),
+        gamma=model.bundle.gamma, nu=model.bundle.nu,
         safe_set_size=safe_size, violation=violation,
     )
 
@@ -343,10 +342,7 @@ def initialize_state(problem, cfg: LoopConfig, rng: np.random.Generator,
     # normalizing reads only the box, and make_grid draws from no RNG
     grid = make_grid(problem.dimension, GRID_SIZE,
                      extra_points=fit_transforms(dataset, problem.domain).normalize(seed_inputs))
-    state = OptimizationState(
-        dataset=dataset, transforms=None, confidence_set=None, bundle=None,
-        posterior=None, grid=grid,
-    )
+    state = OptimizationState(dataset=dataset, transforms=None, model=None, grid=grid)
     _refresh_model(state, problem, cfg, rng)
     trace = [_record_main(state, problem, repetition, x, y, -1)
              for x, y in zip(seed_inputs, observations)]
@@ -375,7 +371,7 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
 
     # without new rows the model stays: a single-task refresh of the same data
     # reproduces it and draws nothing from the RNG (a multi-task step always adds rows)
-    if state.dataset.n != state.posterior.dataset.n:
+    if state.dataset.n != state.model.posterior.dataset.n:
         _refresh_model(state, problem, cfg, rng)
 
     if multitask:
@@ -384,7 +380,7 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
 
     threshold_std = (state.transforms.threshold_std(problem.threshold)
                      if _is_safe(cfg.algorithm) else np.inf)
-    current = safe_set(state.posterior, state.bundle, threshold_std, grid)
+    current = safe_set(state.model, threshold_std, grid)
 
     try:
         x_norm = acquire_main(current)

@@ -44,9 +44,9 @@ A factor checks itself where it is made: :meth:`TwoTaskFactor.build` raises
 Sigma(``CHECK_R``) is off the Cholesky value of the refresh's one joint fit
 there by more than ``CROSS_CHECK_RTOL``.  That fit grows from the previous
 factor's like the per-task fits, O(n^2 k), so only a fresh factor pays O(n^3)
-for it.  :meth:`TwoTaskFactor.of` checks a factor handed to another dataset
-against a fit of that dataset alone, so a factor of other inputs, other
-observations or another size fails.
+for it.  The stages of a refresh take that factor and no other:
+:func:`own_factor` raises ``ValueError`` for none or for a factor whose
+``dataset`` is not the stage's own object, an O(1) check.
 
 The posterior at Sigma(r') (:class:`TwoTaskPosterior`) reads the per-task
 whitened grids W_z = L_z^-1 k(X_z, grid) from the grid caches of the per-task
@@ -138,7 +138,7 @@ class TwoTaskFactor:
     of each task.  ``base`` is the squared-exponential Gram matrix of all
     rows, which :meth:`build` forms or grows and :meth:`nu`'s block products
     read, and ``check`` the joint Cholesky fit at Sigma(``CHECK_R``) it checks
-    itself against.  Build it with :meth:`build`, hand it on with :meth:`of`.
+    itself against.  :func:`samsbo.bounds.robust_model` builds it with :meth:`build`.
     """
 
     dataset: gp.MultiTaskDataset
@@ -197,26 +197,17 @@ class TwoTaskFactor:
         log_diag = sum(float(np.sum(np.log(np.diag(fit.chol)))) for fit in fits)
         check = gp.fit(dataset, CorrelationMatrix.two_task(CHECK_R), params, base_gram=base_gram,
                        previous=None if previous is None else previous.check)
-        return cls(
+        factor = cls(
             dataset=dataset, params=params, base=base_gram, second=second, rows=rows,
             tasks=(one, two), inverses=inverses, left=left, right=right, singular=singular,
             projected=(left.T @ one.whitened_obs, right.T @ two.whitened_obs),
             log_det_a=2.0 * log_diag, check=check,
-        )._checked(check)
-
-    def of(self, dataset: gp.MultiTaskDataset) -> "TwoTaskFactor":
-        """This factor, checked against a fit of ``dataset`` unless that is its own."""
-        if dataset is self.dataset:
-            return self
-        return self._checked(gp.fit(dataset, CorrelationMatrix.two_task(CHECK_R), self.params))
-
-    def _checked(self, check: gp.Posterior) -> "TwoTaskFactor":
-        """This factor if its log likelihood at ``CHECK_R`` matches the Cholesky fit ``check``."""
-        exact, fast = gp.log_marginal_likelihood(check), self.log_likelihood(CHECK_R)
+        )
+        exact, fast = gp.log_marginal_likelihood(check), factor.log_likelihood(CHECK_R)
         if abs(fast - exact) > CROSS_CHECK_RTOL * max(abs(exact), 1.0):
             raise gp.NumericalError(f"factorized log likelihood {fast!r} differs from the "
                                     f"Cholesky value {exact!r} at r = {CHECK_R}")
-        return self
+        return factor
 
     @property
     def n(self) -> int:
@@ -302,6 +293,13 @@ class TwoTaskFactor:
         return float(np.sqrt(np.max(np.maximum(term1, 0.0) + term2)))
 
 
+def own_factor(factor: TwoTaskFactor | None, dataset: gp.MultiTaskDataset) -> TwoTaskFactor:
+    """``factor`` when it was built on ``dataset`` itself; ``ValueError`` otherwise."""
+    if factor is None or factor.dataset is not dataset:
+        raise ValueError("a two-task stage takes the factor built on its own dataset")
+    return factor
+
+
 @dataclass(frozen=True, kw_only=True)
 class TwoTaskPosterior(gp.Posterior):
     """The GP posterior at Sigma(r') read from a :class:`TwoTaskFactor`.
@@ -350,7 +348,7 @@ class TwoTaskPosterior(gp.Posterior):
         explained = g1 * g1 * s11 + g2 * g2 * s22 + 2.0 * g1 * g2 * s12
         return mean, self.sigma_used.matrix[z - 1, z - 1] * self.params.signal_variance - explained
 
-    def pick_covariance(self, points: np.ndarray, z: int, task: int, idx: int) -> np.ndarray:
+    def _pick_covariance(self, points: np.ndarray, z: int, task: int, idx: int) -> np.ndarray:
         e1, e2 = self._grids(points)[:2]
         w1, w2 = e1.whitened, e2.whitened
         h1, h2 = self.sigma_used.matrix[task - 1]

@@ -206,7 +206,7 @@ def bayesian_coverage(trials: int = DEFAULTS.bayesian_trials, delta: float = DEF
         y = values + noise_sd * rng.standard_normal(2 * n_per_task)
         dataset = gp.MultiTaskDataset(inputs, tasks, y)
 
-        _, bundle, posterior = bounds.robust_model(dataset, 2, eta, rho, grid_size, params, delta)
-        successes += _covers(posterior, grid, f_grid, bundle.beta_bar)
+        model = bounds.robust_model(dataset, 2, eta, rho, grid_size, params, delta)
+        successes += _covers(model.posterior, grid, f_grid, model.bundle.beta_bar)
     return CoverageReport("bayesian", trials, successes, (1.0 - delta) * (1.0 - rho),
                           COVERAGE_SLACK)

@@ -12,8 +12,8 @@ frequentist coverage suite fits at the true correlation matrix; it stays here,
 with its tests, until ROADMAP item 5 gives it a suite that fits at a
 sigma-prime other than Sigma.
 
-Helpers only tests call live here as well: :func:`empty_dataset` and the
-Lyapunov reference.  :func:`lyapunov_solution` is scipy's
+Helpers only tests call live here as well: :func:`empty_dataset`,
+:func:`stage_factor` and the Lyapunov reference.  :func:`lyapunov_solution` is scipy's
 ``solve_continuous_lyapunov`` with the residual check of
 :func:`samsbo.benchmarks.h2_cost`; :func:`lyapunov_solve` checks stability
 before it.  :func:`h2_cost_reference` computes the laser cost from a separate
@@ -44,11 +44,18 @@ from samsbo.bounds import beta_freq
 from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
 from samsbo.hyperposterior import R_MAX
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
+from samsbo.twotask import TwoTaskFactor
 
 
 def empty_dataset(dim: int) -> MultiTaskDataset:
     """A dataset of no rows on ``dim`` inputs."""
     return MultiTaskDataset(np.zeros((0, dim)), np.zeros(0, dtype=int), np.zeros(0))
+
+
+def stage_factor(dataset: MultiTaskDataset, n_tasks: int,
+                 params: KernelParams) -> TwoTaskFactor | None:
+    """The ``factor`` a refresh stage takes for ``dataset``: its own two-task factor, or None."""
+    return TwoTaskFactor.build(dataset, params) if n_tasks == 2 else None
 
 
 def lyapunov_solution(A: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from oracles import (
     kernel_dominance,
     operator_norm_lambda,
     rkhs_norm_exact,
+    stage_factor,
 )
 from test_kernels import random_correlation
 
@@ -264,7 +265,8 @@ class TestNuFactor:
         rng = np.random.default_rng(6)
         ds = task_dataset(rng)
         sp = CorrelationMatrix.two_task(0.6)
-        assert nu_factor(ds, sp, make_set([sp]), PARAMS) == pytest.approx(0.0, abs=1e-6)
+        assert nu_factor(ds, sp, make_set([sp]), PARAMS,
+                         factor=stage_factor(ds, 2, PARAMS)) == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("u", [2, 3])
     def test_empty_data_reach_the_noise_check(self, u):
@@ -272,7 +274,7 @@ class TestNuFactor:
         cs = make_set([sp, random_correlation(u, np.random.default_rng(u))])
         noiseless = KernelParams(1.0, [0.3], noise_variance=0.0)
         with pytest.raises(ValueError, match="positive noise variance"):
-            nu_factor(empty_dataset(1), sp, cs, noiseless)
+            nu_factor(empty_dataset(1), sp, cs, noiseless, factor=None)
 
     def test_scales_with_observations(self):
         rng = np.random.default_rng(7)
@@ -280,8 +282,9 @@ class TestNuFactor:
         scaled = gp.MultiTaskDataset(ds.inputs, ds.tasks, 3.0 * ds.observations)
         sp = CorrelationMatrix.two_task(0.7)
         cs = make_set([sp, CorrelationMatrix.two_task(0.3)])
-        assert nu_factor(scaled, sp, cs, PARAMS) == pytest.approx(
-            3.0 * nu_factor(ds, sp, cs, PARAMS), rel=1e-9)
+        nu_scaled = nu_factor(scaled, sp, cs, PARAMS, factor=stage_factor(scaled, 2, PARAMS))
+        assert nu_scaled == pytest.approx(
+            3.0 * nu_factor(ds, sp, cs, PARAMS, factor=stage_factor(ds, 2, PARAMS)), rel=1e-9)
 
     @pytest.mark.parametrize("u", [2, 3])
     def test_matches_finite_feature_oracle(self, u):
@@ -309,7 +312,8 @@ class TestNuFactor:
             closed_term1 = a_p @ g_p @ a_p - 2.0 * a_p @ g_s @ a_s + a_s @ g_c @ a_s
             assert closed_term1 == pytest.approx(oracle_term1, abs=1e-6)
 
-            nu = nu_factor(ds, sigma_prime, make_set([sigma]), PARAMS)
+            nu = nu_factor(ds, sigma_prime, make_set([sigma]), PARAMS,
+                           factor=stage_factor(ds, u, PARAMS))
             term2 = sn2 * float(np.sum((a_s - a_p) ** 2))
             assert nu ** 2 == pytest.approx(max(oracle_term1, 0.0) + term2, abs=1e-6)
 
@@ -322,7 +326,7 @@ class TestNuFactor:
             ds = task_dataset(rng, n=rng.integers(4, 12), u=u)
             sp = random_correlation(u, rng)
             member = random_correlation(u, rng)
-            nu = nu_factor(ds, sp, make_set([member]), PARAMS)
+            nu = nu_factor(ds, sp, make_set([member]), PARAMS, factor=stage_factor(ds, u, PARAMS))
             post_prime = gp.fit(ds, sp, PARAMS)
             post_member = gp.fit(ds, member, PARAMS)
             queries = rng.random((5, 1))
@@ -386,7 +390,8 @@ class TestScalingBundle:
     def test_identities_hold(self):
         rng = np.random.default_rng(12)
         ds, cs, cardinality = self._setup(rng)
-        bundle = scaling_bundle(ds, cs, cardinality, PARAMS, 0.05)
+        bundle = scaling_bundle(ds, cs, cardinality, PARAMS, 0.05,
+                                factor=stage_factor(ds, 2, PARAMS))
         assert bundle.beta_bar == pytest.approx(
             (bundle.nu + bundle.gamma * np.sqrt(bundle.beta_b)) ** 2, abs=1e-12)
         assert bundle.gamma >= 1.0
@@ -395,7 +400,8 @@ class TestScalingBundle:
         rng = np.random.default_rng(13)
         ds = task_dataset(rng)
         sp = CorrelationMatrix.two_task(0.5)
-        bundle = scaling_bundle(ds, make_set([sp]), covering_number(0.001, 2), PARAMS, 0.05)
+        bundle = scaling_bundle(ds, make_set([sp]), covering_number(0.001, 2), PARAMS, 0.05,
+                                factor=stage_factor(ds, 2, PARAMS))
         assert bundle.sigma_prime is sp
         assert bundle.nu == pytest.approx(0.0, abs=1e-6)
         assert bundle.gamma == pytest.approx(1.0, abs=1e-10)
@@ -405,11 +411,12 @@ class TestScalingBundle:
         # the bound is certified on the discretization only: no correction term
         rng = np.random.default_rng(14)
         ds, cs, cardinality = self._setup(rng)
-        bundle = scaling_bundle(ds, cs, cardinality, PARAMS, 0.05)
+        factor = stage_factor(ds, 2, PARAMS)
+        bundle = scaling_bundle(ds, cs, cardinality, PARAMS, 0.05, factor=factor)
         assert [f.name for f in dataclasses.fields(bundle)] == ["sigma_prime", "beta_b", "nu",
                                                                 "gamma", "beta_bar"]
         assert (bundle.sigma_prime, bundle.gamma) == select_sigma_prime(cs)
-        assert bundle.nu == nu_factor(ds, bundle.sigma_prime, cs, PARAMS)
+        assert bundle.nu == nu_factor(ds, bundle.sigma_prime, cs, PARAMS, factor=factor)
         assert bundle.beta_b == beta_bayes(cardinality, 0.05)
 
 class TestRobustModel:
@@ -418,7 +425,8 @@ class TestRobustModel:
     def test_one_task_is_the_identity_set(self):
         rng = np.random.default_rng(16)
         ds = task_dataset(rng, n=9, u=1)
-        cs, bundle, posterior = robust_model(ds, 1, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
+        model = robust_model(ds, 1, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
+        cs, bundle, posterior = model.confidence_set, model.bundle, model.posterior
         identity = CorrelationMatrix.identity(1)
         assert [m.key() for m in cs.members] == [identity.key()]
         assert posterior.sigma_used.key() == identity.key()
@@ -430,8 +438,8 @@ class TestRobustModel:
     def test_empty_data_predict_the_prior(self, u):
         """No special case: each route's general path gives mean 0, the prior variance and
         nu exactly 0, from a set of several members for two and three tasks."""
-        cs, bundle, posterior = robust_model(empty_dataset(1), u, 0.1, 0.15, self.CARDINALITY,
-                                             PARAMS, 0.05)
+        model = robust_model(empty_dataset(1), u, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
+        cs, bundle, posterior = model.confidence_set, model.bundle, model.posterior
         assert bundle.nu == 0.0 and (u == 1 or len(set(cs.members)) > 1)
         writable = np.linspace(0.0, 1.0, 7).reshape(-1, 1)
         frozen = writable.copy()
@@ -447,7 +455,7 @@ class TestRobustModel:
         rng = np.random.default_rng(18)
         ds = task_dataset(rng, n=12, u=1)
         head = gp.MultiTaskDataset(ds.inputs[:9], ds.tasks[:9], ds.observations[:9])
-        _, _, previous = robust_model(head, 1, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
+        previous = robust_model(head, 1, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
         shapes = []
         real = se_kernel_matrix
 
@@ -458,8 +466,8 @@ class TestRobustModel:
 
         for module in (bounds, gp, kernels):
             monkeypatch.setattr(module, "se_kernel_matrix", recording)
-        _, bundle, posterior = robust_model(ds, 1, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05,
-                                            previous=previous)
+        model = robust_model(ds, 1, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05, previous=previous)
+        bundle, posterior = model.bundle, model.posterior
         assert shapes == [(12, 3)]                  # the new rows' columns [K12; K22] only
         assert bundle.nu == 0.0 and bundle.gamma == 1.0
         fresh = gp.fit(ds, CorrelationMatrix.identity(1), PARAMS)
@@ -475,7 +483,8 @@ class TestRobustModel:
 
         monkeypatch.setattr(scipy.linalg, "solve", general_path)
         monkeypatch.setattr(scipy.linalg, "cho_factor", general_path)
-        cs, bundle, _ = robust_model(ds, 2, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
+        model = robust_model(ds, 2, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
+        cs, bundle = model.confidence_set, model.bundle
         assert len(cs) > 1 and bundle.nu > 0.0 and bundle.gamma > 1.0
         rs = cs.offdiagonals
         assert cs.offdiagonals is rs and not rs.flags.writeable
@@ -498,11 +507,12 @@ class TestRobustModel:
 
         monkeypatch.setattr(twotask.TwoTaskFactor, "nu", recording)
         sp = cs.member(1)
-        nu = nu_factor(ds, sp, cs, PARAMS)
-        assert np.array_equal(seen[0], np.unique(rs)) and len(seen[0]) == 6
         factor = twotask.TwoTaskFactor.build(ds, PARAMS)
+        nu = nu_factor(ds, sp, cs, PARAMS, factor=factor)
+        assert np.array_equal(seen[0], np.unique(rs)) and len(seen[0]) == 6
         assert nu == real(factor, float(sp.matrix[0, 1]), np.unique(rs))
-        assert nu_factor(ds, sp, ConfidenceSet.of_offdiagonals(rs[[1, 1]]), PARAMS) == 0.0
+        assert nu_factor(ds, sp, ConfidenceSet.of_offdiagonals(rs[[1, 1]]), PARAMS,
+                         factor=factor) == 0.0
 
     def test_two_task_refresh_fits_three_times(self, monkeypatch):
         """Two per-task fits and the joint fit at Sigma(CHECK_R), whose likelihood is read once."""
@@ -522,8 +532,8 @@ class TestRobustModel:
         for data in (head, ds):                 # fresh, then grown
             for name in calls:
                 calls[name] = 0
-            _, _, previous = robust_model(data, 2, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05,
-                                          previous=previous)
+            previous = robust_model(data, 2, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05,
+                                    previous=previous)
             assert calls == {"fit": 3, "log_marginal_likelihood": 1}
 
     def test_grown_refreshes_match_fresh_ones(self):
@@ -536,11 +546,11 @@ class TestRobustModel:
         for n in (10, 13, 19, 20, 28, 35):
             ds = gp.MultiTaskDataset(full.inputs[:n], full.tasks[:n],
                                      rng.standard_normal(n))   # refits re-standardize every y
-            _, _, previous = robust_model(ds, 2, 0.1, 0.15, self.CARDINALITY, params, 0.05,
-                                          previous=previous)
+            previous = robust_model(ds, 2, 0.1, 0.15, self.CARDINALITY, params, 0.05,
+                                    previous=previous)
+            factor = previous.posterior.factor
             if m:                               # the old rows' factor is kept as it was
-                assert np.array_equal(previous.factor.check.chol[:m, :m], check_chol)
-            factor = previous.factor
+                assert np.array_equal(factor.check.chol[:m, :m], check_chol)
             check_chol, m = factor.check.chol, n
             assert np.array_equal(factor.base, se_kernel_matrix(ds.inputs, ds.inputs, params))
             sigma = factor.check.sigma_used
@@ -554,12 +564,14 @@ class TestRobustModel:
     def test_equals_the_scripted_pipeline(self, u):
         rng = np.random.default_rng(17)
         ds = task_dataset(rng, n=12, u=u)
-        previous = gp.fit(gp.MultiTaskDataset(ds.inputs[:8], ds.tasks[:8], ds.observations[:8]),
-                          CorrelationMatrix.identity(u), PARAMS)
-        cs, bundle, posterior = robust_model(ds, u, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05,
-                                             seed=5, previous=previous)
+        head = gp.MultiTaskDataset(ds.inputs[:8], ds.tasks[:8], ds.observations[:8])
+        previous = robust_model(head, u, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05, seed=5)
+        model = robust_model(ds, u, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05, seed=5,
+                             previous=previous)
+        cs, bundle, posterior = model.confidence_set, model.bundle, model.posterior
 
-        factor = twotask.TwoTaskFactor.build(ds, PARAMS) if u == 2 else None
+        factor = (twotask.TwoTaskFactor.build(ds, PARAMS, previous=previous.posterior.factor)
+                  if u == 2 else None)
         hyper = hyperposterior.sample_hyperposterior(ds, u, 0.1, PARAMS, seed=5, factor=factor)
         cs_hand = hyperposterior.confidence_set(hyper, 0.15)
         bundle_hand = scaling_bundle(ds, cs_hand, self.CARDINALITY, PARAMS, 0.05, factor=factor)
@@ -567,7 +579,7 @@ class TestRobustModel:
         if u == 2:
             posterior_hand = factor.posterior(sp)
         else:
-            posterior_hand = gp.fit(ds, sp, PARAMS, previous=previous)
+            posterior_hand = gp.fit(ds, sp, PARAMS, previous=previous.posterior)
 
         assert cs.members == cs_hand.members
         assert bundle == bundle_hand

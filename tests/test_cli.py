@@ -281,6 +281,23 @@ class TestCompareFixedSeed:
             "    safeopt: abc1234 10, working tree 9",
         ]
 
+    def test_facts_count_the_problem_and_state_fields(self, monkeypatch):
+        """The fresh-interpreter probe names each type with its field count, and the summary
+        prints them on one line per side."""
+        compare = comparer(monkeypatch)
+        run = subprocess.run([sys.executable, "-c", compare.FACTS, str(ROOT / "src")],
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        probe = json.loads(run.stdout)
+        counts = [(cls.__name__, len(fields(cls))) for cls in (
+            benchmarks.SyntheticProblem, benchmarks.LaserChainProblem, safeopt.OptimizationState)]
+        assert probe["problems"] == ", ".join(f"{name} {n}" for name, n in counts)
+        assert counts[-1] == ("OptimizationState", 8)
+        report = compare.Report({"safeopt": (1, [])}, 1.0)
+        facts = compare.side_facts(ROOT, probe, report)
+        assert (f"problem and state fields: abc1234 {probe['problems']}, working tree "
+                f"{probe['problems']}") in compare.summary("abc1234", facts, facts)
+
     def test_bad_usage_or_a_ref_that_is_no_commit_exits_2(self, monkeypatch, capsys):
         compare = comparer(monkeypatch)
         assert compare.main([]) == 2

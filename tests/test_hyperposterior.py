@@ -23,7 +23,7 @@ from samsbo.hyperposterior import (
 )
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 
-from oracles import empty_dataset, posterior_grid_two_task
+from oracles import empty_dataset, posterior_grid_two_task, stage_factor
 
 
 PARAMS = KernelParams(1.0, [0.2], noise_variance=0.01)
@@ -64,14 +64,16 @@ class TestSampleHyperposterior:
     def test_prior_recovery_uniform(self):
         # single-task data leaves the likelihood flat in r; eta = 1 is uniform
         dataset = task_one_only(6, np.random.default_rng(1))
-        post = sample_hyperposterior(dataset, 2, 1.0, PARAMS)
+        post = sample_hyperposterior(dataset, 2, 1.0, PARAMS,
+                                     factor=stage_factor(dataset, 2, PARAMS))
         cdf = np.cumsum(normalized_weights(post))
         assert np.max(np.abs(cdf - CELL_EDGES[1:] / R_MAX)) < 1e-12
 
     def test_posterior_mean_matches_grid_oracle(self):
         rng = np.random.default_rng(2)
         dataset = synthetic_two_task(0.9, 30, rng)
-        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS,
+                                     factor=stage_factor(dataset, 2, PARAMS))
         mean = float(CELL_MIDPOINTS @ normalized_weights(post))
         nodes, weights = posterior_grid_two_task(dataset, PARAMS, eta=0.1, nodes=2000)
         assert abs(mean - float(nodes @ weights)) < 1e-3
@@ -81,15 +83,15 @@ class TestSampleHyperposterior:
         dataset = synthetic(SIGMA_3, 10, np.random.default_rng(3))
         means = []
         for seed in (5, 6):
-            post = sample_hyperposterior(dataset, 3, 0.5, PARAMS, seed=seed)
+            post = sample_hyperposterior(dataset, 3, 0.5, PARAMS, seed=seed, factor=None)
             means.append(np.mean([offdiagonals(s.matrix) for s in post.samples], axis=0))
         assert np.max(np.abs(means[0] - means[1])) < 0.05
 
     def test_fixed_seed_bit_identical(self, monkeypatch):
         monkeypatch.setattr(hyperposterior, "SAMPLES_PER_CHAIN", 25)
         dataset = synthetic(SIGMA_3, 4, np.random.default_rng(4))
-        a = sample_hyperposterior(dataset, 3, 0.1, PARAMS, seed=42)
-        b = sample_hyperposterior(dataset, 3, 0.1, PARAMS, seed=42)
+        a = sample_hyperposterior(dataset, 3, 0.1, PARAMS, seed=42, factor=None)
+        b = sample_hyperposterior(dataset, 3, 0.1, PARAMS, seed=42, factor=None)
         assert all(x.key() == y.key() for x, y in zip(a.samples, b.samples))
         assert np.array_equal(a.log_densities, b.log_densities)
 
@@ -97,7 +99,7 @@ class TestSampleHyperposterior:
         monkeypatch.setattr(hyperposterior, "SAMPLES_PER_CHAIN", 50)
         eta = 0.1
         dataset = synthetic(SIGMA_3, 4, np.random.default_rng(5))
-        post = sample_hyperposterior(dataset, 3, eta, PARAMS, seed=7)
+        post = sample_hyperposterior(dataset, 3, eta, PARAMS, seed=7, factor=None)
         for s in post.samples:
             assert np.min(s.matrix) >= 0.0
             assert np.min(np.linalg.eigvalsh(s.matrix)) > 0.0
@@ -121,7 +123,7 @@ class TestSampleHyperposterior:
         inputs = rng.random((12, 1))
         tasks = np.tile([1, 2, 3], 4)
         dataset = MultiTaskDataset(inputs, tasks, rng.standard_normal(12))
-        post = sample_hyperposterior(dataset, 3, 0.5, PARAMS, seed=8)
+        post = sample_hyperposterior(dataset, 3, 0.5, PARAMS, seed=8, factor=None)
         for s in post.samples:
             assert s.size == 3
             assert np.min(s.matrix) >= 0.0
@@ -130,14 +132,15 @@ class TestSampleHyperposterior:
 
     def test_requires_two_tasks(self):
         with pytest.raises(ValueError):
-            sample_hyperposterior(empty_dataset(1), 1, 0.1, PARAMS)
+            sample_hyperposterior(empty_dataset(1), 1, 0.1, PARAMS, factor=None)
 
     @pytest.mark.parametrize("n_tasks", [2, 3])
     def test_requires_positive_eta(self, n_tasks):
         dataset = empty_dataset(1)
         for eta in (0.0, -0.5, np.nan, np.inf):
             with pytest.raises(ValueError, match="eta must be positive"):
-                sample_hyperposterior(dataset, n_tasks, eta, PARAMS)
+                sample_hyperposterior(dataset, n_tasks, eta, PARAMS,
+                                      factor=stage_factor(dataset, n_tasks, PARAMS))
 
     def test_prior_draw_requires_positive_finite_eta(self):
         # rng.beta(inf, inf) is NaN, which the rejection loop would never accept
@@ -160,7 +163,8 @@ class TestSampleHyperposterior:
 class TestTwoTaskQuadrature:
     def test_output_does_not_depend_on_the_seed(self):
         dataset = synthetic_two_task(0.7, 25, np.random.default_rng(9))
-        a, b = (sample_hyperposterior(dataset, 2, 0.1, PARAMS, seed=seed)
+        a, b = (sample_hyperposterior(dataset, 2, 0.1, PARAMS, seed=seed,
+                                      factor=stage_factor(dataset, 2, PARAMS))
                 for seed in (0, 1))
         assert a.samples is CELL_MIDPOINTS and b.samples is CELL_MIDPOINTS
         assert a.edges is CELL_EDGES and b.edges is CELL_EDGES
@@ -193,7 +197,8 @@ class TestTwoTaskQuadrature:
     def test_prior_set_at_small_eta_spans_the_exact_hpd_interval(self):
         # on task-1-only data the set is the prior's 85 % HPD set, [0.576, R_MAX)
         dataset = task_one_only(17, np.random.default_rng(10))
-        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS,
+                                     factor=stage_factor(dataset, 2, PARAMS))
         cs = confidence_set(post, 0.15)
         rs = np.sort([m.matrix[0, 1] for m in cs.members])
         width = CELL_EDGES[1]
@@ -224,7 +229,7 @@ class TestConfidenceSet:
         """A three-task hyper-posterior of ``n`` samples, ``n`` a multiple of the chains."""
         monkeypatch.setattr(hyperposterior, "SAMPLES_PER_CHAIN", n // hyperposterior.CHAINS)
         dataset = synthetic(SIGMA_3, 4, np.random.default_rng(seed))
-        return sample_hyperposterior(dataset, 3, 0.1, PARAMS, seed=seed)
+        return sample_hyperposterior(dataset, 3, 0.1, PARAMS, seed=seed, factor=None)
 
     def test_rho_near_zero_keeps_all(self, monkeypatch):
         post = self._posterior(monkeypatch, 50)
@@ -239,7 +244,8 @@ class TestConfidenceSet:
     def test_hpd_contiguous_on_unimodal_posterior(self):
         rng = np.random.default_rng(2)
         dataset = synthetic_two_task(0.8, 15, rng)
-        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS,
+                                     factor=stage_factor(dataset, 2, PARAMS))
         cs = confidence_set(post, 0.2)
         kept = np.array([m.matrix[0, 1] for m in cs.members])
         excluded = [r for r in post.samples if r not in kept]
@@ -270,7 +276,8 @@ class TestConfidenceSet:
         """offdiagonals are the members' off-diagonals; equal r are one matrix, and
         sigma-prime is the member the set later builds."""
         dataset = synthetic_two_task(0.6, 12, np.random.default_rng(12))
-        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS,
+                                     factor=stage_factor(dataset, 2, PARAMS))
         cs = confidence_set(post, 0.15)
         twin = confidence_set(post, 0.15)
         sp = cs.member(3)
@@ -289,7 +296,8 @@ class TestConfidenceSet:
     @pytest.mark.parametrize("rho", [0.05, 0.15, 0.5])
     def test_kept_weight_is_the_smallest_reaching_one_minus_rho(self, rho):
         dataset = synthetic_two_task(0.5, 10, np.random.default_rng(11))
-        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS)
+        post = sample_hyperposterior(dataset, 2, 0.1, PARAMS,
+                                     factor=stage_factor(dataset, 2, PARAMS))
         weight = dict(zip(post.samples.tolist(), normalized_weights(post)))
         kept = [weight[r] for r in confidence_set(post, rho).offdiagonals.tolist()
                 if r in weight]
@@ -333,7 +341,8 @@ class TestCoverageCalibration:
             rng = np.random.default_rng(seq)
             r_true = sample_prior_offdiagonal(eta, rng)
             dataset = synthetic_two_task(r_true, 12, rng)
-            post = sample_hyperposterior(dataset, 2, eta, PARAMS)
+            post = sample_hyperposterior(dataset, 2, eta, PARAMS,
+                                         factor=stage_factor(dataset, 2, PARAMS))
             cs = confidence_set(post, rho)
             rs = [m.matrix[0, 1] for m in cs.members]
             hits += min(rs) <= r_true <= max(rs)

@@ -164,8 +164,8 @@ def test_runs_do_not_import_numpy_ma():
         "ds = gp.MultiTaskDataset(rng.random((12, 1)), np.tile([1, 2], 6),\n"
         "                         rng.standard_normal(12))\n"
         "params = KernelParams(1.0, [0.3], noise_variance=0.05)\n"
-        "cset, bundle, _ = bounds.robust_model(ds, 2, 0.1, 0.15, 1000, params, 0.05)\n"
-        "assert np.ptp(cset.offdiagonals) > 0.0 and bundle.nu > 0.0\n"
+        "model = bounds.robust_model(ds, 2, 0.1, 0.15, 1000, params, 0.05)\n"
+        "assert np.ptp(model.confidence_set.offdiagonals) > 0.0 and model.bundle.nu > 0.0\n"
         "loaded = 'numpy.ma' in sys.modules\n"
         "extra = scrambled_sobol(10, 64, 0)[[5, 5, 9]]    # grid points, one of them twice\n"
         "assert len(make_grid(10, 64, extra_points=extra)) == 64\n"

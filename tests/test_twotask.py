@@ -124,6 +124,16 @@ class TestPosterior:
         with pytest.raises(ValueError, match="input dimension does not match lengthscales"):
             posterior.pick_covariance(points, 1, 2, 0)
 
+    @pytest.mark.parametrize("kind", ["cholesky", "two-task"])
+    @pytest.mark.parametrize("z, task", [(0, 1), (3, 1), (1, 0), (1, 3)])
+    def test_a_task_index_outside_one_to_two_is_refused(self, kind, z, task):
+        """Both posterior types check pick_covariance's indices, as predict_batch's."""
+        dataset, sigma = datasets()["mixed"], CorrelationMatrix.two_task(0.5)
+        posterior = (gp.fit(dataset, sigma, PARAMS) if kind == "cholesky"
+                     else factor_for(dataset).posterior(sigma))
+        with pytest.raises(ValueError, match=r"task indices must lie in 1\.\.2"):
+            posterior.pick_covariance(frozen_grid(20), z, task, 3)
+
     def test_a_list_is_a_query(self):
         factor = factor_for(datasets()["mixed"])
         sigma = CorrelationMatrix.two_task(0.5)
@@ -153,15 +163,16 @@ class TestPosterior:
         for n in range(12, 61, 6):
             head = gp.MultiTaskDataset(dataset.inputs[:n], dataset.tasks[:n],
                                        dataset.observations[:n])
-            _, bundle, posterior = bounds.robust_model(head, 2, 0.1, 0.15, points.shape[0],
-                                                       PARAMS, 0.05, previous=previous)
+            model = bounds.robust_model(head, 2, 0.1, 0.15, points.shape[0], PARAMS, 0.05,
+                                        previous=previous)
+            bundle, posterior = model.bundle, model.posterior
             exact = gp.fit(head, bundle.sigma_prime, PARAMS)
             for z in (1, 2):
                 for got, want in zip(posterior.predict_batch(points, z),
                                      exact.predict_batch(points, z)):
                     assert np.max(np.abs(got - want)) <= 1e-10
             centres.append(bundle.sigma_prime.matrix[0, 1])
-            previous = posterior
+            previous = model
         assert len(set(centres)) > 2                       # sigma-prime moved
         grown = [fill for fill in fills if fill[1] > 0]
         from_zero = [fill for fill in fills if fill[1] == 0 and fill[0] > 0]
@@ -307,11 +318,12 @@ class TestNu:
             members = [CorrelationMatrix.two_task(float(r)) for r in rng.random(8) * 0.95]
             members += members[:3]
             cs = ConfidenceSet(tuple(members))
+            shared = factor_for(dataset, params)
             for sp in (members[0], CorrelationMatrix.two_task(0.2)):
                 reference = cholesky_nu(dataset, sp, members, params)
-                assert bounds.nu_factor(dataset, sp, cs, params) == pytest.approx(
+                fresh = factor_for(dataset, params)
+                assert bounds.nu_factor(dataset, sp, cs, params, factor=fresh) == pytest.approx(
                     reference, rel=1e-7)
-                shared = factor_for(dataset, params)
                 assert bounds.nu_factor(dataset, sp, cs, params, factor=shared) == pytest.approx(
                     reference, rel=1e-7)
 
@@ -321,7 +333,7 @@ class TestNu:
                                        rng.standard_normal(25))
         identity = CorrelationMatrix.identity(1)
         single = ConfidenceSet((identity,))
-        assert bounds.nu_factor(task_one, identity, single, PARAMS) == 0.0
+        assert bounds.nu_factor(task_one, identity, single, PARAMS, factor=None) == 0.0
         assert cholesky_nu(task_one, identity, [identity], PARAMS) == 0.0
         # nu is a square root: rounding of about 1e-13 in the quadratic form
         # leaves the general paths a few 1e-7 above zero
@@ -329,7 +341,7 @@ class TestNu:
         for r in (0.0, 0.4, 0.9):
             sp = CorrelationMatrix.two_task(r)
             cs = ConfidenceSet((sp, sp))
-            assert bounds.nu_factor(mixed, sp, cs, PARAMS) == 0.0
+            assert bounds.nu_factor(mixed, sp, cs, PARAMS, factor=factor_for(mixed)) == 0.0
             assert cholesky_nu(mixed, sp, [sp], PARAMS) == pytest.approx(0.0, abs=1e-6)
             assert factor_for(mixed).nu(r, np.array([r])) == pytest.approx(0.0, abs=1e-6)
 
@@ -350,7 +362,8 @@ class TestSizeSelectsTheRoute:
         for sp in (chosen, self.near_unit(0.2)):
             for name in ("mixed", "task-1 only"):
                 dataset = datasets()[name]
-                assert bounds.nu_factor(dataset, sp, cs, PARAMS) == pytest.approx(
+                assert bounds.nu_factor(dataset, sp, cs, PARAMS,
+                                        factor=factor_for(dataset)) == pytest.approx(
                     cholesky_nu(dataset, sp, members, PARAMS), rel=1e-8)
 
     def test_mixed_sizes_raise(self):
@@ -359,7 +372,7 @@ class TestSizeSelectsTheRoute:
             ConfidenceSet((two, three))
         cs = ConfidenceSet((two, CorrelationMatrix.two_task(0.6)))
         with pytest.raises(ValueError, match="3x3.*2x2"):
-            bounds.nu_factor(datasets()["mixed"], three, cs, PARAMS)
+            bounds.nu_factor(datasets()["mixed"], three, cs, PARAMS, factor=None)
 
 
 class TestFantasyDowndate:
@@ -397,45 +410,51 @@ class TestSampler:
         # each cell's log weight is the Cholesky log likelihood at its midpoint plus its prior mass
         eta = 0.1
         for dataset in datasets().values():
-            post = sample_hyperposterior(dataset, 2, eta, PARAMS)
+            post = sample_hyperposterior(dataset, 2, eta, PARAMS, factor=factor_for(dataset))
             exact = two_task_log_likelihoods(dataset, PARAMS, CELL_MIDPOINTS)
             assert np.allclose(post.log_weights - _log_cell_masses(eta), exact,
                                rtol=1e-8, atol=1e-12)
             assert np.array_equal(post.log_densities, post.log_weights)
 
     def test_mismatched_factor_fails_the_cross_check(self):
+        """A factor of other observations is refused before any cell is weighed."""
         rng = np.random.default_rng(5)
         dataset = synthetic_two_task(0.5, 10, rng)
         other = gp.MultiTaskDataset(dataset.inputs, dataset.tasks, dataset.observations + 0.1)
-        with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
-            sample_hyperposterior(dataset, 2, 0.1, PARAMS, factor=factor_for(other))
-
-    def test_factor_of_other_inputs_fails_the_cross_check(self):
-        """The check refits from the data's own inputs when it cannot reuse the factor's fit."""
-        rng = np.random.default_rng(5)
-        dataset = synthetic_two_task(0.5, 6, rng)
-        other = gp.MultiTaskDataset(rng.random(dataset.inputs.shape), dataset.tasks,
-                                    dataset.observations)
-        with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
-            sample_hyperposterior(dataset, 2, 0.1, PARAMS, factor=factor_for(other))
-
-    def test_factor_of_another_size_fails_the_cross_check(self):
-        rng = np.random.default_rng(5)
-        dataset = synthetic_two_task(0.5, 6, rng)
-        other = synthetic_two_task(0.5, 4, rng)
-        with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
+        with pytest.raises(ValueError, match="factor built on its own dataset"):
             sample_hyperposterior(dataset, 2, 0.1, PARAMS, factor=factor_for(other))
 
 
 class TestCrossCheck:
-    """A factor checks itself where it is made, and ``of`` checks it against other data."""
+    """A factor checks itself where it is made, and each stage takes only its data's own."""
 
-    def test_own_and_equal_data_return_the_factor(self):
-        dataset = synthetic_two_task(0.5, 6, np.random.default_rng(5))
-        factor = factor_for(dataset)
-        copy = gp.MultiTaskDataset(dataset.inputs.copy(), dataset.tasks.copy(),
-                                   dataset.observations.copy())
-        assert factor.of(dataset) is factor and factor.of(copy) is factor
+    OTHER_DATA = {
+        "other-inputs": lambda d, rng: gp.MultiTaskDataset(rng.random(d.inputs.shape), d.tasks,
+                                                            d.observations),
+        "another-size": lambda d, rng: synthetic_two_task(0.5, 4, rng),
+        "equal-copy": lambda d, rng: gp.MultiTaskDataset(d.inputs.copy(), d.tasks.copy(),
+                                                             d.observations.copy()),
+    }
+    SIGMA_PRIME = CorrelationMatrix.two_task(0.3)
+    SET = ConfidenceSet((SIGMA_PRIME, CorrelationMatrix.two_task(0.7)))
+    STAGES = {
+        "sample_hyperposterior": lambda d, f: sample_hyperposterior(d, 2, 0.1, PARAMS, factor=f),
+        "nu_factor": lambda d, f: bounds.nu_factor(d, TestCrossCheck.SIGMA_PRIME,
+                                                   TestCrossCheck.SET, PARAMS, factor=f),
+        "scaling_bundle": lambda d, f: bounds.scaling_bundle(d, TestCrossCheck.SET, 100, PARAMS,
+                                                             0.05, factor=f),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("other", [None, *OTHER_DATA])
+    def test_a_stage_refuses_any_factor_but_its_datas_own(self, stage, other):
+        """No factor, or one of another dataset object, equal content included, is refused."""
+        rng = np.random.default_rng(5)
+        dataset = synthetic_two_task(0.5, 6, rng)
+        factor = None if other is None else factor_for(self.OTHER_DATA[other](dataset, rng))
+        with pytest.raises(ValueError, match="factor built on its own dataset"):
+            self.STAGES[stage](dataset, factor)
+        self.STAGES[stage](dataset, factor_for(dataset))
 
     def test_nu_and_the_bundle_refuse_a_factor_of_other_data(self):
         """Factors of other observations, other inputs and another size."""
@@ -445,14 +464,11 @@ class TestCrossCheck:
                   gp.MultiTaskDataset(rng.random(dataset.inputs.shape), dataset.tasks,
                                       dataset.observations),
                   synthetic_two_task(0.5, 4, rng))
-        sigma_prime = CorrelationMatrix.two_task(0.3)
-        cs = ConfidenceSet((sigma_prime, CorrelationMatrix.two_task(0.7)))
         for other in others:
             factor = factor_for(other)
-            with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
-                bounds.nu_factor(dataset, sigma_prime, cs, PARAMS, factor=factor)
-            with pytest.raises(gp.NumericalError, match="differs from the Cholesky value"):
-                bounds.scaling_bundle(dataset, cs, 100, PARAMS, 0.05, factor=factor)
+            for stage in ("nu_factor", "scaling_bundle"):
+                with pytest.raises(ValueError, match="factor built on its own dataset"):
+                    self.STAGES[stage](dataset, factor)
 
     def test_build_checks_itself(self, monkeypatch):
         """A closed form off by 1 nat fails in build, fresh and grown, before any sampler call."""
