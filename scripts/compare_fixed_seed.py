@@ -29,9 +29,10 @@ After the verdict it prints:
   ``ExperimentConfig.seed`` for a config field, so a change in the count comes
   with the names of the knobs that came or went;
 - for each side, how many modules a fresh interpreter holds after
-  ``import samsbo, samsbo.cli``, which scipy subpackages (scipy.X with an
-  __init__) that import initializes, and the interpreter's peak resident set
-  (``ru_maxrss``) after it, so an import regression shows in the same report;
+  ``import samsbo, samsbo.cli``, the names of the scipy modules that import
+  loads (``scipy`` itself included, once its package init has run), and the
+  interpreter's peak resident set (``ru_maxrss``) after it, so an import
+  regression shows in the same report;
 - the fields of the problem types SyntheticProblem and LaserChainProblem, which
   hold what a caller can vary about a problem, and of safeopt.OptimizationState,
   what the loop carries from one step to the next;
@@ -48,7 +49,7 @@ After the verdict it prints:
   (the S of the runner's "U of S" line per module), both counts, so a claim
   about the size of a module comes from the same command.
 
-The module count, the scipy subpackages, the peak resident set, the config
+The module count, the scipy modules, the peak resident set, the config
 fields and the problem and state fields come from one fresh interpreter per
 side, which imports samsbo before anything else; the ``__all__`` names, defaulted
 parameters and line counts are read with ``ast`` in this process.  The "only in" lists count repeats: a
@@ -97,15 +98,13 @@ import samsbo, samsbo.cli
 modules = len(sys.modules)
 import resource     # after the count, so the count is samsbo's
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024     # kB on Linux
-packages = sorted(name for name, module in sys.modules.items()
-                  if name.count(".") == 1 and name.startswith("scipy.")
-                  and hasattr(module, "__path__"))
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 import dataclasses, json
 from samsbo.benchmarks import LaserChainProblem, SyntheticProblem
 from samsbo.config import ExperimentConfig
 from samsbo.safeopt import OptimizationState
 print(json.dumps({
-    "imports": f"{modules} modules, scipy subpackages {', '.join(packages) or 'none'}"
+    "imports": f"{modules} modules, scipy modules {', '.join(scipy) or 'none'}"
                f", ru_maxrss {rss:.1f} MB",
     "fields": [f"ExperimentConfig.{f.name}" for f in dataclasses.fields(ExperimentConfig)],
     "problems": ", ".join(f"{cls.__name__} {len(dataclasses.fields(cls))}"

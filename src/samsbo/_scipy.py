@@ -1,61 +1,55 @@
-"""The compiled scipy modules the package calls, without their packages' inits.
+"""The compiled scipy modules the package calls, without any of scipy's package inits.
 
 samsbo calls four LAPACK routines (``dtrtri``, ``dtrtrs``, ``dgees``,
-``dtrsyl``), one distance kernel (``cdist_sqeuclidean``) and the regularized
-incomplete beta function (:data:`ibeta`).  Importing them the usual way runs
-``scipy/linalg/__init__.py``, ``scipy/spatial/__init__.py`` and
-``scipy/special/__init__.py``, which pull in ``scipy.sparse``, qhull, the
+``dtrsyl``) and one distance kernel (``cdist_sqeuclidean``).  Importing them
+the usual way runs ``scipy/linalg/__init__.py`` and
+``scipy/spatial/__init__.py``, which pull in ``scipy.sparse``, qhull, the
 kd-trees and scipy's array-API layer (which itself loads ``numpy.f2py``,
 ``numpy.testing``, ``numpy.ma`` and ``numpy.random``).  :func:`extension`
 loads the compiled module file alone, so a call reaches the same C function
-that ``scipy.linalg.lapack``, ``scipy.spatial.distance.cdist`` or
-``scipy.special.betainc`` would reach.
+that ``scipy.linalg.lapack`` or ``scipy.spatial.distance.cdist`` would reach.
 
-``betainc`` is a ufunc of ``scipy.special._ufuncs``, which cannot be loaded
-outside its package; its float64 loop calls one C function, ``ibeta_double``,
-which the Cython module ``scipy.special._ufuncs_cxx`` exports.
-:func:`c_function` reads such an export: ``__pyx_capi__[name]`` is a capsule
-named ``"void *"`` holding the *address of* the function pointer, so the
-capsule's pointer is dereferenced once and the pointer it holds is wrapped as
-a ctypes function.  :data:`ibeta` is therefore ``betainc``'s float64 loop
-body, bit for bit (verified on scipy 1.17.1, ``tests/test_scipy_extensions.py``).
+The installed scipy's files are found with ``importlib.util.find_spec``, which
+reads the package's location without running ``scipy/__init__.py``; that
+init loads 13 scipy modules and, through ``scipy._lib._testutils``,
+``subprocess``, ``sysconfig`` and ``locale``.  The one exception is Windows:
+there the wheel's DLL-directory set-up (delvewheel's) lives in that init, so
+``scipy`` is imported before any extension is loaded.  That branch is not
+exercised on the Linux machines this package is tested on.
 
 This is the only module that knows scipy's file layout: :func:`path` names
 a file of the installed scipy, which :mod:`samsbo.sobol` reads for its
-direction-number table.  The top-level ``scipy`` package does not import its
-subpackages.
+direction-number table.
 
 An extension is registered in ``sys.modules`` under its own name (for
 example ``scipy.linalg._flapack``), so a later ``import scipy.linalg`` reuses
 the same module object, and a module already there is returned as it is.  A
 missing file raises ``FileNotFoundError`` naming its path; there is no
-fallback, and a missing export raises ``LookupError`` naming the module,
-the export and the scipy version.
+fallback.
 
-The files, their module names and the export are scipy's private layout, and
+The files and their module names are scipy's private layout, and
 :mod:`samsbo.sobol` reads the Joe–Kuo table's private npz member by member;
 all of it is verified on scipy 1.17.1 only.  So ``pyproject.toml`` asks for
-``scipy>=1.17.1``: an older scipy may lack a file or the export, or store the
-table in another layout.
+``scipy>=1.17.1``: an older scipy may lack a file or store the table in
+another layout.
 """
 from __future__ import annotations
 
-import ctypes
 import importlib.machinery
 import importlib.util
 import os
 import sys
 from types import ModuleType
 
-import scipy
+if sys.platform == "win32":
+    import scipy    # noqa: F401  (its init adds the wheel's DLL directory; unverified here)
 
-ROOT = os.path.dirname(scipy.__file__)
+_spec = importlib.util.find_spec("scipy")
+if _spec is None:
+    raise ModuleNotFoundError("samsbo needs scipy, which is not installed", name="scipy")
+ROOT = _spec.submodule_search_locations[0]
 # the platform tag compiled modules carry, ".cpython-311-x86_64-linux-gnu.so" on CPython 3.11
 EXTENSION_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
-
-# the C API's PyCapsule_GetPointer, with its own signature: ctypes.pythonapi's is shared
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 def path(package: str, name: str) -> str:
@@ -76,20 +70,3 @@ def extension(package: str, name: str) -> ModuleType:
     spec.loader.exec_module(module)
     sys.modules[qualified] = module     # registered once it has loaded without error
     return module
-
-
-def c_function(package: str, name: str, export: str, prototype: type) -> ctypes._CFuncPtr:
-    """The C function that the Cython module ``scipy.<package>.<name>`` exports as
-    ``export``, called through the ctypes function type ``prototype``."""
-    module = extension(package, name)
-    capsule = getattr(module, "__pyx_capi__", {}).get(export)
-    if capsule is None:
-        raise LookupError(f"{module.__name__} of scipy {scipy.__version__} exports no {export}")
-    # the capsule holds the address of the function pointer, not the pointer itself
-    return prototype(ctypes.c_void_p.from_address(_capsule_pointer(capsule, b"void *")).value)
-
-
-# I_x(a, b) = ibeta(a, b, x): the C function of scipy.special.betainc's float64 loop
-ibeta = c_function("special", "_ufuncs_cxx", "_export_ibeta_double",
-                   ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_double, ctypes.c_double,
-                                    ctypes.c_double))

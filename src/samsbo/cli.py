@@ -6,6 +6,11 @@ plus a JSON manifest with every seed needed for exact reproduction.  Wall
 times live in the manifest only, so output CSVs are byte-identical across
 reruns with the same seed.  ``verify-bounds`` runs the Monte Carlo coverage
 suites; ``plotdata`` condenses raw CSVs into long-format summary rows.
+
+Only ``run`` imports the ``scipy`` package (for the manifest's version) and
+``concurrent.futures`` (for ``jobs`` > 1), inside :func:`cmd_run`, so
+``verify-bounds`` and ``plotdata`` load neither scipy's package init nor
+``multiprocessing``.
 """
 from __future__ import annotations
 
@@ -15,14 +20,12 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, benchmarks, hyperposterior, verify
 from .config import ConfigError, ExperimentConfig, parse_config, read_input, serialize_config
@@ -138,6 +141,11 @@ def _output_dir(path: str) -> Path:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
+    # imported here, not at the top: see the module notes
+    from concurrent.futures import ProcessPoolExecutor
+
+    import scipy
+
     rep_seeds = _repetition_seeds(config)
     problem = build_problem(config, disturbance_seed=rep_seeds[0])
     out = _output_dir(config.out)

@@ -110,6 +110,11 @@ compiled ``_flapack`` module, loaded without the package init of
 enter instead: a dataset holds finite inputs and observations, and a factor
 whose diagonal is not finite is refused where it is made.
 
+Logging.  :func:`clamp_variances` warns, on the logger ``samsbo.gp``, when a
+variance lies below ``VARIANCE_WARN``; that warning is the package's only log
+record, and ``logging`` is imported in its branch, so importing the package
+does not load it.
+
 The factor, whitened observations and dataset never change after :func:`fit`;
 the grid cache is the only mutable state.  A fill empties the cache and then
 stores every task's entry, mean included, in one list assignment, so a reader
@@ -118,7 +123,6 @@ on one compute the same value.
 """
 from __future__ import annotations
 
-import logging
 import math
 import threading
 from dataclasses import dataclass, field
@@ -136,8 +140,6 @@ __all__ = [
     "fit",
     "log_marginal_likelihood",
 ]
-
-logger = logging.getLogger(__name__)
 
 _flapack = extension("linalg", "_flapack")
 dtrtri, dtrtrs = _flapack.dtrtri, _flapack.dtrtrs     # those of scipy.linalg.lapack
@@ -251,7 +253,9 @@ def clamp_variances(variances: np.ndarray) -> np.ndarray:
     """Posterior variances floored at zero; a warning counts those below VARIANCE_WARN."""
     bad = variances < VARIANCE_WARN
     if np.any(bad):
-        logger.warning(
+        import logging      # see the module notes
+
+        logging.getLogger(__name__).warning(
             "clamping %d negative posterior variances (min %.3e)",
             int(bad.sum()), float(variances.min()),
         )

@@ -27,9 +27,14 @@ has room for the 401 cell values, all that the quadrature's sets hold.  The
 factor's closed form is checked against a Cholesky fit of the data in
 :mod:`samsbo.twotask` (see its module notes).  The prior tails at the cell
 edges, which give both the cells' masses and their total, are computed once
-per eta per process with the C function of ``scipy.special.betainc``
-(:data:`samsbo._scipy.ibeta`), so the package does not import
-``scipy.special``.
+per eta per process, all edges at once in numpy, by the continued fraction
+of the regularized incomplete beta function (modified Lentz, Numerical
+Recipes section 6.4), so the package does not import ``scipy.special``.
+For the eta of 1e-3 to 100 that the tests try, the tails are within 1.5e-13
+relative of ``scipy.special.betainc`` and the log cell masses within 3e-10
+absolute, the largest at eta = 1e-3.  The fraction needs about
+sqrt(eta) / 2 + 10 terms; past ``CF_ITERATIONS`` (eta of about 4e8) it
+raises ``ValueError`` naming eta.
 
 More tasks.  Adaptive random-walk Metropolis chains act on the hyperspherical
 angles of the correlation Cholesky factor, with the change-of-variables
@@ -39,13 +44,13 @@ samples weigh equally.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
 
 from . import gp
-from ._scipy import ibeta
 from .gp import MultiTaskDataset, log_marginal_likelihood
 from .kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 from .twotask import TwoTaskFactor, own_factor
@@ -72,6 +77,8 @@ CELL_EDGES = np.linspace(0.0, R_MAX, QUADRATURE_CELLS + 1)
 CELL_MIDPOINTS = 0.5 * (CELL_EDGES[:-1] + CELL_EDGES[1:])
 CELL_EDGES.setflags(write=False)
 CELL_MIDPOINTS.setflags(write=False)
+CF_ITERATIONS = 10_000      # most terms of the prior tails' continued fraction
+CF_TOLERANCE = 1e-15        # a term that moves no tail by more than this ends the fraction
 
 # three or more tasks: the angle walk
 CHAINS = 2
@@ -274,10 +281,40 @@ def _run_chain(start: np.ndarray, log_target, n_keep: int,
 def _prior_tails(eta: float) -> np.ndarray:
     """LKJ(eta) upper tail P(r > e) at each cell edge e, read-only and computed once per eta.
 
-    (r + 1) / 2 ~ Beta(eta, eta) gives P(r > e) = I_{(1 - e)/2}(eta, eta),
-    the value ``scipy.special.betainc`` gives, bit for bit.
+    (r + 1) / 2 ~ Beta(eta, eta) gives P(r > e) = I_x(eta, eta) with
+    x = (1 - e) / 2 in (0, 1/2], where the continued fraction of I_x(a, b)
+    converges (x <= (a + 1) / (a + b + 2)).  Every edge's fraction is evaluated
+    by the modified Lentz method until its next term moves it by less than
+    ``CF_TOLERANCE``; ValueError naming eta if an edge needs more than
+    ``CF_ITERATIONS`` terms.
     """
-    tails = np.array([ibeta(eta, eta, x) for x in (0.5 * (1.0 - CELL_EDGES)).tolist()])
+    x = 0.5 * (1.0 - CELL_EDGES)
+    tiny = 1e-300       # keeps Lentz's d and c off zero
+    a = eta
+    d = 1.0 - (a + a) * x / (a + 1.0)
+    d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+    c = np.ones_like(x)
+    fraction = d
+    active = np.ones(len(x), dtype=bool)
+    for m in range(1, CF_ITERATIONS + 1):
+        # the fraction's even and odd coefficients d_2m and d_2m+1
+        for coefficient in (m * (a - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+                            -(a + m) * (a + a + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))):
+            d = 1.0 + coefficient * d
+            d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+            c = 1.0 + coefficient / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            step = d * c
+            fraction = np.where(active, fraction * step, fraction)
+        active &= ~(np.abs(step - 1.0) <= CF_TOLERANCE)     # a NaN stays active
+        if not active.any():
+            break
+    else:
+        raise ValueError(f"the LKJ prior tails at eta = {eta:g} did not converge in "
+                         f"{CF_ITERATIONS} terms of their continued fraction")
+    # x^a (1 - x)^a / (a B(a, a)), with log B(a, a) = 2 log Gamma(a) - log Gamma(2a)
+    front = np.exp(a * np.log(x) + a * np.log1p(-x) - (2.0 * math.lgamma(a) - math.lgamma(a + a)))
+    tails = front * fraction / a
     tails.setflags(write=False)
     return tails
 

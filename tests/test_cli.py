@@ -282,8 +282,8 @@ class TestCompareFixedSeed:
         ]
 
     def test_facts_count_the_problem_and_state_fields(self, monkeypatch):
-        """The fresh-interpreter probe names each type with its field count, and the summary
-        prints them on one line per side."""
+        """The fresh-interpreter probe names each type with its field count and each scipy
+        module the import loads, and the summary prints the types on one line per side."""
         compare = comparer(monkeypatch)
         run = subprocess.run([sys.executable, "-c", compare.FACTS, str(ROOT / "src")],
                              capture_output=True, text=True, timeout=120)
@@ -293,6 +293,10 @@ class TestCompareFixedSeed:
             benchmarks.SyntheticProblem, benchmarks.LaserChainProblem, safeopt.OptimizationState)]
         assert probe["problems"] == ", ".join(f"{name} {n}" for name, n in counts)
         assert counts[-1] == ("OptimizationState", 8)
+        # the scipy modules by name: the two compiled ones, without the scipy package
+        assert re.fullmatch(r"\d+ modules, scipy modules scipy\.linalg\._flapack, "
+                            r"scipy\.spatial\._distance_pybind, ru_maxrss \d+\.\d MB",
+                            probe["imports"]), probe["imports"]
         report = compare.Report({"safeopt": (1, [])}, 1.0)
         facts = compare.side_facts(ROOT, probe, report)
         assert (f"problem and state fields: abc1234 {probe['problems']}, working tree "

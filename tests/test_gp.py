@@ -1,3 +1,4 @@
+import logging
 import sys
 import threading
 
@@ -912,3 +913,23 @@ class TestQueryWidth:
             assert np.array_equal(got, want)
         assert np.array_equal(post.pick_covariance(points.tolist(), 1, 2, 3),
                               self.posterior().pick_covariance(points, 1, 2, 3))
+
+
+class TestClampVariances:
+    """The clamp's warning, the package's only log record, on the logger ``samsbo.gp``."""
+
+    def test_below_the_warning_level_logs_once_with_count_and_minimum(self, caplog):
+        variances = np.array([0.5, 2.0 * gp.VARIANCE_WARN, -0.25, gp.VARIANCE_WARN, 0.0])
+        with caplog.at_level(logging.WARNING, logger="samsbo.gp"):
+            clamped = gp.clamp_variances(variances)
+        assert [(r.name, r.levelno) for r in caplog.records] == [("samsbo.gp", logging.WARNING)]
+        assert caplog.records[0].getMessage() == (
+            "clamping 2 negative posterior variances (min -2.500e-01)")
+        assert np.array_equal(clamped, [0.5, 0.0, 0.0, 0.0, 0.0])
+
+    def test_from_the_warning_level_to_zero_clamps_silently(self, caplog):
+        variances = np.array([gp.VARIANCE_WARN, 0.5 * gp.VARIANCE_WARN, -0.0, 0.0, 1.0])
+        with caplog.at_level(logging.DEBUG, logger="samsbo.gp"):
+            clamped = gp.clamp_variances(variances)
+        assert caplog.records == []
+        assert np.array_equal(clamped, [0.0, 0.0, 0.0, 0.0, 1.0])
