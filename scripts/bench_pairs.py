@@ -40,8 +40,10 @@ The summary is also written at the root of the checkout, to
 BENCH_<REF's short sha>.json for the pairs of ``all`` from seed 1 and to
 BENCH_<REF's short sha>_<WORKLOAD>_<FIRST>.json for any other set: for every
 workload and end-to-end metric, REF's and the tree's medians and
-interquartile ranges, the number of pairs the tree won, the number of pairs
-and the verdict, and for every workload each side's failed operations per
+interquartile ranges, the number of pairs the tree won, the number of pairs,
+the verdict and each side's values in pair order and in the metric's unit
+(``ref_values`` and ``tree_values``), so a pair that lost can be found and
+read, and for every workload each side's failed operations per
 pair and the seeds of its incorrect runs.  Other tracked files are left
 unchanged.
 
@@ -134,14 +136,15 @@ def summarize(ref: str, first: int, metrics: list[dict], before: dict[str, list[
             spread = f"{med_a:.4g} [{quantile(a, 0.25):.4g}, {quantile(a, 0.75):.4g}]"
             change = 100.0 * (med_b - med_a) / med_a if med_a else float("nan")
             # the verdict reads every metric as lower-is-better
-            a, b = [sign * x for x in a], [sign * y for y in b]
-            better = sum(y < x for x, y in zip(a, b))
-            ruling = verdict(a, b, metric["bound"])
+            lower_a, lower_b = [sign * x for x in a], [sign * y for y in b]
+            better = sum(y < x for x, y in zip(lower_a, lower_b))
+            ruling = verdict(lower_a, lower_b, metric["bound"])
             lines.append(f"{name:16s} {key:12s} {spread:>34s} {med_b:12.4g} {change:+7.1f}% "
                          f"{better:4d}/{len(a)}  {ruling}")
             summary["metrics"][key] = {
                 "ref_median": med_a, "ref_iqr": iqr_a, "tree_median": med_b, "tree_iqr": iqr_b,
                 "tree_better": better, "pairs": len(a), "verdict": ruling,
+                "ref_values": a, "tree_values": b,
             }
         for side, label, runs in ((ref, "ref", before[name]), ("tree", "tree", after.get(name, []))):
             failed = [r["failed"] for r in runs]

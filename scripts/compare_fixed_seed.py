@@ -31,8 +31,11 @@ After the verdict it prints:
 - for each side, how many modules a fresh interpreter holds after
   ``import samsbo, samsbo.cli``, the names of the scipy modules that import
   loads (``scipy`` itself included, once its package init has run), and the
-  interpreter's peak resident set (``ru_maxrss``) after it, so an import
-  regression shows in the same report;
+  interpreter's peak resident set after it, so an import regression shows in
+  the same report.  The peak is ``VmHWM`` of ``/proc/self/status``, which exec
+  resets, so it is the probe's own whatever spawned it; where ``/proc`` is
+  missing it is ``ru_maxrss``, which Linux carries across fork and exec from
+  a larger parent, and the line names which of the two it read;
 - the fields of the problem types SyntheticProblem and LaserChainProblem, which
   hold what a caller can vary about a problem, and of safeopt.OptimizationState,
   what the loop carries from one step to the next;
@@ -96,8 +99,13 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import samsbo, samsbo.cli
 modules = len(sys.modules)
-import resource     # after the count, so the count is samsbo's
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024     # kB on Linux
+try:    # exec resets VmHWM; ru_maxrss keeps the peak of a larger parent
+    with open("/proc/self/status") as status:
+        peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    rss, source = int(peak) / 1024, "VmHWM"     # kB
+except (OSError, StopIteration):
+    import resource     # after the count, so the count is samsbo's
+    rss, source = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "ru_maxrss"
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 import dataclasses, json
 from samsbo.benchmarks import LaserChainProblem, SyntheticProblem
@@ -105,7 +113,7 @@ from samsbo.config import ExperimentConfig
 from samsbo.safeopt import OptimizationState
 print(json.dumps({
     "imports": f"{modules} modules, scipy modules {', '.join(scipy) or 'none'}"
-               f", ru_maxrss {rss:.1f} MB",
+               f", {source} {rss:.1f} MB",
     "fields": [f"ExperimentConfig.{f.name}" for f in dataclasses.fields(ExperimentConfig)],
     "problems": ", ".join(f"{cls.__name__} {len(dataclasses.fields(cls))}"
                           for cls in (SyntheticProblem, LaserChainProblem, OptimizationState)),

@@ -59,8 +59,8 @@ V_z[m:]' w[m:] over the new rows (a fresh fill computes V_z' w over its own
 block).  The entry keeps the mean with the w it belongs to.  A posterior
 reads the kept mean when that w is its own (``is``) and computes V_z' w
 otherwise, which happens when inherited entries already cover its rows but
-its observations differ: the frequentist coverage suite, and the per-task fit
-of a two-task factor whose task gained no rows (:mod:`samsbo.twotask`).
+its observations differ: the per-task fit of a two-task factor whose task
+gained no rows (:mod:`samsbo.twotask`).
 
 The product with the extra row runs over blocks of GRID_BLOCK grid rows.  On
 OpenBLAS a product of two rows with more than about 250 grid rows at G = 2,051

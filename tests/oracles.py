@@ -21,6 +21,9 @@ before it.  :func:`h2_cost_reference` computes the laser cost from a separate
 where the package reads both from one Schur factorization.
 :func:`closed_loop_reference` builds the laser closed loop entry by entry,
 where the package fills the gain entries of a per-task skeleton.
+:func:`frequentist_trials_reference` runs the frequentist coverage suite one
+trial at a time, a fit and a prediction per trial, where the package whitens
+and predicts a block of trials with one product each.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ import numpy as np
 from scipy.linalg import solve, solve_continuous_lyapunov
 from scipy.spatial.distance import cdist
 
+from samsbo import bounds, verify
 from samsbo.benchmarks import (
     INSTABILITY_PENALTY_FACTOR,
     LASER_FILTER_POLES,
@@ -43,7 +47,8 @@ from samsbo.benchmarks import (
 from samsbo.bounds import beta_freq
 from samsbo.gp import MultiTaskDataset, fit, log_marginal_likelihood
 from samsbo.hyperposterior import R_MAX
-from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
+from samsbo.kernels import CorrelationMatrix, KernelParams, gram, se_kernel_matrix
+from samsbo.safeopt import make_grid
 from samsbo.twotask import TwoTaskFactor
 
 
@@ -221,6 +226,54 @@ def kernel_dominance(sigma: CorrelationMatrix, sigma_prime: CorrelationMatrix,
     diff = beta ** 2 * sigma.matrix - sigma_prime.matrix
     scale = max(float(np.max(np.abs(diff))), 1.0)
     return bool(np.min(np.linalg.eigvalsh(diff)) >= -1e-10 * scale)
+
+
+def frequentist_trials_reference(trials: int, delta: float, seed: int
+                                 ) -> list[tuple[np.ndarray, dict[int, np.ndarray], bool]]:
+    """Each trial of ``verify.frequentist_coverage(trials, delta, seed)``, fitted on its own.
+
+    Draws what the suite draws, one ``standard_normal(n)`` per trial, fits each
+    trial's observations with ``fit(previous=)`` of the trial before, and
+    returns per trial its observations, both tasks' means on the grid and
+    whether |f - mean| <= sqrt(beta) std + ``verify.NUMERIC_SLACK`` at every
+    grid point.  beta is ``bounds.beta_freq``, looked up at the call.
+    """
+    rng = np.random.default_rng(seed)
+    params = KernelParams(1.0, [0.25], noise_variance=0.01)
+    sigma = CorrelationMatrix.two_task(0.6)
+    m = 8
+    centers = rng.random((m, 1))
+    center_tasks = rng.integers(1, 3, size=m)
+    coefficients = 0.5 * rng.standard_normal(m)
+    expansion = MultiTaskDataset(centers, center_tasks, np.zeros(m))
+    norm = float(np.sqrt(coefficients @ gram(expansion, sigma, params) @ coefficients))
+
+    def values(points, z):
+        weights = sigma.matrix[z - 1, center_tasks - 1] * coefficients
+        return se_kernel_matrix(points, centers, params) @ weights
+
+    n_obs = verify.FREQUENTIST_OBSERVATIONS
+    half = n_obs // 2
+    design = np.vstack([rng.random((half, 1)), rng.random((n_obs - half, 1))])
+    design_tasks = np.concatenate([np.ones(half, dtype=int), np.full(n_obs - half, 2, dtype=int)])
+    f_design = np.array([values(design[i:i + 1], int(design_tasks[i]))[0] for i in range(n_obs)])
+    grid = make_grid(1, verify.GRID_SIZE).points
+    f_grid = {z: values(grid, z) for z in (1, 2)}
+    beta = bounds.beta_freq(norm, n_obs, delta)
+
+    out = []
+    posterior = None
+    for _ in range(trials):
+        y = f_design + np.sqrt(params.noise_variance) * rng.standard_normal(n_obs)
+        posterior = fit(MultiTaskDataset(design, design_tasks, y), sigma, params,
+                        previous=posterior)
+        means, covered = {}, True
+        for z in (1, 2):
+            means[z], variances = posterior.predict_batch(grid, z)
+            band = np.sqrt(beta) * np.sqrt(variances)
+            covered &= not np.any(np.abs(f_grid[z] - means[z]) > band + verify.NUMERIC_SLACK)
+        out.append((y, means, covered))
+    return out
 
 
 def closed_loop_reference(problem: LaserChainProblem, pi_params: np.ndarray,

@@ -295,12 +295,34 @@ class TestCompareFixedSeed:
         assert counts[-1] == ("OptimizationState", 8)
         # the scipy modules by name: the two compiled ones, without the scipy package
         assert re.fullmatch(r"\d+ modules, scipy modules scipy\.linalg\._flapack, "
-                            r"scipy\.spatial\._distance_pybind, ru_maxrss \d+\.\d MB",
+                            r"scipy\.spatial\._distance_pybind, (VmHWM|ru_maxrss) \d+\.\d MB",
                             probe["imports"]), probe["imports"]
         report = compare.Report({"safeopt": (1, [])}, 1.0)
         facts = compare.side_facts(ROOT, probe, report)
         assert (f"problem and state fields: abc1234 {probe['problems']}, working tree "
                 f"{probe['problems']}") in compare.summary("abc1234", facts, facts)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_facts_peak_is_the_probes_own_under_a_large_parent(self, monkeypatch):
+        """A parent holding over 100 MB resident does not lift the probe's peak, which
+        ``ru_maxrss`` would carry across the fork and exec."""
+        compare = comparer(monkeypatch)
+        parent = (
+            "import subprocess, sys\n"
+            "held = b'x' * (128 << 20)\n"
+            "with open('/proc/self/status') as status:\n"
+            "    rss = next(int(line.split()[1]) for line in status if line.startswith('VmRSS:'))\n"
+            "print(rss // 1024)\n"
+            "sys.stdout.flush()\n"
+            "subprocess.run([sys.executable, '-c', sys.argv[1], sys.argv[2]], check=True)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", parent, compare.FACTS, str(ROOT / "src")],
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        held, probe = run.stdout.splitlines()
+        assert int(held) >= 100
+        peak = re.search(r", VmHWM (\d+\.\d) MB$", json.loads(probe)["imports"])
+        assert peak and float(peak.group(1)) < 100.0, probe
 
     def test_bad_usage_or_a_ref_that_is_no_commit_exits_2(self, monkeypatch, capsys):
         compare = comparer(monkeypatch)
@@ -359,7 +381,8 @@ class TestBenchPairs:
                                   {"w": [pair_result(1.2) for _ in range(10)]})
         assert record["workloads"]["w"]["metrics"]["m"] == {
             "ref_median": 1.0, "ref_iqr": 0.0, "tree_median": 1.2, "tree_iqr": 0.0,
-            "tree_better": 10, "pairs": 10, "verdict": "gain"}
+            "tree_better": 10, "pairs": 10, "verdict": "gain",
+            "ref_values": [1.0] * 10, "tree_values": [1.2] * 10}
         assert lines[2].split()[-3:] == ["+20.0%", "10/10", "gain"]
         _, record = summarize("abc1234", 1, higher, before,
                               {"w": [pair_result(0.8) for _ in range(10)]})
@@ -382,7 +405,8 @@ class TestBenchPairs:
         assert record == {"ref": "abc1234", "seeds": [101, 102], "workloads": {"w": {
             "metrics": {"m": {"ref_median": 2.0, "ref_iqr": 1.0, "tree_median": 1.5,
                               "tree_iqr": 0.5, "tree_better": 1, "pairs": 2,
-                              "verdict": "unresolved"}},
+                              "verdict": "unresolved", "ref_values": [1.0, 3.0],
+                              "tree_values": [1.0, 2.0]}},
             "failed_ref": [0, 2], "incorrect_ref": [],
             "failed_tree": [0, 0], "incorrect_tree": [101]}}}
         assert lines[0] == "2 alternated pair(s), seeds 101-102: abc1234 against the working tree"

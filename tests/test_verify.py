@@ -9,6 +9,8 @@ from samsbo.hyperposterior import R_MAX
 from samsbo.kernels import CorrelationMatrix, KernelParams, se_kernel_matrix
 from samsbo.safeopt import make_grid
 
+from oracles import frequentist_trials_reference
+
 
 def recorded_trials(monkeypatch) -> list:
     """Each trial's posterior and grid, recorded as ``_covers`` receives them."""
@@ -23,17 +25,43 @@ def recorded_trials(monkeypatch) -> list:
     return trials
 
 
-def predictions_digest(trials, fresh: bool) -> str:
-    """SHA-256 over every trial's means and variances of both tasks on its grid.
+def recorded_blocks(monkeypatch) -> list:
+    """Each frequentist block's grid entries, observations and means, as
+    ``_block_means`` receives and returns them."""
+    blocks = []
+    block_means = verify._block_means
 
-    ``fresh`` refits each dataset from scratch and queries a writable copy of
-    the grid, so neither a shared factor nor a cached whitened grid is used.
-    """
+    def recording(entries, inverse, observations):
+        means = block_means(entries, inverse, observations)
+        blocks.append((entries, observations.copy(),
+                       {z: values.copy() for z, values in means.items()}))
+        return means
+
+    monkeypatch.setattr(verify, "_block_means", recording)
+    return blocks
+
+
+def recorded_flags(monkeypatch) -> list:
+    """Every frequentist trial's covered flag, in trial order, as ``_block_covered`` returns them."""
+    flags = []
+    block_covered = verify._block_covered
+
+    def recording(*args):
+        covered = block_covered(*args)
+        flags.extend(bool(flag) for flag in covered)
+        return covered
+
+    monkeypatch.setattr(verify, "_block_covered", recording)
+    return flags
+
+
+SMALL_BETA = 4.0    # a frequentist band of 2 std, which about half the trials miss
+
+
+def predictions_digest(trials) -> str:
+    """SHA-256 over every trial's means and variances of both tasks on its grid."""
     digest = hashlib.sha256()
     for posterior, grid in trials:
-        if fresh:
-            posterior = gp.fit(posterior.dataset, posterior.sigma_used, posterior.params)
-            grid = np.array(grid)
         for z in (1, 2):
             for values in posterior.predict_batch(grid, z):
                 digest.update(np.ascontiguousarray(values).tobytes())
@@ -99,7 +127,7 @@ class TestDrawFactorCache:
         for _ in range(2):
             trials = recorded_trials(monkeypatch)
             reports.append(verify.bayesian_coverage(trials=3, seed=seed))
-            digests.append(predictions_digest(trials, fresh=False))
+            digests.append(predictions_digest(trials))
             monkeypatch.undo()
         assert reports[0] == reports[1]
         assert digests[0] == digests[1]
@@ -139,11 +167,49 @@ class TestFrequentistReuse:
         assert kernels == [(200, 1)]
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_trials_match_fresh_fits_bit_for_bit(self, monkeypatch, seed):
-        trials = recorded_trials(monkeypatch)
-        verify.frequentist_coverage(trials=20, seed=seed)
-        assert len(trials) == 20
-        assert predictions_digest(trials, fresh=False) == predictions_digest(trials, fresh=True)
+    def test_trials_match_fresh_fits(self, monkeypatch, seed):
+        # products over a block round differently from a fit and a solve per trial
+        blocks, flags = recorded_blocks(monkeypatch), recorded_flags(monkeypatch)
+        report = verify.frequentist_coverage(trials=130, seed=seed)
+        reference = frequentist_trials_reference(130, verify.DEFAULTS.delta, seed)
+        for z in (1, 2):
+            means = np.hstack([block[2][z] for block in blocks]).T
+            assert np.max(np.abs(means - [trial[1][z] for trial in reference])) <= 1e-12
+        assert flags == [trial[2] for trial in reference]
+        assert report.successes == sum(flags)
+
+    def test_missed_trials_are_those_of_fresh_fits(self, monkeypatch):
+        # the default band covers every trial, so a small beta makes the comparison bite
+        monkeypatch.setattr(bounds, "beta_freq", lambda norm, n, delta: SMALL_BETA)
+        flags = recorded_flags(monkeypatch)
+        report = verify.frequentist_coverage(trials=130)
+        expected = [trial[2] for trial in frequentist_trials_reference(130, verify.DEFAULTS.delta,
+                                                                       verify.DEFAULTS.seed)]
+        assert flags == expected
+        assert 0 < report.successes < 130
+
+    @pytest.mark.parametrize("trials", [0, 1, 63, 64, 65, 130])
+    def test_successes_across_block_edges(self, monkeypatch, trials):
+        monkeypatch.setattr(bounds, "beta_freq", lambda norm, n, delta: SMALL_BETA)
+        report = verify.frequentist_coverage(trials=trials, seed=2)
+        reference = frequentist_trials_reference(trials, verify.DEFAULTS.delta, 2)
+        assert report.trials == trials
+        assert report.successes == sum(trial[2] for trial in reference)
+
+    def test_block_draws_are_the_per_trial_draws(self, monkeypatch):
+        blocks = recorded_blocks(monkeypatch)
+        verify.frequentist_coverage(trials=130, seed=3)
+        size = verify.FREQUENTIST_BLOCK
+        assert [block[1].shape for block in blocks] == [(min(size, 130 - start), 30)
+                                                        for start in range(0, 130, size)]
+        reference = frequentist_trials_reference(130, verify.DEFAULTS.delta, 3)
+        assert np.array_equal(np.vstack([block[1] for block in blocks]),
+                              [trial[0] for trial in reference])
+        # the property the suite relies on, on a generator of its own
+        block, single = np.random.default_rng(7), np.random.default_rng(7)
+        assert np.array_equal(block.standard_normal((65, 30)),
+                              [single.standard_normal(30) for _ in range(65)])
+        assert block.random() == single.random()
 
 
 class TestSuites:
@@ -176,9 +242,16 @@ class TestSuites:
 
     @pytest.mark.parametrize("suite", [verify.bayesian_coverage, verify.frequentist_coverage])
     def test_band_is_checked_on_the_loop_grid(self, monkeypatch, suite):
-        trials = recorded_trials(monkeypatch)
+        # a Bayesian trial checks its own posterior; two frequentist trials share one block
+        bayesian = suite is verify.bayesian_coverage
+        checks = recorded_trials(monkeypatch) if bayesian else recorded_blocks(monkeypatch)
         suite(trials=2)
-        assert len(trials) == 2
-        for _, grid in trials:
+        assert len(checks) == (2 if bayesian else 1)
+        if bayesian:
+            grids = [grid for _, grid in checks]
+        else:
+            grids = [entry.points for entries, *_ in checks for entry in entries]
+            assert len(grids) == 2
+        for grid in grids:
             assert np.array_equal(grid, make_grid(1, verify.GRID_SIZE).points)
             assert gp._frozen(grid)
