@@ -37,8 +37,11 @@ After the verdict it prints:
   missing it is ``ru_maxrss``, which Linux carries across fork and exec from
   a larger parent, and the line names which of the two it read;
 - the fields of the problem types SyntheticProblem and LaserChainProblem, which
-  hold what a caller can vary about a problem, and of safeopt.OptimizationState,
-  what the loop carries from one step to the next;
+  hold what a caller can vary about a problem, of safeopt.OptimizationState,
+  what the loop carries from one step to the next, and of the value types a
+  model refresh returns, bounds.ScalingBundle, bounds.RobustModel and
+  hyperposterior.EmpiricalHyperPosterior, so a stored field that becomes a
+  derived one reads as a drop in its count;
 - each side's runner wall time;
 - the total of the runner's report of the statements of src/samsbo that no
   fixed-seed run executes, taken from the same pass that wrote the side's set,
@@ -53,7 +56,7 @@ After the verdict it prints:
   about the size of a module comes from the same command.
 
 The module count, the scipy modules, the peak resident set, the config
-fields and the problem and state fields come from one fresh interpreter per
+fields and the problem, state and value fields come from one fresh interpreter per
 side, which imports samsbo before anything else; the ``__all__`` names, defaulted
 parameters and line counts are read with ``ast`` in this process.  The "only in" lists count repeats: a
 statement text unreached twice on one side and once on the other is named once.
@@ -109,14 +112,17 @@ except (OSError, StopIteration):
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 import dataclasses, json
 from samsbo.benchmarks import LaserChainProblem, SyntheticProblem
+from samsbo.bounds import RobustModel, ScalingBundle
 from samsbo.config import ExperimentConfig
+from samsbo.hyperposterior import EmpiricalHyperPosterior
 from samsbo.safeopt import OptimizationState
 print(json.dumps({
     "imports": f"{modules} modules, scipy modules {', '.join(scipy) or 'none'}"
                f", {source} {rss:.1f} MB",
     "fields": [f"ExperimentConfig.{f.name}" for f in dataclasses.fields(ExperimentConfig)],
     "problems": ", ".join(f"{cls.__name__} {len(dataclasses.fields(cls))}"
-                          for cls in (SyntheticProblem, LaserChainProblem, OptimizationState)),
+                          for cls in (SyntheticProblem, LaserChainProblem, OptimizationState,
+                                      ScalingBundle, RobustModel, EmpiricalHyperPosterior)),
 }))
 """
 
@@ -244,7 +250,7 @@ def side_facts(root: Path, probe: dict, report: Report) -> dict:
                             f" = {len(fields) + len(params)}"),
         "settable": fields + params,
         "import samsbo, samsbo.cli": probe["imports"],
-        "problem and state fields": probe["problems"],
+        "problem, state and value fields": probe["problems"],
         "runner wall time": f"{report.seconds:.1f} s",
         "unreached statements": (f"{len(unreached_statements(report))} of"
                                  f" {sum(c for c, _ in report.modules.values())}"),
@@ -271,7 +277,7 @@ def summary(label: str, ref: dict, tree: dict) -> list[str]:
         f"{', '.join(only_in(ref['settable'], tree['settable'])) or 'none'}",
         "settable values only in the working tree: "
         f"{', '.join(only_in(tree['settable'], ref['settable'])) or 'none'}",
-        both("import samsbo, samsbo.cli", ";"), both("problem and state fields"),
+        both("import samsbo, samsbo.cli", ";"), both("problem, state and value fields"),
         both("runner wall time"), both("unreached statements"),
         f"unreached statements only in {label}:",
         *indented(only_in(ref["unreached"], tree["unreached"])),

@@ -68,13 +68,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalingBundle:
-    """All bound ingredients for one iteration, with beta_bar = (nu + gamma * sqrt(beta_b))^2."""
+    """All bound ingredients for one iteration.
+
+    The robust factor beta_bar = (nu + gamma * sqrt(beta_b))^2 is computed from
+    the three values held, so no bundle can hold a beta_bar that disagrees with them.
+    """
 
     sigma_prime: CorrelationMatrix      # the gamma-minimizing member, centre of the bound
     beta_b: float
     nu: float
     gamma: float
-    beta_bar: float
+
+    @property
+    def beta_bar(self) -> float:
+        return (self.nu + self.gamma * math.sqrt(self.beta_b)) ** 2
 
 
 @dataclass(frozen=True)
@@ -235,9 +242,7 @@ def scaling_bundle(
     b_bayes = beta_bayes(cardinality, delta)
     sigma_prime, gam = select_sigma_prime(confidence_set)
     nu = nu_factor(dataset, sigma_prime, confidence_set, params, factor=factor)
-    beta_bar = (nu + gam * math.sqrt(b_bayes)) ** 2
-    return ScalingBundle(sigma_prime=sigma_prime, beta_b=b_bayes, nu=nu, gamma=gam,
-                         beta_bar=beta_bar)
+    return ScalingBundle(sigma_prime=sigma_prime, beta_b=b_bayes, nu=nu, gamma=gam)
 
 
 def robust_model(dataset: gp.MultiTaskDataset, n_tasks: int, eta: float, rho: float,

@@ -312,7 +312,6 @@ class _GridEntry:
 
     points: np.ndarray
     scaled: np.ndarray          # points / lengthscales, read-only and shared by every task
-    rows: int                   # leading data rows covered by ``whitened``
     buffer: _RowBuffer          # ``whitened`` is a view of its leading rows
     whitened: np.ndarray        # rows x len(points)
     sumsq: np.ndarray           # column sums of squares of ``whitened``
@@ -339,7 +338,12 @@ class _GridEntry:
         if entry is not None:
             sumsq = entry.sumsq + sumsq
         sumsq.setflags(write=False)
-        return cls(points, scaled, whitened.shape[0], buffer, whitened, sumsq, obs, mean)
+        return cls(points, scaled, buffer, whitened, sumsq, obs, mean)
+
+    @property
+    def rows(self) -> int:
+        """Leading data rows covered by ``whitened``."""
+        return self.whitened.shape[0]
 
     def mean_of(self, obs: np.ndarray) -> np.ndarray:
         """whitened' obs as a new array: a copy of the kept mean when it belongs to ``obs``."""

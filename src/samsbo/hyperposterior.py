@@ -109,26 +109,25 @@ class McmcDiagnostics:
 class EmpiricalHyperPosterior:
     """Weighted samples of p(Sigma | data) with unnormalized log densities.
 
-    ``log_weights`` are each sample's unnormalized log share of the posterior
-    mass: a cell's mass for the two-task quadrature, zero for every MCMC
-    sample.  ``edges`` are the cell boundaries of the quadrature, sample i
-    standing for the cell from ``edges[i]`` to ``edges[i + 1]``; MCMC samples
-    have none.  The quadrature's samples and edges are the arrays of r
-    ``CELL_MIDPOINTS`` and ``CELL_EDGES``; the angle walk's samples are
-    correlation matrices.
+    ``edges`` are the cell boundaries of the quadrature, sample i standing for
+    the cell from ``edges[i]`` to ``edges[i + 1]``; MCMC samples have none.
+    The route fixes each sample's share of the posterior mass: a cell's log
+    density is the log of its unnormalized mass, and the states of the angle
+    walk weigh equally (see :func:`confidence_set`).  The quadrature's samples
+    and edges are the arrays of r ``CELL_MIDPOINTS`` and ``CELL_EDGES``; the
+    angle walk's samples are correlation matrices.
     """
 
     samples: tuple[CorrelationMatrix, ...] | np.ndarray
     log_densities: np.ndarray
-    log_weights: np.ndarray
     diagnostics: McmcDiagnostics
     edges: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.samples) == 0:
             raise ValueError("empirical hyper-posterior must contain samples")
-        if not len(self.samples) == len(self.log_densities) == len(self.log_weights):
-            raise ValueError("samples, log densities and log weights must align")
+        if len(self.samples) != len(self.log_densities):
+            raise ValueError("samples and log densities must align")
         if self.edges is not None and len(self.edges) != len(self.samples) + 1:
             raise ValueError("cell edges must bound every sample")
 
@@ -377,10 +376,10 @@ def sample_hyperposterior(
 
     if n_tasks == 2:
         # equal cells: a cell's mass is its density up to one constant
-        log_weights = (own_factor(factor, dataset).log_likelihood(CELL_MIDPOINTS)
-                       + _log_cell_masses(eta))
-        return EmpiricalHyperPosterior(CELL_MIDPOINTS, log_weights, log_weights,
-                                       McmcDiagnostics(1.0), CELL_EDGES)
+        log_masses = (own_factor(factor, dataset).log_likelihood(CELL_MIDPOINTS)
+                      + _log_cell_masses(eta))
+        return EmpiricalHyperPosterior(CELL_MIDPOINTS, log_masses, McmcDiagnostics(1.0),
+                                       CELL_EDGES)
 
     n_angles = n_tasks * (n_tasks - 1) // 2
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
@@ -420,37 +419,38 @@ def sample_hyperposterior(
         if s.tobytes() not in distinct:
             distinct[s.tobytes()] = CorrelationMatrix(angles_to_correlation(s, n_tasks))
     samples = tuple(distinct[s.tobytes()] for s in all_states)
-    return EmpiricalHyperPosterior(samples, all_logs, np.zeros(len(samples)),
-                                   McmcDiagnostics(acceptance))
+    return EmpiricalHyperPosterior(samples, all_logs, McmcDiagnostics(acceptance))
 
 
 def confidence_set(posterior: EmpiricalHyperPosterior, rho: float) -> ConfidenceSet:
     """The densest samples that together hold at least 1 - rho of the weight.
 
     Samples are taken by decreasing log density, ties in sample order, until
-    their weight reaches 1 - rho of the total.  Equal weights keep the
-    ceil((1 - rho) m) densest of m samples: the cumulative weights are then
-    the exact integers 1..m.
+    their weight reaches 1 - rho of the total.  The route gives the weights:
+    the m states of the angle walk weigh equally, so the ceil((1 - rho) m)
+    densest are kept, and a cell weighs its mass, the exponential of its log
+    density.
 
     Cells stand for their whole extent: each run of adjacent kept cells also
     contributes its two outer edges, after the cells and in the order of r,
     so the members' range of r holds every r whose mass was kept.  A
     quadrature's set is made of those r (:meth:`ConfidenceSet.of_offdiagonals`).
-    Weights that do not normalize (a NaN or +inf log weight, or none above
-    -inf) raise ``ValueError``.
+    Cell weights that do not normalize (a NaN or +inf log density, or none
+    above -inf) raise ``ValueError``.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     order = np.argsort(-posterior.log_densities, kind="stable")
-    log_w = posterior.log_weights[order]
+    if posterior.edges is None:
+        keep = math.ceil((1.0 - rho) * len(order))
+        return ConfidenceSet(tuple(posterior.samples[i] for i in order[:keep]))
+    log_w = posterior.log_densities[order]
     top = np.max(log_w)
     if not np.isfinite(top):
         raise ValueError("log weights must not be NaN or +inf, nor all -inf")
     cumulative = np.cumsum(np.exp(log_w - top))
     keep = int(np.searchsorted(cumulative, (1.0 - rho) * cumulative[-1])) + 1
     order = order[:keep]
-    if posterior.edges is None:
-        return ConfidenceSet(tuple(posterior.samples[i] for i in order))
     cells = np.sort(order)
     breaks = np.flatnonzero(np.diff(cells) > 1)
     firsts = cells[np.r_[0, breaks + 1]]

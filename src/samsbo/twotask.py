@@ -144,7 +144,6 @@ class TwoTaskFactor:
     dataset: gp.MultiTaskDataset
     params: KernelParams
     base: np.ndarray
-    second: np.ndarray                          # rows observed on task 2
     rows: tuple[np.ndarray, np.ndarray]         # row indices of each task
     tasks: tuple[gp.Posterior, gp.Posterior]
     inverses: tuple[np.ndarray, np.ndarray]     # L1^-1 and L2^-1
@@ -198,7 +197,7 @@ class TwoTaskFactor:
         check = gp.fit(dataset, CorrelationMatrix.two_task(CHECK_R), params, base_gram=base_gram,
                        previous=None if previous is None else previous.check)
         factor = cls(
-            dataset=dataset, params=params, base=base_gram, second=second, rows=rows,
+            dataset=dataset, params=params, base=base_gram, rows=rows,
             tasks=(one, two), inverses=inverses, left=left, right=right, singular=singular,
             projected=(left.T @ one.whitened_obs, right.T @ two.whitened_obs),
             log_det_a=2.0 * log_diag, check=check,
@@ -211,7 +210,7 @@ class TwoTaskFactor:
 
     @property
     def n(self) -> int:
-        return self.second.size
+        return self.dataset.n
 
     def log_likelihood(self, r):
         """Log marginal likelihood at Sigma(r), O(p) per r; an array of r gives an array."""
@@ -264,7 +263,7 @@ class TwoTaskFactor:
 
     def _blocks(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(A0 a, B a) for each column a, with A0 the unshifted same-task block."""
-        two = self.second[:, None]
+        two = (self.dataset.tasks == 2)[:, None]
         from_two = self.base @ np.where(two, columns, 0.0)
         from_one = self.base @ np.where(two, 0.0, columns)
         return np.where(two, from_two, from_one), np.where(two, from_one, from_two)

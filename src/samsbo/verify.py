@@ -6,32 +6,37 @@ counts how often the scaled posterior band contains the function on a dense
 grid.  The design, Sigma and the kernel are fixed, so one :func:`samsbo.gp.fit`
 of the design serves every trial: the variances, and so the band, are the
 same for all of them, and a trial's mean is linear in its observations y,
-V_z' L^-1 y with the fit's factor L and whitened grid V_z.  The trials run in
-blocks of ``FREQUENTIST_BLOCK``, each drawn, whitened and compared before the
-next: one product W = L^-1 Y' whitens a block's observation vectors, with
-L^-1 from LAPACK ``dtrtri`` once per suite, and per task one G x n product
-V_z' W gives their means, which one vectorized comparison checks against the
+S_z y with task z's G x n smoother S_z = V_z' L^-1 from the fit's factor L
+and whitened grid V_z.  The suite forms both smoothers once, with L^-1 from
+LAPACK ``dtrtri``, and runs the trials in blocks of ``FREQUENTIST_BLOCK``,
+each drawn and compared before the next: a block costs two products, S_z Y'
+for each task, and per task one vectorized comparison of the means with the
 band.  The products round differently from a fit and a solve per trial: on
 seeds 0-3 at 500 trials the means agree with those of per-trial fits to
 1.8e-15 (the tests hold them to 1e-12 and the covered flags to equality).
+The expansion's values at the design come from one kernel call and one
+row product per design point, so they are those of one-row evaluations, bit
+for bit.
 
-Two choices keep the suite's memory at what a fit per trial touched, about
-0.1 MB above the Bayesian trials' high-water mark.  A ``dtrtrs`` solve with
-many right-hand sides runs OpenBLAS's level-3 ``trsm``, which touched about
-270 kB of memory nothing else in verify-bounds touches; ``dtrtri`` on the
-30 x 30 factor is the routine every grid fill runs.  And at 32 trials a block's
-two G x b mean matrices take 51 kB each, where blocks of 64 lifted the
-high-water mark by about 170 kB.  A block's noise is one
-``standard_normal((b, n))`` call, which fills its rows in C order with the
-values of b successive ``standard_normal(n)`` calls, so the suite draws the
-stream a trial-by-trial loop draws.
+The suite's memory stays at what a fit per trial touched.  After 200
+Bayesian trials, the 500 default frequentist trials lift the process's
+high-water mark by 48-84 kB (``VmHWM``, seeds 1-4; a fit per trial lifted it
+by 44-92 kB).  The two smoothers take 48 kB each, and at 32 trials a block's
+G x b means take 51 kB, where blocks of 64 lifted the mark by about 170 kB.
+L^-1 comes from ``dtrtri`` on the 30 x 30 factor, the routine every grid
+fill runs: a ``dtrtrs`` solve with many right-hand sides runs OpenBLAS's
+level-3 ``trsm``, which touched about 270 kB of memory nothing else in
+verify-bounds touches.  A block's noise is one ``standard_normal((b, n))``
+call, which fills its rows in C order with the values of b successive
+``standard_normal(n)`` calls, so the suite draws the stream a trial-by-trial
+loop draws.
 
 The Bayesian suite draws the correlation matrix from its prior and the
 function from the corresponding multi-task GP, runs the optimization loop's
 own model refresh, :func:`samsbo.bounds.robust_model`, on the noisy
 observations, and checks the robust band the same way.  The ICM prior
 covariance of the function on the G-point grid is the Kronecker product
-Sigma (x) K, so the grid kernel is factored once per grid size per process,
+Sigma (x) K, so the grid kernel is factored once per process,
 L_K = chol(K + eps I) with eps = ``gp.JITTER_START`` times the signal
 variance (:func:`_draw_factor`), and each trial draws (L_Sigma (x) L_K) xi:
 no 2G x 2G matrix is formed.
@@ -95,18 +100,18 @@ def _expansion_values(grid: np.ndarray, centers: np.ndarray, center_tasks: np.nd
 
 
 @cache
-def _draw_factor(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only points of ``make_grid(1, grid_size)`` and L_K on them.
+def _draw_factor() -> tuple[np.ndarray, np.ndarray]:
+    """The read-only points of ``make_grid(1, GRID_SIZE)`` and L_K on them.
 
     L_K = chol(K + eps I) of the grid kernel under ``kernel_params(1)``, with
-    eps = ``gp.JITTER_START`` times its signal variance.  The kernel
-    parameters and the jitter are constants, so the grid size is the whole
-    key, and a process factors each grid size once.
+    eps = ``gp.JITTER_START`` times its signal variance.  The grid size, the
+    kernel parameters and the jitter are constants, so a process factors the
+    grid once.
     """
-    grid = make_grid(1, grid_size).points
+    grid = make_grid(1, GRID_SIZE).points
     params = kernel_params(1)
     chol = np.linalg.cholesky(se_kernel_matrix(grid, grid, params)
-                              + gp.JITTER_START * params.signal_variance * np.eye(grid_size))
+                              + gp.JITTER_START * params.signal_variance * np.eye(GRID_SIZE))
     chol.setflags(write=False)
     return grid, chol
 
@@ -136,32 +141,20 @@ def _covers(posterior: gp.Posterior, grid: np.ndarray, f_grid: dict[int, np.ndar
     return True
 
 
-def _block_means(entries: list[gp._GridEntry], inverse: np.ndarray,
-                 observations: np.ndarray) -> dict[int, np.ndarray]:
-    """Per task z the G x b means at the points of ``entries`` of a fit with each of
-    the b rows y_j of ``observations`` as its observations, one column per row.
+def _block_covered(smoothers: dict[int, np.ndarray], f_grid: dict[int, np.ndarray],
+                   bands: dict[int, np.ndarray], observations: np.ndarray) -> np.ndarray:
+    """Per row y of ``observations``, whether |f - S_z y| <= band at every grid point.
 
-    ``entries`` are a fit's grid cache entries and ``inverse`` is L^-1 of its
-    factor, so column j is V_z' L^-1 y_j: one product whitens the block, one
-    more per task gives its means.
-    """
-    whitened = inverse @ observations.T
-    return {z: entry.whitened.T @ whitened for z, entry in enumerate(entries, start=1)}
-
-
-def _block_covered(entries: list[gp._GridEntry], inverse: np.ndarray,
-                   f_grid: dict[int, np.ndarray], bands: dict[int, np.ndarray],
-                   observations: np.ndarray) -> np.ndarray:
-    """Per row of ``observations``, whether |f - mean| <= band at every grid point.
-
-    ``bands`` holds per task sqrt(beta) std + ``NUMERIC_SLACK`` on the grid;
-    the means are :func:`_block_means`, overwritten here by |f - mean|.
+    ``smoothers`` holds per task z the G x n smoother S_z of the design's fit,
+    so S_z Y' holds the block's means, one column per row, overwritten here by
+    |f - mean|; ``bands`` holds per task sqrt(beta) std + ``NUMERIC_SLACK``.
     """
     covered = np.ones(observations.shape[0], dtype=bool)
-    for z, means in _block_means(entries, inverse, observations).items():
-        means -= f_grid[z][:, None]
-        np.abs(means, out=means)
-        covered &= ~np.any(means > bands[z][:, None], axis=0)
+    for z, smoother in smoothers.items():
+        deviations = smoother @ observations.T
+        deviations -= f_grid[z][:, None]
+        np.abs(deviations, out=deviations)
+        covered &= ~np.any(deviations > bands[z][:, None], axis=0)
     return covered
 
 
@@ -170,13 +163,13 @@ def frequentist_coverage(trials: int = DEFAULTS.frequentist_trials, delta: float
     """Coverage of the frequentist band around a fixed finite kernel expansion.
 
     One-dimensional two-task setup; only the observation noise is redrawn per
-    trial.  One fit of the design gives the factor, the whitened grid and the
-    variances of every trial, and the trials run in blocks of
-    ``FREQUENTIST_BLOCK``, each whitened by one product with L^-1 and
-    predicted by one product per task (see the module notes).  The means agree
-    with those of a fit per trial to about 2e-15, and the noise is the stream
-    a draw per trial gives.  The RKHS norm entering the scaling factor is exact
-    through the Gram quadratic form of the expansion coefficients.
+    trial.  One fit of the design gives each task's smoother S_z = V_z' L^-1
+    and the variances of every trial, and the trials run in blocks of
+    ``FREQUENTIST_BLOCK``, each predicted by one product S_z Y' per task (see
+    the module notes).  The means agree with those of a fit per trial to about
+    2e-15, and the noise is the stream a draw per trial gives.  The RKHS norm
+    entering the scaling factor is exact through the Gram quadratic form of the
+    expansion coefficients.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -195,11 +188,10 @@ def frequentist_coverage(trials: int = DEFAULTS.frequentist_trials, delta: float
     half = n_obs // 2
     design = np.vstack([rng.random((half, 1)), rng.random((n_obs - half, 1))])
     design_tasks = np.concatenate([np.ones(half, dtype=int), np.full(n_obs - half, 2, dtype=int)])
-    f_design = np.array([
-        _expansion_values(design[i:i + 1], centers, center_tasks, coefficients, sigma,
-                          params, int(design_tasks[i]))[0]
-        for i in range(n_obs)
-    ])
+    # one row product per design point, so f_design has the bits of one-row expansions
+    weights = sigma.matrix[design_tasks[:, None] - 1, center_tasks - 1] * coefficients
+    base = se_kernel_matrix(design, centers, params)
+    f_design = (base[:, None, :] @ weights[:, :, None])[:, 0, 0]
 
     grid = make_grid(1, GRID_SIZE).points
     f_grid = {z: _expansion_values(grid, centers, center_tasks, coefficients, sigma, params, z)
@@ -210,11 +202,14 @@ def frequentist_coverage(trials: int = DEFAULTS.frequentist_trials, delta: float
     posterior = gp.fit(gp.MultiTaskDataset(design, design_tasks, f_design), sigma, params)
     bands = {z: np.sqrt(beta) * np.sqrt(posterior.predict_batch(grid, z)[1]) + NUMERIC_SLACK
              for z in (1, 2)}
-    entries, inverse = posterior._entries(grid), gp.inverse_factor(posterior.chol)
+    inverse = gp.inverse_factor(posterior.chol)
+    # S_z in Fortran order, the layout in which a block's product runs fastest
+    smoothers = {z: (inverse.T @ entry.whitened).T
+                 for z, entry in enumerate(posterior._entries(grid), start=1)}
     successes = 0
     for start in range(0, trials, FREQUENTIST_BLOCK):
         noise = rng.standard_normal((min(FREQUENTIST_BLOCK, trials - start), n_obs))
-        covered = _block_covered(entries, inverse, f_grid, bands, f_design + noise_sd * noise)
+        covered = _block_covered(smoothers, f_grid, bands, f_design + noise_sd * noise)
         successes += int(np.count_nonzero(covered))
     return CoverageReport("frequentist", trials, successes, 1.0 - delta, COVERAGE_SLACK)
 
@@ -232,7 +227,7 @@ def bayesian_coverage(trials: int = DEFAULTS.bayesian_trials, delta: float = DEF
 
     The function is drawn as (L_Sigma (x) L_K) xi for one standard normal xi
     of length 2G, with L_K = chol(K + eps I) of the G x G grid kernel
-    factored once per grid size per process (:func:`_draw_factor`).  Its
+    factored once per process (:func:`_draw_factor`).  Its
     covariance is Sigma(r) (x) (K + eps I).  Each task observes
     ``BAYESIAN_OBSERVATIONS_PER_TASK`` distinct grid points.
     """
@@ -241,7 +236,7 @@ def bayesian_coverage(trials: int = DEFAULTS.bayesian_trials, delta: float = DEF
     master = np.random.SeedSequence(seed).spawn(trials)
     params = kernel_params(1)
     grid_size, n_per_task = GRID_SIZE, BAYESIAN_OBSERVATIONS_PER_TASK
-    grid, chol_grid = _draw_factor(grid_size)
+    grid, chol_grid = _draw_factor()
     noise_sd = np.sqrt(params.noise_variance)
 
     successes = 0

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 
 from samsbo import bounds, gp, hyperposterior, kernels, twotask
 from samsbo.bounds import (
+    ScalingBundle,
     beta_bayes,
     beta_freq,
     covering_number,
@@ -392,9 +394,17 @@ class TestScalingBundle:
         ds, cs, cardinality = self._setup(rng)
         bundle = scaling_bundle(ds, cs, cardinality, PARAMS, 0.05,
                                 factor=stage_factor(ds, 2, PARAMS))
-        assert bundle.beta_bar == pytest.approx(
-            (bundle.nu + bundle.gamma * np.sqrt(bundle.beta_b)) ** 2, abs=1e-12)
+        assert bundle.beta_bar == (bundle.nu + bundle.gamma * math.sqrt(bundle.beta_b)) ** 2
         assert bundle.gamma >= 1.0
+
+    @pytest.mark.parametrize("values", [(30.857, 0.0, 1.0), (2.0, 0.37, 1.8), (0.0, 1.5, 2.0)])
+    def test_beta_bar_is_computed_from_the_three_values(self, values):
+        # a hand-built bundle cannot carry a beta_bar that disagrees with beta_b, nu and gamma
+        beta_b, nu, gamma = values
+        bundle = ScalingBundle(CorrelationMatrix.two_task(0.5), beta_b, nu, gamma)
+        assert bundle.beta_bar == (nu + gamma * math.sqrt(beta_b)) ** 2
+        with pytest.raises(TypeError):
+            ScalingBundle(CorrelationMatrix.two_task(0.5), beta_b, nu, gamma, beta_bar=1.0)
 
     def test_singleton_reduces_to_beta_b(self):
         rng = np.random.default_rng(13)
@@ -414,7 +424,7 @@ class TestScalingBundle:
         factor = stage_factor(ds, 2, PARAMS)
         bundle = scaling_bundle(ds, cs, cardinality, PARAMS, 0.05, factor=factor)
         assert [f.name for f in dataclasses.fields(bundle)] == ["sigma_prime", "beta_b", "nu",
-                                                                "gamma", "beta_bar"]
+                                                                "gamma"]
         assert (bundle.sigma_prime, bundle.gamma) == select_sigma_prime(cs)
         assert bundle.nu == nu_factor(ds, bundle.sigma_prime, cs, PARAMS, factor=factor)
         assert bundle.beta_b == beta_bayes(cardinality, 0.05)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from samsbo import benchmarks, cli, safeopt, verify
+from samsbo import benchmarks, bounds, cli, hyperposterior, safeopt, verify
 from samsbo.cli import (
     AGGREGATE_HEADER,
     PLOTDATA_HEADER,
@@ -290,16 +290,18 @@ class TestCompareFixedSeed:
         assert run.returncode == 0, run.stderr
         probe = json.loads(run.stdout)
         counts = [(cls.__name__, len(fields(cls))) for cls in (
-            benchmarks.SyntheticProblem, benchmarks.LaserChainProblem, safeopt.OptimizationState)]
+            benchmarks.SyntheticProblem, benchmarks.LaserChainProblem, safeopt.OptimizationState,
+            bounds.ScalingBundle, bounds.RobustModel, hyperposterior.EmpiricalHyperPosterior)]
         assert probe["problems"] == ", ".join(f"{name} {n}" for name, n in counts)
-        assert counts[-1] == ("OptimizationState", 8)
+        assert counts[2:] == [("OptimizationState", 8), ("ScalingBundle", 4), ("RobustModel", 3),
+                              ("EmpiricalHyperPosterior", 4)]
         # the scipy modules by name: the two compiled ones, without the scipy package
         assert re.fullmatch(r"\d+ modules, scipy modules scipy\.linalg\._flapack, "
                             r"scipy\.spatial\._distance_pybind, (VmHWM|ru_maxrss) \d+\.\d MB",
                             probe["imports"]), probe["imports"]
         report = compare.Report({"safeopt": (1, [])}, 1.0)
         facts = compare.side_facts(ROOT, probe, report)
-        assert (f"problem and state fields: abc1234 {probe['problems']}, working tree "
+        assert (f"problem, state and value fields: abc1234 {probe['problems']}, working tree "
                 f"{probe['problems']}") in compare.summary("abc1234", facts, facts)
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")

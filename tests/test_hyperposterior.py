@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -52,7 +53,8 @@ def task_one_only(n, rng):
 
 
 def normalized_weights(post):
-    w = np.exp(post.log_weights - np.max(post.log_weights))
+    """The cells' normalized masses: a cell's log density is its log mass."""
+    w = np.exp(post.log_densities - np.max(post.log_densities))
     return w / w.sum()
 
 
@@ -104,8 +106,9 @@ class TestSampleHyperposterior:
             assert np.min(s.matrix) >= 0.0
             assert np.min(np.linalg.eigvalsh(s.matrix)) > 0.0
         assert 0.0 <= post.diagnostics.acceptance_rate <= 1.0
-        assert np.all(post.log_weights == 0.0)
         assert post.edges is None
+        # the walk's states weigh equally, whatever their densities
+        assert len(confidence_set(post, 0.3)) == math.ceil(0.7 * len(post.samples))
         # repeated states share one matrix; each records likelihood plus LKJ log prior
         distinct = {}
         for sample, logd in zip(post.samples, post.log_densities):
@@ -168,7 +171,6 @@ class TestTwoTaskQuadrature:
                 for seed in (0, 1))
         assert a.samples is CELL_MIDPOINTS and b.samples is CELL_MIDPOINTS
         assert a.edges is CELL_EDGES and b.edges is CELL_EDGES
-        assert np.array_equal(a.log_weights, b.log_weights)
         assert np.array_equal(a.log_densities, b.log_densities)
         assert a.diagnostics.acceptance_rate == 1.0
 
@@ -262,7 +264,7 @@ class TestConfidenceSet:
         cells = 0.1 * np.arange(5) + 0.05
         logw = np.log([0.3, 0.4, 1e-6, 0.3, 1e-6])
         diag = McmcDiagnostics(1.0)
-        post = EmpiricalHyperPosterior(cells, logw, logw, diag, edges)
+        post = EmpiricalHyperPosterior(cells, logw, diag, edges)
         cs = confidence_set(post, 0.05)
         # kept cells densest first, then each run's two outer edges in the order of r
         rs = [cells[1], cells[0], cells[3], edges[0], edges[2], edges[3], edges[4]]
@@ -270,7 +272,7 @@ class TestConfidenceSet:
         assert cs.members == tuple(CorrelationMatrix.two_task(r) for r in rs)
         assert np.allclose(cs.offdiagonals, [0.15, 0.05, 0.35, 0.0, 0.2, 0.3, 0.4])
         with pytest.raises(ValueError, match="edges"):
-            EmpiricalHyperPosterior(cells, logw, logw, diag, edges[:-1])
+            EmpiricalHyperPosterior(cells, logw, diag, edges[:-1])
 
     def test_a_set_of_r_builds_only_the_members_asked_for(self):
         """offdiagonals are the members' off-diagonals; equal r are one matrix, and
@@ -305,13 +307,30 @@ class TestConfidenceSet:
         assert sum(kept[:-1]) < 1.0 - rho
         assert kept == sorted(kept, reverse=True)
 
+    @pytest.mark.parametrize(("rho", "cells_kept"), [(0.9, 1), (0.5, 2), (0.15, 3), (0.04, 5)])
+    def test_the_route_gives_the_weights(self, rho, cells_kept):
+        """m walk states weigh equally, so they keep the ceil((1 - rho) m) densest whatever
+        their densities; cells weigh their masses, so they keep the fewest densest cells
+        whose mass reaches 1 - rho, then their runs' edges."""
+        masses = np.array([0.05, 0.4, 0.02, 0.3, 0.2, 0.03])    # densest first: 1, 3, 4, 0, 5, 2
+        order = [1, 3, 4, 0, 5, 2]
+        states = tuple(CorrelationMatrix.two_task(0.1 * i) for i in range(6))
+        walk = confidence_set(EmpiricalHyperPosterior(states, np.log(masses),
+                                                      McmcDiagnostics(0.5)), rho)
+        assert walk.members == tuple(states[i] for i in order[:math.ceil((1.0 - rho) * 6)])
+        cells, edges = 0.1 * np.arange(6) + 0.05, 0.1 * np.arange(7)
+        kept = confidence_set(EmpiricalHyperPosterior(cells, np.log(masses), McmcDiagnostics(1.0),
+                                                      edges), rho).offdiagonals
+        assert np.array_equal(kept[:cells_kept], cells[order[:cells_kept]])
+        assert set(kept[cells_kept:].tolist()) <= set(edges.tolist())
+
     def test_weights_that_do_not_normalize_raise(self):
         # a NaN weight used to keep the first cell and its two edges whatever the data
         cells = 0.1 * np.arange(3) + 0.05
         edges = 0.1 * np.arange(4)
         for logw in ([np.nan] * 3, [0.0, np.nan, 0.0], [0.0, np.inf, 0.0], [-np.inf] * 3):
             logw = np.array(logw)
-            post = EmpiricalHyperPosterior(cells, logw, logw, McmcDiagnostics(1.0), edges)
+            post = EmpiricalHyperPosterior(cells, logw, McmcDiagnostics(1.0), edges)
             with pytest.raises(ValueError, match="log weights"):
                 confidence_set(post, 0.15)
 

@@ -30,10 +30,10 @@ from oracles import empty_dataset, predict
 PARAMS = KernelParams(1.0, [0.4], noise_variance=0.01)
 
 
-def make_state(dataset, sigma, beta_bar=4.0, grid=None):
+def make_state(dataset, sigma, beta_b=4.0, grid=None):
+    """A state at ``sigma`` with nu = 0 and gamma = 1, so beta_bar = (sqrt(beta_b))^2."""
     cs = ConfidenceSet((sigma,))
-    bundle = bounds.ScalingBundle(sigma_prime=sigma, beta_b=beta_bar, nu=0.0, gamma=1.0,
-                                  beta_bar=beta_bar)
+    bundle = bounds.ScalingBundle(sigma_prime=sigma, beta_b=beta_b, nu=0.0, gamma=1.0)
     model = bounds.RobustModel(cs, bundle, gp.fit(dataset, sigma, PARAMS))
     return OptimizationState(dataset=dataset, transforms=None, model=model, grid=grid)
 
@@ -129,7 +129,7 @@ class TestSafeSet:
     def test_zero_beta_low_mean_all_safe(self):
         ds = gp.MultiTaskDataset(np.array([[0.5]]), [1], [-1.0])
         post = gp.fit(ds, CorrelationMatrix.identity(1), PARAMS)
-        state = make_state(ds, CorrelationMatrix.identity(1), beta_bar=0.0)
+        state = make_state(ds, CorrelationMatrix.identity(1), beta_b=0.0)
         grid = make_grid(1, size=32)
         result = safe_set(state.model, threshold_std=0.5, grid=grid)
         assert result.size() == 32
@@ -137,7 +137,7 @@ class TestSafeSet:
     def test_prior_bound_exceeds_threshold_empty(self):
         post = gp.fit(empty_dataset(1), CorrelationMatrix.identity(1), PARAMS)
         state = make_state(empty_dataset(1), CorrelationMatrix.identity(1),
-                           beta_bar=9.0)
+                           beta_b=9.0)
         grid = make_grid(1, size=32)
         # prior mean 0, std 1 -> upper bound 3 everywhere
         result = safe_set(state.model, threshold_std=2.0, grid=grid)
@@ -149,7 +149,7 @@ class TestSafeSet:
         ds = gp.MultiTaskDataset(np.array([[0.4]]), [1], [-0.5])
         sigma = CorrelationMatrix.identity(1)
         post = gp.fit(ds, sigma, PARAMS)
-        state = make_state(ds, sigma, beta_bar=2.0)
+        state = make_state(ds, sigma, beta_b=2.0)
         grid = CandidateGrid(np.linspace(0, 1, 5).reshape(-1, 1))
         result = safe_set(state.model, threshold_std=0.3, grid=grid)
         for i, point in enumerate(grid.points):
@@ -204,7 +204,7 @@ class TestAcquireMain:
             ds = gp.MultiTaskDataset(rng.random((n, 1)), np.ones(n, int),
                                      rng.standard_normal(n))
             sigma = CorrelationMatrix.identity(1)
-            state = make_state(ds, sigma, beta_bar=float(rng.random() * 5 + 0.5))
+            state = make_state(ds, sigma, beta_b=float(rng.random() * 5 + 0.5))
             grid = CandidateGrid(np.sort(rng.random(5)).reshape(-1, 1))
             mask = rng.random(5) < 0.7
             if not mask.any():

@@ -407,14 +407,14 @@ class TestFantasyDowndate:
 
 class TestSampler:
     def test_recorded_densities_match_cholesky_target(self):
-        # each cell's log weight is the Cholesky log likelihood at its midpoint plus its prior mass
+        # each cell's log density, its log weight, is the Cholesky log likelihood at its
+        # midpoint plus its log prior mass
         eta = 0.1
         for dataset in datasets().values():
             post = sample_hyperposterior(dataset, 2, eta, PARAMS, factor=factor_for(dataset))
             exact = two_task_log_likelihoods(dataset, PARAMS, CELL_MIDPOINTS)
-            assert np.allclose(post.log_weights - _log_cell_masses(eta), exact,
+            assert np.allclose(post.log_densities - _log_cell_masses(eta), exact,
                                rtol=1e-8, atol=1e-12)
-            assert np.array_equal(post.log_densities, post.log_weights)
 
     def test_mismatched_factor_fails_the_cross_check(self):
         """A factor of other observations is refused before any cell is weighed."""

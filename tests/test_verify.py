@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -26,19 +27,30 @@ def recorded_trials(monkeypatch) -> list:
 
 
 def recorded_blocks(monkeypatch) -> list:
-    """Each frequentist block's grid entries, observations and means, as
-    ``_block_means`` receives and returns them."""
+    """Each frequentist block's smoothers and observations, as ``_block_covered`` receives them."""
     blocks = []
-    block_means = verify._block_means
+    block_covered = verify._block_covered
 
-    def recording(entries, inverse, observations):
-        means = block_means(entries, inverse, observations)
-        blocks.append((entries, observations.copy(),
-                       {z: values.copy() for z, values in means.items()}))
-        return means
+    def recording(smoothers, f_grid, bands, observations):
+        blocks.append((smoothers, observations.copy()))
+        return block_covered(smoothers, f_grid, bands, observations)
 
-    monkeypatch.setattr(verify, "_block_means", recording)
+    monkeypatch.setattr(verify, "_block_covered", recording)
     return blocks
+
+
+def recorded_entries(monkeypatch) -> list:
+    """Every grid cache entry that ``gp.Posterior._entries`` returns."""
+    entries = []
+    lookup = gp.Posterior._entries
+
+    def recording(self, points):
+        found = lookup(self, points)
+        entries.extend(found)
+        return found
+
+    monkeypatch.setattr(gp.Posterior, "_entries", recording)
+    return entries
 
 
 def recorded_flags(monkeypatch) -> list:
@@ -133,14 +145,15 @@ class TestDrawFactorCache:
         assert digests[0] == digests[1]
 
     def test_cached_grid_and_factor_are_read_only_and_exact(self):
-        grid, chol = verify._draw_factor(50)
-        again = verify._draw_factor(50)
+        grid, chol = verify._draw_factor()
+        again = verify._draw_factor()
         assert again[0] is grid and again[1] is chol
-        assert np.array_equal(grid, make_grid(1, 50).points)
+        size = verify.GRID_SIZE
+        assert np.array_equal(grid, make_grid(1, size).points)
         params = kernel_params(1)
         kernel = se_kernel_matrix(grid, grid, params)
         jitter = gp.JITTER_START * params.signal_variance
-        assert np.array_equal(chol, np.linalg.cholesky(kernel + jitter * np.eye(50)))
+        assert np.array_equal(chol, np.linalg.cholesky(kernel + jitter * np.eye(size)))
         for array in (grid, chol):
             assert gp._frozen(array)
             with pytest.raises(ValueError, match="read-only"):
@@ -173,7 +186,8 @@ class TestFrequentistReuse:
         report = verify.frequentist_coverage(trials=130, seed=seed)
         reference = frequentist_trials_reference(130, verify.DEFAULTS.delta, seed)
         for z in (1, 2):
-            means = np.hstack([block[2][z] for block in blocks]).T
+            means = np.hstack([smoothers[z] @ observations.T
+                               for smoothers, observations in blocks]).T
             assert np.max(np.abs(means - [trial[1][z] for trial in reference])) <= 1e-12
         assert flags == [trial[2] for trial in reference]
         assert report.successes == sum(flags)
@@ -231,6 +245,8 @@ class TestSuites:
 
         monkeypatch.setattr(bounds, "beta_bayes", recording)
         monkeypatch.setattr(verify, "GRID_SIZE", grid_size)
+        # a cache of its own, so the process's factor of the default grid stays
+        monkeypatch.setattr(verify, "_draw_factor", functools.cache(verify._draw_factor.__wrapped__))
         monkeypatch.setattr(verify, "BAYESIAN_OBSERVATIONS_PER_TASK", 5)
         verify.bayesian_coverage(trials=2, delta=0.05)
         assert factors == [beta_bayes(grid_size, 0.05)] * 2
@@ -242,16 +258,20 @@ class TestSuites:
 
     @pytest.mark.parametrize("suite", [verify.bayesian_coverage, verify.frequentist_coverage])
     def test_band_is_checked_on_the_loop_grid(self, monkeypatch, suite):
-        # a Bayesian trial checks its own posterior; two frequentist trials share one block
+        # a Bayesian trial checks its own posterior; two frequentist trials share one block,
+        # whose smoothers and band come from the fit's grid entries
         bayesian = suite is verify.bayesian_coverage
-        checks = recorded_trials(monkeypatch) if bayesian else recorded_blocks(monkeypatch)
+        if bayesian:
+            checks = recorded_trials(monkeypatch)
+        else:
+            entries, checks = recorded_entries(monkeypatch), recorded_blocks(monkeypatch)
         suite(trials=2)
         assert len(checks) == (2 if bayesian else 1)
         if bayesian:
             grids = [grid for _, grid in checks]
         else:
-            grids = [entry.points for entries, *_ in checks for entry in entries]
-            assert len(grids) == 2
+            grids = [entry.points for entry in entries]
+            assert grids and set(checks[0][0]) == {1, 2}
         for grid in grids:
             assert np.array_equal(grid, make_grid(1, verify.GRID_SIZE).points)
             assert gp._frozen(grid)
