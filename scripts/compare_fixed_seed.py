@@ -40,8 +40,9 @@ After the verdict it prints:
   hold what a caller can vary about a problem, of safeopt.OptimizationState,
   what the loop carries from one step to the next, and of the value types a
   model refresh returns, bounds.ScalingBundle, bounds.RobustModel and
-  hyperposterior.EmpiricalHyperPosterior, so a stored field that becomes a
-  derived one reads as a drop in its count;
+  hyperposterior.EmpiricalHyperPosterior, and of the two-task types a refresh
+  builds, twotask.TwoTaskFactor and twotask.TwoTaskPosterior, so a stored field
+  that becomes a derived one reads as a drop in its count;
 - each side's runner wall time;
 - the total of the runner's report of the statements of src/samsbo that no
   fixed-seed run executes, taken from the same pass that wrote the side's set,
@@ -116,13 +117,15 @@ from samsbo.bounds import RobustModel, ScalingBundle
 from samsbo.config import ExperimentConfig
 from samsbo.hyperposterior import EmpiricalHyperPosterior
 from samsbo.safeopt import OptimizationState
+from samsbo.twotask import TwoTaskFactor, TwoTaskPosterior
 print(json.dumps({
     "imports": f"{modules} modules, scipy modules {', '.join(scipy) or 'none'}"
                f", {source} {rss:.1f} MB",
     "fields": [f"ExperimentConfig.{f.name}" for f in dataclasses.fields(ExperimentConfig)],
     "problems": ", ".join(f"{cls.__name__} {len(dataclasses.fields(cls))}"
                           for cls in (SyntheticProblem, LaserChainProblem, OptimizationState,
-                                      ScalingBundle, RobustModel, EmpiricalHyperPosterior)),
+                                      ScalingBundle, RobustModel, EmpiricalHyperPosterior,
+                                      TwoTaskFactor, TwoTaskPosterior)),
 }))
 """
 

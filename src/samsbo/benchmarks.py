@@ -16,23 +16,26 @@ closed loops map to a finite penalty above the safety threshold, and a LAPACK
 failure raises ``StabilityError``.
 
 Problem facts are module constants, and a problem holds only what a caller
-varies.  ``PROBLEMS`` maps each problem name to its factory, and
-``FIXED_DIMENSIONS`` holds the dimension of each problem whose factory takes
-none.  ``DISTURBANCE`` and ``N_TASKS``, the protocol's disturbance factor and
-task count, are the defaults of the factories and of ``config.ExperimentConfig``.
-``BRANIN_DOMAIN`` and ``POWELL_DOMAIN`` are the functions' standard boxes.  Each
-factory gives its problem the safety threshold ``*_THRESHOLD``.  The
-thresholds and the laser chain's ``LASER_*`` plant, filters, gain box, output
-scale and known-safe gains ``LASER_SAFE_SEED`` are chosen in this package, the
-scale so that those gains land well below the threshold while a sizable part
-of ``LASER_BOX`` is unstable or above it.  The module's arrays and the problems'
-domains are read-only, because problems share them.
+varies: the laser chain's threshold and noise level are class constants, and a
+synthetic problem computes its noise level from its ``base`` and ``domain`` at
+its first noisy evaluation, not at construction.  ``PROBLEMS`` maps each
+problem name to its factory, and ``FIXED_DIMENSIONS`` holds the dimension of
+each problem whose factory takes none.  ``DISTURBANCE`` and ``N_TASKS``, the
+protocol's disturbance factor and task count, are the defaults of the factories
+and of ``config.ExperimentConfig``.  ``BRANIN_DOMAIN`` and ``POWELL_DOMAIN`` are
+the functions' standard boxes.  Each synthetic factory gives its problem the
+safety threshold ``*_THRESHOLD``.  The thresholds and the laser chain's
+``LASER_*`` plant, filters, gain box, output scale and known-safe gains
+``LASER_SAFE_SEED`` are chosen in this package, the scale so that those gains
+land well below the threshold while a sizable part of ``LASER_BOX`` is unstable
+or above it.  The module's arrays and the problems' domains are read-only,
+because problems share them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -131,11 +134,15 @@ class SyntheticProblem:
     disturbance: float
     n_tasks: int
     signs: np.ndarray           # (n_tasks - 1, d) shift signs
-    noise_sd: float
 
     @property
     def dimension(self) -> int:
         return self.domain.shape[0]
+
+    @cached_property
+    def noise_sd(self) -> float:
+        """``NOISE_MULTIPLIER`` times :func:`_output_scale`, computed at first read."""
+        return NOISE_MULTIPLIER * _output_scale(self.base, self.domain)
 
     def shift(self, z: int) -> np.ndarray:
         """Input shift of supplementary task z; the main task is unshifted."""
@@ -172,17 +179,15 @@ def _output_scale(base: Callable[[np.ndarray], float], domain: np.ndarray) -> fl
 
 def branin_problem(disturbance: float = DISTURBANCE, n_tasks: int = N_TASKS,
                    disturbance_seed: int = 0) -> SyntheticProblem:
-    noise = NOISE_MULTIPLIER * _output_scale(branin, BRANIN_DOMAIN)
     return SyntheticProblem(branin, BRANIN_DOMAIN, BRANIN_THRESHOLD, disturbance, n_tasks,
-                            _signs(disturbance_seed, n_tasks, 2), noise)
+                            _signs(disturbance_seed, n_tasks, 2))
 
 
 def powell_problem(dimension: int = 4, disturbance: float = DISTURBANCE,
                    n_tasks: int = N_TASKS, disturbance_seed: int = 0) -> SyntheticProblem:
     domain = _read_only(np.tile(np.array(POWELL_DOMAIN), (dimension, 1)))
-    noise = NOISE_MULTIPLIER * _output_scale(powell, domain)
     return SyntheticProblem(powell, domain, POWELL_THRESHOLD, disturbance, n_tasks,
-                            _signs(disturbance_seed, n_tasks, dimension), noise)
+                            _signs(disturbance_seed, n_tasks, dimension))
 
 
 _LASER_OMEGA2 = _read_only(LASER_OMEGA * LASER_OMEGA)
@@ -233,14 +238,15 @@ class LaserChainProblem:
     reference.  The cost is the root-mean-square norm of the stacked tracking
     errors.  Supplementary tasks perturb the filter state matrices element-wise
     by the disturbance factor with seeded random signs.  The plant, the filters,
-    the gain box and the output scale are the module's ``LASER_*`` constants.
+    the gain box and the output scale are the module's ``LASER_*`` constants,
+    and the threshold and noise standard deviation, the same for all, class ones.
     """
 
-    threshold: float
+    threshold: ClassVar[float] = LASER_THRESHOLD
+    noise_sd: ClassVar[float] = NOISE_MULTIPLIER * LASER_THRESHOLD
     disturbance: float
     n_tasks: int
     signs: np.ndarray           # (n_tasks - 1, N + 1) filter perturbation signs
-    noise_sd: float
 
     @property
     def dimension(self) -> int:
@@ -341,12 +347,9 @@ def h2_cost(pi_params: np.ndarray, problem: LaserChainProblem, z: int) -> float:
 
 def laser_problem(disturbance: float = DISTURBANCE, n_tasks: int = N_TASKS,
                   disturbance_seed: int = 0) -> LaserChainProblem:
-    """The laser chain at ``LASER_THRESHOLD``, with noise sd ``NOISE_MULTIPLIER`` times it."""
-    return LaserChainProblem(
-        threshold=LASER_THRESHOLD, disturbance=disturbance, n_tasks=n_tasks,
-        signs=_signs(disturbance_seed, n_tasks, LASER_SUBSYSTEMS + 1),
-        noise_sd=NOISE_MULTIPLIER * LASER_THRESHOLD,
-    )
+    """The laser chain; its threshold and noise are :class:`LaserChainProblem`'s constants."""
+    return LaserChainProblem(disturbance, n_tasks,
+                             _signs(disturbance_seed, n_tasks, LASER_SUBSYSTEMS + 1))
 
 
 def find_safe_seed(problem, rng: np.random.Generator) -> np.ndarray:

@@ -251,24 +251,25 @@ def acquire_main(current_safe_set: SafeSet) -> np.ndarray:
     return current_safe_set.grid.points[int(np.argmin(masked))]
 
 
-def acquire_supplementary(state: OptimizationState, batch_size: int,
-                          grid: CandidateGrid, n_tasks: int) -> list[tuple[np.ndarray, int]]:
+def acquire_supplementary(state: OptimizationState,
+                          batch_size: int) -> list[tuple[np.ndarray, int]]:
     """Greedy batch maximizing supplementary-task variance with fantasized updates.
 
     Each pick conditions the posterior on a zero-valued fantasy observation at
     the chosen point (variance does not depend on the observed value), so later
     picks spread out.  Supplementary tasks are cycled when there are several.
-    The whole grid is admissible, since :func:`step` evaluates the picks
-    without a safety check; so ``n_tasks`` below 2, which would leave only
-    main-task picks, is refused.
+    Every point of ``state.grid`` is admissible, since :func:`step` evaluates
+    the picks without a safety check; so a one-task model (Sigma of size 1),
+    which would leave only main-task picks, is refused.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
+    n_tasks = state.model.posterior.sigma_used.size
     if n_tasks < 2:
-        raise ValueError(f"supplementary picks need n_tasks >= 2, got {n_tasks}")
+        raise ValueError(f"supplementary picks need a model of 2 or more tasks, got {n_tasks}")
     tasks = [2 + j % (n_tasks - 1) for j in range(batch_size)]
-    picks = _greedy_variance_picks(state.model.posterior, grid.points, tasks)
-    return [(grid.points[idx], task) for (idx, _), task in zip(picks, tasks)]
+    picks = _greedy_variance_picks(state.model.posterior, state.grid.points, tasks)
+    return [(state.grid.points[idx], task) for (idx, _), task in zip(picks, tasks)]
 
 
 def _greedy_variance_picks(posterior: gp.Posterior, points: np.ndarray,
@@ -355,11 +356,9 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
     state.iteration += 1
     trace: list[TraceRecord] = []
     multitask = _is_multitask(cfg.algorithm) and problem.n_tasks > 1
-    grid = state.grid
 
     if multitask:
-        picks = acquire_supplementary(state, SUPPLEMENTARY_PER_INPUT * problem.dimension,
-                                      grid, problem.n_tasks)
+        picks = acquire_supplementary(state, SUPPLEMENTARY_PER_INPUT * problem.dimension)
         new_x, new_z, new_y = [], [], []
         for x_norm, task in picks:
             x_raw = state.transforms.denormalize(x_norm)
@@ -380,7 +379,7 @@ def step(state: OptimizationState, problem, cfg: LoopConfig,
 
     threshold_std = (state.transforms.threshold_std(problem.threshold)
                      if _is_safe(cfg.algorithm) else np.inf)
-    current = safe_set(state.model, threshold_std, grid)
+    current = safe_set(state.model, threshold_std, state.grid)
 
     try:
         x_norm = acquire_main(current)

@@ -117,7 +117,7 @@ def _coefficients(singular: np.ndarray, r) -> tuple[np.ndarray, np.ndarray, np.n
 def _base_gram(inputs: np.ndarray, params: KernelParams,
                previous: "TwoTaskFactor | None") -> np.ndarray:
     """The squared-exponential Gram of ``inputs``, grown from ``previous``'s where it applies."""
-    n, m = inputs.shape[0], 0 if previous is None else previous.n
+    n, m = inputs.shape[0], 0 if previous is None else previous.dataset.n
     if not (previous is not None and previous.params == params and m <= n
             and np.array_equal(previous.dataset.inputs, inputs[:m])):
         return kernels.se_kernel_matrix(inputs, inputs, params)
@@ -133,25 +133,25 @@ def _base_gram(inputs: np.ndarray, params: KernelParams,
 class TwoTaskFactor:
     """Per-task factors of the two-task Gram pencil (A, B) and the thin SVD of its cross block.
 
-    ``tasks`` holds the single-task fits of each task's rows, whose factors
-    are L1 and L2, and ``inverses`` their inverses; ``rows`` the dataset rows
-    of each task.  ``base`` is the squared-exponential Gram matrix of all
-    rows, which :meth:`build` forms or grows and :meth:`nu`'s block products
-    read, and ``check`` the joint Cholesky fit at Sigma(``CHECK_R``) it checks
-    itself against.  :func:`samsbo.bounds.robust_model` builds it with :meth:`build`.
+    It stores only what costs more than O(n p) to recompute or what the next
+    refresh grows.  ``tasks`` holds the single-task fits of each task's rows,
+    whose factors are L1 and L2, and ``inverses`` their inverses (two O(n^3)
+    ``dtrtri``).  ``base`` is the squared-exponential Gram matrix of all rows,
+    which :meth:`build` forms or grows and :meth:`nu`'s block products read,
+    and ``check`` the joint Cholesky fit at Sigma(``CHECK_R``) it checks itself
+    against.  Each task's rows (the mask ``dataset.tasks == 2``), log det A and
+    (a, b) are formed where they are read.  :func:`samsbo.bounds.robust_model`
+    builds it with :meth:`build`.
     """
 
     dataset: gp.MultiTaskDataset
     params: KernelParams
     base: np.ndarray
-    rows: tuple[np.ndarray, np.ndarray]         # row indices of each task
     tasks: tuple[gp.Posterior, gp.Posterior]
     inverses: tuple[np.ndarray, np.ndarray]     # L1^-1 and L2^-1
     left: np.ndarray                            # U, n1 x p
     right: np.ndarray                           # V, n2 x p
     singular: np.ndarray                        # s
-    projected: tuple[np.ndarray, np.ndarray]    # a = U' w1, b = V' w2
-    log_det_a: float
     check: gp.Posterior                         # the joint fit at Sigma(CHECK_R)
 
     @classmethod
@@ -193,43 +193,38 @@ class TwoTaskFactor:
         cross = inverses[0] @ base_gram[np.ix_(*rows)] @ inverses[1].T  # M = L1^-1 K12 L2^-T
         left, singular, right = np.linalg.svd(cross, full_matrices=False)
         right = right.T
-        log_diag = sum(float(np.sum(np.log(np.diag(fit.chol)))) for fit in fits)
         check = gp.fit(dataset, CorrelationMatrix.two_task(CHECK_R), params, base_gram=base_gram,
                        previous=None if previous is None else previous.check)
-        factor = cls(
-            dataset=dataset, params=params, base=base_gram, rows=rows,
-            tasks=(one, two), inverses=inverses, left=left, right=right, singular=singular,
-            projected=(left.T @ one.whitened_obs, right.T @ two.whitened_obs),
-            log_det_a=2.0 * log_diag, check=check,
-        )
+        factor = cls(dataset=dataset, params=params, base=base_gram, tasks=(one, two),
+                     inverses=inverses, left=left, right=right, singular=singular, check=check)
         exact, fast = gp.log_marginal_likelihood(check), factor.log_likelihood(CHECK_R)
         if abs(fast - exact) > CROSS_CHECK_RTOL * max(abs(exact), 1.0):
             raise gp.NumericalError(f"factorized log likelihood {fast!r} differs from the "
                                     f"Cholesky value {exact!r} at r = {CHECK_R}")
         return factor
 
-    @property
-    def n(self) -> int:
-        return self.dataset.n
+    def _projected(self) -> tuple[np.ndarray, np.ndarray]:
+        """a = U' w1 and b = V' w2, O(n p)."""
+        one, two = self.tasks
+        return self.left.T @ one.whitened_obs, self.right.T @ two.whitened_obs
 
     def log_likelihood(self, r):
-        """Log marginal likelihood at Sigma(r), O(p) per r; an array of r gives an array."""
+        """Log marginal likelihood at Sigma(r), O(n p) and O(p) per r; an array of r gives one."""
         rs = np.asarray(r, dtype=float)
         c1, c2, det = _coefficients(self.singular, rs)
-        a, b = self.projected
+        a, b = self._projected()
         whitened = sum(float(fit.whitened_obs @ fit.whitened_obs) for fit in self.tasks)
+        log_det_a = 2.0 * sum(float(np.sum(np.log(np.diag(fit.chol)))) for fit in self.tasks)
         quadratic = whitened + c1 @ (a * a + b * b) + c2 @ (2.0 * a * b)
-        value = (-0.5 * quadratic - 0.5 * (self.log_det_a + np.sum(np.log(det), axis=-1))
-                 - 0.5 * self.n * math.log(2.0 * math.pi))
+        value = (-0.5 * quadratic - 0.5 * (log_det_a + np.sum(np.log(det), axis=-1))
+                 - 0.5 * self.dataset.n * math.log(2.0 * math.pi))
         return float(value) if rs.ndim == 0 else value
 
     def posterior(self, sigma_prime: CorrelationMatrix) -> "TwoTaskPosterior":
         """The GP posterior at ``sigma_prime``, which must be 2x2, without a joint factor."""
         c1, c2, _ = _coefficients(self.singular, float(sigma_prime.matrix[0, 1]))
-        a, b = self.projected
         return TwoTaskPosterior(self.dataset, sigma_prime, self.params, None, gp.JITTER_START,
-                                None, factor=self, shifts=(c1 * a + c2 * b, c2 * a + c1 * b),
-                                coefficients=(c1, c2))
+                                None, factor=self, coefficients=(c1, c2))
 
     def _solve_whitened(self, top: np.ndarray, bottom: np.ndarray, c1: np.ndarray,
                         c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,9 +251,10 @@ class TwoTaskFactor:
                                       c1, c2)
         first = (l1.T @ t1, l2.T @ t2)                                  # P^-1 y
         t1, t2 = self._solve_whitened(l1 @ first[0], l2 @ first[1], c1, c2)
-        out = np.empty((self.n, rs.size))
-        out[self.rows[0]] = first[0] + shift * (l1.T @ t1)
-        out[self.rows[1]] = first[1] + shift * (l2.T @ t2)
+        second = self.dataset.tasks == 2
+        out = np.empty((self.dataset.n, rs.size))
+        out[~second] = first[0] + shift * (l1.T @ t1)
+        out[second] = first[1] + shift * (l2.T @ t2)
         return out
 
     def _blocks(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,15 +301,14 @@ class TwoTaskPosterior(gp.Posterior):
 
     It has no joint factor: ``chol`` and ``whitened_obs`` are None.  With
     t = (I + r' C)^-1 w, a mean is q' t for q = L_A^-1 k; each task's part is
-    t_z = w_z + U_z shift_z (U_1 = U, U_2 = V), and ``shifts`` holds
-    shift_1 = c1 a + c2 b and shift_2 = c2 a + c1 b.  ``coefficients`` are c1
-    and c2 at r'.  For each point array the grid cache holds the fits'
+    t_z = w_z + U_z shift_z (U_1 = U, U_2 = V), with shift_1 = c1 a + c2 b
+    and shift_2 = c2 a + c1 b formed once per grid fill.  ``coefficients``
+    are c1 and c2 at r'.  For each point array the grid cache holds the fits'
     entries, the column sums the variances read, which take the projections
     U' W1 and V' W2, and the mean parts W1' t1 and W2' t2 (see the module notes).
     """
 
     factor: TwoTaskFactor
-    shifts: tuple[np.ndarray, np.ndarray]
     coefficients: tuple[np.ndarray, np.ndarray]
 
     def _grids(self, points: np.ndarray) -> tuple:
@@ -333,7 +328,8 @@ class TwoTaskPosterior(gp.Posterior):
         c1, c2 = self.coefficients
         p1, p2 = self.factor.left.T @ e1.whitened, self.factor.right.T @ e2.whitened
         m1, m2 = (entry.mean_of(fit.whitened_obs) for entry, fit in zip((e1, e2), fits))
-        s1, s2 = self.shifts
+        a, b = self.factor._projected()
+        s1, s2 = c1 * a + c2 * b, c2 * a + c1 * b
         grids = (e1, e2, e1.sumsq + c1 @ (p1 * p1), e2.sumsq + c1 @ (p2 * p2), c2 @ (p1 * p2),
                  m1 + p1.T @ s1, m2 + p2.T @ s2)
         self._grid[:] = [grids]

@@ -36,10 +36,10 @@ function from the corresponding multi-task GP, runs the optimization loop's
 own model refresh, :func:`samsbo.bounds.robust_model`, on the noisy
 observations, and checks the robust band the same way.  The ICM prior
 covariance of the function on the G-point grid is the Kronecker product
-Sigma (x) K, so the grid kernel is factored once per process,
-L_K = chol(K + eps I) with eps = ``gp.JITTER_START`` times the signal
-variance (:func:`_draw_factor`), and each trial draws (L_Sigma (x) L_K) xi:
-no 2G x 2G matrix is formed.
+Sigma (x) K, so the grid kernel is factored once per process by the fits' own
+``gp._chol_with_jitter`` (:func:`_draw_factor`), L_K = chol(K + eps I) with eps
+= ``gp.JITTER_START`` times the signal variance at its first attempt, and each
+trial draws (L_Sigma (x) L_K) xi: no 2G x 2G matrix is formed.
 
 Both suites check the band on the read-only ``make_grid(1, GRID_SIZE).points``,
 so the posterior's grid cache applies and the two tasks of one posterior
@@ -103,15 +103,13 @@ def _expansion_values(grid: np.ndarray, centers: np.ndarray, center_tasks: np.nd
 def _draw_factor() -> tuple[np.ndarray, np.ndarray]:
     """The read-only points of ``make_grid(1, GRID_SIZE)`` and L_K on them.
 
-    L_K = chol(K + eps I) of the grid kernel under ``kernel_params(1)``, with
-    eps = ``gp.JITTER_START`` times its signal variance.  The grid size, the
-    kernel parameters and the jitter are constants, so a process factors the
-    grid once.
+    L_K factors the grid kernel under ``kernel_params(1)`` as every fit does (see
+    the module notes).  The grid size and the kernel parameters are constants,
+    so a process factors the grid once.
     """
     grid = make_grid(1, GRID_SIZE).points
     params = kernel_params(1)
-    chol = np.linalg.cholesky(se_kernel_matrix(grid, grid, params)
-                              + gp.JITTER_START * params.signal_variance * np.eye(GRID_SIZE))
+    chol, _ = gp._chol_with_jitter(se_kernel_matrix(grid, grid, params), params.signal_variance)
     chol.setflags(write=False)
     return grid, chol
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 
@@ -8,8 +9,13 @@ from scipy.optimize import minimize
 import samsbo
 from samsbo import benchmarks
 from samsbo.benchmarks import (
+    BRANIN_DOMAIN,
     LASER_BOX,
     LASER_SAFE_SEED,
+    LASER_THRESHOLD,
+    NOISE_MULTIPLIER,
+    POWELL_DOMAIN,
+    LaserChainProblem,
     StabilityError,
     branin,
     branin_problem,
@@ -352,6 +358,30 @@ class TestProblemInterface:
         b = branin_problem(disturbance_seed=2)
         assert not np.allclose(a.shift(2), b.shift(2))
         assert np.allclose(a.shift(1), 0.0)
+
+    def test_laser_threshold_and_noise_are_class_constants(self):
+        p = laser_problem(disturbance_seed=1)
+        assert p.threshold == LaserChainProblem.threshold == LASER_THRESHOLD
+        assert p.noise_sd == LaserChainProblem.noise_sd == NOISE_MULTIPLIER * LASER_THRESHOLD
+        assert [f.name for f in dataclasses.fields(LaserChainProblem)] == [
+            "disturbance", "n_tasks", "signs"]
+
+    @pytest.mark.parametrize("problem, base, domain", [
+        (branin_problem(), branin, BRANIN_DOMAIN),
+        (powell_problem(), powell, np.tile(np.array(POWELL_DOMAIN), (4, 1))),
+        (powell_problem(dimension=8), powell, np.tile(np.array(POWELL_DOMAIN), (8, 1))),
+    ])
+    def test_synthetic_noise_follows_base_and_domain(self, problem, base, domain):
+        assert "noise_sd" not in [f.name for f in dataclasses.fields(problem)]
+        assert problem.noise_sd == NOISE_MULTIPLIER * benchmarks._output_scale(base, domain)
+
+    def test_replaced_domain_recomputes_the_noise(self):
+        p = powell_problem()
+        old = p.noise_sd
+        domain = np.tile(np.array([-2.0, 3.0]), (4, 1))
+        q = dataclasses.replace(p, domain=domain)
+        assert p.noise_sd == old
+        assert q.noise_sd == NOISE_MULTIPLIER * benchmarks._output_scale(powell, domain) != old
 
 
 def test_module_arrays_are_read_only():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from samsbo import benchmarks, bounds, cli, hyperposterior, safeopt, verify
+from samsbo import benchmarks, bounds, cli, hyperposterior, safeopt, twotask, verify
 from samsbo.cli import (
     AGGREGATE_HEADER,
     PLOTDATA_HEADER,
@@ -291,10 +291,13 @@ class TestCompareFixedSeed:
         probe = json.loads(run.stdout)
         counts = [(cls.__name__, len(fields(cls))) for cls in (
             benchmarks.SyntheticProblem, benchmarks.LaserChainProblem, safeopt.OptimizationState,
-            bounds.ScalingBundle, bounds.RobustModel, hyperposterior.EmpiricalHyperPosterior)]
+            bounds.ScalingBundle, bounds.RobustModel, hyperposterior.EmpiricalHyperPosterior,
+            twotask.TwoTaskFactor, twotask.TwoTaskPosterior)]
         assert probe["problems"] == ", ".join(f"{name} {n}" for name, n in counts)
-        assert counts[2:] == [("OptimizationState", 8), ("ScalingBundle", 4), ("RobustModel", 3),
-                              ("EmpiricalHyperPosterior", 4)]
+        assert counts == [("SyntheticProblem", 6), ("LaserChainProblem", 3),
+                          ("OptimizationState", 8), ("ScalingBundle", 4), ("RobustModel", 3),
+                          ("EmpiricalHyperPosterior", 4), ("TwoTaskFactor", 9),
+                          ("TwoTaskPosterior", 9)]
         # the scipy modules by name: the two compiled ones, without the scipy package
         assert re.fullmatch(r"\d+ modules, scipy modules scipy\.linalg\._flapack, "
                             r"scipy\.spatial\._distance_pybind, (VmHWM|ru_maxrss) \d+\.\d MB",

@@ -232,26 +232,26 @@ class TestAcquireSupplementary:
     def test_empty_data_picks_lowest_index_of_max_prior_variance(self):
         ds = empty_dataset(1)
         sigma = CorrelationMatrix.two_task(0.5)
-        state = make_state(ds, sigma)
         grid = make_grid(1, size=8)
-        picks = acquire_supplementary(state, 1, grid, n_tasks=2)
+        state = make_state(ds, sigma, grid=grid)
+        picks = acquire_supplementary(state, 1)
         assert len(picks) == 1
         assert np.allclose(picks[0][0], grid.points[0])
         assert picks[0][1] == 2
 
-    @pytest.mark.parametrize("n_tasks", [0, 1])
-    def test_refuses_a_problem_without_supplementary_tasks(self, n_tasks):
+    def test_refuses_a_model_without_supplementary_tasks(self):
         # the loop evaluates the picks without a safety check, so none may be main-task
-        state = make_state(empty_dataset(1), CorrelationMatrix.identity(1))
-        with pytest.raises(ValueError, match="n_tasks >= 2"):
-            acquire_supplementary(state, 2, make_grid(1, size=8), n_tasks=n_tasks)
+        state = make_state(empty_dataset(1), CorrelationMatrix.identity(1),
+                           grid=make_grid(1, size=8))
+        with pytest.raises(ValueError, match="2 or more tasks, got 1"):
+            acquire_supplementary(state, 2)
 
     def test_second_pick_differs(self):
         ds = empty_dataset(1)
         sigma = CorrelationMatrix.two_task(0.5)
-        state = make_state(ds, sigma)
         grid = make_grid(1, size=16)
-        picks = acquire_supplementary(state, 2, grid, n_tasks=2)
+        state = make_state(ds, sigma, grid=grid)
+        picks = acquire_supplementary(state, 2)
         assert not np.allclose(picks[0][0], picks[1][0])
 
     def test_matches_brute_force_greedy(self):
@@ -259,9 +259,9 @@ class TestAcquireSupplementary:
         sigma = CorrelationMatrix.two_task(0.6)
         ds = gp.MultiTaskDataset(rng.random((4, 1)), rng.integers(1, 3, 4),
                                  rng.standard_normal(4))
-        state = make_state(ds, sigma)
         grid = CandidateGrid(np.linspace(0, 1, 10).reshape(-1, 1))
-        picks = acquire_supplementary(state, 3, grid, n_tasks=2)
+        state = make_state(ds, sigma, grid=grid)
+        picks = acquire_supplementary(state, 3)
 
         # brute force: at each stage evaluate every candidate's variance from
         # a dense-inverse posterior conditioned on previous fantasy picks
@@ -335,7 +335,7 @@ class TestStepComposition:
         # scripted equivalent: supplementary batch, evaluations, refresh, safe
         # set, main acquisition, in the same order with the same rng stream
         grid = state_b.grid
-        picks = acquire_supplementary(state_b, SUPPLEMENTARY_PER_INPUT * 2, grid, 2)
+        picks = acquire_supplementary(state_b, SUPPLEMENTARY_PER_INPUT * 2)
         new = [(state_b.transforms.denormalize(x), z) for x, z in picks]
         ys = [problem.evaluate(z, x, rng_b) for x, z in new]
         state_b.dataset = state_b.dataset.extended(
