@@ -239,10 +239,13 @@ class TestAcquireSupplementary:
         assert np.allclose(picks[0][0], grid.points[0])
         assert picks[0][1] == 2
 
-    def test_refuses_a_model_without_supplementary_tasks(self):
-        # the loop evaluates the picks without a safety check, so none may be main-task
-        state = make_state(empty_dataset(1), CorrelationMatrix.identity(1),
-                           grid=make_grid(1, size=8))
+    @pytest.mark.parametrize("n_obs", [0, 1])
+    def test_refuses_a_problem_without_supplementary_tasks(self, n_obs):
+        # the loop evaluates the picks without a safety check, so none may be main-task;
+        # the refusal reads the model's task count, with or without main-task data
+        ds = gp.MultiTaskDataset(np.full((n_obs, 1), 0.5), np.ones(n_obs, dtype=int),
+                                 np.zeros(n_obs))
+        state = make_state(ds, CorrelationMatrix.identity(1), grid=make_grid(1, size=8))
         with pytest.raises(ValueError, match="2 or more tasks, got 1"):
             acquire_supplementary(state, 2)
 
