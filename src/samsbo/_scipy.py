@@ -1,7 +1,7 @@
 """The compiled scipy modules the package calls, without any of scipy's package inits.
 
-samsbo calls four LAPACK routines (``dtrtri``, ``dtrtrs``, ``dgees``,
-``dtrsyl``) and one distance kernel (``cdist_sqeuclidean``).  Importing them
+samsbo calls six LAPACK routines (``dtrtri``, ``dtrtrs``, ``dpotrf``,
+``dpotrs``, ``dgees``, ``dtrsyl``) and ``cdist_sqeuclidean``.  Importing them
 the usual way runs ``scipy/linalg/__init__.py`` and
 ``scipy/spatial/__init__.py``, which pull in ``scipy.sparse``, qhull, the
 kd-trees and scipy's array-API layer (which itself loads ``numpy.f2py``,

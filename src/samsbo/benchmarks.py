@@ -25,10 +25,10 @@ protocol's disturbance factor and task count, are the defaults of the factories
 and of ``config.ExperimentConfig``.  ``BRANIN_DOMAIN`` and ``POWELL_DOMAIN`` are
 the functions' standard boxes.  Each synthetic factory gives its problem the
 safety threshold ``*_THRESHOLD``.  The thresholds and the laser chain's
-``LASER_*`` plant, filters, gain box, output scale and known-safe gains
-``LASER_SAFE_SEED`` are chosen in this package, the scale so that those gains
-land well below the threshold while a sizable part of ``LASER_BOX`` is unstable
-or above it.  The module's arrays and the problems' domains are read-only,
+``LASER_*`` plant, filters, gain box and output scale are chosen in this
+package, the scale so that the gains kp = 2, ki = 1 on every subsystem land
+well below the threshold while a sizable part of ``LASER_BOX`` is unstable or
+above it.  The module's arrays and the problems' domains are read-only,
 because problems share them.
 """
 from __future__ import annotations
@@ -81,7 +81,6 @@ LASER_ZETA = 0.7                                                     # plant dam
 LASER_FILTER_POLES = _read_only(np.concatenate([[0.2], 0.3 + 0.05 * np.arange(LASER_SUBSYSTEMS)]))
 LASER_BOX = _read_only(np.repeat([[0.05, 6.0], [0.05, 8.0]], LASER_SUBSYSTEMS, axis=0))
 LASER_OUTPUT_SCALE = 10.0
-LASER_SAFE_SEED = _read_only(np.repeat([2.0, 1.0], LASER_SUBSYSTEMS))
 
 
 class StabilityError(RuntimeError):

@@ -35,12 +35,10 @@ no n x n system besides the cross-check, and that one only without a previous
 factor (the coverage suite's trials).  One task and three or more fit at
 sigma-prime with :func:`samsbo.gp.fit`, which forms its own Gram.
 
-The general path imports ``scipy.linalg`` on first use, for ``solve`` in the
-spectral ratio and ``cho_factor``/``cho_solve`` in nu.  Only sets of 3x3 or
-larger members reach it, so a run at one or two tasks (the default is two)
-never executes the package init of ``scipy.linalg`` (see
-:mod:`samsbo._scipy`).  The batched ``solve`` that scipy uses for
-``assume_a="pos"`` has no single LAPACK routine to call instead.
+The general path solves through :func:`samsbo.gp.solve_positive`, bit-identical
+to scipy's solves.  Its minimax factors each of the k unique members once and
+solves it against all k side by side (u x k*u), so one batched 2-norm gives
+that candidate's worst ratio: k factorizations, not k^2 solves.
 """
 from __future__ import annotations
 
@@ -131,23 +129,16 @@ def _check_size(sigma_prime: CorrelationMatrix, confidence_set: ConfidenceSet) -
         raise ValueError(f"sigma-prime is {u}x{u} but the set's members are {size}x{size}")
 
 
-def _spectral_ratio(sigma_prime: CorrelationMatrix, sigma: CorrelationMatrix) -> float:
-    """|S'^-1 S|_2, the largest variance ratio of the two kernels."""
-    from scipy.linalg import solve      # u >= 3 only (see the module notes)
-
-    return float(np.linalg.norm(solve(sigma_prime.matrix, sigma.matrix, assume_a="pos"), 2))
-
-
 def select_sigma_prime(confidence_set: ConfidenceSet) -> tuple[CorrelationMatrix, float]:
     """Member S' minimizing the worst spectral ratio, and gamma = sqrt(max_S |S'^-1 S|_2).
 
     2x2 members share eigenvectors, so their ratios reduce to scalar arithmetic
     on the off-diagonals, and only the chosen member is built
     (:meth:`~samsbo.hyperposterior.ConfidenceSet.member`); the general path
-    decomposes each pair of unique members.  A set of one matrix gives gamma
-    exactly 1, for 2x2 members as the minimax's value at equal r.  Ties
-    resolve toward the highest recorded posterior density, which is the
-    set's ordering.
+    factors each unique member once (see the module notes).  A set of one
+    matrix gives gamma exactly 1, for 2x2 members as the minimax's value at
+    equal r.  Ties resolve toward the highest recorded posterior density,
+    which is the set's ordering.
     """
     rs = confidence_set.offdiagonals
     if rs is not None:
@@ -157,9 +148,11 @@ def select_sigma_prime(confidence_set: ConfidenceSet) -> tuple[CorrelationMatrix
     if len(set(members)) == 1:
         return members[0], 1.0
     unique = list(dict.fromkeys(members))
+    stacked = np.stack([member.matrix for member in unique], axis=1)     # u x k x u
     best, best_val = unique[0], np.inf
     for candidate in unique:
-        worst = max(_spectral_ratio(candidate, other) for other in unique)
+        solved = gp.solve_positive(candidate.matrix, stacked.reshape(len(stacked), -1), lower=0)
+        worst = float(np.max(np.linalg.norm(solved.reshape(stacked.shape), 2, axis=(0, 2))))
         if worst < best_val - 1e-15:
             best, best_val = candidate, worst
     return best, math.sqrt(best_val)
@@ -195,8 +188,6 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
         return factor.nu(r_prime, ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])])
     if set(confidence_set.members) == {sigma_prime}:
         return 0.0
-    from scipy.linalg import cho_factor, cho_solve      # u >= 3 only (see the module notes)
-
     base = se_kernel_matrix(dataset.inputs, dataset.inputs, params)
     zi = dataset.tasks - 1
     y = dataset.observations
@@ -207,8 +198,7 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
         return task_matrix[np.ix_(zi, zi)] * base
 
     g_prime = scaled(sigma_prime.matrix)
-    factor_prime = cho_factor(g_prime + sn2 * eye, lower=True)
-    alpha_prime = cho_solve(factor_prime, y)
+    alpha_prime = gp.solve_positive(g_prime + sn2 * eye, y, lower=1)
     prime_inv = np.linalg.inv(sigma_prime.matrix)
     head = float(alpha_prime @ g_prime @ alpha_prime)
 
@@ -216,7 +206,7 @@ def nu_factor(dataset: gp.MultiTaskDataset, sigma_prime: CorrelationMatrix,
     for member in dict.fromkeys(confidence_set.members):
         s = member.matrix
         g_s = scaled(s)
-        alpha = cho_solve(cho_factor(g_s + sn2 * eye, lower=True), y)
+        alpha = gp.solve_positive(g_s + sn2 * eye, y, lower=1)
         cross = scaled(s @ prime_inv @ s)
         term1 = head - 2.0 * float(alpha_prime @ g_s @ alpha) + float(alpha @ cross @ alpha)
         term2 = sn2 * float(np.sum((alpha - alpha_prime) ** 2))

@@ -100,15 +100,16 @@ task, three or more tasks, the frequentist coverage suite, the per-task fits
 of a two-task factor and that factor's Cholesky cross-check; no two-task
 model refresh factors the joint n x n system at sigma-prime.
 
-Triangular solves.  The whitened observations and the growth's L21' call
-LAPACK ``dtrtrs`` directly with the arguments ``scipy.linalg.solve_triangular``
-would pass, so they are bit-identical to it without its wrapper or its
-finiteness scan of both operands.  ``dtrtrs`` and ``dtrtri`` come from scipy's
-compiled ``_flapack`` module, loaded without the package init of
-``scipy.linalg`` (:mod:`samsbo._scipy`); they are the objects
-``scipy.linalg.lapack`` exports.  Non-finite values are refused where they
-enter instead: a dataset holds finite inputs and observations, and a factor
-whose diagonal is not finite is refused where it is made.
+LAPACK.  The whitened observations and the growth's L21' call ``dtrtrs`` as
+``scipy.linalg.solve_triangular`` would, and :func:`solve_positive` calls
+``dpotrf`` and ``dpotrs`` as ``solve(assume_a="pos")`` (``lower=0``) or
+``cho_solve(cho_factor(lower=True))`` (``lower=1``) would: bit-identical,
+without their finiteness scans.  These and ``dtrtri`` are the objects
+``scipy.linalg.lapack`` exports, loaded without its package init
+(:mod:`samsbo._scipy`).  Non-finite values are refused where they enter: a
+dataset holds finite inputs and observations, and a factor whose diagonal is
+not finite is refused where it is made.  A fresh fit adds the noise and the
+jitter to its Gram's diagonal in place.
 
 Logging.  :func:`clamp_variances` warns, on the logger ``samsbo.gp``, when a
 variance lies below ``VARIANCE_WARN``; that warning is the package's only log
@@ -142,7 +143,7 @@ __all__ = [
 ]
 
 _flapack = extension("linalg", "_flapack")
-dtrtri, dtrtrs = _flapack.dtrtri, _flapack.dtrtrs     # those of scipy.linalg.lapack
+dtrtri, dtrtrs, dpotrf, dpotrs = _flapack.dtrtri, _flapack.dtrtrs, _flapack.dpotrf, _flapack.dpotrs
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
@@ -209,21 +210,21 @@ def _finite_factor(chol: np.ndarray) -> bool:
 
 
 def _chol_with_jitter(system: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
-    """Cholesky factor of ``system``; escalating diagonal jitter on failure."""
-    n = system.shape[0]
+    """Cholesky factor of ``system``, consumed by jitter added in place; escalating on failure."""
+    unshifted = system.diagonal().copy()
     jitter = JITTER_START
     while jitter <= JITTER_MAX * 1.001:
+        np.fill_diagonal(system, unshifted + jitter * scale)
         try:
-            chol = np.linalg.cholesky(system + jitter * scale * np.eye(n))
+            chol = np.linalg.cholesky(system)
         except np.linalg.LinAlgError:
             jitter *= 10.0
             continue
         if not _finite_factor(chol):
             raise NumericalError("system matrix has non-finite entries")
         return chol, jitter
-    raise NumericalError(
-        f"system matrix not positive definite after jitter up to {JITTER_MAX:g} * signal_variance"
-    )
+    raise NumericalError(f"system matrix not positive definite after jitter up to "
+                         f"{JITTER_MAX:g} * signal_variance")
 
 
 def inverse_factor(chol: np.ndarray) -> np.ndarray:
@@ -234,6 +235,15 @@ def inverse_factor(chol: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericalError(f"triangular factor is singular (dtrtri info {info})")
     return inverse
+
+
+def solve_positive(system: np.ndarray, rhs: np.ndarray, lower: int) -> np.ndarray:
+    """system^-1 rhs, positive definite, as scipy solves it (module notes); empty gives rhs."""
+    chol, info = dpotrf(system, lower=lower, clean=0)
+    solution, info = dpotrs(chol, rhs, lower=lower) if info == 0 and system.size else (rhs, info)
+    if info != 0:
+        raise NumericalError(f"system not positive definite (dpotrf/dpotrs info {info})")
+    return solution
 
 
 def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -545,7 +555,8 @@ def fit(dataset: MultiTaskDataset, sigma: CorrelationMatrix, params: KernelParam
     L = None if previous is None else _extended_factor(previous, dataset, sigma, params,
                                                        base_gram)
     if L is None:
-        system = gram(dataset, sigma, params, base_gram) + params.noise_variance * np.eye(dataset.n)
+        system = gram(dataset, sigma, params, base_gram)
+        system.flat[::dataset.n + 1] += params.noise_variance
         L, jitter = _chol_with_jitter(system, params.signal_variance)
         grid = []
     else:

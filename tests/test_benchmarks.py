@@ -11,7 +11,7 @@ from samsbo import benchmarks
 from samsbo.benchmarks import (
     BRANIN_DOMAIN,
     LASER_BOX,
-    LASER_SAFE_SEED,
+    LASER_SUBSYSTEMS,
     LASER_THRESHOLD,
     NOISE_MULTIPLIER,
     POWELL_DOMAIN,
@@ -27,6 +27,10 @@ from samsbo.benchmarks import (
 )
 
 from oracles import closed_loop_reference, h2_cost_reference, lyapunov_solve
+
+# known-safe gains kp = 2, ki = 1 on every subsystem, read-only as the package's arrays
+LASER_SAFE_SEED = np.repeat([2.0, 1.0], LASER_SUBSYSTEMS)
+LASER_SAFE_SEED.setflags(write=False)
 
 
 class TestPowell:

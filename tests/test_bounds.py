@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from samsbo import bounds, gp, hyperposterior, kernels, twotask
 from samsbo.bounds import (
@@ -30,6 +29,7 @@ from oracles import (
     stage_factor,
 )
 from test_kernels import random_correlation
+from test_twotask import cholesky_nu
 
 PARAMS = KernelParams(1.0, [0.3], noise_variance=0.05)
 
@@ -150,15 +150,19 @@ def minimax_sets(kind):
     if kind == "near-unit 2x2":     # a valid diagonal off 1 still takes the closed form
         return [[CorrelationMatrix(np.array([[1.0 + 1e-10, r], [r, 1.0]]))
                  for r in (0.1, 0.35, 0.6, 0.85)]]
-    if kind == "3x3":
-        return [[random_correlation(3, rng) for _ in range(k)] for k in (2, 4, 6)]
+    if kind == "3x3":       # and larger: u = 3, 4, 5, repeats, and one set of 170 members
+        sets = [[random_correlation(u, rng) for _ in range(k)] for u in (3, 4, 5) for k in (2, 6)]
+        repeated = [random_correlation(4, rng) for _ in range(3)]
+        equal = CorrelationMatrix(repeated[1].matrix.copy())        # another object, same key
+        sets.append(repeated + [repeated[0], equal, repeated[2], repeated[0]])
+        return sets + [[random_correlation(3, rng) for _ in range(170)]]
     return [[sp] * copies for sp in (CorrelationMatrix.identity(1),
                                      CorrelationMatrix.two_task(0.4),
                                      random_correlation(3, rng)) for copies in (1, 3)]
 
 
 def no_solve(*args, **kwargs):
-    raise AssertionError("gamma decomposed a member equal to sigma-prime")
+    raise AssertionError("gamma solved against a member equal to sigma-prime")
 
 
 class TestGammaFactor:
@@ -167,7 +171,7 @@ class TestGammaFactor:
     @pytest.mark.parametrize("kind", ["2x2", "near-unit 2x2", "3x3", "single"])
     def test_gamma_is_the_minimax_value(self, kind, monkeypatch):
         if kind == "single":
-            monkeypatch.setattr(scipy.linalg, "solve", no_solve)
+            monkeypatch.setattr(gp, "solve_positive", no_solve)
         for members in minimax_sets(kind):
             sp, gamma = select_sigma_prime(make_set(members))
             assert any(member is sp for member in members)
@@ -183,7 +187,7 @@ class TestGammaFactor:
 
     @pytest.mark.parametrize("copies", [1, 3])
     def test_every_member_sigma_prime_is_exactly_one(self, copies, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "solve", no_solve)
+        monkeypatch.setattr(gp, "solve_positive", no_solve)
         rng = np.random.default_rng(3)
         for sp in (CorrelationMatrix.identity(1), CorrelationMatrix.two_task(0.4),
                    random_correlation(3, rng)):
@@ -192,20 +196,28 @@ class TestGammaFactor:
     def test_one_distinct_member_takes_the_general_path(self, monkeypatch):
         rng = np.random.default_rng(6)
         first, member = random_correlation(3, rng), random_correlation(3, rng)
-        solves = []
-        real = scipy.linalg.solve
+        factored, solved = [], []
+        real_factor, real_solve = gp.dpotrf, gp.dpotrs
 
-        def recording(a, b, **kwargs):
-            solves.append(a.shape)
-            return real(a, b, **kwargs)
+        def factoring(a, **kwargs):
+            factored.append(a.copy())
+            return real_factor(a, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve", recording)
+        def solving(c, b, **kwargs):
+            solved.append(b.copy())
+            return real_solve(c, b, **kwargs)
+
+        monkeypatch.setattr(gp, "dpotrf", factoring)
+        monkeypatch.setattr(gp, "dpotrs", solving)
         members = [first, member, member]
         sp, gamma = select_sigma_prime(make_set(members))
         expected = min(np.sqrt(max(np.linalg.norm(np.linalg.solve(c.matrix, m.matrix), 2)
                                    for m in members)) for c in members)
         assert gamma == pytest.approx(expected, abs=1e-12)
-        assert solves == [(3, 3)] * 4               # each ordered pair of unique members once
+        # each unique member factored once, and solved against both unique members at once
+        assert [a.tolist() for a in factored] == [first.matrix.tolist(), member.matrix.tolist()]
+        both = np.hstack([first.matrix, member.matrix])
+        assert len(solved) == 2 and all(np.array_equal(b, both) for b in solved)
         two = CorrelationMatrix.two_task(0.5)
         sp, gamma = select_sigma_prime(make_set([CorrelationMatrix.identity(2), two, two]))
         assert sp.key() == CorrelationMatrix.identity(2).key()
@@ -318,6 +330,16 @@ class TestNuFactor:
                            factor=stage_factor(ds, u, PARAMS))
             term2 = sn2 * float(np.sum((a_s - a_p) ** 2))
             assert nu ** 2 == pytest.approx(max(oracle_term1, 0.0) + term2, abs=1e-6)
+
+    def test_general_path_is_the_cholesky_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        ds = task_dataset(rng, n=14, d=2, u=3)
+        members = [random_correlation(3, rng) for _ in range(4)]
+        members += [members[1], CorrelationMatrix(members[2].matrix.copy())]
+        params = KernelParams(1.0, [0.3, 0.4], noise_variance=0.05)
+        for sp in (members[0], members[3], random_correlation(3, rng)):
+            nu = nu_factor(ds, sp, make_set(members), params, factor=None)
+            assert nu > 0.0 and nu == cholesky_nu(ds, sp, members, params)
 
     @pytest.mark.parametrize("u", [2, 3])
     def test_mean_difference_bounded_by_nu_times_std(self, u):
@@ -491,8 +513,7 @@ class TestRobustModel:
         def general_path(*args, **kwargs):
             raise AssertionError("a two-task refresh reached the general path")
 
-        monkeypatch.setattr(scipy.linalg, "solve", general_path)
-        monkeypatch.setattr(scipy.linalg, "cho_factor", general_path)
+        monkeypatch.setattr(gp, "solve_positive", general_path)
         model = robust_model(ds, 2, 0.1, 0.15, self.CARDINALITY, PARAMS, 0.05)
         cs, bundle = model.confidence_set, model.bundle
         assert len(cs) > 1 and bundle.nu > 0.0 and bundle.gamma > 1.0

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import solve_triangular
 
 from samsbo import gp, kernels
@@ -531,6 +532,21 @@ class TestJitter:
         y = np.sin(3.0 * X[:, 0]) + X[:, 1]
         return MultiTaskDataset(X, np.ones(n, int), y), base
 
+    def test_escalation_shifts_the_consumed_system_in_place(self):
+        """Two attempts fail; the factor is that of a shifted copy, bit for bit, and the
+        system it consumed holds the shift of the last attempt on its diagonal alone."""
+        _, base = self.case(twin=1)
+        n, scale = base.shape[0], 0.5
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(base + gp.JITTER_START * scale * np.eye(n))
+        system = base.copy()
+        chol, jitter = gp._chol_with_jitter(system, scale)
+        assert jitter == pytest.approx(100.0 * gp.JITTER_START)
+        assert np.array_equal(chol, np.linalg.cholesky(base + jitter * scale * np.eye(n)))
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(system[off], base[off])
+        assert np.array_equal(system.diagonal(), base.diagonal() + jitter * scale)
+
     def test_extension_reuses_escalated_jitter(self):
         dataset, base = self.case(twin=1)
         m = 8
@@ -850,6 +866,31 @@ class TestSolveLower:
         chol[2, 2] = 0.0
         with pytest.raises(gp.NumericalError, match="dtrtrs info 3"):
             gp._solve_lower(chol, np.ones(4))
+
+
+class TestSolvePositive:
+    @pytest.mark.parametrize("columns", [None, 12])
+    def test_bit_identical_to_scipys_solves(self, columns):
+        """solve(assume_a="pos") at lower=0, cho_solve(cho_factor(lower=True)) at lower=1.
+
+        From n = 2: scipy's solve divides a 1 x 1 system instead of factoring it.
+        """
+        rng = np.random.default_rng(columns or 0)
+        for n in (2, 3, 5, 40):
+            a = rng.standard_normal((n, n))
+            system = a @ a.T + 0.05 * np.eye(n)
+            rhs = rng.standard_normal(n if columns is None else (n, columns))
+            assert np.array_equal(gp.solve_positive(system, rhs, 0),
+                                  scipy.linalg.solve(system, rhs, assume_a="pos"))
+            factor = scipy.linalg.cho_factor(system, lower=True)
+            assert np.array_equal(gp.solve_positive(system, rhs, 1),
+                                  scipy.linalg.cho_solve(factor, rhs))
+
+    def test_indefinite_raises_and_empty_is_its_rhs(self):
+        with pytest.raises(gp.NumericalError, match="info 2"):
+            gp.solve_positive(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), 0)
+        rhs = np.zeros(0)
+        assert gp.solve_positive(np.zeros((0, 0)), rhs, 1) is rhs
 
 
 class TestNonFinite:

@@ -18,6 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_lapack_bindings_are_scipys_own():
     assert gp.dtrtri is scipy.linalg.lapack.dtrtri
     assert gp.dtrtrs is scipy.linalg.lapack.dtrtrs
+    assert gp.dpotrf is scipy.linalg.lapack.dpotrf
+    assert gp.dpotrs is scipy.linalg.lapack.dpotrs
     gees, trsyl = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
     assert benchmarks._gees is gees and benchmarks._trsyl is trsyl
 

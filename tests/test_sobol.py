@@ -113,6 +113,9 @@ def test_missing_table_names_its_path(tmp_path, monkeypatch):
 def test_package_does_not_import_scipy_stats():
     """Nor any other scipy module, in a run's every stage and the CLI's import.
 
+    The runs cover one, two and three tasks, so every route of the model
+    refresh (identity set, closed forms, general path) is reached.
+
     Only the two compiled modules that samsbo._scipy registers are loaded: not
     the scipy package itself, nor logging (the clamp warning imports it) or
     multiprocessing (``samsbo run`` imports it).
@@ -129,7 +132,8 @@ def test_package_does_not_import_scipy_stats():
         "branin_problem(); powell_problem(); laser_problem(); make_grid(10, 2048)\n"
         "safeopt.GRID_SIZE = 64\n"
         "for problem, algorithm in ((branin_problem(), 'samsbo'), (laser_problem(), 'samsbo'),\n"
-        "                           (branin_problem(), 'safe-ucb')):\n"
+        "                           (branin_problem(), 'safe-ucb'),\n"
+        "                           (branin_problem(n_tasks=3), 'samsbo')):\n"
         "    cfg = LoopConfig(algorithm=algorithm, iterations=1)\n"
         "    rng = np.random.default_rng(0)\n"
         "    seeds = np.array([find_safe_seed(problem, rng) for _ in range(cfg.seed_points)])\n"
